@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-ann bench-sim bench-broker check fuzz-smoke chaos
+.PHONY: tier1 race bench bench-ann bench-sim bench-broker bench-contract check fuzz-smoke chaos
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzMatch -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzServerCommand -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzRouteCommand -fuzztime $(FUZZTIME) ./internal/broker
+	$(GO) test -run NONE -fuzz FuzzClientRead -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/ann
 	$(GO) test -run NONE -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/netem/chaos
 	$(GO) test -run NONE -fuzz FuzzShardedKernel -fuzztime $(FUZZTIME) ./internal/netem/chaos
@@ -77,4 +78,10 @@ bench-broker:
 	$(GO) test -bench 'BenchmarkFanout' -benchtime 200x -run NONE ./internal/broker/bench/
 	$(GO) run ./cmd/adamant-fleet -compare -ll -out BENCH_broker.json -v
 
-check: tier1 race
+# bench-contract vets and tests the frozen benchmark against this tree.
+# benchmark/ is a nested module, so tier1 at the root cannot see a change
+# to an exported API or a behaviour that breaks it.
+bench-contract:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+check: tier1 race bench-contract

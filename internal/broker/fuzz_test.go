@@ -45,6 +45,7 @@ func FuzzServerCommand(f *testing.F) {
 	f.Add([]byte("PUB a 1\r\nx\r\nPUB a 5\r\nab"))
 	f.Add([]byte("PUB a 2\r\nok\r\nPUB .bad. 1\r\nq\r\nPUB a 2\r\nok\r\n"))
 	f.Add(append(append([]byte("PUB big 2000\r\n"), bytes.Repeat([]byte{'z'}, 2000)...), []byte("\r\nPUB a 1\r\nw\r\nPING\r\n")...))
+	f.Add(append([]byte("PING\r\n"), bytes.Repeat([]byte{'A'}, maxControlLine+100)...)) // control line past the bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := NewServer(WithSeed(1), WithShards(2), WithWriteQueue(64, 1<<20))
 		defer srv.Shutdown()
@@ -134,6 +135,53 @@ func FuzzRouteCommand(f *testing.F) {
 					st.Routes, st.RemoteSubs)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// FuzzClientRead feeds arbitrary bytes to the client's slab reader as the
+// broker's side of the stream. The client must neither panic nor wedge,
+// and how the bytes are cut into reads must not show: whole-buffer and
+// 3-byte reads have to produce the same deliveries and end the connection
+// the same way.
+func FuzzClientRead(f *testing.F) {
+	f.Add([]byte("MSG a.b 1 5\r\nhello\r\nPONG\r\nMSG a.c 2 0\n\nMSG x 9 3\r\nabc\r\n"))
+	f.Add([]byte("MSG a 1\r\nPING\r\n"))           // header without a size
+	f.Add([]byte("MSG a 1 notanumber\r\n"))        // unframeable size
+	f.Add([]byte("MSG a 1 1048577\r\n"))           // oversize payload
+	f.Add([]byte("MSG a 1 10\r\nshort"))           // truncated payload
+	f.Add([]byte("MSG a 1 2\r\nhiXX\r\n"))         // payload without its CRLF
+	f.Add([]byte("MSG a 1 2\r\nhi\rX"))            // CR without LF
+	f.Add([]byte("-ERR nope\r\n\r\n \t \r\nPONG")) // no final terminator
+	f.Add(bytes.Repeat([]byte{'A'}, maxControlLine+100))
+	f.Add(append(msgFrame("big", "2", bytes.Repeat([]byte{'z'}, 70000), "\r\n"), "MSG a 1 1\r\nw\r\n"...))
+	// dispatch runs on the fuzzing goroutine, so coverage is a function of
+	// the input alone.
+	dispatch := func(data []byte, chunk func(int) int) (got []recvd, err error) {
+		conn := newScriptConn(data, chunk)
+		close(conn.start)
+		c := &Client{conn: conn, subs: make(map[string]*Subscription)}
+		for _, sid := range []string{"1", "2"} {
+			sid := sid
+			c.subs[sid] = &Subscription{handler: func(m Msg) {
+				got = append(got, recvd{m.Subject, sid, string(m.Data)})
+			}}
+		}
+		return got, c.dispatch()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		whole, wholeErr := dispatch(data, nil)
+		cut, cutErr := dispatch(data, func(int) int { return 3 })
+		if len(whole) != len(cut) {
+			t.Fatalf("%d deliveries from whole-buffer reads, %d from 3-byte reads", len(whole), len(cut))
+		}
+		for i := range whole {
+			if whole[i] != cut[i] {
+				t.Fatalf("delivery %d differs between read chunkings", i)
+			}
+		}
+		if wholeErr == nil || cutErr == nil || wholeErr.Error() != cutErr.Error() {
+			t.Fatalf("connection ended with %v on whole-buffer reads, %v on 3-byte reads", wholeErr, cutErr)
 		}
 	})
 }

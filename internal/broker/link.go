@@ -33,7 +33,7 @@ type link struct {
 // (startWriter) so tests can drive a link synchronously.
 func (l *link) init(conn net.Conn, queueFrames int, queueBytes int64, adm *admission) {
 	l.conn = conn
-	l.r = bufio.NewReaderSize(conn, 64*1024)
+	l.r = bufio.NewReaderSize(conn, maxControlLine)
 	l.out.init(queueFrames, queueBytes, adm)
 }
 
@@ -117,18 +117,32 @@ func (l *link) completeLineBuffered() bool {
 	return bytes.IndexByte(buf, '\n') >= 0
 }
 
+// maxControlLine bounds a control line, terminator included, on both
+// sides of the protocol. It is the size of the server's reader buffer, so
+// a line within the bound is always parsed in place.
+const maxControlLine = 64 * 1024
+
+var errLineTooLong = errors.New("broker: control line too long")
+
+// readLine returns the link's next control line. A peer that sends
+// maxControlLine bytes without a terminator is told so before the caller
+// drops the connection.
+func (l *link) readLine() ([]byte, error) {
+	line, err := readLineSlice(l.r)
+	if err == errLineTooLong {
+		l.sendErr("control line too long")
+	}
+	return line, err
+}
+
 // readLineSlice returns the next CRLF- (or LF-) terminated line without
 // the terminator. The slice borrows the reader's buffer and is only
-// valid until the next read; over-long lines fall back to copying.
+// valid until the next read. A line that does not fit the reader's buffer
+// is errLineTooLong.
 func readLineSlice(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		buf := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull {
-			line, err = r.ReadSlice('\n')
-			buf = append(buf, line...)
-		}
-		line = buf
+		return nil, errLineTooLong
 	}
 	if err != nil {
 		return nil, err
@@ -138,16 +152,6 @@ func readLineSlice(r *bufio.Reader) ([]byte, error) {
 		line = line[:len(line)-1]
 	}
 	return line, nil
-}
-
-// readLine is the allocating (string) variant of readLineSlice, for
-// paths off the hot loop (the client reader, tests).
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := readLineSlice(r)
-	if err != nil {
-		return "", err
-	}
-	return string(line), nil
 }
 
 // splitFields splits on runs of spaces and tabs without allocating.
@@ -221,6 +225,8 @@ func encodeMsgHeader(subject []byte, sid string, n int) *headerBuf {
 	return h
 }
 
+var errBadPayload = errors.New("broker: payload not terminated by CRLF")
+
 func consumeCRLF(r *bufio.Reader) error {
 	b, err := r.ReadByte()
 	if err != nil {
@@ -232,7 +238,7 @@ func consumeCRLF(r *bufio.Reader) error {
 		}
 	}
 	if b != '\n' {
-		return errors.New("broker: payload not terminated by CRLF")
+		return errBadPayload
 	}
 	return nil
 }

@@ -903,7 +903,7 @@ func (c *serverClient) run() {
 			// line): route what we have instead of sitting on it.
 			c.flushPubs()
 		}
-		line, err := readLineSlice(c.r)
+		line, err := c.readLine()
 		if err != nil {
 			return
 		}

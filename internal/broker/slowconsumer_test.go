@@ -30,13 +30,13 @@ func pipeClient(t *testing.T, srv *Server) net.Conn {
 func drainMsgs(conn net.Conn, out chan<- string) {
 	r := bufio.NewReader(conn)
 	for {
-		line, err := readLine(r)
+		line, err := readLineSlice(r)
 		if err != nil {
 			close(out)
 			return
 		}
 		var fields [8][]byte
-		nf := splitFields([]byte(line), fields[:0])
+		nf := splitFields(line, fields[:0])
 		if len(nf) != 4 || string(nf[0]) != "MSG" {
 			continue
 		}
