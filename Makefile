@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-ann bench-sim bench-broker bench-contract check fuzz-smoke chaos
+.PHONY: tier1 race bench bench-ann bench-sim bench-broker bench-contract bench-pair check fuzz-smoke chaos
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -68,13 +68,13 @@ bench-sim:
 	$(GO) run ./cmd/adamant-bench -sim -shard-workers 1,2,4,8 -shard-groups 50,200,500,1000 -out BENCH_sim.json
 
 # bench-broker asserts the zero-alloc publish and delivery paths, the
-# wire byte-identity of the vectored data plane, and the >=2x
-# routing+delivery speedup over the seed broker at 10k subscriptions,
-# then regenerates BENCH_broker.json: the open-loop load-latency curve
-# (offered rate walked to the saturation knee on both data planes) plus
-# the fan-out sweep (group size x payload size) and the seed comparison.
+# wire byte-identity of the data plane, and the >=2x routing+delivery
+# speedup over the seed broker at 10k subscriptions, then regenerates
+# BENCH_broker.json: the open-loop load-latency curve (offered rate walked
+# to the saturation knee) plus the fan-out sweep (group size x payload
+# size) and the seed comparison.
 bench-broker:
-	$(GO) test -run 'TestPublishZeroAlloc|TestDeliveryAllocs|TestWireByteIdentityAcrossDataPlanes|TestFanoutSpeedup' -v ./internal/broker/...
+	$(GO) test -run 'TestPublishZeroAlloc|TestDeliveryAllocs|TestWireByteIdentity|TestFanoutSpeedup' -v ./internal/broker/...
 	$(GO) test -bench 'BenchmarkFanout' -benchtime 200x -run NONE ./internal/broker/bench/
 	$(GO) run ./cmd/adamant-fleet -compare -ll -out BENCH_broker.json -v
 
@@ -83,5 +83,14 @@ bench-broker:
 # to an exported API or a behaviour that breaks it.
 bench-contract:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pair compares REF (default HEAD) with the working tree on one
+# WORKLOAD of the frozen benchmark: PAIRS seed-paired alternating runs on
+# fresh seeds and as many on the held-out seed (scripts/bench-pair.sh).
+REF ?= HEAD
+WORKLOAD ?= fanout_small
+PAIRS ?= 10
+bench-pair:
+	scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS)
 
 check: tier1 race bench-contract

@@ -48,8 +48,7 @@ type fleetReport struct {
 	SeedComparison *bench.Comparison `json:"seed_comparison,omitempty"`
 
 	// LoadLatency is the open-loop load–latency section (present only
-	// with -ll): the offered-rate ladder walked to the saturation knee
-	// on both data planes.
+	// with -ll): the offered-rate ladder walked to the saturation knee.
 	LoadLatency *loadLatency `json:"load_latency,omitempty"`
 
 	// Mesh is the cross-broker federation section (present only with
@@ -63,9 +62,7 @@ type fleetReport struct {
 	Sweep []fleet.Result `json:"sweep"`
 }
 
-// loadLatency is the open-loop curve: p50/p99/p99.9 vs offered rate on
-// the vectored (PR 9) and legacy (pre-PR 9) data planes, measured by the
-// identical harness.
+// loadLatency is the open-loop curve: p50/p99/p99.9 vs offered rate.
 type loadLatency struct {
 	Subscribers  int     `json:"subscribers"`
 	PayloadBytes int     `json:"payload_bytes"`
@@ -76,15 +73,7 @@ type loadLatency struct {
 	// contention on a shared box only ever adds latency).
 	RepeatsPerPt int `json:"repeats_per_point"`
 
-	Vectored fleet.Sweep `json:"vectored"`
-	Legacy   fleet.Sweep `json:"legacy"`
-
-	// PacedP99SpeedupX is max(legacy p99 / vectored p99) over the
-	// offered rates both planes completed: how much better the PR 9
-	// plane's tail is at a load the old plane still nominally handles.
-	PacedP99SpeedupX float64 `json:"paced_p99_speedup_x"`
-	// At the rate where that maximum occurred:
-	SpeedupAtRateHz int `json:"speedup_at_rate_hz"`
+	fleet.Sweep
 }
 
 func main() {
@@ -101,7 +90,7 @@ func main() {
 		outPath  = flag.String("out", "BENCH_broker.json", "JSON report path")
 		verbose  = flag.Bool("v", false, "progress logging")
 
-		ll        = flag.Bool("ll", false, "run the open-loop load-latency rate sweep (both data planes)")
+		ll        = flag.Bool("ll", false, "run the open-loop load-latency rate sweep")
 		llSubs    = flag.Int("ll-subs", 1000, "load-latency: fan-out group size")
 		llPayload = flag.Int("ll-payload", 128, "load-latency: payload bytes")
 		llRates   = flag.String("ll-rates", "500,1000,2000,4000,8000,16000,32000", "load-latency: offered-rate ladder in Hz (comma list)")
@@ -187,39 +176,13 @@ func main() {
 			Seed:         *seed,
 			Shards:       *shards,
 		}
-		progress("load-latency sweep: %d subs, %dB payload, vectored plane", *llSubs, *llPayload)
-		sec.Vectored, err = fleet.RateSweep(fleet.SweepConfig{
+		progress("load-latency sweep: %d subs, %dB payload", *llSubs, *llPayload)
+		sec.Sweep, err = fleet.RateSweep(fleet.SweepConfig{
 			Base: base, Rates: rateLadder, Seconds: *llSeconds, KneeP99Ms: *llKneeMs, Repeats: *llRepeats,
 		}, progress)
 		if err != nil {
-			fatal("load-latency (vectored): %v", err)
+			fatal("load-latency: %v", err)
 		}
-		legacyBase := base
-		legacyBase.Legacy = true
-		progress("load-latency sweep: legacy plane")
-		sec.Legacy, err = fleet.RateSweep(fleet.SweepConfig{
-			Base: legacyBase, Rates: rateLadder, Seconds: *llSeconds, KneeP99Ms: *llKneeMs, Repeats: *llRepeats,
-		}, progress)
-		if err != nil {
-			fatal("load-latency (legacy): %v", err)
-		}
-		// Headline: worst legacy-vs-vectored p99 ratio at a common
-		// offered rate.
-		vp99 := map[int]float64{}
-		for _, p := range sec.Vectored.Points {
-			vp99[p.RateHz] = p.LatencyP99Ms
-		}
-		for _, p := range sec.Legacy.Points {
-			v, ok := vp99[p.RateHz]
-			if !ok || v <= 0 {
-				continue
-			}
-			if x := p.LatencyP99Ms / v; x > sec.PacedP99SpeedupX {
-				sec.PacedP99SpeedupX = x
-				sec.SpeedupAtRateHz = p.RateHz
-			}
-		}
-		progress("load-latency: paced p99 speedup %.1fx at %d Hz", sec.PacedP99SpeedupX, sec.SpeedupAtRateHz)
 		rep.LoadLatency = sec
 	}
 

@@ -126,11 +126,11 @@ func (s *seedServer) route(subject string, payload []byte) {
 	}
 	s.mu.Unlock()
 	for _, sub := range direct {
-		sub.client.sendMsg(subject, sub.sid, payload)
+		sub.client.deliver(subject, sub.sid, payload)
 	}
 }
 
-func (c *seedClient) sendMsg(subject, sid string, payload []byte) {
+func (c *seedClient) deliver(subject, sid string, payload []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	fmt.Fprintf(c.conn, "MSG %s %s %d\r\n", subject, sid, len(payload))

@@ -6,15 +6,16 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// The data-plane battery pins the PR 9 overhaul: the vectored writer
-// must be byte-identical on the wire to the legacy bufio path, the
-// refcounted arena must survive release/disconnect races, the hot path
+// The data-plane battery pins the delivery path: the bytes a subscriber's
+// socket receives must be exactly the protocol's, the refcounted arena
+// must survive release/disconnect races, the hot path
 // must stay allocation-free per delivery, publish admission must park
 // and (when pinned) time out as documented, and Stats snapshots must be
 // torn-read-free.
@@ -22,8 +23,10 @@ import (
 // wireScript is the publish sequence for the byte-identity test: sizes
 // straddle every writer-path boundary — empty, tiny, one under and over
 // zeroCopyMin (1024), mid-size, and larger than the 64 KiB coalesce
-// buffer — and the subjects alternate so batched routing crosses
-// route-set memoization.
+// buffer — the subjects alternate so batched routing crosses route-set
+// memoization, and two of them are longer than a pooled header buffer's
+// 64 bytes (the writer encodes the header from the arena buffer's subject,
+// whatever its length).
 var wireScript = []struct {
 	subject string
 	size    int
@@ -34,11 +37,17 @@ var wireScript = []struct {
 	{"wire.a", 1023},
 	{"wire.a", 1024},
 	{"wire.b", 1025},
+	{wireLongSubject, 1023},
+	{wireLongSubject, 0},
+	{wireLongSubject, 1024},
 	{"wire.a", 4096},
 	{"wire.b", 70000},
 	{"wire.a", 17},
+	{"wire." + strings.Repeat("y", 300), 9},
 	{"wire.a", 2048},
 }
+
+var wireLongSubject = "wire." + strings.Repeat("long-token.", 8) + "x" // 94 bytes
 
 // scriptPayload fills deterministic, position-dependent bytes so any
 // cross-frame corruption (wrong arena buffer, bad iovec split) changes
@@ -51,15 +60,11 @@ func scriptPayload(i, size int) []byte {
 	return p
 }
 
-// captureWireStream runs the script against a server on the given data
-// plane and returns the exact bytes the subscriber's socket received.
-func captureWireStream(t *testing.T, legacy bool) []byte {
-	t.Helper()
-	opts := []Option{WithSeed(7)}
-	if legacy {
-		opts = append(opts, WithLegacyDataPlane())
-	}
-	srv := NewServer(opts...)
+// TestWireByteIdentity is the golden contract of the delivery path: the
+// bytes the subscriber's socket receives for the script are exactly the
+// protocol spelled out by hand here, nothing before, between or after.
+func TestWireByteIdentity(t *testing.T) {
+	srv := NewServer(WithSeed(7))
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,33 +112,20 @@ func captureWireStream(t *testing.T, legacy bool) []byte {
 	got := make([]byte, want.Len())
 	sub.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.ReadFull(sub, got); err != nil {
-		t.Fatalf("reading %d-byte stream (legacy=%v): %v", want.Len(), legacy, err)
+		t.Fatalf("reading %d-byte stream: %v", want.Len(), err)
 	}
 	// Nothing may follow the scripted deliveries.
 	sub.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	var extra [1]byte
 	if n, _ := sub.Read(extra[:]); n != 0 {
-		t.Fatalf("unexpected trailing byte %q after scripted stream (legacy=%v)", extra[0], legacy)
+		t.Fatalf("unexpected trailing byte %q after scripted stream", extra[0])
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		for i := range got {
 			if got[i] != want.Bytes()[i] {
-				t.Fatalf("stream (legacy=%v) diverges at byte %d: got %q want %q", legacy, i, got[i], want.Bytes()[i])
+				t.Fatalf("stream diverges at byte %d: got %q want %q", i, got[i], want.Bytes()[i])
 			}
 		}
-	}
-	return got
-}
-
-// TestWireByteIdentityAcrossDataPlanes is the golden contract of the
-// PR 9 rewrite: the vectored zero-copy writer and the legacy bufio
-// writer must put exactly the same bytes on the wire, and both must
-// match the protocol spelled out by hand in captureWireStream.
-func TestWireByteIdentityAcrossDataPlanes(t *testing.T) {
-	vectored := captureWireStream(t, false)
-	legacy := captureWireStream(t, true)
-	if !bytes.Equal(vectored, legacy) {
-		t.Fatalf("vectored and legacy data planes produced different byte streams (%d vs %d bytes)", len(vectored), len(legacy))
 	}
 }
 
@@ -340,7 +332,7 @@ func TestArenaReleaseDisconnectStress(t *testing.T) {
 // TestDeliveryAllocs pins the server hot path's allocation budget:
 // once pools and caches are warm, routing a batch to an 8-way fan-out
 // and draining the queues must allocate (amortized) nothing per
-// delivery — the arena, header pool, match cache, and queue storage all
+// delivery — the arena, match cache, stager and queue storage all
 // recycle.
 func TestDeliveryAllocs(t *testing.T) {
 	if raceEnabled {
@@ -355,26 +347,24 @@ func TestDeliveryAllocs(t *testing.T) {
 		clients[i] = c
 		s.addSub(&serverSub{client: c, pattern: "alloc.bench", sid: "1"})
 	}
-	subj := []byte("alloc.bench")
 	const batchN = 16
-	pending := make([]pendingPub, batchN)
-	var fwd fwdScratch
+	var in ingest
 	var drain []outFrame
 	run := func() {
-		for i := range pending {
+		in.pending = in.pending[:0]
+		for i := 0; i < batchN; i++ {
 			pb := arenaGet(512)
+			pb.subj = append(pb.subj, "alloc.bench"...)
 			for j := range pb.data {
 				pb.data[j] = byte(i)
 			}
-			pending[i] = pendingPub{off: 0, n: len(subj), pb: pb}
+			in.pending = append(in.pending, pendingPub{pb: pb})
 		}
-		s.routeBatch(subj, pending, &fwd)
+		s.routeBatch(&in, nil)
 		for _, c := range clients {
 			for c.out.pending() {
 				drain, _ = c.out.take(drain[:0], maxDrainFrames)
-				for i := range drain {
-					drain[i].free()
-				}
+				freeFrames(drain)
 			}
 		}
 	}

@@ -72,11 +72,8 @@ type Config struct {
 	QueueFrames int
 	QueueBytes  int64
 
-	// Legacy runs the server on the pre-PR 9 data plane (per-publish
-	// routing, bufio copy writer, no admission) for in-tree before/after
-	// comparison. AdmissionBytes overrides the publish-admission window
-	// (0 = broker default, < 0 = disabled).
-	Legacy         bool
+	// AdmissionBytes overrides the publish-admission window (0 = broker
+	// default, < 0 = disabled).
 	AdmissionBytes int64
 }
 
@@ -88,12 +85,10 @@ type Result struct {
 	Messages     int `json:"messages"`
 	RateHz       int `json:"rate_hz"`
 
-	// DataPlane is "vectored" (PR 9) or "legacy" (pre-PR 9); OpenLoop
-	// reports whether latency was stamped from the intended send
-	// schedule (paced runs) or the actual send time (unpaced runs,
+	// OpenLoop reports whether latency was stamped from the intended
+	// send schedule (paced runs) or the actual send time (unpaced runs,
 	// which are closed-loop and understate latency under saturation).
-	DataPlane string `json:"data_plane"`
-	OpenLoop  bool   `json:"open_loop"`
+	OpenLoop bool `json:"open_loop"`
 
 	Delivered uint64 `json:"delivered"`
 	Dropped   uint64 `json:"dropped"`
@@ -160,7 +155,6 @@ func Run(cfg Config) (Result, error) {
 		PayloadBytes: cfg.PayloadBytes,
 		Messages:     cfg.Messages,
 		RateHz:       cfg.RateHz,
-		DataPlane:    "vectored",
 		OpenLoop:     cfg.RateHz > 0,
 	}
 
@@ -171,10 +165,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Shards > 0 {
 		opts = append(opts, broker.WithShards(cfg.Shards))
-	}
-	if cfg.Legacy {
-		res.DataPlane = "legacy"
-		opts = append(opts, broker.WithLegacyDataPlane())
 	}
 	if cfg.AdmissionBytes != 0 {
 		opts = append(opts, broker.WithPublishAdmission(cfg.AdmissionBytes, 0))

@@ -63,8 +63,7 @@ func TestFleetPaced(t *testing.T) {
 
 // TestFleetOpenLoopFlag pins the coordinated-omission contract: paced
 // runs are open-loop (intended-time stamps, schedule accounting live),
-// unpaced runs are flagged closed-loop, and both report their data
-// plane.
+// unpaced runs are flagged closed-loop.
 func TestFleetOpenLoopFlag(t *testing.T) {
 	paced, err := Run(Config{
 		Subscribers: 50, Conns: 2, PayloadBytes: 16, Messages: 30, RateHz: 200, Seed: 7,
@@ -75,24 +74,18 @@ func TestFleetOpenLoopFlag(t *testing.T) {
 	if !paced.OpenLoop {
 		t.Error("paced run not flagged open-loop")
 	}
-	if paced.DataPlane != "vectored" {
-		t.Errorf("data plane %q, want vectored", paced.DataPlane)
-	}
 	if paced.MaxSendLagMs < 0 {
 		t.Errorf("negative send lag %.3f", paced.MaxSendLagMs)
 	}
 
 	unpaced, err := Run(Config{
-		Subscribers: 50, Conns: 2, PayloadBytes: 16, Messages: 30, Seed: 7, Legacy: true,
+		Subscribers: 50, Conns: 2, PayloadBytes: 16, Messages: 30, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unpaced.OpenLoop {
 		t.Error("unpaced run flagged open-loop; it is closed-loop by construction")
-	}
-	if unpaced.DataPlane != "legacy" {
-		t.Errorf("data plane %q, want legacy", unpaced.DataPlane)
 	}
 	if unpaced.BehindSchedule != 0 {
 		t.Errorf("unpaced run has no schedule, BehindSchedule = %d", unpaced.BehindSchedule)

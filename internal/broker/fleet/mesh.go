@@ -101,7 +101,6 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 			PayloadBytes: base.PayloadBytes,
 			Messages:     base.Messages,
 			RateHz:       base.RateHz,
-			DataPlane:    "vectored",
 			OpenLoop:     base.RateHz > 0,
 		},
 		Brokers: cfg.Brokers,

@@ -34,10 +34,9 @@ type SweepConfig struct {
 	Repeats int
 }
 
-// Sweep is one plane's measured load–latency curve.
+// Sweep is one measured load–latency curve.
 type Sweep struct {
-	DataPlane string   `json:"data_plane"`
-	Points    []Result `json:"points"`
+	Points []Result `json:"points"`
 	// KneeRateHz is the first offered rate past the saturation knee
 	// (p99 over bound, or schedule not sustained); 0 if the ladder ended
 	// before finding one.
@@ -55,10 +54,7 @@ func RateSweep(cfg SweepConfig, progress func(format string, args ...any)) (Swee
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 1
 	}
-	sw := Sweep{DataPlane: "vectored"}
-	if cfg.Base.Legacy {
-		sw.DataPlane = "legacy"
-	}
+	var sw Sweep
 	for _, rate := range cfg.Rates {
 		if rate <= 0 {
 			return sw, fmt.Errorf("fleet: sweep rate must be > 0, got %d", rate)
@@ -80,8 +76,8 @@ func RateSweep(cfg SweepConfig, progress func(format string, args ...any)) (Swee
 			}
 		}
 		sw.Points = append(sw.Points, res)
-		progress("  %s %6d Hz: p50 %.3fms p99 %.3fms p99.9 %.3fms (behind %d, lag %.1fms, dropped %d)",
-			sw.DataPlane, rate, res.LatencyP50Ms, res.LatencyP99Ms, res.LatencyP999Ms,
+		progress("  %6d Hz: p50 %.3fms p99 %.3fms p99.9 %.3fms (behind %d, lag %.1fms, dropped %d)",
+			rate, res.LatencyP50Ms, res.LatencyP99Ms, res.LatencyP999Ms,
 			res.BehindSchedule, res.MaxSendLagMs, res.Dropped)
 		// Knee detection: the plane is saturated when tail latency
 		// escapes the bound or the publisher ran behind schedule for a
@@ -89,7 +85,7 @@ func RateSweep(cfg SweepConfig, progress func(format string, args ...any)) (Swee
 		behindFrac := float64(res.BehindSchedule) / float64(res.Messages)
 		if (cfg.KneeP99Ms > 0 && res.LatencyP99Ms > cfg.KneeP99Ms) || behindFrac > 0.10 {
 			sw.KneeRateHz = rate
-			progress("  %s knee at %d Hz", sw.DataPlane, rate)
+			progress("  knee at %d Hz", rate)
 			break
 		}
 	}

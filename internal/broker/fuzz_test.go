@@ -96,6 +96,10 @@ func FuzzRouteCommand(f *testing.F) {
 	f.Add([]byte("SUB a 1\r\nROUTE fuzz -\r\nRS+ a\r\n"))                                  // client subs then upgrade
 	f.Add([]byte("route fuzz -\r\nrs+ a.>\r\nrmsg a.x fuzz 0\r\n\r\nBOGUS\r\n"))
 	f.Add([]byte("ROUTE fuzz -\r\nRS+ a..b\r\nRS+\r\nRMSG a fuzz\r\n")) // bad pattern + arity
+	// Batched route ingest: pipelined RMSGs in one segment with queue
+	// names, a self-origin echo and an invalid subject inside the batch, a
+	// batch split by an interest line, and a tail truncated mid-payload.
+	f.Add([]byte("ROUTE fuzz -\r\nRMSG a fuzz 1\r\nx\r\nRMSG a fuzz 2 q1 q2\r\nyy\r\nRMSG b srv-under-test 1\r\nz\r\nRMSG .bad fuzz 1\r\nw\r\nRMSG a fuzz 0\r\n\r\nRS+ a\r\nRMSG a fuzz 1 q1\r\nv\r\nRMSG a fuzz 5\r\nab"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := NewServer(WithSeed(1), WithShards(2), WithWriteQueue(64, 1<<20),
 			WithServerID("srv-under-test"))

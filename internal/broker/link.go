@@ -6,17 +6,17 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strconv"
 )
 
 // link is the connection substrate every broker connection role is built
-// on: the socket, a framed line reader, and the bounded outbound queue
-// drained by a vectored writer goroutine (outbound.go). A serverClient
+// on: the socket, a framed line reader with the reader goroutine's ingest
+// batch, and the bounded outbound queue drained by a vectored writer
+// goroutine (outbound.go). A serverClient
 // (client↔broker) and a route (broker↔broker) are both "a link plus a
 // command loop": the framing, the arena-backed payload reads, the
 // queue/slow-consumer machinery, and the writer are identical, so the
-// wire guarantees — per-connection FIFO in enqueue order, byte-identical
-// frames across data planes — hold for both roles by construction.
+// wire guarantees — per-connection FIFO in enqueue order, frames
+// byte-identical to the protocol — hold for both roles by construction.
 //
 // A serverClient can even *become* a route mid-stream (the ROUTE
 // handshake upgrades an accepted connection, see route.go): the link is
@@ -25,6 +25,7 @@ import (
 type link struct {
 	conn net.Conn
 	r    *bufio.Reader
+	in   ingest // reader goroutine only
 	out  outQueue
 }
 
@@ -37,65 +38,61 @@ func (l *link) init(conn net.Conn, queueFrames int, queueBytes int64, adm *admis
 	l.out.init(queueFrames, queueBytes, adm)
 }
 
-// startWriter spawns the writer goroutine for the selected data plane.
-// The writer owns the final conn.Close, so queued replies reach the peer
-// before teardown.
-func (l *link) startWriter(legacy bool, adm *admission) {
-	if legacy {
-		go writeLoopLegacy(l.conn, &l.out)
-	} else {
-		go writeLoop(l.conn, &l.out, adm)
-	}
-}
+// startWriter spawns the writer goroutine. The writer owns the final
+// conn.Close, so queued replies reach the peer before teardown.
+func (l *link) startWriter() { go writeLoop(l.conn, &l.out) }
 
-// enqueueMsg enqueues one framed message (header + arena payload + CRLF),
-// taking the frame's arena reference before the enqueue (the writer may
-// drain and release the frame the instant enqueue returns) and giving it
-// back on rejection. Overflow applies the slow-consumer policy: drop the
-// frame (sendDrop) or tear the connection down (sendDisconnect).
-func (l *link) enqueueMsg(hdr *headerBuf, pb *payloadRef, policy SlowConsumerPolicy) sendResult {
-	f := outFrame{hdr: hdr, payload: pb.data, pb: pb}
-	pb.retain()
-	switch l.out.enqueue(f) {
-	case enqOK:
-		return sendOK
-	case enqClosed:
-		putHeaderBuf(f.hdr)
-		pb.release()
-		return sendClosed
-	default: // overflow: apply the slow-consumer policy
-		putHeaderBuf(f.hdr)
-		pb.release()
-		if policy == SlowConsumerDrop {
-			return sendDrop
+// enqueueRun offers a run of frames to the link's queue and consumes it:
+// accepted frames now belong to the queue, the others are freed, and run
+// holds nothing afterwards. The arena references are taken before
+// the enqueue, one Add per stretch of frames on the same arena buffer (the
+// writer may drain and release a frame the instant the queue lock drops),
+// and given back for the frames the queue rejects. An overflow under
+// SlowConsumerDisconnect tears the connection down.
+func (l *link) enqueueRun(run []outFrame, policy SlowConsumerPolicy) runResult {
+	for i := 0; i < len(run); {
+		pb := run[i].pb
+		j := i + 1
+		for j < len(run) && run[j].pb == pb {
+			j++
 		}
+		if pb != nil {
+			pb.retain(j - i)
+		}
+		i = j
+	}
+	res, rejected := l.out.enqueueRun(run, policy)
+	freeFrames(run[:rejected])
+	clear(run[rejected:])
+	if res.disconnects > 0 {
 		l.out.discard()
 		l.conn.Close()
-		return sendDisconnect
 	}
+	return res
 }
 
-// sendLine enqueues a CRLF-terminated control line.
+// sendLine enqueues a CRLF-terminated control line. A full queue drops it.
 func (l *link) sendLine(line string) {
-	f := outFrame{hdr: encodeLine(line)}
-	if l.out.enqueue(f) != enqOK {
-		putHeaderBuf(f.hdr)
-	}
+	f := [1]outFrame{{hdr: encodeLine(line)}}
+	l.enqueueRun(f[:], SlowConsumerDrop)
 }
 
 func (l *link) sendErr(msg string) { l.sendLine("-ERR " + msg) }
 
 // readPayload reads an n-byte payload plus its CRLF terminator into a
-// fresh arena buffer, returning it with the one publisher reference. On
-// error the reference is dropped and the stream is unframeable.
-func (l *link) readPayload(n int) (*payloadRef, error) {
+// fresh arena buffer, which also takes a copy of subject (a slice of the
+// reader's buffer, which the payload read may refill), and returns it with
+// the one publisher reference. On error the reference is dropped and the
+// stream is unframeable.
+func (l *link) readPayload(subject []byte, n int) (*payloadRef, error) {
 	pb := arenaGet(n)
+	pb.subj = append(pb.subj, subject...)
 	if _, err := io.ReadFull(l.r, pb.data); err != nil {
-		pb.release()
+		pb.release(1)
 		return nil, err
 	}
 	if err := consumeCRLF(l.r); err != nil {
-		pb.release()
+		pb.release(1)
 		return nil, err
 	}
 	return pb, nil
@@ -208,21 +205,6 @@ func parseSize(b []byte) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// encodeMsgHeader appends "MSG <subject> <sid> <n>\r\n" to a pooled buf.
-func encodeMsgHeader(subject []byte, sid string, n int) *headerBuf {
-	h := getHeaderBuf()
-	b := h.b
-	b = append(b, "MSG "...)
-	b = append(b, subject...)
-	b = append(b, ' ')
-	b = append(b, sid...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '\r', '\n')
-	h.b = b
-	return h
 }
 
 var errBadPayload = errors.New("broker: payload not terminated by CRLF")

@@ -2,33 +2,39 @@ package broker
 
 import (
 	"net"
+	"strconv"
 	"sync"
 )
 
-// Delivery never writes to the socket from the publish path. Each client
-// owns a bounded outbound queue drained by a single writer goroutine;
-// that single drain goroutine is also the FIFO argument: frames enter
-// the queue in route order under the shard lock and leave in queue order
-// on one goroutine, so per-client delivery order is exactly enqueue
-// order no matter how the writer batches the bytes.
+// Delivery never writes to the socket from the publish path. Each
+// connection owns a bounded outbound queue drained by a single writer
+// goroutine; that single drain goroutine is also the FIFO argument: frames
+// enter the queue in route order under the shard lock and leave in queue
+// order on one goroutine, so per-connection delivery order is exactly
+// enqueue order no matter how the writer batches the bytes.
 //
-// The writer is vectored (PR 9): instead of copying header, payload, and
-// CRLF into a bufio.Writer per delivery, it drains the queue in bounded
-// chunks and assembles a net.Buffers batch — small frames are coalesced
-// into one reusable 64 KiB buffer (one memcpy, one iovec), large payloads
-// ride as their own iovec straight out of the shared refcounted arena
-// buffer (zero copies between the publisher's socket read and the
-// kernel). One writev syscall then moves the whole chunk. The wire bytes
-// are identical to the PR 7 bufio path (test-enforced against
-// writeLoopLegacy in outbound_legacy.go); only the number of copies and
-// syscalls changes.
+// Per delivery, the publish path does an append. A reader goroutine stages
+// the deliveries of its ingest batch in its stager, one open run per
+// destination link, and a run enters the link's queue under one
+// acquisition of the queue lock, with one admission-gauge add, one
+// reference-count add per stretch of frames sharing a payload, and at most
+// one wake of the writer. A staged MSG frame is a sid and a pointer to the
+// arena buffer, which carries payload and subject; nothing is encoded
+// until the writer does it.
 //
-// The queue is bounded in both frames and payload bytes. When a client
-// stops reading and its queue fills, the configured SlowConsumerPolicy
-// decides: drop the new frame and count it (SlowConsumerDrop), or close
-// the connection (SlowConsumerDisconnect, the default — a stalled
-// subscriber is evicted rather than silently lossy). Either way the
-// publish path never blocks on one stalled subscriber.
+// The writer is vectored: it drains the queue in bounded chunks and
+// assembles a net.Buffers batch. MSG headers are encoded and small
+// payloads copied into one reusable 64 KiB coalesce buffer (one iovec per
+// contiguous stretch), large payloads ride as their own iovec straight out
+// of the shared arena buffer (zero copies between the publisher's socket
+// read and the kernel). One writev syscall then moves the whole chunk.
+//
+// The queue is bounded in both frames and bytes. When a peer stops reading
+// and its queue fills, the SlowConsumerPolicy decides frame by frame: drop
+// the frame and count it (SlowConsumerDrop), or close the connection
+// (SlowConsumerDisconnect, the default — a stalled subscriber is evicted
+// rather than silently lossy). Either way the publish path never blocks on
+// one stalled subscriber.
 
 // SlowConsumerPolicy selects what happens when a client's outbound
 // queue overflows.
@@ -59,45 +65,108 @@ const (
 	// referencing the shared arena buffer. Below it, the copy is cheaper
 	// than growing the iovec list the kernel must walk.
 	zeroCopyMin = 1024
+
+	// maxPooledHeader is the largest header or subject storage a pool
+	// keeps; what a long subject grew beyond it is left to the collector.
+	maxPooledHeader = 4096
 )
 
-// outFrame is one queued write: hdr is a pooled buffer holding either
-// a full control line (pb nil) or a MSG header; for MSG frames payload
-// (the arena buffer's data, on which the frame holds one reference)
-// follows, then CRLF.
+// outFrame is one queued write, of three kinds. A MSG delivery is
+// {sid, pb}: the header is computed from pb.subj, sid and len(pb.data) and
+// exists as bytes only in the writer's coalesce buffer. An RMSG forward is
+// {hdr, pb} with its header line in the pooled hdr. A control line is
+// {hdr} alone. Where pb is set the frame holds one reference on it once it
+// is queued, and payload and CRLF follow the header on the wire.
 type outFrame struct {
-	hdr     *headerBuf
-	payload []byte
-	pb      *payloadRef
+	hdr *headerBuf
+	sid string
+	pb  *payloadRef
 }
 
+func (f *outFrame) headerLen() int {
+	if f.hdr != nil {
+		return len(f.hdr.b)
+	}
+	return msgHeaderLen(len(f.pb.subj), len(f.sid), len(f.pb.data))
+}
+
+func (f *outFrame) appendHeader(b []byte) []byte {
+	if f.hdr != nil {
+		return append(b, f.hdr.b...)
+	}
+	return appendMsgHeader(b, f.pb.subj, f.sid, len(f.pb.data))
+}
+
+// size is the frame's length on the wire, the unit of the queue's byte
+// bound and of the admission gauge.
 func (f *outFrame) size() int64 {
-	n := int64(len(f.hdr.b))
+	n := f.headerLen()
 	if f.pb != nil {
-		n += int64(len(f.payload)) + 2
+		n += len(f.pb.data) + 2
 	}
-	return n
+	return int64(n)
 }
 
-// free releases everything the frame holds: the pooled header and the
-// frame's arena reference. The caller must account the admission bytes
-// separately (the release points differ between writer and discard).
-func (f *outFrame) free() {
-	putHeaderBuf(f.hdr)
-	if f.pb != nil {
-		f.pb.release()
-	}
-	*f = outFrame{}
+// appendMsgHeader appends "MSG <subject> <sid> <n>\r\n".
+func appendMsgHeader(b, subject []byte, sid string, n int) []byte {
+	b = append(b, "MSG "...)
+	b = append(b, subject...)
+	b = append(b, ' ')
+	b = append(b, sid...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, '\r', '\n')
 }
 
-// enqueue outcomes.
-type enqResult int
+// msgHeaderLen is len(appendMsgHeader(nil, ...)) without building it.
+func msgHeaderLen(subject, sid, n int) int {
+	digits := 1
+	for ; n >= 10; n /= 10 {
+		digits++
+	}
+	return len("MSG ") + subject + 1 + sid + 1 + digits + 2
+}
 
-const (
-	enqOK enqResult = iota
-	enqOverflow
-	enqClosed
-)
+// freeFrames releases everything the frames hold, the pooled headers and
+// one arena reference per frame (one atomic per stretch of frames on the
+// same buffer), zeroes them, and returns their wire size. The caller
+// accounts the admission bytes (the release points differ between writer
+// and discard).
+func freeFrames(frames []outFrame) int64 {
+	var bytes int64
+	for i := 0; i < len(frames); {
+		pb := frames[i].pb
+		j := i
+		for ; j < len(frames) && frames[j].pb == pb; j++ {
+			bytes += frames[j].size()
+			putHeaderBuf(frames[j].hdr)
+		}
+		if pb != nil {
+			pb.release(j - i)
+		}
+		i = j
+	}
+	clear(frames)
+	return bytes
+}
+
+// runResult is what became of the runs offered to a queue: MSG frames
+// accepted and their payload bytes, RMSG frames accepted, frames dropped
+// by SlowConsumerDrop, and connections SlowConsumerDisconnect closed.
+type runResult struct {
+	msgs, msgBytes uint64
+	rmsgs          uint64
+	drops          uint64
+	disconnects    uint64
+}
+
+func (r *runResult) add(o runResult) {
+	r.msgs += o.msgs
+	r.msgBytes += o.msgBytes
+	r.rmsgs += o.rmsgs
+	r.drops += o.drops
+	r.disconnects += o.disconnects
+}
 
 // outQueue is the bounded frame queue between routeBatch and a client's
 // writer goroutine. It is a head-indexed slice ring so the writer can
@@ -121,38 +190,61 @@ func (q *outQueue) init(maxFrames int, maxBytes int64, gauge *admission) {
 	q.gauge = gauge
 }
 
-func (q *outQueue) enqueue(f outFrame) enqResult {
-	sz := f.size()
+// enqueueRun offers the frames of run in order under one acquisition of
+// the queue lock. The slow-consumer policy applies frame by frame, exactly
+// as if each had been offered alone: under SlowConsumerDrop a frame that
+// does not fit is dropped and the ones after it are still offered (a
+// smaller one may fit); under SlowConsumerDisconnect the first one that
+// does not fit ends the run. Frames not accepted — all of them on a closed
+// queue — are moved to run[:rejected] and stay the caller's to free; the
+// rest of run is stale afterwards.
+func (q *outQueue) enqueueRun(run []outFrame, policy SlowConsumerPolicy) (res runResult, rejected int) {
+	var added int64
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return enqClosed
-	}
-	if len(q.frames)-q.head >= q.maxFrames || q.bytes+sz > q.maxBytes {
-		q.mu.Unlock()
-		return enqOverflow
-	}
 	wasEmpty := len(q.frames) == q.head
-	if q.head > 0 && len(q.frames) == cap(q.frames) {
-		n := copy(q.frames, q.frames[q.head:])
-		clearFrames(q.frames[n:])
-		q.frames = q.frames[:n]
-		q.head = 0
+	stop := q.closed
+	for i := range run {
+		f := &run[i]
+		sz := f.size()
+		switch {
+		case stop:
+		case len(q.frames)-q.head < q.maxFrames && q.bytes+sz <= q.maxBytes:
+			if q.head > 0 && len(q.frames) == cap(q.frames) {
+				n := copy(q.frames, q.frames[q.head:])
+				clear(q.frames[n:])
+				q.frames = q.frames[:n]
+				q.head = 0
+			}
+			q.frames = append(q.frames, *f)
+			q.bytes += sz
+			added += sz
+			if f.hdr == nil {
+				res.msgs++
+				res.msgBytes += uint64(len(f.pb.data))
+			} else if f.pb != nil {
+				res.rmsgs++
+			}
+			continue
+		case policy == SlowConsumerDrop:
+			res.drops++
+		default:
+			res.disconnects, stop = 1, true
+		}
+		run[rejected] = *f
+		rejected++
 	}
-	q.frames = append(q.frames, f)
-	q.bytes += sz
 	// Admission accounting must happen under q.mu: a concurrent discard
 	// (slow-consumer disconnect from another shard's batch) walks the
 	// queued frames and returns their bytes, so the add and the walk have
 	// to be ordered.
-	if q.gauge != nil {
-		q.gauge.add(sz)
+	if q.gauge != nil && added > 0 {
+		q.gauge.add(added)
 	}
 	q.mu.Unlock()
-	if wasEmpty {
+	if wasEmpty && added > 0 {
 		q.cond.Signal()
 	}
-	return enqOK
+	return res, rejected
 }
 
 // take blocks until frames are pending or the queue is closed, then
@@ -207,11 +299,7 @@ func (q *outQueue) close() {
 func (q *outQueue) discard() {
 	q.mu.Lock()
 	q.closed = true
-	var dropped int64
-	for i := q.head; i < len(q.frames); i++ {
-		dropped += q.frames[i].size()
-		q.frames[i].free()
-	}
+	dropped := freeFrames(q.frames[q.head:])
 	q.frames = q.frames[:0]
 	q.head = 0
 	q.bytes = 0
@@ -223,20 +311,13 @@ func (q *outQueue) discard() {
 	q.cond.Signal()
 }
 
-func clearFrames(fs []outFrame) {
-	for i := range fs {
-		fs[i] = outFrame{}
-	}
-}
-
-// headerBuf is a pooled header/control-line buffer. The pool hands out
-// the struct pointer itself so a get/put cycle never boxes a slice
-// header (an interface-conversion alloc per frame would dominate the
-// hot path the arena just de-allocated).
+// headerBuf is a pooled control-line or RMSG-header buffer. The pool
+// hands out the struct pointer itself so a get/put cycle never boxes a
+// slice header.
 type headerBuf struct{ b []byte }
 
-// headerPool recycles the small per-frame header/control-line buffers,
-// mirroring the udpnet encode-buffer reuse from the transport layer.
+// headerPool recycles the header buffers, mirroring the udpnet
+// encode-buffer reuse from the transport layer.
 var headerPool = sync.Pool{
 	New: func() any {
 		return &headerBuf{b: make([]byte, 0, 64)}
@@ -253,7 +334,7 @@ func putHeaderBuf(h *headerBuf) {
 	if h == nil {
 		return
 	}
-	if cap(h.b) > 4096 {
+	if cap(h.b) > maxPooledHeader {
 		h.b = nil // don't hoard buffers grown by long subjects
 	}
 	headerPool.Put(h)
@@ -284,12 +365,12 @@ func newVectorBatch() *vectorBatch {
 	}
 }
 
-// write sends frames[0:n] to conn preserving order and wire bytes:
-// headers and small payloads are appended to the coalesce buffer (each
-// contiguous run becomes one iovec), payloads >= zeroCopyMin are
-// referenced directly. When the coalesce buffer fills mid-chunk the
-// accumulated iovecs are flushed and assembly continues, so any frame
-// mix terminates.
+// write sends frames to conn preserving order and wire bytes: headers
+// (MSG headers are encoded here) and small payloads are appended to the
+// coalesce buffer (each contiguous stretch becomes one iovec), payloads >=
+// zeroCopyMin are referenced directly. When the coalesce buffer fills
+// mid-chunk the accumulated iovecs are flushed and assembly continues, so
+// any frame mix terminates.
 func (v *vectorBatch) write(conn net.Conn, frames []outFrame) error {
 	coal := v.coal[:0]
 	iov := v.iov[:0]
@@ -335,30 +416,35 @@ func (v *vectorBatch) write(conn net.Conn, frames []outFrame) error {
 	var err error
 	for i := range frames {
 		f := &frames[i]
-		hdr := f.hdr.b
-		if f.pb != nil && len(f.payload) >= zeroCopyMin {
-			if err = fit(len(hdr)); err != nil {
+		hlen := f.headerLen()
+		if f.pb == nil {
+			if err = fit(hlen); err != nil {
 				break
 			}
-			coal = append(coal, hdr...)
+			coal = f.appendHeader(coal)
+			continue
+		}
+		payload := f.pb.data
+		if len(payload) >= zeroCopyMin {
+			if err = fit(hlen); err != nil {
+				break
+			}
+			coal = f.appendHeader(coal)
 			iov = append(iov, coal[mark:])
 			mark = len(coal)
-			iov = append(iov, f.payload)
+			iov = append(iov, payload)
 			if err = fit(2); err != nil {
 				break
 			}
 			coal = append(coal, crlf...)
 			continue
 		}
-		need := len(hdr) + len(f.payload) + 2
-		if err = fit(need); err != nil {
+		if err = fit(hlen + len(payload) + 2); err != nil {
 			break
 		}
-		coal = append(coal, hdr...)
-		if f.pb != nil {
-			coal = append(coal, f.payload...)
-			coal = append(coal, crlf...)
-		}
+		coal = f.appendHeader(coal)
+		coal = append(coal, payload...)
+		coal = append(coal, crlf...)
 	}
 	if err == nil {
 		err = flush()
@@ -368,13 +454,13 @@ func (v *vectorBatch) write(conn net.Conn, frames []outFrame) error {
 	return err
 }
 
-// writeLoop is the per-client writer goroutine: it drains the queue in
-// bounded chunks, assembles each chunk into a coalesced+zero-copy writev
-// batch, and releases every frame's arena reference and admission bytes
-// once the chunk is written (or abandoned on error). It owns the final
+// writeLoop is the per-connection writer goroutine: it drains the queue
+// in bounded chunks, assembles each chunk into a coalesced+zero-copy
+// writev batch, and releases the chunk's arena references and admission
+// bytes once it is written (or abandoned on error). It owns the final
 // conn.Close so that queued protocol replies (-ERR, PONG) reach the peer
 // before teardown.
-func writeLoop(conn net.Conn, q *outQueue, gauge *admission) {
+func writeLoop(conn net.Conn, q *outQueue) {
 	vb := newVectorBatch()
 	var batch []outFrame
 	for {
@@ -385,13 +471,9 @@ func writeLoop(conn net.Conn, q *outQueue, gauge *admission) {
 			return
 		}
 		err := vb.write(conn, batch)
-		var written int64
-		for i := range batch {
-			written += batch[i].size()
-			batch[i].free()
-		}
-		if gauge != nil && written > 0 {
-			gauge.done(written)
+		written := freeFrames(batch)
+		if q.gauge != nil && written > 0 {
+			q.gauge.done(written)
 		}
 		if err != nil {
 			// The peer is gone: unblock the reader and drop the rest.
@@ -399,4 +481,82 @@ func writeLoop(conn net.Conn, q *outQueue, gauge *admission) {
 			q.discard()
 		}
 	}
+}
+
+// A stager is a reader goroutine's staging area between match and queue.
+// routeBatch adds each delivery to the open run of its destination link,
+// and a run is handed to the link (link.enqueueRun) when it reaches
+// stagerRunFrames, when a delivery to a link without an open run finds all
+// stagerRuns slots taken, and — all runs — when routeBatch is about to
+// release the shard lock. Per-link order is add order: a link has at most
+// one open run, and a run is enqueued whole, before the next run for that
+// link can be opened.
+//
+// Three rules keep what per-frame enqueueing under the shard lock gave:
+//
+//  1. Every run is flushed before the shard lock its deliveries were
+//     matched under is released. UNSUB removes the subscription under that
+//     lock, so once it returns no delivery for the sid is staged anywhere:
+//     a PONG queued after it is behind the sid's last MSG.
+//  2. A run's arena references are taken before its enqueue
+//     (link.enqueueRun); staged frames hold none.
+//  3. That is safe because the publisher hold of every payload in the
+//     batch outlives the batch's last flush (routeBatch).
+type stager struct {
+	runs [stagerRuns]stagedRun
+	n    int // open runs
+
+	// total is what the runs flushed since routeBatch last read it came to.
+	total runResult
+}
+
+const (
+	stagerRuns      = 8
+	stagerRunFrames = 512
+)
+
+type stagedRun struct {
+	dst    *link
+	policy SlowConsumerPolicy
+	frames []outFrame
+}
+
+// add stages f for dst, to be offered under policy.
+func (st *stager) add(dst *link, policy SlowConsumerPolicy, f outFrame) {
+	var run *stagedRun
+	for i := st.n - 1; i >= 0; i-- {
+		if st.runs[i].dst == dst {
+			run = &st.runs[i]
+			break
+		}
+	}
+	if run == nil {
+		if st.n == stagerRuns {
+			st.flush()
+		}
+		run = &st.runs[st.n]
+		st.n++
+		run.dst, run.policy = dst, policy
+	}
+	run.frames = append(run.frames, f)
+	if len(run.frames) >= stagerRunFrames {
+		st.flushRun(run)
+	}
+}
+
+func (st *stager) flushRun(run *stagedRun) {
+	st.total.add(run.dst.enqueueRun(run.frames, run.policy))
+	run.frames = run.frames[:0]
+}
+
+// flush hands every open run to its link and closes it.
+func (st *stager) flush() {
+	for i := 0; i < st.n; i++ {
+		run := &st.runs[i]
+		if len(run.frames) > 0 {
+			st.flushRun(run)
+		}
+		run.dst = nil
+	}
+	st.n = 0
 }

@@ -13,6 +13,7 @@ package broker
 //     routing trie as ordinary serverSub entries with rt set, so
 //     routeBatch sees local clients and remote brokers through one match
 //     — a broker forwards a publish only to peers that proved interest.
+//     Inbound RMSGs are batched and routed by the same routeBatch.
 //
 //   - Origin-tagged forwarding with one-hop dedup. A forwarded message
 //     (RMSG) carries the origin broker's server ID. The receiver delivers
@@ -71,19 +72,7 @@ type route struct {
 
 	// The peer's propagated interest, installed in our routing trie.
 	subs map[interestKey]*serverSub
-
-	// Reader-goroutine scratch. RMSG header fields borrow the bufio
-	// buffer, which the payload read refills — they are copied here
-	// first. Queue names are recorded as spans into qArena because the
-	// arena may reallocate while spans are being appended.
-	subjBuf   []byte
-	originBuf []byte
-	qArena    []byte
-	qSpans    []qspan
-	localQ    []*serverSub
 }
-
-type qspan struct{ off, n int }
 
 // dialedByHigher reports whether this connection was initiated by the
 // mesh-wide tie-break winner for the (selfID, r.id) pair. Both sides of
@@ -94,14 +83,6 @@ func (r *route) dialedByHigher(selfID string) bool {
 		return selfID > r.id
 	}
 	return r.id > selfID
-}
-
-// sendRMsg enqueues one origin-tagged forwarded message. Routes always
-// use the disconnect overflow policy: silently dropping inter-broker
-// traffic would violate exactly-once delivery invisibly, while a
-// disconnect is detected and repaired by the redial/gossip machinery.
-func (r *route) sendRMsg(subject []byte, origin string, queues []string, pb *payloadRef) sendResult {
-	return r.ln.enqueueMsg(encodeRMsgHeader(subject, origin, len(pb.data), queues), pb, SlowConsumerDisconnect)
 }
 
 // encodeRMsgHeader appends "RMSG <subject> <origin> <n> [queue...]\r\n"
@@ -164,7 +145,7 @@ func (s *Server) dialRoute(addr string) {
 		if err == nil {
 			l := &link{}
 			l.init(conn, s.opts.queueFrames, s.opts.queueBytes, s.adm)
-			l.startWriter(s.opts.legacy, s.adm)
+			l.startWriter()
 			r := &route{ln: l, dialed: true, addr: "-", subs: make(map[interestKey]*serverSub)}
 			r.lastRecv.Store(time.Now().UnixNano())
 			l.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr)
@@ -274,25 +255,42 @@ func routableAddr(addr string) bool { return addr != "" && addr != "-" }
 // it until the connection dies, then teardown withdraws the peer's
 // interest. For dialed routes the peer's ROUTE reply arrives here as the
 // first line and completes registration.
+//
+// Consecutive RMSGs collect in the link's ingest batch exactly as a
+// client's PUBs do: the batch is routed before any other line is handled,
+// when the next read would block, and at the batch bounds. lastRecv is
+// stamped once per socket read, not per line: lines parsed out of the
+// buffer arrived with the read that was stamped.
 func (s *Server) routeLoop(r *route) {
 	defer s.teardownRoute(r)
+	// Fully received messages are routed even if the peer is gone.
+	defer s.flushIngest(&r.ln.in, r)
 	var fields [16][]byte
 	for {
+		blocking := !r.ln.completeLineBuffered()
+		if blocking {
+			s.flushIngest(&r.ln.in, r)
+		}
 		line, err := r.ln.readLine()
 		if err != nil {
 			return
 		}
-		r.lastRecv.Store(time.Now().UnixNano())
+		if blocking {
+			r.lastRecv.Store(time.Now().UnixNano())
+		}
 		nf := splitFields(line, fields[:0])
 		if len(nf) == 0 {
 			continue
 		}
 		cmd := nf[0]
-		switch {
-		case asciiFold(cmd, "RMSG"):
+		if asciiFold(cmd, "RMSG") {
 			if err := s.handleRMsg(r, nf); err != nil {
 				return
 			}
+			continue
+		}
+		s.flushIngest(&r.ln.in, r) // strict line order: prior RMSGs route first
+		switch {
 		case asciiFold(cmd, "RS+"):
 			s.handleRSub(r, nf, true)
 		case asciiFold(cmd, "RS-"):
@@ -416,119 +414,58 @@ func (s *Server) handleRInfo(fields [][]byte) {
 	}
 }
 
-// handleRMsg parses one forwarded message and delivers it locally. A
-// returned error means the stream is unframeable and tears the route
+// handleRMsg parses one forwarded message into the route's ingest batch.
+// A returned error means the stream is unframeable and tears the route
 // down.
 func (s *Server) handleRMsg(r *route, fields [][]byte) error {
+	l, in := r.ln, &r.ln.in
 	if len(fields) < 4 {
-		r.ln.sendErr("RMSG requires <subject> <origin> <nbytes>")
+		s.flushIngest(in, r) // error replies keep line order
+		l.sendErr("RMSG requires <subject> <origin> <nbytes>")
 		return errors.New("broker: malformed RMSG")
 	}
 	n, ok := parseSize(fields[3])
 	if !ok {
-		r.ln.sendErr("bad payload size")
+		s.flushIngest(in, r)
+		l.sendErr("bad payload size")
 		return errors.New("broker: bad payload size")
 	}
-	// The header fields borrow the reader's buffer, which the payload
-	// read below refills — copy them into route-owned scratch first.
-	r.subjBuf = append(r.subjBuf[:0], fields[1]...)
-	r.originBuf = append(r.originBuf[:0], fields[2]...)
-	r.qArena = r.qArena[:0]
-	r.qSpans = r.qSpans[:0]
-	for _, q := range fields[4:] {
-		off := len(r.qArena)
-		r.qArena = append(r.qArena, q...)
-		r.qSpans = append(r.qSpans, qspan{off: off, n: len(q)})
+	blocking := l.r.Buffered() < n+2
+	if blocking {
+		// The payload read will block on the socket: route what we have
+		// first so batching never delays delivery.
+		s.flushIngest(in, r)
 	}
-	pb, err := r.ln.readPayload(n)
+	// The header fields borrow the reader's buffer, which the payload
+	// read refills — take what routing needs of them first.
+	selfOrigin := string(fields[2]) == s.id
+	qoff := len(in.qnames)
+	for i, q := range fields[4:] {
+		if i > 0 {
+			in.qnames = append(in.qnames, ' ')
+		}
+		in.qnames = append(in.qnames, q...)
+	}
+	pb, err := l.readPayload(fields[1], n)
 	if err != nil {
 		return err
 	}
-	if !validSubjectBytes(r.subjBuf) {
-		pb.release()
-		r.ln.sendErr("invalid subject")
+	if blocking {
+		r.lastRecv.Store(time.Now().UnixNano())
+	}
+	if !validSubjectBytes(pb.subj) {
+		pb.release(1)
+		in.qnames = in.qnames[:qoff]
+		s.flushIngest(in, r)
+		l.sendErr("invalid subject")
 		return nil
 	}
-	s.routeInbound(r, pb)
+	in.pending = append(in.pending, pendingPub{pb: pb, queues: in.qnames[qoff:], selfOrigin: selfOrigin})
+	in.pendingBytes += n
+	if in.full() {
+		s.flushIngest(in, r)
+	}
 	return nil
-}
-
-// routeInbound delivers one forwarded message to local subscribers.
-// This is the receiving half of the one-hop rule: remote interests in
-// the match result are skipped (never re-forwarded), and a message
-// carrying our own origin tag is dropped entirely — together they make
-// mesh delivery exactly-once and loop-free. For each queue-group name
-// listed in the RMSG, the members of every matching group with that
-// name are pooled and one local member is chosen: the origin broker
-// already picked this broker as the group's mesh-wide winner.
-func (s *Server) routeInbound(r *route, pb *payloadRef) {
-	st := &s.stats
-	if string(r.originBuf) == s.id {
-		pb.release()
-		st.write(func() { st.dupsSuppressed.Add(1) })
-		return
-	}
-	subj := r.subjBuf
-	plen := uint64(len(pb.data))
-	var msgsOut, bytesOut, drops, discs uint64
-	sh := s.shards[shardIndexBytes(subj, len(s.shards))]
-	sh.mu.Lock()
-	rs := sh.matchBytes(subj)
-	for _, sub := range rs.plain {
-		if sub.rt != nil {
-			continue // one-hop rule: never re-forward
-		}
-		switch sub.client.sendMsg(subj, sub.sid, pb) {
-		case sendOK:
-			msgsOut++
-			bytesOut += plen
-		case sendDrop:
-			drops++
-		case sendDisconnect:
-			discs++
-		}
-	}
-	for _, sp := range r.qSpans {
-		name := r.qArena[sp.off : sp.off+sp.n]
-		r.localQ = r.localQ[:0]
-		for _, members := range rs.queues {
-			if len(members) == 0 || string(name) != members[0].queue {
-				continue
-			}
-			for _, m := range members {
-				if m.rt == nil {
-					r.localQ = append(r.localQ, m)
-				}
-			}
-		}
-		if len(r.localQ) == 0 {
-			continue
-		}
-		pick := r.localQ[sh.rng.Intn(len(r.localQ))]
-		switch pick.client.sendMsg(subj, pick.sid, pb) {
-		case sendOK:
-			msgsOut++
-			bytesOut += plen
-		case sendDrop:
-			drops++
-		case sendDisconnect:
-			discs++
-		}
-	}
-	sh.mu.Unlock()
-	pb.release()
-	st.write(func() {
-		st.msgsIn.Add(1)
-		st.bytesIn.Add(plen)
-		st.msgsOut.Add(msgsOut)
-		st.bytesOut.Add(bytesOut)
-		if drops > 0 {
-			st.slowDrops.Add(drops)
-		}
-		if discs > 0 {
-			st.slowDisconnects.Add(discs)
-		}
-	})
 }
 
 // interestAdd refcounts one local (pattern, queue) interest; the 0→1

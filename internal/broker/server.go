@@ -11,13 +11,15 @@
 //
 // The data path is built for high fan-out and bounded latency:
 // subscriptions live in sharded subject-token tries with per-subject
-// match caches (sublist.go); a reader goroutine parses every PUB that is
-// already buffered on its socket into one ingest batch and routes the
-// batch with one shard-lock acquisition per shard run and one trie/cache
-// probe per distinct subject (routeBatch); payload bodies live in a
-// refcounted arena (arena.go) shared across the whole fan-out; writer
-// goroutines drain bounded per-client queues into vectored writev
-// batches (outbound.go); and a publish-admission gauge (admission.go)
+// match caches (sublist.go); a reader goroutine parses every PUB (or, on
+// a route, RMSG) that is already buffered on its socket into one ingest
+// batch and routes the batch with one shard-lock acquisition per shard run
+// and one trie/cache probe per distinct subject (routeBatch); payload and
+// subject live in a refcounted arena buffer (arena.go) shared across the
+// whole fan-out; deliveries are staged per destination and enter its
+// bounded queue a run at a time, and writer goroutines drain the queues
+// into vectored writev batches, encoding the MSG headers as they go
+// (outbound.go); and a publish-admission gauge (admission.go)
 // paces unpaced publishers instead of letting internal queues grow into
 // seconds of latency.
 //
@@ -154,7 +156,6 @@ type options struct {
 	slowPolicy       SlowConsumerPolicy
 	admissionBytes   int64
 	admissionTimeout time.Duration
-	legacy           bool
 
 	id          string
 	clusterAddr string
@@ -219,16 +220,6 @@ func WithPublishAdmission(maxBytes int64, timeout time.Duration) Option {
 			o.admissionTimeout = timeout
 		}
 	}
-}
-
-// WithLegacyDataPlane selects the PR 7/PR 8 delivery path: per-publish
-// routing (no ingest batching), per-delivery copies into a bufio.Writer
-// (no writev, no zero-copy), and no publish admission. It exists so
-// tests can pin wire byte-identity against the old path and so the fleet
-// harness can measure the data-plane overhaul like-for-like in one tree;
-// it is not meant for production serving.
-func WithLegacyDataPlane() Option {
-	return func(o *options) { o.legacy = true }
 }
 
 // WithServerID fixes the broker's server ID, the identity used in the
@@ -368,7 +359,7 @@ func NewServer(opts ...Option) *Server {
 		done:          make(chan struct{}),
 		quit:          make(chan struct{}),
 	}
-	if o.admissionBytes > 0 && !o.legacy {
+	if o.admissionBytes > 0 {
 		s.adm = &admission{limit: o.admissionBytes}
 	}
 	for i := range s.shards {
@@ -487,7 +478,7 @@ func (s *Server) startClient(conn net.Conn) *serverClient {
 	st := &s.stats
 	st.write(func() { st.connections.Add(1) })
 	go c.run()
-	c.startWriter(s.opts.legacy, s.adm)
+	c.startWriter()
 	return c
 }
 
@@ -627,12 +618,53 @@ func (s *Server) admitPublishes() {
 	}
 }
 
-// pendingPub is one parsed-but-unrouted publish in a reader's ingest
-// batch: the subject lives at [off, off+n) in the client's subject
-// arena, the payload in a refcounted arena buffer (publisher hold).
+// pendingPub is one parsed-but-unrouted message in a reader's ingest
+// batch: payload and subject in a refcounted arena buffer (publisher
+// hold). A message that arrived on a route also carries the queue-group
+// names of its RMSG line, separated by single spaces, and whether its
+// origin tag is this broker's own ID.
 type pendingPub struct {
-	off, n int
-	pb     *payloadRef
+	pb         *payloadRef
+	queues     []byte
+	selfOrigin bool
+}
+
+// ingest is the batch state of a link's reader goroutine, the same for a
+// client connection (PUB) and a route (RMSG): the parsed messages waiting
+// to be routed, and the scratch routeBatch needs to route them — the
+// per-peer forwarding accumulator, the stager, and the member pool of an
+// inbound queue-group pick.
+type ingest struct {
+	pending      []pendingPub
+	pendingBytes int
+	qnames       []byte // backing store of pendingPub.queues
+
+	fwd    fwdScratch
+	st     stager
+	localQ []*serverSub
+}
+
+// full reports whether the batch has reached its bounds.
+func (in *ingest) full() bool {
+	return len(in.pending) >= maxIngestBatch || in.pendingBytes >= maxIngestBytes
+}
+
+// flushIngest routes a reader's pending batch and resets it. from is the
+// route the batch arrived on, nil for a client's publishes; only those
+// wait for admission (a parked route reader would stop answering
+// heartbeats, and what it carries was admitted at the origin).
+func (s *Server) flushIngest(in *ingest, from *route) {
+	if len(in.pending) == 0 {
+		return
+	}
+	if from == nil {
+		s.admitPublishes()
+	}
+	s.routeBatch(in, from)
+	clear(in.pending)
+	in.pending = in.pending[:0]
+	in.pendingBytes = 0
+	in.qnames = in.qnames[:0]
 }
 
 // fwdEntry is one peer the current message must be forwarded to: plain
@@ -689,34 +721,52 @@ func (e *fwdEntry) addQueue(name string) {
 	e.queues = append(e.queues, name)
 }
 
-// routeBatch delivers a batch of client publishes in order. Consecutive
+// routeBatch delivers a reader's ingest batch in order. Consecutive
 // messages on the same shard reuse one lock acquisition, consecutive
 // messages on the same subject reuse one match result (valid for the
-// whole run because sub/unsub needs the same shard lock we hold), and
-// the batch's counter updates collapse into a single seqlock write.
-// Queue-group subscriptions receive one copy per group, on a member
-// chosen by the shard's seeded rng among local members and peer
-// interests alike — the pick that makes queue semantics mesh-wide.
-// Matching remote interests collapse into at most one origin-tagged
-// RMSG per peer per message (fwdScratch), and forwarded messages are
-// delivered only to that peer's local clients (route.go), so a publish
-// traverses at most one inter-broker hop and arrives exactly once.
-func (s *Server) routeBatch(subjArena []byte, batch []pendingPub, fwd *fwdScratch) {
+// whole run because sub/unsub needs the same shard lock we hold), the
+// deliveries are staged per destination link and enter each queue a run at
+// a time (stager), and the batch's counter updates collapse into a single
+// seqlock write.
+//
+// A client's publish (from == nil) goes to every matching local
+// subscription and to one member of every matching queue group, chosen by
+// the shard's seeded rng among local members and peer interests alike —
+// the pick that makes queue semantics mesh-wide. Matching remote interests
+// collapse into at most one origin-tagged RMSG per peer per message
+// (fwdScratch).
+//
+// A message that arrived on a route is the receiving half of the one-hop
+// rule: remote interests in the match result are skipped (never
+// re-forwarded), and a message carrying our own origin tag is dropped
+// entirely and counted — together they make mesh delivery exactly-once and
+// loop-free. For each queue-group name listed in the RMSG, the local
+// members of every matching group with that name are pooled and one is
+// chosen: the origin broker already picked this broker as the group's
+// mesh-wide winner.
+func (s *Server) routeBatch(in *ingest, from *route) {
 	var (
 		sh      *shard
 		shardID = -1
 		rs      *routeSet
 		subject []byte
 
-		msgsOut, bytesOut, bytesIn uint64
-		drops, discs, routed       uint64
+		msgsIn, bytesIn, dups uint64
 	)
-	for i := range batch {
-		m := &batch[i]
-		subj := subjArena[m.off : m.off+m.n]
+	st, fwd := &in.st, &in.fwd
+	policy := s.opts.slowPolicy
+	for i := range in.pending {
+		m := &in.pending[i]
+		if m.selfOrigin {
+			dups++
+			continue
+		}
+		pb := m.pb
+		subj := pb.subj
 		idx := shardIndexBytes(subj, len(s.shards))
 		if idx != shardID {
 			if sh != nil {
+				st.flush() // before the unlock: stager rule 1
 				sh.mu.Unlock()
 			}
 			sh = s.shards[idx]
@@ -728,71 +778,89 @@ func (s *Server) routeBatch(subjArena []byte, batch []pendingPub, fwd *fwdScratc
 			rs = sh.matchBytes(subj)
 			subject = subj
 		}
-		pb := m.pb
-		plen := uint64(len(pb.data))
 		fwd.reset()
 		for _, sub := range rs.plain {
-			if sub.rt != nil {
+			if sub.rt == nil {
+				st.add(&sub.client.link, policy, outFrame{sid: sub.sid, pb: pb})
+			} else if from == nil {
 				fwd.add(sub.rt)
-				continue
-			}
-			switch sub.client.sendMsg(subj, sub.sid, pb) {
-			case sendOK:
-				msgsOut++
-				bytesOut += plen
-			case sendDrop:
-				drops++
-			case sendDisconnect:
-				discs++
 			}
 		}
-		for _, members := range rs.queues {
-			pick := members[sh.rng.Intn(len(members))]
-			if pick.rt != nil {
-				fwd.add(pick.rt).addQueue(pick.queue)
-				continue
-			}
-			switch pick.client.sendMsg(subj, pick.sid, pb) {
-			case sendOK:
-				msgsOut++
-				bytesOut += plen
-			case sendDrop:
-				drops++
-			case sendDisconnect:
-				discs++
+		if from == nil {
+			for _, members := range rs.queues {
+				pick := members[sh.rng.Intn(len(members))]
+				if pick.rt != nil {
+					fwd.add(pick.rt).addQueue(pick.queue)
+					continue
+				}
+				st.add(&pick.client.link, policy, outFrame{sid: pick.sid, pb: pb})
 			}
 		}
+		// The queue names of an RMSG; a client's publish has none.
+		for rest := m.queues; len(rest) > 0; {
+			name := rest
+			if sp := bytes.IndexByte(rest, ' '); sp >= 0 {
+				name, rest = rest[:sp], rest[sp+1:]
+			} else {
+				rest = nil
+			}
+			in.localQ = in.localQ[:0]
+			for _, members := range rs.queues {
+				if string(name) != members[0].queue {
+					continue
+				}
+				for _, mem := range members {
+					if mem.rt == nil {
+						in.localQ = append(in.localQ, mem)
+					}
+				}
+			}
+			if len(in.localQ) == 0 {
+				continue
+			}
+			pick := in.localQ[sh.rng.Intn(len(in.localQ))]
+			st.add(&pick.client.link, policy, outFrame{sid: pick.sid, pb: pb})
+		}
+		// Routes always use the disconnect overflow policy: silently
+		// dropping inter-broker traffic would violate exactly-once delivery
+		// invisibly, while a disconnect is detected and repaired by the
+		// redial/gossip machinery.
 		for j := 0; j < fwd.n; j++ {
 			e := &fwd.entries[j]
-			switch e.rt.sendRMsg(subj, s.id, e.queues, pb) {
-			case sendOK:
-				routed++
-			case sendDisconnect:
-				discs++
-			}
+			hdr := encodeRMsgHeader(subj, s.id, len(pb.data), e.queues)
+			st.add(e.rt.ln, SlowConsumerDisconnect, outFrame{hdr: hdr, pb: pb})
 		}
-		bytesIn += plen
-		pb.release() // drop the publisher hold
-		m.pb = nil
+		msgsIn++
+		bytesIn += uint64(len(pb.data))
 	}
 	if sh != nil {
+		st.flush()
 		sh.mu.Unlock()
 	}
-	st := &s.stats
-	n := uint64(len(batch))
-	st.write(func() {
-		st.msgsIn.Add(n)
-		st.bytesIn.Add(bytesIn)
-		st.msgsOut.Add(msgsOut)
-		st.bytesOut.Add(bytesOut)
-		if routed > 0 {
-			st.routedMsgs.Add(routed)
+	// Only now, after the last flush, do the publisher holds go: until a
+	// run is flushed they are all that keeps its payloads (stager rule 3).
+	for i := range in.pending {
+		in.pending[i].pb.release(1)
+	}
+	out := st.total
+	st.total = runResult{}
+	c := &s.stats
+	c.write(func() {
+		c.msgsIn.Add(msgsIn)
+		c.bytesIn.Add(bytesIn)
+		c.msgsOut.Add(out.msgs)
+		c.bytesOut.Add(out.msgBytes)
+		if out.rmsgs > 0 {
+			c.routedMsgs.Add(out.rmsgs)
 		}
-		if drops > 0 {
-			st.slowDrops.Add(drops)
+		if out.drops > 0 {
+			c.slowDrops.Add(out.drops)
 		}
-		if discs > 0 {
-			st.slowDisconnects.Add(discs)
+		if out.disconnects > 0 {
+			c.slowDisconnects.Add(out.disconnects)
+		}
+		if dups > 0 {
+			c.dupsSuppressed.Add(dups)
 		}
 	})
 }
@@ -873,14 +941,6 @@ type serverClient struct {
 	srv *Server
 	id  uint64
 
-	// Ingest batch, reader goroutine only: parsed publishes waiting to be
-	// routed, their subjects packed into subjArena, and the reusable
-	// route-forwarding accumulator.
-	pending      []pendingPub
-	pendingBytes int
-	subjArena    []byte
-	fwd          fwdScratch
-
 	smu  sync.Mutex
 	subs map[string][]*serverSub // sid -> subs (duplicate sids allowed)
 }
@@ -898,7 +958,7 @@ func (c *serverClient) run() {
 	}()
 	var fields [8][]byte
 	for {
-		if len(c.pending) > 0 && !c.completeLineBuffered() {
+		if len(c.in.pending) > 0 && !c.completeLineBuffered() {
 			// The next read would block (or the buffer holds only a partial
 			// line): route what we have instead of sitting on it.
 			c.flushPubs()
@@ -950,21 +1010,8 @@ func (c *serverClient) run() {
 	}
 }
 
-// flushPubs routes the client's pending ingest batch (admission first)
-// and resets the batch buffers.
-func (c *serverClient) flushPubs() {
-	if len(c.pending) == 0 {
-		return
-	}
-	c.srv.admitPublishes()
-	c.srv.routeBatch(c.subjArena, c.pending, &c.fwd)
-	for i := range c.pending {
-		c.pending[i].pb = nil
-	}
-	c.pending = c.pending[:0]
-	c.pendingBytes = 0
-	c.subjArena = c.subjArena[:0]
-}
+// flushPubs routes the client's pending ingest batch.
+func (c *serverClient) flushPubs() { c.srv.flushIngest(&c.in, nil) }
 
 func (c *serverClient) handleSub(fields [][]byte) {
 	var pattern, queue, sid string
@@ -1001,26 +1048,18 @@ func (c *serverClient) handlePub(fields [][]byte) error {
 		c.sendErr("bad payload size")
 		return errors.New("broker: bad payload size")
 	}
-	if len(c.pending) > 0 && c.r.Buffered() < n+2 {
+	if len(c.in.pending) > 0 && c.r.Buffered() < n+2 {
 		// The payload read below will block on the socket; route what we
 		// already have first so batching never delays delivery.
 		c.flushPubs()
 	}
-	// The subject slice borrows the reader's buffer, which the payload
-	// read below may refill — pack it into the batch's subject arena
-	// first.
-	subjOff := len(c.subjArena)
-	c.subjArena = append(c.subjArena, fields[1]...)
-	pb, err := c.readPayload(n)
+	pb, err := c.readPayload(fields[1], n)
 	if err != nil {
-		c.subjArena = c.subjArena[:subjOff]
 		return err
 	}
-	subject := c.subjArena[subjOff:]
-	if !validSubjectBytes(subject) {
-		pb.release()
-		bad := string(subject)
-		c.subjArena = c.subjArena[:subjOff]
+	if !validSubjectBytes(pb.subj) {
+		bad := string(pb.subj)
+		pb.release(1)
 		c.flushPubs()
 		if err := ValidateSubject(bad); err != nil {
 			c.sendErr(err.Error())
@@ -1029,28 +1068,12 @@ func (c *serverClient) handlePub(fields [][]byte) error {
 		}
 		return nil
 	}
-	c.pending = append(c.pending, pendingPub{off: subjOff, n: len(subject), pb: pb})
-	c.pendingBytes += n
-	if len(c.pending) >= maxIngestBatch || c.pendingBytes >= maxIngestBytes || c.srv.opts.legacy {
+	c.in.pending = append(c.in.pending, pendingPub{pb: pb})
+	c.in.pendingBytes += n
+	if c.in.full() {
 		c.flushPubs()
 	}
 	return nil
-}
-
-// sendResult is the outcome of offering one delivery to a connection.
-type sendResult int
-
-const (
-	sendOK sendResult = iota
-	sendClosed
-	sendDrop
-	sendDisconnect
-)
-
-// sendMsg enqueues one delivery on the client's link; see link.enqueueMsg
-// for the reference discipline.
-func (c *serverClient) sendMsg(subject []byte, sid string, pb *payloadRef) sendResult {
-	return c.enqueueMsg(encodeMsgHeader(subject, sid, len(pb.data)), pb, c.srv.opts.slowPolicy)
 }
 
 // validSubjectBytes is the allocation-free publish-subject check:
