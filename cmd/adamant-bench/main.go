@@ -12,8 +12,6 @@
 //	adamant-bench -all                # everything (takes a while)
 //	adamant-bench -fig 19 -dataset data/training.csv
 //	adamant-bench -fig 5 -samples 20000 -runs 5   # paper-scale workload
-//	adamant-bench -ann -dataset data/training.csv -out BENCH_ann.json
-//	adamant-bench -sim                # event-core throughput, BENCH_sim.json
 package main
 
 import (
@@ -38,52 +36,9 @@ func main() {
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		ablations = flag.Bool("ablations", false, "also run the design-choice ablation studies (A1-A5)")
 		jobs      = flag.Int("jobs", 0, "parallel workers (0 = all CPUs)")
-		annBench  = flag.Bool("ann", false, "run the ANN inference-latency harness and emit a JSON report")
-		simBench  = flag.Bool("sim", false, "run the sim-kernel throughput harness and emit a JSON report")
-		outPath   = flag.String("out", "", "JSON report path (default BENCH_ann.json for -ann, BENCH_sim.json for -sim)")
-		queries   = flag.Int("queries", 100000, "timed Classify calls for the -ann harness")
-		events    = flag.Uint64("events", 2_000_000, "minimum events per measurement for the -sim harness")
-		shardW    = flag.String("shard-workers", "1,2,4,8", "worker counts for the -sim shard-scaling table (comma list)")
-		shardG    = flag.String("shard-groups", "50,200,500,1000", "group sizes for the -sim shard-scaling table (comma list)")
 		verbose   = flag.Bool("v", false, "progress logging")
 	)
 	flag.Parse()
-	if *simBench {
-		out := *outPath
-		if out == "" {
-			out = "BENCH_sim.json"
-		}
-		workers, err := parseIntList(*shardW)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adamant-bench: -shard-workers:", err)
-			os.Exit(1)
-		}
-		groups, err := parseIntList(*shardG)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adamant-bench: -shard-groups:", err)
-			os.Exit(1)
-		}
-		if err := runSimBench(out, *events, groups, workers, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "adamant-bench:", err)
-			os.Exit(1)
-		}
-		if *figFlag == "" && !*all && !*ablations && !*annBench {
-			return
-		}
-	}
-	if *annBench {
-		out := *outPath
-		if out == "" {
-			out = "BENCH_ann.json"
-		}
-		if err := runANNBench(*dataset, *combos, out, *queries, *seed, *jobs, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "adamant-bench:", err)
-			os.Exit(1)
-		}
-		if *figFlag == "" && !*all && !*ablations {
-			return
-		}
-	}
 	if *ablations {
 		tables, err := experiment.Ablations(experiment.AblationOptions{Samples: *samples, Seed: *seed, Jobs: *jobs})
 		if err != nil {
@@ -105,18 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "adamant-bench:", err)
 		os.Exit(1)
 	}
-}
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func run(figFlag string, all bool, samples, runs int, seed int64, dataset string,

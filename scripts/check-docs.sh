@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Fails when README.md, DESIGN.md or EXPERIMENTS.md cites a command that
+# cannot run in this tree:
+#
+#   scripts/check-docs.sh
+#
+# Checked are every ./cmd/<x>, ./internal/<pkg> and ./examples/<x> path (as in
+# `go run ./cmd/adamant-bench`, `go test ./internal/sim/...`), which must
+# exist, and every `make <target>` written as a command (at the start of a
+# line, after a backtick or after "or: "), which must be a Makefile target.
+# Each miss is printed as file:line.
+set -euo pipefail
+
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+cd "$root"
+docs=(README.md DESIGN.md EXPERIMENTS.md)
+bad=0
+
+# The sed drops a trailing /... or full stop: ./internal/ann/... names ./internal/ann.
+while IFS=: read -r file line path; do
+	if [ ! -e "$path" ]; then
+		echo "$file:$line: $path does not exist"
+		bad=1
+	fi
+done < <(grep -noE '\./(cmd|internal|examples)/[A-Za-z0-9_./-]+' "${docs[@]}" | sed -E 's#[./]+$##')
+
+while IFS=: read -r file line cmd; do
+	target=${cmd##*make }
+	if ! grep -qE "^$target:" Makefile; then
+		echo "$file:$line: make $target is not a Makefile target"
+		bad=1
+	fi
+done < <(grep -noE '(^|`|or: )make [a-z][a-z0-9-]*' "${docs[@]}")
+
+exit $bad
