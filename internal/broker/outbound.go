@@ -482,81 +482,3 @@ func writeLoop(conn net.Conn, q *outQueue) {
 		}
 	}
 }
-
-// A stager is a reader goroutine's staging area between match and queue.
-// routeBatch adds each delivery to the open run of its destination link,
-// and a run is handed to the link (link.enqueueRun) when it reaches
-// stagerRunFrames, when a delivery to a link without an open run finds all
-// stagerRuns slots taken, and — all runs — when routeBatch is about to
-// release the shard lock. Per-link order is add order: a link has at most
-// one open run, and a run is enqueued whole, before the next run for that
-// link can be opened.
-//
-// Three rules keep what per-frame enqueueing under the shard lock gave:
-//
-//  1. Every run is flushed before the shard lock its deliveries were
-//     matched under is released. UNSUB removes the subscription under that
-//     lock, so once it returns no delivery for the sid is staged anywhere:
-//     a PONG queued after it is behind the sid's last MSG.
-//  2. A run's arena references are taken before its enqueue
-//     (link.enqueueRun); staged frames hold none.
-//  3. That is safe because the publisher hold of every payload in the
-//     batch outlives the batch's last flush (routeBatch).
-type stager struct {
-	runs [stagerRuns]stagedRun
-	n    int // open runs
-
-	// total is what the runs flushed since routeBatch last read it came to.
-	total runResult
-}
-
-const (
-	stagerRuns      = 8
-	stagerRunFrames = 512
-)
-
-type stagedRun struct {
-	dst    *link
-	policy SlowConsumerPolicy
-	frames []outFrame
-}
-
-// add stages f for dst, to be offered under policy.
-func (st *stager) add(dst *link, policy SlowConsumerPolicy, f outFrame) {
-	var run *stagedRun
-	for i := st.n - 1; i >= 0; i-- {
-		if st.runs[i].dst == dst {
-			run = &st.runs[i]
-			break
-		}
-	}
-	if run == nil {
-		if st.n == stagerRuns {
-			st.flush()
-		}
-		run = &st.runs[st.n]
-		st.n++
-		run.dst, run.policy = dst, policy
-	}
-	run.frames = append(run.frames, f)
-	if len(run.frames) >= stagerRunFrames {
-		st.flushRun(run)
-	}
-}
-
-func (st *stager) flushRun(run *stagedRun) {
-	st.total.add(run.dst.enqueueRun(run.frames, run.policy))
-	run.frames = run.frames[:0]
-}
-
-// flush hands every open run to its link and closes it.
-func (st *stager) flush() {
-	for i := 0; i < st.n; i++ {
-		run := &st.runs[i]
-		if len(run.frames) > 0 {
-			st.flushRun(run)
-		}
-		run.dst = nil
-	}
-	st.n = 0
-}

@@ -42,7 +42,6 @@ package broker
 // evaluated identically on both sides.
 
 import (
-	"errors"
 	"net"
 	"strconv"
 	"sync/atomic"
@@ -179,29 +178,6 @@ func (s *Server) dialRoute(addr string) {
 	}
 }
 
-// acceptRoute upgrades an accepted connection into a route after its
-// ROUTE <id> [addr] line (fields). It returns when the route dies; the
-// caller's deferred client teardown closes the shared link.
-func (s *Server) acceptRoute(c *serverClient, fields [][]byte) {
-	if len(fields) < 2 || len(fields) > 3 || len(fields[1]) == 0 {
-		c.sendErr("ROUTE requires <serverID> [clusterAddr]")
-		return
-	}
-	s.clearSubs(c) // a route holds no client subscriptions
-	r := &route{ln: &c.link, addr: "-", subs: make(map[interestKey]*serverSub)}
-	r.id = string(fields[1])
-	if len(fields) == 3 && len(fields[2]) > 0 {
-		r.addr = string(fields[2])
-	}
-	r.lastRecv.Store(time.Now().UnixNano())
-	if !s.registerRoute(r) {
-		c.sendErr("duplicate route")
-		return
-	}
-	r.ln.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr) // our half of the handshake
-	s.routeLoop(r)
-}
-
 // registerRoute installs r in the route table, resolving duplicate
 // routes to the same peer by the dialed-by-higher-ID rule. On success
 // the new peer receives our full local-interest dump and the mesh
@@ -251,83 +227,6 @@ func (s *Server) registerRoute(r *route) bool {
 
 func routableAddr(addr string) bool { return addr != "" && addr != "-" }
 
-// routeLoop is the route's command loop; the reader goroutine stays in
-// it until the connection dies, then teardown withdraws the peer's
-// interest. For dialed routes the peer's ROUTE reply arrives here as the
-// first line and completes registration.
-//
-// Consecutive RMSGs collect in the link's ingest batch exactly as a
-// client's PUBs do: the batch is routed before any other line is handled,
-// when the next read would block, and at the batch bounds. lastRecv is
-// stamped once per socket read, not per line: lines parsed out of the
-// buffer arrived with the read that was stamped.
-func (s *Server) routeLoop(r *route) {
-	defer s.teardownRoute(r)
-	// Fully received messages are routed even if the peer is gone.
-	defer s.flushIngest(&r.ln.in, r)
-	var fields [16][]byte
-	for {
-		blocking := !r.ln.completeLineBuffered()
-		if blocking {
-			s.flushIngest(&r.ln.in, r)
-		}
-		line, err := r.ln.readLine()
-		if err != nil {
-			return
-		}
-		if blocking {
-			r.lastRecv.Store(time.Now().UnixNano())
-		}
-		nf := splitFields(line, fields[:0])
-		if len(nf) == 0 {
-			continue
-		}
-		cmd := nf[0]
-		if asciiFold(cmd, "RMSG") {
-			if err := s.handleRMsg(r, nf); err != nil {
-				return
-			}
-			continue
-		}
-		s.flushIngest(&r.ln.in, r) // strict line order: prior RMSGs route first
-		switch {
-		case asciiFold(cmd, "RS+"):
-			s.handleRSub(r, nf, true)
-		case asciiFold(cmd, "RS-"):
-			s.handleRSub(r, nf, false)
-		case asciiFold(cmd, "PING"):
-			r.ln.sendLine("PONG")
-		case asciiFold(cmd, "PONG"):
-			// lastRecv refresh above is the whole point
-		case asciiFold(cmd, "RINFO"):
-			s.handleRInfo(nf)
-		case asciiFold(cmd, "ROUTE"):
-			if r.registered {
-				continue // duplicate handshake line: ignore
-			}
-			if len(nf) < 2 || len(nf) > 3 || len(nf[1]) == 0 {
-				r.ln.sendErr("ROUTE requires <serverID> [clusterAddr]")
-				return
-			}
-			r.id = string(nf[1])
-			if len(nf) == 3 && len(nf[2]) > 0 {
-				r.addr = string(nf[2])
-			}
-			if !s.registerRoute(r) {
-				return
-			}
-		case asciiFold(cmd, "-ERR"):
-			if !r.registered {
-				// Handshake rejected (duplicate route): park the redial.
-				r.dupLost = true
-				return
-			}
-		default:
-			r.ln.sendErr("unknown route command " + string(cmd))
-		}
-	}
-}
-
 // teardownRoute deregisters r and withdraws the peer's interest from
 // the routing trie, so publishes stop being forwarded to a dead peer
 // the moment its failure is detected.
@@ -351,121 +250,6 @@ func (s *Server) teardownRoute(r *route) {
 	n := uint64(len(r.subs))
 	st.write(func() { st.remoteSubs.Add(^(n - 1)) })
 	r.subs = nil
-}
-
-// handleRSub applies one RS+ (add=true) or RS- interest line from the
-// peer. Interest entries are idempotent per (pattern, queue): the peer
-// refcounts on its side and only sends edge transitions.
-func (s *Server) handleRSub(r *route, fields [][]byte, add bool) {
-	var pattern, queue string
-	switch len(fields) {
-	case 2:
-		pattern = string(fields[1])
-	case 3:
-		pattern, queue = string(fields[1]), string(fields[2])
-	default:
-		r.ln.sendErr("RS requires <pattern> [queue]")
-		return
-	}
-	if err := ValidatePattern(pattern); err != nil {
-		r.ln.sendErr(err.Error())
-		return
-	}
-	k := interestKey{pattern: pattern, queue: queue}
-	st := &s.stats
-	if add {
-		if _, ok := r.subs[k]; ok {
-			return
-		}
-		sub := &serverSub{rt: r, pattern: pattern, queue: queue}
-		r.subs[k] = sub
-		s.eachPatternShard(pattern, func(sh *shard) {
-			sh.insert(sub)
-		})
-		st.write(func() { st.remoteSubs.Add(1) })
-		return
-	}
-	sub, ok := r.subs[k]
-	if !ok {
-		return
-	}
-	delete(r.subs, k)
-	s.eachPatternShard(pattern, func(sh *shard) {
-		sh.remove(sub)
-	})
-	st.write(func() { st.remoteSubs.Add(^uint64(0)) })
-}
-
-// handleRInfo reacts to gossip about a mesh member: dial any advertised
-// peer we have no route to. Duplicate dials resolve via the tie-break.
-func (s *Server) handleRInfo(fields [][]byte) {
-	if len(fields) != 3 {
-		return
-	}
-	id, addr := string(fields[1]), string(fields[2])
-	if id == "" || id == s.id || !routableAddr(addr) {
-		return
-	}
-	s.fedMu.Lock()
-	_, have := s.routes[id]
-	s.fedMu.Unlock()
-	if !have {
-		s.AddRoute(addr)
-	}
-}
-
-// handleRMsg parses one forwarded message into the route's ingest batch.
-// A returned error means the stream is unframeable and tears the route
-// down.
-func (s *Server) handleRMsg(r *route, fields [][]byte) error {
-	l, in := r.ln, &r.ln.in
-	if len(fields) < 4 {
-		s.flushIngest(in, r) // error replies keep line order
-		l.sendErr("RMSG requires <subject> <origin> <nbytes>")
-		return errors.New("broker: malformed RMSG")
-	}
-	n, ok := parseSize(fields[3])
-	if !ok {
-		s.flushIngest(in, r)
-		l.sendErr("bad payload size")
-		return errors.New("broker: bad payload size")
-	}
-	blocking := l.r.Buffered() < n+2
-	if blocking {
-		// The payload read will block on the socket: route what we have
-		// first so batching never delays delivery.
-		s.flushIngest(in, r)
-	}
-	// The header fields borrow the reader's buffer, which the payload
-	// read refills — take what routing needs of them first.
-	selfOrigin := string(fields[2]) == s.id
-	qoff := len(in.qnames)
-	for i, q := range fields[4:] {
-		if i > 0 {
-			in.qnames = append(in.qnames, ' ')
-		}
-		in.qnames = append(in.qnames, q...)
-	}
-	pb, err := l.readPayload(fields[1], n)
-	if err != nil {
-		return err
-	}
-	if blocking {
-		r.lastRecv.Store(time.Now().UnixNano())
-	}
-	if !validSubjectBytes(pb.subj) {
-		pb.release(1)
-		in.qnames = in.qnames[:qoff]
-		s.flushIngest(in, r)
-		l.sendErr("invalid subject")
-		return nil
-	}
-	in.pending = append(in.pending, pendingPub{pb: pb, queues: in.qnames[qoff:], selfOrigin: selfOrigin})
-	in.pendingBytes += n
-	if in.full() {
-		s.flushIngest(in, r)
-	}
-	return nil
 }
 
 // interestAdd refcounts one local (pattern, queue) interest; the 0→1

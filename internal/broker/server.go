@@ -50,12 +50,10 @@
 package broker
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,87 +62,6 @@ import (
 
 // MaxPayload bounds a single message payload.
 const MaxPayload = 1 << 20
-
-// Ingest batching bounds: a reader routes its pending publishes once it
-// has this many messages or payload bytes, or as soon as its socket has
-// no complete command left buffered (so batching never adds latency —
-// it only amortizes work that is already waiting).
-const (
-	maxIngestBatch = 256
-	maxIngestBytes = 256 << 10
-)
-
-// ServerStats are cumulative broker counters. A Stats snapshot is
-// internally consistent: all fields come from the same seqlock
-// generation, so invariants that hold per update batch (e.g. BytesOut
-// matching MsgsOut for a fixed payload size) hold in every snapshot.
-type ServerStats struct {
-	Connections   uint64
-	MsgsIn        uint64
-	MsgsOut       uint64
-	BytesIn       uint64
-	BytesOut      uint64
-	Subscriptions uint64
-
-	// SlowConsumerDrops counts frames dropped by SlowConsumerDrop;
-	// SlowConsumerDisconnects counts clients evicted by
-	// SlowConsumerDisconnect.
-	SlowConsumerDrops       uint64
-	SlowConsumerDisconnects uint64
-
-	// AdmissionWaits counts publish batches that parked on the admission
-	// gauge; AdmissionTimeouts counts the subset that gave up waiting and
-	// proceeded (see admission.go for why the wait is bounded).
-	AdmissionWaits    uint64
-	AdmissionTimeouts uint64
-
-	// Federation counters (route.go). Routes is the number of live
-	// inter-broker routes (a gauge); RemoteSubs is the number of remote
-	// interest entries currently installed by peers (a gauge); RoutedMsgs
-	// counts RMSG frames forwarded to peers; DupsSuppressed counts
-	// inbound routed frames dropped by the origin-tag dedup rule (our own
-	// origin echoed back, i.e. a loop a misconfigured mesh would create).
-	Routes         uint64
-	RemoteSubs     uint64
-	RoutedMsgs     uint64
-	DupsSuppressed uint64
-}
-
-// counters is the seqlock-guarded stats block. Writers (routeBatch and
-// the rare connection/subscription events) serialize on mu and bump seq
-// to odd around their field updates; Stats spins until it reads the same
-// even seq before and after loading the fields, so a snapshot can never
-// mix counters from two different updates. The fields stay atomics so
-// the reader's loads are race-clean while a writer is mid-update.
-type counters struct {
-	mu  sync.Mutex
-	seq atomic.Uint64
-
-	connections       atomic.Uint64
-	msgsIn            atomic.Uint64
-	msgsOut           atomic.Uint64
-	bytesIn           atomic.Uint64
-	bytesOut          atomic.Uint64
-	subscriptions     atomic.Uint64
-	slowDrops         atomic.Uint64
-	slowDisconnects   atomic.Uint64
-	admissionWaits    atomic.Uint64
-	admissionTimeouts atomic.Uint64
-	routes            atomic.Uint64
-	remoteSubs        atomic.Uint64
-	routedMsgs        atomic.Uint64
-	dupsSuppressed    atomic.Uint64
-}
-
-// write runs fn (which updates counter fields) inside one seqlock
-// generation.
-func (c *counters) write(fn func()) {
-	c.mu.Lock()
-	c.seq.Add(1)
-	fn()
-	c.seq.Add(1)
-	c.mu.Unlock()
-}
 
 // options collects server tuning knobs; all have workable defaults.
 type options struct {
@@ -566,534 +483,7 @@ func (s *Server) beginShutdown() []net.Conn {
 	return conns
 }
 
-// Stats returns an internally consistent snapshot of the broker
-// counters: the seqlock retry guarantees all fields belong to the same
-// update generation (no torn reads across counters mid-publish).
-func (s *Server) Stats() ServerStats {
-	c := &s.stats
-	for {
-		s1 := c.seq.Load()
-		if s1&1 == 0 {
-			snap := ServerStats{
-				Connections:             c.connections.Load(),
-				MsgsIn:                  c.msgsIn.Load(),
-				MsgsOut:                 c.msgsOut.Load(),
-				BytesIn:                 c.bytesIn.Load(),
-				BytesOut:                c.bytesOut.Load(),
-				Subscriptions:           c.subscriptions.Load(),
-				SlowConsumerDrops:       c.slowDrops.Load(),
-				SlowConsumerDisconnects: c.slowDisconnects.Load(),
-				AdmissionWaits:          c.admissionWaits.Load(),
-				AdmissionTimeouts:       c.admissionTimeouts.Load(),
-				Routes:                  c.routes.Load(),
-				RemoteSubs:              c.remoteSubs.Load(),
-				RoutedMsgs:              c.routedMsgs.Load(),
-				DupsSuppressed:          c.dupsSuppressed.Load(),
-			}
-			if c.seq.Load() == s1 {
-				return snap
-			}
-		}
-		runtime.Gosched()
-	}
-}
-
 // NumSubscriptions returns the live local subscription count.
 func (s *Server) NumSubscriptions() int {
 	return int(s.numSubs.Load())
-}
-
-// admitPublishes applies publish admission before a batch is routed:
-// park (off every lock) while the outstanding-bytes gauge is over the
-// window, for at most the configured timeout.
-func (s *Server) admitPublishes() {
-	a := s.adm
-	if a == nil || !a.over() {
-		return
-	}
-	st := &s.stats
-	st.write(func() { st.admissionWaits.Add(1) })
-	if !a.wait(s.opts.admissionTimeout, s.quit) {
-		st.write(func() { st.admissionTimeouts.Add(1) })
-	}
-}
-
-// pendingPub is one parsed-but-unrouted message in a reader's ingest
-// batch: payload and subject in a refcounted arena buffer (publisher
-// hold). A message that arrived on a route also carries the queue-group
-// names of its RMSG line, separated by single spaces, and whether its
-// origin tag is this broker's own ID.
-type pendingPub struct {
-	pb         *payloadRef
-	queues     []byte
-	selfOrigin bool
-}
-
-// ingest is the batch state of a link's reader goroutine, the same for a
-// client connection (PUB) and a route (RMSG): the parsed messages waiting
-// to be routed, and the scratch routeBatch needs to route them — the
-// per-peer forwarding accumulator, the stager, and the member pool of an
-// inbound queue-group pick.
-type ingest struct {
-	pending      []pendingPub
-	pendingBytes int
-	qnames       []byte // backing store of pendingPub.queues
-
-	fwd    fwdScratch
-	st     stager
-	localQ []*serverSub
-}
-
-// full reports whether the batch has reached its bounds.
-func (in *ingest) full() bool {
-	return len(in.pending) >= maxIngestBatch || in.pendingBytes >= maxIngestBytes
-}
-
-// flushIngest routes a reader's pending batch and resets it. from is the
-// route the batch arrived on, nil for a client's publishes; only those
-// wait for admission (a parked route reader would stop answering
-// heartbeats, and what it carries was admitted at the origin).
-func (s *Server) flushIngest(in *ingest, from *route) {
-	if len(in.pending) == 0 {
-		return
-	}
-	if from == nil {
-		s.admitPublishes()
-	}
-	s.routeBatch(in, from)
-	clear(in.pending)
-	in.pending = in.pending[:0]
-	in.pendingBytes = 0
-	in.qnames = in.qnames[:0]
-}
-
-// fwdEntry is one peer the current message must be forwarded to: plain
-// interest, queue-group picks that landed on that peer, or both. One
-// RMSG per entry carries it all — the per-peer dedup that makes mesh
-// delivery exactly-once.
-type fwdEntry struct {
-	rt     *route
-	queues []string
-}
-
-// fwdScratch is a reader goroutine's reusable forwarding accumulator.
-// Entries (and their queue-name backing slices) are recycled across
-// messages so the forwarding path allocates nothing in steady state.
-type fwdScratch struct {
-	entries []fwdEntry
-	n       int
-}
-
-func (f *fwdScratch) reset() {
-	for i := 0; i < f.n; i++ {
-		f.entries[i].rt = nil
-		f.entries[i].queues = f.entries[i].queues[:0]
-	}
-	f.n = 0
-}
-
-// add returns the entry for rt, creating it if this is the first
-// delivery decision for that peer in the current message.
-func (f *fwdScratch) add(rt *route) *fwdEntry {
-	for i := 0; i < f.n; i++ {
-		if f.entries[i].rt == rt {
-			return &f.entries[i]
-		}
-	}
-	if f.n < len(f.entries) {
-		f.entries[f.n].rt = rt
-	} else {
-		f.entries = append(f.entries, fwdEntry{rt: rt})
-	}
-	f.n++
-	return &f.entries[f.n-1]
-}
-
-// addQueue records a queue-group pick for the entry, deduplicating by
-// group name (two patterns matching the same group on the same peer
-// must not double-deliver).
-func (e *fwdEntry) addQueue(name string) {
-	for _, q := range e.queues {
-		if q == name {
-			return
-		}
-	}
-	e.queues = append(e.queues, name)
-}
-
-// routeBatch delivers a reader's ingest batch in order. Consecutive
-// messages on the same shard reuse one lock acquisition, consecutive
-// messages on the same subject reuse one match result (valid for the
-// whole run because sub/unsub needs the same shard lock we hold), the
-// deliveries are staged per destination link and enter each queue a run at
-// a time (stager), and the batch's counter updates collapse into a single
-// seqlock write.
-//
-// A client's publish (from == nil) goes to every matching local
-// subscription and to one member of every matching queue group, chosen by
-// the shard's seeded rng among local members and peer interests alike —
-// the pick that makes queue semantics mesh-wide. Matching remote interests
-// collapse into at most one origin-tagged RMSG per peer per message
-// (fwdScratch).
-//
-// A message that arrived on a route is the receiving half of the one-hop
-// rule: remote interests in the match result are skipped (never
-// re-forwarded), and a message carrying our own origin tag is dropped
-// entirely and counted — together they make mesh delivery exactly-once and
-// loop-free. For each queue-group name listed in the RMSG, the local
-// members of every matching group with that name are pooled and one is
-// chosen: the origin broker already picked this broker as the group's
-// mesh-wide winner.
-func (s *Server) routeBatch(in *ingest, from *route) {
-	var (
-		sh      *shard
-		shardID = -1
-		rs      *routeSet
-		subject []byte
-
-		msgsIn, bytesIn, dups uint64
-	)
-	st, fwd := &in.st, &in.fwd
-	policy := s.opts.slowPolicy
-	for i := range in.pending {
-		m := &in.pending[i]
-		if m.selfOrigin {
-			dups++
-			continue
-		}
-		pb := m.pb
-		subj := pb.subj
-		idx := shardIndexBytes(subj, len(s.shards))
-		if idx != shardID {
-			if sh != nil {
-				st.flush() // before the unlock: stager rule 1
-				sh.mu.Unlock()
-			}
-			sh = s.shards[idx]
-			sh.mu.Lock()
-			shardID = idx
-			rs, subject = nil, nil
-		}
-		if rs == nil || !bytes.Equal(subj, subject) {
-			rs = sh.matchBytes(subj)
-			subject = subj
-		}
-		fwd.reset()
-		for _, sub := range rs.plain {
-			if sub.rt == nil {
-				st.add(&sub.client.link, policy, outFrame{sid: sub.sid, pb: pb})
-			} else if from == nil {
-				fwd.add(sub.rt)
-			}
-		}
-		if from == nil {
-			for _, members := range rs.queues {
-				pick := members[sh.rng.Intn(len(members))]
-				if pick.rt != nil {
-					fwd.add(pick.rt).addQueue(pick.queue)
-					continue
-				}
-				st.add(&pick.client.link, policy, outFrame{sid: pick.sid, pb: pb})
-			}
-		}
-		// The queue names of an RMSG; a client's publish has none.
-		for rest := m.queues; len(rest) > 0; {
-			name := rest
-			if sp := bytes.IndexByte(rest, ' '); sp >= 0 {
-				name, rest = rest[:sp], rest[sp+1:]
-			} else {
-				rest = nil
-			}
-			in.localQ = in.localQ[:0]
-			for _, members := range rs.queues {
-				if string(name) != members[0].queue {
-					continue
-				}
-				for _, mem := range members {
-					if mem.rt == nil {
-						in.localQ = append(in.localQ, mem)
-					}
-				}
-			}
-			if len(in.localQ) == 0 {
-				continue
-			}
-			pick := in.localQ[sh.rng.Intn(len(in.localQ))]
-			st.add(&pick.client.link, policy, outFrame{sid: pick.sid, pb: pb})
-		}
-		// Routes always use the disconnect overflow policy: silently
-		// dropping inter-broker traffic would violate exactly-once delivery
-		// invisibly, while a disconnect is detected and repaired by the
-		// redial/gossip machinery.
-		for j := 0; j < fwd.n; j++ {
-			e := &fwd.entries[j]
-			hdr := encodeRMsgHeader(subj, s.id, len(pb.data), e.queues)
-			st.add(e.rt.ln, SlowConsumerDisconnect, outFrame{hdr: hdr, pb: pb})
-		}
-		msgsIn++
-		bytesIn += uint64(len(pb.data))
-	}
-	if sh != nil {
-		st.flush()
-		sh.mu.Unlock()
-	}
-	// Only now, after the last flush, do the publisher holds go: until a
-	// run is flushed they are all that keeps its payloads (stager rule 3).
-	for i := range in.pending {
-		in.pending[i].pb.release(1)
-	}
-	out := st.total
-	st.total = runResult{}
-	c := &s.stats
-	c.write(func() {
-		c.msgsIn.Add(msgsIn)
-		c.bytesIn.Add(bytesIn)
-		c.msgsOut.Add(out.msgs)
-		c.bytesOut.Add(out.msgBytes)
-		if out.rmsgs > 0 {
-			c.routedMsgs.Add(out.rmsgs)
-		}
-		if out.drops > 0 {
-			c.slowDrops.Add(out.drops)
-		}
-		if out.disconnects > 0 {
-			c.slowDisconnects.Add(out.disconnects)
-		}
-		if dups > 0 {
-			c.dupsSuppressed.Add(dups)
-		}
-	})
-}
-
-func (s *Server) addSub(sub *serverSub) {
-	c := sub.client
-	c.smu.Lock()
-	c.subs[sub.sid] = append(c.subs[sub.sid], sub)
-	c.smu.Unlock()
-	s.eachPatternShard(sub.pattern, func(sh *shard) {
-		sh.insert(sub)
-	})
-	st := &s.stats
-	st.write(func() { st.subscriptions.Add(1) })
-	s.numSubs.Add(1)
-	s.interestAdd(sub.pattern, sub.queue)
-}
-
-func (s *Server) removeSub(c *serverClient, sid string) {
-	c.smu.Lock()
-	subs := c.subs[sid]
-	delete(c.subs, sid)
-	c.smu.Unlock()
-	for _, sub := range subs {
-		s.eachPatternShard(sub.pattern, func(sh *shard) {
-			sh.remove(sub)
-		})
-		s.numSubs.Add(-1)
-		s.interestDrop(sub.pattern, sub.queue)
-	}
-}
-
-// eachPatternShard runs fn under the lock of every shard the pattern
-// routes through: one for a literal first token, all for a wildcard.
-func (s *Server) eachPatternShard(pattern string, fn func(*shard)) {
-	if idx := shardIndex(pattern, len(s.shards)); idx >= 0 {
-		sh := s.shards[idx]
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-		return
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-	}
-}
-
-// dropClient deregisters c and removes its subscriptions.
-func (s *Server) dropClient(c *serverClient) {
-	s.mu.Lock()
-	delete(s.clients, c)
-	s.mu.Unlock()
-	s.clearSubs(c)
-}
-
-// clearSubs removes every subscription c holds (used on teardown and
-// when a connection upgrades to a route, which keeps no client subs).
-func (s *Server) clearSubs(c *serverClient) {
-	c.smu.Lock()
-	all := c.subs
-	c.subs = make(map[string][]*serverSub)
-	c.smu.Unlock()
-	for _, subs := range all {
-		for _, sub := range subs {
-			s.eachPatternShard(sub.pattern, func(sh *shard) {
-				sh.remove(sub)
-			})
-			s.numSubs.Add(-1)
-			s.interestDrop(sub.pattern, sub.queue)
-		}
-	}
-}
-
-type serverClient struct {
-	link
-	srv *Server
-	id  uint64
-
-	smu  sync.Mutex
-	subs map[string][]*serverSub // sid -> subs (duplicate sids allowed)
-}
-
-func (c *serverClient) run() {
-	defer func() {
-		// Route fully received publishes before teardown — a pipelined
-		// publisher that disconnects right after writing must not lose its
-		// tail (same semantics as the PR 7 route-per-publish path).
-		c.flushPubs()
-		c.srv.dropClient(c)
-		// The writer drains queued replies (-ERR, PONG, trailing MSGs),
-		// flushes, and closes the connection.
-		c.out.close()
-	}()
-	var fields [8][]byte
-	for {
-		if len(c.in.pending) > 0 && !c.completeLineBuffered() {
-			// The next read would block (or the buffer holds only a partial
-			// line): route what we have instead of sitting on it.
-			c.flushPubs()
-		}
-		line, err := c.readLine()
-		if err != nil {
-			return
-		}
-		nf := splitFields(line, fields[:0])
-		if len(nf) == 0 {
-			continue
-		}
-		cmd := nf[0]
-		switch {
-		case asciiFold(cmd, "PUB"):
-			if err := c.handlePub(nf); err != nil {
-				return
-			}
-		case asciiFold(cmd, "SUB"):
-			c.flushPubs() // strict command order: prior PUBs route first
-			c.handleSub(nf)
-		case asciiFold(cmd, "UNSUB"):
-			c.flushPubs()
-			if len(nf) != 2 {
-				c.sendErr("UNSUB requires <sid>")
-				continue
-			}
-			c.srv.removeSub(c, string(nf[1]))
-		case asciiFold(cmd, "PING"):
-			// PONG is the client's flush barrier: everything sent before the
-			// PING must be fully processed, so route pending publishes first.
-			c.flushPubs()
-			c.sendLine("PONG")
-		case asciiFold(cmd, "CONNECT"):
-			// Name is informational only.
-		case asciiFold(cmd, "ROUTE"):
-			// The peer is another broker: upgrade this connection to a
-			// route (route.go). The link — reader position, outbound
-			// queue, writer goroutine — carries over; only the command
-			// loop changes. acceptRoute returns when the route dies and
-			// the deferred client teardown completes the cleanup.
-			c.flushPubs()
-			c.srv.acceptRoute(c, nf)
-			return
-		default:
-			c.flushPubs()
-			c.sendErr("unknown command " + string(cmd))
-		}
-	}
-}
-
-// flushPubs routes the client's pending ingest batch.
-func (c *serverClient) flushPubs() { c.srv.flushIngest(&c.in, nil) }
-
-func (c *serverClient) handleSub(fields [][]byte) {
-	var pattern, queue, sid string
-	switch len(fields) {
-	case 3:
-		pattern, sid = string(fields[1]), string(fields[2])
-	case 4:
-		pattern, queue, sid = string(fields[1]), string(fields[2]), string(fields[3])
-	default:
-		c.sendErr("SUB requires <subject> [queue] <sid>")
-		return
-	}
-	if err := ValidatePattern(pattern); err != nil {
-		c.sendErr(err.Error())
-		return
-	}
-	c.srv.addSub(&serverSub{client: c, pattern: pattern, queue: queue, sid: sid})
-}
-
-// handlePub parses one publish into the client's ingest batch. The batch
-// is routed when it hits its size bounds, when the socket has nothing
-// more buffered (see run), or — to preserve command order — before any
-// non-PUB command. A returned error tears the connection down (the
-// stream is unframeable).
-func (c *serverClient) handlePub(fields [][]byte) error {
-	if len(fields) != 3 {
-		c.flushPubs() // error replies keep command order, like any non-PUB
-		c.sendErr("PUB requires <subject> <nbytes>")
-		return nil
-	}
-	n, ok := parseSize(fields[2])
-	if !ok {
-		c.flushPubs()
-		c.sendErr("bad payload size")
-		return errors.New("broker: bad payload size")
-	}
-	if len(c.in.pending) > 0 && c.r.Buffered() < n+2 {
-		// The payload read below will block on the socket; route what we
-		// already have first so batching never delays delivery.
-		c.flushPubs()
-	}
-	pb, err := c.readPayload(fields[1], n)
-	if err != nil {
-		return err
-	}
-	if !validSubjectBytes(pb.subj) {
-		bad := string(pb.subj)
-		pb.release(1)
-		c.flushPubs()
-		if err := ValidateSubject(bad); err != nil {
-			c.sendErr(err.Error())
-		} else {
-			c.sendErr("invalid subject")
-		}
-		return nil
-	}
-	c.in.pending = append(c.in.pending, pendingPub{pb: pb})
-	c.in.pendingBytes += n
-	if c.in.full() {
-		c.flushPubs()
-	}
-	return nil
-}
-
-// validSubjectBytes is the allocation-free publish-subject check:
-// non-empty dot tokens, no wildcards. (Whitespace cannot appear — the
-// field splitter already consumed it.)
-func validSubjectBytes(b []byte) bool {
-	if len(b) == 0 {
-		return false
-	}
-	prev := byte('.')
-	for _, ch := range b {
-		switch ch {
-		case '.':
-			if prev == '.' {
-				return false
-			}
-		case '*', '>':
-			return false
-		}
-		prev = ch
-	}
-	return prev != '.'
 }
