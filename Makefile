@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-contract bench-pair check docs fuzz-smoke chaos
+.PHONY: tier1 race bench bench-contract bench-pair check docs fmt fuzz-smoke chaos
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -74,4 +74,8 @@ bench-pair:
 docs:
 	scripts/check-docs.sh
 
-check: tier1 race bench-contract docs
+# fmt fails, naming the files, when gofmt would change any.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; }
+
+check: fmt tier1 race bench-contract docs

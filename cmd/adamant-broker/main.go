@@ -32,7 +32,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":4222", "listen address")
 	shards := flag.Int("shards", 0, "routing-table shards (0 = default)")
-	seed := flag.Int64("seed", 0, "queue-group rng seed (0 = ADAMANT_BROKER_SEED env or time-based)")
+	seed := flag.Int64("seed", 0, "queue-group rng seed (0 = time-based)")
 	queueFrames := flag.Int("queue-frames", 0, "per-client outbound queue bound in frames (0 = default)")
 	queueBytes := flag.Int64("queue-bytes", 0, "per-client outbound queue bound in bytes (0 = default)")
 	slowPolicy := flag.String("slow-policy", "disconnect", "slow-consumer policy: disconnect or drop")

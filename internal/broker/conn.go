@@ -1,220 +1,162 @@
 package broker
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
 
-func (s *Server) addSub(sub *serverSub) {
-	c := sub.client
-	c.smu.Lock()
-	c.subs[sub.sid] = append(c.subs[sub.sid], sub)
-	c.smu.Unlock()
-	s.eachPatternShard(sub.pattern, func(sh *shard) {
-		sh.insert(sub)
-	})
-	st := &s.stats
-	st.write(func() { st.subscriptions.Add(1) })
-	s.numSubs.Add(1)
-	s.interestAdd(sub.pattern, sub.queue)
-}
-
-func (s *Server) removeSub(c *serverClient, sid string) {
-	c.smu.Lock()
-	subs := c.subs[sid]
-	delete(c.subs, sid)
-	c.smu.Unlock()
-	for _, sub := range subs {
-		s.eachPatternShard(sub.pattern, func(sh *shard) {
-			sh.remove(sub)
-		})
-		s.numSubs.Add(-1)
-		s.interestDrop(sub.pattern, sub.queue)
-	}
-}
-
-// eachPatternShard runs fn under the lock of every shard the pattern
-// routes through: one for a literal first token, all for a wildcard.
-func (s *Server) eachPatternShard(pattern string, fn func(*shard)) {
-	if idx := shardIndex(pattern, len(s.shards)); idx >= 0 {
-		sh := s.shards[idx]
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-		return
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-	}
-}
-
-// dropClient deregisters c and removes its subscriptions.
-func (s *Server) dropClient(c *serverClient) {
-	s.mu.Lock()
-	delete(s.clients, c)
-	s.mu.Unlock()
-	s.clearSubs(c)
-}
-
-// clearSubs removes every subscription c holds (used on teardown and
-// when a connection upgrades to a route, which keeps no client subs).
-func (s *Server) clearSubs(c *serverClient) {
-	c.smu.Lock()
-	all := c.subs
-	c.subs = make(map[string][]*serverSub)
-	c.smu.Unlock()
-	for _, subs := range all {
-		for _, sub := range subs {
-			s.eachPatternShard(sub.pattern, func(sh *shard) {
-				sh.remove(sub)
-			})
-			s.numSubs.Add(-1)
-			s.interestDrop(sub.pattern, sub.queue)
-		}
-	}
-}
-
+// serverClient is one connection of the broker, in either role: a link, the
+// reader goroutine's loop over it, and the role's state. A connection the
+// broker accepted starts as a client (rt == nil) and becomes a route when
+// the peer's ROUTE line registers; one the broker dialed (dialRoute) is a
+// route from its first byte. The role decides the message verb the loop
+// batches (PUB or RMSG) and the command set every other line goes to —
+// nothing else: reading, batching, the flush points and teardown are the
+// same code for both.
 type serverClient struct {
 	link
 	srv *Server
 	id  uint64
 
+	// rt is the route state, nil in the client role. Reader goroutine only.
+	rt *route
+
 	smu  sync.Mutex
 	subs map[string][]*serverSub // sid -> subs (duplicate sids allowed)
 }
 
+// run is the reader goroutine's loop, left when the connection dies or is
+// dropped. Consecutive message lines collect in the link's ingest batch,
+// which is routed when the next read would block, before any other line is
+// handled (strict command order), at the batch bounds, and on the way out.
 func (c *serverClient) run() {
-	defer func() {
-		// Route fully received publishes before teardown — a pipelined
-		// publisher that disconnects right after writing must not lose its
-		// tail (same semantics as the PR 7 route-per-publish path).
-		c.flushPubs()
-		c.srv.dropClient(c)
-		// The writer drains queued replies (-ERR, PONG, trailing MSGs),
-		// flushes, and closes the connection.
-		c.out.close()
-	}()
-	var fields [8][]byte
+	defer c.teardown()
+	var fields [16][]byte
 	for {
-		if len(c.in.pending) > 0 && !c.completeLineBuffered() {
-			// The next read would block (or the buffer holds only a partial
-			// line): route what we have instead of sitting on it.
-			c.flushPubs()
+		// The next read would block (or the buffer holds only a partial
+		// line): route what we have instead of sitting on it.
+		blocking := !c.completeLineBuffered()
+		if blocking {
+			c.flushIngest()
 		}
 		line, err := c.readLine()
 		if err != nil {
 			return
 		}
+		if blocking && c.rt != nil {
+			// Once per socket read, not per line: lines parsed out of the
+			// buffer arrived with the read that was stamped.
+			c.rt.lastRecv.Store(time.Now().UnixNano())
+		}
 		nf := splitFields(line, fields[:0])
 		if len(nf) == 0 {
 			continue
 		}
-		cmd := nf[0]
+		verb := "PUB"
+		if c.rt != nil {
+			verb = "RMSG"
+		}
+		var keep bool
 		switch {
-		case asciiFold(cmd, "PUB"):
-			if err := c.handlePub(nf); err != nil {
-				return
-			}
-		case asciiFold(cmd, "SUB"):
-			c.flushPubs() // strict command order: prior PUBs route first
-			c.handleSub(nf)
-		case asciiFold(cmd, "UNSUB"):
-			c.flushPubs()
-			if len(nf) != 2 {
-				c.sendErr("UNSUB requires <sid>")
-				continue
-			}
-			c.srv.removeSub(c, string(nf[1]))
-		case asciiFold(cmd, "PING"):
-			// PONG is the client's flush barrier: everything sent before the
-			// PING must be fully processed, so route pending publishes first.
-			c.flushPubs()
-			c.sendLine("PONG")
-		case asciiFold(cmd, "CONNECT"):
-			// Name is informational only.
-		case asciiFold(cmd, "ROUTE"):
-			// The peer is another broker: upgrade this connection to a
-			// route (route.go). The link — reader position, outbound
-			// queue, writer goroutine — carries over; only the command
-			// loop changes. acceptRoute returns when the route dies and
-			// the deferred client teardown completes the cleanup.
-			c.flushPubs()
-			c.srv.acceptRoute(c, nf)
-			return
+		case asciiFold(nf[0], verb):
+			keep = c.ingestMsg(nf)
+		case c.rt != nil:
+			c.flushIngest() // strict command order: prior messages route first
+			keep = c.routeCommand(nf)
 		default:
-			c.flushPubs()
-			c.sendErr("unknown command " + string(cmd))
+			c.flushIngest()
+			keep = c.clientCommand(nf)
+		}
+		if !keep {
+			return
 		}
 	}
 }
 
-// flushPubs routes the client's pending ingest batch.
-func (c *serverClient) flushPubs() { c.srv.flushIngest(&c.in, nil) }
+// flushIngest routes the connection's pending batch.
+func (c *serverClient) flushIngest() { c.srv.flushIngest(&c.in, c.rt) }
 
-func (c *serverClient) handleSub(fields [][]byte) {
-	var pattern, queue, sid string
-	switch len(fields) {
-	case 3:
-		pattern, sid = string(fields[1]), string(fields[2])
-	case 4:
-		pattern, queue, sid = string(fields[1]), string(fields[2]), string(fields[3])
-	default:
-		c.sendErr("SUB requires <subject> [queue] <sid>")
-		return
+// teardown ends the connection from the reader's side.
+func (c *serverClient) teardown() {
+	// Fully received messages are routed even if the peer is gone: a
+	// pipelined publisher that disconnects right after writing must not
+	// lose its tail.
+	c.flushIngest()
+	if c.rt != nil {
+		c.srv.teardownRoute(c.rt)
 	}
-	if err := ValidatePattern(pattern); err != nil {
-		c.sendErr(err.Error())
-		return
-	}
-	c.srv.addSub(&serverSub{client: c, pattern: pattern, queue: queue, sid: sid})
+	c.srv.dropClient(c)
+	// The writer drains queued replies (-ERR, PONG, trailing MSGs),
+	// flushes, and closes the connection.
+	c.out.close()
 }
 
-// handlePub parses one publish into the client's ingest batch. The batch
-// is routed when it hits its size bounds, when the socket has nothing
-// more buffered (see run), or — to preserve command order — before any
-// non-PUB command. A returned error tears the connection down (the
-// stream is unframeable).
-func (c *serverClient) handlePub(fields [][]byte) error {
-	if len(fields) != 3 {
-		c.flushPubs() // error replies keep command order, like any non-PUB
-		c.sendErr("PUB requires <subject> <nbytes>")
-		return nil
+// ingestMsg parses the role's message line — PUB <subject> <nbytes> from a
+// client, RMSG <subject> <origin> <nbytes> [queue...] from a route — and
+// its payload into the ingest batch. It reports whether the connection is
+// kept: false means the stream is unframeable from here.
+func (c *serverClient) ingestMsg(f [][]byte) bool {
+	r, in := c.rt, &c.in
+	sizeAt, usage := 2, "PUB requires <subject> <nbytes>"
+	if r != nil {
+		sizeAt, usage = 3, "RMSG requires <subject> <origin> <nbytes>"
 	}
-	n, ok := parseSize(fields[2])
+	// A PUB has exactly its three fields; an RMSG's queue names trail them.
+	if len(f) <= sizeAt || (r == nil && len(f) > 3) {
+		c.flushIngest() // error replies keep command order, like any other line
+		c.sendErr(usage)
+		return r == nil // no size was read: a client goes on, a route is dropped
+	}
+	n, ok := parseSize(f[sizeAt])
 	if !ok {
-		c.flushPubs()
+		c.flushIngest()
 		c.sendErr("bad payload size")
-		return errors.New("broker: bad payload size")
+		return false
 	}
-	if len(c.in.pending) > 0 && c.r.Buffered() < n+2 {
-		// The payload read below will block on the socket; route what we
-		// already have first so batching never delays delivery.
-		c.flushPubs()
+	blocking := c.r.Buffered() < n+2
+	if blocking {
+		// The payload read will block on the socket: route what we have
+		// first so batching never delays delivery.
+		c.flushIngest()
 	}
-	pb, err := c.readPayload(fields[1], n)
+	// The header fields borrow the reader's buffer, which the payload read
+	// refills — take what routing needs of them first.
+	var m pendingPub
+	qoff := len(in.qnames)
+	if r != nil {
+		m.selfOrigin = string(f[2]) == c.srv.id
+		for i, q := range f[4:] {
+			if i > 0 {
+				in.qnames = append(in.qnames, ' ')
+			}
+			in.qnames = append(in.qnames, q...)
+		}
+	}
+	pb, err := c.readPayload(f[1], n)
 	if err != nil {
-		return err
+		return false
+	}
+	if blocking && r != nil {
+		r.lastRecv.Store(time.Now().UnixNano())
 	}
 	if !validSubjectBytes(pb.subj) {
-		bad := string(pb.subj)
-		pb.release(1)
-		c.flushPubs()
-		if err := ValidateSubject(bad); err != nil {
-			c.sendErr(err.Error())
-		} else {
-			c.sendErr("invalid subject")
+		msg := "invalid subject"
+		if err := ValidateSubject(string(pb.subj)); err != nil {
+			msg = err.Error()
 		}
-		return nil
+		pb.release(1)
+		in.qnames = in.qnames[:qoff]
+		c.flushIngest()
+		c.sendErr(msg)
+		return true
 	}
-	c.in.pending = append(c.in.pending, pendingPub{pb: pb})
-	c.in.pendingBytes += n
-	if c.in.full() {
-		c.flushPubs()
+	m.pb, m.queues = pb, in.qnames[qoff:]
+	in.pending = append(in.pending, m)
+	in.pendingBytes += n
+	if in.full() {
+		c.flushIngest()
 	}
-	return nil
+	return true
 }
 
 // validSubjectBytes is the allocation-free publish-subject check:
@@ -239,110 +181,122 @@ func validSubjectBytes(b []byte) bool {
 	return prev != '.'
 }
 
-// acceptRoute upgrades an accepted connection into a route after its
-// ROUTE <id> [addr] line (fields). It returns when the route dies; the
-// caller's deferred client teardown closes the shared link.
-func (s *Server) acceptRoute(c *serverClient, fields [][]byte) {
-	if len(fields) < 2 || len(fields) > 3 || len(fields[1]) == 0 {
-		c.sendErr("ROUTE requires <serverID> [clusterAddr]")
-		return
+// clientCommand handles one line of the client role other than PUB and
+// reports whether the connection is kept.
+func (c *serverClient) clientCommand(f [][]byte) bool {
+	switch cmd := f[0]; {
+	case asciiFold(cmd, "SUB"):
+		c.handleSub(f)
+	case asciiFold(cmd, "UNSUB"):
+		if len(f) != 2 {
+			c.sendErr("UNSUB requires <sid>")
+			break
+		}
+		c.srv.removeSub(c, string(f[1]))
+	case asciiFold(cmd, "PING"):
+		// PONG is the client's flush barrier: everything sent before the
+		// PING was routed by the flush that precedes every command.
+		c.sendLine("PONG")
+	case asciiFold(cmd, "CONNECT"):
+		// Name is informational only.
+	case asciiFold(cmd, "ROUTE"):
+		return c.routeHello(f)
+	default:
+		c.sendErr("unknown command " + string(cmd))
 	}
-	s.clearSubs(c) // a route holds no client subscriptions
-	r := &route{ln: &c.link, addr: "-", subs: make(map[interestKey]*serverSub)}
-	r.id = string(fields[1])
-	if len(fields) == 3 && len(fields[2]) > 0 {
-		r.addr = string(fields[2])
-	}
-	r.lastRecv.Store(time.Now().UnixNano())
-	if !s.registerRoute(r) {
-		c.sendErr("duplicate route")
-		return
-	}
-	r.ln.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr) // our half of the handshake
-	s.routeLoop(r)
+	return true
 }
 
-// routeLoop is the route's command loop; the reader goroutine stays in
-// it until the connection dies, then teardown withdraws the peer's
-// interest. For dialed routes the peer's ROUTE reply arrives here as the
-// first line and completes registration.
-//
-// Consecutive RMSGs collect in the link's ingest batch exactly as a
-// client's PUBs do: the batch is routed before any other line is handled,
-// when the next read would block, and at the batch bounds. lastRecv is
-// stamped once per socket read, not per line: lines parsed out of the
-// buffer arrived with the read that was stamped.
-func (s *Server) routeLoop(r *route) {
-	defer s.teardownRoute(r)
-	// Fully received messages are routed even if the peer is gone.
-	defer s.flushIngest(&r.ln.in, r)
-	var fields [16][]byte
-	for {
-		blocking := !r.ln.completeLineBuffered()
-		if blocking {
-			s.flushIngest(&r.ln.in, r)
-		}
-		line, err := r.ln.readLine()
-		if err != nil {
-			return
-		}
-		if blocking {
-			r.lastRecv.Store(time.Now().UnixNano())
-		}
-		nf := splitFields(line, fields[:0])
-		if len(nf) == 0 {
-			continue
-		}
-		cmd := nf[0]
-		if asciiFold(cmd, "RMSG") {
-			if err := s.handleRMsg(r, nf); err != nil {
-				return
-			}
-			continue
-		}
-		s.flushIngest(&r.ln.in, r) // strict line order: prior RMSGs route first
-		switch {
-		case asciiFold(cmd, "RS+"):
-			s.handleRSub(r, nf, true)
-		case asciiFold(cmd, "RS-"):
-			s.handleRSub(r, nf, false)
-		case asciiFold(cmd, "PING"):
-			r.ln.sendLine("PONG")
-		case asciiFold(cmd, "PONG"):
-			// lastRecv refresh above is the whole point
-		case asciiFold(cmd, "RINFO"):
-			s.handleRInfo(nf)
-		case asciiFold(cmd, "ROUTE"):
-			if r.registered {
-				continue // duplicate handshake line: ignore
-			}
-			if len(nf) < 2 || len(nf) > 3 || len(nf[1]) == 0 {
-				r.ln.sendErr("ROUTE requires <serverID> [clusterAddr]")
-				return
-			}
-			r.id = string(nf[1])
-			if len(nf) == 3 && len(nf[2]) > 0 {
-				r.addr = string(nf[2])
-			}
-			if !s.registerRoute(r) {
-				return
-			}
-		case asciiFold(cmd, "-ERR"):
-			if !r.registered {
-				// Handshake rejected (duplicate route): park the redial.
-				r.dupLost = true
-				return
-			}
-		default:
-			r.ln.sendErr("unknown route command " + string(cmd))
-		}
+func (c *serverClient) handleSub(fields [][]byte) {
+	var pattern, queue, sid string
+	switch len(fields) {
+	case 3:
+		pattern, sid = string(fields[1]), string(fields[2])
+	case 4:
+		pattern, queue, sid = string(fields[1]), string(fields[2]), string(fields[3])
+	default:
+		c.sendErr("SUB requires <subject> [queue] <sid>")
+		return
 	}
+	if err := ValidatePattern(pattern); err != nil {
+		c.sendErr(err.Error())
+		return
+	}
+	c.srv.addSub(&serverSub{client: c, pattern: pattern, queue: queue, sid: sid})
+}
+
+// routeCommand handles one line of the route role other than RMSG and
+// reports whether the connection is kept.
+func (c *serverClient) routeCommand(f [][]byte) bool {
+	r := c.rt
+	switch cmd := f[0]; {
+	case asciiFold(cmd, "RS+"):
+		c.handleRSub(f, true)
+	case asciiFold(cmd, "RS-"):
+		c.handleRSub(f, false)
+	case asciiFold(cmd, "PING"):
+		c.sendLine("PONG")
+	case asciiFold(cmd, "PONG"):
+		// the lastRecv stamp in run is the whole point
+	case asciiFold(cmd, "RINFO"):
+		c.srv.handleRInfo(f)
+	case asciiFold(cmd, "ROUTE"):
+		if r.registered {
+			break // duplicate handshake line: ignore
+		}
+		return c.routeHello(f)
+	case asciiFold(cmd, "-ERR"):
+		if !r.registered {
+			// Handshake rejected (duplicate route): park the redial.
+			r.dupLost = true
+			return false
+		}
+	default:
+		c.sendErr("unknown route command " + string(cmd))
+	}
+	return true
+}
+
+// routeHello handles the peer's ROUTE <id> [addr] line. On an accepted
+// connection it is the upgrade: the connection gives up its client
+// subscriptions and becomes a route — the link, with its reader position,
+// outbound queue and writer goroutine, carries over — and is answered with
+// our half of the handshake. On a connection this broker dialed it is the
+// reply that completes registration. It reports whether the connection is
+// kept.
+func (c *serverClient) routeHello(f [][]byte) bool {
+	s := c.srv
+	if len(f) < 2 || len(f) > 3 || len(f[1]) == 0 {
+		c.sendErr("ROUTE requires <serverID> [clusterAddr]")
+		return false
+	}
+	r := c.rt
+	if r == nil {
+		s.clearSubs(c) // a route holds no client subscriptions
+		r = newRoute(&c.link, false)
+	}
+	r.id = string(f[1])
+	if len(f) == 3 && len(f[2]) > 0 {
+		r.addr = string(f[2])
+	}
+	if !s.registerRoute(r) {
+		if !r.dialed {
+			c.sendErr("duplicate route")
+		}
+		return false
+	}
+	if !r.dialed {
+		c.rt = r
+		c.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr)
+	}
+	return true
 }
 
 // handleRSub applies one RS+ (add=true) or RS- interest line from the
 // peer. Interest entries are idempotent per (pattern, queue): the peer
 // refcounts on its side and only sends edge transitions.
-func (s *Server) handleRSub(r *route, fields [][]byte, add bool) {
+func (c *serverClient) handleRSub(fields [][]byte, add bool) {
+	s, r := c.srv, c.rt
 	var pattern, queue string
 	switch len(fields) {
 	case 2:
@@ -350,36 +304,28 @@ func (s *Server) handleRSub(r *route, fields [][]byte, add bool) {
 	case 3:
 		pattern, queue = string(fields[1]), string(fields[2])
 	default:
-		r.ln.sendErr("RS requires <pattern> [queue]")
+		c.sendErr("RS requires <pattern> [queue]")
 		return
 	}
 	if err := ValidatePattern(pattern); err != nil {
-		r.ln.sendErr(err.Error())
+		c.sendErr(err.Error())
 		return
 	}
 	k := interestKey{pattern: pattern, queue: queue}
-	st := &s.stats
-	if add {
-		if _, ok := r.subs[k]; ok {
-			return
-		}
-		sub := &serverSub{rt: r, pattern: pattern, queue: queue}
-		r.subs[k] = sub
-		s.eachPatternShard(pattern, func(sh *shard) {
-			sh.insert(sub)
-		})
-		st.write(func() { st.remoteSubs.Add(1) })
+	sub, have := r.subs[k]
+	if add == have {
 		return
 	}
-	sub, ok := r.subs[k]
-	if !ok {
+	if add {
+		sub = &serverSub{rt: r, pattern: pattern, queue: queue}
+		r.subs[k] = sub
+		s.eachPatternShard(pattern, func(sh *shard) { sh.insert(sub) })
+		s.stats.remoteSubs.Add(1)
 		return
 	}
 	delete(r.subs, k)
-	s.eachPatternShard(pattern, func(sh *shard) {
-		sh.remove(sub)
-	})
-	st.write(func() { st.remoteSubs.Add(^uint64(0)) })
+	s.eachPatternShard(pattern, func(sh *shard) { sh.remove(sub) })
+	s.stats.remoteSubs.Add(^uint64(0))
 }
 
 // handleRInfo reacts to gossip about a mesh member: dial any advertised
@@ -400,56 +346,69 @@ func (s *Server) handleRInfo(fields [][]byte) {
 	}
 }
 
-// handleRMsg parses one forwarded message into the route's ingest batch.
-// A returned error means the stream is unframeable and tears the route
-// down.
-func (s *Server) handleRMsg(r *route, fields [][]byte) error {
-	l, in := r.ln, &r.ln.in
-	if len(fields) < 4 {
-		s.flushIngest(in, r) // error replies keep line order
-		l.sendErr("RMSG requires <subject> <origin> <nbytes>")
-		return errors.New("broker: malformed RMSG")
+func (s *Server) addSub(sub *serverSub) {
+	c := sub.client
+	c.smu.Lock()
+	c.subs[sub.sid] = append(c.subs[sub.sid], sub)
+	c.smu.Unlock()
+	s.eachPatternShard(sub.pattern, func(sh *shard) { sh.insert(sub) })
+	s.stats.subscriptions.Add(1)
+	s.numSubs.Add(1)
+	s.interestAdd(sub.pattern, sub.queue)
+}
+
+func (s *Server) removeSub(c *serverClient, sid string) {
+	c.smu.Lock()
+	subs := c.subs[sid]
+	delete(c.subs, sid)
+	c.smu.Unlock()
+	s.withdrawSubs(subs)
+}
+
+// clearSubs removes every subscription c holds (used on teardown and
+// when a connection upgrades to a route, which keeps no client subs).
+func (s *Server) clearSubs(c *serverClient) {
+	c.smu.Lock()
+	all := c.subs
+	c.subs = make(map[string][]*serverSub)
+	c.smu.Unlock()
+	for _, subs := range all {
+		s.withdrawSubs(subs)
 	}
-	n, ok := parseSize(fields[3])
-	if !ok {
-		s.flushIngest(in, r)
-		l.sendErr("bad payload size")
-		return errors.New("broker: bad payload size")
+}
+
+// withdrawSubs takes client subscriptions out of the routing trie and out
+// of the interest propagated to peers.
+func (s *Server) withdrawSubs(subs []*serverSub) {
+	for _, sub := range subs {
+		s.eachPatternShard(sub.pattern, func(sh *shard) { sh.remove(sub) })
+		s.numSubs.Add(-1)
+		s.interestDrop(sub.pattern, sub.queue)
 	}
-	blocking := l.r.Buffered() < n+2
-	if blocking {
-		// The payload read will block on the socket: route what we have
-		// first so batching never delays delivery.
-		s.flushIngest(in, r)
+}
+
+// eachPatternShard runs fn under the lock of every shard the pattern
+// routes through: one for a literal first token, all for a wildcard.
+func (s *Server) eachPatternShard(pattern string, fn func(*shard)) {
+	if idx := shardIndex(pattern, len(s.shards)); idx >= 0 {
+		sh := s.shards[idx]
+		sh.mu.Lock()
+		fn(sh)
+		sh.mu.Unlock()
+		return
 	}
-	// The header fields borrow the reader's buffer, which the payload
-	// read refills — take what routing needs of them first.
-	selfOrigin := string(fields[2]) == s.id
-	qoff := len(in.qnames)
-	for i, q := range fields[4:] {
-		if i > 0 {
-			in.qnames = append(in.qnames, ' ')
-		}
-		in.qnames = append(in.qnames, q...)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		fn(sh)
+		sh.mu.Unlock()
 	}
-	pb, err := l.readPayload(fields[1], n)
-	if err != nil {
-		return err
-	}
-	if blocking {
-		r.lastRecv.Store(time.Now().UnixNano())
-	}
-	if !validSubjectBytes(pb.subj) {
-		pb.release(1)
-		in.qnames = in.qnames[:qoff]
-		s.flushIngest(in, r)
-		l.sendErr("invalid subject")
-		return nil
-	}
-	in.pending = append(in.pending, pendingPub{pb: pb, queues: in.qnames[qoff:], selfOrigin: selfOrigin})
-	in.pendingBytes += n
-	if in.full() {
-		s.flushIngest(in, r)
-	}
-	return nil
+}
+
+// dropClient takes c out of the connection table and removes its
+// subscriptions.
+func (s *Server) dropClient(c *serverClient) {
+	s.mu.Lock()
+	delete(s.clients, c)
+	s.mu.Unlock()
+	s.clearSubs(c)
 }

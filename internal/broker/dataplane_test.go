@@ -507,61 +507,95 @@ func TestAdmissionDoneWakes(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotConsistent pins the seqlock: under concurrent load
-// with a single subscriber and the drop policy, every snapshot must
-// satisfy MsgsOut + SlowConsumerDrops == MsgsIn and the byte counters
+// TestStatsSnapshotConsistent pins what a Stats snapshot promises: under
+// concurrent load with the drop policy, every snapshot must satisfy
+// MsgsOut + SlowConsumerDrops == fanout * MsgsIn and the byte counters
 // must be exact multiples of the fixed payload size. Field-by-field
-// atomic loads (the PR 7 Stats) tear these invariants constantly.
+// atomic loads (the PR 7 Stats) tear these invariants constantly. The
+// second case spreads four publishers over four shards, so a snapshot is
+// a sum of counters read at four different moments.
 func TestStatsSnapshotConsistent(t *testing.T) {
-	srv := NewServer(WithSeed(1), WithSlowConsumerPolicy(SlowConsumerDrop))
+	const shards = 4
+	spread := make([]string, 0, shards) // one subject per shard
+	for i, seen := 0, map[int]bool{}; len(spread) < shards; i++ {
+		subj := "stat" + strconv.Itoa(i) + ".x"
+		if idx := shardIndex(subj, shards); !seen[idx] {
+			seen[idx] = true
+			spread = append(spread, subj)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		subjects []string // one publisher each
+		fanout   int      // subscribers per subject
+	}{
+		{"one shard", nil, []string{"stat.x"}, 1},
+		{"four shards", []Option{WithShards(shards)}, spread, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			statsSnapshotConsistent(t, tc.opts, tc.subjects, uint64(tc.fanout))
+		})
+	}
+}
+
+func statsSnapshotConsistent(t *testing.T, opts []Option, subjects []string, fanout uint64) {
+	srv := NewServer(append([]Option{WithSeed(1), WithSlowConsumerPolicy(SlowConsumerDrop)}, opts...)...)
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
 	addr := srv.Addr().String()
 
-	sub, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if _, err := sub.Subscribe("stat.x", func(Msg) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Flush(time.Second); err != nil {
-		t.Fatal(err)
+	for i := uint64(0); i < fanout; i++ {
+		sub, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		for _, subj := range subjects {
+			if _, err := sub.Subscribe(subj, func(Msg) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sub.Flush(time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const payloadSize = 128
-	const total = 10000
-	pubDone := make(chan error, 1)
-	go func() {
-		pub, err := Dial(addr)
-		if err != nil {
-			pubDone <- err
-			return
-		}
-		defer pub.Close()
-		payload := make([]byte, payloadSize)
-		for i := 0; i < total; i++ {
-			if err := pub.Publish("stat.x", payload); err != nil {
+	const perPublisher = 10000
+	total := uint64(perPublisher * len(subjects))
+	pubDone := make(chan error, len(subjects))
+	for _, subj := range subjects {
+		go func(subj string) {
+			pub, err := Dial(addr)
+			if err != nil {
 				pubDone <- err
 				return
 			}
-		}
-		pubDone <- pub.Flush(10 * time.Second)
-	}()
+			defer pub.Close()
+			payload := make([]byte, payloadSize)
+			for i := 0; i < perPublisher; i++ {
+				if err := pub.Publish(subj, payload); err != nil {
+					pubDone <- err
+					return
+				}
+			}
+			pubDone <- pub.Flush(10 * time.Second)
+		}(subj)
+	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	done := false
-	for !done || srv.Stats().MsgsIn < total {
+	done := 0
+	for done < len(subjects) || srv.Stats().MsgsIn < total {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out at MsgsIn = %d of %d", srv.Stats().MsgsIn, total)
 		}
 		st := srv.Stats()
-		if st.MsgsOut+st.SlowConsumerDrops != st.MsgsIn {
-			t.Fatalf("torn snapshot: MsgsOut %d + drops %d != MsgsIn %d",
-				st.MsgsOut, st.SlowConsumerDrops, st.MsgsIn)
+		if st.MsgsOut+st.SlowConsumerDrops != fanout*st.MsgsIn {
+			t.Fatalf("torn snapshot: MsgsOut %d + drops %d != %d * MsgsIn %d",
+				st.MsgsOut, st.SlowConsumerDrops, fanout, st.MsgsIn)
 		}
 		if st.BytesIn != st.MsgsIn*payloadSize {
 			t.Fatalf("torn snapshot: BytesIn %d != MsgsIn %d * %d", st.BytesIn, st.MsgsIn, payloadSize)
@@ -574,7 +608,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done = true
+			done++
 		default:
 		}
 	}

@@ -11,21 +11,6 @@ const (
 	maxIngestBytes = 256 << 10
 )
 
-// admitPublishes applies publish admission before a batch is routed:
-// park (off every lock) while the outstanding-bytes gauge is over the
-// window, for at most the configured timeout.
-func (s *Server) admitPublishes() {
-	a := s.adm
-	if a == nil || !a.over() {
-		return
-	}
-	st := &s.stats
-	st.write(func() { st.admissionWaits.Add(1) })
-	if !a.wait(s.opts.admissionTimeout, s.quit) {
-		st.write(func() { st.admissionTimeouts.Add(1) })
-	}
-}
-
 // pendingPub is one parsed-but-unrouted message in a reader's ingest
 // batch: payload and subject in a refcounted arena buffer (publisher
 // hold). A message that arrived on a route also carries the queue-group
@@ -58,15 +43,20 @@ func (in *ingest) full() bool {
 }
 
 // flushIngest routes a reader's pending batch and resets it. from is the
-// route the batch arrived on, nil for a client's publishes; only those
+// route the batch arrived on, nil for a client's publishes. Only those
 // wait for admission (a parked route reader would stop answering
-// heartbeats, and what it carries was admitted at the origin).
+// heartbeats, and what it carries was admitted at the origin): the reader
+// parks, off every lock, while the outstanding-bytes gauge is over the
+// window, for at most the configured timeout.
 func (s *Server) flushIngest(in *ingest, from *route) {
 	if len(in.pending) == 0 {
 		return
 	}
-	if from == nil {
-		s.admitPublishes()
+	if a := s.adm; from == nil && a != nil && a.over() {
+		s.stats.admissionWaits.Add(1)
+		if !a.wait(s.opts.admissionTimeout, s.quit) {
+			s.stats.admissionTimeouts.Add(1)
+		}
 	}
 	s.routeBatch(in, from)
 	clear(in.pending)
@@ -134,8 +124,9 @@ func (e *fwdEntry) addQueue(name string) {
 // messages on the same subject reuse one match result (valid for the
 // whole run because sub/unsub needs the same shard lock we hold), the
 // deliveries are staged per destination link and enter each queue a run at
-// a time (stager), and the batch's counter updates collapse into a single
-// seqlock write.
+// a time (stager), and each shard run is counted — its messages and what
+// became of their deliveries — under the shard lock it was routed under
+// (flowStats), so routeBatch takes no lock beyond shard and queue locks.
 //
 // A client's publish (from == nil) goes to every matching local
 // subscription and to one member of every matching queue group, chosen by
@@ -155,11 +146,9 @@ func (e *fwdEntry) addQueue(name string) {
 func (s *Server) routeBatch(in *ingest, from *route) {
 	var (
 		sh      *shard
-		shardID = -1
 		rs      *routeSet
 		subject []byte
-
-		msgsIn, bytesIn, dups uint64
+		dups    uint64
 	)
 	st, fwd := &in.st, &in.fwd
 	policy := s.opts.slowPolicy
@@ -171,15 +160,12 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 		}
 		pb := m.pb
 		subj := pb.subj
-		idx := shardIndexBytes(subj, len(s.shards))
-		if idx != shardID {
+		if next := s.shards[shardIndex(subj, len(s.shards))]; next != sh {
 			if sh != nil {
-				st.flush() // before the unlock: stager rule 1
-				sh.mu.Unlock()
+				sh.endRun(st)
 			}
-			sh = s.shards[idx]
+			sh = next
 			sh.mu.Lock()
-			shardID = idx
 			rs, subject = nil, nil
 		}
 		if rs == nil || !bytes.Equal(subj, subject) {
@@ -238,39 +224,32 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 			hdr := encodeRMsgHeader(subj, s.id, len(pb.data), e.queues)
 			st.add(e.rt.ln, SlowConsumerDisconnect, outFrame{hdr: hdr, pb: pb})
 		}
-		msgsIn++
-		bytesIn += uint64(len(pb.data))
+		sh.flow.msgsIn++
+		sh.flow.bytesIn += uint64(len(pb.data))
 	}
 	if sh != nil {
-		st.flush()
-		sh.mu.Unlock()
+		sh.endRun(st)
 	}
 	// Only now, after the last flush, do the publisher holds go: until a
 	// run is flushed they are all that keeps its payloads (stager rule 3).
 	for i := range in.pending {
 		in.pending[i].pb.release(1)
 	}
-	out := st.total
+	if dups > 0 {
+		s.stats.dupsSuppressed.Add(dups)
+	}
+}
+
+// endRun ends a reader's run of messages on sh, whose lock it holds: every
+// staged delivery enters its queue before the unlock (stager rule 1), and
+// what the run's deliveries came to is counted under the same hold of the
+// lock as its messages were, which is what keeps every Stats snapshot
+// consistent.
+func (sh *shard) endRun(st *stager) {
+	st.flush()
+	sh.flow.out.add(st.total)
 	st.total = runResult{}
-	c := &s.stats
-	c.write(func() {
-		c.msgsIn.Add(msgsIn)
-		c.bytesIn.Add(bytesIn)
-		c.msgsOut.Add(out.msgs)
-		c.bytesOut.Add(out.msgBytes)
-		if out.rmsgs > 0 {
-			c.routedMsgs.Add(out.rmsgs)
-		}
-		if out.drops > 0 {
-			c.slowDrops.Add(out.drops)
-		}
-		if out.disconnects > 0 {
-			c.slowDisconnects.Add(out.disconnects)
-		}
-		if dups > 0 {
-			c.dupsSuppressed.Add(dups)
-		}
-	})
+	sh.mu.Unlock()
 }
 
 // A stager is a reader goroutine's staging area between match and queue.
@@ -296,7 +275,7 @@ type stager struct {
 	runs [stagerRuns]stagedRun
 	n    int // open runs
 
-	// total is what the runs flushed since routeBatch last read it came to.
+	// total is what the runs flushed since the last shard.endRun came to.
 	total runResult
 }
 

@@ -11,15 +11,15 @@ import (
 // link is the connection substrate every broker connection role is built
 // on: the socket, a framed line reader with the reader goroutine's ingest
 // batch, and the bounded outbound queue drained by a vectored writer
-// goroutine (outbound.go). A serverClient
-// (client↔broker) and a route (broker↔broker) are both "a link plus a
-// command loop": the framing, the arena-backed payload reads, the
-// queue/slow-consumer machinery, and the writer are identical, so the
-// wire guarantees — per-connection FIFO in enqueue order, frames
-// byte-identical to the protocol — hold for both roles by construction.
+// goroutine (outbound.go). A client connection and a route are both "a
+// link plus a command set" under one reader loop (conn.go): the framing,
+// the arena-backed payload reads, the queue/slow-consumer machinery, and
+// the writer are identical, so the wire guarantees — per-connection FIFO in
+// enqueue order, frames byte-identical to the protocol — hold for both
+// roles by construction.
 //
 // A serverClient can even *become* a route mid-stream (the ROUTE
-// handshake upgrades an accepted connection, see route.go): the link is
+// handshake upgrades an accepted connection, see conn.go): the link is
 // the part that survives the upgrade unchanged — same reader position,
 // same outbound queue, same writer goroutine.
 type link struct {
@@ -27,6 +27,10 @@ type link struct {
 	r    *bufio.Reader
 	in   ingest // reader goroutine only
 	out  outQueue
+
+	// isRoute is set, before the route can be reached through the route
+	// table, on a link that carries a route (newRoute): sendLine reads it.
+	isRoute bool
 }
 
 // init wires the link to conn with the server's queue bounds and
@@ -71,10 +75,18 @@ func (l *link) enqueueRun(run []outFrame, policy SlowConsumerPolicy) runResult {
 	return res
 }
 
-// sendLine enqueues a CRLF-terminated control line. A full queue drops it.
+// sendLine enqueues a CRLF-terminated control line. A client's full queue
+// drops it. A route's full queue ends the route, as it does for an RMSG: an
+// RS+ or RS- dropped silently would leave the peer's interest table wrong
+// for as long as the route lives, while a disconnect is detected and
+// repaired by the redial/gossip machinery.
 func (l *link) sendLine(line string) {
+	policy := SlowConsumerDrop
+	if l.isRoute {
+		policy = SlowConsumerDisconnect
+	}
 	f := [1]outFrame{{hdr: encodeLine(line)}}
-	l.enqueueRun(f[:], SlowConsumerDrop)
+	l.enqueueRun(f[:], policy)
 }
 
 func (l *link) sendErr(msg string) { l.sendLine("-ERR " + msg) }

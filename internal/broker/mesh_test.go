@@ -4,7 +4,12 @@ package broker_test
 // Everything here runs real TCP sockets against in-process servers.
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,9 +319,10 @@ func TestMeshGossipFromSeeds(t *testing.T) {
 	})
 }
 
-// TestMeshStatsConsistency: federation counters come from the same
-// seqlock as the rest, so snapshots taken mid-traffic stay internally
-// consistent (RoutedMsgs never exceeds what MsgsIn could have produced).
+// TestMeshStatsConsistency: RoutedMsgs is counted with the message it
+// forwards, under the same shard lock, so snapshots taken mid-traffic stay
+// internally consistent (RoutedMsgs never exceeds what MsgsIn could have
+// produced).
 func TestMeshStatsConsistency(t *testing.T) {
 	servers, addrs := startMesh(t, 2)
 	c := dial(t, addrs[1])
@@ -352,4 +358,83 @@ func TestMeshStatsConsistency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestDrainShutdownFlushesDialedRoute: what DrainShutdown promises —
+// deliveries already routed reach their destination — holds for a route
+// this broker dialed as it does for one it accepted. The peer proves
+// interest, stops reading while 16 MiB of RMSGs queue up behind a full
+// socket buffer, and must still be able to read every one of them to EOF
+// once the drain starts.
+func TestDrainShutdownFlushesDialedRoute(t *testing.T) {
+	const msgs, size = 4096, 4096
+	srv := broker.NewServer(broker.WithSeed(1), broker.WithServerID("hub"),
+		broker.WithRouteHeartbeat(time.Hour, time.Hour))
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv.AddRoute(ln.Addr().String())
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	r := bufio.NewReaderSize(peer, 64<<10)
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if hello, err := r.ReadString('\n'); err != nil || hello != "ROUTE hub -\r\n" {
+		t.Fatalf("hello %q, %v", hello, err)
+	}
+	if _, err := io.WriteString(peer, "ROUTE peer -\r\nRS+ d.x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the peer's interest", func() bool { return srv.Stats().RemoteSubs == 1 })
+
+	pub := dial(t, srv.Addr().String())
+	payload := make([]byte, size)
+	for i := 0; i < msgs; i++ {
+		if err := pub.Publish("d.x", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.RoutedMsgs != msgs {
+		t.Fatalf("RoutedMsgs = %d before the drain, want %d", st.RoutedMsgs, msgs)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		srv.DrainShutdown(5 * time.Second)
+		close(drained)
+	}()
+	peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got := 0
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			break // EOF, or the reset of a connection cut with bytes unsent
+		}
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "RMSG" {
+			continue
+		}
+		n, _ := strconv.Atoi(f[3])
+		if _, err := r.Discard(n + 2); err != nil {
+			break
+		}
+		got++
+	}
+	<-drained
+	if got != msgs {
+		t.Fatalf("peer read %d of %d RMSGs queued on a dialed route before DrainShutdown", got, msgs)
+	}
 }

@@ -57,9 +57,9 @@ const (
 	routeRedialMax   = 2 * time.Second
 )
 
-// route is one broker↔broker connection. The reader goroutine (routeLoop)
-// owns every non-atomic field after registration; lastRecv is shared with
-// the heartbeat monitor.
+// route is the route-role state of one broker↔broker connection. The
+// connection's reader goroutine (serverClient.run) owns every non-atomic
+// field after registration; lastRecv is shared with the heartbeat monitor.
 type route struct {
 	ln         *link
 	id         string // peer server ID (ROUTE handshake)
@@ -71,6 +71,15 @@ type route struct {
 
 	// The peer's propagated interest, installed in our routing trie.
 	subs map[interestKey]*serverSub
+}
+
+// newRoute returns the route state for a connection over l and marks the
+// link as a route's (see link.sendLine).
+func newRoute(l *link, dialed bool) *route {
+	l.isRoute = true
+	r := &route{ln: l, dialed: dialed, addr: "-", subs: make(map[interestKey]*serverSub)}
+	r.lastRecv.Store(time.Now().UnixNano())
+	return r
 }
 
 // dialedByHigher reports whether this connection was initiated by the
@@ -142,22 +151,18 @@ func (s *Server) dialRoute(addr string) {
 		}
 		conn, err := net.DialTimeout("tcp", addr, routeDialTimeout)
 		if err == nil {
-			l := &link{}
-			l.init(conn, s.opts.queueFrames, s.opts.queueBytes, s.adm)
-			l.startWriter()
-			r := &route{ln: l, dialed: true, addr: "-", subs: make(map[interestKey]*serverSub)}
-			r.lastRecv.Store(time.Now().UnixNano())
-			l.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr)
-			stop := make(chan struct{})
-			go func() {
-				select {
-				case <-s.quit:
-					conn.Close()
-				case <-stop:
-				}
-			}()
-			s.routeLoop(r) // returns when the route dies
-			close(stop)
+			// In the connection table like an accepted connection, so
+			// Shutdown closes it and DrainShutdown flushes what is queued on
+			// it; the peer's ROUTE reply completes registration (routeHello).
+			c := s.register(conn)
+			if c == nil {
+				return
+			}
+			r := newRoute(&c.link, true)
+			c.rt = r
+			c.startWriter()
+			c.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr)
+			c.run() // returns when the route dies
 			if r.dupLost {
 				// The mesh already has a live route to this peer (or the
 				// address is our own): park at max backoff so a later
@@ -183,7 +188,6 @@ func (s *Server) dialRoute(addr string) {
 // the new peer receives our full local-interest dump and the mesh
 // gossips the new member (RINFO) in both directions.
 func (s *Server) registerRoute(r *route) bool {
-	st := &s.stats
 	s.fedMu.Lock()
 	if r.id == s.id || r.id == "" {
 		s.fedMu.Unlock()
@@ -203,7 +207,7 @@ func (s *Server) registerRoute(r *route) bool {
 	}
 	s.routes[r.id] = r
 	r.registered = true
-	st.write(func() { st.routes.Store(uint64(len(s.routes))) })
+	s.stats.routes.Store(uint64(len(s.routes)))
 	for k, n := range s.localInterest {
 		if n > 0 {
 			r.ln.sendLine(rsLine("RS+", k))
@@ -231,24 +235,16 @@ func routableAddr(addr string) bool { return addr != "" && addr != "-" }
 // the routing trie, so publishes stop being forwarded to a dead peer
 // the moment its failure is detected.
 func (s *Server) teardownRoute(r *route) {
-	r.ln.out.close() // writer drains, flushes, closes the conn
-	st := &s.stats
 	s.fedMu.Lock()
 	if r.registered && s.routes[r.id] == r {
 		delete(s.routes, r.id)
-		st.write(func() { st.routes.Store(uint64(len(s.routes))) })
+		s.stats.routes.Store(uint64(len(s.routes)))
 	}
 	s.fedMu.Unlock()
-	if len(r.subs) == 0 {
-		return
-	}
 	for _, sub := range r.subs {
-		s.eachPatternShard(sub.pattern, func(sh *shard) {
-			sh.remove(sub)
-		})
+		s.eachPatternShard(sub.pattern, func(sh *shard) { sh.remove(sub) })
 	}
-	n := uint64(len(r.subs))
-	st.write(func() { st.remoteSubs.Add(^(n - 1)) })
+	s.stats.remoteSubs.Add(-uint64(len(r.subs))) // unsigned: subtracts
 	r.subs = nil
 }
 

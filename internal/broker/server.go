@@ -14,8 +14,9 @@
 // match caches (sublist.go); a reader goroutine parses every PUB (or, on
 // a route, RMSG) that is already buffered on its socket into one ingest
 // batch and routes the batch with one shard-lock acquisition per shard run
-// and one trie/cache probe per distinct subject (routeBatch); payload and
-// subject live in a refcounted arena buffer (arena.go) shared across the
+// and one trie/cache probe per distinct subject (routeBatch, ingest.go),
+// counting what it routed in that shard's counters under the same lock
+// (stats.go); payload and subject live in a refcounted arena buffer (arena.go) shared across the
 // whole fan-out; deliveries are staged per destination and enter its
 // bounded queue a run at a time, and writer goroutines drain the queues
 // into vectored writev batches, encoding the MSG headers as they go
@@ -25,10 +26,11 @@
 //
 // Every connection — client or inter-broker route — is built on the same
 // link substrate (link.go): framed reader, arena payloads, bounded
-// outbound queue, vectored writer. Federation (route.go) adds a ROUTE
-// handshake, RS+/RS- interest propagation, origin-tagged RMSG forwarding
-// with one-hop dedup, and gossip membership with heartbeat failure
-// detection.
+// outbound queue, vectored writer; and runs the same reader loop
+// (conn.go), in which the role picks the message verb and the command
+// set. Federation (route.go) adds a ROUTE handshake, RS+/RS- interest
+// propagation, origin-tagged RMSG forwarding with one-hop dedup, and
+// gossip membership with heartbeat failure detection.
 //
 // Wire protocol (text, CRLF-terminated control lines):
 //
@@ -40,7 +42,7 @@
 //	S->C: MSG <subject> <sid> <nbytes>\r\n<payload>
 //	S->C: -ERR <message>
 //
-// Inter-broker route protocol (route.go):
+// Inter-broker route protocol (conn.go, route.go):
 //
 //	B->B: ROUTE <serverID> <clusterAddr>
 //	B->B: RS+ <pattern> [queue]     RS- <pattern> [queue]
@@ -53,8 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,7 +66,6 @@ const MaxPayload = 1 << 20
 // options collects server tuning knobs; all have workable defaults.
 type options struct {
 	seed             int64
-	hasSeed          bool
 	shards           int
 	queueFrames      int
 	queueBytes       int64
@@ -85,10 +84,9 @@ type Option func(*options)
 
 // WithSeed fixes the rng seed used for queue-group member picks, making
 // pick order reproducible (each routing shard derives its own stream
-// from it). Without it the seed comes from the ADAMANT_BROKER_SEED
-// environment variable if set, else from the clock.
+// from it). Without it the seed comes from the clock.
 func WithSeed(seed int64) Option {
-	return func(o *options) { o.seed = seed; o.hasSeed = true }
+	return func(o *options) { o.seed = seed }
 }
 
 // WithShards sets the routing shard count (default 8). More shards mean
@@ -181,7 +179,7 @@ type Server struct {
 	opts   options
 	id     string
 	shards []*shard
-	stats  counters
+	stats  gauges     // the data-path counters are per shard (stats.go)
 	adm    *admission // nil when admission is disabled
 	quit   chan struct{}
 
@@ -232,6 +230,7 @@ var serverIDSeq atomic.Uint64
 // NewServer returns an idle broker.
 func NewServer(opts ...Option) *Server {
 	o := options{
+		seed:             time.Now().UnixNano(),
 		shards:           8,
 		queueFrames:      defaultQueueFrames,
 		queueBytes:       defaultQueueBytes,
@@ -244,17 +243,6 @@ func NewServer(opts ...Option) *Server {
 	}
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if !o.hasSeed {
-		if env := os.Getenv("ADAMANT_BROKER_SEED"); env != "" {
-			if v, err := strconv.ParseInt(env, 10, 64); err == nil {
-				o.seed = v
-				o.hasSeed = true
-			}
-		}
-	}
-	if !o.hasSeed {
-		o.seed = time.Now().UnixNano()
 	}
 	if o.id == "" {
 		// Unique within the process via the counter, across processes
@@ -321,17 +309,7 @@ func (s *Server) ListenRoutes(addr string) error {
 	}
 	s.routeLns = append(s.routeLns, ln)
 	s.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if s.startClient(conn) == nil {
-				return
-			}
-		}
-	}()
+	go s.accept(ln)
 	return nil
 }
 
@@ -367,20 +345,38 @@ func (s *Server) Serve(ln net.Listener) {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	s.accept(ln)
+}
+
+// accept starts a connection for everything ln accepts, until Shutdown
+// closes the listener.
+func (s *Server) accept(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Shutdown
-		}
-		if s.startClient(conn) == nil {
+		if err != nil || s.startClient(conn) == nil {
 			return
 		}
 	}
 }
 
-// startClient registers conn and spawns its reader and writer
+// startClient registers an accepted conn and spawns its reader and writer
 // goroutines. It returns nil when the server is shutting down.
 func (s *Server) startClient(conn net.Conn) *serverClient {
+	c := s.register(conn)
+	if c == nil {
+		return nil
+	}
+	s.stats.connections.Add(1)
+	go c.run()
+	c.startWriter()
+	return c
+}
+
+// register enters conn in the connection table, the one place Shutdown and
+// DrainShutdown find connections: accepted ones, whichever role they take,
+// and the routes this broker dials. A server that is shutting down closes
+// conn and returns nil.
+func (s *Server) register(conn net.Conn) *serverClient {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
@@ -392,18 +388,13 @@ func (s *Server) startClient(conn net.Conn) *serverClient {
 	c.link.init(conn, s.opts.queueFrames, s.opts.queueBytes, s.adm)
 	s.clients[c] = struct{}{}
 	s.mu.Unlock()
-	st := &s.stats
-	st.write(func() { st.connections.Add(1) })
-	go c.run()
-	c.startWriter()
 	return c
 }
 
 // Shutdown closes the listeners and every client and route connection.
 func (s *Server) Shutdown() {
-	conns := s.beginShutdown()
-	for _, c := range conns {
-		c.Close()
+	for _, c := range s.beginShutdown() {
+		c.conn.Close()
 	}
 }
 
@@ -411,49 +402,35 @@ func (s *Server) Shutdown() {
 // connection's outbound queue so the writer drains and flushes what is
 // already queued, and waits up to timeout for the connections to wind
 // down before force-closing stragglers. Queued deliveries that had
-// already been routed reach their subscribers; a zero timeout degrades
-// to Shutdown.
+// already been routed reach their subscribers, and queued RMSGs their
+// peer broker; a zero timeout degrades to Shutdown.
 func (s *Server) DrainShutdown(timeout time.Duration) {
 	conns := s.beginShutdown()
-	if timeout <= 0 {
+	if timeout > 0 {
+		// Closing the queue makes the writer drain the backlog, flush, and
+		// close the connection; the reader then unblocks and tears down.
 		for _, c := range conns {
-			c.Close()
+			c.out.close()
 		}
-		return
-	}
-	s.mu.Lock()
-	clients := make([]*serverClient, 0, len(s.clients))
-	for c := range s.clients {
-		clients = append(clients, c)
-	}
-	s.mu.Unlock()
-	// Closing the queue makes the writer drain the backlog, flush, and
-	// close the connection; the reader then unblocks and tears down.
-	for _, c := range clients {
-		c.out.close()
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		n := len(s.clients)
-		s.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			for _, c := range conns {
-				c.Close()
+		for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			n := len(s.clients)
+			s.mu.Unlock()
+			if n == 0 {
+				return
 			}
-			return
 		}
-		time.Sleep(time.Millisecond)
+	}
+	for _, c := range conns {
+		c.conn.Close()
 	}
 }
 
 // beginShutdown flips the shutdown flag, closes the listeners, and
-// returns every live connection (clients and routes) without closing
-// them — Shutdown and DrainShutdown differ only in what they do next.
-func (s *Server) beginShutdown() []net.Conn {
+// returns every live connection (clients and routes; none can be added
+// from here on) without closing them — Shutdown and DrainShutdown differ
+// only in what they do next.
+func (s *Server) beginShutdown() []*serverClient {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
@@ -463,16 +440,11 @@ func (s *Server) beginShutdown() []net.Conn {
 	close(s.quit) // wake parked publishers, route dialers, the monitor
 	ln := s.ln
 	rlns := s.routeLns
-	var conns []net.Conn
+	conns := make([]*serverClient, 0, len(s.clients))
 	for c := range s.clients {
-		conns = append(conns, c.conn)
+		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	s.fedMu.Lock()
-	for _, r := range s.routes {
-		conns = append(conns, r.ln.conn)
-	}
-	s.fedMu.Unlock()
 	for _, l := range rlns {
 		l.Close()
 	}

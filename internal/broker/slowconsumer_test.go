@@ -174,3 +174,39 @@ func TestSlowConsumerDisconnectEvictsStalled(t *testing.T) {
 		t.Errorf("NumSubscriptions = %d after eviction, want 1", n)
 	}
 }
+
+// TestRouteControlLineOverflowDisconnects: an RS+ that meets a full route
+// queue must not vanish — the peer's interest table would be wrong for as
+// long as the route lives, and nothing would say so. Route control lines
+// overflow like RMSGs do: the route is torn down, which the peer sees and
+// the redial repairs.
+func TestRouteControlLineOverflowDisconnects(t *testing.T) {
+	srv := NewServer(WithSeed(1), WithServerID("self"), WithWriteQueue(4, 1<<20),
+		WithSlowConsumerPolicy(SlowConsumerDrop), WithRouteHeartbeat(time.Hour, time.Hour))
+	defer srv.Shutdown()
+
+	peer := pipeClient(t, srv)
+	mustWrite(t, peer, "ROUTE peer -\r\n")
+	hello := make([]byte, len("ROUTE self -\r\n"))
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(peer, hello); err != nil || string(hello) != "ROUTE self -\r\n" {
+		t.Fatalf("hello %q, %v", hello, err)
+	}
+	// From here the peer reads nothing: the route's writer wedges on the
+	// first RS+ and the four-frame queue fills behind it.
+	local := pipeClient(t, srv)
+	const subs = 16
+	for i := 0; i < subs; i++ {
+		n := strconv.Itoa(i)
+		mustWrite(t, local, "SUB p"+n+" "+n+"\r\n")
+	}
+	waitSubs(t, srv, subs)
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().Routes != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Routes = %d with %d interest lines offered to a 4-frame queue nobody reads: some were dropped silently",
+				srv.Stats().Routes, subs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

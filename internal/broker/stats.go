@@ -1,15 +1,15 @@
 package broker
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// ServerStats are cumulative broker counters. A Stats snapshot is
-// internally consistent: all fields come from the same seqlock
-// generation, so invariants that hold per update batch (e.g. BytesOut
-// matching MsgsOut for a fixed payload size) hold in every snapshot.
+// ServerStats are cumulative broker counters. The data-path fields (MsgsIn,
+// BytesIn, MsgsOut, BytesOut, RoutedMsgs and the two slow-consumer
+// counters) are internally consistent in every snapshot: each received
+// message is counted together with everything that became of it, so
+// identities that hold per message (BytesOut matching MsgsOut for a fixed
+// payload size, MsgsOut + SlowConsumerDrops == MsgsIn for one subscriber
+// under the drop policy) hold in every snapshot. The remaining fields are
+// independent counters and gauges.
 type ServerStats struct {
 	Connections   uint64
 	MsgsIn        uint64
@@ -42,70 +42,52 @@ type ServerStats struct {
 	DupsSuppressed uint64
 }
 
-// counters is the seqlock-guarded stats block. Writers (routeBatch and
-// the rare connection/subscription events) serialize on mu and bump seq
-// to odd around their field updates; Stats spins until it reads the same
-// even seq before and after loading the fields, so a snapshot can never
-// mix counters from two different updates. The fields stay atomics so
-// the reader's loads are race-clean while a writer is mid-update.
-type counters struct {
-	mu  sync.Mutex
-	seq atomic.Uint64
+// flowStats are a shard's data-path counters, guarded by the shard's lock.
+// routeBatch counts a message and what its deliveries came to under one
+// hold of the lock (shard.endRun), and Stats reads under the same lock: a
+// shard never shows a message without its deliveries, so neither does a sum
+// over shards, whenever each one was read.
+type flowStats struct {
+	msgsIn, bytesIn uint64
+	out             runResult
+}
 
+// gauges are the counters of rare events, each on its own: none takes part
+// in an identity with another.
+type gauges struct {
 	connections       atomic.Uint64
-	msgsIn            atomic.Uint64
-	msgsOut           atomic.Uint64
-	bytesIn           atomic.Uint64
-	bytesOut          atomic.Uint64
 	subscriptions     atomic.Uint64
-	slowDrops         atomic.Uint64
-	slowDisconnects   atomic.Uint64
 	admissionWaits    atomic.Uint64
 	admissionTimeouts atomic.Uint64
 	routes            atomic.Uint64
 	remoteSubs        atomic.Uint64
-	routedMsgs        atomic.Uint64
 	dupsSuppressed    atomic.Uint64
 }
 
-// write runs fn (which updates counter fields) inside one seqlock
-// generation.
-func (c *counters) write(fn func()) {
-	c.mu.Lock()
-	c.seq.Add(1)
-	fn()
-	c.seq.Add(1)
-	c.mu.Unlock()
-}
-
-// Stats returns an internally consistent snapshot of the broker
-// counters: the seqlock retry guarantees all fields belong to the same
-// update generation (no torn reads across counters mid-publish).
+// Stats returns a snapshot of the broker counters, the data-path fields
+// summed shard by shard under the shard locks (see ServerStats).
 func (s *Server) Stats() ServerStats {
-	c := &s.stats
-	for {
-		s1 := c.seq.Load()
-		if s1&1 == 0 {
-			snap := ServerStats{
-				Connections:             c.connections.Load(),
-				MsgsIn:                  c.msgsIn.Load(),
-				MsgsOut:                 c.msgsOut.Load(),
-				BytesIn:                 c.bytesIn.Load(),
-				BytesOut:                c.bytesOut.Load(),
-				Subscriptions:           c.subscriptions.Load(),
-				SlowConsumerDrops:       c.slowDrops.Load(),
-				SlowConsumerDisconnects: c.slowDisconnects.Load(),
-				AdmissionWaits:          c.admissionWaits.Load(),
-				AdmissionTimeouts:       c.admissionTimeouts.Load(),
-				Routes:                  c.routes.Load(),
-				RemoteSubs:              c.remoteSubs.Load(),
-				RoutedMsgs:              c.routedMsgs.Load(),
-				DupsSuppressed:          c.dupsSuppressed.Load(),
-			}
-			if c.seq.Load() == s1 {
-				return snap
-			}
-		}
-		runtime.Gosched()
+	g := &s.stats
+	snap := ServerStats{
+		Connections:       g.connections.Load(),
+		Subscriptions:     g.subscriptions.Load(),
+		AdmissionWaits:    g.admissionWaits.Load(),
+		AdmissionTimeouts: g.admissionTimeouts.Load(),
+		Routes:            g.routes.Load(),
+		RemoteSubs:        g.remoteSubs.Load(),
+		DupsSuppressed:    g.dupsSuppressed.Load(),
 	}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		f := sh.flow
+		sh.mu.Unlock()
+		snap.MsgsIn += f.msgsIn
+		snap.BytesIn += f.bytesIn
+		snap.MsgsOut += f.out.msgs
+		snap.BytesOut += f.out.msgBytes
+		snap.RoutedMsgs += f.out.rmsgs
+		snap.SlowConsumerDrops += f.out.drops
+		snap.SlowConsumerDisconnects += f.out.disconnects
+	}
+	return snap
 }

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"strings"
@@ -28,15 +27,16 @@ import (
 // is dropped (a publish-path cache rebuild is cheap and self-limiting).
 const maxCachedSubjects = 8192
 
-// shard is one routing shard: a trie, its match cache, and the rng used
-// for queue-group member picks (per-shard so picks never take a global
-// lock).
+// shard is one routing shard: a trie, its match cache, the rng used for
+// queue-group member picks (per-shard so picks never take a global lock),
+// and the data-path counters of what was routed through it (stats.go).
 type shard struct {
 	mu    sync.Mutex
 	root  *trieNode
 	cache map[string]*routeSet
 	gen   uint64
 	rng   *rand.Rand
+	flow  flowStats
 }
 
 // trieNode is one token position. Terminal subscriptions (patterns that
@@ -70,43 +70,23 @@ func newShard(seed int64) *shard {
 }
 
 // shardIndex maps a subject or pattern to its shard by FNV-1a over the
-// first token. Wildcard first tokens return -1, meaning "all shards".
-func shardIndex(subjectOrPattern string, n int) int {
-	tok := subjectOrPattern
-	if i := strings.IndexByte(tok, '.'); i >= 0 {
-		tok = tok[:i]
+// first token. A wildcard first token returns -1, meaning "all shards"; a
+// concrete subject never has one (validated at ingest). Generic so that
+// patterns (string) and the publish hot path ([]byte) share the code and
+// neither converts.
+func shardIndex[T string | []byte](s T, n int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	i := 0
+	for ; i < len(s) && s[i] != '.'; i++ {
+		h ^= uint64(s[i])
+		h *= prime64
 	}
-	if tok == "*" || tok == ">" {
+	if i == 1 && (s[0] == '*' || s[0] == '>') {
 		return -1
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(tok); i++ {
-		h ^= uint64(tok[i])
-		h *= prime64
-	}
-	return int(h % uint64(n))
-}
-
-// shardIndexBytes is shardIndex for the publish hot path: concrete
-// subjects cannot start with a wildcard token (validated at ingest), so
-// it always lands on one shard and never allocates.
-func shardIndexBytes(subject []byte, n int) int {
-	tok := subject
-	if i := bytes.IndexByte(tok, '.'); i >= 0 {
-		tok = tok[:i]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(tok); i++ {
-		h ^= uint64(tok[i])
-		h *= prime64
 	}
 	return int(h % uint64(n))
 }
@@ -209,27 +189,13 @@ func (sh *shard) remove(sub *serverSub) bool {
 	return true
 }
 
-// match returns the routeSet for subject, from cache when the generation
-// still matches, rebuilding (and re-caching) otherwise. Caller holds
-// sh.mu; the returned set is only valid while the lock is held.
-func (sh *shard) match(subject string) *routeSet {
-	if rs, ok := sh.cache[subject]; ok && rs.gen == sh.gen {
-		return rs
-	}
-	rs := &routeSet{gen: sh.gen}
-	collect(sh.root, subject, rs)
-	if len(sh.cache) >= maxCachedSubjects {
-		sh.cache = make(map[string]*routeSet)
-	}
-	sh.cache[subject] = rs
-	return rs
-}
-
-// matchBytes is match for the publish hot path: the cache probe uses the
-// compiler's map[string]lookup-by-[]byte optimization, so a cache hit —
-// the overwhelmingly common case in steady state — allocates nothing.
-// Only a rebuild materializes the subject as a string (for collect and
-// the cache key). Caller holds sh.mu.
+// matchBytes returns the routeSet for subject, from cache when the
+// generation still matches, rebuilding (and re-caching) otherwise. The
+// cache probe uses the compiler's map[string]lookup-by-[]byte optimization,
+// so a cache hit — the overwhelmingly common case in steady state —
+// allocates nothing; only a rebuild materializes the subject as a string
+// (for collect and the cache key). Caller holds sh.mu; the returned set is
+// only valid while the lock is held.
 func (sh *shard) matchBytes(subject []byte) *routeSet {
 	if rs, ok := sh.cache[string(subject)]; ok && rs.gen == sh.gen {
 		return rs

@@ -140,7 +140,7 @@ func TestShardIndexRouting(t *testing.T) {
 	const n = 8
 	// A subject and a pattern sharing a first literal token must land on
 	// the same shard; wildcard-first patterns go everywhere.
-	if shardIndex("sensors.uav1.infrared", n) != shardIndexBytes([]byte("sensors.x"), n) {
+	if shardIndex("sensors.uav1.infrared", n) != shardIndex([]byte("sensors.x"), n) {
 		t.Error("subject and pattern with same first token map to different shards")
 	}
 	if shardIndex("*.uav1", n) != -1 || shardIndex(">", n) != -1 {

@@ -17,7 +17,8 @@ import (
 // unregistered until the peer's ROUTE line). The expectations were recorded
 // by running this table against the two-loop broker (commit a80d72c); the
 // entries marked "unified" are the ones the single reader loop changed on
-// purpose.
+// purpose: a route's invalid-subject reply now carries the text a client's
+// always did. No drop-or-keep decision changed.
 
 const transcriptID = "self"
 
@@ -127,7 +128,11 @@ var transcriptCases = []transcriptCase{
 	{name: "route/invalid and wildcard subjects", survives: true,
 		observer: "SUB > 7\r\n", observed: "MSG a 7 1\r\nx\r\nMSG a 7 1\r\nz\r\n",
 		script: "ROUTE peer -\r\nRMSG a peer 1\r\nx\r\nRMSG a..b peer 1\r\ny\r\nRMSG a.* peer 1\r\ny\r\nRMSG > peer 1\r\ny\r\nRMSG a peer 1\r\nz\r\n",
-		want:   "RS+ >\r\nROUTE " + transcriptID + " -\r\n-ERR invalid subject\r\n-ERR invalid subject\r\n-ERR invalid subject\r\n"},
+		// unified: the two-loop broker answered each with "-ERR invalid subject".
+		want: "RS+ >\r\nROUTE " + transcriptID + " -\r\n" +
+			"-ERR broker: empty token in subject \"a..b\"\r\n" +
+			"-ERR broker: publish subject \"a.*\" may not contain wildcards\r\n" +
+			"-ERR broker: publish subject \">\" may not contain wildcards\r\n"},
 	{name: "route/invalid patterns", survives: true,
 		script: "ROUTE peer -\r\nRS+ a..b\r\nRS- a.>.b\r\nRS+ a.b* q\r\n",
 		want: "ROUTE " + transcriptID + " -\r\n-ERR broker: empty token in subject \"a..b\"\r\n" +
@@ -163,7 +168,9 @@ var transcriptCases = []transcriptCase{
 	{name: "dialed/RMSG without size", dialed: true, script: "ROUTE peer -\r\nRMSG a peer\r\n",
 		want: "-ERR RMSG requires <subject> <origin> <nbytes>\r\n"},
 	{name: "dialed/invalid subject", dialed: true, survives: true,
-		script: "ROUTE peer -\r\nRMSG a.* peer 1\r\ny\r\n", want: "-ERR invalid subject\r\n"},
+		script: "ROUTE peer -\r\nRMSG a.* peer 1\r\ny\r\n",
+		// unified: was "-ERR invalid subject".
+		want: "-ERR broker: publish subject \"a.*\" may not contain wildcards\r\n"},
 }
 
 func TestProtocolTranscript(t *testing.T) {
