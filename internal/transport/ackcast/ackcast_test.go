@@ -200,10 +200,22 @@ func TestSpecAndParseOptions(t *testing.T) {
 	}
 	for _, bad := range []transport.Params{
 		{"window": "x"}, {"rto": "y"}, {"window": "-1"}, {"rto": "-1ms"},
+		{"window": "64", "history": "32"}, // the ring must hold the window
 	} {
 		if _, err := ackcast.ParseOptions(bad); err == nil {
 			t.Errorf("ParseOptions(%v) should error", bad)
 		}
+	}
+}
+
+func TestSenderRejectsHistoryBelowWindow(t *testing.T) {
+	k := sim.New(1)
+	e := env.NewSim(k)
+	fab := transporttest.New(e, time.Millisecond)
+	_, err := ackcast.NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0),
+		Receivers: transport.StaticReceivers(1)}, ackcast.Options{Window: 100, History: 50})
+	if err == nil {
+		t.Error("sender with a resync ring smaller than its window should fail")
 	}
 }
 
