@@ -1,0 +1,104 @@
+package transport_test
+
+import (
+	"testing"
+	"time"
+
+	"adamant/internal/env"
+	"adamant/internal/sim"
+	"adamant/internal/transport"
+	"adamant/internal/transport/ackcast"
+	"adamant/internal/transport/bemcast"
+	"adamant/internal/transport/nakcast"
+	"adamant/internal/wire"
+)
+
+// loopEndpoint hands packets straight to the receiver under test: no
+// network, no CPU model, and every send is dropped, so what a run allocates
+// is the receive path's own work.
+type loopEndpoint struct {
+	handler func(src wire.NodeID, pkt *wire.Packet)
+}
+
+func (e *loopEndpoint) Local() wire.NodeID                           { return 1 }
+func (e *loopEndpoint) MTU() int                                     { return 64 * 1024 }
+func (e *loopEndpoint) Unicast(wire.NodeID, *wire.Packet) error      { return nil }
+func (e *loopEndpoint) Multicast(*wire.Packet) error                 { return nil }
+func (e *loopEndpoint) Work(time.Duration) time.Duration             { return 0 }
+func (e *loopEndpoint) ScaleCPU(d time.Duration) time.Duration       { return d }
+func (e *loopEndpoint) SetHandler(h func(wire.NodeID, *wire.Packet)) { e.handler = h }
+
+// TestReceiveAllocs pins the allocations per 100 received packets of
+// in-order receive on nakcast, ackcast and bemcast, and of nakcast
+// recovering one loss in every two packets (a gap, its NAK timer, the
+// retransmission). ackcast's 200 are its per-packet ACK (body and packet),
+// nakcast's 100 in the loss case the simulated env's NAK timer, two per gap;
+// the rest is the payload arena's one chunk per ~340 samples. The bounds are
+// this tree's measured values; CHANGES.md records the parent's.
+func TestReceiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured path")
+	}
+	cases := []struct {
+		name string
+		make func(transport.Config) (transport.Receiver, error)
+		loss bool
+		max  float64
+	}{
+		{"nakcast", func(c transport.Config) (transport.Receiver, error) {
+			return nakcast.NewReceiver(c, nakcast.Options{})
+		}, false, 0.5},
+		{"nakcast-loss", func(c transport.Config) (transport.Receiver, error) {
+			return nakcast.NewReceiver(c, nakcast.Options{})
+		}, true, 100.5},
+		{"ackcast", func(c transport.Config) (transport.Receiver, error) {
+			return ackcast.NewReceiver(c, ackcast.Options{})
+		}, false, 200.5},
+		{"bemcast", func(c transport.Config) (transport.Receiver, error) {
+			return bemcast.NewReceiver(c)
+		}, false, 0.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ep := &loopEndpoint{}
+			delivered := 0
+			_, err := tc.make(transport.Config{
+				Env: env.NewSim(sim.New(1)), Endpoint: ep, Stream: 1,
+				Deliver: func(transport.Delivery) { delivered++ },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkt := &wire.Packet{Type: wire.TypeData, Stream: 1, SentAt: sim.Epoch, Payload: []byte("sample-00000")}
+			var seq uint64
+			recv := func(typ wire.Type, s uint64) {
+				pkt.Type, pkt.Seq = typ, s
+				ep.handler(0, pkt)
+			}
+			step := func() { // 100 packets
+				for i := 0; i < 100; i++ {
+					if tc.loss && i%2 == 0 {
+						seq += 2
+						recv(wire.TypeData, seq)      // seq-1 is a gap
+						recv(wire.TypeRetrans, seq-1) // and recovered
+						i++
+						continue
+					}
+					seq++
+					recv(wire.TypeData, seq)
+				}
+			}
+			for i := 0; i < 50; i++ { // warm: window grown, arena chunk cut
+				step()
+			}
+			got := testing.AllocsPerRun(500, step)
+			if uint64(delivered) != seq {
+				t.Fatalf("delivered %d of %d", delivered, seq)
+			}
+			t.Logf("%s: %.0f allocs per 100 packets", tc.name, got)
+			if got > tc.max {
+				t.Errorf("%s receive path: %.0f allocs per 100 packets, want <= %.1f", tc.name, got, tc.max)
+			}
+		})
+	}
+}
