@@ -10,6 +10,7 @@ import (
 	"adamant/internal/transport/ackcast"
 	"adamant/internal/transport/bemcast"
 	"adamant/internal/transport/nakcast"
+	"adamant/internal/transport/protocols"
 	"adamant/internal/wire"
 )
 
@@ -98,6 +99,59 @@ func TestReceiveAllocs(t *testing.T) {
 			t.Logf("%s: %.0f allocs per 100 packets", tc.name, got)
 			if got > tc.max {
 				t.Errorf("%s receive path: %.0f allocs per 100 packets, want <= %.1f", tc.name, got, tc.max)
+			}
+		})
+	}
+}
+
+// TestPublishAllocs pins the allocations per 100 Publish calls on every
+// transport's sender. Each publish allocates its data packet (the endpoint
+// takes it by pointer); fountcast adds its repair symbols, ackcast the
+// growth of its backlog queue, and every sender the payload arena's one
+// chunk per ~340 samples. The bounds are this tree's measured values;
+// CHANGES.md records the parent's.
+func TestPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured path")
+	}
+	reg := protocols.MustRegistry()
+	for _, tc := range []struct {
+		spec string
+		max  float64
+	}{
+		{"nakcast(timeout=5ms)", 100.5},
+		{"ackcast(rto=20ms,window=64)", 200.5},
+		{"fountcast(k=8,oh=25)", 250.5},
+		{"ricochet(c=3,r=4)", 100.5},
+		{"bemcast", 100.5},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			spec, err := transport.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := reg.NewSender(spec, transport.Config{
+				Env: env.NewSim(sim.New(1)), Endpoint: &loopEndpoint{}, Stream: 1,
+				Receivers: transport.StaticReceivers(1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := []byte("sample-00000")
+			step := func() { // 100 publishes
+				for i := 0; i < 100; i++ {
+					if err := s.Publish(payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 50; i++ { // warm: arena chunk cut, queues grown
+				step()
+			}
+			got := testing.AllocsPerRun(500, step)
+			t.Logf("%s: %.1f allocs per 100 publishes", tc.spec, got)
+			if got > tc.max {
+				t.Errorf("%s publish path: %.1f allocs per 100 publishes, want <= %.1f", tc.spec, got, tc.max)
 			}
 		})
 	}

@@ -398,6 +398,10 @@ func TestSpecAndParseOptions(t *testing.T) {
 	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "1"}); err != nil {
 		t.Error("unordered=1 should parse")
 	}
+	// A misspelt key must fail, not run the 10ms default timeout.
+	if _, err := nakcast.ParseOptions(transport.Params{"timout": "1ms"}); err == nil {
+		t.Error("misspelt key timout should error")
+	}
 }
 
 func TestFactoryBuildsInstances(t *testing.T) {
