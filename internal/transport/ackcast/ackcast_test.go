@@ -201,6 +201,7 @@ func TestSpecAndParseOptions(t *testing.T) {
 	for _, bad := range []transport.Params{
 		{"window": "x"}, {"rto": "y"}, {"window": "-1"}, {"rto": "-1ms"},
 		{"window": "64", "history": "32"}, // the ring must hold the window
+		{"windw": "64"},                   // misspelt key
 	} {
 		if _, err := ackcast.ParseOptions(bad); err == nil {
 			t.Errorf("ParseOptions(%v) should error", bad)
