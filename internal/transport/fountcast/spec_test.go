@@ -85,6 +85,7 @@ func TestParseOptionsBoundaries(t *testing.T) {
 		{"fountcast(hb=0s)", "non-positive"},
 		{"fountcast(hold=-5ms)", "non-positive"},
 		{"fountcast(hb=soon)", "soon"},
+		{"fountcast(k=8,overhead=25)", "unknown param overhead"},
 	} {
 		if _, err := parse(tt.spec); err == nil {
 			t.Errorf("%q accepted", tt.spec)
