@@ -436,6 +436,7 @@ func TestSpecAndParseOptions(t *testing.T) {
 		{"r": "x"},                // unparsable
 		{"c": "y"},                // unparsable
 		{"window": "zz"},          // unparsable
+		{"r": "4", "cc": "3"},     // unknown key
 	} {
 		if _, err := ricochet.ParseOptions(bad); err == nil {
 			t.Errorf("ParseOptions(%v) should error", bad)
