@@ -159,6 +159,17 @@ func TestFactoryAndSpec(t *testing.T) {
 	if _, err := f.NewSender(transport.Config{}, nil); err == nil {
 		t.Error("invalid config should fail")
 	}
+	// bemcast has no parameters: any one is a spec error on either side.
+	e := env.NewSim(sim.New(1))
+	cfg := transport.Config{Env: e, Endpoint: transporttest.New(e, time.Millisecond).Endpoint(0), Stream: 1,
+		Deliver: func(transport.Delivery) {}}
+	for _, p := range []transport.Params{nil, {"x": "1"}} {
+		_, errS := f.NewSender(cfg, p)
+		_, errR := f.NewReceiver(cfg, p)
+		if (errS == nil) != (p == nil) || (errR == nil) != (p == nil) {
+			t.Errorf("params %v: sender %v, receiver %v", p, errS, errR)
+		}
+	}
 }
 
 // The dedup window forgets by count, exactly as the map it replaced: once
