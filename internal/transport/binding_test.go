@@ -292,6 +292,41 @@ func TestBindingDrainLatencyReported(t *testing.T) {
 	}
 }
 
+// A rebind record whose spec names a key its protocol does not read is not
+// learned: the receiver waits for a well-formed announcement, as for any
+// spec it cannot instantiate, and then learns the epoch.
+func TestBindingRecordWithUnknownParamNotLearned(t *testing.T) {
+	rig := newBindingRig(t, "nakcast(timeout=5ms)")
+	announce := func(spec string) {
+		body, err := (&wire.RebindBody{Records: []wire.RebindRecord{
+			{Epoch: 0, Cut: 0, Spec: "nakcast(timeout=5ms)"},
+			{Epoch: 1, Cut: 0, Spec: spec},
+		}}).Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := &wire.Packet{Type: wire.TypeRebind, Src: 0, Stream: 1, Epoch: 1, SentAt: rig.k.Now(), Payload: body}
+		if err := rig.fab.Endpoint(0).Multicast(pkt); err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.k.RunFor(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	announce("nakcast(timout=1ms)")
+	for i, r := range rig.readers {
+		if r.Epoch() != 0 || len(rig.changes[i]) != 0 {
+			t.Errorf("receiver %d learned a misspelt record: epoch %d, changes %v", i, r.Epoch(), rig.changes[i])
+		}
+	}
+	announce("nakcast(timeout=1ms)")
+	for i, r := range rig.readers {
+		if r.Epoch() != 1 {
+			t.Errorf("receiver %d: epoch %d after a well-formed record, want 1", i, r.Epoch())
+		}
+	}
+}
+
 func mustSpec(t *testing.T, s string) transport.Spec {
 	t.Helper()
 	spec, err := transport.ParseSpec(s)
