@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-contract bench-pair check docs fmt fuzz-smoke chaos
+.PHONY: tier1 race bench bench-contract bench-pair check docs fmt fuzz-smoke chaos loc
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzShardedKernel -fuzztime $(FUZZTIME) ./internal/netem/chaos
 	$(GO) test -run NONE -fuzz FuzzKernelOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzRebind -fuzztime $(FUZZTIME) ./internal/transport/conformance
+	$(GO) test -run NONE -fuzz FuzzSenderInput -fuzztime $(FUZZTIME) ./internal/transport/conformance
 
 # chaos runs the full transport crucible from the command line.
 chaos:
@@ -74,6 +75,11 @@ bench-pair:
 # ./internal or ./examples path or a make target that does not exist.
 docs:
 	scripts/check-docs.sh
+
+# loc prints the non-test Go lines per package under internal/ and cmd/,
+# and the total of internal/transport (scripts/loc.sh).
+loc:
+	scripts/loc.sh
 
 # fmt fails, naming the files, when gofmt would change any.
 fmt:
