@@ -50,59 +50,40 @@ func NewSender(cfg transport.Config) (*Sender, error) {
 
 // Receiver is the reader-side instance.
 type Receiver struct {
-	cfg    transport.Config
-	seen   transport.Window[struct{}] // delivered seqs; those below its low end are forgotten
-	arena  transport.Arena
-	stats  transport.ReceiverStats
-	closed bool
+	transport.ReceiverCore
+	seen transport.Window[struct{}] // delivered seqs; those below its low end are forgotten
 }
 
 // NewReceiver builds a best-effort receiver on cfg.Endpoint.
 func NewReceiver(cfg transport.Config) (*Receiver, error) {
-	if err := cfg.ValidateReceiver(); err != nil {
+	core, err := transport.NewReceiverCore(cfg)
+	if err != nil {
 		return nil, err
 	}
-	r := &Receiver{cfg: cfg, seen: transport.NewWindow[struct{}](cfg.BaseSeq+1, spanCap)}
-	mux := transport.NewMux(cfg.Endpoint)
-	mux.Handle(wire.TypeData, r.onData)
+	r := &Receiver{ReceiverCore: core, seen: transport.NewWindow[struct{}](cfg.BaseSeq+1, spanCap)}
+	r.Handle(wire.TypeData, r.onData)
 	return r, nil
 }
 
-// Stats implements transport.Receiver.
-func (r *Receiver) Stats() transport.ReceiverStats { return r.stats }
-
-// Close implements transport.Receiver.
-func (r *Receiver) Close() error {
-	r.closed = true
-	return nil
-}
-
 func (r *Receiver) onData(_ wire.NodeID, pkt *wire.Packet) {
-	if r.closed || pkt.Stream != r.cfg.Stream || pkt.Seq == 0 {
+	if pkt.Seq == 0 {
 		return
 	}
 	if pkt.Seq < r.seen.Low() {
-		r.stats.OutOfWindow++
+		r.Counts.OutOfWindow++
 		return
 	}
 	if r.seen.State(pkt.Seq) == transport.SlotDelivered {
-		r.stats.Duplicates++
+		r.Counts.Duplicates++
 		return
 	}
 	r.seen.Set(pkt.Seq, transport.SlotDelivered)
 	n := r.seen.Count(transport.SlotDelivered)
-	r.stats.NoteBuffered(n)
+	r.Counts.NoteBuffered(n)
 	if n > DefaultWindow && pkt.Seq > DefaultWindow {
 		// Over the window: forget everything a window or more behind
 		// this packet.
 		r.seen.SlideTo(pkt.Seq - DefaultWindow + 1)
 	}
-	r.stats.Delivered++
-	r.cfg.Deliver(transport.Delivery{
-		Stream:      r.cfg.Stream,
-		Seq:         pkt.Seq,
-		Payload:     r.arena.Copy(pkt.Payload),
-		SentAt:      pkt.SentAt,
-		DeliveredAt: r.cfg.Env.Now(),
-	})
+	r.Deliver(0, pkt.Seq, r.Arena.Copy(pkt.Payload), pkt.SentAt, false)
 }
