@@ -74,7 +74,10 @@ func FuzzSchedule(f *testing.F) {
 
 		// A reliable transport on top: fault sequences must not wedge its
 		// retry machinery either.
-		opts := nakcast.Options{Timeout: 5 * time.Millisecond}
+		opts, err := nakcast.ParseOptions(transport.Params{"timeout": "5ms"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, node := range n.Receivers {
 			if _, err := nakcast.NewReceiver(transport.Config{
 				Env: e, Endpoint: node, Stream: 1, SenderID: n.Sender.Local(),

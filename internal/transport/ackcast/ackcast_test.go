@@ -20,8 +20,11 @@ type harness struct {
 	delivery [][]transport.Delivery
 }
 
-func newHarness(t *testing.T, n int, opts ackcast.Options) *harness {
+// newHarness builds one sender (node 0) and n receivers (nodes 1..n) of spec
+// over a 1ms-delay fabric.
+func newHarness(t *testing.T, n int, spec string) *harness {
 	t.Helper()
+	opts := options(t, spec)
 	h := &harness{k: sim.New(1)}
 	e := env.NewSim(h.k)
 	h.fab = transporttest.New(e, time.Millisecond)
@@ -52,8 +55,23 @@ func newHarness(t *testing.T, n int, opts ackcast.Options) *harness {
 	return h
 }
 
+// options parses a ackcast spec into its options, the path every caller
+// outside these tests takes through the registry.
+func options(t *testing.T, spec string) ackcast.Options {
+	t.Helper()
+	s, err := transport.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := ackcast.ParseOptions(s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestLosslessOrderedDelivery(t *testing.T) {
-	h := newHarness(t, 3, ackcast.Options{})
+	h := newHarness(t, 3, "ackcast")
 	for i := 0; i < 50; i++ {
 		if err := h.sender.Publish([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -78,7 +96,7 @@ func TestLosslessOrderedDelivery(t *testing.T) {
 }
 
 func TestLossRecoveredViaRTO(t *testing.T) {
-	h := newHarness(t, 2, ackcast.Options{RTO: 10 * time.Millisecond})
+	h := newHarness(t, 2, "ackcast(rto=10ms)")
 	dropped := false
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1 && !dropped {
@@ -108,7 +126,7 @@ func TestLossRecoveredViaRTO(t *testing.T) {
 }
 
 func TestFlowControlWindow(t *testing.T) {
-	h := newHarness(t, 1, ackcast.Options{Window: 4, RTO: 5 * time.Millisecond})
+	h := newHarness(t, 1, "ackcast(rto=5ms,window=4)")
 	// Block all ACKs: the sender may send at most Window packets, the rest
 	// must queue in the backlog.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
@@ -146,7 +164,7 @@ func TestAckImplosion(t *testing.T) {
 	// and 20 packets the sender endpoint sees ~200 ACK arrivals. We count
 	// ACK traffic via the fabric drop hook (observing, never dropping).
 	acks := 0
-	h := newHarness(t, 10, ackcast.Options{})
+	h := newHarness(t, 10, "ackcast")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeAck {
 			acks++
@@ -170,14 +188,14 @@ func TestSenderRequiresReceivers(t *testing.T) {
 	k := sim.New(1)
 	e := env.NewSim(k)
 	fab := transporttest.New(e, time.Millisecond)
-	_, err := ackcast.NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0)}, ackcast.Options{})
+	_, err := ackcast.NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0)}, options(t, "ackcast"))
 	if err == nil {
 		t.Error("sender without Receivers should fail")
 	}
 }
 
 func TestPublishAfterClose(t *testing.T) {
-	h := newHarness(t, 1, ackcast.Options{})
+	h := newHarness(t, 1, "ackcast")
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +231,8 @@ func TestSenderRejectsHistoryBelowWindow(t *testing.T) {
 	k := sim.New(1)
 	e := env.NewSim(k)
 	fab := transporttest.New(e, time.Millisecond)
-	_, err := ackcast.NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0),
-		Receivers: transport.StaticReceivers(1)}, ackcast.Options{Window: 100, History: 50})
+	_, err := ackcast.Factory().NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0),
+		Receivers: transport.StaticReceivers(1)}, transport.Params{"history": "50", "window": "100"})
 	if err == nil {
 		t.Error("sender with a resync ring smaller than its window should fail")
 	}
@@ -230,7 +248,7 @@ func TestFactory(t *testing.T) {
 func TestDuplicateRetransReAcked(t *testing.T) {
 	// If an ACK is lost, the sender retransmits an already-delivered
 	// packet; the receiver must re-ACK so the sender can advance.
-	h := newHarness(t, 1, ackcast.Options{RTO: 5 * time.Millisecond})
+	h := newHarness(t, 1, "ackcast(rto=5ms)")
 	ackDropped := false
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeAck && !ackDropped {
@@ -259,7 +277,7 @@ func TestDuplicateRetransReAcked(t *testing.T) {
 func TestStallGiveUpOnDeadReceiver(t *testing.T) {
 	// One receiver stops ACKing entirely (crash): after the stall bound
 	// the sender must drop it and drain the backlog for the others.
-	h := newHarness(t, 2, ackcast.Options{Window: 8, RTO: 2 * time.Millisecond})
+	h := newHarness(t, 2, "ackcast(rto=2ms,window=8)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		// Node 2 is dead: nothing in, nothing out.
 		return from == 2 || to == 2
@@ -300,7 +318,7 @@ func TestStallGiveUpOnDeadReceiver(t *testing.T) {
 func TestSenderCloseStillDrains(t *testing.T) {
 	// Closing immediately after the last publish must not strand the
 	// in-flight window: RTO service continues until fully acked.
-	h := newHarness(t, 1, ackcast.Options{Window: 4, RTO: 3 * time.Millisecond})
+	h := newHarness(t, 1, "ackcast(rto=3ms,window=4)")
 	dropFirst := true
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 1 && dropFirst {

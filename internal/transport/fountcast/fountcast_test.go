@@ -23,10 +23,11 @@ type harness struct {
 	lost     [][]uint64
 }
 
-// newHarness builds one sender (node 0) and n receivers (nodes 1..n) over a
-// 1ms-delay fabric.
-func newHarness(t *testing.T, n int, opts fountcast.Options) *harness {
+// newHarness builds one sender (node 0) and n receivers (nodes 1..n) of spec
+// over a 1ms-delay fabric.
+func newHarness(t *testing.T, n int, spec string) *harness {
 	t.Helper()
+	opts := options(t, spec)
 	h := &harness{k: sim.New(1)}
 	e := env.NewSim(h.k)
 	h.fab = transporttest.New(e, time.Millisecond)
@@ -55,6 +56,21 @@ func newHarness(t *testing.T, n int, opts fountcast.Options) *harness {
 		h.recvs = append(h.recvs, r)
 	}
 	return h
+}
+
+// options parses a fountcast spec into its options, the path every caller
+// outside these tests takes through the registry.
+func options(t *testing.T, spec string) fountcast.Options {
+	t.Helper()
+	s, err := transport.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := fountcast.ParseOptions(s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func (h *harness) publishN(t *testing.T, n int, gap time.Duration) {
@@ -99,7 +115,7 @@ func checkOrdered(t *testing.T, ds []transport.Delivery) {
 }
 
 func TestLosslessInOrderDelivery(t *testing.T) {
-	h := newHarness(t, 2, fountcast.Options{K: 8, OverheadPct: 25})
+	h := newHarness(t, 2, "fountcast(k=8,oh=25)")
 	h.publishN(t, 20, 5*time.Millisecond)
 	h.finish(t)
 	for i, ds := range h.delivery {
@@ -129,7 +145,7 @@ func TestLosslessInOrderDelivery(t *testing.T) {
 // block's symbols have arrived, and the delivery carries the original
 // publish timestamp and payload.
 func TestSingleLossRecoveredZeroRTT(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 25})
+	h := newHarness(t, 1, "fountcast(k=4,oh=25)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 3
 	}
@@ -165,7 +181,7 @@ func TestSingleLossRecoveredZeroRTT(t *testing.T) {
 // budget provides two repair symbols — the failure mode that wipes out a
 // fixed single-XOR panel.
 func TestBurstLossWithinBudget(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 8, OverheadPct: 50}) // 4 repairs/block
+	h := newHarness(t, 1, "fountcast(k=8,oh=50)") // 4 repairs/block
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && (pkt.Seq == 4 || pkt.Seq == 5)
 	}
@@ -193,7 +209,7 @@ func TestBurstLossWithinBudget(t *testing.T) {
 // With zero overhead there are no repair symbols: a loss is abandoned after
 // the hold window, OnLost fires, and in-order delivery continues past it.
 func TestZeroOverheadAbandonsLoss(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 0, Hold: 20 * time.Millisecond})
+	h := newHarness(t, 1, "fountcast(hold=20ms,k=4,oh=0)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 6
 	}
@@ -221,7 +237,7 @@ func TestZeroOverheadAbandonsLoss(t *testing.T) {
 // The final partial block is flushed on Close with at least one repair, so
 // a tail loss is recovered without any retransmission machinery.
 func TestTailBlockRecoveredOnClose(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 8, OverheadPct: 25})
+	h := newHarness(t, 1, "fountcast(k=8,oh=25)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 10
 	}
@@ -249,7 +265,7 @@ func TestTailBlockRecoveredOnClose(t *testing.T) {
 // A loss beyond the repair budget (three losses, one repair) abandons only
 // the missing packets; the rest of the block still delivers.
 func TestLossBeyondBudgetAbandonsOnlyMissing(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 8, OverheadPct: 13, Hold: 20 * time.Millisecond}) // 1 repair/block
+	h := newHarness(t, 1, "fountcast(hold=20ms,k=8,oh=13)") // 1 repair/block
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && (pkt.Seq == 2 || pkt.Seq == 3 || pkt.Seq == 4)
 	}
@@ -272,7 +288,7 @@ func TestLossBeyondBudgetAbandonsOnlyMissing(t *testing.T) {
 // The credit accumulator emits repairs at exactly the configured rate: 80
 // source packets at oh=25 is 20 repair symbols, no more, no fewer.
 func TestRepairRateMatchesOverhead(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 8, OverheadPct: 25})
+	h := newHarness(t, 1, "fountcast(k=8,oh=25)")
 	var symbols, data int
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		switch pkt.Type {
@@ -300,7 +316,7 @@ func TestRepairRateMatchesOverhead(t *testing.T) {
 // block, so blocks alternate 1,1,1,1,1 repairs with the fifth block earning
 // 2 — exactly 6 repairs per 5 blocks.
 func TestRepairCreditsCarry(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 30})
+	h := newHarness(t, 1, "fountcast(k=4,oh=30)")
 	var symbols int
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeSymbol {
@@ -316,7 +332,7 @@ func TestRepairCreditsCarry(t *testing.T) {
 }
 
 func TestDuplicateDataSuppressed(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 25})
+	h := newHarness(t, 1, "fountcast(k=4,oh=25)")
 	h.publishN(t, 4, 2*time.Millisecond)
 	h.finish(t)
 	if len(h.delivery[0]) != 4 {
@@ -325,7 +341,7 @@ func TestDuplicateDataSuppressed(t *testing.T) {
 }
 
 func TestPublishAfterCloseFails(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{})
+	h := newHarness(t, 1, "fountcast(oh=0)")
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +359,7 @@ func TestBaseSeqRebasedSequenceSpace(t *testing.T) {
 	h := &harness{k: sim.New(1)}
 	e := env.NewSim(h.k)
 	h.fab = transporttest.New(e, time.Millisecond)
-	opts := fountcast.Options{K: 4, OverheadPct: 25}
+	opts := options(t, "fountcast(k=4,oh=25)")
 	var err error
 	h.sender, err = fountcast.NewSender(transport.Config{
 		Env: e, Endpoint: h.fab.Endpoint(0), Stream: 1, BaseSeq: 100,
@@ -384,7 +400,7 @@ func TestBaseSeqRebasedSequenceSpace(t *testing.T) {
 // record is a leak that would eventually hit maxOpenBlocks and stall
 // delivery permanently.
 func TestAbandonedTailBlockFreed(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 0, Hold: 10 * time.Millisecond})
+	h := newHarness(t, 1, "fountcast(hold=10ms,k=4,oh=0)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq%4 == 0 && pkt.Seq < 40
 	}
@@ -405,7 +421,7 @@ func TestAbandonedTailBlockFreed(t *testing.T) {
 }
 
 func TestRecoveryStateBounded(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 8, OverheadPct: 25, Hold: 10 * time.Millisecond})
+	h := newHarness(t, 1, "fountcast(hold=10ms,k=8,oh=25)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq%2 == 0
 	}
@@ -426,7 +442,7 @@ func TestRecoveryStateBounded(t *testing.T) {
 // and are abandoned by one fireHold: OnLost must report their seqs strictly
 // ascending, not in block-map order.
 func TestOnLostAscendingAcrossBlocks(t *testing.T) {
-	h := newHarness(t, 1, fountcast.Options{K: 4, OverheadPct: 0, Hold: 20 * time.Millisecond})
+	h := newHarness(t, 1, "fountcast(hold=20ms,k=4,oh=0)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq >= 5 && pkt.Seq <= 12 // blocks 1 and 2
 	}
@@ -450,7 +466,7 @@ func TestLongStreamKeepsDelivering(t *testing.T) {
 	const n = 20000
 	for _, oh := range []int{0, 1} {
 		t.Run(fmt.Sprintf("oh=%d", oh), func(t *testing.T) {
-			h := newHarness(t, 1, fountcast.Options{K: 1, OverheadPct: oh, Hold: 2 * time.Millisecond})
+			h := newHarness(t, 1, fmt.Sprintf("fountcast(hold=2ms,k=1,oh=%d)", oh))
 			h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 				return pkt.Type == wire.TypeData && pkt.Seq%10 == 0
 			}

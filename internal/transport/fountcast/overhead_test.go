@@ -1,11 +1,11 @@
 package fountcast_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"adamant/internal/transport/fountcast"
 	"adamant/internal/wire"
 )
 
@@ -24,7 +24,7 @@ func TestBandwidthOverheadInvariant(t *testing.T) {
 	)
 	for _, oh := range []int{10, 25, 50, 100} {
 		for seed := int64(1); seed <= 3; seed++ {
-			h := newHarness(t, 2, fountcast.Options{K: 8, OverheadPct: oh})
+			h := newHarness(t, 2, fmt.Sprintf("fountcast(k=8,oh=%d)", oh))
 			var dataBytes, symbolBytes int
 			h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 				if to != 1 { // count one receiver's copy of the multicast

@@ -118,9 +118,10 @@ func TestFactoryRejectsBadParams(t *testing.T) {
 	}
 }
 
-func TestOptionsFillDefaultsViaConstructor(t *testing.T) {
-	// A zero Options is usable: constructors fill defaults. Verified via
-	// the harness-free path (construction errors only).
+// ParseOptions is the one place defaults are set: a key left out takes its
+// default, and an explicit zero stays zero (the receiver then runs with it;
+// see protocols' TestExplicitZeroParamsRun).
+func TestParseOptionsKeepsExplicitZero(t *testing.T) {
 	spec, err := transport.ParseSpec("fountcast(proc=0s)")
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,11 @@ type harness struct {
 	lost     [][]uint64
 }
 
-// newHarness builds one sender (node 0) and n receivers (nodes 1..n) over a
-// 1ms-delay fabric.
-func newHarness(t *testing.T, n int, opts nakcast.Options) *harness {
+// newHarness builds one sender (node 0) and n receivers (nodes 1..n) of spec
+// over a 1ms-delay fabric.
+func newHarness(t *testing.T, n int, spec string) *harness {
 	t.Helper()
+	opts := options(t, spec)
 	h := &harness{k: sim.New(1)}
 	e := env.NewSim(h.k)
 	h.fab = transporttest.New(e, time.Millisecond)
@@ -60,6 +61,21 @@ func newHarness(t *testing.T, n int, opts nakcast.Options) *harness {
 	return h
 }
 
+// options parses a nakcast spec into its options, the path every caller
+// outside these tests takes through the registry.
+func options(t *testing.T, spec string) nakcast.Options {
+	t.Helper()
+	s, err := transport.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := nakcast.ParseOptions(s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func (h *harness) publishN(t *testing.T, n int, gap time.Duration) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -91,7 +107,7 @@ func seqs(ds []transport.Delivery) []uint64 {
 }
 
 func TestLosslessInOrderDelivery(t *testing.T) {
-	h := newHarness(t, 2, nakcast.Options{Timeout: time.Millisecond})
+	h := newHarness(t, 2, "nakcast(timeout=1ms)")
 	h.publishN(t, 20, 5*time.Millisecond)
 	h.finish(t)
 	for i, ds := range h.delivery {
@@ -113,7 +129,7 @@ func TestLosslessInOrderDelivery(t *testing.T) {
 }
 
 func TestSingleLossRecovered(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 5 * time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=5ms)")
 	dropped := false
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 3 && !dropped {
@@ -152,7 +168,7 @@ func TestSingleLossRecovered(t *testing.T) {
 }
 
 func TestHeadOfLineBlocking(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 20 * time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=20ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2
 	}
@@ -178,7 +194,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 }
 
 func TestRetransLossTriggersBackoffRetry(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 2 * time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=2ms)")
 	drops := 0
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 2 {
@@ -206,7 +222,7 @@ func TestRetransLossTriggersBackoffRetry(t *testing.T) {
 }
 
 func TestAbandonAfterMaxNaks(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond, MaxNaks: 3})
+	h := newHarness(t, 1, "nakcast(maxnaks=3,timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		// seq 2 is permanently unrecoverable.
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq == 2
@@ -234,7 +250,7 @@ func TestAbandonAfterMaxNaks(t *testing.T) {
 }
 
 func TestTailLossRecoveredViaHeartbeat(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond, HBInterval: 20 * time.Millisecond})
+	h := newHarness(t, 1, "nakcast(hb=20ms,timeout=1ms)")
 	dropped := false
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 5 && !dropped {
@@ -259,7 +275,7 @@ func TestTailLossRecoveredViaHeartbeat(t *testing.T) {
 func TestEOSHeartbeatSpeedsTailRecovery(t *testing.T) {
 	// With a huge HB interval, the EOS heartbeat sent by Close is the only
 	// tail-gap signal.
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond, HBInterval: time.Hour})
+	h := newHarness(t, 1, "nakcast(hb=1h,timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 3 && pkt.Src == 0 && to == 1 &&
 			pkt.Type != wire.TypeRetrans
@@ -272,7 +288,7 @@ func TestEOSHeartbeatSpeedsTailRecovery(t *testing.T) {
 }
 
 func TestDuplicateSuppression(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	// Duplicate every data packet.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool { return false }
 	ep := h.fab.Endpoint(0)
@@ -300,7 +316,7 @@ func TestDuplicateSuppression(t *testing.T) {
 }
 
 func TestUnorderedMode(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 50 * time.Millisecond, Unordered: true})
+	h := newHarness(t, 1, "nakcast(timeout=50ms,unordered=1)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2
 	}
@@ -324,7 +340,7 @@ func TestUnorderedMode(t *testing.T) {
 }
 
 func TestSenderHistoryEviction(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 40 * time.Millisecond, History: 4, MaxNaks: 2})
+	h := newHarness(t, 1, "nakcast(history=4,maxnaks=2,timeout=40ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 1 && to == 1
 	}
@@ -341,7 +357,7 @@ func TestSenderHistoryEviction(t *testing.T) {
 }
 
 func TestPublishAfterClose(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{})
+	h := newHarness(t, 1, "nakcast")
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +376,7 @@ func TestPublishAfterClose(t *testing.T) {
 }
 
 func TestReceiverCloseStopsNaks(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: 5 * time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=5ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2
 	}
@@ -434,7 +450,7 @@ func TestFactoryBuildsInstances(t *testing.T) {
 func TestManyLossesAllRecovered(t *testing.T) {
 	// Deterministically drop every 7th data packet to one of three
 	// receivers; everything must still arrive, in order.
-	h := newHarness(t, 3, nakcast.Options{Timeout: 2 * time.Millisecond})
+	h := newHarness(t, 3, "nakcast(timeout=2ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && to == 2 && pkt.Seq%7 == 0
 	}
@@ -458,7 +474,7 @@ func TestManyLossesAllRecovered(t *testing.T) {
 // Eight gaps noted by one arrival share a deadline and are abandoned by one
 // fireNaks: OnLost must report them in ascending order, not map order.
 func TestOnLostAscending(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond, MaxNaks: 1})
+	h := newHarness(t, 1, "nakcast(maxnaks=1,timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq >= 3 && pkt.Seq <= 10
 	}
@@ -480,7 +496,7 @@ func TestOnLostAscending(t *testing.T) {
 // announced seq and never returned.
 func TestCorruptHeartbeatBounded(t *testing.T) {
 	const holdbackCap = 1 << 15
-	h := newHarness(t, 1, nakcast.Options{Timeout: time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	body, err := (&wire.HeartbeatBody{HighSeq: 1 << 40}).Encode(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -534,7 +550,7 @@ func TestCorruptHeartbeatBounded(t *testing.T) {
 // later by NAK. The gap the window slides past is abandoned.
 func TestUnorderedGapAtCursorDoesNotRefuse(t *testing.T) {
 	const holdbackCap = 1 << 15
-	h := newHarness(t, 1, nakcast.Options{Unordered: true, Timeout: time.Second, MaxNaks: 3})
+	h := newHarness(t, 1, "nakcast(maxnaks=3,timeout=1s,unordered=1)")
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq == 1
 	}
@@ -564,7 +580,7 @@ func TestUnorderedGapAtCursorDoesNotRefuse(t *testing.T) {
 // and then abandoned seq by seq, the rest counted in one sum, so every seq
 // between the real stream and the far one is abandoned exactly once.
 func TestUnorderedFarFutureSeqBounded(t *testing.T) {
-	h := newHarness(t, 1, nakcast.Options{Unordered: true, Timeout: time.Millisecond})
+	h := newHarness(t, 1, "nakcast(timeout=1ms,unordered=1)")
 	h.publishN(t, 3, time.Millisecond)
 	far := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1 << 40, SentAt: h.k.Now()}
 	if err := h.fab.Endpoint(0).Multicast(far); err != nil {

@@ -35,6 +35,91 @@ func TestMustRegistry(t *testing.T) {
 	}
 }
 
+// TestExplicitZeroParamsRun pins that a param value ParseOptions accepts is
+// the value a receiver built through the registry runs with, zero included:
+// proc=0s charges no CPU per packet, decode=0s delays no recovered delivery
+// and flush=0s sends no repair for a partial group. Each zero row has the
+// default beside it, to show the quantity it measures moves. Node 1 receives
+// one data packet (seq 1) from node 0; a repair row adds a repair of seqs 1
+// and 2 from node 2, a peer row makes node 2 a repair target.
+func TestExplicitZeroParamsRun(t *testing.T) {
+	type result struct {
+		ep *transporttest.Endpoint
+		st transport.ReceiverStats
+		ds []transport.Delivery
+	}
+	work := func(r result) time.Duration { return r.ep.WorkCharged }
+	decode := func(r result) time.Duration { return r.ds[len(r.ds)-1].DeliveredAt.Sub(r.ds[0].DeliveredAt) }
+	repairs := func(r result) time.Duration { return time.Duration(r.st.RepairsSent) }
+	reg := protocols.MustRegistry()
+	for _, tc := range []struct {
+		what         string
+		spec         string
+		peer, repair bool
+		got          func(result) time.Duration
+		want         time.Duration
+	}{
+		{"work", "nakcast(proc=0s)", false, false, work, 0},
+		{"work", "nakcast", false, false, work, 50 * time.Microsecond},
+		{"work", "fountcast(proc=0s)", false, false, work, 0},
+		{"work", "fountcast", false, false, work, 50 * time.Microsecond},
+		{"work", "ricochet(proc=0s)", false, false, work, 0},
+		{"work", "ricochet", false, false, work, 300 * time.Microsecond},
+		{"decode", "ricochet(decode=0s)", false, true, decode, 0},
+		{"decode", "ricochet", false, true, decode, 13 * time.Millisecond},
+		{"repairs", "ricochet(flush=0s,stagger=-1)", true, false, repairs, 0},
+		{"repairs", "ricochet(stagger=-1)", true, false, repairs, 1},
+	} {
+		t.Run(tc.what+"/"+tc.spec, func(t *testing.T) {
+			spec, err := transport.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := sim.New(1)
+			e := env.NewSim(k)
+			fab := transporttest.New(e, time.Millisecond)
+			ids := []wire.NodeID{1}
+			if tc.peer {
+				ids = append(ids, fab.Endpoint(2).Local())
+			}
+			r := result{ep: fab.Endpoint(1)}
+			recv, err := reg.NewReceiver(spec, transport.Config{
+				Env: e, Endpoint: r.ep, Stream: 1, Receivers: transport.StaticReceivers(ids...),
+				Deliver: func(d transport.Delivery) { r.ds = append(r.ds, d) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := func(seq uint64) *wire.Packet {
+				return &wire.Packet{Type: wire.TypeData, Stream: 1, Seq: seq, SentAt: k.Now(), Payload: []byte{byte(seq)}}
+			}
+			if err := fab.Endpoint(0).Unicast(1, data(1)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.repair {
+				var rep wire.Repair
+				rep.AddPacket(data(1))
+				rep.AddPacket(data(2))
+				body, err := rep.Encode(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pkt := &wire.Packet{Type: wire.TypeRepair, Src: 2, Stream: 1, Seq: 2, SentAt: k.Now(), Payload: body}
+				if err := fab.Endpoint(2).Unicast(1, pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			r.st = recv.Stats()
+			if got := tc.got(r); got != tc.want {
+				t.Errorf("%s = %v, want %v", tc.what, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestEveryProtocolEndToEnd runs each registered protocol through the same
 // lossless one-sender/two-receiver exchange via the registry path.
 func TestEveryProtocolEndToEnd(t *testing.T) {

@@ -4,15 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"adamant/internal/transport/ricochet"
 	"adamant/internal/wire"
 )
 
 func TestFlushEmitsPartialRepairs(t *testing.T) {
 	// At a 100ms inter-arrival with an 8ms flush, every packet should be
 	// covered by a singleton repair long before the R=4 group would fill.
-	h := newHarness(t, 2, ricochet.Options{R: 4, C: 2, Flush: 8 * time.Millisecond,
-		Stagger: -1, ProcCost: 1, DecodeCost: 1})
+	h := newHarness(t, 2, "ricochet(c=2,decode=1ns,flush=8ms,proc=1ns,r=4,stagger=-1)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
 	}
@@ -35,7 +33,7 @@ func TestFlushEmitsPartialRepairs(t *testing.T) {
 func TestFlushDisabledKeepsGroupSemantics(t *testing.T) {
 	// With Flush < 0 and only 3 of R=4 packets published, no repairs are
 	// ever emitted.
-	h := newHarness(t, 2, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 2, classic("r=4,c=2"))
 	h.publishN(t, 3, 5*time.Millisecond)
 	for i, r := range h.recvs {
 		if st := r.Stats(); st.RepairsSent != 0 {
@@ -48,8 +46,7 @@ func TestStaggerOffsetsGroups(t *testing.T) {
 	// With auto stagger, node IDs 1 and 2 skip 1 and 2 packets before
 	// their first R=4 group. Publishing 9 packets gives node 1 groups
 	// [2..5],[6..9] (2 repairs) and node 2 groups [3..6] (+partial).
-	h := newHarness(t, 2, ricochet.Options{R: 4, C: 2, Flush: -1,
-		ProcCost: 1, DecodeCost: 1})
+	h := newHarness(t, 2, "ricochet(c=2,decode=1ns,flush=-1ns,proc=1ns,r=4)")
 	h.publishN(t, 9, 5*time.Millisecond)
 	s1 := h.recvs[0].Stats().RepairsSent
 	s2 := h.recvs[1].Stats().RepairsSent
@@ -69,8 +66,7 @@ func TestStaggeredPeerRecoversShiftedDoubleLoss(t *testing.T) {
 	// peer groups are [5..8] for one peer: then 4 is in no group... This
 	// exercises the cascade: peer repairs with shifted boundaries decode
 	// one loss, unlocking a buffered repair for the other.
-	h := newHarness(t, 3, ricochet.Options{R: 2, C: 3, Flush: -1,
-		ProcCost: 1, DecodeCost: 1})
+	h := newHarness(t, 3, "ricochet(c=3,decode=1ns,flush=-1ns,proc=1ns,r=2)")
 	// R=2, auto stagger by id: node1 offset 1: groups [2,3],[4,5],[6,7]...
 	// node2 offset 0 (2%2): [1,2],[3,4],[5,6]... node3 offset 1: like node1.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
@@ -89,8 +85,7 @@ func TestStaggeredPeerRecoversShiftedDoubleLoss(t *testing.T) {
 }
 
 func TestDecodeCostDelaysRecoveredDelivery(t *testing.T) {
-	h := newHarness(t, 2, ricochet.Options{R: 2, C: 2, Flush: -1, Stagger: -1,
-		ProcCost: 1, DecodeCost: 30 * time.Millisecond})
+	h := newHarness(t, 2, "ricochet(c=2,decode=30ms,flush=-1ns,proc=1ns,r=2,stagger=-1)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 1 && to == 1
 	}

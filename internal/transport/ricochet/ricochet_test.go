@@ -23,25 +23,29 @@ type harness struct {
 	lost     [][]uint64
 }
 
-// classic returns options for fixed-R group semantics: no stagger, no
-// flush timer, negligible processing costs — the configuration the
-// protocol-mechanics tests are written against.
-func classic(o ricochet.Options) ricochet.Options {
-	o.Stagger = -1
-	o.Flush = -1
-	if o.ProcCost == 0 {
-		o.ProcCost = 1
+// classic returns the spec with params for fixed-R group semantics: no
+// stagger, no flush timer, negligible processing costs — the configuration
+// the protocol-mechanics tests are written against.
+func classic(params string) string {
+	p := "decode=1ns,flush=-1ns,proc=1ns,stagger=-1"
+	if params != "" {
+		p = params + "," + p
 	}
-	if o.DecodeCost == 0 {
-		o.DecodeCost = 1
-	}
-	return o
+	return "ricochet(" + p + ")"
 }
 
-// newHarness builds one sender (node 0) and n receivers (nodes 1..n) over a
-// 1ms-delay fabric.
-func newHarness(t *testing.T, n int, opts ricochet.Options) *harness {
+// newHarness builds one sender (node 0) and n receivers (nodes 1..n) of spec
+// over a 1ms-delay fabric.
+func newHarness(t *testing.T, n int, spec string) *harness {
 	t.Helper()
+	parsed, err := transport.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := ricochet.ParseOptions(parsed.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := &harness{k: sim.New(1)}
 	h.e = env.NewSim(h.k)
 	h.fab = transporttest.New(h.e, time.Millisecond)
@@ -49,7 +53,6 @@ func newHarness(t *testing.T, n int, opts ricochet.Options) *harness {
 	for i := range receiverIDs {
 		receiverIDs[i] = wire.NodeID(i + 1)
 	}
-	var err error
 	h.sender, err = ricochet.NewSender(transport.Config{
 		Env: h.e, Endpoint: h.fab.Endpoint(0), Stream: 1,
 	})
@@ -102,7 +105,7 @@ func find(ds []transport.Delivery, seq uint64) (transport.Delivery, bool) {
 }
 
 func TestLosslessImmediateDelivery(t *testing.T) {
-	h := newHarness(t, 3, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 3, classic("r=4,c=2"))
 	h.publishN(t, 20, 5*time.Millisecond)
 	for i, ds := range h.delivery {
 		if len(ds) != 20 {
@@ -120,7 +123,7 @@ func TestLosslessImmediateDelivery(t *testing.T) {
 }
 
 func TestRepairsAreEmitted(t *testing.T) {
-	h := newHarness(t, 3, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 3, classic("r=4,c=2"))
 	h.publishN(t, 20, 5*time.Millisecond)
 	for i, r := range h.recvs {
 		st := r.Stats()
@@ -140,7 +143,7 @@ func TestRepairsAreEmitted(t *testing.T) {
 }
 
 func TestSingleLossRecoveredLaterally(t *testing.T) {
-	h := newHarness(t, 3, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 3, classic("r=4,c=2"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
 	}
@@ -176,7 +179,7 @@ func TestSingleLossRecoveredLaterally(t *testing.T) {
 }
 
 func TestNoHeadOfLineBlocking(t *testing.T) {
-	h := newHarness(t, 3, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 3, classic("r=4,c=2"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
 	}
@@ -200,7 +203,7 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 }
 
 func TestTwoLossesInOneGroupUnrecoverable(t *testing.T) {
-	h := newHarness(t, 3, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 3, classic("r=4,c=2"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && to == 1 && (pkt.Seq == 2 || pkt.Seq == 3)
 	}
@@ -222,7 +225,7 @@ func TestPendingRepairCascade(t *testing.T) {
 	// decodes 5, which must then unlock a buffered repair covering [2..5]
 	// wait... [1..4] style alignment gives us 4: we inject repairs by hand
 	// to exercise the cascade deterministically.
-	h := newHarness(t, 2, classic(ricochet.Options{R: 4, C: 1}))
+	h := newHarness(t, 2, classic("r=4,c=1"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if to != 1 {
 			return false
@@ -323,7 +326,7 @@ func TestPendingRepairCascade(t *testing.T) {
 }
 
 func TestDuplicateSuppression(t *testing.T) {
-	h := newHarness(t, 1, classic(ricochet.Options{R: 4, C: 1}))
+	h := newHarness(t, 1, classic("r=4,c=1"))
 	for i := 0; i < 5; i++ {
 		if err := h.sender.Publish([]byte("x")); err != nil {
 			t.Fatal(err)
@@ -348,7 +351,7 @@ func TestDuplicateSuppression(t *testing.T) {
 func TestRepairTargetsRespectC(t *testing.T) {
 	// 6 receivers, C=2: each repair round sends at most 2 unicasts (C
 	// draws with replacement, deduplicated).
-	h := newHarness(t, 6, classic(ricochet.Options{R: 4, C: 2}))
+	h := newHarness(t, 6, classic("r=4,c=2"))
 	h.publishN(t, 8, 5*time.Millisecond)
 	for i, r := range h.recvs {
 		if st := r.Stats(); st.RepairsSent < 2 || st.RepairsSent > 4 { // 2 rounds x 1..2
@@ -358,7 +361,7 @@ func TestRepairTargetsRespectC(t *testing.T) {
 }
 
 func TestSingleReceiverNoRepairs(t *testing.T) {
-	h := newHarness(t, 1, classic(ricochet.Options{R: 2, C: 3}))
+	h := newHarness(t, 1, classic("r=2,c=3"))
 	h.publishN(t, 10, 2*time.Millisecond)
 	if st := h.recvs[0].Stats(); st.RepairsSent != 0 {
 		t.Errorf("RepairsSent = %d with no peers", st.RepairsSent)
@@ -369,7 +372,7 @@ func TestSingleReceiverNoRepairs(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	h := newHarness(t, 2, classic(ricochet.Options{R: 4, C: 1, Window: 16}))
+	h := newHarness(t, 2, classic("r=4,c=1,window=16"))
 	h.publishN(t, 100, time.Millisecond)
 	if len(h.delivery[0]) != 100 {
 		t.Fatalf("delivered %d, want 100", len(h.delivery[0]))
@@ -393,7 +396,7 @@ func TestWindowEviction(t *testing.T) {
 }
 
 func TestStreamFiltering(t *testing.T) {
-	h := newHarness(t, 1, classic(ricochet.Options{R: 4, C: 1}))
+	h := newHarness(t, 1, classic("r=4,c=1"))
 	other := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 99, Seq: 1,
 		SentAt: h.k.Now(), Payload: []byte("other-stream")}
 	if err := h.fab.Endpoint(0).Multicast(other); err != nil {
@@ -408,7 +411,7 @@ func TestStreamFiltering(t *testing.T) {
 }
 
 func TestPublishAfterClose(t *testing.T) {
-	h := newHarness(t, 1, classic(ricochet.Options{}))
+	h := newHarness(t, 1, classic(""))
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func TestFactoryBuildsInstances(t *testing.T) {
 
 func TestHigherRLowersRepairTrafficButWeakensRecovery(t *testing.T) {
 	run := func(r int, dropEvery uint64) (recovered uint64, repairs uint64) {
-		h := newHarness(t, 3, classic(ricochet.Options{R: r, C: 2}))
+		h := newHarness(t, 3, classic(fmt.Sprintf("r=%d,c=2", r)))
 		h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 			return pkt.Type == wire.TypeData && to == 1 && pkt.Seq%dropEvery == 0
 		}
@@ -499,7 +502,7 @@ func TestHigherRLowersRepairTrafficButWeakensRecovery(t *testing.T) {
 // window, is out of window.
 func TestFarFutureSeqsBounded(t *testing.T) {
 	const bogus = 20
-	h := newHarness(t, 1, classic(ricochet.Options{R: 4, C: 1, Window: 16}))
+	h := newHarness(t, 1, classic("r=4,c=1,window=16"))
 	h.publishN(t, 3, time.Millisecond)
 	for i := uint64(0); i < bogus; i++ {
 		far := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1<<40 + i,
@@ -549,7 +552,7 @@ func TestFarFutureSeqsBounded(t *testing.T) {
 // every seq it missed, once and in order.
 func TestLongOutageKeepsDelivering(t *testing.T) {
 	const first, outage, after = 100, 20000, 4900
-	h := newHarness(t, 1, classic(ricochet.Options{}))
+	h := newHarness(t, 1, classic(""))
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Seq > first && pkt.Seq <= first+outage
 	}

@@ -149,13 +149,17 @@ func TestCloseIdempotentAndSendAfterClose(t *testing.T) {
 // TestNAKcastOverRealUDP runs the full protocol stack over real sockets:
 // the same state machine exercised all over the simulator tests.
 func TestNAKcastOverRealUDP(t *testing.T) {
+	opts, err := nakcast.ParseOptions(transport.Params{"timeout": "5ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := newCluster(t, 3)
 	var sender *nakcast.Sender
 	c.onEnv(0, func() {
 		var err error
 		sender, err = nakcast.NewSender(transport.Config{
 			Env: c.envs[0], Endpoint: c.eps[0], Stream: 7,
-		}, nakcast.Options{Timeout: 5 * time.Millisecond})
+		}, opts)
 		if err != nil {
 			t.Error(err)
 		}
@@ -175,7 +179,7 @@ func TestNAKcastOverRealUDP(t *testing.T) {
 					counts[i]++
 					mu.Unlock()
 				},
-			}, nakcast.Options{Timeout: 5 * time.Millisecond}); err != nil {
+			}, opts); err != nil {
 				t.Error(err)
 			}
 		})
@@ -206,6 +210,10 @@ func TestNAKcastOverRealUDP(t *testing.T) {
 
 // TestRicochetOverRealUDP smoke-tests the FEC protocol on real sockets.
 func TestRicochetOverRealUDP(t *testing.T) {
+	opts, err := ricochet.ParseOptions(transport.Params{"r": "4", "c": "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := newCluster(t, 4)
 	receivers := transport.StaticReceivers(1, 2, 3)
 	var sender *ricochet.Sender
@@ -234,7 +242,7 @@ func TestRicochetOverRealUDP(t *testing.T) {
 					counts[i]++
 					mu.Unlock()
 				},
-			}, ricochet.Options{R: 4, C: 2}); err != nil {
+			}, opts); err != nil {
 				t.Error(err)
 			}
 		})
