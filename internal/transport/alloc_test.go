@@ -7,9 +7,6 @@ import (
 	"adamant/internal/env"
 	"adamant/internal/sim"
 	"adamant/internal/transport"
-	"adamant/internal/transport/ackcast"
-	"adamant/internal/transport/bemcast"
-	"adamant/internal/transport/nakcast"
 	"adamant/internal/transport/protocols"
 	"adamant/internal/wire"
 )
@@ -30,40 +27,41 @@ func (e *loopEndpoint) ScaleCPU(d time.Duration) time.Duration       { return d 
 func (e *loopEndpoint) SetHandler(h func(wire.NodeID, *wire.Packet)) { e.handler = h }
 
 // TestReceiveAllocs pins the allocations per 100 received packets of
-// in-order receive on nakcast, ackcast and bemcast, and of nakcast
-// recovering one loss in every two packets (a gap, its NAK timer, the
-// retransmission). ackcast's 200 are its per-packet ACK (body and packet),
-// nakcast's 100 in the loss case the simulated env's NAK timer, two per gap;
-// the rest is the payload arena's one chunk per ~340 samples. The bounds are
-// this tree's measured values; CHANGES.md records the parent's.
+// in-order receive on every transport's receiver, each built from a spec
+// through the registry, and of nakcast recovering one loss in every two
+// packets (a gap, its NAK timer, the retransmission). ackcast's 200 are its
+// per-packet ACK (body and packet), ricochet's 100 its per-packet copy,
+// nakcast's 50 in the loss case the simulated env's NAK timer, one per gap;
+// ricochet adds its flush timer per group of four and fountcast its block
+// record and entries per block of eight; the rest is the payload arena's
+// one chunk per ~340 samples. The bounds are this tree's measured values;
+// CHANGES.md records the parent's.
 func TestReceiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
+	reg := protocols.MustRegistry()
 	cases := []struct {
-		name string
-		make func(transport.Config) (transport.Receiver, error)
-		loss bool
-		max  float64
+		name, spec string
+		loss       bool
+		max        float64
 	}{
-		{"nakcast", func(c transport.Config) (transport.Receiver, error) {
-			return nakcast.NewReceiver(c, nakcast.Options{})
-		}, false, 0.5},
-		{"nakcast-loss", func(c transport.Config) (transport.Receiver, error) {
-			return nakcast.NewReceiver(c, nakcast.Options{})
-		}, true, 100.5},
-		{"ackcast", func(c transport.Config) (transport.Receiver, error) {
-			return ackcast.NewReceiver(c, ackcast.Options{})
-		}, false, 200.5},
-		{"bemcast", func(c transport.Config) (transport.Receiver, error) {
-			return bemcast.NewReceiver(c)
-		}, false, 0.5},
+		{"nakcast", "nakcast", false, 0.5},
+		{"nakcast-loss", "nakcast", true, 50.5},
+		{"ackcast", "ackcast", false, 200.5},
+		{"bemcast", "bemcast", false, 0.5},
+		{"ricochet", "ricochet(c=3,r=4)", false, 125.5},
+		{"fountcast", "fountcast(k=8,oh=25)", false, 25.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			spec, err := transport.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ep := &loopEndpoint{}
 			delivered := 0
-			_, err := tc.make(transport.Config{
+			_, err = reg.NewReceiver(spec, transport.Config{
 				Env: env.NewSim(sim.New(1)), Endpoint: ep, Stream: 1,
 				Deliver: func(transport.Delivery) { delivered++ },
 			})
