@@ -107,7 +107,7 @@ func (r *epochRouter) dispatch(src wire.NodeID, pkt *wire.Packet) {
 // are created in order, so epoch is at most one past the newest route.
 func (r *epochRouter) route(epoch uint16) *epochEndpoint {
 	if int(epoch) == len(r.routes) {
-		r.routes = append(r.routes, &epochEndpoint{parent: r, epoch: epoch})
+		r.routes = append(r.routes, &epochEndpoint{Endpoint: r.ep, epoch: epoch})
 	}
 	return r.routes[epoch]
 }
@@ -120,31 +120,25 @@ func (r *epochRouter) inject(epoch uint16, src wire.NodeID, pkt *wire.Packet) {
 	}
 }
 
-// epochEndpoint is an epoch-scoped view of the endpoint: egress packets are
-// stamped with the epoch, ingress packets were routed to it by that stamp.
+// epochEndpoint is an epoch-scoped view of the router's endpoint: egress
+// packets are stamped with the epoch, ingress packets were routed to it by
+// that stamp.
 type epochEndpoint struct {
-	parent  *epochRouter
+	Endpoint
 	epoch   uint16
 	handler func(src wire.NodeID, pkt *wire.Packet)
 }
 
-var _ Endpoint = (*epochEndpoint)(nil)
-
-func (e *epochEndpoint) Local() wire.NodeID { return e.parent.ep.Local() }
-func (e *epochEndpoint) MTU() int           { return e.parent.ep.MTU() }
-
 func (e *epochEndpoint) Unicast(dst wire.NodeID, pkt *wire.Packet) error {
 	pkt.Epoch = e.epoch
-	return e.parent.ep.Unicast(dst, pkt)
+	return e.Endpoint.Unicast(dst, pkt)
 }
 
 func (e *epochEndpoint) Multicast(pkt *wire.Packet) error {
 	pkt.Epoch = e.epoch
-	return e.parent.ep.Multicast(pkt)
+	return e.Endpoint.Multicast(pkt)
 }
 
-func (e *epochEndpoint) Work(cost time.Duration) time.Duration                { return e.parent.ep.Work(cost) }
-func (e *epochEndpoint) ScaleCPU(d time.Duration) time.Duration               { return e.parent.ep.ScaleCPU(d) }
 func (e *epochEndpoint) SetHandler(h func(src wire.NodeID, pkt *wire.Packet)) { e.handler = h }
 
 // SenderBinding owns the writer side of one stream across epochs. It

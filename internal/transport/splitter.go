@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"time"
 
 	"adamant/internal/wire"
 )
@@ -32,7 +31,7 @@ func (s *Splitter) Route(stream wire.StreamID) Endpoint {
 	if r, ok := s.routes[stream]; ok {
 		return r
 	}
-	r := &streamEndpoint{parent: s, stream: stream}
+	r := &streamEndpoint{Endpoint: s.ep, stream: stream}
 	s.routes[stream] = r
 	return r
 }
@@ -54,32 +53,23 @@ func (s *Splitter) dispatch(src wire.NodeID, pkt *wire.Packet) {
 
 // streamEndpoint is a stream-scoped view of the physical endpoint.
 type streamEndpoint struct {
-	parent  *Splitter
+	Endpoint
 	stream  wire.StreamID
 	handler func(src wire.NodeID, pkt *wire.Packet)
 }
-
-var _ Endpoint = (*streamEndpoint)(nil)
-
-func (r *streamEndpoint) Local() wire.NodeID { return r.parent.ep.Local() }
-func (r *streamEndpoint) MTU() int           { return r.parent.ep.MTU() }
 
 func (r *streamEndpoint) Unicast(dst wire.NodeID, pkt *wire.Packet) error {
 	if pkt.Stream != r.stream {
 		return fmt.Errorf("transport: stream endpoint %d cannot send stream %d", r.stream, pkt.Stream)
 	}
-	return r.parent.ep.Unicast(dst, pkt)
+	return r.Endpoint.Unicast(dst, pkt)
 }
 
 func (r *streamEndpoint) Multicast(pkt *wire.Packet) error {
 	if pkt.Stream != r.stream {
 		return fmt.Errorf("transport: stream endpoint %d cannot send stream %d", r.stream, pkt.Stream)
 	}
-	return r.parent.ep.Multicast(pkt)
+	return r.Endpoint.Multicast(pkt)
 }
-
-func (r *streamEndpoint) Work(cost time.Duration) time.Duration { return r.parent.ep.Work(cost) }
-
-func (r *streamEndpoint) ScaleCPU(d time.Duration) time.Duration { return r.parent.ep.ScaleCPU(d) }
 
 func (r *streamEndpoint) SetHandler(h func(src wire.NodeID, pkt *wire.Packet)) { r.handler = h }
