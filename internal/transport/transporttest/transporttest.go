@@ -6,6 +6,7 @@ package transporttest
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"adamant/internal/env"
@@ -18,6 +19,7 @@ type Fabric struct {
 	env   env.Env
 	delay time.Duration
 	eps   map[wire.NodeID]*Endpoint
+	ids   []wire.NodeID // eps keys ascending: multicast order, so runs replay
 
 	// Drop, when non-nil, is consulted for every (hop, packet) pair;
 	// returning true loses the packet on that hop.
@@ -36,6 +38,8 @@ func (f *Fabric) Endpoint(id wire.NodeID) *Endpoint {
 	}
 	ep := &Endpoint{fabric: f, id: id}
 	f.eps[id] = ep
+	i, _ := slices.BinarySearch(f.ids, id)
+	f.ids = slices.Insert(f.ids, i, id)
 	return ep
 }
 
@@ -82,9 +86,10 @@ func (e *Endpoint) Unicast(dst wire.NodeID, pkt *wire.Packet) error {
 	return e.fabric.send(e.id, dst, pkt)
 }
 
-// Multicast implements transport.Endpoint.
+// Multicast implements transport.Endpoint, sending in ascending node ID
+// order.
 func (e *Endpoint) Multicast(pkt *wire.Packet) error {
-	for id := range e.fabric.eps {
+	for _, id := range e.fabric.ids {
 		if id == e.id {
 			continue
 		}
