@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzKernelOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzRebind -fuzztime $(FUZZTIME) ./internal/transport/conformance
 	$(GO) test -run NONE -fuzz FuzzSenderInput -fuzztime $(FUZZTIME) ./internal/transport/conformance
+	$(GO) test -run NONE -fuzz FuzzReceiver -fuzztime $(FUZZTIME) ./internal/transport/conformance
 
 # chaos runs the full transport crucible from the command line.
 chaos:
