@@ -7,25 +7,23 @@ import (
 	"time"
 )
 
-// FuzzKernelOrder is the differential determinism proof for the wheel+heap
+// FuzzKernelOrder is the differential determinism proof for the 4-ary heap
 // scheduler: it decodes the fuzz input into a randomized interleaving of
 // At/After/Schedule/ScheduleArg/Cancel/Step operations, replays it through
 // both the current kernel and the preserved container/heap reference queue
 // (refqueue_test.go), and demands bit-identical fire orders, clocks, and
 // pending counts at every step.
 //
-// The delay encoding deliberately straddles the scheduler's internal
-// boundaries: scale 0-1 stays inside the timer wheel's ~16.8 ms horizon,
-// scale 2-3 lands in the far heap (up to ~268 s), and op 5 schedules
-// follow-ups from inside callbacks, exercising insertion into the bucket
-// currently being drained (the Post / Schedule(0) storm case).
+// The delay encoding spans near and far futures: scale 0-1 stays within
+// ~16.8 ms, scale 2-3 reaches up to ~268 s, and op 5 schedules follow-ups
+// from inside callbacks, exercising insertion at the instant currently
+// being drained (the Post / Schedule(0) storm case).
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 0, 1, 0, 0, 0, 2, 10, 0, 0, 4, 0, 0, 0})
 	// Same-instant FIFO: several ops with equal delays.
 	f.Add(bytes.Repeat([]byte{0, 5, 0, 0}, 12))
-	// Wheel/far straddle: short, horizon-edge, and far delays interleaved
-	// with steps and cancels.
+	// Short, ~16.8 ms, and far delays interleaved with steps and cancels.
 	f.Add([]byte{
 		0, 1, 0, 0, 0x40, 0xff, 0xff, 0, 0x80, 0xff, 0xff, 0,
 		0xc0, 0xff, 0xff, 0, 4, 1, 0, 0, 5, 50, 0, 0,

@@ -1,47 +1,14 @@
 package sim
 
-import "math/bits"
-
-// The kernel's pending-event set is a hybrid of three monomorphic
-// containers, all ordered by the same (key, seq) total order:
-//
-//   - a timer wheel of wheelSlots buckets, each tickNanos wide, holding the
-//     near-future events that packet-hop simulation churns (arrival and
-//     CPU-done callbacks scheduled µs–ms ahead): O(1) insert, O(1) cancel;
-//   - the "cur" 4-ary min-heap, holding events in the wheel's current tick
-//     (including events inserted *during* the current tick, e.g. Post /
-//     Schedule(0) storms) — the wheel bucket being drained, kept as a real
-//     heap so same-instant FIFO order is exact, not bucket-approximate;
-//   - the "far" 4-ary min-heap for the long tail beyond the wheel horizon
-//     (protocol timers, experiment deadlines).
-//
-// Correctness invariant: every event in a wheel bucket has tick strictly
-// greater than wheel.curTick, and every event in cur has tick <= curTick,
-// so cur.min always precedes every wheel event. The global minimum is
-// therefore min(cur.min, far.min) once promote() has drained the earliest
-// occupied bucket into cur. far is compared on every pop because events
-// that were beyond the horizon when inserted become due as time advances
-// without ever migrating.
+// The kernel's pending-event set is one index-tracked 4-ary min-heap
+// ordered by the (key, seq) total order. Packet-hop arrivals, CPU-done
+// callbacks, protocol timers and experiment deadlines all share it, so the
+// global minimum is always ev[0].
 //
 // Everything is keyed on int64 UnixNano. Within the range of times a
 // simulation can reach (the epoch is 2010; UnixNano is valid until 2262)
 // this ordering is identical to time.Time.Before/Equal on wall-clock
 // times, which is what the previous container/heap implementation used.
-const (
-	tickShift  = 14 // 16.384 µs per wheel tick
-	tickNanos  = 1 << tickShift
-	wheelSlots = 1024 // horizon = slots * tick ≈ 16.8 ms
-	wheelMask  = wheelSlots - 1
-	wheelWords = wheelSlots / 64
-)
-
-// Event location tags stored in Event.where. Non-negative values are wheel
-// slot numbers.
-const (
-	locNone int32 = -1
-	locCur  int32 = -2
-	locFar  int32 = -3
-)
 
 // evLess is the scheduler's total order: time, then FIFO by sequence.
 func evLess(a, b *Event) bool {
@@ -53,12 +20,10 @@ func evLess(a, b *Event) bool {
 // keys instead of going through heap.Interface with any-boxed Push/Pop.
 // Each event records its heap index so Cancel stays O(log n).
 type evHeap struct {
-	ev  []*Event
-	loc int32 // stamped into Event.where on insert (locCur or locFar)
+	ev []*Event
 }
 
 func (h *evHeap) push(e *Event) {
-	e.where = h.loc
 	i := len(h.ev)
 	h.ev = append(h.ev, e)
 	h.up(i, e)
@@ -119,7 +84,6 @@ func (h *evHeap) pop() *Event {
 		h.down(0, last)
 	}
 	e.index = -1
-	e.where = locNone
 	return e
 }
 
@@ -137,64 +101,4 @@ func (h *evHeap) remove(i int32) {
 		h.up(int(i), h.ev[i])
 	}
 	e.index = -1
-	e.where = locNone
-}
-
-// wheel is the short-horizon timer wheel. Buckets are unsorted slices —
-// order within a bucket is established only when the bucket is promoted
-// into the cur heap — with an occupancy bitmap so finding the next
-// non-empty bucket is a handful of word scans instead of a 1024-slot walk.
-type wheel struct {
-	slots   [wheelSlots][]*Event
-	bitmap  [wheelWords]uint64
-	count   int
-	curTick int64 // tick of the bucket currently draining through cur
-}
-
-func (w *wheel) insert(e *Event, tn int64) {
-	s := int32(tn & wheelMask)
-	e.where = s
-	e.index = int32(len(w.slots[s]))
-	w.slots[s] = append(w.slots[s], e)
-	w.bitmap[s>>6] |= 1 << (uint(s) & 63)
-	w.count++
-}
-
-// remove deletes e from its bucket by swap-with-last: O(1).
-func (w *wheel) remove(e *Event) {
-	s := e.where
-	sl := w.slots[s]
-	n := len(sl) - 1
-	moved := sl[n]
-	sl[e.index] = moved
-	moved.index = e.index
-	sl[n] = nil
-	w.slots[s] = sl[:n]
-	if n == 0 {
-		w.bitmap[s>>6] &^= 1 << (uint(s) & 63)
-	}
-	w.count--
-	e.index = -1
-	e.where = locNone
-}
-
-// nextTick returns the absolute tick and slot of the first occupied bucket
-// after curTick. All wheel events live in (curTick, curTick+wheelSlots), so
-// a single circular pass over the bitmap must find one; the caller
-// guarantees count > 0.
-func (w *wheel) nextTick() (int64, int32) {
-	base := w.curTick + 1
-	for off := int64(0); off < wheelSlots; {
-		s := (base + off) & wheelMask
-		word := w.bitmap[s>>6] >> (uint(s) & 63)
-		if word != 0 {
-			off += int64(bits.TrailingZeros64(word))
-			if off >= wheelSlots {
-				break
-			}
-			return base + off, int32((base + off) & wheelMask)
-		}
-		off += 64 - (int64(s) & 63)
-	}
-	panic("sim: timer wheel occupancy bitmap out of sync")
 }

@@ -8,7 +8,7 @@ import (
 // This file preserves the kernel's previous event queue — container/heap
 // over any-boxed *refEvent, ordered by (time, seq) — verbatim as a
 // reference model. FuzzKernelOrder and the differential tests replay
-// randomized schedules through both this queue and the wheel+heap scheduler
+// randomized schedules through both this queue and the 4-ary heap scheduler
 // and demand identical fire orders, which is the determinism proof for the
 // scheduler overhaul.
 

@@ -9,9 +9,9 @@ package sim
 //
 //   - The simulated world is partitioned into *lanes* (one per emulated
 //     node, or per link domain). Each lane owns a full Kernel — its own
-//     timer wheel, 4-ary heaps, clock, sequence counter, and event free
-//     list — and every piece of per-node state is only ever touched by its
-//     own lane's callbacks.
+//     event heap, clock, sequence counter, and event free list — and every
+//     piece of per-node state is only ever touched by its own lane's
+//     callbacks.
 //
 //   - Cross-lane interaction (a packet arriving at another node) goes
 //     through Send, which requires a *lookahead*: the event must fire at
@@ -34,7 +34,7 @@ package sim
 // which lanes; every ordering decision is derived from lane-local values
 // (virtual times, lane IDs, per-lane counters) that do not depend on thread
 // interleaving. A Sharded with a single lane degenerates to exactly the
-// plain Kernel: same containers, same (time, seq) order, same pools.
+// plain Kernel: same heap, same (time, seq) order, same pools.
 //
 // Sharded is not safe for concurrent driving: Run/RunUntil/RunFor must be
 // called from one goroutine, and lane kernels may only be touched from
@@ -72,7 +72,6 @@ type Sharded struct {
 	lookahead int64 // ns; also the window width
 
 	lanes   []*Kernel
-	nextKey []int64  // cached earliest pending key per lane (maxInt64 = empty)
 	outbox  [][]xmsg // per source lane, appended only by the owning worker
 	msgSeq  []uint64 // per source lane Send counter
 	staging [][]xmsg // per destination lane, reused merge buffer
@@ -122,7 +121,6 @@ func NewSharded(seed int64, lookahead time.Duration) *Sharded {
 func (s *Sharded) AddLane() int {
 	k := New(s.seed)
 	s.lanes = append(s.lanes, k)
-	s.nextKey = append(s.nextKey, laneEmpty)
 	s.outbox = append(s.outbox, nil)
 	s.msgSeq = append(s.msgSeq, 0)
 	s.staging = append(s.staging, nil)
@@ -198,9 +196,6 @@ func (s *Sharded) Send(src, dst int, at time.Time, argFn func(any), arg any, fn 
 	key := at.UnixNano()
 	if dst == src {
 		s.lanes[src].insertAt(key, at, fn, argFn, arg)
-		if key < s.nextKey[src] {
-			s.nextKey[src] = key
-		}
 		return
 	}
 	if min := s.lanes[src].nowKey + s.lookahead; key < min {
@@ -214,37 +209,25 @@ func (s *Sharded) Send(src, dst int, at time.Time, argFn func(any), arg any, fn 
 	})
 }
 
-// refreshKey recaches lane l's earliest pending key.
-func (s *Sharded) refreshKey(l int) {
-	if key, ok := s.lanes[l].peekKey(); ok {
-		s.nextKey[l] = key
-	} else {
-		s.nextKey[l] = laneEmpty
-	}
-}
-
-// globalMin returns the earliest pending key across lanes and outboxes.
+// globalMin returns the earliest pending key across lanes. It runs on the
+// coordinator after the merge, when every outbox is empty.
 func (s *Sharded) globalMin() int64 {
 	min := int64(laneEmpty)
-	for _, k := range s.nextKey {
-		if k < min {
-			min = k
+	for _, k := range s.lanes {
+		if key, ok := k.peekKey(); ok && key < min {
+			min = key
 		}
 	}
 	return min
 }
 
-// runLanes is the worker body for phaseRun: drain every owned lane whose
-// earliest event falls inside the current window. Lane l is owned by worker
-// l mod stride in every phase — ownership never migrates, so per-lane state
-// is only ever touched by one worker between barriers.
+// runLanes is the worker body for phaseRun: drain every owned lane's events
+// inside the current window. Lane l is owned by worker l mod stride in every
+// phase — ownership never migrates, so per-lane state is only ever touched
+// by one worker between barriers.
 func (s *Sharded) runLanes(w, stride int) {
 	for l := w; l < len(s.lanes); l += stride {
-		if s.nextKey[l] >= s.winEnd {
-			continue
-		}
 		s.lanes[l].runWindow(s.winEnd, s.budget)
-		s.refreshKey(l)
 	}
 }
 
@@ -277,7 +260,6 @@ func (s *Sharded) mergeLanes(w, stride int) {
 			stg[i] = xmsg{}
 		}
 		s.staging[l] = stg[:0]
-		s.refreshKey(l)
 	}
 }
 
@@ -366,11 +348,7 @@ func (s *Sharded) run(limitKey int64) error {
 		return nil
 	}
 	// Route messages staged between runs (e.g. a harness closing components
-	// from the driving goroutine) and refresh every lane's cached key: lane
-	// kernels may have been scheduled into directly since the last run.
-	for l := range s.lanes {
-		s.refreshKey(l)
-	}
+	// from the driving goroutine).
 	if s.distribute() {
 		// Merge serially: between runs there is no worker pool.
 		s.mergeLanes(0, 1)
@@ -480,5 +458,5 @@ func (k *Kernel) insertAt(key int64, at time.Time, fn func(), argFn func(any), a
 	}
 	*e = Event{at: at, key: key, seq: k.nextID, fn: fn, argFn: argFn, arg: arg, owner: k, pooled: true}
 	k.nextID++
-	k.enqueue(e)
+	k.q.push(e)
 }

@@ -68,7 +68,7 @@ func (c *laneCtx) fire() {
 		c.sh.Send(c.lane, dst, at, nil, nil, d.fire)
 	case 1: // zero-delay local event (same-instant FIFO ordering)
 		k.Schedule(0, c.fire)
-	case 2: // cancel churn through the wheel
+	case 2: // cancel churn
 		ev := k.After(time.Duration(1+(r>>12)%5000)*time.Microsecond, c.fire)
 		if r%10 == 2 {
 			ev.Cancel()
@@ -149,7 +149,7 @@ func TestShardedWorkerWidthInvariance(t *testing.T) {
 }
 
 // TestShardedSingleLaneMatchesKernel pins the degenerate case: one lane
-// runs the exact same containers and (time, seq) order as a plain Kernel,
+// runs the exact same heap and (time, seq) order as a plain Kernel,
 // so an identical workload driven through both must produce an identical
 // trace.
 func TestShardedSingleLaneMatchesKernel(t *testing.T) {

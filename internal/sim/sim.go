@@ -7,17 +7,13 @@
 // protocol code runs under this kernel in virtual time and under the real
 // clock in the examples.
 //
-// The event queue is a hybrid scheduler (see queue.go): a short-horizon
-// timer wheel absorbs the dense near-future churn of packet-hop simulation
-// at O(1) per insert/cancel, backed by monomorphic index-tracking 4-ary
-// min-heaps for the current tick and the long tail. There is no interface
-// boxing anywhere on the hot path.
+// The event queue is one monomorphic index-tracking 4-ary min-heap (see
+// queue.go). There is no interface boxing anywhere on the hot path.
 //
 // Determinism contract: given the same seed and the same sequence of
 // Schedule calls, a simulation produces bit-identical event orderings.
-// Events scheduled for the same instant fire in scheduling order. This
-// holds regardless of which internal container an event passes through:
-// all three share one (time, seq) total order.
+// Events scheduled for the same instant fire in scheduling order: every
+// event is ranked by one (time, seq) total order in one container.
 package sim
 
 import (
@@ -45,8 +41,7 @@ type Event struct {
 	argFn func(any)
 	arg   any
 	owner *Kernel
-	where int32 // container tag: locCur, locFar, or a wheel slot number
-	index int32 // position within the container, -1 once fired or canceled
+	index int32 // position in the heap, -1 once fired or canceled
 	// pooled marks fire-and-forget events created by Schedule/ScheduleArg:
 	// no handle escapes to callers, so the kernel recycles them through its
 	// free list after they fire. Events returned by At/After are never
@@ -60,15 +55,7 @@ func (e *Event) Cancel() bool {
 	if e == nil || e.index < 0 || (e.fn == nil && e.argFn == nil) {
 		return false
 	}
-	k := e.owner
-	switch e.where {
-	case locCur:
-		k.cur.remove(e.index)
-	case locFar:
-		k.far.remove(e.index)
-	default:
-		k.w.remove(e)
-	}
+	e.owner.q.remove(e.index)
 	e.fn = nil
 	e.argFn = nil
 	e.arg = nil
@@ -84,9 +71,7 @@ func (e *Event) Time() time.Time { return e.at }
 type Kernel struct {
 	now    time.Time
 	nowKey int64 // now.UnixNano()
-	cur    evHeap
-	far    evHeap
-	w      wheel
+	q      evHeap
 	nextID uint64
 	seed   int64
 	fired  uint64
@@ -105,11 +90,7 @@ const maxFreeEvents = 1 << 15
 // New returns a kernel with its clock at Epoch, deriving all randomness from
 // seed.
 func New(seed int64) *Kernel {
-	k := &Kernel{now: Epoch, nowKey: Epoch.UnixNano(), seed: seed}
-	k.cur.loc = locCur
-	k.far.loc = locFar
-	k.w.curTick = k.nowKey >> tickShift
-	return k
+	return &Kernel{now: Epoch, nowKey: Epoch.UnixNano(), seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -122,7 +103,7 @@ func (k *Kernel) Seed() int64 { return k.seed }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return len(k.cur.ev) + len(k.far.ev) + k.w.count }
+func (k *Kernel) Pending() int { return len(k.q.ev) }
 
 // SetEventLimit bounds the total number of events Run will execute; 0 means
 // unlimited. Exceeding the limit makes Run return ErrEventLimit.
@@ -132,21 +113,6 @@ func (k *Kernel) SetEventLimit(n uint64) { k.maxEvents = n }
 // limit is exceeded, which almost always indicates a protocol timer loop
 // that fails to terminate.
 var ErrEventLimit = errors.New("sim: event limit exceeded")
-
-// enqueue routes an event to the container matching its tick: current tick
-// (or due now) to the cur heap, within the wheel horizon to a wheel bucket,
-// beyond it to the far heap.
-func (k *Kernel) enqueue(e *Event) {
-	tn := e.key >> tickShift
-	switch {
-	case tn <= k.w.curTick:
-		k.cur.push(e)
-	case tn-k.w.curTick < wheelSlots:
-		k.w.insert(e, tn)
-	default:
-		k.far.push(e)
-	}
-}
 
 // At schedules fn to run at virtual time t. Times in the past (before Now)
 // are clamped to Now, preserving causal ordering.
@@ -161,7 +127,7 @@ func (k *Kernel) At(t time.Time, fn func()) *Event {
 	}
 	e := &Event{at: t, key: key, seq: k.nextID, fn: fn, owner: k}
 	k.nextID++
-	k.enqueue(e)
+	k.q.push(e)
 	return e
 }
 
@@ -212,60 +178,23 @@ func (k *Kernel) schedulePooled(d time.Duration, fn func(), argFn func(any), arg
 		fn: fn, argFn: argFn, arg: arg, owner: k, pooled: true,
 	}
 	k.nextID++
-	k.enqueue(e)
-}
-
-// promote drains the earliest occupied wheel bucket into the cur heap when
-// cur is empty, establishing exact (time, seq) order among that bucket's
-// events. After promote, the global minimum is the smaller of cur.min and
-// far.min.
-func (k *Kernel) promote() {
-	for len(k.cur.ev) == 0 && k.w.count > 0 {
-		tick, slot := k.w.nextTick()
-		k.w.curTick = tick
-		k.w.bitmap[slot>>6] &^= 1 << (uint(slot) & 63)
-		sl := k.w.slots[slot]
-		k.w.count -= len(sl)
-		for i, e := range sl {
-			sl[i] = nil
-			k.cur.push(e)
-		}
-		k.w.slots[slot] = sl[:0]
-	}
+	k.q.push(e)
 }
 
 // popMin removes and returns the (time, seq)-smallest pending event, or nil.
 func (k *Kernel) popMin() *Event {
-	k.promote()
-	switch {
-	case len(k.cur.ev) == 0 && len(k.far.ev) == 0:
+	if len(k.q.ev) == 0 {
 		return nil
-	case len(k.far.ev) == 0:
-		return k.cur.pop()
-	case len(k.cur.ev) == 0:
-		return k.far.pop()
-	case evLess(k.far.ev[0], k.cur.ev[0]):
-		return k.far.pop()
-	default:
-		return k.cur.pop()
 	}
+	return k.q.pop()
 }
 
 // peekKey returns the key of the earliest pending event without removing it.
 func (k *Kernel) peekKey() (int64, bool) {
-	k.promote()
-	switch {
-	case len(k.cur.ev) == 0 && len(k.far.ev) == 0:
+	if len(k.q.ev) == 0 {
 		return 0, false
-	case len(k.far.ev) == 0:
-		return k.cur.ev[0].key, true
-	case len(k.cur.ev) == 0:
-		return k.far.ev[0].key, true
-	case evLess(k.far.ev[0], k.cur.ev[0]):
-		return k.far.ev[0].key, true
-	default:
-		return k.cur.ev[0].key, true
 	}
+	return k.q.ev[0].key, true
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.

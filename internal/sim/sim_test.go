@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKernelStartsAtEpoch(t *testing.T) {
@@ -360,16 +361,30 @@ func TestScheduleArgAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWheelHorizonBoundary schedules events just inside, exactly at, and
-// beyond the wheel horizon and checks global fire order across the three
-// internal containers.
-func TestWheelHorizonBoundary(t *testing.T) {
+// TestKernelFootprint pins what a lane costs: the sharded storm and the
+// 500-receiver crucible cells build one Kernel per node, 500 to 1 000 of
+// them, so a Kernel stays a few words, not an inline slot array.
+func TestKernelFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Kernel{}); n > 256 {
+		t.Errorf("unsafe.Sizeof(Kernel{}) = %d bytes, want <= 256", n)
+	}
+}
+
+// horizon is the reach of the timer wheel the kernel once kept in front of
+// its heap (1024 ticks of 16.384 µs). The tests below keep their delays on
+// both sides of it and far past it, where the wheel's boundaries were.
+const horizon = 16_777_216 * time.Nanosecond
+
+// TestFireOrderAcrossDelays schedules events around one tick, just inside,
+// exactly at and beyond the horizon, and far past it, and checks they fire
+// in time order.
+func TestFireOrderAcrossDelays(t *testing.T) {
 	k := New(1)
-	horizon := time.Duration(wheelSlots * tickNanos)
+	const tick = 16_384 * time.Nanosecond
 	delays := []time.Duration{
-		0, time.Nanosecond, tickNanos - 1, tickNanos, // cur and first bucket
-		horizon - time.Nanosecond, horizon, horizon + time.Nanosecond, // straddle
-		10 * horizon, // deep far heap
+		0, time.Nanosecond, tick - 1, tick,
+		horizon - time.Nanosecond, horizon, horizon + time.Nanosecond,
+		10 * horizon,
 	}
 	var fired []time.Duration
 	for _, d := range delays {
@@ -389,19 +404,18 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	}
 }
 
-// TestCancelInEveryContainer cancels events parked in the cur heap, a wheel
-// bucket, and the far heap, plus one mid-bucket swap-removal.
-func TestCancelInEveryContainer(t *testing.T) {
+// TestCancelAtAnyDelay cancels a due-now event, two events at the same
+// instant and one past the horizon, and checks only the kept event fires.
+func TestCancelAtAnyDelay(t *testing.T) {
 	k := New(1)
-	horizon := time.Duration(wheelSlots * tickNanos)
 	fired := 0
 	count := func() { fired++ }
-	cur := k.After(0, count)                   // current tick → cur heap
-	wheelA := k.After(time.Millisecond, count) // wheel bucket
-	wheelB := k.After(time.Millisecond, count) // same bucket, swap-remove path
-	far := k.After(horizon+time.Second, count) // far heap
+	now := k.After(0, count)
+	sameA := k.After(time.Millisecond, count)
+	sameB := k.After(time.Millisecond, count) // same instant as sameA
+	far := k.After(horizon+time.Second, count)
 	keep := k.After(2*time.Millisecond, count) // survives
-	for _, e := range []*Event{cur, wheelA, far} {
+	for _, e := range []*Event{now, sameA, far} {
 		if !e.Cancel() {
 			t.Fatal("Cancel returned false for a queued event")
 		}
@@ -409,8 +423,8 @@ func TestCancelInEveryContainer(t *testing.T) {
 			t.Fatal("second Cancel returned true")
 		}
 	}
-	if !wheelB.Cancel() {
-		t.Fatal("Cancel of bucket-mate returned false")
+	if !sameB.Cancel() {
+		t.Fatal("Cancel of the same-instant event returned false")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -423,10 +437,10 @@ func TestCancelInEveryContainer(t *testing.T) {
 	}
 }
 
-// TestPendingAcrossContainers checks Pending sums all three containers.
-func TestPendingAcrossContainers(t *testing.T) {
+// TestPendingCountsEveryDelay checks Pending counts events due now, soon,
+// and past the horizon.
+func TestPendingCountsEveryDelay(t *testing.T) {
 	k := New(1)
-	horizon := time.Duration(wheelSlots * tickNanos)
 	k.After(0, func() {})
 	k.After(time.Millisecond, func() {})
 	k.After(horizon+time.Minute, func() {})
@@ -441,11 +455,10 @@ func TestPendingAcrossContainers(t *testing.T) {
 	}
 }
 
-// TestRunUntilAcrossWheel drains exactly the events at or before the
-// deadline even when they span wheel buckets and the far heap.
-func TestRunUntilAcrossWheel(t *testing.T) {
+// TestRunUntilDeadlineInclusive drains exactly the events at or before the
+// deadline, one soon and one past the horizon exactly at the deadline.
+func TestRunUntilDeadlineInclusive(t *testing.T) {
 	k := New(1)
-	horizon := time.Duration(wheelSlots * tickNanos)
 	var fired []int
 	k.After(time.Millisecond, func() { fired = append(fired, 1) })
 	k.After(horizon+time.Second, func() { fired = append(fired, 2) })
@@ -495,17 +508,17 @@ func BenchmarkScheduleArg(b *testing.B) {
 }
 
 // BenchmarkScheduleDeep measures steady-state pop/push with a large pending
-// set: 100k events resident, delays straddling the wheel horizon, so every
-// container is exercised.
+// set: 100k events resident, four in five within 10 ms and the rest up to
+// 200 ms out, on both sides of the horizon.
 func BenchmarkScheduleDeep(b *testing.B) {
 	k := New(1)
 	fn := func() {}
 	rng := rand.New(rand.NewSource(7))
 	delay := func() time.Duration {
 		if rng.Intn(5) == 0 {
-			return time.Duration(rng.Intn(200_000)) * time.Microsecond // far heap
+			return time.Duration(rng.Intn(200_000)) * time.Microsecond
 		}
-		return time.Duration(rng.Intn(10_000)) * time.Microsecond // wheel
+		return time.Duration(rng.Intn(10_000)) * time.Microsecond
 	}
 	for i := 0; i < 100_000; i++ {
 		k.Schedule(delay(), fn)
