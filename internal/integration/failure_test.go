@@ -139,8 +139,7 @@ func TestReceiverCrashSurvivors(t *testing.T) {
 			for i, node := range w.readers {
 				i := i
 				split := transport.NewSplitter(node)
-				ctlMux := transport.NewMux(split.Route(wire.ControlStream))
-				det, err := membership.NewDetector(w.e, ctlMux, membership.DetectorOptions{
+				det, err := membership.NewDetector(w.e, split.Route(wire.ControlStream), membership.DetectorOptions{
 					Interval:     50 * time.Millisecond,
 					SuspectAfter: 175 * time.Millisecond,
 				}, nil)

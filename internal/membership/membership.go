@@ -97,8 +97,8 @@ func (o *DetectorOptions) fillDefaults() {
 // participating nodes run one; each multicasts JOIN on start, heartbeats
 // every Interval, LEAVE on Close, and removes peers whose heartbeats stop.
 //
-// The detector shares the node's endpoint through a transport.Mux: pass the
-// mux so data-plane protocols keep their own routes.
+// The detector owns its endpoint's handler. To share a node with data-plane
+// protocols, give it a transport.Splitter's control route.
 type Detector struct {
 	env      env.Env
 	ep       transport.Endpoint
@@ -112,24 +112,22 @@ type Detector struct {
 	closed   bool
 }
 
-// NewDetector attaches a detector to mux. onChange (optional) fires on
-// every membership change with the new view.
-func NewDetector(e env.Env, mux *transport.Mux, opts DetectorOptions, onChange func(View)) (*Detector, error) {
-	if e == nil || mux == nil {
-		return nil, errors.New("membership: nil env or mux")
+// NewDetector attaches a detector to ep. onChange (optional) fires on every
+// membership change with the new view.
+func NewDetector(e env.Env, ep transport.Endpoint, opts DetectorOptions, onChange func(View)) (*Detector, error) {
+	if e == nil || ep == nil {
+		return nil, errors.New("membership: nil env or endpoint")
 	}
 	opts.fillDefaults()
 	d := &Detector{
 		env:      e,
-		ep:       mux.Endpoint(),
+		ep:       ep,
 		opts:     opts,
-		self:     mux.Endpoint().Local(),
+		self:     ep.Local(),
 		lastSeen: make(map[wire.NodeID]time.Time),
 	}
 	d.view = View{Members: []wire.NodeID{d.self}, Version: 1}
-	mux.Handle(wire.TypeJoin, d.onJoin)
-	mux.Handle(wire.TypeLeave, d.onLeave)
-	mux.Handle(wire.TypeHeartbeat, d.onHeartbeat)
+	ep.SetHandler(d.dispatch)
 	d.onChange = onChange
 	d.announce(wire.TypeJoin)
 	d.hbTimer = e.After(opts.Interval, d.tick)
@@ -195,7 +193,20 @@ func (d *Detector) expire() {
 	}
 }
 
-func (d *Detector) onJoin(src wire.NodeID, pkt *wire.Packet) {
+// dispatch routes JOIN, LEAVE and heartbeat packets; other types are not
+// membership traffic.
+func (d *Detector) dispatch(src wire.NodeID, pkt *wire.Packet) {
+	switch pkt.Type {
+	case wire.TypeJoin:
+		d.onJoin(src)
+	case wire.TypeLeave:
+		d.onLeave(src)
+	case wire.TypeHeartbeat:
+		d.onHeartbeat(src, pkt)
+	}
+}
+
+func (d *Detector) onJoin(src wire.NodeID) {
 	if d.closed || src == d.self {
 		return
 	}
@@ -240,7 +251,7 @@ func (d *Detector) onHeartbeat(src wire.NodeID, pkt *wire.Packet) {
 	}
 }
 
-func (d *Detector) onLeave(src wire.NodeID, pkt *wire.Packet) {
+func (d *Detector) onLeave(src wire.NodeID) {
 	if d.closed || src == d.self {
 		return
 	}

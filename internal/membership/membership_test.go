@@ -7,7 +7,6 @@ import (
 	"adamant/internal/env"
 	"adamant/internal/membership"
 	"adamant/internal/sim"
-	"adamant/internal/transport"
 	"adamant/internal/transport/transporttest"
 	"adamant/internal/wire"
 )
@@ -45,8 +44,7 @@ func newCluster(t *testing.T, n int, opts membership.DetectorOptions) *cluster {
 		c.fab.Endpoint(wire.NodeID(i))
 	}
 	for i := 0; i < n; i++ {
-		mux := transport.NewMux(c.fab.Endpoint(wire.NodeID(i)))
-		d, err := membership.NewDetector(e, mux, opts, nil)
+		d, err := membership.NewDetector(e, c.fab.Endpoint(wire.NodeID(i)), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +141,12 @@ func TestOnChangeCallback(t *testing.T) {
 	fab.Endpoint(1)
 	changes := 0
 	var last membership.View
-	muxA := transport.NewMux(fab.Endpoint(0))
-	if _, err := membership.NewDetector(e, muxA, membership.DetectorOptions{
+	if _, err := membership.NewDetector(e, fab.Endpoint(0), membership.DetectorOptions{
 		Interval: 10 * time.Millisecond,
 	}, func(v membership.View) { changes++; last = v }); err != nil {
 		t.Fatal(err)
 	}
-	muxB := transport.NewMux(fab.Endpoint(1))
-	if _, err := membership.NewDetector(e, muxB,
+	if _, err := membership.NewDetector(e, fab.Endpoint(1),
 		membership.DetectorOptions{Interval: 10 * time.Millisecond}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +171,7 @@ func TestDataPlaneHeartbeatsIgnored(t *testing.T) {
 	fab := transporttest.New(e, time.Millisecond)
 	fab.Endpoint(0)
 	fab.Endpoint(7)
-	mux := transport.NewMux(fab.Endpoint(0))
-	d, err := membership.NewDetector(e, mux, membership.DetectorOptions{
+	d, err := membership.NewDetector(e, fab.Endpoint(0), membership.DetectorOptions{
 		Interval: 10 * time.Millisecond,
 	}, nil)
 	if err != nil {

@@ -140,7 +140,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 			s.ids = append(s.ids, id)
 		}
 	}
-	transport.NewMux(cfg.Endpoint).Handle(wire.TypeAck, s.onAck)
+	cfg.Endpoint.SetHandler(s.onAck)
 	return s, nil
 }
 
@@ -252,7 +252,7 @@ func (s *Sender) fireRTO() {
 
 // onAck keeps working after Close so the final window drains.
 func (s *Sender) onAck(src wire.NodeID, pkt *wire.Packet) {
-	if pkt.Stream != s.Cfg.Stream {
+	if pkt.Type != wire.TypeAck || pkt.Stream != s.Cfg.Stream {
 		return
 	}
 	body, err := wire.DecodeAck(pkt.Payload)

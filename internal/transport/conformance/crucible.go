@@ -261,8 +261,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	for i := range readerNodes {
 		i := i
 		split := transport.NewSplitter(readerNodes[i])
-		ctlMux := transport.NewMux(split.Route(wire.ControlStream))
-		det, err := membership.NewDetector(readerNodes[i].Env(), ctlMux, membership.DetectorOptions{
+		det, err := membership.NewDetector(readerNodes[i].Env(), split.Route(wire.ControlStream), membership.DetectorOptions{
 			Interval:     cs.Heartbeat,
 			SuspectAfter: cs.Heartbeat * 7 / 2,
 			// Large groups answer JOINs with unicasts: the multicast

@@ -144,7 +144,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 		return nil, err
 	}
 	s := &Sender{SenderCore: core, hist: transport.NewHistory(opts.History), rtqSet: make(map[retransReq]bool)}
-	transport.NewMux(cfg.Endpoint).Handle(wire.TypeNak, s.onNak)
+	cfg.Endpoint.SetHandler(s.onNak)
 	s.StartHeartbeat(opts.HBInterval)
 	return s, nil
 }
@@ -167,7 +167,7 @@ func (s *Sender) Publish(payload []byte) error {
 // once — queue and drain at retransPace so the sender cannot flood its own
 // egress queue into drop-tail losses the receiver must re-NAK.
 func (s *Sender) onNak(src wire.NodeID, pkt *wire.Packet) {
-	if pkt.Stream != s.Cfg.Stream {
+	if pkt.Type != wire.TypeNak || pkt.Stream != s.Cfg.Stream {
 		return
 	}
 	body, err := wire.DecodeNak(pkt.Payload)

@@ -55,7 +55,7 @@ type Endpoint interface {
 	// endpoints.
 	ScaleCPU(d time.Duration) time.Duration
 	// SetHandler registers the receive callback. Only one handler is
-	// active; use a Mux to share an endpoint among consumers.
+	// active; a Splitter shares an endpoint among streams.
 	SetHandler(func(src wire.NodeID, pkt *wire.Packet))
 }
 
@@ -176,7 +176,7 @@ type Config struct {
 	// Env supplies time, timers, and named random streams.
 	Env env.Env
 	// Endpoint is the network attachment. Each protocol instance must own
-	// its endpoint handler; share endpoints via Mux.
+	// its endpoint handler; share endpoints among streams via a Splitter.
 	Endpoint Endpoint
 	// Stream identifies the data stream (topic) this instance serves.
 	Stream wire.StreamID
@@ -460,37 +460,6 @@ func (r *Registry) NewReceiver(spec Spec, cfg Config) (Receiver, error) {
 
 // ErrClosed is returned by operations on closed protocol instances.
 var ErrClosed = errors.New("transport: closed")
-
-// Mux fans one endpoint's receive handler out to multiple consumers by
-// packet type, so a membership detector and a protocol instance can share a
-// node's endpoint. Every handler registered for a type sees every packet of
-// that type; consumers filter by Stream themselves (wire.StreamID 0 is the
-// reserved control stream used by membership).
-type Mux struct {
-	ep     Endpoint
-	byType map[wire.Type][]func(src wire.NodeID, pkt *wire.Packet)
-}
-
-// NewMux wraps ep and installs itself as the endpoint handler.
-func NewMux(ep Endpoint) *Mux {
-	m := &Mux{ep: ep, byType: make(map[wire.Type][]func(src wire.NodeID, pkt *wire.Packet))}
-	ep.SetHandler(m.dispatch)
-	return m
-}
-
-// Handle adds h to the routes for packets of type t.
-func (m *Mux) Handle(t wire.Type, h func(src wire.NodeID, pkt *wire.Packet)) {
-	m.byType[t] = append(m.byType[t], h)
-}
-
-func (m *Mux) dispatch(src wire.NodeID, pkt *wire.Packet) {
-	for _, h := range m.byType[pkt.Type] {
-		h(src, pkt)
-	}
-}
-
-// Endpoint returns the wrapped endpoint (for senders that need Unicast etc).
-func (m *Mux) Endpoint() Endpoint { return m.ep }
 
 // StaticReceivers adapts a fixed receiver list to the Config.Receivers
 // field.

@@ -10,7 +10,6 @@ import (
 	"adamant/internal/sim"
 	"adamant/internal/transport"
 	"adamant/internal/transport/transporttest"
-	"adamant/internal/wire"
 )
 
 func TestSpecStringCanonical(t *testing.T) {
@@ -199,36 +198,6 @@ func TestConfigValidation(t *testing.T) {
 	c.Deliver = func(transport.Delivery) {}
 	if err := c.ValidateReceiver(); err != nil {
 		t.Errorf("receiver config: %v", err)
-	}
-}
-
-func TestMuxFanOut(t *testing.T) {
-	k := sim.New(1)
-	e := env.NewSim(k)
-	fab := transporttest.New(e, time.Millisecond)
-	a, b := fab.Endpoint(0), fab.Endpoint(1)
-	mux := transport.NewMux(b)
-
-	var dataA, dataB int
-	mux.Handle(wire.TypeData, func(wire.NodeID, *wire.Packet) { dataA++ })
-	mux.Handle(wire.TypeData, func(wire.NodeID, *wire.Packet) { dataB++ })
-
-	send := func(typ wire.Type) {
-		pkt := &wire.Packet{Type: typ, Src: 0, Stream: 1, Seq: 1, SentAt: k.Now()}
-		if err := a.Unicast(1, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(wire.TypeData)
-	send(wire.TypeNak)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if dataA != 1 || dataB != 1 {
-		t.Errorf("fan-out: handlers saw %d/%d, want 1/1", dataA, dataB)
-	}
-	if mux.Endpoint() != b {
-		t.Error("Mux.Endpoint() wrong")
 	}
 }
 
