@@ -195,12 +195,11 @@ type Network struct {
 	sh    *sim.Sharded
 	cfg   Config
 	nodes []*Node
-	// freeIn/freeRx recycle the per-packet dispatch records handed to
-	// env.ScheduleArg, so the emulator's hot path (one switch delivery and
-	// one CPU-done dispatch per hop) runs closure- and allocation-free in
-	// steady state. Single-threaded by the env serialization contract.
+	// freeIn recycles the switch-delivery records handed to env.ScheduleArg
+	// (Node.freeRx does the same for CPU-done dispatches), so the emulator's
+	// hot path runs closure- and allocation-free in steady state.
+	// Single-threaded by the env serialization contract.
 	freeIn []*inflight
-	freeRx []*rxDispatch
 }
 
 // maxFreeDispatch bounds the dispatch-record pools the same way the kernel
@@ -253,38 +252,20 @@ type rxDispatch struct {
 }
 
 // dispatchRx is the static ScheduleArg callback for receiver-CPU completion.
-// Sharded nodes recycle through their own lane-local pool; classic nodes
-// share the network pool as before.
+// The record goes back to its node's pool before the handler runs.
 func dispatchRx(a any) {
 	d := a.(*rxDispatch)
 	nd, src, pkt := d.nd, d.src, d.pkt
 	d.nd, d.pkt = nil, nil
-	if nd.lane >= 0 {
-		if len(nd.freeRx) < maxFreeDispatch {
-			nd.freeRx = append(nd.freeRx, d)
-		}
-	} else if len(nd.net.freeRx) < maxFreeDispatch {
-		nd.net.freeRx = append(nd.net.freeRx, d)
+	if len(nd.freeRx) < maxFreeDispatch {
+		nd.freeRx = append(nd.freeRx, d)
 	}
 	if nd.handler != nil {
 		nd.handler(src, pkt)
 	}
 }
 
-func (n *Network) getRx() *rxDispatch {
-	if ln := len(n.freeRx); ln > 0 {
-		d := n.freeRx[ln-1]
-		n.freeRx[ln-1] = nil
-		n.freeRx = n.freeRx[:ln-1]
-		return d
-	}
-	return &rxDispatch{}
-}
-
 func (nd *Node) getRx() *rxDispatch {
-	if nd.lane < 0 {
-		return nd.net.getRx()
-	}
 	if ln := len(nd.freeRx); ln > 0 {
 		d := nd.freeRx[ln-1]
 		nd.freeRx[ln-1] = nil
@@ -431,8 +412,8 @@ type Node struct {
 	machine   Machine
 	procScale float64
 	handler   func(src wire.NodeID, pkt *wire.Packet)
-	// freeRx is the lane-local dispatch pool used instead of the shared
-	// network pool when the node runs sharded.
+	// freeRx recycles the node's CPU-done dispatch records; per node, so a
+	// sharded node's pool is lane-local.
 	freeRx []*rxDispatch
 
 	lossPct   float64
