@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzRouteCommand -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzClientRead -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/ann
+	$(GO) test -run NONE -fuzz FuzzSigmoidExact -fuzztime $(FUZZTIME) ./internal/ann
 	$(GO) test -run NONE -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/netem/chaos
 	$(GO) test -run NONE -fuzz FuzzShardedKernel -fuzztime $(FUZZTIME) ./internal/netem/chaos
 	$(GO) test -run NONE -fuzz FuzzKernelOrder -fuzztime $(FUZZTIME) ./internal/sim
@@ -48,12 +49,14 @@ chaos:
 
 # bench runs the allocation-sensitive micro benchmarks with allocation
 # counters: the scheduler hot paths, the packet codec, the ANN inference and
-# training kernels (0 allocs/op on Run and Classify is the pin), and the
+# training kernels (0 allocs/op on Run and Classify is the pin) and the load
+# of the shipped model, the decision path over the paper's grid, and the
 # experiment engine end to end.
 bench:
 	$(GO) test -bench 'BenchmarkSchedule' -benchmem -run NONE ./internal/sim/
 	$(GO) test -bench 'BenchmarkPacket' -benchmem -run NONE ./internal/wire/
-	$(GO) test -bench 'BenchmarkRun|BenchmarkTrainEpoch' -benchmem -run NONE ./internal/ann/
+	$(GO) test -bench 'BenchmarkRun|BenchmarkTrainEpoch|BenchmarkLoadAdamant' -benchmem -run NONE ./internal/ann/
+	$(GO) test -bench 'BenchmarkSelectGrid' -benchmem -run NONE ./internal/core/
 	$(GO) test -bench 'BenchmarkANN' -benchmem -benchtime 100x -run NONE .
 	$(GO) test -bench 'BenchmarkRunMany|BenchmarkEndToEndSim' -benchmem -benchtime 3x -run NONE .
 

@@ -11,11 +11,11 @@
 //
 // Internally every per-connection array (weights, gradients, RPROP state)
 // lives in one contiguous backing slice, laid out as one [input weights,
-// bias] row per output neuron so the forward pass walks memory linearly.
+// bias] row per output neuron so the forward pass walks memory linearly;
+// one layer kernel, dense, serves Run, the batch calls and training.
 // The text save format and seeded weight initialization keep the package's
 // historical [in][out] column order, so saved models and seeds remain
-// bit-compatible with earlier versions; see DESIGN.md ("Flat-weight ANN
-// kernels").
+// bit-compatible with earlier versions; see DESIGN.md ("ANN fast path").
 package ann
 
 import (
@@ -33,7 +33,7 @@ import (
 // Size limits enforced by Validate (and therefore by Load): they keep a
 // malformed or hostile saved model from driving make() into a runtime
 // panic while allowing networks orders of magnitude larger than the
-// paper's 9-24-6 configurator.
+// shipped 10-24-7 configurator (data/adamant.ann).
 const (
 	maxLayerNeurons = 1 << 16
 	maxConnections  = 1 << 24
@@ -122,6 +122,27 @@ type Network struct {
 // New builds a network with random weights in [-0.1, 0.1] (FANN-style
 // randomization range).
 func New(cfg Config) (*Network, error) {
+	n, err := alloc(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for l := 0; l < len(n.layers)-1; l++ {
+		inN, outN := n.layers[l], n.layers[l+1]
+		base, rl := n.woff[l], inN+1
+		// Draw in the historical [in][out] order so a given seed yields
+		// exactly the weights it always has.
+		for k := 0; k < rl*outN; k++ {
+			n.weights[base+oldOrderIndex(k, inN, outN)] = (rng.Float64()*2 - 1) * 0.1
+		}
+	}
+	return n, nil
+}
+
+// alloc validates cfg and builds a network of its shape with zero weights:
+// the offsets, the weight array and the activation scratch. New fills the
+// weights from its seed, Load from the file.
+func alloc(cfg Config) (*Network, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -138,28 +159,14 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.woff[len(n.layers)-1] = total
 	n.weights = make([]float64, total)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for l := 0; l < len(n.layers)-1; l++ {
-		inN, outN := n.layers[l], n.layers[l+1]
-		base, rl := n.woff[l], inN+1
-		// Draw in the historical [in][out] order so a given seed yields
-		// exactly the weights it always has.
-		for k := 0; k < rl*outN; k++ {
-			n.weights[base+oldOrderIndex(k, inN, outN)] = (rng.Float64()*2 - 1) * 0.1
-		}
-	}
-	n.initScratch()
-	return n, nil
-}
-
-func (n *Network) initScratch() {
 	n.aoff = make([]int, len(n.layers))
-	total := 0
+	total = 0
 	for i, sz := range n.layers {
 		n.aoff[i] = total
 		total += sz
 	}
 	n.acts = make([]float64, total)
+	return n, nil
 }
 
 // Layers returns a copy of the layer sizes.
@@ -168,29 +175,60 @@ func (n *Network) Layers() []int { return append([]int(nil), n.layers...) }
 // NumConnections returns the total connection count including biases.
 func (n *Network) NumConnections() int { return n.woff[len(n.layers)-1] }
 
+// sigmoid is 1/(1+e^t) with t = -2·steepness·x. Where that rounds to
+// exactly 1 or 0 it returns the constant without calling math.Exp: for
+// t < -40, e^t < 4.3e-18 is below half an ulp of 1 (2^-53), so 1+e^t
+// rounds to 1; for t > 710, math.Exp overflows to +Inf (above ~709.78) and
+// 1/(1+Inf) is 0. NaN fails both tests and takes the formula.
 func (n *Network) sigmoid(x float64) float64 {
-	return 1 / (1 + math.Exp(-2*n.steepness*x))
+	t := -2 * n.steepness * x
+	if t < -40 {
+		return 1
+	}
+	if t > 710 {
+		return 0
+	}
+	return 1 / (1 + math.Exp(t))
+}
+
+// dense computes one layer, out[o] = sigmoid(row_o · in + bias_o), where w
+// holds one [input weights, bias] row per output. It runs four rows per
+// pass over in, so four independent addition chains overlap, yet each row
+// still performs the same additions in the same order as every earlier
+// version of this package: bias first, then the inputs in ascending order.
+func (n *Network) dense(in, out, w []float64) {
+	inN, rl := len(in), len(in)+1
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		b0, b1, b2, b3 := o*rl, (o+1)*rl, (o+2)*rl, (o+3)*rl
+		r0, r1, r2, r3 := w[b0:b0+rl:b0+rl], w[b1:b1+rl:b1+rl], w[b2:b2+rl:b2+rl], w[b3:b3+rl:b3+rl]
+		s0, s1, s2, s3 := r0[inN], r1[inN], r2[inN], r3[inN] // biases
+		for i, v := range in {
+			s0 += v * r0[i]
+			s1 += v * r1[i]
+			s2 += v * r2[i]
+			s3 += v * r3[i]
+		}
+		q := out[o : o+4 : o+4]
+		q[0], q[1], q[2], q[3] = n.sigmoid(s0), n.sigmoid(s1), n.sigmoid(s2), n.sigmoid(s3)
+	}
+	for ; o < len(out); o++ {
+		row := w[o*rl : o*rl+rl : o*rl+rl]
+		sum := row[inN] // bias
+		for i, v := range in {
+			sum += v * row[i]
+		}
+		out[o] = n.sigmoid(sum)
+	}
 }
 
 // forward computes the forward pass into the given activation scratch
-// (laid out like n.acts) and returns the output-layer slice. Bit-for-bit
-// it performs the same additions in the same order as every earlier
-// version of this package: bias first, then inputs in ascending order.
+// (laid out like n.acts) and returns the output-layer slice.
 func (n *Network) forward(acts []float64, input []float64) []float64 {
 	copy(acts[:n.layers[0]], input)
 	for l := 0; l < len(n.layers)-1; l++ {
-		in := acts[n.aoff[l] : n.aoff[l]+n.layers[l]]
-		out := acts[n.aoff[l+1] : n.aoff[l+1]+n.layers[l+1]]
-		w := n.weights[n.woff[l]:n.woff[l+1]]
-		rl := len(in) + 1
-		for o := range out {
-			row := w[o*rl : o*rl+rl : o*rl+rl]
-			sum := row[len(in)] // bias
-			for i, v := range in {
-				sum += v * row[i]
-			}
-			out[o] = n.sigmoid(sum)
-		}
+		n.dense(acts[n.aoff[l]:n.aoff[l]+n.layers[l]], acts[n.aoff[l+1]:n.aoff[l+1]+n.layers[l+1]],
+			n.weights[n.woff[l]:n.woff[l+1]])
 	}
 	return acts[n.aoff[len(n.layers)-1]:]
 }
@@ -316,7 +354,7 @@ func (n *Network) SaveFile(path string) error {
 // large allocation happens.
 func Load(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024) // grows from 4 KiB as lines demand
 	line := func() (string, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -357,7 +395,7 @@ func Load(r io.Reader) (*Network, error) {
 		}
 		layers = append(layers, v)
 	}
-	n, err := New(Config{Layers: layers, Steepness: steep})
+	n, err := alloc(Config{Layers: layers, Steepness: steep})
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,9 @@ const batchTile = 32
 // slice (valid only during the callback). Inputs must be pre-validated.
 // Staging a whole tile through one activation slab amortizes validation,
 // slice setup, and per-call overhead across samples while keeping the
-// weight matrix L1-resident for the whole tile; every dot product still
-// performs the same additions in the same order as Run, so outputs are
-// bit-identical to per-sample calls.
+// weight matrix L1-resident for the whole tile; every sample goes through
+// the same dense kernel as Run, so outputs are bit-identical to per-sample
+// calls.
 func (n *Network) runTiled(inputs [][]float64, emit func(sample int, out []float64)) {
 	tile := min(batchTile, len(inputs))
 	need := tile * len(n.acts)
@@ -35,21 +35,11 @@ func (n *Network) runTiled(inputs [][]float64, emit func(sample int, out []float
 		}
 		for l := 0; l < last; l++ {
 			inN, outN := n.layers[l], n.layers[l+1]
-			rl := inN + 1
 			w := n.weights[n.woff[l]:n.woff[l+1]]
 			inB := b[tile*n.aoff[l] : tile*n.aoff[l]+cnt*inN]
 			outB := b[tile*n.aoff[l+1] : tile*n.aoff[l+1]+cnt*outN]
 			for s := 0; s < cnt; s++ {
-				inRow := inB[s*inN : s*inN+inN : s*inN+inN]
-				outRow := outB[s*outN : s*outN+outN : s*outN+outN]
-				for o := range outRow {
-					row := w[o*rl : o*rl+rl : o*rl+rl]
-					sum := row[inN] // bias
-					for i, v := range inRow {
-						sum += v * row[i]
-					}
-					outRow[o] = n.sigmoid(sum)
-				}
+				n.dense(inB[s*inN:s*inN+inN:s*inN+inN], outB[s*outN:s*outN+outN:s*outN+outN], w)
 			}
 		}
 		outN := n.layers[last]

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,36 @@ func FuzzLoad(f *testing.F) {
 		}
 		if _, err := Load(&buf); err != nil {
 			t.Fatalf("re-Load of Save output: %v", err)
+		}
+	})
+}
+
+// FuzzSigmoidExact checks that the saturated branches of sigmoid return
+// exactly what the formula computes: the same bits for every steepness and
+// input, NaN matching NaN.
+func FuzzSigmoidExact(f *testing.F) {
+	for _, x := range []float64{0, 1, -1, 40, -40, 710, -710, 709.78, -709.78, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(0.5, x)
+	}
+	// The two thresholds of t = -2·s·x, and their neighbours, at s = 0.5.
+	for _, t := range []float64{-40, 710} {
+		f.Add(0.5, -t)
+		f.Add(0.5, math.Nextafter(-t, math.Inf(1)))
+		f.Add(0.5, math.Nextafter(-t, math.Inf(-1)))
+	}
+	f.Add(0.0, math.Inf(1))
+	f.Add(1e300, 1e300)
+	f.Add(math.Inf(1), 0.0)
+	f.Add(-0.7, 814.0)
+	f.Fuzz(func(t *testing.T, s, x float64) {
+		n := &Network{steepness: s}
+		got, want := n.sigmoid(x), 1/(1+math.Exp(-2*s*x))
+		if math.IsNaN(got) && math.IsNaN(want) {
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sigmoid(%v) at steepness %v = %v (%#x), formula gives %v (%#x)",
+				x, s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }

@@ -54,9 +54,9 @@ func (m Metric) String() string {
 // Metrics returns both composite metrics in stable order.
 func Metrics() []Metric { return []Metric{MetricReLate2, MetricReLate2Jit} }
 
-// candidates is the fixed selection space, built once; candidateIndex maps
-// each candidate's canonical spec string to its position. Both back the
-// decision hot path, which must not allocate.
+// candidates is the fixed selection space, built once; candidateParams
+// holds each candidate's params as key/value pairs, in candidates order.
+// Both back the decision hot path, which must not allocate.
 var (
 	candidates = []transport.Spec{
 		nakcast.Spec(50 * time.Millisecond),
@@ -67,12 +67,14 @@ var (
 		ricochet.Spec(8, 3),
 		fountcast.Spec(fountcast.DefaultK, fountcast.DefaultOverheadPct),
 	}
-	candidateIndex = func() map[string]int {
-		m := make(map[string]int, len(candidates))
+	candidateParams = func() [][][2]string {
+		ps := make([][][2]string, len(candidates))
 		for i, c := range candidates {
-			m[c.String()] = i
+			for k, v := range c.Params {
+				ps[i] = append(ps[i], [2]string{k, v})
+			}
 		}
-		return m
+		return ps
 	}()
 )
 
@@ -88,28 +90,22 @@ func Candidates() []transport.Spec {
 // NumCandidates is the size of the selection space (the ANN output width).
 const NumCandidates = 7
 
-// CandidateIndex returns the index of spec within Candidates. The common
-// case — spec structurally equal to a candidate — is an allocation-free
-// field comparison; specs whose params render to the same canonical string
-// through a different map instance fall back to the precomputed index.
+// CandidateIndex returns the index of spec within Candidates: the
+// candidate with spec's name and exactly spec's params, whichever map
+// instance holds them. It looks each of the candidate's precomputed pairs
+// up in spec.Params and allocates nothing.
 func CandidateIndex(spec transport.Spec) (int, error) {
-	for i := range candidates {
-		if specEqual(candidates[i], spec) {
+	for i, ps := range candidateParams {
+		if candidates[i].Name == spec.Name && len(ps) == len(spec.Params) && hasParams(spec.Params, ps) {
 			return i, nil
 		}
-	}
-	if i, ok := candidateIndex[spec.String()]; ok {
-		return i, nil
 	}
 	return 0, fmt.Errorf("core: %s is not a candidate protocol", spec)
 }
 
-func specEqual(a, b transport.Spec) bool {
-	if a.Name != b.Name || len(a.Params) != len(b.Params) {
-		return false
-	}
-	for k, v := range a.Params {
-		if b.Params[k] != v {
+func hasParams(p transport.Params, kvs [][2]string) bool {
+	for _, kv := range kvs {
+		if v, ok := p[kv[0]]; !ok || v != kv[1] {
 			return false
 		}
 	}

@@ -128,3 +128,47 @@ func TestHybridSelectorNilTable(t *testing.T) {
 		t.Errorf("table-hit without ANN = %v, %v; want table answer", spec, err)
 	}
 }
+
+// BenchmarkSelectGrid runs the decision path of the shipped model over the
+// paper's grid: every Table 1 machine, bandwidth, implementation and loss
+// rate, every Table 2 receiver count and rate, both metrics (2 400 points),
+// a Select and a CandidateIndex per point. One op is the whole grid.
+func BenchmarkSelectGrid(b *testing.B) {
+	net, err := ann.LoadFile("../../data/adamant.ann")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel, err := core.NewANNSelector(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var grid []core.Features
+	for _, m := range []netem.Machine{netem.PC850, netem.PC3000} {
+		for _, bw := range []netem.Bandwidth{netem.Mbps10, netem.Mbps100, netem.Gbps1} {
+			for _, im := range dds.Impls() {
+				for loss := 1; loss <= 5; loss++ {
+					for _, recv := range []int{3, 6, 9, 12, 15} {
+						for _, rate := range []float64{10, 25, 50, 100} {
+							for _, metric := range core.Metrics() {
+								grid = append(grid, core.FeaturesFor(m, bw, im, float64(loss), recv, rate, metric))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range grid {
+			spec, err := sel.Select(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.CandidateIndex(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package transport_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"adamant/internal/env"
 	"adamant/internal/sim"
 	"adamant/internal/transport"
+	"adamant/internal/transport/nakcast"
 	"adamant/internal/transport/protocols"
 	"adamant/internal/wire"
 )
@@ -152,5 +154,39 @@ func TestPublishAllocs(t *testing.T) {
 				t.Errorf("%s publish path: %.1f allocs per 100 publishes, want <= %.1f", tc.spec, got, tc.max)
 			}
 		})
+	}
+}
+
+// TestNewSenderBytes pins what a default nakcast sender allocates before its
+// first publish. Its 16 384-sample history comes one page at a time with the
+// samples that fill it, so building a sender, as every rebind does, does not
+// pay for the whole ring up front.
+func TestNewSenderBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured path")
+	}
+	opts, err := nakcast.ParseOptions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	e := env.NewSim(sim.New(1))
+	eps := make([]loopEndpoint, runs+1)
+	newSender := func(i int) {
+		if _, err := nakcast.NewSender(transport.Config{Env: e, Endpoint: &eps[i], Stream: 1}, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newSender(runs) // warm: the kernel's queue
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		newSender(i)
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("nakcast.NewSender: %d B", per)
+	if per >= 4<<10 {
+		t.Errorf("nakcast.NewSender allocates %d B before its first publish, want < 4 KiB", per)
 	}
 }

@@ -116,12 +116,18 @@ func (c *SenderCore) Close() error {
 }
 
 // History is a sender's retransmission ring: the latest samples, each in
-// slot seq % length until a later seq evicts it.
+// slot seq % Len() until a later seq evicts it. Slots are allocated a page
+// at a time on the page's first write, so building a sender (as every
+// rebind does) costs no ring; Len stays the full length, the cap ackcast
+// puts on a rejoining receiver's backlog.
 type History struct {
-	ring   []histEntry
+	n      uint64
+	pages  [][]histEntry
 	src    wire.NodeID
 	stream wire.StreamID
 }
+
+const histPage = 1024 // slots per page
 
 type histEntry struct {
 	seq     uint64
@@ -130,28 +136,44 @@ type histEntry struct {
 }
 
 // NewHistory returns a ring of n samples.
-func NewHistory(n int) History { return History{ring: make([]histEntry, n)} }
+func NewHistory(n int) History {
+	return History{n: uint64(n), pages: make([][]histEntry, (n+histPage-1)/histPage)}
+}
 
 // Len returns the ring's length in samples.
-func (h *History) Len() uint64 { return uint64(len(h.ring)) }
+func (h *History) Len() uint64 { return h.n }
 
 // Put records a data packet.
 func (h *History) Put(pkt *wire.Packet) {
 	h.src, h.stream = pkt.Src, pkt.Stream
-	h.ring[pkt.Seq%h.Len()] = histEntry{seq: pkt.Seq, sentAt: pkt.SentAt, payload: pkt.Payload}
+	i := pkt.Seq % h.n
+	page := &h.pages[i/histPage]
+	if *page == nil {
+		*page = make([]histEntry, min(histPage, h.n-i/histPage*histPage))
+	}
+	(*page)[i%histPage] = histEntry{seq: pkt.Seq, sentAt: pkt.SentAt, payload: pkt.Payload}
+}
+
+// held returns seq's entry, or nil if seq is 0 or not held.
+func (h *History) held(seq uint64) *histEntry {
+	i := seq % h.n
+	if page := h.pages[i/histPage]; seq != 0 && page != nil && page[i%histPage].seq == seq {
+		return &page[i%histPage]
+	}
+	return nil
 }
 
 // Has reports whether seq is held: recorded and not yet evicted. Seq 0 is
 // never held.
-func (h *History) Has(seq uint64) bool { return seq != 0 && h.ring[seq%h.Len()].seq == seq }
+func (h *History) Has(seq uint64) bool { return h.held(seq) != nil }
 
 // Retrans returns the retransmission of seq, carrying its original send
 // time so latency stays end to end, or nil if seq is not held.
 func (h *History) Retrans(seq uint64) *wire.Packet {
-	if !h.Has(seq) {
+	e := h.held(seq)
+	if e == nil {
 		return nil
 	}
-	e := h.ring[seq%h.Len()]
 	return &wire.Packet{
 		Type:    wire.TypeRetrans,
 		Src:     h.src,
