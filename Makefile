@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-contract bench-pair check docs fmt fuzz-smoke chaos loc
+.PHONY: tier1 race bench bench-contract bench-pair pins check docs fmt fuzz-smoke chaos loc
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -74,6 +74,12 @@ WORKLOAD ?= fanout_small
 PAIRS ?= 10
 bench-pair:
 	scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS)
+
+# pins builds REF and the working tree and cmp's the output of the figure,
+# ablation, dataset, adaptation and sharded-sim commands whose bytes must not
+# move (scripts/pins.sh).
+pins:
+	scripts/pins.sh $(REF)
 
 # docs fails when README.md, DESIGN.md or EXPERIMENTS.md cites a ./cmd,
 # ./internal or ./examples path or a make target that does not exist.

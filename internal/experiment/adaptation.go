@@ -20,13 +20,10 @@ import (
 
 	"adamant/internal/core"
 	"adamant/internal/dds"
-	"adamant/internal/env"
 	"adamant/internal/metrics"
 	"adamant/internal/netem"
 	"adamant/internal/sim"
 	"adamant/internal/transport"
-	"adamant/internal/transport/protocols"
-	"adamant/internal/wire"
 )
 
 // DriftPhase is one leg of a drifting environment: the writer publishes
@@ -95,35 +92,28 @@ func (c *AdaptationConfig) fillDefaults() {
 	}
 }
 
+// validate checks each phase as the steady run it calibrates, so one
+// Config.Validate covers both.
 func (c AdaptationConfig) validate() error {
 	if len(c.Phases) < 1 {
 		return errors.New("experiment: adaptation needs at least one phase")
 	}
 	for i, p := range c.Phases {
-		if p.Samples < 1 || p.RateHz <= 0 || p.LossPct < 0 || p.LossPct > 100 {
-			return fmt.Errorf("experiment: adaptation phase %d invalid: %+v", i, p)
+		if err := c.cell(p, transport.Spec{}, 0).Validate(); err != nil {
+			return fmt.Errorf("adaptation phase %d: %w", i, err)
 		}
-	}
-	if c.Receivers < 1 {
-		return errors.New("experiment: adaptation needs at least one receiver")
 	}
 	return nil
 }
 
-func (c AdaptationConfig) totalSamples() int {
-	total := 0
-	for _, p := range c.Phases {
-		total += p.Samples
+// cell is phase p held steady as one run of spec: the calibration sweep
+// runs it as is, and the drift runs start from phase 0's.
+func (c AdaptationConfig) cell(p DriftPhase, spec transport.Spec, seed int64) Config {
+	return Config{
+		Machine: c.Machine, Bandwidth: c.Bandwidth, Impl: c.Impl,
+		LossPct: p.LossPct, Receivers: c.Receivers, RateHz: p.RateHz,
+		Samples: p.Samples, PayloadBytes: c.PayloadBytes, Protocol: spec, Seed: seed,
 	}
-	return total
-}
-
-func (c AdaptationConfig) publishTime() time.Duration {
-	var total time.Duration
-	for _, p := range c.Phases {
-		total += time.Duration(p.Samples) * p.period()
-	}
-	return total
 }
 
 func (c AdaptationConfig) features(p DriftPhase) core.Features {
@@ -227,12 +217,7 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 	for pi, p := range cfg.Phases {
 		best, bestScore := 0, 0.0
 		for ci, spec := range cands {
-			ss, err := RunN(Config{
-				Machine: cfg.Machine, Bandwidth: cfg.Bandwidth, Impl: cfg.Impl,
-				LossPct: p.LossPct, Receivers: cfg.Receivers, RateHz: p.RateHz,
-				Samples: p.Samples, PayloadBytes: cfg.PayloadBytes, Protocol: spec,
-				Seed: sim.DeriveSeed(cfg.Seed, fmt.Sprintf("adapt-cal-%d-%d", pi, ci)),
-			}, 3)
+			ss, err := RunN(cfg.cell(p, spec, sim.DeriveSeed(cfg.Seed, fmt.Sprintf("adapt-cal-%d-%d", pi, ci))), 3)
 			if err != nil {
 				return AdaptationReport{}, fmt.Errorf("calibrating phase %d with %s: %w", pi, spec, err)
 			}
@@ -244,9 +229,16 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 		table.Put(cfg.features(p), cands[best])
 	}
 
+	// Both drift runs play the whole script from phase 0's steady cell, on a
+	// seed drawn from the spec they boot on.
+	drift := func(spec transport.Spec, adapt *adaptation) (cellResult, error) {
+		seed := sim.DeriveSeed(cfg.Seed, "adapt-drift-"+spec.String())
+		return runCell(cfg.cell(cfg.Phases[0], spec, seed), cfg.Phases, adapt)
+	}
+
 	// Static baselines: every candidate rides out the full drift unchanged.
 	for ci, spec := range cands {
-		res, err := runDrift(cfg, spec, nil)
+		res, err := drift(spec, nil)
 		if err != nil {
 			return AdaptationReport{}, fmt.Errorf("static %s: %w", spec, err)
 		}
@@ -260,7 +252,11 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 
 	// The adaptive run: boot on phase 0's winner, let the adaptor re-query
 	// the table when the environment drifts and hot-swap the live writers.
-	res, err := runDrift(cfg, report.PhaseWinners[0], table)
+	res, err := drift(report.PhaseWinners[0], &adaptation{
+		selector: table,
+		initial:  cfg.features(cfg.Phases[0]),
+		opts:     core.AdaptorOptions{Interval: cfg.Interval, Cooldown: cfg.Cooldown},
+	})
 	if err != nil {
 		return AdaptationReport{}, fmt.Errorf("adaptive run: %w", err)
 	}
@@ -270,184 +266,4 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 	report.SwitchAt = res.switchAt
 	report.DrainLatencyMax = res.drains
 	return report, nil
-}
-
-// driftResult is one drifting run's outcome.
-type driftResult struct {
-	summary  metrics.Summary
-	switches []core.SwitchRecord
-	switchAt []time.Duration // sim time of each switch, relative to start
-	drains   []time.Duration // per superseded generation, slowest receiver
-}
-
-// runDrift plays the drift script over a live DDS stack. With a nil
-// selector the transport stays fixed (a static baseline); with a selector
-// an Adaptor watches the drift and a Rebinder hot-swaps the writer's
-// transport mid-run.
-func runDrift(cfg AdaptationConfig, initial transport.Spec, selector core.Selector) (driftResult, error) {
-	kernel := sim.New(sim.DeriveSeed(cfg.Seed, "adapt-drift-"+initial.String()))
-	totalSamples := cfg.totalSamples()
-	var start time.Time
-	kernel.SetEventLimit(uint64(totalSamples)*uint64(cfg.Receivers)*200 + 10_000_000)
-	e := env.NewSim(kernel)
-	start = e.Now()
-	network, err := netem.New(e, netem.Config{Bandwidth: cfg.Bandwidth})
-	if err != nil {
-		return driftResult{}, err
-	}
-	reg := protocols.MustRegistry()
-
-	writerNode := network.AddNode(cfg.Machine)
-	readerNodes := make([]*netem.Node, cfg.Receivers)
-	readerIDs := make([]wire.NodeID, cfg.Receivers)
-	for i := range readerNodes {
-		readerNodes[i] = network.AddNode(cfg.Machine)
-		readerNodes[i].SetLoss(cfg.Phases[0].LossPct)
-		readerIDs[i] = readerNodes[i].Local()
-	}
-	receivers := transport.StaticReceivers(readerIDs...)
-
-	mkParticipant := func(node *netem.Node) (*dds.DomainParticipant, error) {
-		return dds.NewParticipant(dds.ParticipantConfig{
-			Env: e, Endpoint: node, Registry: reg, Transport: initial,
-			Impl: cfg.Impl, SenderID: writerNode.Local(), Receivers: receivers,
-		})
-	}
-	writerP, err := mkParticipant(writerNode)
-	if err != nil {
-		return driftResult{}, err
-	}
-	topic, err := writerP.CreateTopic(topicName, dds.TopicQoS{Reliability: dds.Reliable})
-	if err != nil {
-		return driftResult{}, err
-	}
-	writer, err := writerP.CreateDataWriter(topic, dds.WriterQoS{Reliability: dds.Reliable})
-	if err != nil {
-		return driftResult{}, err
-	}
-	collectors := make([]metrics.Collector, cfg.Receivers)
-	tail := metrics.NewLatencyTail()
-	readers := make([]*dds.DataReader, cfg.Receivers)
-	for i := range readerNodes {
-		i := i
-		p, err := mkParticipant(readerNodes[i])
-		if err != nil {
-			return driftResult{}, err
-		}
-		rt, err := p.CreateTopic(topicName, dds.TopicQoS{Reliability: dds.Reliable})
-		if err != nil {
-			return driftResult{}, err
-		}
-		readers[i], err = p.CreateDataReader(rt, dds.ReaderQoS{Reliability: dds.Reliable, History: dds.KeepLast, Depth: 1},
-			dds.ListenerFuncs{Data: func(s dds.Sample) {
-				collectors[i].OnDeliver(s.Info.SentAt, s.Info.ReceivedAt, s.Info.Recovered)
-				tail.Add(float64(s.Info.Latency()) / float64(time.Microsecond))
-			}})
-		if err != nil {
-			return driftResult{}, err
-		}
-	}
-
-	// The drift script: phase index advances as samples go out; each phase
-	// boundary re-sets every receiver's loss. phase is read by both the
-	// publish tick and the adaptor's observe callback (serial env context).
-	phase := 0
-	var rebinder *core.Rebinder
-	var adaptor *core.Adaptor
-	if selector != nil {
-		rebinder, err = core.NewRebinder(e, writerP)
-		if err != nil {
-			return driftResult{}, err
-		}
-		adaptor, err = core.NewAdaptor(e, selector,
-			core.Decision{Features: cfg.features(cfg.Phases[0]), Spec: initial},
-			func() core.Observation {
-				p := cfg.Phases[phase]
-				return core.Observation{Receivers: cfg.Receivers, RateHz: p.RateHz, LossPct: p.LossPct}
-			},
-			rebinder.Reconfigure,
-			core.AdaptorOptions{Interval: cfg.Interval, Cooldown: cfg.Cooldown})
-		if err != nil {
-			return driftResult{}, err
-		}
-	}
-
-	payload := make([]byte, cfg.PayloadBytes)
-	rng := kernel.Rand("experiment/payload")
-	published, phaseSent := 0, 0
-	var writeErr error
-	var tick func()
-	tick = func() {
-		if published >= totalSamples {
-			writeErr = writer.Close()
-			return
-		}
-		if phaseSent >= cfg.Phases[phase].Samples {
-			phase++
-			phaseSent = 0
-			for _, n := range readerNodes {
-				n.SetLoss(cfg.Phases[phase].LossPct)
-			}
-		}
-		rng.Read(payload)
-		if err := writer.Write(payload); err != nil {
-			writeErr = err
-			return
-		}
-		published++
-		phaseSent++
-		e.Schedule(cfg.Phases[phase].period(), tick)
-	}
-	e.Post(tick)
-
-	// The adaptor re-arms its check timer forever, so the kernel cannot
-	// simply drain: run past the publish window, stop the adaptor, then
-	// drain the rest (tail recovery, swap announcements) to quiescence.
-	if err := kernel.RunFor(cfg.publishTime() + 5*time.Second); err != nil {
-		return driftResult{}, err
-	}
-	if adaptor != nil {
-		if err := adaptor.Close(); err != nil {
-			return driftResult{}, err
-		}
-	}
-	if err := kernel.Run(); err != nil {
-		return driftResult{}, err
-	}
-	if writeErr != nil {
-		return driftResult{}, writeErr
-	}
-
-	var merged metrics.Collector
-	var bw metrics.Bandwidth
-	for i := range collectors {
-		merged.Merge(&collectors[i])
-		bw.Merge(readerNodes[i].RxBandwidth())
-	}
-	res := driftResult{}
-	res.summary = merged.Summary(uint64(totalSamples) * uint64(cfg.Receivers))
-	res.summary.P50LatencyUs, res.summary.P95LatencyUs, res.summary.P99LatencyUs = tail.Snapshot()
-	res.summary.Bytes = bw.Total()
-	res.summary.AvgBps = bw.MeanRate()
-	res.summary.BurstinessBps = bw.Burstiness()
-	if rebinder != nil {
-		res.switches = rebinder.Switches()
-		for _, sw := range res.switches {
-			res.switchAt = append(res.switchAt, sw.At.Sub(start))
-		}
-		// Drain cost of superseded generation k = the slowest receiver's
-		// DrainLatency for epoch k.
-		for k := 0; k < len(res.switches); k++ {
-			var max time.Duration
-			for _, r := range readers {
-				for _, ep := range r.TransportEpochs() {
-					if int(ep.Epoch) == k && ep.Done && ep.DrainLatency > max {
-						max = ep.DrainLatency
-					}
-				}
-			}
-			res.drains = append(res.drains, max)
-		}
-	}
-	return res, nil
 }

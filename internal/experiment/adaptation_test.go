@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"testing"
-	"time"
 
 	"adamant/internal/core"
 )
@@ -67,23 +66,25 @@ func TestAdaptationFigure(t *testing.T) {
 	}
 }
 
-// TestAdaptationConfigValidation pins the input checks.
+// TestAdaptationConfigValidation pins the input checks. Each is rejected
+// before anything runs: a negative payload used to panic inside a Runner
+// worker goroutine.
 func TestAdaptationConfigValidation(t *testing.T) {
 	bad := []AdaptationConfig{
 		{Phases: []DriftPhase{{Samples: 0, RateHz: 50}}},
 		{Phases: []DriftPhase{{Samples: 10, RateHz: -1}}},
 		{Phases: []DriftPhase{{Samples: 10, RateHz: 50, LossPct: 120}}},
+		{PayloadBytes: -1},
 	}
 	for i, cfg := range bad {
-		cfg.fillDefaults()
-		if err := cfg.validate(); err == nil {
+		if _, err := RunAdaptationFigure(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
 }
 
-// TestDriftStaticMatchesSteadyPhases sanity-checks the drift harness
-// itself: a single-phase "drift" is just a steady run and must deliver
+// TestDriftStaticMatchesSteadyPhases pins that a static drift is the steady
+// run: a one-phase drift gives RunDetailed's summary exactly and delivers
 // everything on a reliable transport.
 func TestDriftStaticMatchesSteadyPhases(t *testing.T) {
 	cfg := AdaptationConfig{
@@ -91,7 +92,8 @@ func TestDriftStaticMatchesSteadyPhases(t *testing.T) {
 		Phases: []DriftPhase{{Samples: 200, RateHz: 100, LossPct: 2}},
 	}
 	cfg.fillDefaults()
-	res, err := runDrift(cfg, core.Candidates()[3], nil)
+	cell := cfg.cell(cfg.Phases[0], core.Candidates()[3], 5)
+	res, err := runCell(cell, cfg.Phases, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,5 +103,11 @@ func TestDriftStaticMatchesSteadyPhases(t *testing.T) {
 	if len(res.switches) != 0 {
 		t.Errorf("static run recorded switches: %+v", res.switches)
 	}
-	_ = time.Second
+	steady, _, err := RunDetailed(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steady != res.summary {
+		t.Errorf("one-phase drift %+v, steady run %+v", res.summary, steady)
+	}
 }

@@ -105,6 +105,9 @@ func (c Config) Validate() error {
 	if c.Samples < 1 {
 		return errors.New("experiment: need at least one sample")
 	}
+	if c.PayloadBytes < 0 {
+		return errors.New("experiment: negative payload size")
+	}
 	if c.Shards < 0 {
 		return errors.New("experiment: negative shard count")
 	}
@@ -150,10 +153,11 @@ func Run(cfg Config) (metrics.Summary, error) {
 	return s, err
 }
 
-// simDriver is the engine surface RunDetailed needs: the serial Kernel and
+// simDriver is the engine surface the run loop needs: the serial Kernel and
 // the sharded conservative-time engine both satisfy it.
 type simDriver interface {
 	SetEventLimit(n uint64)
+	RunFor(d time.Duration) error
 	Run() error
 }
 
@@ -162,6 +166,42 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return metrics.Summary{}, NetReport{}, err
+	}
+	res, err := runCell(cfg, []DriftPhase{{cfg.Samples, cfg.RateHz, cfg.LossPct}}, nil)
+	return res.summary, res.report, err
+}
+
+// adaptation makes a run adaptive: an Adaptor that starts from the initial
+// features and re-queries selector when the drift crosses its tolerances,
+// and a Rebinder that hot-swaps the writer's transport on each new decision.
+type adaptation struct {
+	selector core.Selector
+	initial  core.Features
+	opts     core.AdaptorOptions
+}
+
+// cellResult is one run's outcome.
+type cellResult struct {
+	summary  metrics.Summary
+	report   NetReport
+	switches []core.SwitchRecord
+	switchAt []time.Duration // sim time of each switch, relative to start
+	drains   []time.Duration // per superseded generation, slowest receiver
+}
+
+// runCell is the one run loop behind every experiment: a writer and
+// cfg.Receivers readers on the emulated LAN, the writer publishing the
+// phases in order. Each phase sets the publish rate and every reader's loss;
+// cfg's own Samples, RateHz and LossPct only name the run in errors. A
+// steady run is one phase. With adapt set, an Adaptor watches the
+// drift and a Rebinder hot-swaps the writer's transport mid-run. Only the
+// classic engine runs more than one phase: AdaptationConfig has no Shards.
+func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, error) {
+	total := 0
+	var publishTime time.Duration
+	for _, p := range phases {
+		total += p.Samples
+		publishTime += time.Duration(p.Samples) * p.period()
 	}
 	var (
 		network *netem.Network
@@ -180,12 +220,12 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 		drv = kernel
 	}
 	if err != nil {
-		return metrics.Summary{}, NetReport{}, err
+		return cellResult{}, err
 	}
 	// The sharded engine fires one arrival event per multicast target where
 	// the serial kernel loops all targets in one event, so give it double
 	// headroom.
-	limit := uint64(cfg.Samples)*uint64(cfg.Receivers)*200 + 10_000_000
+	limit := uint64(total)*uint64(cfg.Receivers)*200 + 10_000_000
 	if cfg.Shards > 0 {
 		limit *= 2
 	}
@@ -197,7 +237,7 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 	readerIDs := make([]wire.NodeID, cfg.Receivers)
 	for i := range readerNodes {
 		readerNodes[i] = network.AddNode(cfg.Machine)
-		readerNodes[i].SetLoss(cfg.LossPct)
+		readerNodes[i].SetLoss(phases[0].LossPct)
 		if cfg.BurstPGB > 0 {
 			readerNodes[i].SetBurstLoss(cfg.BurstPGB, cfg.BurstPBG, cfg.BurstDropBad)
 		}
@@ -220,15 +260,15 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 	}
 	writerP, err := mkParticipant(writerNode)
 	if err != nil {
-		return metrics.Summary{}, NetReport{}, err
+		return cellResult{}, err
 	}
 	topic, err := writerP.CreateTopic(topicName, dds.TopicQoS{Reliability: dds.Reliable})
 	if err != nil {
-		return metrics.Summary{}, NetReport{}, err
+		return cellResult{}, err
 	}
 	writer, err := writerP.CreateDataWriter(topic, dds.WriterQoS{Reliability: dds.Reliable})
 	if err != nil {
-		return metrics.Summary{}, NetReport{}, err
+		return cellResult{}, err
 	}
 	collectors := make([]metrics.Collector, cfg.Receivers)
 	tail := metrics.NewLatencyTail()
@@ -240,17 +280,18 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 	if cfg.Shards > 0 {
 		latencies = make([][]float64, cfg.Receivers)
 	}
+	readers := make([]*dds.DataReader, cfg.Receivers)
 	for i := range readerNodes {
 		i := i
 		p, err := mkParticipant(readerNodes[i])
 		if err != nil {
-			return metrics.Summary{}, NetReport{}, err
+			return cellResult{}, err
 		}
 		rt, err := p.CreateTopic(topicName, dds.TopicQoS{Reliability: dds.Reliable})
 		if err != nil {
-			return metrics.Summary{}, NetReport{}, err
+			return cellResult{}, err
 		}
-		if _, err := p.CreateDataReader(rt, dds.ReaderQoS{Reliability: dds.Reliable, History: dds.KeepLast, Depth: 1},
+		readers[i], err = p.CreateDataReader(rt, dds.ReaderQoS{Reliability: dds.Reliable, History: dds.KeepLast, Depth: 1},
 			dds.ListenerFuncs{Data: func(s dds.Sample) {
 				collectors[i].OnDeliver(s.Info.SentAt, s.Info.ReceivedAt, s.Info.Recovered)
 				lat := float64(s.Info.Latency()) / float64(time.Microsecond)
@@ -259,29 +300,58 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 				} else {
 					tail.Add(lat)
 				}
-			}}); err != nil {
-			return metrics.Summary{}, NetReport{}, err
+			}})
+		if err != nil {
+			return cellResult{}, err
 		}
 	}
 
-	// Publish Samples samples at RateHz, then close the writer (EOS). The
-	// payload stream derives from (seed, name) alone, so the writer lane's
-	// kernel hands out the same bytes the serial kernel would.
-	period := time.Duration(float64(time.Second) / cfg.RateHz)
+	// phase advances as samples go out. The publish tick and the adaptor's
+	// observe callback both read it, on the writer's env.
+	writerEnv := writerNode.Env()
+	start := writerEnv.Now()
+	phase := 0
+	var rebinder *core.Rebinder
+	var adaptor *core.Adaptor
+	if adapt != nil {
+		if rebinder, err = core.NewRebinder(writerEnv, writerP); err != nil {
+			return cellResult{}, err
+		}
+		adaptor, err = core.NewAdaptor(writerEnv, adapt.selector,
+			core.Decision{Features: adapt.initial, Spec: cfg.Protocol},
+			func() core.Observation {
+				p := phases[phase]
+				return core.Observation{Receivers: cfg.Receivers, RateHz: p.RateHz, LossPct: p.LossPct}
+			},
+			rebinder.Reconfigure, adapt.opts)
+		if err != nil {
+			return cellResult{}, err
+		}
+	}
+
+	// Publish the phases, then close the writer (EOS). The payload stream
+	// derives from (seed, name) alone, so the writer lane's kernel hands out
+	// the same bytes the serial kernel would.
 	payload := make([]byte, cfg.PayloadBytes)
 	payloadKernel := kernel
 	if payloadKernel == nil {
 		payloadKernel = network.Sharded().LaneKernel(writerNode.Lane())
 	}
 	rng := payloadKernel.Rand("experiment/payload")
-	writerEnv := writerNode.Env()
-	published := 0
+	published, phaseSent := 0, 0
 	var writeErr error
 	var tick func()
 	tick = func() {
-		if published >= cfg.Samples {
+		if published >= total {
 			writeErr = writer.Close()
 			return
+		}
+		if phaseSent >= phases[phase].Samples {
+			phase++
+			phaseSent = 0
+			for _, n := range readerNodes {
+				n.SetLoss(phases[phase].LossPct)
+			}
 		}
 		rng.Read(payload)
 		if err := writer.Write(payload); err != nil {
@@ -289,15 +359,27 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 			return
 		}
 		published++
-		writerEnv.Schedule(period, tick)
+		phaseSent++
+		writerEnv.Schedule(phases[phase].period(), tick)
 	}
 	writerEnv.Post(tick)
 
+	// The adaptor re-arms its check timer forever, so an adaptive run cannot
+	// simply drain: run past the publish window, stop the adaptor, then drain
+	// the rest (tail recovery, swap announcements) to quiescence.
+	if adaptor != nil {
+		if err := drv.RunFor(publishTime + 5*time.Second); err != nil {
+			return cellResult{}, fmt.Errorf("experiment: %s: %w", cfg, err)
+		}
+		if err := adaptor.Close(); err != nil {
+			return cellResult{}, err
+		}
+	}
 	if err := drv.Run(); err != nil {
-		return metrics.Summary{}, NetReport{}, fmt.Errorf("experiment: %s: %w", cfg, err)
+		return cellResult{}, fmt.Errorf("experiment: %s: %w", cfg, err)
 	}
 	if writeErr != nil {
-		return metrics.Summary{}, NetReport{}, fmt.Errorf("experiment: %s: %w", cfg, writeErr)
+		return cellResult{}, fmt.Errorf("experiment: %s: %w", cfg, writeErr)
 	}
 	for _, ls := range latencies {
 		for _, l := range ls {
@@ -311,16 +393,36 @@ func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 		merged.Merge(&collectors[i])
 		bw.Merge(readerNodes[i].RxBandwidth())
 	}
-	summary := merged.Summary(uint64(cfg.Samples) * uint64(cfg.Receivers))
-	summary.P50LatencyUs, summary.P95LatencyUs, summary.P99LatencyUs = tail.Snapshot()
-	summary.Bytes = bw.Total()
-	summary.AvgBps = bw.MeanRate()
-	summary.BurstinessBps = bw.Burstiness()
-	report := NetReport{Writer: writerNode.Stats()}
-	for _, n := range readerNodes {
-		report.Readers = append(report.Readers, n.Stats())
+	res := cellResult{
+		summary: merged.Summary(uint64(total) * uint64(cfg.Receivers)),
+		report:  NetReport{Writer: writerNode.Stats()},
 	}
-	return summary, report, nil
+	res.summary.P50LatencyUs, res.summary.P95LatencyUs, res.summary.P99LatencyUs = tail.Snapshot()
+	res.summary.Bytes = bw.Total()
+	res.summary.AvgBps = bw.MeanRate()
+	res.summary.BurstinessBps = bw.Burstiness()
+	for _, n := range readerNodes {
+		res.report.Readers = append(res.report.Readers, n.Stats())
+	}
+	if rebinder == nil {
+		return res, nil
+	}
+	res.switches = rebinder.Switches()
+	for k, sw := range res.switches {
+		res.switchAt = append(res.switchAt, sw.At.Sub(start))
+		// Drain cost of superseded generation k: the slowest reader's
+		// DrainLatency for epoch k.
+		var max time.Duration
+		for _, r := range readers {
+			for _, ep := range r.TransportEpochs() {
+				if int(ep.Epoch) == k && ep.Done && ep.DrainLatency > max {
+					max = ep.DrainLatency
+				}
+			}
+		}
+		res.drains = append(res.drains, max)
+	}
+	return res, nil
 }
 
 // runConfigs expands cfg into `runs` configs with derived per-run seeds —

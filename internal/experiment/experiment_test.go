@@ -53,6 +53,7 @@ func TestRunValidation(t *testing.T) {
 		{RateHz: -5, Receivers: 3},
 		{LossPct: 150, Receivers: 3, RateHz: 10},
 		{Samples: -1, Receivers: 3, RateHz: 10},
+		{PayloadBytes: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

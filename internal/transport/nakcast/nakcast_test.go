@@ -2,6 +2,7 @@ package nakcast_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -448,26 +449,55 @@ func TestFactoryBuildsInstances(t *testing.T) {
 }
 
 func TestManyLossesAllRecovered(t *testing.T) {
-	// Deterministically drop every 7th data packet to one of three
-	// receivers; everything must still arrive, in order.
-	h := newHarness(t, 3, "nakcast(timeout=2ms)")
-	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && to == 2 && pkt.Seq%7 == 0
-	}
-	h.publishN(t, 100, 3*time.Millisecond)
-	h.finish(t)
-	for i, ds := range h.delivery {
-		if len(ds) != 100 {
-			t.Errorf("receiver %d delivered %d, want 100", i, len(ds))
-		}
-		for j, d := range ds {
-			if d.Seq != uint64(j+1) {
-				t.Fatalf("receiver %d out of order at %d", i, j)
+	loss := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		spec      string
+		samples   int
+		gap       time.Duration
+		drop      func(from, to wire.NodeID, pkt *wire.Packet) bool
+		ordered   bool
+		recovered uint64 // receiver 1's Recovered count; 0 leaves it unchecked
+	}{
+		// Every 7th data packet to one of three receivers.
+		{"nakcast(timeout=2ms)", 100, 3 * time.Millisecond,
+			func(from, to wire.NodeID, pkt *wire.Packet) bool {
+				return pkt.Type == wire.TypeData && to == 2 && pkt.Seq%7 == 0
+			}, true, 14},
+		// 5 % uniform loss on every packet to every receiver at 100 Hz. The
+		// unordered mode recovers as completely (>= 99.9 % of 600 is all of
+		// them); it only hands samples up out of order.
+		{"nakcast(timeout=1ms,unordered=1)", 600, 10 * time.Millisecond,
+			func(from, to wire.NodeID, pkt *wire.Packet) bool {
+				return to != 0 && loss.Float64() < 0.05
+			}, false, 0},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			h := newHarness(t, 3, tc.spec)
+			h.fab.Drop = tc.drop
+			h.publishN(t, tc.samples, tc.gap)
+			h.finish(t)
+			for i, ds := range h.delivery {
+				if len(ds) != tc.samples {
+					t.Errorf("receiver %d delivered %d, want %d", i, len(ds), tc.samples)
+				}
+				seen := make(map[uint64]bool, len(ds))
+				for j, d := range ds {
+					if tc.ordered && d.Seq != uint64(j+1) {
+						t.Fatalf("receiver %d out of order at %d", i, j)
+					}
+					if seen[d.Seq] {
+						t.Fatalf("receiver %d: seq %d delivered twice", i, d.Seq)
+					}
+					seen[d.Seq] = true
+					if want := fmt.Sprintf("sample-%d", d.Seq-1); string(d.Payload) != want {
+						t.Fatalf("receiver %d: seq %d payload %q, want %q", i, d.Seq, d.Payload, want)
+					}
+				}
 			}
-		}
-	}
-	if st := h.recvs[1].Stats(); st.Recovered != 14 {
-		t.Errorf("receiver 1 Recovered = %d, want 14", st.Recovered)
+			if st := h.recvs[1].Stats(); tc.recovered != 0 && st.Recovered != tc.recovered {
+				t.Errorf("receiver 1 Recovered = %d, want %d", st.Recovered, tc.recovered)
+			}
+		})
 	}
 }
 
