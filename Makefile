@@ -76,8 +76,8 @@ bench-pair:
 	scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS)
 
 # pins builds REF and the working tree and cmp's the output of the figure,
-# ablation, dataset, adaptation and sharded-sim commands whose bytes must not
-# move (scripts/pins.sh).
+# ablation, dataset, adaptation, sharded-sim and cross-validation commands
+# whose bytes must not move (scripts/pins.sh).
 pins:
 	scripts/pins.sh $(REF)
 

@@ -266,18 +266,16 @@ func BenchmarkANNQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkANNRunBatch measures the tiled batch kernel: one full-dataset
-// evaluation per iteration (the inner loop of accuracy scoring and
-// cross-validation).
-func BenchmarkANNRunBatch(b *testing.B) {
+// BenchmarkANNAccuracy measures Accuracy over the whole dataset per
+// iteration (the inner loop of cross-validation and Figure 18).
+func BenchmarkANNAccuracy(b *testing.B) {
 	rows := benchRows(b)
 	ds := experiment.ToANNDataset(rows)
 	net := trainBenchNet(b, ds)
-	classes := make([]int, ds.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := net.ClassifyBatch(ds.Inputs, classes); err != nil {
+		if _, err := net.Accuracy(ds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@
 // Internally every per-connection array (weights, gradients, RPROP state)
 // lives in one contiguous backing slice, laid out as one [input weights,
 // bias] row per output neuron so the forward pass walks memory linearly;
-// one layer kernel, dense, serves Run, the batch calls and training.
+// one layer kernel, dense, serves Run, Accuracy and training.
 // The text save format and seeded weight initialization keep the package's
 // historical [in][out] column order, so saved models and seeds remain
 // bit-compatible with earlier versions; see DESIGN.md ("ANN fast path").
@@ -98,7 +98,7 @@ type Network struct {
 	woff    []int
 
 	// acts is the forward-pass scratch, all layers in one array; layer l
-	// spans aoff[l]:aoff[l]+layers[l]. Reused across Run calls.
+	// spans aoff[l]:aoff[l]+layers[l]. Reused across Run and Accuracy calls.
 	acts []float64
 	aoff []int
 
@@ -114,9 +114,6 @@ type Network struct {
 	shardGrads [][]float64
 	shardSSE   []float64
 	workers    []trainScratch
-
-	// batch is the RunBatch/AccuracyBatch activation tile, lazily sized.
-	batch []float64
 }
 
 // New builds a network with random weights in [-0.1, 0.1] (FANN-style
@@ -234,7 +231,7 @@ func (n *Network) forward(acts []float64, input []float64) []float64 {
 }
 
 // Run computes the forward pass. The returned slice aliases internal
-// scratch and is valid until the next Run/Train call; copy to retain.
+// scratch and is valid until the next Run/Accuracy/Train call; copy to retain.
 func (n *Network) Run(input []float64) ([]float64, error) {
 	if len(input) != n.layers[0] {
 		return nil, fmt.Errorf("ann: input size %d, want %d", len(input), n.layers[0])
@@ -259,6 +256,42 @@ func argmax(xs []float64) int {
 		}
 	}
 	return best
+}
+
+// checkBatch validates a dataset's shape: at least one sample, one target
+// per input, and every vector as wide as its layer.
+func (n *Network) checkBatch(inputs, targets [][]float64) error {
+	if len(inputs) == 0 {
+		return errors.New("ann: empty dataset")
+	}
+	if len(targets) != len(inputs) {
+		return fmt.Errorf("ann: %d inputs but %d targets", len(inputs), len(targets))
+	}
+	outN := n.layers[len(n.layers)-1]
+	for i, in := range inputs {
+		if len(in) != n.layers[0] {
+			return fmt.Errorf("ann: input %d size %d, want %d", i, len(in), n.layers[0])
+		}
+		if len(targets[i]) != outN {
+			return fmt.Errorf("ann: target %d size %d, want %d", i, len(targets[i]), outN)
+		}
+	}
+	return nil
+}
+
+// Accuracy returns the fraction of samples whose Classify matches the
+// target argmax: one forward pass per sample, in sample order.
+func (n *Network) Accuracy(ds *Dataset) (float64, error) {
+	if err := n.checkBatch(ds.Inputs, ds.Targets); err != nil {
+		return 0, err
+	}
+	correct := 0
+	for s, in := range ds.Inputs {
+		if argmax(n.forward(n.acts, in)) == argmax(ds.Targets[s]) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(ds.Inputs)), nil
 }
 
 // Dataset is a supervised training set.

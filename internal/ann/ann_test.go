@@ -199,23 +199,6 @@ func TestClassifyAndAccuracy(t *testing.T) {
 	}
 }
 
-func TestMSE(t *testing.T) {
-	n, err := New(Config{Layers: []int{2, 2, 1}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mse, err := n.MSE(xorDataset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mse <= 0 || mse > 1 {
-		t.Errorf("untrained MSE = %v", mse)
-	}
-	if _, err := n.MSE(&Dataset{}); err == nil {
-		t.Error("MSE on empty dataset should error")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n, err := New(Config{Layers: []int{4, 8, 3}, Seed: 11, Steepness: 0.7})
 	if err != nil {
@@ -464,34 +447,16 @@ func randomDataset(in, out, n int, seed int64) *Dataset {
 	return &ds
 }
 
-func BenchmarkRun9x24x6(b *testing.B) {
-	n, err := New(Config{Layers: []int{9, 24, 6}, Seed: 1})
+// BenchmarkRun10x24x7 is one forward pass of the shipped 10-24-7 model.
+func BenchmarkRun10x24x7(b *testing.B) {
+	n, err := LoadFile(adamantModel)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := make([]float64, 9)
+	in := make([]float64, 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := n.Run(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatch9x24x6 evaluates a whole 100-sample batch per
-// iteration through the tiled kernel; compare per-sample cost against
-// BenchmarkRun9x24x6.
-func BenchmarkRunBatch9x24x6(b *testing.B) {
-	ds := randomDataset(9, 6, 100, 1)
-	n, err := New(Config{Layers: []int{9, 24, 6}, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	classes := make([]int, ds.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.ClassifyBatch(ds.Inputs, classes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,82 +65,21 @@ func TestCrossValidateParallelIdentical(t *testing.T) {
 	}
 }
 
-func TestRunBatchMatchesRun(t *testing.T) {
-	ds := randomDataset(9, 6, 77, 5) // deliberately not a multiple of the tile width
-	net, err := New(Config{Layers: []int{9, 24, 6}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := net.RunBatch(ds.Inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != ds.Len() {
-		t.Fatalf("RunBatch returned %d outputs, want %d", len(outs), ds.Len())
-	}
-	for s, in := range ds.Inputs {
-		want, err := net.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for o := range want {
-			if outs[s][o] != want[o] {
-				t.Fatalf("sample %d output %d: RunBatch %v != Run %v", s, o, outs[s][o], want[o])
-			}
-		}
-	}
-}
-
-func TestAccuracyBatchMatchesClassify(t *testing.T) {
-	ds := randomDataset(4, 3, 50, 9)
-	net, err := New(Config{Layers: []int{4, 10, 3}, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := net.AccuracyBatch(ds.Inputs, ds.Targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for s, in := range ds.Inputs {
-		cls, err := net.Classify(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cls == argmax(ds.Targets[s]) {
-			correct++
-		}
-	}
-	if want := float64(correct) / float64(ds.Len()); batch != want {
-		t.Errorf("AccuracyBatch = %v, per-sample Classify gives %v", batch, want)
-	}
-	classes := make([]int, ds.Len())
-	if err := net.ClassifyBatch(ds.Inputs, classes); err != nil {
-		t.Fatal(err)
-	}
-	for s, in := range ds.Inputs {
-		cls, _ := net.Classify(in)
-		if classes[s] != cls {
-			t.Fatalf("sample %d: ClassifyBatch %d != Classify %d", s, classes[s], cls)
-		}
-	}
-}
-
+// TestRunBatchShapeErrors checks Accuracy's shape errors: an empty
+// dataset, a wrong input or target width, and missing targets.
 func TestRunBatchShapeErrors(t *testing.T) {
 	net, err := New(Config{Layers: []int{3, 4, 2}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RunBatch(nil); err == nil {
-		t.Error("RunBatch(nil) should error")
-	}
-	if _, err := net.RunBatch([][]float64{{1, 2}}); err == nil {
-		t.Error("RunBatch with wrong input width should error")
-	}
-	if _, err := net.AccuracyBatch([][]float64{{1, 2, 3}}, [][]float64{{1}}); err == nil {
-		t.Error("AccuracyBatch with wrong target width should error")
-	}
-	if _, err := net.AccuracyBatch([][]float64{{1, 2, 3}}, nil); err == nil {
-		t.Error("AccuracyBatch with missing targets should error")
+	for name, ds := range map[string]*Dataset{
+		"empty":          {},
+		"input width":    {Inputs: [][]float64{{1, 2}}, Targets: [][]float64{{1, 0}}},
+		"target width":   {Inputs: [][]float64{{1, 2, 3}}, Targets: [][]float64{{1}}},
+		"missing target": {Inputs: [][]float64{{1, 2, 3}}},
+	} {
+		if _, err := net.Accuracy(ds); err == nil {
+			t.Errorf("Accuracy with %s should error", name)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -90,13 +89,8 @@ type TrainResult struct {
 // Train fits the network to ds.
 func (n *Network) Train(ds *Dataset, opts TrainOptions) (TrainResult, error) {
 	opts.fillDefaults()
-	if ds.Len() == 0 {
-		return TrainResult{}, errors.New("ann: empty dataset")
-	}
-	for i := range ds.Inputs {
-		if len(ds.Inputs[i]) != n.layers[0] || len(ds.Targets[i]) != n.layers[len(n.layers)-1] {
-			return TrainResult{}, fmt.Errorf("ann: sample %d shape mismatch", i)
-		}
+	if err := n.checkBatch(ds.Inputs, ds.Targets); err != nil {
+		return TrainResult{}, err
 	}
 	n.ensureTrainScratch()
 	var res TrainResult

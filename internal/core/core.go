@@ -258,30 +258,6 @@ func (s *TableSelector) Select(f Features) (transport.Spec, error) {
 	return spec, nil
 }
 
-// HybridSelector answers from the exact table when possible (100% accuracy
-// for environments known a priori) and falls back to the ANN for
-// environments unknown until runtime — the deployment configuration the
-// paper's accuracy figures describe.
-type HybridSelector struct {
-	Table *TableSelector
-	ANN   *ANNSelector
-}
-
-var _ Selector = (*HybridSelector)(nil)
-
-// Select implements Selector.
-func (s *HybridSelector) Select(f Features) (transport.Spec, error) {
-	if s.Table != nil {
-		if spec, err := s.Table.Select(f); err == nil {
-			return spec, nil
-		}
-	}
-	if s.ANN == nil {
-		return transport.Spec{}, errors.New("core: hybrid selector has no ANN fallback")
-	}
-	return s.ANN.Select(f)
-}
-
 // AppParams are the application-side inputs the controller combines with
 // the probed environment.
 type AppParams struct {

@@ -170,35 +170,8 @@ func TestTableSelector(t *testing.T) {
 	// A near-miss environment (different rate) must NOT match: the
 	// brittleness the paper's Challenge 4 describes.
 	g := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplA, 5, 3, 25, core.MetricReLate2)
-	if _, err := sel.Select(g); err == nil {
-		t.Error("table selector matched an unseen environment")
-	}
-}
-
-func TestHybridSelector(t *testing.T) {
-	table := core.NewTableSelector()
-	known := core.FeaturesFor(netem.PC850, netem.Gbps1, dds.ImplA, 2, 6, 50, core.MetricReLate2)
-	table.Put(known, core.Candidates()[0])
-	annSel, err := core.NewANNSelector(trainedNet(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &core.HybridSelector{Table: table, ANN: annSel}
-	// Known environment: exact table answer (even if the ANN would say
-	// otherwise).
-	got, err := h.Select(known)
-	if err != nil || got.String() != core.Candidates()[0].String() {
-		t.Errorf("known env = %v, %v", got, err)
-	}
-	// Unknown environment: ANN fallback.
-	unknown := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplB, 3, 9, 25, core.MetricReLate2)
-	got, err = h.Select(unknown)
-	if err != nil || got.Name != "ricochet" {
-		t.Errorf("unknown env = %v, %v", got, err)
-	}
-	empty := &core.HybridSelector{}
-	if _, err := empty.Select(unknown); err == nil {
-		t.Error("hybrid without ANN should error on unknown env")
+	if _, err := sel.Select(g); !errors.Is(err, core.ErrUnknownEnvironment) {
+		t.Errorf("table miss err = %v, want ErrUnknownEnvironment", err)
 	}
 }
 

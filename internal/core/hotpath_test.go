@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"testing"
 
 	"adamant/internal/ann"
@@ -97,35 +96,6 @@ func TestCandidateIndexEquivalentSpec(t *testing.T) {
 	if _, err := core.CandidateIndex(transport.Spec{Name: "nakcast",
 		Params: transport.Params{"timeout": "7ms"}}); err == nil {
 		t.Error("non-candidate timeout accepted")
-	}
-}
-
-func TestHybridSelectorNilTable(t *testing.T) {
-	annSel, err := core.NewANNSelector(trainedNet(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &core.HybridSelector{ANN: annSel}
-	f := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplB, 3, 9, 25, core.MetricReLate2)
-	spec, err := h.Select(f)
-	if err != nil || spec.Name != "ricochet" {
-		t.Errorf("nil-table hybrid = %v, %v; want ANN answer", spec, err)
-	}
-	// Table miss wraps ErrUnknownEnvironment; the hybrid must swallow it
-	// and fall through, not surface it.
-	tbl := core.NewTableSelector()
-	if _, err := tbl.Select(f); !errors.Is(err, core.ErrUnknownEnvironment) {
-		t.Fatalf("table miss err = %v", err)
-	}
-	h.Table = tbl
-	if spec, err = h.Select(f); err != nil || spec.Name != "ricochet" {
-		t.Errorf("table-miss hybrid = %v, %v; want ANN answer", spec, err)
-	}
-	// A table hit must answer even with no ANN fallback at all.
-	tbl.Put(f, core.Candidates()[1])
-	noANN := &core.HybridSelector{Table: tbl}
-	if spec, err = noANN.Select(f); err != nil || spec.String() != core.Candidates()[1].String() {
-		t.Errorf("table-hit without ANN = %v, %v; want table answer", spec, err)
 	}
 }
 

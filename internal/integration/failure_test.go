@@ -58,7 +58,7 @@ func (w *world) nodes() chaos.Nodes {
 // schedule arms a chaos scenario against the world.
 func (w *world) schedule(t *testing.T, sc chaos.Scenario) {
 	t.Helper()
-	if _, err := chaos.Schedule(w.e, w.nodes(), sc, chaos.Hooks{}); err != nil {
+	if _, err := chaos.Schedule(w.nodes(), sc, chaos.Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"time"
 
-	"adamant/internal/env"
 	"adamant/internal/netem"
 )
 
@@ -229,7 +228,8 @@ type Hooks struct {
 	// OnRestart fires when a KindRestart event revives a node, with the
 	// same index convention.
 	OnRestart func(idx int)
-	// OnEvent fires after every event is applied (observability/tracing).
+	// OnEvent fires after an event is applied to each node it resolves to
+	// (observability/tracing).
 	OnEvent func(ev Event)
 }
 
@@ -260,41 +260,15 @@ func (t Target) resolve(receivers int) []int {
 	return nil
 }
 
-// Schedule arms every event of sc against n on e and returns the scenario
-// horizon. Event effects run in env callback context at their virtual
-// times; events already due (At == 0) run on the next env dispatch.
-func Schedule(e env.Env, n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
-	if e == nil {
-		return 0, errors.New("chaos: nil env")
-	}
-	if n.Sender == nil {
-		return 0, errors.New("chaos: nil sender node")
-	}
-	if err := sc.Validate(); err != nil {
-		return 0, fmt.Errorf("chaos: scenario %q: %w", sc.Name, err)
-	}
-	// Stable-sort a copy by time so same-instant events fire in slice
-	// order regardless of how the env breaks ties between separately
-	// scheduled timers.
-	evs := append([]Event(nil), sc.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for _, ev := range evs {
-		ev := ev
-		e.Schedule(ev.At, func() { apply(ev, n, h) })
-	}
-	return sc.Horizon(), nil
-}
-
-// ScheduleNodes arms sc with every fault effect scheduled on its target
-// node's own env (Node.Env), instead of one shared env. This is the
-// required form on a sharded network, where a node's knobs may only be
-// touched from that node's lane; on a classic network every Node.Env is
-// the same env, so the effects land at the same virtual times as Schedule.
-// The differences from Schedule are hook granularity and context: OnEvent
-// fires once per (event, resolved node) rather than once per event, and on
-// a sharded network hooks run on the target node's lane — they must only
-// touch that node's state.
-func ScheduleNodes(n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
+// Schedule arms every event of sc on its target node's own env (Node.Env)
+// and returns the scenario horizon. On a classic network every Node.Env is
+// the shared env; on a sharded network it is the node's lane, where alone
+// that node's knobs may be touched. Events are stable-sorted by time, so
+// same-instant events apply in slice order; events already due (At == 0)
+// run on the next env dispatch. Hooks run in the target node's env
+// callback context, so on a sharded network they must only touch that
+// node's state; OnEvent fires once per (event, resolved node).
+func Schedule(n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
 	if n.Sender == nil {
 		return 0, errors.New("chaos: nil sender node")
 	}
@@ -304,9 +278,7 @@ func ScheduleNodes(n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
 	evs := append([]Event(nil), sc.Events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	for _, ev := range evs {
-		ev := ev
 		for _, idx := range ev.Target.resolve(len(n.Receivers)) {
-			idx := idx
 			node := n.Sender
 			if idx >= 0 {
 				node = n.Receivers[idx]
@@ -352,20 +324,6 @@ func fireHooks(ev Event, idx int, h Hooks) {
 		if h.OnRestart != nil {
 			h.OnRestart(idx)
 		}
-	}
-}
-
-func apply(ev Event, n Nodes, h Hooks) {
-	for _, idx := range ev.Target.resolve(len(n.Receivers)) {
-		node := n.Sender
-		if idx >= 0 {
-			node = n.Receivers[idx]
-		}
-		applyKnob(ev, node)
-		fireHooks(ev, idx, h)
-	}
-	if h.OnEvent != nil {
-		h.OnEvent(ev)
 	}
 }
 

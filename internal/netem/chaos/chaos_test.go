@@ -112,7 +112,7 @@ func TestScheduleSameInstantOrder(t *testing.T) {
 		n := Nodes{Sender: network.AddNode(netem.PC3000),
 			Receivers: []*netem.Node{network.AddNode(netem.PC3000)}}
 		var applied []Kind
-		_, err = Schedule(e, n, Scenario{Name: "order", Events: events},
+		_, err = Schedule(n, Scenario{Name: "order", Events: events},
 			Hooks{OnEvent: func(ev Event) { applied = append(applied, ev.Kind) }})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestScheduleHooks(t *testing.T) {
 		{At: 2 * time.Millisecond, Kind: KindCrash, Target: Sender()},
 		{At: 3 * time.Millisecond, Kind: KindRestart, Target: Receiver(1)},
 	}}
-	_, err = Schedule(e, n, sc, Hooks{
+	_, err = Schedule(n, sc, Hooks{
 		OnCrash:   func(idx int) { crashes = append(crashes, idx) },
 		OnRestart: func(idx int) { restarts = append(restarts, idx) },
 	})
@@ -182,17 +182,14 @@ func TestScheduleRejects(t *testing.T) {
 	}
 	node := network.AddNode(netem.PC3000)
 	ok := Scenario{Name: "ok"}
-	if _, err := Schedule(nil, Nodes{Sender: node}, ok, Hooks{}); err == nil {
-		t.Error("nil env accepted")
-	}
-	if _, err := Schedule(e, Nodes{}, ok, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{}, ok, Hooks{}); err == nil {
 		t.Error("nil sender accepted")
 	}
-	if _, err := Schedule(e, Nodes{Sender: node}, Scenario{}, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{Sender: node}, Scenario{}, Hooks{}); err == nil {
 		t.Error("unnamed scenario accepted")
 	}
 	bad := Scenario{Name: "bad", Events: []Event{{Kind: Kind(0), Target: Sender()}}}
-	if _, err := Schedule(e, Nodes{Sender: node}, bad, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{Sender: node}, bad, Hooks{}); err == nil {
 		t.Error("invalid event accepted")
 	}
 }

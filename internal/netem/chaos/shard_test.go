@@ -1,10 +1,10 @@
 package chaos
 
 // Sharded-vs-serial differential coverage for chaos schedules: the same
-// fault script applied to the same topology must produce identical node
-// states and identical traffic observables whether the world runs on one
-// kernel (Schedule) or on per-node lanes of a sharded engine
-// (ScheduleNodes), at any worker count.
+// fault script, armed by Schedule on the same topology, must produce
+// identical node states and identical traffic observables whether the world
+// runs on one kernel or on per-node lanes of a sharded engine, at any
+// worker count.
 
 import (
 	"reflect"
@@ -94,8 +94,8 @@ var scaleScenario = Scenario{
 // TestChaosRoleResolutionAtScale pins the satellite requirement: at group
 // size >= 500, role-based targets (partition halves, crashes, loss ramps)
 // must resolve to the same node sets under sharded and serial execution.
-// The serial run uses Schedule on the shared env; the sharded run uses
-// ScheduleNodes across 4 workers. End-of-script knob state must match
+// The serial run arms the script on the shared env; the sharded run arms
+// it on the nodes' lanes across 4 workers. End-of-script knob state must match
 // node for node, crash hooks must fire for the same indices, and both must
 // agree with the static EndState replay.
 func TestChaosRoleResolutionAtScale(t *testing.T) {
@@ -103,7 +103,7 @@ func TestChaosRoleResolutionAtScale(t *testing.T) {
 
 	var classicCrashes []int
 	cNet, cNodes, cDrv := buildWorld(t, true, 0, group, 77)
-	if _, err := Schedule(cNet.Env(), cNodes, scaleScenario, Hooks{
+	if _, err := Schedule(cNodes, scaleScenario, Hooks{
 		OnCrash: func(idx int) { classicCrashes = append(classicCrashes, idx) },
 	}); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestChaosRoleResolutionAtScale(t *testing.T) {
 	// are compared order-insensitively.
 	var mu chanLock
 	sNet, sNodes, sDrv := buildWorld(t, false, 4, group, 77)
-	if _, err := ScheduleNodes(sNodes, scaleScenario, Hooks{
+	if _, err := Schedule(sNodes, scaleScenario, Hooks{
 		OnCrash: func(idx int) {
 			mu.Lock()
 			shardCrashes = append(shardCrashes, idx)
@@ -221,13 +221,7 @@ func FuzzShardedKernel(f *testing.F) {
 					}
 				})
 			}
-			var err error
-			if classic {
-				_, err = Schedule(network.Env(), n, sc, Hooks{})
-			} else {
-				_, err = ScheduleNodes(n, sc, Hooks{})
-			}
-			if err != nil {
+			if _, err := Schedule(n, sc, Hooks{}); err != nil {
 				return o, err
 			}
 			pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, 32)}

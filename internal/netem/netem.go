@@ -351,7 +351,6 @@ func (n *Network) AddNode(m Machine) *Node {
 		id:        wire.NodeID(len(n.nodes)),
 		machine:   m,
 		procScale: 1.0,
-		lossTypes: defaultLossMask,
 		lane:      -1,
 	}
 	if n.sh != nil {
@@ -385,7 +384,9 @@ type lossMask uint16
 
 func (m lossMask) has(t wire.Type) bool { return m&(lossMask(1)<<uint(t)) != 0 }
 
-const defaultLossMask = lossMask(1)<<uint(wire.TypeData) |
+// dataBearing are the packet types end-host loss drops: the paper drops at
+// the receiving data readers, never control traffic.
+const dataBearing = lossMask(1)<<uint(wire.TypeData) |
 	lossMask(1)<<uint(wire.TypeRetrans) |
 	lossMask(1)<<uint(wire.TypeRepair)
 
@@ -417,7 +418,6 @@ type Node struct {
 	freeRx []*rxDispatch
 
 	lossPct   float64
-	lossTypes lossMask
 	ge        *gilbertElliott
 	partition bool
 
@@ -490,15 +490,6 @@ func (nd *Node) SetLoss(pct float64) {
 		pct = 100
 	}
 	nd.lossPct = pct
-}
-
-// SetLossTypes overrides which packet types are subject to end-host loss.
-func (nd *Node) SetLossTypes(types ...wire.Type) {
-	var m lossMask
-	for _, t := range types {
-		m |= lossMask(1) << uint(t)
-	}
-	nd.lossTypes = m
 }
 
 // SetBurstLoss enables a Gilbert-Elliott two-state bursty loss model on the
@@ -679,7 +670,7 @@ func (nd *Node) receive(src wire.NodeID, pkt *wire.Packet, frame int) {
 		return
 	}
 	// End-host loss for data-bearing packets (paper methodology).
-	if nd.lossPct > 0 && nd.lossTypes.has(pkt.Type) {
+	if nd.lossPct > 0 && dataBearing.has(pkt.Type) {
 		if nd.rng.Float64()*100 < nd.lossPct {
 			nd.stats.DroppedLoss++
 			return

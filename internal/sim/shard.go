@@ -149,9 +149,6 @@ func (s *Sharded) SetWorkers(n int) {
 	s.workers = n
 }
 
-// Workers returns the configured worker count.
-func (s *Sharded) Workers() int { return s.workers }
-
 // SetEventLimit bounds the total number of events across all lanes; 0 means
 // unlimited. Exceeding the limit makes the run methods return ErrEventLimit.
 func (s *Sharded) SetEventLimit(n uint64) { s.maxEvents = n }

@@ -152,7 +152,6 @@ type SenderBinding struct {
 	curSpec Spec
 	chain   []wire.RebindRecord
 
-	lastSwapAt time.Time
 	annTimer   env.Timer
 	lingerLeft int
 	closed     bool
@@ -239,15 +238,11 @@ func (b *SenderBinding) Swap(spec Spec) error {
 	}
 	b.senders, b.curSpec = append(b.senders, ns), spec
 	b.chain = append(b.chain, wire.RebindRecord{Epoch: next, Cut: cut, Spec: spec.String()})
-	b.lastSwapAt = b.cfg.Env.Now()
 	_ = old.Close()
 	b.announce()
 	b.armAnnounce()
 	return nil
 }
-
-// LastSwapAt returns when the most recent swap happened (zero if none).
-func (b *SenderBinding) LastSwapAt() time.Time { return b.lastSwapAt }
 
 // Close implements Sender: every epoch instance closes (protocols may keep
 // serving recovery per their own post-Close contracts). If any swap

@@ -10,9 +10,9 @@
 // A crucible cell is (protocol spec, chaos scenario, seed). Executing a
 // cell builds a full stack per receiver — netem node, stream splitter,
 // heartbeat membership detector on the control stream, protocol receiver on
-// the data stream — scripts the scenario through chaos.Schedule, publishes
-// a fixed sample stream, and then drains the simulation to quiescence. The
-// invariants checked against the outcome:
+// the data stream — arms the scenario on each target node's env through
+// chaos.Schedule, publishes a fixed sample stream, and then drains the
+// simulation to quiescence. The invariants checked against the outcome:
 //
 //   - payload integrity: every delivered payload matches its sequence
 //     number's canonical bytes; SentAt survives so latency is plausible.
@@ -321,16 +321,11 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 		return CrucibleOutcome{}, fmt.Errorf("sender: %w", err)
 	}
 
-	// Chaos fan-out: the classic engine arms the script on the shared env;
-	// the sharded engine arms each event on its target node's lane, which is
-	// what keeps knob flips inside the lane that owns the node's state.
-	crucibleNodes := chaos.Nodes{Sender: senderNode, Receivers: readerNodes}
-	var horizon time.Duration
-	if cs.Shards > 0 {
-		horizon, err = chaos.ScheduleNodes(crucibleNodes, cs.Chaos, chaos.Hooks{})
-	} else {
-		horizon, err = chaos.Schedule(network.Env(), crucibleNodes, cs.Chaos, chaos.Hooks{})
-	}
+	// Chaos fan-out: each event is armed on its target node's env, the
+	// shared kernel env under the classic engine and the node's lane under
+	// the sharded one, which keeps knob flips inside the lane that owns the
+	// node's state.
+	horizon, err := chaos.Schedule(chaos.Nodes{Sender: senderNode, Receivers: readerNodes}, cs.Chaos, chaos.Hooks{})
 	if err != nil {
 		return CrucibleOutcome{}, err
 	}

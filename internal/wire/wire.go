@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"time"
 )
 
@@ -155,7 +156,10 @@ var (
 	ErrOversize    = errors.New("wire: payload exceeds MaxPayload")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// crcTable builds the Castagnoli table on first use, not at package init:
+// building it costs a fraction of a millisecond, which a process that never
+// encodes or decodes a packet should not pay at start.
+var crcTable = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // EncodedSize returns the number of bytes Encode will produce for p.
 func (p *Packet) EncodedSize() int { return headerSize + len(p.Payload) + crcSize }
@@ -183,7 +187,7 @@ func (p *Packet) Encode(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(hdr[28:30], uint16(len(p.Payload)))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, p.Payload...)
-	sum := crc32.Checksum(dst[start:], crcTable)
+	sum := crc32.Checksum(dst[start:], crcTable())
 	var tail [crcSize]byte
 	binary.BigEndian.PutUint32(tail[:], sum)
 	dst = append(dst, tail[:]...)
@@ -220,7 +224,7 @@ func Decode(buf []byte) (*Packet, error) {
 	}
 	body := buf[:headerSize+plen]
 	want := binary.BigEndian.Uint32(buf[headerSize+plen : total])
-	if got := crc32.Checksum(body, crcTable); got != want {
+	if got := crc32.Checksum(body, crcTable()); got != want {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
 	}
 	p := &Packet{

@@ -13,6 +13,7 @@
 #   dataset       adamant-dataset -combos 4 -runs 1 -samples 20000 -jobs 2 (the CSV)
 #   adapt         adamant-verify -adapt, with the host-clock "apply" time masked
 #   sim-sharded   adamant-sim -receivers 50 -shards 2 -proto bemcast
+#   ann-cv        adamant-train -dataset data/training.csv -cv -epochs 200 -jobs 2
 #
 # One "same" or "DIFF" line per pin; the exit status is 1 when any differs.
 # Outputs stay in .bench_build/pins/{parent,change}/ for a diff. A run takes
@@ -38,24 +39,25 @@ out=$root/.bench_build/pins
 rm -rf "$out"
 mkdir -p "$out/parent" "$out/change"
 
-# run_side <src> <dir>: builds the four commands of <src> into <dir> and
+# run_side <src> <dir>: builds the five commands of <src> into <dir> and
 # writes every pin's output there.
 run_side() {
 	local d=$2
-	(cd "$1" && go build -o "$d/" ./cmd/adamant-bench ./cmd/adamant-dataset ./cmd/adamant-verify ./cmd/adamant-sim)
+	(cd "$1" && go build -o "$d/" ./cmd/adamant-bench ./cmd/adamant-dataset ./cmd/adamant-verify ./cmd/adamant-sim ./cmd/adamant-train)
 	"$d/adamant-bench" -fig t1 >"$d/fig-t1"
 	"$d/adamant-bench" -fig 4 -samples 200 -runs 2 -jobs 4 >"$d/fig-4"
 	"$d/adamant-bench" -ablations >"$d/ablations"
 	"$d/adamant-dataset" -o "$d/dataset" -combos 4 -runs 1 -samples 20000 -jobs 2 >/dev/null 2>&1
 	"$d/adamant-verify" -adapt | sed 's/(apply [^,]*,/(apply -,/' >"$d/adapt"
 	"$d/adamant-sim" -receivers 50 -shards 2 -proto bemcast >"$d/sim-sharded"
+	"$d/adamant-train" -dataset "$1/data/training.csv" -cv -epochs 200 -jobs 2 >"$d/ann-cv"
 }
 
 echo "# output pins: $ref (${sha:0:7}) against the working tree"
 run_side "$parent" "$out/parent"
 run_side "$root" "$out/change"
 status=0
-for pin in fig-t1 fig-4 ablations dataset adapt sim-sharded; do
+for pin in fig-t1 fig-4 ablations dataset adapt sim-sharded ann-cv; do
 	if cmp -s "$out/parent/$pin" "$out/change/$pin"; then
 		echo "same  $pin"
 	else
