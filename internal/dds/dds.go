@@ -202,7 +202,6 @@ func (p *DomainParticipant) CreateTopic(name string, qos TopicQoS) (*Topic, erro
 	if prev, collision := p.byStream[stream]; collision {
 		return nil, fmt.Errorf("dds: topic %q collides with %q on stream %d", name, prev.name, stream)
 	}
-	qos.fillDefaults()
 	t := &Topic{participant: p, name: name, stream: stream, qos: qos}
 	p.topics[name] = t
 	p.byStream[stream] = t

@@ -60,8 +60,6 @@ type TopicQoS struct {
 	Reliability ReliabilityKind
 }
 
-func (q *TopicQoS) fillDefaults() {}
-
 // WriterQoS configures a DataWriter.
 type WriterQoS struct {
 	// Reliability selects best-effort or reliable publication.

@@ -11,7 +11,7 @@ import (
 // Ablations isolate the design choices DESIGN.md calls out: in-order
 // delivery (head-of-line blocking), the Ricochet flush timer and group
 // stagger, the R/C trade-off, and ACK- versus NAK-based reliability.
-// Each returns a Table in the same format as the paper figures.
+// Each study renders a Table in the same format as the paper figures.
 
 // AblationOptions parameterize the ablation studies.
 type AblationOptions struct {
@@ -29,21 +29,26 @@ func (o *AblationOptions) fillDefaults() {
 	}
 }
 
-func ablationBase(opts AblationOptions) Config {
-	return Config{
-		Machine:   netem.PC3000,
-		Bandwidth: netem.Gbps1,
-		LossPct:   5,
-		Receivers: 3,
-		RateHz:    25,
-		Samples:   opts.Samples,
-		Seed:      opts.Seed,
-	}
+// ablationStudy is one ablation table: its labelled variants and the row
+// each variant's run renders to.
+type ablationStudy struct {
+	id, title, note string
+	header          []string
+	variants        []ablationVariant
+	row             func(v ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string
 }
 
-func ablationRow(label string, s metrics.Summary) []string {
+// ablationVariant is one labelled configuration of a study. Its config sets
+// Receivers, RateHz and Protocol; every study shares the rest (pc3000/1Gb,
+// 5% loss, the options' samples and seed).
+type ablationVariant struct {
+	label string
+	cfg   Config
+}
+
+func ablationRow(v ablationVariant, _ Config, s metrics.Summary, _ NetReport) []string {
 	return []string{
-		label,
+		v.label,
 		fmt.Sprintf("%.2f", s.Reliability()),
 		fmt.Sprintf("%.0f", s.AvgLatencyUs),
 		fmt.Sprintf("%.0f", s.JitterUs),
@@ -53,192 +58,143 @@ func ablationRow(label string, s metrics.Summary) []string {
 
 var ablationHeader = []string{"variant", "reliability %", "latency (us)", "jitter (us)", "ReLate2"}
 
-// AblationOrdering contrasts NAKcast's in-order delivery (head-of-line
-// blocking) with an unordered variant that recovers identically but
-// delivers on arrival.
-func AblationOrdering(opts AblationOptions) (Table, error) {
-	opts.fillDefaults()
-	t := Table{
-		ID:     "Ablation A1",
-		Title:  "NAKcast in-order vs unordered delivery (pc3000/1Gb, 3 rcv, 5% loss, 25Hz)",
-		Header: ablationHeader,
-		Note:   "head-of-line blocking is most of NAKcast's latency/jitter cost; reliability is unchanged",
-	}
-	variants := []struct {
-		label  string
-		params transport.Params
-	}{
-		{"ordered (DDS RELIABLE semantics)", transport.Params{"timeout": "1ms"}},
-		{"unordered (deliver on arrival)", transport.Params{"timeout": "1ms", "unordered": "1"}},
-	}
-	cfgs := make([]Config, len(variants))
-	for i, v := range variants {
-		cfgs[i] = ablationBase(opts)
-		cfgs[i].Protocol = transport.Spec{Name: "nakcast", Params: v.params}
-	}
-	sums, err := (&Runner{Jobs: opts.Jobs}).RunMany(cfgs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, v := range variants {
-		t.Rows = append(t.Rows, ablationRow(v.label, sums[i]))
-	}
-	return t, nil
+func nakSpec(p transport.Params) transport.Spec { return transport.Spec{Name: "nakcast", Params: p} }
+func ricSpec(p transport.Params) transport.Spec { return transport.Spec{Name: "ricochet", Params: p} }
+
+// ablationStudies are the studies Ablations runs, in table order.
+var ablationStudies = []ablationStudy{
+	{
+		// NAKcast's in-order delivery (head-of-line blocking) against an
+		// unordered variant that recovers identically but delivers on arrival.
+		id:     "Ablation A1",
+		title:  "NAKcast in-order vs unordered delivery (pc3000/1Gb, 3 rcv, 5% loss, 25Hz)",
+		note:   "head-of-line blocking is most of NAKcast's latency/jitter cost; reliability is unchanged",
+		header: ablationHeader,
+		variants: []ablationVariant{
+			{"ordered (DDS RELIABLE semantics)", Config{Receivers: 3, RateHz: 25,
+				Protocol: nakSpec(transport.Params{"timeout": "1ms"})}},
+			{"unordered (deliver on arrival)", Config{Receivers: 3, RateHz: 25,
+				Protocol: nakSpec(transport.Params{"timeout": "1ms", "unordered": "1"})}},
+		},
+		row: ablationRow,
+	},
+	{
+		// Ricochet with and without the partial-group flush timer at a low
+		// data rate, where fixed-R grouping leaves losses waiting for R packets.
+		id:     "Ablation A2",
+		title:  "Ricochet flush timer at low rate (pc3000/1Gb, 3 rcv, 5% loss, 10Hz)",
+		note:   "without the flush, recovery waits for R=4 packets (~400ms at 10Hz)",
+		header: ablationHeader,
+		variants: []ablationVariant{
+			{"flush 8ms (default)", Config{Receivers: 3, RateHz: 10,
+				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "8ms"})}},
+			{"flush disabled (fixed R groups)", Config{Receivers: 3, RateHz: 10,
+				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms"})}},
+		},
+		row: ablationRow,
+	},
+	{
+		// Ricochet with and without per-receiver group stagger, with the
+		// flush disabled so XOR groups matter (high rate).
+		id:     "Ablation A3",
+		title:  "Ricochet group stagger (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
+		note:   "shifted boundaries enable double-loss cascades but dilute per-repair coverage; the net reliability effect is second-order",
+		header: ablationHeader,
+		variants: []ablationVariant{
+			{"staggered groups (default)", Config{Receivers: 5, RateHz: 100,
+				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms", "stagger": "0"})}},
+			{"aligned groups", Config{Receivers: 5, RateHz: 100,
+				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms", "stagger": "-1"})}},
+		},
+		row: ablationRow,
+	},
+	{
+		// Ricochet's R and C tunables, with the repair traffic beside the
+		// QoS outcome.
+		id:       "Ablation A4",
+		title:    "Ricochet R/C sweep (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
+		note:     "higher R: less repair traffic, weaker recovery; higher C: more fan-out, stronger recovery",
+		header:   append(append([]string{}, ablationHeader...), "total pkts tx"),
+		variants: rcSweep([][2]int{{2, 3}, {4, 1}, {4, 3}, {8, 3}}),
+		row: func(v ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string {
+			return append(ablationRow(v, cfg, s, rep), fmt.Sprintf("%d", rep.TotalTx()))
+		},
+	},
+	{
+		// Positive- against negative-acknowledgment reliability as the
+		// receiver set grows: the ACK-implosion argument for NAK/FEC
+		// protocols in DRE pub/sub.
+		id:       "Ablation A5",
+		title:    "ACK- vs NAK-based reliability as receivers scale (pc3000/1Gb, 5% loss, 50Hz)",
+		note:     "ackcast's transmit count grows ~linearly with receivers (one ACK per sample per receiver)",
+		header:   []string{"protocol", "receivers", "reliability %", "latency (us)", "control+data pkts tx", "pkts/sample"},
+		variants: ackVsNak([]int{3, 9, 15}),
+		row: func(_ ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string {
+			return []string{
+				cfg.Protocol.Name,
+				fmt.Sprintf("%d", cfg.Receivers),
+				fmt.Sprintf("%.2f", s.Reliability()),
+				fmt.Sprintf("%.0f", s.AvgLatencyUs),
+				fmt.Sprintf("%d", rep.TotalTx()),
+				fmt.Sprintf("%.2f", float64(rep.TotalTx())/float64(cfg.Samples)),
+			}
+		},
+	},
 }
 
-// AblationFlush contrasts Ricochet with and without the partial-group
-// flush timer at a low data rate, where fixed-R grouping leaves losses
-// waiting for R packets.
-func AblationFlush(opts AblationOptions) (Table, error) {
-	opts.fillDefaults()
-	t := Table{
-		ID:     "Ablation A2",
-		Title:  "Ricochet flush timer at low rate (pc3000/1Gb, 3 rcv, 5% loss, 10Hz)",
-		Header: ablationHeader,
-		Note:   "without the flush, recovery waits for R=4 packets (~400ms at 10Hz)",
+func rcSweep(rcs [][2]int) []ablationVariant {
+	var vs []ablationVariant
+	for _, rc := range rcs {
+		vs = append(vs, ablationVariant{fmt.Sprintf("R=%d C=%d", rc[0], rc[1]), Config{Receivers: 5, RateHz: 100,
+			Protocol: ricSpec(transport.Params{"r": fmt.Sprintf("%d", rc[0]), "c": fmt.Sprintf("%d", rc[1]), "flush": "-1ms"})}})
 	}
-	variants := []struct {
-		label string
-		flush string
-	}{
-		{"flush 8ms (default)", "8ms"},
-		{"flush disabled (fixed R groups)", "-1ms"},
-	}
-	cfgs := make([]Config, len(variants))
-	for i, v := range variants {
-		cfgs[i] = ablationBase(opts)
-		cfgs[i].RateHz = 10
-		cfgs[i].Protocol = transport.Spec{Name: "ricochet",
-			Params: transport.Params{"r": "4", "c": "3", "flush": v.flush}}
-	}
-	sums, err := (&Runner{Jobs: opts.Jobs}).RunMany(cfgs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, v := range variants {
-		t.Rows = append(t.Rows, ablationRow(v.label, sums[i]))
-	}
-	return t, nil
+	return vs
 }
 
-// AblationStagger contrasts Ricochet with and without per-receiver group
-// stagger, with the flush disabled so XOR groups matter (high rate).
-func AblationStagger(opts AblationOptions) (Table, error) {
-	opts.fillDefaults()
-	t := Table{
-		ID:     "Ablation A3",
-		Title:  "Ricochet group stagger (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
-		Header: ablationHeader,
-		Note:   "shifted boundaries enable double-loss cascades but dilute per-repair coverage; the net reliability effect is second-order",
-	}
-	variants := []struct {
-		label   string
-		stagger string
-	}{
-		{"staggered groups (default)", "0"},
-		{"aligned groups", "-1"},
-	}
-	cfgs := make([]Config, len(variants))
-	for i, v := range variants {
-		cfgs[i] = ablationBase(opts)
-		cfgs[i].Receivers = 5
-		cfgs[i].RateHz = 100
-		cfgs[i].Protocol = transport.Spec{Name: "ricochet",
-			Params: transport.Params{"r": "4", "c": "3", "flush": "-1ms", "stagger": v.stagger}}
-	}
-	sums, err := (&Runner{Jobs: opts.Jobs}).RunMany(cfgs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, v := range variants {
-		t.Rows = append(t.Rows, ablationRow(v.label, sums[i]))
-	}
-	return t, nil
-}
-
-// AblationRC sweeps Ricochet's R and C tunables, reporting the repair
-// traffic alongside the QoS outcome.
-func AblationRC(opts AblationOptions) (Table, error) {
-	opts.fillDefaults()
-	t := Table{
-		ID:     "Ablation A4",
-		Title:  "Ricochet R/C sweep (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
-		Header: append(append([]string{}, ablationHeader...), "total pkts tx"),
-		Note:   "higher R: less repair traffic, weaker recovery; higher C: more fan-out, stronger recovery",
-	}
-	sweep := []struct{ r, c int }{{2, 3}, {4, 1}, {4, 3}, {8, 3}}
-	cfgs := make([]Config, len(sweep))
-	for i, rc := range sweep {
-		cfgs[i] = ablationBase(opts)
-		cfgs[i].Receivers = 5
-		cfgs[i].RateHz = 100
-		cfgs[i].Protocol = transport.Spec{Name: "ricochet", Params: transport.Params{
-			"r": fmt.Sprintf("%d", rc.r), "c": fmt.Sprintf("%d", rc.c), "flush": "-1ms"}}
-	}
-	sums, reports, err := (&Runner{Jobs: opts.Jobs}).RunManyDetailed(cfgs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, rc := range sweep {
-		row := ablationRow(fmt.Sprintf("R=%d C=%d", rc.r, rc.c), sums[i])
-		row = append(row, fmt.Sprintf("%d", reports[i].TotalTx()))
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// AblationACKvsNAK contrasts positive- and negative-acknowledgment
-// reliability as the receiver set grows: the ACK-implosion argument for
-// NAK/FEC protocols in DRE pub/sub.
-func AblationACKvsNAK(opts AblationOptions) (Table, error) {
-	opts.fillDefaults()
-	t := Table{
-		ID:     "Ablation A5",
-		Title:  "ACK- vs NAK-based reliability as receivers scale (pc3000/1Gb, 5% loss, 50Hz)",
-		Header: []string{"protocol", "receivers", "reliability %", "latency (us)", "control+data pkts tx", "pkts/sample"},
-		Note:   "ackcast's transmit count grows ~linearly with receivers (one ACK per sample per receiver)",
-	}
-	var cfgs []Config
-	for _, recv := range []int{3, 9, 15} {
+func ackVsNak(receivers []int) []ablationVariant {
+	var vs []ablationVariant
+	for _, n := range receivers {
 		for _, spec := range []transport.Spec{
-			{Name: "nakcast", Params: transport.Params{"timeout": "1ms"}},
+			nakSpec(transport.Params{"timeout": "1ms"}),
 			{Name: "ackcast", Params: transport.Params{"window": "64", "rto": "50ms"}},
 		} {
-			cfg := ablationBase(opts)
-			cfg.Receivers = recv
-			cfg.RateHz = 50
-			cfg.Protocol = spec
+			vs = append(vs, ablationVariant{spec.Name, Config{Receivers: n, RateHz: 50, Protocol: spec}})
+		}
+	}
+	return vs
+}
+
+// Ablations runs every ablation study.
+func Ablations(opts AblationOptions) ([]Table, error) {
+	return runAblations(opts, ablationStudies...)
+}
+
+// runAblations runs every variant of the given studies through one Runner
+// batch (each config carries its own seed, so the batch's composition does
+// not move any run) and renders one table per study.
+func runAblations(opts AblationOptions, studies ...ablationStudy) ([]Table, error) {
+	opts.fillDefaults()
+	var cfgs []Config
+	for _, st := range studies {
+		for _, v := range st.variants {
+			cfg := v.cfg
+			cfg.Machine, cfg.Bandwidth, cfg.LossPct = netem.PC3000, netem.Gbps1, 5
+			cfg.Samples, cfg.Seed = opts.Samples, opts.Seed
 			cfgs = append(cfgs, cfg)
 		}
 	}
 	sums, reports, err := (&Runner{Jobs: opts.Jobs}).RunManyDetailed(cfgs)
 	if err != nil {
-		return Table{}, err
+		return nil, err
 	}
-	for i, cfg := range cfgs {
-		t.Rows = append(t.Rows, []string{
-			cfg.Protocol.Name,
-			fmt.Sprintf("%d", cfg.Receivers),
-			fmt.Sprintf("%.2f", sums[i].Reliability()),
-			fmt.Sprintf("%.0f", sums[i].AvgLatencyUs),
-			fmt.Sprintf("%d", reports[i].TotalTx()),
-			fmt.Sprintf("%.2f", float64(reports[i].TotalTx())/float64(cfg.Samples)),
-		})
-	}
-	return t, nil
-}
-
-// Ablations runs every ablation study.
-func Ablations(opts AblationOptions) ([]Table, error) {
-	var out []Table
-	for _, f := range []func(AblationOptions) (Table, error){
-		AblationOrdering, AblationFlush, AblationStagger, AblationRC, AblationACKvsNAK,
-	} {
-		t, err := f(opts)
-		if err != nil {
-			return nil, err
+	tables := make([]Table, len(studies))
+	i := 0
+	for k, st := range studies {
+		tables[k] = Table{ID: st.id, Title: st.title, Header: st.header, Note: st.note}
+		for _, v := range st.variants {
+			tables[k].Rows = append(tables[k].Rows, st.row(v, cfgs[i], sums[i], reports[i]))
+			i++
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return tables, nil
 }

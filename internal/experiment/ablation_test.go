@@ -15,13 +15,24 @@ func cell(t *testing.T, tab Table, row, col int) float64 {
 	return v
 }
 
-func fastAblationOpts() AblationOptions { return AblationOptions{Samples: 800, Seed: 4} }
+// ablation runs the study with the given ID, alone, through the driver.
+func ablation(t *testing.T, id string) Table {
+	t.Helper()
+	for _, st := range ablationStudies {
+		if st.id == id {
+			tabs, err := runAblations(AblationOptions{Samples: 800, Seed: 4}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tabs[0]
+		}
+	}
+	t.Fatalf("no ablation study %q", id)
+	return Table{}
+}
 
 func TestAblationOrdering(t *testing.T) {
-	tab, err := AblationOrdering(fastAblationOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := ablation(t, "Ablation A1")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -36,10 +47,7 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestAblationFlush(t *testing.T) {
-	tab, err := AblationFlush(fastAblationOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := ablation(t, "Ablation A2")
 	withLat, withoutLat := cell(t, tab, 0, 2), cell(t, tab, 1, 2)
 	if withLat >= withoutLat {
 		t.Errorf("flush-on latency %.0f should beat flush-off %.0f at 10Hz", withLat, withoutLat)
@@ -52,10 +60,7 @@ func TestAblationFlush(t *testing.T) {
 }
 
 func TestAblationStagger(t *testing.T) {
-	tab, err := AblationStagger(fastAblationOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := ablation(t, "Ablation A3")
 	// Stagger's reliability effect is small and can go either way (shifted
 	// groups enable double-loss cascades but dilute per-repair coverage);
 	// what the ablation must show is that both variants recover the bulk
@@ -70,10 +75,7 @@ func TestAblationStagger(t *testing.T) {
 }
 
 func TestAblationRC(t *testing.T) {
-	tab, err := AblationRC(fastAblationOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := ablation(t, "Ablation A4")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -91,10 +93,7 @@ func TestAblationRC(t *testing.T) {
 }
 
 func TestAblationACKvsNAK(t *testing.T) {
-	tab, err := AblationACKvsNAK(fastAblationOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := ablation(t, "Ablation A5")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

@@ -487,21 +487,14 @@ func candidateConfigs(cfg Config, runs int) []Config {
 }
 
 // RunCandidates runs every ADAMANT candidate protocol over the same
-// environment (same derived seeds), returning results in Candidates()
-// order.
+// environment (same derived seeds), one run at a time, returning results in
+// Candidates() order.
 func RunCandidates(cfg Config, runs int) ([]CandidateResult, error) {
-	return RunCandidatesJobs(cfg, runs, 1)
-}
-
-// RunCandidatesJobs is RunCandidates with the candidate x run product
-// spread over `jobs` workers (<= 0 means GOMAXPROCS). Results are
-// identical to the serial path.
-func RunCandidatesJobs(cfg Config, runs, jobs int) ([]CandidateResult, error) {
 	if runs < 1 {
 		return nil, errors.New("experiment: runs must be >= 1")
 	}
 	cands := core.Candidates()
-	sums, err := (&Runner{Jobs: jobs}).RunMany(candidateConfigs(cfg, runs))
+	sums, err := (&Runner{Jobs: 1}).RunMany(candidateConfigs(cfg, runs))
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func TestQoSFiguresRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, num := range QoSFigureIDs() {
+	for num := range qosFigSpecs {
 		tab, err := q.Figure(num)
 		if err != nil {
 			t.Fatalf("figure %d: %v", num, err)
@@ -186,8 +186,8 @@ func TestQoSFiguresRender(t *testing.T) {
 	if _, err := q.Figure(99); err == nil {
 		t.Error("unknown figure should error")
 	}
-	if got := q.Summaries(true, 3, 10, 0); len(got) != 2 {
-		t.Errorf("Summaries returned %d runs", len(got))
+	if got := q.data[qosKey{true, 3, 10, 0}]; len(got) != 2 {
+		t.Errorf("cell (fast, 3 rcv, 10Hz, protocol 0) holds %d runs, want 2", len(got))
 	}
 }
 

@@ -169,11 +169,6 @@ var qosFigSpecs = map[int]figSpec{
 		metrics.Summary.Reliability, "percent", "NAKcast higher"},
 }
 
-// QoSFigureIDs lists the figure numbers RunQoSFigures can project.
-func QoSFigureIDs() []int {
-	return []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
-}
-
 // Figure renders one of Figures 4-17 from the shared runs.
 func (q *QoSFigures) Figure(num int) (Table, error) {
 	spec, ok := qosFigSpecs[num]
@@ -208,12 +203,6 @@ func (q *QoSFigures) Figure(num int) (Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// Summaries exposes the raw per-run summaries for one cell (tests and the
-// benchmark harness use this).
-func (q *QoSFigures) Summaries(fast bool, receivers, rateHz, protoIdx int) []metrics.Summary {
-	return q.data[qosKey{fast, receivers, rateHz, protoIdx}]
 }
 
 func formatValue(v float64) string {

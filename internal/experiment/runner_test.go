@@ -140,26 +140,22 @@ func TestRunnerProgressSerialized(t *testing.T) {
 	}
 }
 
-// TestRunCandidatesJobsMatchesSerial checks the parallel candidate sweep
-// reproduces the serial one.
+// TestRunCandidatesJobsMatchesSerial checks the candidate x run product
+// run over four workers reproduces the serial candidate sweep.
 func TestRunCandidatesJobsMatchesSerial(t *testing.T) {
 	cfg := Config{Receivers: 3, RateHz: 25, Samples: 150, LossPct: 3, Seed: 9}
 	serial, err := RunCandidates(cfg, 2)
 	if err != nil {
 		t.Fatalf("RunCandidates: %v", err)
 	}
-	parallel, err := RunCandidatesJobs(cfg, 2, 4)
+	parallel, err := (&Runner{Jobs: 4}).RunMany(candidateConfigs(cfg, 2))
 	if err != nil {
-		t.Fatalf("RunCandidatesJobs: %v", err)
+		t.Fatalf("RunMany: %v", err)
 	}
 	for i := range serial {
-		if serial[i].Spec.String() != parallel[i].Spec.String() {
-			t.Fatalf("candidate %d spec mismatch", i)
-		}
-		for j := range serial[i].Summaries {
-			if serial[i].Summaries[j] != parallel[i].Summaries[j] {
-				t.Errorf("candidate %d run %d: parallel %v != serial %v",
-					i, j, parallel[i].Summaries[j], serial[i].Summaries[j])
+		for j, s := range serial[i].Summaries {
+			if p := parallel[i*2+j]; s != p {
+				t.Errorf("candidate %d run %d: parallel %v != serial %v", i, j, p, s)
 			}
 		}
 	}

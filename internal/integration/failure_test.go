@@ -107,11 +107,11 @@ func specsUnderTest(t *testing.T) []transport.Spec {
 
 func reliable(t *testing.T, spec transport.Spec) bool {
 	t.Helper()
-	f, err := protocols.MustRegistry().Lookup(spec.Name)
+	props, err := protocols.MustRegistry().Props(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.Props.Has(transport.PropNAKReliability) || f.Props.Has(transport.PropACKReliability)
+	return props.Has(transport.PropNAKReliability) || props.Has(transport.PropACKReliability)
 }
 
 // TestReceiverCrashSurvivors injects a mid-run receiver crash under 5%

@@ -113,8 +113,6 @@ type Collector struct {
 	latencyUs Welford
 	recovered uint64
 	delivered uint64
-	duplicate uint64
-	bw        Bandwidth
 }
 
 // OnDeliver records a sample delivered to the application. recovered marks
@@ -128,20 +126,11 @@ func (c *Collector) OnDeliver(sentAt, deliveredAt time.Time, recovered bool) {
 	c.latencyUs.Add(float64(deliveredAt.Sub(sentAt)) / float64(time.Microsecond))
 }
 
-// OnDuplicate records a duplicate delivery suppressed by the transport.
-func (c *Collector) OnDuplicate() { c.duplicate++ }
-
-// OnBytes records network bytes attributable to this receiver at time t
-// (for bandwidth-usage and burstiness accounting).
-func (c *Collector) OnBytes(t time.Time, n int) { c.bw.Add(t, n) }
-
 // Merge folds other's observations into c.
 func (c *Collector) Merge(other *Collector) {
 	c.latencyUs.Merge(&other.latencyUs)
 	c.recovered += other.recovered
 	c.delivered += other.delivered
-	c.duplicate += other.duplicate
-	c.bw.Merge(&other.bw)
 }
 
 // Delivered returns the number of samples delivered.
@@ -151,17 +140,13 @@ func (c *Collector) Delivered() uint64 { return c.delivered }
 // writer actually sent to this receiver (i.e. per-receiver expected count).
 func (c *Collector) Summary(sent uint64) Summary {
 	s := Summary{
-		Sent:          sent,
-		Delivered:     c.delivered,
-		Recovered:     c.recovered,
-		Duplicates:    c.duplicate,
-		AvgLatencyUs:  c.latencyUs.Mean(),
-		JitterUs:      c.latencyUs.StdDev(),
-		MinLatencyUs:  c.latencyUs.Min(),
-		MaxLatencyUs:  c.latencyUs.Max(),
-		Bytes:         c.bw.Total(),
-		BurstinessBps: c.bw.Burstiness(),
-		AvgBps:        c.bw.MeanRate(),
+		Sent:         sent,
+		Delivered:    c.delivered,
+		Recovered:    c.recovered,
+		AvgLatencyUs: c.latencyUs.Mean(),
+		JitterUs:     c.latencyUs.StdDev(),
+		MinLatencyUs: c.latencyUs.Min(),
+		MaxLatencyUs: c.latencyUs.Max(),
 	}
 	if sent > 0 {
 		lost := float64(0)
@@ -180,7 +165,6 @@ type Summary struct {
 	Sent         uint64
 	Delivered    uint64
 	Recovered    uint64
-	Duplicates   uint64
 	LossPct      float64 // unrecovered loss, percentage points
 	AvgLatencyUs float64
 	JitterUs     float64
@@ -190,9 +174,11 @@ type Summary struct {
 	ReLate2Jit   float64
 	// Latency tail quantiles (microseconds), when the producer tracked
 	// them (see LatencyTail); zero otherwise.
-	P50LatencyUs  float64
-	P95LatencyUs  float64
-	P99LatencyUs  float64
+	P50LatencyUs float64
+	P95LatencyUs float64
+	P99LatencyUs float64
+	// Network usage, filled by the producer from its own byte counts
+	// (Collector.Summary leaves them zero).
 	Bytes         uint64  // network bytes observed
 	AvgBps        float64 // mean bandwidth usage, bytes/sec
 	BurstinessBps float64 // stddev of per-second bandwidth usage

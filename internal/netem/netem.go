@@ -426,7 +426,6 @@ type Node struct {
 
 	stats Stats
 	rxBW  metrics.Bandwidth
-	txBW  metrics.Bandwidth
 	rng   *rand.Rand
 }
 
@@ -465,9 +464,6 @@ func (nd *Node) Stats() Stats { return nd.stats }
 
 // RxBandwidth returns the receive-side bandwidth accumulator.
 func (nd *Node) RxBandwidth() *metrics.Bandwidth { return &nd.rxBW }
-
-// TxBandwidth returns the transmit-side bandwidth accumulator.
-func (nd *Node) TxBandwidth() *metrics.Bandwidth { return &nd.txBW }
 
 // SetProcScale sets an additional multiplier on the node's CPU costs,
 // modeling middleware implementation overhead differences (the DDS
@@ -607,7 +603,6 @@ func (nd *Node) admit(pkt *wire.Packet) (arrival time.Time, frame int, ok bool, 
 
 	nd.stats.TxPackets++
 	nd.stats.TxBytes += uint64(frame)
-	nd.txBW.Add(now, frame)
 
 	return linkDone.Add(txTime).Add(nd.net.cfg.PropDelay), frame, true, nil
 }

@@ -41,7 +41,6 @@ package sim
 // their own lane's callbacks or between runs.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -421,9 +420,6 @@ func (s *Sharded) RunUntil(deadline time.Time) error {
 func (s *Sharded) RunFor(d time.Duration) error {
 	return s.RunUntil(s.now.Add(d))
 }
-
-// ErrNoLanes is returned by drivers that require at least one lane.
-var ErrNoLanes = errors.New("sim: sharded engine has no lanes")
 
 // runWindow fires lane events with key < endKey, up to budget events. The
 // clock is left at the last fired event, exactly as Step leaves it.

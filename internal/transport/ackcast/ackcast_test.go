@@ -240,7 +240,8 @@ func TestSenderRejectsHistoryBelowWindow(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	f := ackcast.Factory()
-	if f.Name != ackcast.Name || !f.Props.Has(transport.PropACKReliability|transport.PropFlowControl) {
+	if props, err := f.Props(nil); f.Name != ackcast.Name || err != nil ||
+		!props.Has(transport.PropACKReliability|transport.PropFlowControl) {
 		t.Error("factory metadata wrong")
 	}
 }

@@ -153,7 +153,7 @@ func TestFactoryAndSpec(t *testing.T) {
 		t.Errorf("Spec = %q", bemcast.Spec().String())
 	}
 	f := bemcast.Factory()
-	if f.Name != bemcast.Name || !f.Props.Has(transport.PropMulticast) {
+	if props, err := f.Props(nil); f.Name != bemcast.Name || err != nil || !props.Has(transport.PropMulticast) {
 		t.Error("factory metadata wrong")
 	}
 	if _, err := f.NewSender(transport.Config{}, nil); err == nil {

@@ -25,9 +25,10 @@ import (
 // generation they missed. On the receiver side, deliveries from a newer
 // epoch are held back until every earlier *ordered* epoch has accounted for
 // its whole slice (each sequence delivered or reported lost), which
-// preserves per-stream ordering across the swap; unordered epochs
-// (ricochet, bemcast) never promised ordering, so they complete as soon as
-// their cut is known.
+// preserves per-stream ordering across the swap. Whether an epoch is ordered
+// is a property of its spec, decided by its protocol's factory: ricochet,
+// bemcast and nakcast(unordered=1) never promised ordering, so their epochs
+// complete as soon as their cut is known.
 
 const (
 	// announceInterval is how often a sender binding re-multicasts its
@@ -385,11 +386,11 @@ func NewReceiverBinding(bc BindingConfig) (*ReceiverBinding, error) {
 // addEpoch instantiates one protocol generation. Callers add epochs in
 // ascending order (the chain is dense from 0).
 func (b *ReceiverBinding) addEpoch(epoch uint16, base uint64, spec Spec) (*epochState, error) {
-	f, err := b.reg.Lookup(spec.Name)
+	props, err := b.reg.Props(spec)
 	if err != nil {
 		return nil, err
 	}
-	es := &epochState{epoch: epoch, spec: spec, props: f.Props, base: base}
+	es := &epochState{epoch: epoch, spec: spec, props: props, base: base}
 	cfg := b.cfg
 	cfg.BaseSeq = base
 	cfg.Endpoint = b.router.route(epoch)
@@ -527,14 +528,16 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 }
 
 // injectEOS synthesizes the old sender's end-of-stream heartbeat for every
-// superseded, incomplete, ordered epoch whose cut is known. NAK-based
-// receivers use it to open tail-gap recovery up to the cut (the real EOS
-// heartbeat sent at swap time may have been lost); ACK-based receivers
-// answer any heartbeat with a fresh ACK, prompting the old sender to
-// re-admit and backfill them. Repeats are cheap protocol no-ops.
+// superseded, incomplete epoch whose cut is known: once for an unordered
+// epoch (the checkProgress that follows marks it done), on every
+// announcement for an ordered one until it drains. NAK-based receivers use
+// it to open tail-gap recovery up to the cut (the real EOS heartbeat sent at
+// swap time may have been lost); ACK-based receivers answer it with a fresh
+// ACK, prompting the old sender to re-admit and backfill them; the rest drop
+// it.
 func (b *ReceiverBinding) injectEOS() {
 	for _, es := range b.epochs {
-		if !es.cutKnown || es.done || !es.props.Has(PropOrdered) {
+		if !es.cutKnown || es.done {
 			continue
 		}
 		body, err := (&wire.HeartbeatBody{HighSeq: es.cut}).Encode(nil)

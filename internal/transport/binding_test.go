@@ -162,6 +162,56 @@ func TestBindingSwapToUnordered(t *testing.T) {
 	rig.checkComplete(t, 30, false)
 }
 
+// An unordered nakcast epoch promises no ordering, so its stragglers do not
+// hold back the next epoch: with seq 5 lost to receiver 0 and a 50 ms NAK
+// timeout, the new epoch's samples reach that receiver first, and the old
+// epoch is done as soon as its cut is known while its recovery still runs.
+func TestBindingUnorderedEpochDoesNotGate(t *testing.T) {
+	rig := newBindingRig(t, "nakcast(timeout=50ms,unordered=1)")
+	rig.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
+		return to == 1 && pkt.Type == wire.TypeData && pkt.Epoch == 0 && pkt.Seq == 5
+	}
+	rig.publish(t, 10, 2*time.Millisecond)
+	if err := rig.sender.Swap(mustSpec(t, "nakcast(timeout=1ms)")); err != nil {
+		t.Fatal(err)
+	}
+	rig.publish(t, 5, 2*time.Millisecond)
+	if e0 := rig.readers[0].Epochs()[0]; !e0.CutKnown || !e0.Done {
+		t.Errorf("epoch 0 = %+v, want done once its cut is known", e0)
+	}
+	rig.finish(t)
+	rig.checkComplete(t, 15, false)
+	pos := map[uint64]int{}
+	for j, d := range rig.got[0] {
+		pos[d.Seq] = j
+	}
+	if pos[5] < pos[11] {
+		t.Errorf("recovered seq 5 delivered at %d, before new-epoch seq 11 at %d: the unordered epoch gated the next",
+			pos[5], pos[11])
+	}
+}
+
+// The synthetic EOS still opens an unordered nakcast epoch's tail-gap NAKs:
+// with its real EOS heartbeat and its tail sample both lost to receiver 0,
+// the tail is recovered only through the binding's injected heartbeat.
+func TestBindingUnorderedEpochTailViaSyntheticEOS(t *testing.T) {
+	rig := newBindingRig(t, "nakcast(timeout=2ms,unordered=1)")
+	rig.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
+		return to == 1 && pkt.Epoch == 0 &&
+			(pkt.Type == wire.TypeHeartbeat || pkt.Type == wire.TypeData && pkt.Seq == 10)
+	}
+	rig.publish(t, 10, 2*time.Millisecond)
+	if err := rig.sender.Swap(mustSpec(t, "nakcast(timeout=1ms)")); err != nil {
+		t.Fatal(err)
+	}
+	rig.publish(t, 5, 2*time.Millisecond)
+	rig.finish(t)
+	rig.checkComplete(t, 15, false)
+	if st := rig.readers[0].Stats(); st.Recovered != 1 {
+		t.Errorf("receiver 0 recovered %d samples, want the tail seq 10", st.Recovered)
+	}
+}
+
 // TestBindingSwapWithAnnounceLoss drops the first two rebind announcements:
 // new-epoch packets arriving before the chain is learned must be parked and
 // replayed, not lost — even on the best-effort transport.

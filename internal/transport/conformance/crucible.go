@@ -54,7 +54,6 @@ import (
 	"adamant/internal/netem/chaos"
 	"adamant/internal/sim"
 	"adamant/internal/transport"
-	"adamant/internal/transport/nakcast"
 	"adamant/internal/transport/protocols"
 	"adamant/internal/wire"
 )
@@ -103,21 +102,6 @@ type CrucibleScenario struct {
 	// heartbeat down so membership traffic scales with the group instead
 	// of quadratically swamping it.
 	Heartbeat time.Duration
-}
-
-// epochSpecs returns the effective protocol chain: the initial spec plus
-// every switch that actually changes the protocol (same-spec swaps are
-// binding no-ops and create no epoch).
-func (cs CrucibleScenario) epochSpecs() []transport.Spec {
-	specs := []transport.Spec{cs.Spec}
-	cur := cs.Spec.String()
-	for _, sw := range cs.Switches {
-		if s := sw.Spec.String(); s != cur {
-			specs = append(specs, sw.Spec)
-			cur = s
-		}
-	}
-	return specs
 }
 
 func (cs *CrucibleScenario) fillDefaults() {
@@ -444,20 +428,6 @@ func (o *CrucibleOutcome) hash() string {
 // every library scenario heals within the publish window.
 const bestEffortFloorPct = 50.0
 
-// specOrdered reports whether spec owes in-order delivery. Factory Props
-// are per protocol, so nakcast advertises PropOrdered for every spec; one
-// that asks for delivery on arrival (unordered=1) waives it.
-func specOrdered(factory *transport.Factory, spec transport.Spec) bool {
-	if !factory.Props.Has(transport.PropOrdered) {
-		return false
-	}
-	if spec.Name == nakcast.Name {
-		o, err := nakcast.ParseOptions(spec.Params)
-		return err != nil || !o.Unordered
-	}
-	return true
-}
-
 // CheckCrucible runs every invariant against one outcome and returns the
 // violations (nil when the cell is green).
 func CheckCrucible(cs CrucibleScenario, out CrucibleOutcome) []error {
@@ -467,35 +437,28 @@ func CheckCrucible(cs CrucibleScenario, out CrucibleOutcome) []error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 	// With a switch chain, ordering and completeness are only global
-	// obligations when EVERY generation advertises them: one best-effort
-	// epoch in the chain forfeits end-to-end completeness, one unordered
-	// epoch forfeits the global ordering guarantee.
+	// obligations when EVERY generation's spec advertises them: one
+	// best-effort epoch in the chain forfeits end-to-end completeness, one
+	// unordered epoch forfeits the global ordering guarantee. The sender's
+	// applied chain is the ground truth (a switch scheduled past sender
+	// shutdown is a no-op and never enters it).
 	reg := protocols.MustRegistry()
-	// The sender's applied chain is the ground truth (a switch scheduled
-	// past sender shutdown is a no-op and never enters it); fall back to
-	// the scenario schedule for outcomes that predate chain capture.
-	epochSpecs := cs.epochSpecs()
-	if len(out.Chain) > 0 {
-		epochSpecs = epochSpecs[:0]
-		for _, rec := range out.Chain {
-			spec, err := transport.ParseSpec(rec.Spec)
-			if err != nil {
-				return []error{fmt.Errorf("sender chain epoch %d: %w", rec.Epoch, err)}
-			}
-			epochSpecs = append(epochSpecs, spec)
-		}
-	}
+	var epochSpecs []transport.Spec
 	reliable, ordered := true, true
-	for _, spec := range epochSpecs {
-		factory, err := reg.Lookup(spec.Name)
+	for _, rec := range out.Chain {
+		spec, err := transport.ParseSpec(rec.Spec)
+		if err != nil {
+			return []error{fmt.Errorf("sender chain epoch %d: %w", rec.Epoch, err)}
+		}
+		epochSpecs = append(epochSpecs, spec)
+		props, err := reg.Props(spec)
 		if err != nil {
 			return []error{err}
 		}
-		if !factory.Props.Has(transport.PropNAKReliability) &&
-			!factory.Props.Has(transport.PropACKReliability) {
+		if !props.Has(transport.PropNAKReliability) && !props.Has(transport.PropACKReliability) {
 			reliable = false
 		}
-		if !specOrdered(factory, spec) {
+		if !props.Has(transport.PropOrdered) {
 			ordered = false
 		}
 	}
@@ -645,9 +608,6 @@ type CrucibleResult struct {
 	Failures []string
 	Err      error
 }
-
-// OK reports whether the cell passed completely.
-func (r CrucibleResult) OK() bool { return r.Err == nil && len(r.Failures) == 0 }
 
 // RunCell executes one cell twice with the same seed, demands byte-identical
 // outcomes, and checks every invariant.

@@ -122,7 +122,7 @@ func ParseOptions(p transport.Params) (Options, error) {
 
 // Factory returns the registry factory for Fountcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, Props, ParseOptions, NewSender, NewReceiver)
+	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props }, NewSender, NewReceiver)
 }
 
 // blockSeedFor derives a block's coefficient seed as a pure function of the

@@ -102,12 +102,12 @@ func TestFactoryRejectsBadParams(t *testing.T) {
 	if f.Name != fountcast.Name {
 		t.Fatalf("factory name %q", f.Name)
 	}
-	if !f.Props.Has(transport.PropMulticast) || !f.Props.Has(transport.PropFEC) ||
-		!f.Props.Has(transport.PropOrdered) {
-		t.Errorf("props = %v", f.Props)
+	props, err := f.Props(nil)
+	if err != nil || !props.Has(transport.PropMulticast|transport.PropFEC|transport.PropOrdered) {
+		t.Errorf("props = %v, %v", props, err)
 	}
-	if f.Props.Has(transport.PropNAKReliability) || f.Props.Has(transport.PropACKReliability) {
-		t.Errorf("fountcast must not advertise feedback reliability: %v", f.Props)
+	if props.Has(transport.PropNAKReliability) || props.Has(transport.PropACKReliability) {
+		t.Errorf("fountcast must not advertise feedback reliability: %v", props)
 	}
 	bad := transport.Params{"k": "65"}
 	if _, err := f.NewSender(transport.Config{}, bad); err == nil {

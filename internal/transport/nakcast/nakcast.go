@@ -115,7 +115,15 @@ func ParseOptions(p transport.Params) (Options, error) {
 
 // Factory returns the registry factory for NAKcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, Props, ParseOptions, NewSender, NewReceiver)
+	return transport.NewFactory(Name, ParseOptions, props, NewSender, NewReceiver)
+}
+
+// props advertises Props, without PropOrdered for an unordered spec.
+func props(o Options) transport.Properties {
+	if o.Unordered {
+		return Props &^ transport.PropOrdered
+	}
+	return Props
 }
 
 // Sender is the writer-side NAKcast instance.

@@ -426,7 +426,7 @@ func TestFactoryBuildsInstances(t *testing.T) {
 	if f.Name != nakcast.Name {
 		t.Errorf("factory name %q", f.Name)
 	}
-	if !transport.Properties(f.Props).Has(transport.PropNAKReliability) {
+	if props, err := f.Props(nil); err != nil || !props.Has(transport.PropNAKReliability) {
 		t.Error("factory props missing nak-reliability")
 	}
 	k := sim.New(1)

@@ -35,6 +35,42 @@ func TestMustRegistry(t *testing.T) {
 	}
 }
 
+// TestFactoryProps pins every registered protocol's properties at default
+// params and at unordered=1: only nakcast reads that key, and it is the one
+// spec that drops PropOrdered; every other protocol refuses the key.
+func TestFactoryProps(t *testing.T) {
+	want := map[string]struct{ def, unordered string }{
+		"ackcast":   {"multicast+ack-reliability+ordered+flow-control", ""},
+		"bemcast":   {"multicast", ""},
+		"fountcast": {"multicast+fec+ordered", ""},
+		"nakcast":   {"multicast+nak-reliability+ordered", "multicast+nak-reliability"},
+		"ricochet":  {"multicast+fec", ""},
+	}
+	reg := protocols.MustRegistry()
+	for _, name := range reg.Names() {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no expected properties", name)
+			continue
+		}
+		f, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := f.Props(nil); err != nil || p.String() != w.def {
+			t.Errorf("%s: Props = %v, %v; want %s", name, p, err, w.def)
+		}
+		p, err := f.Props(transport.Params{"unordered": "1"})
+		if w.unordered == "" {
+			if err == nil {
+				t.Errorf("%s(unordered=1): Props = %v, want an unknown-param error", name, p)
+			}
+		} else if err != nil || p.String() != w.unordered {
+			t.Errorf("%s(unordered=1): Props = %v, %v; want %s", name, p, err, w.unordered)
+		}
+	}
+}
+
 // TestExplicitZeroParamsRun pins that a param value ParseOptions accepts is
 // the value a receiver built through the registry runs with, zero included:
 // proc=0s charges no CPU per packet, decode=0s delays no recovered delivery

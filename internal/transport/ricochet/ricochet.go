@@ -149,7 +149,7 @@ func ParseOptions(p transport.Params) (Options, error) {
 // Factory returns the registry factory for Ricochet. The sender has no
 // tunables, but its spec is still checked.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, Props, ParseOptions,
+	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props },
 		func(cfg transport.Config, _ Options) (*Sender, error) { return NewSender(cfg) }, NewReceiver)
 }
 

@@ -449,8 +449,8 @@ func TestSpecAndParseOptions(t *testing.T) {
 
 func TestFactoryBuildsInstances(t *testing.T) {
 	f := ricochet.Factory()
-	if f.Name != ricochet.Name || !f.Props.Has(transport.PropFEC) {
-		t.Errorf("factory metadata wrong: %q %v", f.Name, f.Props)
+	if props, err := f.Props(nil); f.Name != ricochet.Name || err != nil || !props.Has(transport.PropFEC) {
+		t.Errorf("factory metadata wrong: %q %v %v", f.Name, props, err)
 	}
 	k := sim.New(1)
 	e := env.NewSim(k)

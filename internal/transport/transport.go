@@ -2,8 +2,8 @@
 // pluggable-protocol layer beneath the pub/sub middleware. It defines the
 // endpoint abstraction protocols send through, the protocol instance
 // interfaces (Sender, Receiver), the property flags protocols advertise
-// (multicast, NAK/ACK reliability, FEC, ordering, flow control, membership,
-// fault detection), a string Spec format for naming configured protocols
+// (multicast, NAK/ACK reliability, FEC, ordering, flow control), a string
+// Spec format for naming configured protocols
 // (e.g. "nakcast(timeout=1ms)", "ricochet(r=4,c=3)"), and a Registry that
 // maps specs to factories.
 //
@@ -135,8 +135,6 @@ const (
 	PropFEC
 	PropOrdered
 	PropFlowControl
-	PropMembership
-	PropFaultDetection
 )
 
 var propNames = []struct {
@@ -149,8 +147,6 @@ var propNames = []struct {
 	{PropFEC, "fec"},
 	{PropOrdered, "ordered"},
 	{PropFlowControl, "flow-control"},
-	{PropMembership, "membership"},
-	{PropFaultDetection, "fault-detection"},
 }
 
 // Has reports whether p contains all of the given flags.
@@ -360,8 +356,9 @@ func ParseSpec(s string) (Spec, error) {
 type Factory struct {
 	// Name is the spec name ("ricochet", "nakcast", ...).
 	Name string
-	// Props advertises the protocol's transport properties.
-	Props Properties
+	// Props reports the transport properties the protocol advertises when
+	// configured with params (an unordered nakcast is not ordered).
+	Props func(params Params) (Properties, error)
 	// NewSender builds a writer-side instance.
 	NewSender func(cfg Config, params Params) (Sender, error)
 	// NewReceiver builds a reader-side instance.
@@ -370,12 +367,19 @@ type Factory struct {
 
 // NewFactory builds the Factory of a protocol whose sides are configured
 // by one options type: each side parses its params with parse, once, and
-// hands the options to its constructor.
-func NewFactory[O any, S Sender, R Receiver](name string, props Properties, parse func(Params) (O, error),
+// hands the options to its constructor; props maps parsed options to the
+// properties that configuration advertises.
+func NewFactory[O any, S Sender, R Receiver](name string, parse func(Params) (O, error), props func(O) Properties,
 	newSender func(Config, O) (S, error), newReceiver func(Config, O) (R, error)) *Factory {
 	return &Factory{
-		Name:  name,
-		Props: props,
+		Name: name,
+		Props: func(params Params) (Properties, error) {
+			o, err := parse(params)
+			if err != nil {
+				return 0, err
+			}
+			return props(o), nil
+		},
 		NewSender: func(cfg Config, params Params) (Sender, error) {
 			o, err := parse(params)
 			if err != nil {
@@ -438,6 +442,15 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Props returns the transport properties spec advertises.
+func (r *Registry) Props(spec Spec) (Properties, error) {
+	f, err := r.Lookup(spec.Name)
+	if err != nil {
+		return 0, err
+	}
+	return f.Props(spec.Params)
 }
 
 // NewSender instantiates the writer side of spec.

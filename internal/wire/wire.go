@@ -117,11 +117,6 @@ const (
 	// MaxPayload bounds the payload of a single packet. Experiments use
 	// 12-byte samples; the bound exists to keep buffer allocation sane.
 	MaxPayload = 1 << 16
-
-	// Overhead is the fixed per-packet framing cost in bytes (header plus
-	// CRC trailer). The network emulator adds this to payload sizes when
-	// modeling serialization delay and bandwidth usage.
-	Overhead = headerSize + crcSize
 )
 
 // Packet is the decoded form of one wire packet.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the non-test Go lines (wc -l: code, comments and blanks) of every
 # package under internal/ and cmd/, one "lines package" row each, then the
-# total of internal/transport with its subpackages:
+# total of internal/transport with its subpackages and the total of
+# internal/ and cmd/ together:
 #
 #   scripts/loc.sh        (or: make loc)
 #
@@ -15,10 +16,12 @@ find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l |
 	awk '$2 != "total" {
 		dir = $2; sub("/[^/]*$", "", dir)
 		lines[dir] += $1
+		all += $1
 		if (dir == "internal/transport" || index(dir, "internal/transport/") == 1) transport += $1
 	}
 	END {
 		for (d in lines) printf "%6d %s\n", lines[d], d | "sort -k2"
 		close("sort -k2")
 		printf "%6d internal/transport/... (total)\n", transport
+		printf "%6d internal/ + cmd/ (total)\n", all
 	}'
