@@ -87,7 +87,8 @@ docs:
 	scripts/check-docs.sh
 
 # loc prints the non-test Go lines per package under internal/ and cmd/,
-# and the total of internal/transport (scripts/loc.sh).
+# and the total of internal/transport, and fails when internal/broker or
+# internal/transport/... passes its line cap (scripts/loc.sh).
 loc:
 	scripts/loc.sh
 
@@ -95,4 +96,4 @@ loc:
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; }
 
-check: fmt tier1 race bench-contract docs
+check: fmt tier1 race bench-contract docs loc

@@ -9,13 +9,12 @@ import (
 // Publish admission is the broker's backpressure valve. Every accepted
 // outbound frame adds its wire size to a server-wide gauge when it is
 // enqueued and removes it when its bytes are written to a socket (or the
-// frame is discarded with a dying connection). Before a reader goroutine
+// frame is discarded with a dying connection). Before a connection's core
 // routes a batch of publishes it waits, off every lock, until the gauge
 // is below the configured window — so an unpaced publisher is paced by
 // the drain rate of the fan-out instead of inflating half-second queues
-// inside the broker (the PR 7 failure mode the fleet harness measured as
-// "latency"). Because the wait happens on the publisher's own reader
-// goroutine, the publisher's TCP socket fills and the backpressure
+// inside the broker. Because the wait happens on the publisher's own
+// reader goroutine, the publisher's TCP socket fills and the backpressure
 // propagates all the way to the remote writer.
 //
 // The wait is bounded: a pathological consumer can pin queued bytes
@@ -71,7 +70,6 @@ func (a *admission) over() bool {
 // wait parks the caller until the gauge is under the window, the timeout
 // expires, or quit closes. It reports false on timeout.
 func (a *admission) wait(timeout time.Duration, quit <-chan struct{}) bool {
-	deadline := time.Now().Add(timeout)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
@@ -86,17 +84,6 @@ func (a *admission) wait(timeout time.Duration, quit <-chan struct{}) bool {
 			a.wake = ch
 		}
 		a.mu.Unlock()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		d := time.Until(deadline)
-		if d <= 0 {
-			return false
-		}
-		timer.Reset(d)
 		select {
 		case <-ch:
 		case <-timer.C:

@@ -358,7 +358,11 @@ func (c *Client) readLoop() {
 	close(c.done)
 }
 
-var errBadMsgHeader = errors.New("broker: malformed MSG header")
+var (
+	errBadMsgHeader = errors.New("broker: malformed MSG header")
+	errLineTooLong  = errors.New("broker: control line too long")
+	errBadPayload   = errors.New("broker: payload not terminated by CRLF")
+)
 
 func (c *Client) dispatch() error {
 	r := slabReader{conn: c.conn}

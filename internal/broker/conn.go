@@ -1,52 +1,100 @@
 package broker
 
 import (
+	"bytes"
 	"sync"
-	"time"
 )
 
-// serverClient is one connection of the broker, in either role: a link, the
-// reader goroutine's loop over it, and the role's state. A connection the
-// broker accepted starts as a client (rt == nil) and becomes a route when
-// the peer's ROUTE line registers; one the broker dialed (dialRoute) is a
-// route from its first byte. The role decides the message verb the loop
-// batches (PUB or RMSG) and the command set every other line goes to —
-// nothing else: reading, batching, the flush points and teardown are the
-// same code for both.
+// serverClient is one connection of the broker, in either role: a link,
+// the protocol core that consumes what arrives on it (feed), and the role's
+// state. A connection the broker accepted starts as a client (rt == nil)
+// and becomes a route when the peer's ROUTE line registers; one the broker
+// dialed (dialRoute) is a route from its first byte. The role decides the
+// message verb the core batches (PUB or RMSG) and the command set every
+// other line goes to — nothing else: framing, batching, the flush points
+// and teardown are the same code for both.
 type serverClient struct {
 	link
 	srv *Server
 	id  uint64
 
-	// rt is the route state, nil in the client role. Reader goroutine only.
+	// rt is the route state, nil in the client role. Core only.
 	rt *route
+
+	// What a feed ends inside of carries over to the next (core only): a
+	// control line still without its terminator (part), or the message
+	// whose payload is still arriving (msg, with got bytes of its payload
+	// and terminator in and the queue names of its RMSG line in qbuf).
+	part, qbuf []byte
+	msg        pendingPub
+	got        int
+
+	// dials are the peers RINFO lines advertised, for the driver to dial.
+	dials []string
 
 	smu  sync.Mutex
 	subs map[string][]*serverSub // sid -> subs (duplicate sids allowed)
 }
 
-// run is the reader goroutine's loop, left when the connection dies or is
-// dropped. Consecutive message lines collect in the link's ingest batch,
-// which is routed when the next read would block, before any other line is
-// handled (strict command order), at the batch bounds, and on the way out.
-func (c *serverClient) run() {
-	defer c.teardown()
+// feed is the connection's protocol core: it consumes b, bytes the peer
+// sent that arrived at now on the server clock, and reports whether the
+// connection is kept. Consecutive message lines collect in the link's
+// ingest batch, which is routed before any other line is handled (strict
+// command order), at the batch bounds, and at the end of b: batching
+// amortizes work that is already waiting and never holds a message for
+// bytes still to come. A line or payload that b ends inside carries over,
+// bounded by maxControlLine and MaxPayload. The core reads no clock,
+// touches no socket and starts no goroutine: replies and routed runs go
+// onto outbound queues, interest deltas through interestAdd/interestDrop,
+// and the peers to dial into dials.
+func (c *serverClient) feed(now int64, b []byte) bool {
+	if c.rt != nil {
+		c.rt.lastRecv.Store(now)
+	}
 	var fields [16][]byte
-	for {
-		// The next read would block (or the buffer holds only a partial
-		// line): route what we have instead of sitting on it.
-		blocking := !c.completeLineBuffered()
-		if blocking {
+	for len(b) > 0 {
+		if pb := c.msg.pb; pb != nil {
+			// The payload, copied once into its arena buffer, then CRLF or LF.
+			if c.got < len(pb.data) {
+				n := copy(pb.data[c.got:], b)
+				c.got, b = c.got+n, b[n:]
+				continue
+			}
+			switch ch := b[0]; {
+			case ch == '\r' && c.got == len(pb.data):
+				c.got++
+			case ch == '\n':
+				c.endMsg()
+			default:
+				return false // unframeable from here
+			}
+			b = b[1:]
+			continue
+		}
+		i := bytes.IndexByte(b, '\n')
+		end := i // of the line, within b
+		if i < 0 {
+			end = len(b)
+		}
+		if len(c.part)+end >= maxControlLine {
+			// A peer that sends maxControlLine bytes without a terminator is
+			// told so, after what it sent before is routed, and dropped.
 			c.flushIngest()
+			c.sendErr("control line too long")
+			return false
 		}
-		line, err := c.readLine()
-		if err != nil {
-			return
+		if i < 0 {
+			c.part = append(c.part, b...)
+			break
 		}
-		if blocking && c.rt != nil {
-			// Once per socket read, not per line: lines parsed out of the
-			// buffer arrived with the read that was stamped.
-			c.rt.lastRecv.Store(time.Now().UnixNano())
+		line := b[:i]
+		if len(c.part) > 0 {
+			c.part = append(c.part, line...)
+			line, c.part = c.part, c.part[:0]
+		}
+		b = b[i+1:]
+		if len(line) > 0 && line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
 		}
 		nf := splitFields(line, fields[:0])
 		if len(nf) == 0 {
@@ -62,26 +110,31 @@ func (c *serverClient) run() {
 			keep = c.ingestMsg(nf)
 		case c.rt != nil:
 			c.flushIngest() // strict command order: prior messages route first
-			keep = c.routeCommand(nf)
+			keep = c.routeCommand(now, nf)
 		default:
 			c.flushIngest()
-			keep = c.clientCommand(nf)
+			keep = c.clientCommand(now, nf)
 		}
 		if !keep {
-			return
+			return false
 		}
 	}
+	c.flushIngest() // the end of the bytes handed in
+	return true
 }
 
 // flushIngest routes the connection's pending batch.
 func (c *serverClient) flushIngest() { c.srv.flushIngest(&c.in, c.rt) }
 
-// teardown ends the connection from the reader's side.
+// teardown ends the connection from the core's side.
 func (c *serverClient) teardown() {
 	// Fully received messages are routed even if the peer is gone: a
 	// pipelined publisher that disconnects right after writing must not
-	// lose its tail.
+	// lose its tail. One cut off inside its payload is not.
 	c.flushIngest()
+	if c.msg.pb != nil {
+		c.msg.pb.release(1)
+	}
 	if c.rt != nil {
 		c.srv.teardownRoute(c.rt)
 	}
@@ -93,10 +146,11 @@ func (c *serverClient) teardown() {
 
 // ingestMsg parses the role's message line — PUB <subject> <nbytes> from a
 // client, RMSG <subject> <origin> <nbytes> [queue...] from a route — and
-// its payload into the ingest batch. It reports whether the connection is
-// kept: false means the stream is unframeable from here.
+// opens the message, whose payload the following bytes fill (feed,
+// endMsg). It reports whether the connection is kept: false means the
+// stream is unframeable from here.
 func (c *serverClient) ingestMsg(f [][]byte) bool {
-	r, in := c.rt, &c.in
+	r := c.rt
 	sizeAt, usage := 2, "PUB requires <subject> <nbytes>"
 	if r != nil {
 		sizeAt, usage = 3, "RMSG requires <subject> <origin> <nbytes>"
@@ -113,50 +167,42 @@ func (c *serverClient) ingestMsg(f [][]byte) bool {
 		c.sendErr("bad payload size")
 		return false
 	}
-	blocking := c.r.Buffered() < n+2
-	if blocking {
-		// The payload read will block on the socket: route what we have
-		// first so batching never delays delivery.
-		c.flushIngest()
-	}
-	// The header fields borrow the reader's buffer, which the payload read
-	// refills — take what routing needs of them first.
-	var m pendingPub
-	qoff := len(in.qnames)
+	// The header fields borrow the bytes being fed: take what routing needs
+	// of them now.
+	c.qbuf = c.qbuf[:0]
 	if r != nil {
-		m.selfOrigin = string(f[2]) == c.srv.id
+		c.msg.selfOrigin = string(f[2]) == c.srv.id
 		for i, q := range f[4:] {
 			if i > 0 {
-				in.qnames = append(in.qnames, ' ')
+				c.qbuf = append(c.qbuf, ' ')
 			}
-			in.qnames = append(in.qnames, q...)
+			c.qbuf = append(c.qbuf, q...)
 		}
 	}
-	pb, err := c.readPayload(f[1], n)
-	if err != nil {
-		return false
-	}
-	if blocking && r != nil {
-		r.lastRecv.Store(time.Now().UnixNano())
-	}
-	if !validSubjectBytes(pb.subj) {
-		msg := "invalid subject"
-		if err := ValidateSubject(string(pb.subj)); err != nil {
-			msg = err.Error()
-		}
-		pb.release(1)
-		in.qnames = in.qnames[:qoff]
+	c.msg.pb, c.got = arenaGet(n), 0
+	c.msg.pb.subj = append(c.msg.pb.subj, f[1]...)
+	return true
+}
+
+// endMsg takes the message whose payload has just ended into the batch.
+func (c *serverClient) endMsg() {
+	in, m := &c.in, c.msg
+	c.msg = pendingPub{}
+	if !validSubjectBytes(m.pb.subj) {
+		err := ValidateSubject(string(m.pb.subj)) // the same verdict, worded
+		m.pb.release(1)
 		c.flushIngest()
-		c.sendErr(msg)
-		return true
+		c.sendErr(err.Error())
+		return
 	}
-	m.pb, m.queues = pb, in.qnames[qoff:]
+	qoff := len(in.qnames)
+	in.qnames = append(in.qnames, c.qbuf...)
+	m.queues = in.qnames[qoff:]
 	in.pending = append(in.pending, m)
-	in.pendingBytes += n
+	in.pendingBytes += len(m.pb.data)
 	if in.full() {
 		c.flushIngest()
 	}
-	return true
 }
 
 // validSubjectBytes is the allocation-free publish-subject check:
@@ -183,7 +229,7 @@ func validSubjectBytes(b []byte) bool {
 
 // clientCommand handles one line of the client role other than PUB and
 // reports whether the connection is kept.
-func (c *serverClient) clientCommand(f [][]byte) bool {
+func (c *serverClient) clientCommand(now int64, f [][]byte) bool {
 	switch cmd := f[0]; {
 	case asciiFold(cmd, "SUB"):
 		c.handleSub(f)
@@ -200,7 +246,7 @@ func (c *serverClient) clientCommand(f [][]byte) bool {
 	case asciiFold(cmd, "CONNECT"):
 		// Name is informational only.
 	case asciiFold(cmd, "ROUTE"):
-		return c.routeHello(f)
+		return c.routeHello(now, f)
 	default:
 		c.sendErr("unknown command " + string(cmd))
 	}
@@ -227,7 +273,7 @@ func (c *serverClient) handleSub(fields [][]byte) {
 
 // routeCommand handles one line of the route role other than RMSG and
 // reports whether the connection is kept.
-func (c *serverClient) routeCommand(f [][]byte) bool {
+func (c *serverClient) routeCommand(now int64, f [][]byte) bool {
 	r := c.rt
 	switch cmd := f[0]; {
 	case asciiFold(cmd, "RS+"):
@@ -237,14 +283,14 @@ func (c *serverClient) routeCommand(f [][]byte) bool {
 	case asciiFold(cmd, "PING"):
 		c.sendLine("PONG")
 	case asciiFold(cmd, "PONG"):
-		// the lastRecv stamp in run is the whole point
+		// the lastRecv stamp in feed is the whole point
 	case asciiFold(cmd, "RINFO"):
-		c.srv.handleRInfo(f)
+		c.handleRInfo(f)
 	case asciiFold(cmd, "ROUTE"):
 		if r.registered {
 			break // duplicate handshake line: ignore
 		}
-		return c.routeHello(f)
+		return c.routeHello(now, f)
 	case asciiFold(cmd, "-ERR"):
 		if !r.registered {
 			// Handshake rejected (duplicate route): park the redial.
@@ -259,12 +305,12 @@ func (c *serverClient) routeCommand(f [][]byte) bool {
 
 // routeHello handles the peer's ROUTE <id> [addr] line. On an accepted
 // connection it is the upgrade: the connection gives up its client
-// subscriptions and becomes a route — the link, with its reader position,
+// subscriptions and becomes a route — the link, with its stream position,
 // outbound queue and writer goroutine, carries over — and is answered with
 // our half of the handshake. On a connection this broker dialed it is the
 // reply that completes registration. It reports whether the connection is
 // kept.
-func (c *serverClient) routeHello(f [][]byte) bool {
+func (c *serverClient) routeHello(now int64, f [][]byte) bool {
 	s := c.srv
 	if len(f) < 2 || len(f) > 3 || len(f[1]) == 0 {
 		c.sendErr("ROUTE requires <serverID> [clusterAddr]")
@@ -273,7 +319,7 @@ func (c *serverClient) routeHello(f [][]byte) bool {
 	r := c.rt
 	if r == nil {
 		s.clearSubs(c) // a route holds no client subscriptions
-		r = newRoute(&c.link, false)
+		r = s.newRoute(&c.link, false, now)
 	}
 	r.id = string(f[1])
 	if len(f) == 3 && len(f[2]) > 0 {
@@ -328,9 +374,11 @@ func (c *serverClient) handleRSub(fields [][]byte, add bool) {
 	s.stats.remoteSubs.Add(^uint64(0))
 }
 
-// handleRInfo reacts to gossip about a mesh member: dial any advertised
-// peer we have no route to. Duplicate dials resolve via the tie-break.
-func (s *Server) handleRInfo(fields [][]byte) {
+// handleRInfo reacts to gossip about a mesh member: the driver is to dial
+// any advertised peer we have no route to (dials). Duplicate dials resolve
+// via the tie-break.
+func (c *serverClient) handleRInfo(fields [][]byte) {
+	s := c.srv
 	if len(fields) != 3 {
 		return
 	}
@@ -342,7 +390,7 @@ func (s *Server) handleRInfo(fields [][]byte) {
 	_, have := s.routes[id]
 	s.fedMu.Unlock()
 	if !have {
-		s.AddRoute(addr)
+		c.dials = append(c.dials, addr)
 	}
 }
 
@@ -405,10 +453,14 @@ func (s *Server) eachPatternShard(pattern string, fn func(*shard)) {
 }
 
 // dropClient takes c out of the connection table and removes its
-// subscriptions.
+// subscriptions. The last connection to leave a server that is shutting
+// down signals DrainShutdown.
 func (s *Server) dropClient(c *serverClient) {
 	s.mu.Lock()
 	delete(s.clients, c)
+	if s.shutdown && len(s.clients) == 0 {
+		close(s.drained)
+	}
 	s.mu.Unlock()
 	s.clearSubs(c)
 }

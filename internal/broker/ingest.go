@@ -2,10 +2,10 @@ package broker
 
 import "bytes"
 
-// Ingest batching bounds: a reader routes its pending publishes once it
-// has this many messages or payload bytes, or as soon as its socket has
-// no complete command left buffered (so batching never adds latency —
-// it only amortizes work that is already waiting).
+// Ingest batching bounds: a connection's core routes its pending
+// publishes once it has this many messages or payload bytes, or at the end
+// of the bytes a read handed it (so batching never adds latency — it only
+// amortizes work that is already waiting).
 const (
 	maxIngestBatch = 256
 	maxIngestBytes = 256 << 10

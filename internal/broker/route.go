@@ -58,8 +58,9 @@ const (
 )
 
 // route is the route-role state of one broker↔broker connection. The
-// connection's reader goroutine (serverClient.run) owns every non-atomic
-// field after registration; lastRecv is shared with the heartbeat monitor.
+// connection's core (serverClient.feed) owns every non-atomic field after
+// registration; lastRecv, on the server clock, is shared with the
+// heartbeat monitor.
 type route struct {
 	ln         *link
 	id         string // peer server ID (ROUTE handshake)
@@ -73,12 +74,12 @@ type route struct {
 	subs map[interestKey]*serverSub
 }
 
-// newRoute returns the route state for a connection over l and marks the
-// link as a route's (see link.sendLine).
-func newRoute(l *link, dialed bool) *route {
-	l.isRoute = true
+// newRoute returns the route state for a connection over l, last heard
+// from at now, and marks the link as a route's (see link.sendLine).
+func (s *Server) newRoute(l *link, dialed bool, now int64) *route {
+	l.evicted = &s.stats.controlEvictions
 	r := &route{ln: l, dialed: dialed, addr: "-", subs: make(map[interestKey]*serverSub)}
-	r.lastRecv.Store(time.Now().UnixNano())
+	r.lastRecv.Store(now)
 	return r
 }
 
@@ -135,22 +136,26 @@ func (s *Server) AddRoute(addr string) {
 	go s.dialRoute(addr)
 }
 
-// dialRoute is the persistent dialer for one route target.
+// dialRoute is the persistent dialer for one route target, a driver: it
+// dials when its schedule (redial) is due and runs the route it gets.
 func (s *Server) dialRoute(addr string) {
 	defer func() {
 		s.fedMu.Lock()
 		delete(s.dialing, addr)
 		s.fedMu.Unlock()
 	}()
-	backoff := routeRedialMin
+	var d redial
 	for {
-		select {
-		case <-s.quit:
-			return
-		default:
+		if now := s.now(); !d.due(now) {
+			select {
+			case <-s.quit:
+				return
+			case <-time.After(time.Duration(d.at - now)):
+			}
+			continue
 		}
-		conn, err := net.DialTimeout("tcp", addr, routeDialTimeout)
-		if err == nil {
+		var r *route
+		if conn, err := net.DialTimeout("tcp", addr, routeDialTimeout); err == nil {
 			// In the connection table like an accepted connection, so
 			// Shutdown closes it and DrainShutdown flushes what is queued on
 			// it; the peer's ROUTE reply completes registration (routeHello).
@@ -158,30 +163,41 @@ func (s *Server) dialRoute(addr string) {
 			if c == nil {
 				return
 			}
-			r := newRoute(&c.link, true)
+			r = s.newRoute(&c.link, true, s.now())
 			c.rt = r
-			c.startWriter()
+			go writeLoop(conn, &c.out)
 			c.sendLine("ROUTE " + s.id + " " + s.opts.clusterAddr)
 			c.run() // returns when the route dies
-			if r.dupLost {
-				// The mesh already has a live route to this peer (or the
-				// address is our own): park at max backoff so a later
-				// failure of the winning route is still repaired.
-				backoff = routeRedialMax
-			} else if r.registered {
-				backoff = routeRedialMin // a real route died: redial promptly
-			}
 		}
-		select {
-		case <-s.quit:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > routeRedialMax {
-			backoff = routeRedialMax
-		}
+		d.ended(s.now(), r)
 	}
 }
+
+// redial is a route dialer's schedule on the server clock: the next dial is
+// due backoff after the last attempt ended. Failed attempts double the
+// backoff from routeRedialMin to routeRedialMax; a route that registered
+// resets it (a real route died: redial promptly); a lost tie-break parks it
+// at the cap, so a later failure of the winning route is still repaired.
+type redial struct {
+	backoff time.Duration // the wait after the next attempt
+	at      int64         // when the next dial is due
+}
+
+// ended schedules the next dial after an attempt that ended at now; r is
+// the route the attempt made, nil if the dial failed.
+func (d *redial) ended(now int64, r *route) {
+	switch {
+	case r != nil && r.dupLost:
+		d.backoff = routeRedialMax
+	case d.backoff == 0 || r != nil && r.registered:
+		d.backoff = routeRedialMin
+	}
+	d.at = now + int64(d.backoff)
+	d.backoff = min(2*d.backoff, routeRedialMax)
+}
+
+// due reports whether the next dial is due at now.
+func (d *redial) due(now int64) bool { return now >= d.at }
 
 // registerRoute installs r in the route table, resolving duplicate
 // routes to the same peer by the dialed-by-higher-ID rule. On success
@@ -224,7 +240,6 @@ func (s *Server) registerRoute(r *route) bool {
 			other.ln.sendLine("RINFO " + r.id + " " + r.addr)
 		}
 	}
-	s.ensureMonitor()
 	s.fedMu.Unlock()
 	return true
 }
@@ -288,21 +303,8 @@ func rsLine(verb string, k interestKey) string {
 	return verb + " " + k.pattern + " " + k.queue
 }
 
-// ensureMonitor starts the heartbeat monitor once the first route
-// registers. Callers hold fedMu.
-func (s *Server) ensureMonitor() {
-	if s.monitorOn {
-		return
-	}
-	s.monitorOn = true
-	go s.routeMonitor()
-}
-
-// routeMonitor is the failure detector: each interval it PINGs every
-// route and closes any route silent past the suspect bound. Closing the
-// conn unblocks the route's reader, whose teardown withdraws the peer's
-// interest — so the time from silent peer to "no longer routed to" is
-// bounded by suspect + one monitor tick.
+// routeMonitor is the heartbeat driver: each interval it checks the
+// routes at the server clock's reading.
 func (s *Server) routeMonitor() {
 	t := time.NewTicker(s.opts.hbInterval)
 	defer t.Stop()
@@ -311,20 +313,25 @@ func (s *Server) routeMonitor() {
 		case <-s.quit:
 			return
 		case <-t.C:
+			s.checkRoutes(s.now())
 		}
-		cutoff := time.Now().Add(-s.opts.hbSuspect).UnixNano()
-		s.fedMu.Lock()
-		rts := make([]*route, 0, len(s.routes))
-		for _, r := range s.routes {
-			rts = append(rts, r)
-		}
-		s.fedMu.Unlock()
-		for _, r := range rts {
-			if r.lastRecv.Load() < cutoff {
-				r.ln.conn.Close()
-			} else {
-				r.ln.sendLine("PING")
-			}
+	}
+}
+
+// checkRoutes is the failure detector, one heartbeat at now: it closes
+// every route silent past the suspect bound and PINGs the others. Closing
+// the conn unblocks the route's reader, whose teardown withdraws the
+// peer's interest — so the time from silent peer to "no longer routed to"
+// is bounded by suspect + one heartbeat interval.
+func (s *Server) checkRoutes(now int64) {
+	cutoff := now - int64(s.opts.hbSuspect)
+	s.fedMu.Lock()
+	defer s.fedMu.Unlock()
+	for _, r := range s.routes {
+		if r.lastRecv.Load() < cutoff {
+			r.ln.conn.Close()
+		} else {
+			r.ln.sendLine("PING")
 		}
 	}
 }

@@ -10,27 +10,28 @@
 // path alongside the simulated DDS/ANT stack.
 //
 // The data path is built for high fan-out and bounded latency:
-// subscriptions live in sharded subject-token tries with per-subject
-// match caches (sublist.go); a reader goroutine parses every PUB (or, on
-// a route, RMSG) that is already buffered on its socket into one ingest
+// subscriptions live in sharded subject-token tries with per-subject match
+// caches (sublist.go); a connection's protocol core parses every PUB (or,
+// on a route, RMSG) in the bytes one socket read handed it into one ingest
 // batch and routes the batch with one shard-lock acquisition per shard run
 // and one trie/cache probe per distinct subject (routeBatch, ingest.go),
 // counting what it routed in that shard's counters under the same lock
-// (stats.go); payload and subject live in a refcounted arena buffer (arena.go) shared across the
-// whole fan-out; deliveries are staged per destination and enter its
-// bounded queue a run at a time, and writer goroutines drain the queues
-// into vectored writev batches, encoding the MSG headers as they go
-// (outbound.go); and a publish-admission gauge (admission.go)
-// paces unpaced publishers instead of letting internal queues grow into
-// seconds of latency.
+// (stats.go); payload and subject live in a refcounted arena buffer
+// (arena.go) shared across the whole fan-out; deliveries are staged per
+// destination and enter its bounded queue a run at a time, and writer
+// goroutines drain the queues into vectored writev batches, encoding the
+// MSG headers as they go (outbound.go); and a publish-admission gauge
+// (admission.go) paces unpaced publishers instead of letting internal
+// queues grow into seconds of latency.
 //
 // Every connection — client or inter-broker route — is built on the same
-// link substrate (link.go): framed reader, arena payloads, bounded
-// outbound queue, vectored writer; and runs the same reader loop
-// (conn.go), in which the role picks the message verb and the command
-// set. Federation (route.go) adds a ROUTE handshake, RS+/RS- interest
-// propagation, origin-tagged RMSG forwarding with one-hop dedup, and
-// gossip membership with heartbeat failure detection.
+// link substrate (link.go): arena payloads, bounded outbound queue,
+// vectored writer; and runs the same protocol core (conn.go), fed the
+// bytes each read returns and the server clock's reading by one thin
+// driver goroutine (serverClient.run); the role picks the message verb and
+// the command set. Federation (route.go) adds a ROUTE handshake, RS+/RS-
+// interest propagation, origin-tagged RMSG forwarding with one-hop dedup,
+// and gossip membership with heartbeat failure detection.
 //
 // Wire protocol (text, CRLF-terminated control lines):
 //
@@ -183,6 +184,11 @@ type Server struct {
 	adm    *admission // nil when admission is disabled
 	quit   chan struct{}
 
+	// now is the server clock, in nanoseconds: monotonic time in
+	// production, stepped by tests. Route liveness (lastRecv), the
+	// heartbeat's suspect check and the redial schedule read it.
+	now func() int64
+
 	// numSubs is the live logical subscription count (a wildcard-first
 	// pattern is stored in every shard but counts once).
 	numSubs atomic.Int64
@@ -195,7 +201,7 @@ type Server struct {
 	routes        map[string]*route
 	localInterest map[interestKey]int
 	dialing       map[string]bool
-	monitorOn     bool
+	monitor       sync.Once // the first connection starts the heartbeat monitor
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -203,6 +209,7 @@ type Server struct {
 	clients  map[*serverClient]struct{}
 	nextCID  uint64
 	shutdown bool
+	drained  chan struct{} // closed once shut down with no connection left
 	done     chan struct{}
 	doneOnce sync.Once
 }
@@ -261,8 +268,10 @@ func NewServer(opts ...Option) *Server {
 		routes:        make(map[string]*route),
 		localInterest: make(map[interestKey]int),
 		dialing:       make(map[string]bool),
+		drained:       make(chan struct{}),
 		done:          make(chan struct{}),
 		quit:          make(chan struct{}),
+		now:           func() int64 { return int64(time.Since(clockBase)) },
 	}
 	if o.admissionBytes > 0 {
 		s.adm = &admission{limit: o.admissionBytes}
@@ -272,6 +281,10 @@ func NewServer(opts ...Option) *Server {
 	}
 	return s
 }
+
+// clockBase anchors the production server clock: time.Since reads the
+// monotonic clock, so no wall-clock step moves a deadline.
+var clockBase = time.Now()
 
 // ID returns the broker's server ID (the RMSG origin tag).
 func (s *Server) ID() string { return s.id }
@@ -368,8 +381,27 @@ func (s *Server) startClient(conn net.Conn) *serverClient {
 	}
 	s.stats.connections.Add(1)
 	go c.run()
-	c.startWriter()
+	go writeLoop(conn, &c.out)
 	return c
+}
+
+// run is the connection's driver, its one reader goroutine: it feeds each
+// read to the core (feed) with the server clock's reading, and dials the
+// peers the core asks for, until the connection dies or the core drops it.
+func (c *serverClient) run() {
+	defer c.teardown()
+	buf := make([]byte, maxControlLine)
+	for {
+		n, err := c.conn.Read(buf)
+		keep := n == 0 || c.feed(c.srv.now(), buf[:n])
+		for _, addr := range c.dials {
+			c.srv.AddRoute(addr)
+		}
+		c.dials = c.dials[:0]
+		if !keep || err != nil {
+			return
+		}
+	}
 }
 
 // register enters conn in the connection table, the one place Shutdown and
@@ -388,6 +420,7 @@ func (s *Server) register(conn net.Conn) *serverClient {
 	c.link.init(conn, s.opts.queueFrames, s.opts.queueBytes, s.adm)
 	s.clients[c] = struct{}{}
 	s.mu.Unlock()
+	s.monitor.Do(func() { go s.routeMonitor() })
 	return c
 }
 
@@ -412,13 +445,10 @@ func (s *Server) DrainShutdown(timeout time.Duration) {
 		for _, c := range conns {
 			c.out.close()
 		}
-		for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			s.mu.Lock()
-			n := len(s.clients)
-			s.mu.Unlock()
-			if n == 0 {
-				return
-			}
+		select {
+		case <-s.drained:
+			return
+		case <-time.After(timeout):
 		}
 	}
 	for _, c := range conns {
@@ -443,6 +473,9 @@ func (s *Server) beginShutdown() []*serverClient {
 	conns := make([]*serverClient, 0, len(s.clients))
 	for c := range s.clients {
 		conns = append(conns, c)
+	}
+	if len(conns) == 0 {
+		close(s.drained)
 	}
 	s.mu.Unlock()
 	for _, l := range rlns {

@@ -178,8 +178,8 @@ func TestSlowConsumerDisconnectEvictsStalled(t *testing.T) {
 // TestRouteControlLineOverflowDisconnects: an RS+ that meets a full route
 // queue must not vanish — the peer's interest table would be wrong for as
 // long as the route lives, and nothing would say so. Route control lines
-// overflow like RMSGs do: the route is torn down, which the peer sees and
-// the redial repairs.
+// overflow like RMSGs do: the route is torn down, which the peer sees, the
+// redial repairs and ServerStats.ControlEvictions counts.
 func TestRouteControlLineOverflowDisconnects(t *testing.T) {
 	srv := NewServer(WithSeed(1), WithServerID("self"), WithWriteQueue(4, 1<<20),
 		WithSlowConsumerPolicy(SlowConsumerDrop), WithRouteHeartbeat(time.Hour, time.Hour))
@@ -208,5 +208,13 @@ func TestRouteControlLineOverflowDisconnects(t *testing.T) {
 				srv.Stats().Routes, subs)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// The eviction is counted once: the line that met the full queue tore
+	// the route down, and the ones offered after it met a closed queue.
+	for srv.Stats().ControlEvictions == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := srv.Stats().ControlEvictions; n != 1 {
+		t.Errorf("ControlEvictions = %d, want 1", n)
 	}
 }

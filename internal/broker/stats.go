@@ -40,6 +40,10 @@ type ServerStats struct {
 	RemoteSubs     uint64
 	RoutedMsgs     uint64
 	DupsSuppressed uint64
+
+	// ControlEvictions counts routes torn down because a control line
+	// (RS+, RS-, RINFO, PING, a reply) met the route's full queue.
+	ControlEvictions uint64
 }
 
 // flowStats are a shard's data-path counters, guarded by the shard's lock.
@@ -62,6 +66,7 @@ type gauges struct {
 	routes            atomic.Uint64
 	remoteSubs        atomic.Uint64
 	dupsSuppressed    atomic.Uint64
+	controlEvictions  atomic.Uint64
 }
 
 // Stats returns a snapshot of the broker counters, the data-path fields
@@ -76,6 +81,7 @@ func (s *Server) Stats() ServerStats {
 		Routes:            g.routes.Load(),
 		RemoteSubs:        g.remoteSubs.Load(),
 		DupsSuppressed:    g.dupsSuppressed.Load(),
+		ControlEvictions:  g.controlEvictions.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -6,14 +6,19 @@
 #
 #   scripts/loc.sh        (or: make loc)
 #
-# Line targets of simplicity changes are measured with it.
+# Line targets of simplicity changes are measured with it. It exits
+# non-zero, naming the package, when one passes its cap below: a change
+# that must grow past a cap raises it here and says why.
 set -euo pipefail
+
+broker_cap=3417    # internal/broker
+transport_cap=5175 # internal/transport/... (total)
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 cd "$root"
 
 find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l |
-	awk '$2 != "total" {
+	awk -v broker_cap="$broker_cap" -v transport_cap="$transport_cap" '$2 != "total" {
 		dir = $2; sub("/[^/]*$", "", dir)
 		lines[dir] += $1
 		all += $1
@@ -24,4 +29,14 @@ find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l |
 		close("sort -k2")
 		printf "%6d internal/transport/... (total)\n", transport
 		printf "%6d internal/ + cmd/ (total)\n", all
+		over = 0
+		if (lines["internal/broker"] > broker_cap) {
+			printf "internal/broker: %d lines, over its cap of %d\n", lines["internal/broker"], broker_cap > "/dev/stderr"
+			over = 1
+		}
+		if (transport > transport_cap) {
+			printf "internal/transport/...: %d lines, over its cap of %d\n", transport, transport_cap > "/dev/stderr"
+			over = 1
+		}
+		exit over
 	}'
