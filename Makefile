@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench bench-contract bench-pair pins check docs fmt fuzz-smoke chaos loc
+.PHONY: tier1 race bench bench-contract bench-pair results check docs fmt fuzz-smoke chaos loc
 
 # tier1 is the gating check: vet, build, and the full test suite.
 tier1:
@@ -75,11 +75,11 @@ PAIRS ?= 10
 bench-pair:
 	scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS)
 
-# pins builds REF and the working tree and cmp's the output of the figure,
-# ablation, dataset, adaptation, sharded-sim and cross-validation commands
-# whose bytes must not move (scripts/pins.sh).
-pins:
-	scripts/pins.sh $(REF)
+# results regenerates every committed output (data/, results/) with its one
+# command in place and fails, naming the files, when any differs from the
+# committed copy (scripts/results.sh).
+results:
+	scripts/results.sh
 
 # docs fails when README.md, DESIGN.md or EXPERIMENTS.md cites a ./cmd,
 # ./internal or ./examples path or a make target that does not exist.

@@ -6,11 +6,18 @@
 // -dataset <csv> (generate one with adamant-dataset) or is built on the
 // fly with -combos.
 //
+// -all renders the deterministic set, Tables 1-2 and Figures 4-19, whose
+// bytes depend only on the flags (scripts/results.sh checks the committed
+// copies). Figures 20/21 time the ANN on the host's clock, so they come
+// only from -fig and are preceded by one line naming the Go version,
+// platform, CPU count, GOMAXPROCS and the build's vcs revision.
+//
 // Examples:
 //
 //	adamant-bench -fig 4              # one figure
-//	adamant-bench -all                # everything (takes a while)
+//	adamant-bench -all                # Tables 1-2 and Figures 4-19 (takes a while)
 //	adamant-bench -fig 19 -dataset data/training.csv
+//	adamant-bench -fig 20,21 -dataset data/training.csv   # host-timed
 //	adamant-bench -fig 5 -samples 20000 -runs 5   # paper-scale workload
 package main
 
@@ -18,6 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 
@@ -68,7 +77,7 @@ func run(figFlag string, all bool, samples, runs int, seed int64, dataset string
 	switch {
 	case all:
 		wanted = append(wanted, "t1", "t2")
-		for f := 4; f <= 21; f++ {
+		for f := 4; f <= 19; f++ {
 			wanted = append(wanted, strconv.Itoa(f))
 		}
 	case figFlag != "":
@@ -85,7 +94,7 @@ func run(figFlag string, all bool, samples, runs int, seed int64, dataset string
 		}
 	}
 
-	needQoS, needANN := false, false
+	needQoS, needANN, timed := false, false, false
 	for _, f := range wanted {
 		if n, err := strconv.Atoi(f); err == nil {
 			if n >= 4 && n <= 17 {
@@ -94,7 +103,13 @@ func run(figFlag string, all bool, samples, runs int, seed int64, dataset string
 			if n >= 18 && n <= 21 {
 				needANN = true
 			}
+			if n >= 20 && n <= 21 {
+				timed = true
+			}
 		}
+	}
+	if timed {
+		fmt.Println(environment())
 	}
 
 	var qos *experiment.QoSFigures
@@ -165,4 +180,21 @@ func run(figFlag string, all bool, samples, runs int, seed int64, dataset string
 		emit(tab)
 	}
 	return nil
+}
+
+// environment names what the host-timed Figures 20/21 were measured on.
+func environment() string {
+	rev, modified := "unknown", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			switch {
+			case kv.Key == "vcs.revision":
+				rev = kv.Value
+			case kv.Key == "vcs.modified" && kv.Value == "true":
+				modified = " (modified)"
+			}
+		}
+	}
+	return fmt.Sprintf("# host-timed, report-only: %s %s/%s, NumCPU %d, GOMAXPROCS %d, revision %s%s",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), rev, modified)
 }

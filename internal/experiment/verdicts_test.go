@@ -1,0 +1,355 @@
+package experiment
+
+import (
+	"bufio"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The verdict table of EXPERIMENTS.md, one predicate per row, evaluated
+// against the committed output files. make results keeps those files equal
+// to what the code prints, so a row whose claim no longer holds fails here
+// as "flipped" instead of staying typed into the table.
+
+const (
+	nak = "nakcast(timeout=1ms)"
+	ric = "ricochet(c=3,r=4)"
+)
+
+// figures are the parsed tables of one output file, keyed by ID.
+type figures map[string]Table
+
+// verdict is one row of the table: the artifact, its claim as measured
+// here, and the predicate that must hold for the row's verdict to stand.
+type verdict struct {
+	id, claim string
+	holds     func(figures) error
+}
+
+// deterministic rows: Table 1 to Figure 19, read from results/all-figures.txt
+// and, since the paper-scale run backs the same verdicts, from
+// results/all-figures-20000.txt.
+var deterministic = []verdict{
+	{"Table 1", "the paper's environment space", func(f figures) error {
+		return values(f["Table 1"], map[string]string{
+			"Machine type":                  "pc850, pc3000",
+			"Network bandwidth":             "1Gb, 100Mb, 10Mb",
+			"DDS Implementation":            "opendds-like (ImplA), opensplice-like (ImplB)",
+			"Percent end-host network loss": "1 to 5 %",
+		})
+	}},
+	{"Table 2", "the paper's application space", func(f figures) error {
+		return values(f["Table 2"], map[string]string{
+			"Number of receiving data readers": "3 - 15",
+			"Frequency of sending data":        "10 Hz, 25 Hz, 50 Hz, 100 Hz",
+		})
+	}},
+	{"Figure 4", "ricochet's ReLate2 is below nakcast's in every run at 10 and 25 Hz", func(f figures) error {
+		return everyRun(f["Figure 4"], ric, nak, "10Hz", "25Hz")
+	}},
+	{"Figure 5", "nakcast's ReLate2 is below ricochet's in every run at 10 and 25 Hz", func(f figures) error {
+		return everyRun(f["Figure 5"], nak, ric, "10Hz", "25Hz")
+	}},
+	{"Figure 6", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+		return reliability(f["Figure 6"], "10Hz", "25Hz")
+	}},
+	{"Figure 7", "as Figure 6, and bit-identical to it (hardware-invariant)", func(f figures) error {
+		if err := reliability(f["Figure 7"], "10Hz", "25Hz"); err != nil {
+			return err
+		}
+		if !slices.EqualFunc(f["Figure 6"].Rows, f["Figure 7"].Rows, slices.Equal) {
+			return fmt.Errorf("rows differ from Figure 6")
+		}
+		return nil
+	}},
+	{"Figure 8", "ricochet's mean latency is lower at both rates, by more than on pc850 at 10 Hz", func(f figures) error {
+		if err := lowerMean(f["Figure 8"], ric, nak, "10Hz", "25Hz"); err != nil {
+			return err
+		}
+		return widerGap(f["Figure 8"], f["Figure 9"])
+	}},
+	{"Figure 9", "10 Hz: ricochet's mean latency is lower, by less than on pc3000; 25 Hz: ricochet's is higher (note 2)", func(f figures) error {
+		if err := lowerMean(f["Figure 9"], ric, nak, "10Hz"); err != nil {
+			return err
+		}
+		return lowerMean(f["Figure 9"], nak, ric, "25Hz")
+	}},
+	{"Figure 10", "ricochet's ReLate2Jit is below nakcast's in 5/5 runs", func(f figures) error {
+		return everyRun(f["Figure 10"], ric, nak, "10Hz")
+	}},
+	{"Figure 11", "near-tie: means within 10%, nakcast wins 0/5 runs (note 3)", func(f figures) error {
+		tab := f["Figure 11"]
+		if err := everyRun(tab, ric, nak, "10Hz"); err != nil {
+			return err
+		}
+		n, r := mean(tab, nak, "10Hz"), mean(tab, ric, "10Hz")
+		if gap := (n - r) / n; gap >= 0.10 {
+			return fmt.Errorf("means %.3g and %.3g are %.1f%% apart", n, r, 100*gap)
+		}
+		return nil
+	}},
+	{"Figure 12", "ricochet's mean latency is lower", func(f figures) error {
+		return lowerMean(f["Figure 12"], ric, nak, "10Hz")
+	}},
+	{"Figure 13", "ricochet's mean latency is lower", func(f figures) error {
+		return lowerMean(f["Figure 13"], ric, nak, "10Hz")
+	}},
+	{"Figure 14", "ricochet's mean jitter is lower", func(f figures) error {
+		return lowerMean(f["Figure 14"], ric, nak, "10Hz")
+	}},
+	{"Figure 15", "ricochet's mean jitter is lower", func(f figures) error {
+		return lowerMean(f["Figure 15"], ric, nak, "10Hz")
+	}},
+	{"Figure 16", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+		return reliability(f["Figure 16"], "10Hz")
+	}},
+	{"Figure 17", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+		return reliability(f["Figure 17"], "10Hz")
+	}},
+	{"Figure 18", "24 hidden nodes reach 100% in 5/5 runs, and no size does better", func(f figures) error {
+		tab := f["Figure 18"]
+		if got := lookup(tab, "24", "runs at 100%"); got != "5/5" {
+			return fmt.Errorf("24 nodes reach 100%% in %s runs", got)
+		}
+		best := slices.Max(column(tab, "mean accuracy %"))
+		if m := number(lookup(tab, "24", "mean accuracy %")); m < best {
+			return fmt.Errorf("24 nodes average %.2f%%, best size %.2f%%", m, best)
+		}
+		return nil
+	}},
+	{"Figure 19", "24 nodes within 2 points of the paper's 89.49%, but not the best size (note 4)", func(f figures) error {
+		tab := f["Figure 19"]
+		m := number(lookup(tab, "24", "mean CV accuracy %"))
+		if math.Abs(m-89.49) > 2 {
+			return fmt.Errorf("24 nodes average %.2f%%", m)
+		}
+		if best := slices.Max(column(tab, "mean CV accuracy %")); m >= best {
+			return fmt.Errorf("24 nodes are the best size at %.2f%%", m)
+		}
+		return nil
+	}},
+}
+
+// timed rows: the host-timed report results/ann-timing.txt, which is not
+// regenerated by make results; these check the committed report.
+var timed = []verdict{
+	{"Figure 20", "every platform's mean response is under 10 us, pc850 slower than pc3000", func(f figures) error {
+		tab := f["Figure 20"]
+		if mx := slices.Max(column(tab, "mean (us)")); mx >= 10 {
+			return fmt.Errorf("a platform averages %.3f us", mx)
+		}
+		if pc850, pc3000 := number(lookup(tab, "pc850", "mean (us)")), number(lookup(tab, "pc3000", "mean (us)")); pc850 <= pc3000 {
+			return fmt.Errorf("pc850 %.3f us, pc3000 %.3f us", pc850, pc3000)
+		}
+		return nil
+	}},
+	{"Figure 21", "every platform's standard deviation is under 10 us", func(f figures) error {
+		if mx := slices.Max(column(f["Figure 21"], "stddev (us)")); mx >= 10 {
+			return fmt.Errorf("a platform's stddev is %.3f us", mx)
+		}
+		return nil
+	}},
+}
+
+func TestVerdicts(t *testing.T) {
+	results := filepath.Join("..", "..", "results")
+	check := func(file string, rows []verdict) {
+		f := readFigures(t, filepath.Join(results, file))
+		for _, v := range rows {
+			if _, ok := f[v.id]; !ok {
+				t.Errorf("flipped: %s: %s (%s: no such table)", v.id, v.claim, file)
+			} else if err := v.holds(f); err != nil {
+				t.Errorf("flipped: %s: %s (%s: %v)", v.id, v.claim, file, err)
+			}
+		}
+	}
+	check("all-figures.txt", deterministic)
+	check("all-figures-20000.txt", deterministic)
+	check("ann-timing.txt", timed)
+
+	// The §4.4 row: one full decision stays under 10 us at p99 in every
+	// committed traced dds_sim run.
+	p99 := regexp.MustCompile(`(?m)^decision_p99_us\s+(\S+) us$`)
+	traced, err := os.ReadFile(filepath.Join(results, "pr30-bench-pairs", "traced-dds_sim.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := p99.FindAllSubmatch(traced, -1)
+	if len(found) == 0 {
+		t.Fatal("no decision_p99_us in the traced runs")
+	}
+	for _, m := range found {
+		if v := number(string(m[1])); v >= 10 {
+			t.Errorf("flipped: §4.4 text: a decision takes under 10 us at p99 (%.2f us)", v)
+		}
+	}
+}
+
+// readFigures parses what Table.Format printed: blocks separated by blank
+// lines, each a "<ID> — <title>" line, a header, a rule, rows and an
+// optional note (title and note are dropped). Cells are separated by two or
+// more spaces. Lines starting with '#' are comments.
+func readFigures(t *testing.T, path string) figures {
+	t.Helper()
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	sep := regexp.MustCompile(`\s{2,}`)
+	split := func(line string) []string { return sep.Split(strings.TrimSpace(line), -1) }
+	f := figures{}
+	var cur *Table
+	for sc := bufio.NewScanner(file); sc.Scan(); {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "#"):
+		case line == "":
+			cur = nil
+		case cur == nil:
+			id, _, _ := strings.Cut(line, " — ")
+			cur = &Table{ID: id}
+		case cur.Header == nil:
+			cur.Header = split(line)
+		case strings.HasPrefix(line, "---"), strings.HasPrefix(line, "note: "):
+		default:
+			cur.Rows = append(cur.Rows, split(line))
+		}
+		if cur != nil {
+			f[cur.ID] = *cur
+		}
+	}
+	return f
+}
+
+// number parses a cell; a cell that is not a number fails every comparison.
+func number(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
+}
+
+// col is the index of the header named h, or -1.
+func col(tab Table, h string) int { return slices.Index(tab.Header, h) }
+
+// lookup is the value under header h in the row whose first cell is key.
+func lookup(tab Table, key, h string) string {
+	i := col(tab, h)
+	for _, row := range tab.Rows {
+		if row[0] == key && i >= 0 && i < len(row) {
+			return row[i]
+		}
+	}
+	return ""
+}
+
+// column is every row's value under header h.
+func column(tab Table, h string) []float64 {
+	i := col(tab, h)
+	var out []float64
+	for _, row := range tab.Rows {
+		if i >= 0 && i < len(row) {
+			out = append(out, number(row[i]))
+		}
+	}
+	if len(out) == 0 {
+		return []float64{math.NaN()}
+	}
+	return out
+}
+
+// values checks a two-column table: each named row has the given value.
+func values(tab Table, want map[string]string) error {
+	for k, v := range want {
+		if got := lookup(tab, k, tab.Header[len(tab.Header)-1]); got != v {
+			return fmt.Errorf("%s is %q", k, got)
+		}
+	}
+	return nil
+}
+
+// runs is the per-run values of proto's row at rate (the "runN" columns).
+func runs(tab Table, proto, rate string) []float64 {
+	var out []float64
+	for _, row := range tab.Rows {
+		if row[0] != proto || row[1] != rate {
+			continue
+		}
+		for i, h := range tab.Header {
+			if strings.HasPrefix(h, "run") && i < len(row) {
+				out = append(out, number(row[i]))
+			}
+		}
+	}
+	return out
+}
+
+// mean is the "mean" column of proto's row at rate.
+func mean(tab Table, proto, rate string) float64 {
+	i := col(tab, "mean")
+	for _, row := range tab.Rows {
+		if row[0] == proto && row[1] == rate && i >= 0 && i < len(row) {
+			return number(row[i])
+		}
+	}
+	return math.NaN()
+}
+
+// everyRun: lo's value is below hi's in every run column at every rate.
+func everyRun(tab Table, lo, hi string, rates ...string) error {
+	for _, rate := range rates {
+		l, h := runs(tab, lo, rate), runs(tab, hi, rate)
+		if len(l) == 0 || len(l) != len(h) {
+			return fmt.Errorf("%s: no runs for %s and %s", rate, lo, hi)
+		}
+		for i := range l {
+			if !(l[i] < h[i]) {
+				return fmt.Errorf("%s run %d: %s %g, %s %g", rate, i+1, lo, l[i], hi, h[i])
+			}
+		}
+	}
+	return nil
+}
+
+// lowerMean: lo's mean is below hi's at every rate.
+func lowerMean(tab Table, lo, hi string, rates ...string) error {
+	for _, rate := range rates {
+		if l, h := mean(tab, lo, rate), mean(tab, hi, rate); !(l < h) {
+			return fmt.Errorf("%s: %s %g, %s %g", rate, lo, l, hi, h)
+		}
+	}
+	return nil
+}
+
+// reliability: nakcast delivers 100% in every run and ricochet less.
+func reliability(tab Table, rates ...string) error {
+	for _, rate := range rates {
+		full := runs(tab, nak, rate)
+		if len(full) == 0 || slices.Min(full) != 100 {
+			return fmt.Errorf("%s: nakcast runs %v", rate, full)
+		}
+		if m := mean(tab, ric, rate); !(m < 100) {
+			return fmt.Errorf("%s: ricochet mean %g", rate, m)
+		}
+	}
+	return nil
+}
+
+// widerGap: nakcast minus ricochet mean latency at 10 Hz is larger in fast
+// than in slow.
+func widerGap(fast, slow Table) error {
+	g := func(tab Table) float64 { return mean(tab, nak, "10Hz") - mean(tab, ric, "10Hz") }
+	if gf, gs := g(fast), g(slow); !(gf > gs) {
+		return fmt.Errorf("10Hz gap %g us on %s, %g us on %s", gf, fast.ID, gs, slow.ID)
+	}
+	return nil
+}
