@@ -282,14 +282,18 @@ func runChaos(jobs, seeds int, scenario string) int {
 	specs := conformance.DefaultCrucibleSpecs()
 	cells := conformance.CrucibleCells(specs, scenarios, seedList)
 	static := len(cells)
+	var switches int
 	if scenario == "" {
 		// The full matrix also exercises live hot-swaps: a calm switch, a
 		// switch at the loss peak, a switch at the partition heal, and
-		// back-to-back flapping, for every base protocol.
+		// back-to-back flapping, for every base protocol; and every
+		// protocol over a 100 000-sample stream.
 		cells = append(cells, conformance.SwitchCells(specs, seedList)...)
+		switches = len(cells) - static
+		cells = append(cells, conformance.LongStreamCells(specs, seedList)...)
 	}
-	fmt.Printf("chaos crucible: %d specs x %d scenarios x %d seeds = %d cells + %d switch cells (each run twice)\n",
-		len(specs), len(scenarios), len(seedList), static, len(cells)-static)
+	fmt.Printf("chaos crucible: %d specs x %d scenarios x %d seeds = %d cells + %d switch cells + %d long-stream cells (each run twice)\n",
+		len(specs), len(scenarios), len(seedList), static, switches, len(cells)-static-switches)
 
 	results := conformance.RunCrucibleMatrix(cells, jobs, nil)
 	failed := 0

@@ -16,6 +16,7 @@ func TestCrucibleMatrix(t *testing.T) {
 		seeds = []int64{1}
 	}
 	cells := CrucibleCells(DefaultCrucibleSpecs(), chaos.Library(), seeds)
+	cells = append(cells, LongStreamCells(DefaultCrucibleSpecs(), []int64{1})...)
 	results := RunCrucibleMatrix(cells, 0, nil)
 	for _, res := range results {
 		if res.Err != nil {

@@ -129,10 +129,11 @@ func (c *ReceiverCore) handUp(d Delivery) {
 	}
 }
 
-// Lost counts seq abandoned and reports it through OnLost.
+// Lost counts seq abandoned and reports it through OnLost; nothing is
+// reported after Close.
 func (c *ReceiverCore) Lost(seq uint64) {
 	c.Counts.Abandoned++
-	if c.Cfg.OnLost != nil {
+	if c.Cfg.OnLost != nil && !c.closed {
 		c.Cfg.OnLost(seq)
 	}
 }

@@ -19,6 +19,10 @@ type SenderCore struct {
 	// BeforeEOS, when set, is a protocol's last step: Close runs it once,
 	// after the heartbeat stops and before the end-of-stream heartbeat.
 	BeforeEOS func()
+	// EOS makes Close multicast the high seq once more in a heartbeat
+	// flagged end of stream, for a protocol whose receivers close their
+	// tail on it; StartHeartbeat sets it.
+	EOS bool
 
 	seq     uint64
 	arena   Arena
@@ -67,10 +71,10 @@ func (c *SenderCore) Publish(payload []byte) error {
 	return c.Cfg.Endpoint.Multicast(pkt)
 }
 
-// StartHeartbeat multicasts the high seq every period until Close, which
-// then sends it once more flagged end of stream, so receivers detect tail
-// gaps.
+// StartHeartbeat multicasts the high seq every period until Close, so
+// receivers detect gaps before the stream ends, and sets EOS.
 func (c *SenderCore) StartHeartbeat(every time.Duration) {
+	c.EOS = true
 	c.hbEvery = every
 	c.hbTmr = c.Cfg.Env.After(every, c.heartbeat)
 }
@@ -95,9 +99,10 @@ func (c *SenderCore) sendHeartbeat(flags uint8) {
 	_ = c.Cfg.Endpoint.Multicast(pkt)
 }
 
-// Close implements Sender: publishing stops. Protocols with recovery
-// duties keep serving them after Close. It is idempotent: BeforeEOS and
-// the EOS run on the first call only.
+// Close implements Sender: publishing stops, and with EOS set the high seq
+// goes out once more flagged end of stream. Protocols with recovery duties
+// keep serving them after Close. It is idempotent: BeforeEOS and the EOS
+// run on the first call only.
 func (c *SenderCore) Close() error {
 	if c.closed {
 		return nil
@@ -109,7 +114,7 @@ func (c *SenderCore) Close() error {
 	if c.BeforeEOS != nil {
 		c.BeforeEOS()
 	}
-	if c.hbEvery > 0 {
+	if c.EOS {
 		c.sendHeartbeat(wire.FlagEOS)
 	}
 	return nil
