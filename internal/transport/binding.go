@@ -514,16 +514,17 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 		prev.cut, prev.cutKnown = rec.Cut, true
 		newest = es
 	}
+	// Re-run on every announcement, not just on news: the synthetic EOS
+	// is also the retry path that re-solicits ACKs from re-admitted
+	// receivers after a partition heals. It goes before the parked packets
+	// replay, whose deliveries already mark an unordered epoch done.
+	b.injectEOS()
 	if newest != nil {
 		b.replayParked()
 		if b.onChange != nil {
 			b.onChange(newest.epoch, newest.spec)
 		}
 	}
-	// Re-run on every announcement, not just on news: the synthetic EOS
-	// below is also the retry path that re-solicits ACKs from re-admitted
-	// receivers after a partition heals.
-	b.injectEOS()
 	b.checkProgress()
 }
 
