@@ -91,7 +91,8 @@ func ParseOptions(p transport.Params) (Options, error) {
 
 // Factory returns the registry factory for ackcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props }, NewSender, NewReceiver)
+	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props },
+		func(Options) uint64 { return holdbackCap }, NewSender, NewReceiver)
 }
 
 // Sender is the writer-side ackcast instance. Its core's seq is the

@@ -31,6 +31,7 @@ func Spec() transport.Spec { return transport.Spec{Name: Name} }
 // takes no parameters.
 func Factory() *transport.Factory {
 	return transport.NewFactory(Name, transport.NoOptions, func(struct{}) transport.Properties { return Props },
+		func(struct{}) uint64 { return spanCap },
 		func(cfg transport.Config, _ struct{}) (*Sender, error) { return NewSender(cfg) },
 		func(cfg transport.Config, _ struct{}) (*Receiver, error) { return NewReceiver(cfg) })
 }

@@ -115,7 +115,7 @@ func ParseOptions(p transport.Params) (Options, error) {
 
 // Factory returns the registry factory for NAKcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, props, NewSender, NewReceiver)
+	return transport.NewFactory(Name, ParseOptions, props, func(Options) uint64 { return defaultHoldbackCap }, NewSender, NewReceiver)
 }
 
 // props advertises Props, without PropOrdered for an unordered spec.

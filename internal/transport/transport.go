@@ -359,6 +359,9 @@ type Factory struct {
 	// Props reports the transport properties the protocol advertises when
 	// configured with params (an unordered nakcast is not ordered).
 	Props func(params Params) (Properties, error)
+	// Span is the receiver's span cap in seqs when configured with params:
+	// however long the stream runs, its recovery state holds no more.
+	Span func(params Params) (uint64, error)
 	// NewSender builds a writer-side instance.
 	NewSender func(cfg Config, params Params) (Sender, error)
 	// NewReceiver builds a reader-side instance.
@@ -367,10 +370,10 @@ type Factory struct {
 
 // NewFactory builds the Factory of a protocol whose sides are configured
 // by one options type: each side parses its params with parse, once, and
-// hands the options to its constructor; props maps parsed options to the
-// properties that configuration advertises.
+// hands the options to its constructor; props and span map parsed options
+// to the properties and the span cap that configuration has.
 func NewFactory[O any, S Sender, R Receiver](name string, parse func(Params) (O, error), props func(O) Properties,
-	newSender func(Config, O) (S, error), newReceiver func(Config, O) (R, error)) *Factory {
+	span func(O) uint64, newSender func(Config, O) (S, error), newReceiver func(Config, O) (R, error)) *Factory {
 	return &Factory{
 		Name: name,
 		Props: func(params Params) (Properties, error) {
@@ -379,6 +382,13 @@ func NewFactory[O any, S Sender, R Receiver](name string, parse func(Params) (O,
 				return 0, err
 			}
 			return props(o), nil
+		},
+		Span: func(params Params) (uint64, error) {
+			o, err := parse(params)
+			if err != nil {
+				return 0, err
+			}
+			return span(o), nil
 		},
 		NewSender: func(cfg Config, params Params) (Sender, error) {
 			o, err := parse(params)
