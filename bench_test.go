@@ -1,14 +1,9 @@
 package adamant_test
 
-// Repository-level benchmark suite: one benchmark per paper table and
-// figure (see DESIGN.md's experiment index), plus end-to-end micro
-// benchmarks. Each BenchmarkFigNN regenerates a scaled-down version of the
-// corresponding figure's workload and reports its headline series through
-// b.ReportMetric, so `go test -bench=.` doubles as a smoke reproduction.
-//
-// Absolute figure regeneration at paper scale is the adamant-bench
-// command's job; these benches keep the workloads small enough to run in a
-// normal benchmark session.
+// Repository-level micro benchmarks: the experiment engine, the simulator
+// end to end, and the ANN's query, accuracy and training kernels. The paper's
+// tables and figures come from adamant-bench (see DESIGN.md's experiment
+// index), not from here.
 
 import (
 	"os"
@@ -19,13 +14,13 @@ import (
 	"adamant/internal/core"
 	"adamant/internal/dds"
 	"adamant/internal/experiment"
-	"adamant/internal/metrics"
 	"adamant/internal/netem"
 )
 
 const benchSamples = 500
 
-// benchConfig builds the experiment config for one figure cell.
+// benchConfig builds a 500-sample run on the fast (pc3000/1Gb) or slow
+// (pc850/100Mb) platform with the candidate at protoIdx.
 func benchConfig(fast bool, receivers int, rateHz float64, protoIdx int) experiment.Config {
 	machine, bw := netem.PC850, netem.Mbps100
 	if fast {
@@ -42,27 +37,6 @@ func benchConfig(fast bool, receivers int, rateHz float64, protoIdx int) experim
 		Protocol:  core.Candidates()[protoIdx],
 		Seed:      1,
 	}
-}
-
-// runQoSBench executes both figure protocols over the cell b.N times and
-// reports the projected metric per protocol.
-func runQoSBench(b *testing.B, fast bool, receivers int, rateHz float64,
-	field func(metrics.Summary) float64, unit string) {
-	b.Helper()
-	var nak, ric metrics.Summary
-	for i := 0; i < b.N; i++ {
-		var err error
-		nak, err = experiment.Run(benchConfig(fast, receivers, rateHz, 3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ric, err = experiment.Run(benchConfig(fast, receivers, rateHz, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(field(nak), "nakcast1ms_"+unit)
-	b.ReportMetric(field(ric), "ricochetR4C3_"+unit)
 }
 
 // runnerBenchConfigs builds a batch of independent runs spanning both
@@ -103,54 +77,7 @@ func BenchmarkRunManyParallel(b *testing.B) {
 	}
 }
 
-func relate2(s metrics.Summary) float64    { return s.ReLate2 }
-func relate2jit(s metrics.Summary) float64 { return s.ReLate2Jit }
-func latency(s metrics.Summary) float64    { return s.AvgLatencyUs }
-func jitter(s metrics.Summary) float64     { return s.JitterUs }
-
-func BenchmarkTable1EnvironmentSpace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if got := len(experiment.FullSpace()); got != 1200 {
-			b.Fatalf("space = %d", got)
-		}
-	}
-	b.ReportMetric(1200, "combos")
-}
-
-func BenchmarkTable2ApplicationSpace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiment.ApplicationTable().Rows) != 2 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-func BenchmarkFig04ReLate2Fast10Hz(b *testing.B) { runQoSBench(b, true, 3, 10, relate2, "relate2") }
-func BenchmarkFig04ReLate2Fast25Hz(b *testing.B) { runQoSBench(b, true, 3, 25, relate2, "relate2") }
-func BenchmarkFig05ReLate2Slow10Hz(b *testing.B) { runQoSBench(b, false, 3, 10, relate2, "relate2") }
-func BenchmarkFig05ReLate2Slow25Hz(b *testing.B) { runQoSBench(b, false, 3, 25, relate2, "relate2") }
-func BenchmarkFig06ReliabilityFast(b *testing.B) {
-	runQoSBench(b, true, 3, 10, metrics.Summary.Reliability, "pct")
-}
-func BenchmarkFig07ReliabilitySlow(b *testing.B) {
-	runQoSBench(b, false, 3, 10, metrics.Summary.Reliability, "pct")
-}
-func BenchmarkFig08LatencyFast(b *testing.B)    { runQoSBench(b, true, 3, 10, latency, "us") }
-func BenchmarkFig09LatencySlow(b *testing.B)    { runQoSBench(b, false, 3, 10, latency, "us") }
-func BenchmarkFig10ReLate2JitFast(b *testing.B) { runQoSBench(b, true, 15, 10, relate2jit, "r2j") }
-func BenchmarkFig11ReLate2JitSlow(b *testing.B) { runQoSBench(b, false, 15, 10, relate2jit, "r2j") }
-func BenchmarkFig12LatencyFast15(b *testing.B)  { runQoSBench(b, true, 15, 10, latency, "us") }
-func BenchmarkFig13LatencySlow15(b *testing.B)  { runQoSBench(b, false, 15, 10, latency, "us") }
-func BenchmarkFig14JitterFast15(b *testing.B)   { runQoSBench(b, true, 15, 10, jitter, "us") }
-func BenchmarkFig15JitterSlow15(b *testing.B)   { runQoSBench(b, false, 15, 10, jitter, "us") }
-func BenchmarkFig16ReliabilityFast15(b *testing.B) {
-	runQoSBench(b, true, 15, 10, metrics.Summary.Reliability, "pct")
-}
-func BenchmarkFig17ReliabilitySlow15(b *testing.B) {
-	runQoSBench(b, false, 15, 10, metrics.Summary.Reliability, "pct")
-}
-
-// --- ANN figures (18-21) use the committed training set when present. ---
+// The ANN benchmarks use the committed training set when present.
 
 var (
 	datasetOnce sync.Once
@@ -173,69 +100,6 @@ func benchRows(b *testing.B) []experiment.Row {
 		b.Fatal(datasetErr)
 	}
 	return datasetRows
-}
-
-func benchANNOpts() experiment.ANNOptions {
-	return experiment.ANNOptions{
-		HiddenSizes:   []int{24},
-		TrainsPerSize: 1,
-		Folds:         10,
-		StopError:     1e-4,
-		MaxEpochs:     800,
-		Seed:          1,
-	}
-}
-
-func BenchmarkFig18TrainingAccuracy(b *testing.B) {
-	rows := benchRows(b)
-	var tab experiment.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tab, err = experiment.Figure18(rows, benchANNOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = tab
-}
-
-func BenchmarkFig19CrossValidation(b *testing.B) {
-	rows := benchRows(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure19(rows, benchANNOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig20QueryMean(b *testing.B) {
-	rows := benchRows(b)
-	timings, err := experiment.QueryTimings(rows, 2, benchANNOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The per-query benchmark: what Figure 20 measures.
-	ds := experiment.ToANNDataset(rows)
-	net := trainBenchNet(b, ds)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Classify(ds.Inputs[i%ds.Len()]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(timings[0].MeanUs, "mean_us")
-}
-
-func BenchmarkFig21QueryStdDev(b *testing.B) {
-	rows := benchRows(b)
-	timings, err := experiment.QueryTimings(rows, 2, benchANNOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(timings[0].StdDevUs, "stddev_us")
-	for i := 0; i < b.N; i++ {
-		_ = timings
-	}
 }
 
 func trainBenchNet(b *testing.B, ds *ann.Dataset) *ann.Network {

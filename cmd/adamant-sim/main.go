@@ -4,7 +4,7 @@
 //
 //	adamant-sim -machine pc850 -bw 100Mb -loss 5 -receivers 3 -rate 10 \
 //	            -proto 'ricochet(r=4,c=3)' -samples 2000
-//	adamant-sim -sweep    # all six candidate protocols on one environment
+//	adamant-sim -sweep    # all seven candidate protocols on one environment
 //	adamant-sim -storm -shards 8   # 1000-receiver multicast storm, sharded engine
 //	adamant-sim -receivers 500 -shards 4 -proto bemcast   # any config, sharded
 package main
@@ -41,7 +41,7 @@ func run() error {
 		protoStr  = flag.String("proto", "nakcast(timeout=1ms)", "transport spec")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		runs      = flag.Int("runs", 1, "runs (summaries averaged per run line)")
-		sweep     = flag.Bool("sweep", false, "run all six ADAMANT candidates instead of -proto")
+		sweep     = flag.Bool("sweep", false, "run all seven ADAMANT candidates instead of -proto")
 		shards    = flag.Int("shards", 0, "run on the sharded engine with this many workers (0 = serial kernel)")
 		storm     = flag.Bool("storm", false, "multicast-storm preset: 1000 bemcast receivers at 100Hz (override with -receivers etc.)")
 	)

@@ -1,13 +1,13 @@
 // Command adamant-train trains and evaluates the ADAMANT neural-network
 // configurator on a labeled dataset (from adamant-dataset). Without
 // -dataset it builds a small one on the fly. -jobs workers parallelize
-// the dataset build, the gradient accumulation inside each training, the
-// cross-validation folds, and the -sweep training grid; trained weights
-// are byte-identical at any worker count.
+// the dataset build, the gradient accumulation inside each training and
+// the cross-validation folds; trained weights are byte-identical at any
+// worker count. The hidden-node sweep of Figures 18/19 is
+// adamant-bench -fig 18,19.
 //
 //	adamant-train -dataset data/training.csv -hidden 24 -save adamant.ann
 //	adamant-train -dataset data/training.csv -cv            # 10-fold CV
-//	adamant-train -dataset data/training.csv -sweep         # Figures 18/19
 //	adamant-train -combos 48 -jobs 8                        # build + train
 package main
 
@@ -32,14 +32,13 @@ func run() error {
 	var (
 		dataset   = flag.String("dataset", "", "training CSV (default: build one on the fly)")
 		combos    = flag.Int("combos", 48, "environment combos when building a dataset on the fly (paper: 197)")
-		jobs      = flag.Int("jobs", 0, "parallel workers for dataset build, training, CV, and sweep (0 = all CPUs)")
+		jobs      = flag.Int("jobs", 0, "parallel workers for dataset build, training and CV (0 = all CPUs)")
 		hidden    = flag.Int("hidden", 24, "hidden nodes (paper's best: 24)")
 		stopError = flag.Float64("stop", 1e-4, "MSE stopping error")
 		maxEpochs = flag.Int("epochs", 2000, "max training epochs")
 		seed      = flag.Int64("seed", 1, "weight-init seed")
 		save      = flag.String("save", "", "write the trained network to this path")
 		cv        = flag.Bool("cv", false, "10-fold cross-validation instead of full training")
-		sweep     = flag.Bool("sweep", false, "hidden-node sweep (Figures 18 and 19)")
 		verbose   = flag.Bool("v", false, "progress logging")
 	)
 	flag.Parse()
@@ -61,22 +60,6 @@ func run() error {
 	}
 	if err != nil {
 		return err
-	}
-	opts := experiment.ANNOptions{
-		StopError: *stopError, MaxEpochs: *maxEpochs, Seed: *seed, Jobs: *jobs, Progress: progress,
-	}
-
-	if *sweep {
-		for _, fig := range []func([]experiment.Row, experiment.ANNOptions) (experiment.Table, error){
-			experiment.Figure18, experiment.Figure19,
-		} {
-			tab, err := fig(rows, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Println(tab.Format())
-		}
-		return nil
 	}
 
 	ds := experiment.ToANNDataset(rows)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,6 +117,25 @@ func TestAblationACKvsNAK(t *testing.T) {
 	}
 }
 
+func TestAblationBurst(t *testing.T) {
+	tab, err := burstAblation(AblationOptions{Samples: 800, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// Overhead is measured against the baseline run, and the second pass
+	// lands fountcast's overhead nearer ricochet's than the probe's.
+	base, ric, probe, matched := cell(t, tab, 0, 6), cell(t, tab, 1, 6), cell(t, tab, 2, 6), cell(t, tab, 3, 6)
+	if base != 0 {
+		t.Errorf("baseline overhead %.1f%%", base)
+	}
+	if math.Abs(matched-ric) >= math.Abs(probe-ric) {
+		t.Errorf("matched overhead %.1f%% no nearer ricochet's %.1f%% than the probe's %.1f%%", matched, ric, probe)
+	}
+}
+
 func TestAblationsAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations in -short mode")
@@ -124,7 +144,7 @@ func TestAblationsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 5 {
+	if len(tables) != 6 {
 		t.Fatalf("got %d ablation tables", len(tables))
 	}
 	for _, tab := range tables {

@@ -57,7 +57,7 @@ var deterministic = []verdict{
 	{"Figure 5", "nakcast's ReLate2 is below ricochet's in every run at 10 and 25 Hz", func(f figures) error {
 		return everyRun(f["Figure 5"], nak, ric, "10Hz", "25Hz")
 	}},
-	{"Figure 6", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+	{"Figure 6", "nakcast delivers 100% in every run, ricochet less but above 98%", func(f figures) error {
 		return reliability(f["Figure 6"], "10Hz", "25Hz")
 	}},
 	{"Figure 7", "as Figure 6, and bit-identical to it (hardware-invariant)", func(f figures) error {
@@ -107,10 +107,10 @@ var deterministic = []verdict{
 	{"Figure 15", "ricochet's mean jitter is lower", func(f figures) error {
 		return lowerMean(f["Figure 15"], ric, nak, "10Hz")
 	}},
-	{"Figure 16", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+	{"Figure 16", "nakcast delivers 100% in every run, ricochet less but above 98%", func(f figures) error {
 		return reliability(f["Figure 16"], "10Hz")
 	}},
-	{"Figure 17", "nakcast delivers 100% in every run, ricochet less", func(f figures) error {
+	{"Figure 17", "nakcast delivers 100% in every run, ricochet less but above 98%", func(f figures) error {
 		return reliability(f["Figure 17"], "10Hz")
 	}},
 	{"Figure 18", "24 hidden nodes reach 100% in 5/5 runs, and no size does better", func(f figures) error {
@@ -132,6 +132,21 @@ var deterministic = []verdict{
 		}
 		if best := slices.Max(column(tab, "mean CV accuracy %")); m >= best {
 			return fmt.Errorf("24 nodes are the best size at %.2f%%", m)
+		}
+		return nil
+	}},
+}
+
+// ablation rows: results/ablations.txt.
+var ablationRows = []verdict{
+	{"Ablation A6", "under burst loss fountcast's ReLate2 is at most ricochet's, at a measured byte overhead at most 1.15x ricochet's", func(f figures) error {
+		tab := f["Ablation A6"]
+		get := func(variant, h string) float64 { return number(lookup(tab, variant, h)) }
+		if fnt, r := get("fountcast matched", "ReLate2"), get("ricochet", "ReLate2"); !(fnt <= r) {
+			return fmt.Errorf("ReLate2 fountcast %g, ricochet %g", fnt, r)
+		}
+		if fnt, r := get("fountcast matched", "overhead %"), get("ricochet", "overhead %"); !(fnt <= 1.15*r) {
+			return fmt.Errorf("overhead fountcast %g%%, ricochet %g%%", fnt, r)
 		}
 		return nil
 	}},
@@ -172,6 +187,7 @@ func TestVerdicts(t *testing.T) {
 	}
 	check("all-figures.txt", deterministic)
 	check("all-figures-20000.txt", deterministic)
+	check("ablations.txt", ablationRows)
 	check("ann-timing.txt", timed)
 
 	// The §4.4 row: one full decision stays under 10 us at p99 in every
@@ -330,14 +346,15 @@ func lowerMean(tab Table, lo, hi string, rates ...string) error {
 	return nil
 }
 
-// reliability: nakcast delivers 100% in every run and ricochet less.
+// reliability: nakcast delivers 100% in every run and ricochet less, but
+// more than 98%.
 func reliability(tab Table, rates ...string) error {
 	for _, rate := range rates {
 		full := runs(tab, nak, rate)
 		if len(full) == 0 || slices.Min(full) != 100 {
 			return fmt.Errorf("%s: nakcast runs %v", rate, full)
 		}
-		if m := mean(tab, ric, rate); !(m < 100) {
+		if m := mean(tab, ric, rate); !(m < 100 && m > 98) {
 			return fmt.Errorf("%s: ricochet mean %g", rate, m)
 		}
 	}

@@ -6,9 +6,11 @@
 #
 # Checked are every ./cmd/<x>, ./internal/<pkg> and ./examples/<x> path (as in
 # `go run ./cmd/adamant-bench`, `go test ./internal/sim/...`), which must
-# exist, and every `make <target>` written as a command (at the start of a
-# line, after a backtick or after "or: "), which must be a Makefile target.
-# Each miss is printed as file:line.
+# exist; every `make <target>` written as a command (at the start of a line,
+# after a backtick or after "or: "), which must be a Makefile target; and
+# every Test..., Benchmark... or Fuzz... name, which must begin the name of a
+# function a _test.go in the tree declares (so BenchmarkSchedule* passes when
+# BenchmarkSchedulePooled exists). Each miss is printed as file:line.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
@@ -31,5 +33,13 @@ while IFS=: read -r file line cmd; do
 		bad=1
 	fi
 done < <(grep -noE '(^|`|or: )make [a-z][a-z0-9-]*' "${docs[@]}")
+
+declared=$(git ls-files -z --cached --others --exclude-standard '*_test.go' | xargs -0 grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sed 's/^func //')
+while IFS=: read -r file line name; do
+	if ! grep -q "^$name" <<<"$declared"; then
+		echo "$file:$line: no _test.go declares $name"
+		bad=1
+	fi
+done < <(grep -noE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "${docs[@]}")
 
 exit $bad
