@@ -22,11 +22,14 @@ race:
 		./internal/integration
 
 # fuzz-smoke gives every fuzz target a short budget; CI runs this to keep
-# the corpora honest without burning minutes.
+# the corpora honest without burning minutes. make docs fails when a fuzz
+# target is missing here.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecode$$ -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzDecodeSymbol -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzDecodeNak$$ -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzDecodeRepair$$ -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run NONE -fuzz FuzzWindow -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run NONE -fuzz FuzzFountDecode -fuzztime $(FUZZTIME) ./internal/transport/fountcast
@@ -34,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzServerCommand -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzRouteCommand -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzClientRead -fuzztime $(FUZZTIME) ./internal/broker
+	$(GO) test -run NONE -fuzz FuzzValidatePattern$$ -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/ann
 	$(GO) test -run NONE -fuzz FuzzSigmoidExact -fuzztime $(FUZZTIME) ./internal/ann
 	$(GO) test -run NONE -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/netem/chaos
@@ -82,7 +86,8 @@ results:
 	scripts/results.sh
 
 # docs fails when README.md, DESIGN.md or EXPERIMENTS.md cites a ./cmd,
-# ./internal or ./examples path or a make target that does not exist.
+# ./internal or ./examples path, a make target or a test name that does not
+# exist, or when the fuzz-smoke recipe misses a fuzz target.
 docs:
 	scripts/check-docs.sh
 

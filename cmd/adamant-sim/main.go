@@ -40,7 +40,7 @@ func run() error {
 		samples   = flag.Int("samples", 2000, "samples to publish")
 		protoStr  = flag.String("proto", "nakcast(timeout=1ms)", "transport spec")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		runs      = flag.Int("runs", 1, "runs (summaries averaged per run line)")
+		runs      = flag.Int("runs", 1, "runs per protocol, at seeds seed..seed+runs-1, one summary each")
 		sweep     = flag.Bool("sweep", false, "run all seven ADAMANT candidates instead of -proto")
 		shards    = flag.Int("shards", 0, "run on the sharded engine with this many workers (0 = serial kernel)")
 		storm     = flag.Bool("storm", false, "multicast-storm preset: 1000 bemcast receivers at 100Hz (override with -receivers etc.)")

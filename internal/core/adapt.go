@@ -32,16 +32,19 @@ type ObserveFunc func() Observation
 // middleware. It runs in env callback context.
 type ReconfigureFunc func(d Decision)
 
+const (
+	// rateTolerance is the relative change in sending rate that triggers
+	// re-selection (0.25 = 25%).
+	rateTolerance = 0.25
+	// lossTolerance is the absolute percentage-point change in observed
+	// loss that triggers re-selection.
+	lossTolerance = 1.0
+)
+
 // AdaptorOptions tune the adaptation manager.
 type AdaptorOptions struct {
 	// Interval between environment checks. Default 1s.
 	Interval time.Duration
-	// RateTolerance is the relative change in sending rate that triggers
-	// re-selection (0.25 = 25%). Default 0.25.
-	RateTolerance float64
-	// LossTolerance is the absolute percentage-point change in observed
-	// loss that triggers re-selection. Default 1.0.
-	LossTolerance float64
 	// Cooldown is the minimum time between reconfigurations, bounding
 	// flapping. Default 5s.
 	Cooldown time.Duration
@@ -50,12 +53,6 @@ type AdaptorOptions struct {
 func (o *AdaptorOptions) fillDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
-	}
-	if o.RateTolerance <= 0 {
-		o.RateTolerance = 0.25
-	}
-	if o.LossTolerance <= 0 {
-		o.LossTolerance = 1.0
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 5 * time.Second
@@ -186,7 +183,7 @@ func (a *Adaptor) drifted(obs Observation) bool {
 		if rel < 0 {
 			rel = -rel
 		}
-		if rel > a.opts.RateTolerance {
+		if rel > rateTolerance {
 			return true
 		}
 	}
@@ -194,5 +191,5 @@ func (a *Adaptor) drifted(obs Observation) bool {
 	if dl < 0 {
 		dl = -dl
 	}
-	return dl > a.opts.LossTolerance
+	return dl > lossTolerance
 }

@@ -176,15 +176,16 @@ func TestAdaptorSameSpecDecisionKeepsCooldownClock(t *testing.T) {
 	}
 }
 
+// The drift tolerances are 1 percentage point of loss and 25 % of the rate.
 func TestAdaptorLossDrift(t *testing.T) {
 	k, a, obs, _ := newAdaptorHarness(t, core.AdaptorOptions{
 		Interval: 100 * time.Millisecond, Cooldown: time.Millisecond,
-		LossTolerance: 1.0,
 	})
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	obs.LossPct = 2.5 // within tolerance
+	obs.RateHz = 30   // +20 %, within tolerance
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}

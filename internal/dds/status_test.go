@@ -9,17 +9,12 @@ import (
 )
 
 // TestSampleLostStatus drives the SAMPLE_LOST path: under total blackout of
-// one sample (data and retransmissions all dropped), NAKcast exhausts its
-// retry budget and the reader's listener must be told which sample died.
+// a run of samples (data and retransmissions all dropped), NAKcast exhausts
+// its retry budget and the reader's listener must be told which samples
+// died.
 func TestSampleLostStatus(t *testing.T) {
-	// Tiny sender history: samples that fall out of it during the blackout
-	// are genuinely unrecoverable, forcing the abandon path.
-	spec := transport.Spec{Name: "nakcast",
-		Params: transport.Params{"timeout": "2ms", "maxnaks": "3", "history": "8"}}
+	spec := transport.Spec{Name: "nakcast", Params: transport.Params{"timeout": "2ms"}}
 	w := newWorld(t, 1, spec, dds.ImplB)
-	// Drop absolutely everything to reader node 1 between two instants, so
-	// a contiguous run of samples is unrecoverable.
-	w.net.Node(1).SetLoss(0)
 
 	topic, err := w.writerP.CreateTopic("lossy", dds.TopicQoS{Reliability: dds.Reliable})
 	if err != nil {
@@ -49,13 +44,19 @@ func TestSampleLostStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blackout := func(on bool) { w.net.Node(1).SetPartitioned(on) }
+	// End-host loss drops data and retransmissions but spares control
+	// packets, so the sender's heartbeats still reveal the gap.
 	for n := 0; n < 40; n++ {
 		if n == 10 {
-			blackout(true)
+			w.net.Node(1).SetLoss(100)
 		}
 		if n == 30 {
-			blackout(false)
+			// Outlast the retry budget: 8 NAKs backing off from 2ms give
+			// up about a second after the gap is seen.
+			if err := w.k.RunFor(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			w.net.Node(1).SetLoss(0)
 		}
 		if err := writer.Write([]byte{byte(n)}); err != nil {
 			t.Fatal(err)
@@ -71,17 +72,17 @@ func TestSampleLostStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Samples 11..30 went into the blackout; by heal time only the last 8
-	// remain in the sender's history, so most of the blackout window must
-	// be reported lost, and every sample accounted for exactly once.
+	// Samples 11..30 went into the blackout and were given up before it
+	// ended, so the blackout window must be reported lost, and every sample
+	// accounted for exactly once.
 	if len(lostSeqs) == 0 {
 		t.Fatal("no SAMPLE_LOST notifications despite a blackout")
 	}
 	if delivered+len(lostSeqs) != 40 {
 		t.Errorf("delivered %d + lost %d != 40 sent", delivered, len(lostSeqs))
 	}
-	if len(lostSeqs) < 10 {
-		t.Errorf("only %d samples lost; expected most of the evicted blackout window", len(lostSeqs))
+	if len(lostSeqs) != 20 {
+		t.Errorf("%d samples lost; expected the 20 of the blackout window", len(lostSeqs))
 	}
 	if got := reader.SamplesLost(); got != uint64(len(lostSeqs)) {
 		t.Errorf("SamplesLost() = %d, listener saw %d", got, len(lostSeqs))

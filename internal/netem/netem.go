@@ -104,31 +104,24 @@ func BandwidthByName(name string) (Bandwidth, error) {
 // top of the wire-format packet when modeling serialization and bandwidth.
 const FrameOverhead = 54
 
-// CostModel gives per-packet CPU costs on the reference machine
-// (CPUFactor 1.0). Costs scale linearly with payload size via the PerKB
-// terms and are multiplied by the node's CPUFactor and ProcScale.
-type CostModel struct {
-	SendBase  time.Duration
-	SendPerKB time.Duration
-	RecvBase  time.Duration
-	RecvPerKB time.Duration
+// Per-packet CPU costs on the reference machine (CPUFactor 1.0): a
+// 2005-era QoS pub/sub middleware data path (marshal, QoS bookkeeping,
+// socket syscall) on the pc3000 reference node. Costs grow linearly with
+// frame size via the per-KB terms and are multiplied by the node's
+// CPUFactor and ProcScale.
+const (
+	sendBase  = 18 * time.Microsecond
+	sendPerKB = 3 * time.Microsecond
+	recvBase  = 26 * time.Microsecond
+	recvPerKB = 3 * time.Microsecond
+)
+
+func sendCost(frameBytes int) time.Duration {
+	return sendBase + time.Duration(frameBytes)*sendPerKB/1024
 }
 
-// DefaultCostModel approximates a 2005-era QoS pub/sub middleware data path
-// (marshal, QoS bookkeeping, socket syscall) on the pc3000 reference node.
-var DefaultCostModel = CostModel{
-	SendBase:  18 * time.Microsecond,
-	SendPerKB: 3 * time.Microsecond,
-	RecvBase:  26 * time.Microsecond,
-	RecvPerKB: 3 * time.Microsecond,
-}
-
-func (c CostModel) sendCost(frameBytes int) time.Duration {
-	return c.SendBase + time.Duration(frameBytes)*c.SendPerKB/1024
-}
-
-func (c CostModel) recvCost(frameBytes int) time.Duration {
-	return c.RecvBase + time.Duration(frameBytes)*c.RecvPerKB/1024
+func recvCost(frameBytes int) time.Duration {
+	return recvBase + time.Duration(frameBytes)*recvPerKB/1024
 }
 
 // Config parameterizes a Network. The zero value is completed by New with
@@ -136,35 +129,21 @@ func (c CostModel) recvCost(frameBytes int) time.Duration {
 type Config struct {
 	// Bandwidth is the LAN link speed. Default: Gbps1.
 	Bandwidth Bandwidth
-	// PropDelay is one-way propagation plus switch latency. Default
-	// DefaultPropDelay. On a sharded network this is also the conservative
-	// lookahead: no packet reaches another node sooner than one propagation
-	// time, which is what makes PropDelay-wide time windows safe to run in
-	// parallel.
-	PropDelay time.Duration
-	// MaxQueueDelay bounds each node's egress queueing delay; a frame that
-	// would wait longer is dropped (drop-tail). Default 50ms.
-	MaxQueueDelay time.Duration
-	// Cost is the per-packet CPU cost model. Default DefaultCostModel.
-	Cost CostModel
 }
 
-// DefaultPropDelay is the default one-way propagation plus switch latency,
-// and therefore the default conservative window width of a sharded network.
+// DefaultPropDelay is the one-way propagation plus switch latency. On a
+// sharded network it is also the conservative lookahead: no packet reaches
+// another node sooner than one propagation time, which is what makes
+// DefaultPropDelay-wide time windows safe to run in parallel.
 const DefaultPropDelay = 30 * time.Microsecond
+
+// maxQueueDelay bounds each node's egress queueing delay; a frame that
+// would wait longer is dropped (drop-tail).
+const maxQueueDelay = 50 * time.Millisecond
 
 func (c *Config) fillDefaults() {
 	if c.Bandwidth == 0 {
 		c.Bandwidth = Gbps1
-	}
-	if c.PropDelay == 0 {
-		c.PropDelay = DefaultPropDelay
-	}
-	if c.MaxQueueDelay == 0 {
-		c.MaxQueueDelay = 50 * time.Millisecond
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel
 	}
 }
 
@@ -172,12 +151,6 @@ func (c *Config) fillDefaults() {
 func (c Config) Validate() error {
 	if c.Bandwidth < 0 {
 		return errors.New("netem: negative bandwidth")
-	}
-	if c.PropDelay < 0 {
-		return errors.New("netem: negative propagation delay")
-	}
-	if c.MaxQueueDelay < 0 {
-		return errors.New("netem: negative max queue delay")
 	}
 	return nil
 }
@@ -188,7 +161,7 @@ func (c Config) Validate() error {
 // node from one shared env on a single kernel. The sharded mode
 // (NewSharded) gives every node its own lane of a sim.Sharded engine —
 // per-node state is then only touched by that node's lane, so lanes run in
-// parallel under the engine's conservative PropDelay-wide time windows
+// parallel under the engine's conservative DefaultPropDelay-wide time windows
 // while producing the same deterministic behavior at any worker count.
 type Network struct {
 	env   env.Env // classic mode only; nil when sharded
@@ -313,7 +286,7 @@ func New(e env.Env, cfg Config) (*Network, error) {
 // NewSharded builds a LAN on a lane-sharded engine: every AddNode claims a
 // fresh lane, and packets crossing nodes go through the engine's
 // conservative window barrier. The engine's lookahead must not exceed the
-// configured propagation delay — PropDelay is the guarantee that makes the
+// propagation delay — DefaultPropDelay is the guarantee that makes the
 // windows safe.
 func NewSharded(sh *sim.Sharded, cfg Config) (*Network, error) {
 	if sh == nil {
@@ -323,9 +296,9 @@ func NewSharded(sh *sim.Sharded, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	if cfg.PropDelay < sh.Lookahead() {
+	if DefaultPropDelay < sh.Lookahead() {
 		return nil, fmt.Errorf("netem: propagation delay %v below engine lookahead %v",
-			cfg.PropDelay, sh.Lookahead())
+			DefaultPropDelay, sh.Lookahead())
 	}
 	return &Network{sh: sh, cfg: cfg}, nil
 }
@@ -587,14 +560,14 @@ func (nd *Node) admit(pkt *wire.Packet) (arrival time.Time, frame int, ok bool, 
 
 	// Sender CPU: marshal + send path, serialized on this node's CPU.
 	cpuStart := maxTime(now, nd.cpuBusyUntil)
-	cpuDone := cpuStart.Add(nd.scaled(nd.net.cfg.Cost.sendCost(frame)))
+	cpuDone := cpuStart.Add(nd.scaled(sendCost(frame)))
 	nd.cpuBusyUntil = cpuDone
 
 	// Egress serialization on the NIC, after the CPU hands the frame off.
-	// Frames that would queue longer than MaxQueueDelay are dropped.
+	// Frames that would queue longer than maxQueueDelay are dropped.
 	txTime := serialization(frame, nd.net.cfg.Bandwidth)
 	linkStart := maxTime(cpuDone, nd.linkBusyUntil)
-	if linkStart.Sub(cpuDone) > nd.net.cfg.MaxQueueDelay {
+	if linkStart.Sub(cpuDone) > maxQueueDelay {
 		nd.stats.DroppedQueue++
 		return time.Time{}, frame, false, nil
 	}
@@ -604,7 +577,7 @@ func (nd *Node) admit(pkt *wire.Packet) (arrival time.Time, frame int, ok bool, 
 	nd.stats.TxPackets++
 	nd.stats.TxBytes += uint64(frame)
 
-	return linkDone.Add(txTime).Add(nd.net.cfg.PropDelay), frame, true, nil
+	return linkDone.Add(txTime).Add(DefaultPropDelay), frame, true, nil
 }
 
 func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
@@ -626,7 +599,7 @@ func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
 // sending lane, then one cross-lane message per target (every target is on
 // its own lane). All targets share one read-only clone, the same sharing
 // contract the classic multicast path has always imposed. Arrival is at
-// least PropDelay >= lookahead in the future, satisfying the engine's
+// least DefaultPropDelay >= lookahead in the future, satisfying the engine's
 // conservative send bound. target == nil means multicast to all others.
 func (nd *Node) transmitSharded(pkt *wire.Packet, target *Node) error {
 	arrival, frame, ok, err := nd.admit(pkt)
@@ -677,7 +650,7 @@ func (nd *Node) receive(src wire.NodeID, pkt *wire.Packet, frame int) {
 
 	// Receiver CPU: demarshal + dispatch, serialized on this node's CPU.
 	cpuStart := maxTime(now, nd.cpuBusyUntil)
-	cpuDone := cpuStart.Add(nd.scaled(nd.net.cfg.Cost.recvCost(frame)))
+	cpuDone := cpuStart.Add(nd.scaled(recvCost(frame)))
 	nd.cpuBusyUntil = cpuDone
 	d := nd.getRx()
 	d.nd, d.src, d.pkt = nd, src, pkt

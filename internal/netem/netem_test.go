@@ -91,15 +91,9 @@ func TestMulticastReachesAllOthers(t *testing.T) {
 }
 
 func TestLatencyComponents(t *testing.T) {
-	// With known costs the end-to-end latency is deterministic:
-	// send CPU + 2x serialization + prop + recv CPU.
-	cfg := Config{
-		Bandwidth: Mbps100,
-		PropDelay: 30 * time.Microsecond,
-		Cost: CostModel{SendBase: 10 * time.Microsecond,
-			RecvBase: 20 * time.Microsecond},
-	}
-	n, k := newTestNet(t, cfg, 1)
+	// The end-to-end latency is deterministic: send CPU (18µs + 3µs/KB) +
+	// 2x serialization + propagation + recv CPU (26µs + 3µs/KB).
+	n, k := newTestNet(t, Config{Bandwidth: Mbps100}, 1)
 	a := n.AddNode(PC3000)
 	b := n.AddNode(PC3000)
 	var deliveredAt time.Time
@@ -107,7 +101,8 @@ func TestLatencyComponents(t *testing.T) {
 	pkt := dataPkt(a.Local(), 1, k.Now(), "123456789012") // 12-byte payload
 	frame := pkt.EncodedSize() + FrameOverhead
 	ser := time.Duration(float64(frame*8) / float64(Mbps100) * float64(time.Second))
-	want := k.Now().Add(10*time.Microsecond + 2*ser + 30*time.Microsecond + 20*time.Microsecond)
+	perKB := time.Duration(frame) * 3 * time.Microsecond / 1024
+	want := k.Now().Add(18*time.Microsecond + perKB + 2*ser + DefaultPropDelay + 26*time.Microsecond + perKB)
 	if err := a.Unicast(b.Local(), pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +187,7 @@ func TestCPUQueueingUnderLoad(t *testing.T) {
 	if len(times) != 10 {
 		t.Fatalf("delivered %d, want 10", len(times))
 	}
-	recvCost := time.Duration(float64(DefaultCostModel.RecvBase) * PC850.CPUFactor)
+	recvCost := time.Duration(float64(26*time.Microsecond) * PC850.CPUFactor)
 	minSpread := time.Duration(9) * recvCost
 	if spread := times[9].Sub(times[0]); spread < minSpread {
 		t.Errorf("delivery spread %v, want >= %v (CPU serialization)", spread, minSpread)
@@ -345,10 +340,10 @@ func TestBurstLossDropsInBursts(t *testing.T) {
 }
 
 func TestEgressQueueDrop(t *testing.T) {
-	// Flood a 10Mb link with big frames and a tiny queue bound: some sends
-	// must be dropped at the egress queue.
-	cfg := Config{Bandwidth: Mbps10, MaxQueueDelay: time.Millisecond}
-	n, k := newTestNet(t, cfg, 1)
+	// Flood a 10Mb link with 100 big frames, about 1ms each: the frames
+	// that would wait past the 50ms queue bound are dropped at the egress
+	// queue.
+	n, k := newTestNet(t, Config{Bandwidth: Mbps10}, 1)
 	a := n.AddNode(PC3000)
 	b := n.AddNode(PC3000)
 	got := 0
@@ -367,6 +362,13 @@ func TestEgressQueueDrop(t *testing.T) {
 	}
 	if got == 0 {
 		t.Error("everything was dropped; queue bound too aggressive")
+	}
+	// The link admits about one frame per serialization time for 50ms of
+	// queue, plus a few for the sender CPU time each frame queues for first.
+	frame := dataPkt(a.Local(), 1, k.Now(), payload).EncodedSize() + FrameOverhead
+	ser := time.Duration(float64(frame*8) / float64(Mbps10) * float64(time.Second))
+	if lo := int(50 * time.Millisecond / ser); got < lo || got > lo+3 {
+		t.Errorf("delivered %d, want %d..%d at a 50ms queue bound", got, lo, lo+3)
 	}
 	if got+int(a.Stats().DroppedQueue) != 100 {
 		t.Errorf("delivered %d + dropped %d != 100", got, a.Stats().DroppedQueue)
@@ -518,14 +520,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil env should error")
 	}
-	if _, err := New(env.NewSim(k), Config{PropDelay: -1}); err == nil {
-		t.Error("negative prop delay should error")
-	}
 	if _, err := New(env.NewSim(k), Config{Bandwidth: -1}); err == nil {
 		t.Error("negative bandwidth should error")
-	}
-	if _, err := New(env.NewSim(k), Config{MaxQueueDelay: -1}); err == nil {
-		t.Error("negative queue delay should error")
 	}
 }
 

@@ -170,11 +170,10 @@ func TestNetemShardedWidthInvariance(t *testing.T) {
 // a propagation delay below the engine lookahead would let packets arrive
 // inside the current window and must be refused up front.
 func TestNewShardedRejectsShortPropDelay(t *testing.T) {
-	sh := sim.NewSharded(1, DefaultPropDelay)
-	if _, err := NewSharded(sh, Config{PropDelay: DefaultPropDelay / 2}); err == nil {
-		t.Fatal("NewSharded accepted PropDelay below the lookahead")
+	if _, err := NewSharded(sim.NewSharded(1, 2*DefaultPropDelay), Config{}); err == nil {
+		t.Fatal("NewSharded accepted a lookahead above DefaultPropDelay")
 	}
-	if _, err := NewSharded(sh, Config{}); err != nil {
+	if _, err := NewSharded(sim.NewSharded(1, DefaultPropDelay), Config{}); err != nil {
 		t.Fatalf("NewSharded rejected default config: %v", err)
 	}
 }

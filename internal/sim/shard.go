@@ -16,8 +16,8 @@ package sim
 //   - Cross-lane interaction (a packet arriving at another node) goes
 //     through Send, which requires a *lookahead*: the event must fire at
 //     least Lookahead after the sending lane's current time. For netem the
-//     lookahead is the minimum link propagation delay (Config.PropDelay,
-//     default 30µs) — no packet can affect another node sooner than one
+//     lookahead is the link propagation delay (netem.DefaultPropDelay,
+//     30µs) — no packet can affect another node sooner than one
 //     propagation time.
 //
 //   - Execution proceeds in conservative time windows of width Lookahead.

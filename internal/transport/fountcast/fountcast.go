@@ -34,10 +34,6 @@ const Props = transport.PropMulticast | transport.PropFEC | transport.PropOrdere
 const (
 	DefaultK           = 8
 	DefaultOverheadPct = 25
-	DefaultHBInterval  = 100 * time.Millisecond
-	// DefaultProcCost models the reference-machine CPU time the receiver
-	// spends per delivered packet on sequencing bookkeeping.
-	DefaultProcCost = 50 * time.Microsecond
 	// DefaultHold is how long a receiver keeps an undecodable block open
 	// after learning the sender has moved past it, waiting for straggler
 	// symbols, before abandoning its missing packets. There is no NAK to
@@ -50,6 +46,11 @@ const (
 	// point but room enough for stress experiments.
 	MaxOverheadPct = 400
 
+	// hbInterval is the sender heartbeat period, which reveals tail gaps.
+	hbInterval = 100 * time.Millisecond
+	// procCost models the reference-machine CPU time the receiver spends
+	// per delivered packet on sequencing bookkeeping.
+	procCost = 50 * time.Microsecond
 	// symbolBuildWork is the sender CPU cost of folding one repair symbol.
 	symbolBuildWork = 40 * time.Microsecond
 	// decodeWork is the receiver CPU cost of reducing one repair symbol
@@ -74,12 +75,6 @@ type Options struct {
 	// (fractional credit carries across blocks). 0 disables repair
 	// entirely, degenerating into ordered best-effort multicast.
 	OverheadPct int
-	// HBInterval is the sender heartbeat period used for tail-gap
-	// detection.
-	HBInterval time.Duration
-	// ProcCost is the per-delivery receiver processing cost at
-	// reference-machine speed.
-	ProcCost time.Duration
 	// Hold is the straggler window before an undecodable closed block's
 	// missing packets are abandoned.
 	Hold time.Duration
@@ -100,8 +95,6 @@ func ParseOptions(p transport.Params) (Options, error) {
 	if err := p.Read(
 		transport.IntParam("k", &o.K, DefaultK),
 		transport.IntParam("oh", &o.OverheadPct, DefaultOverheadPct),
-		transport.DurationParam("hb", &o.HBInterval, DefaultHBInterval),
-		transport.DurationParam("proc", &o.ProcCost, DefaultProcCost),
 		transport.DurationParam("hold", &o.Hold, DefaultHold),
 	); err != nil {
 		return o, err
@@ -112,8 +105,8 @@ func ParseOptions(p transport.Params) (Options, error) {
 	if o.OverheadPct < 0 || o.OverheadPct > MaxOverheadPct {
 		return o, fmt.Errorf("fountcast: oh=%d outside 0..%d", o.OverheadPct, MaxOverheadPct)
 	}
-	if o.HBInterval <= 0 || o.Hold <= 0 {
-		return o, fmt.Errorf("fountcast: non-positive interval in %+v", o)
+	if o.Hold <= 0 {
+		return o, fmt.Errorf("fountcast: non-positive hold %v", o.Hold)
 	}
 	return o, nil
 }
@@ -163,7 +156,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 	// Close flushes the final (possibly partial) block's repairs, then
 	// announces EOS so receivers can close tail blocks.
 	s.BeforeEOS = func() { s.flushBlock(true) }
-	s.StartHeartbeat(opts.HBInterval)
+	s.StartHeartbeat(hbInterval)
 	return s, nil
 }
 
@@ -633,7 +626,7 @@ func (r *Receiver) deliver(b *blockState, p int, seq uint64) {
 	// block's payloads live until freeBlock drops the whole record.
 	e := b.entries[p]
 	r.held--
-	r.Deliver(r.Cfg.Endpoint.Work(r.opts.ProcCost), seq, e.payload, e.sentAt, b.recovered&(1<<uint(p)) != 0)
+	r.Deliver(r.Cfg.Endpoint.Work(procCost), seq, e.payload, e.sentAt, b.recovered&(1<<uint(p)) != 0)
 }
 
 func (r *Receiver) noteBuffered() {

@@ -437,7 +437,7 @@ func TestSymbolForFreedBlockDropped(t *testing.T) {
 	if st := h.recvs[0].Stats(); st.OutOfWindow != 1 {
 		t.Errorf("OutOfWindow = %d, want 1 (the late symbol)", st.OutOfWindow)
 	}
-	if got, want := h.fab.Endpoint(1).WorkCharged, 4*fountcast.DefaultProcCost; got != want {
+	if got, want := h.fab.Endpoint(1).WorkCharged, 4*50*time.Microsecond; got != want { // 50µs per delivery
 		t.Errorf("work charged %v, want %v: the late symbol was decoded", got, want)
 	}
 	if got := h.recvs[0].OpenBlocks(); got != 0 {

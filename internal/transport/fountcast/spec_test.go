@@ -68,8 +68,7 @@ func TestParseOptionsBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.K != fountcast.DefaultK || o.OverheadPct != fountcast.DefaultOverheadPct ||
-		o.HBInterval != fountcast.DefaultHBInterval || o.Hold != fountcast.DefaultHold {
+	if o.K != fountcast.DefaultK || o.OverheadPct != fountcast.DefaultOverheadPct || o.Hold != fountcast.DefaultHold {
 		t.Errorf("defaults = %+v", o)
 	}
 
@@ -82,9 +81,9 @@ func TestParseOptionsBoundaries(t *testing.T) {
 		{"fountcast(oh=401)", "oh=401"},
 		{"fountcast(k=eight)", "eight"},
 		{"fountcast(oh=25%)", "25%"},
-		{"fountcast(hb=0s)", "non-positive"},
+		{"fountcast(hold=0s)", "non-positive"},
 		{"fountcast(hold=-5ms)", "non-positive"},
-		{"fountcast(hb=soon)", "soon"},
+		{"fountcast(hold=soon)", "soon"},
 		{"fountcast(k=8,overhead=25)", "unknown param overhead"},
 	} {
 		if _, err := parse(tt.spec); err == nil {
@@ -119,10 +118,10 @@ func TestFactoryRejectsBadParams(t *testing.T) {
 }
 
 // ParseOptions is the one place defaults are set: a key left out takes its
-// default, and an explicit zero stays zero (the receiver then runs with it;
-// see protocols' TestExplicitZeroParamsRun).
+// default, and an explicit zero stays zero (the sender then runs with it:
+// oh=0 sends no repair symbol).
 func TestParseOptionsKeepsExplicitZero(t *testing.T) {
-	spec, err := transport.ParseSpec("fountcast(proc=0s)")
+	spec, err := transport.ParseSpec("fountcast(oh=0)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +129,10 @@ func TestParseOptionsKeepsExplicitZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ProcCost != 0 {
-		t.Errorf("proc=0s parsed to %v", o.ProcCost)
+	if o.OverheadPct != 0 {
+		t.Errorf("oh=0 parsed to %d", o.OverheadPct)
 	}
-	if o.Hold != fountcast.DefaultHold || o.HBInterval != fountcast.DefaultHBInterval {
-		t.Errorf("unspecified durations not defaulted: %+v", o)
+	if o.K != fountcast.DefaultK || o.Hold != fountcast.DefaultHold {
+		t.Errorf("unspecified params not defaulted: %+v", o)
 	}
 }

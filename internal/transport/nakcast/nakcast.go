@@ -31,16 +31,20 @@ const Name = "nakcast"
 // Props advertises NAKcast's transport properties.
 const Props = transport.PropMulticast | transport.PropNAKReliability | transport.PropOrdered
 
-// Defaults for spec params left out.
+// DefaultTimeout is the NAK timeout of a spec that leaves it out.
+const DefaultTimeout = 10 * time.Millisecond
+
 const (
-	DefaultTimeout    = 10 * time.Millisecond
-	DefaultMaxNaks    = 8
-	DefaultHistory    = 1 << 14
-	DefaultHBInterval = 100 * time.Millisecond
-	// DefaultProcCost models the reference-machine CPU time the receiver
-	// spends per data packet on sequencing and holdback bookkeeping (the
-	// ANT framework data path without Ricochet's XOR work).
-	DefaultProcCost    = 50 * time.Microsecond
+	// A receiver abandons a gap after maxNaks NAKs; the sender keeps
+	// historySize packets to retransmit, and its heartbeat every
+	// hbInterval reveals tail gaps.
+	maxNaks     = 8
+	historySize = 1 << 14
+	hbInterval  = 100 * time.Millisecond
+	// procCost models the reference-machine CPU time the receiver spends
+	// per data packet on sequencing and holdback bookkeeping (the ANT
+	// framework data path without Ricochet's XOR work).
+	procCost           = 50 * time.Microsecond
 	retransWorkPerPkt  = 40 * time.Microsecond
 	nakBuildWork       = 30 * time.Microsecond
 	defaultHoldbackCap = 1 << 15
@@ -70,20 +74,9 @@ type Options struct {
 	// detecting a gap before NAKing the sender. Retries back off
 	// exponentially from this base.
 	Timeout time.Duration
-	// MaxNaks bounds NAK retries per missing packet before the receiver
-	// abandons it.
-	MaxNaks int
-	// History is the sender-side retransmission buffer size in packets.
-	History int
-	// HBInterval is the sender heartbeat period used for tail-gap
-	// detection.
-	HBInterval time.Duration
 	// Unordered disables in-order delivery (samples are handed up on
 	// arrival; recovery still runs). Used for ablation experiments.
 	Unordered bool
-	// ProcCost is the per-data-packet receiver processing cost at
-	// reference-machine speed; deliveries are delayed by the scaled cost.
-	ProcCost time.Duration
 }
 
 // Spec returns the canonical transport.Spec for a NAK timeout, e.g.
@@ -98,18 +91,14 @@ func ParseOptions(p transport.Params) (Options, error) {
 	var unord int
 	if err := p.Read(
 		transport.DurationParam("timeout", &o.Timeout, DefaultTimeout),
-		transport.IntParam("maxnaks", &o.MaxNaks, DefaultMaxNaks),
-		transport.IntParam("history", &o.History, DefaultHistory),
-		transport.DurationParam("hb", &o.HBInterval, DefaultHBInterval),
-		transport.DurationParam("proc", &o.ProcCost, DefaultProcCost),
 		transport.IntParam("unordered", &unord, 0),
 	); err != nil {
 		return o, err
 	}
-	o.Unordered = unord != 0
-	if o.Timeout <= 0 || o.MaxNaks <= 0 || o.History <= 0 || o.HBInterval <= 0 {
-		return o, fmt.Errorf("nakcast: non-positive option in %+v", o)
+	if o.Timeout <= 0 || unord < 0 || unord > 1 {
+		return o, fmt.Errorf("nakcast: timeout=%v unordered=%d, want a positive timeout and unordered 0 or 1", o.Timeout, unord)
 	}
+	o.Unordered = unord == 1
 	return o, nil
 }
 
@@ -145,15 +134,15 @@ type retransReq struct {
 	seq uint64
 }
 
-// NewSender builds a NAKcast sender on cfg.Endpoint.
-func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
+// NewSender builds a NAKcast sender on cfg.Endpoint; every option is the receiver's.
+func NewSender(cfg transport.Config, _ Options) (*Sender, error) {
 	core, err := transport.NewSenderCore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sender{SenderCore: core, hist: transport.NewHistory(opts.History), rtqSet: make(map[retransReq]bool)}
+	s := &Sender{SenderCore: core, hist: transport.NewHistory(historySize), rtqSet: make(map[retransReq]bool)}
 	cfg.Endpoint.SetHandler(s.onNak)
-	s.StartHeartbeat(opts.HBInterval)
+	s.StartHeartbeat(hbInterval)
 	return s, nil
 }
 
@@ -392,7 +381,7 @@ func (r *Receiver) fireNaks() {
 		}
 		due = true
 		m.naks++
-		if m.naks > r.opts.MaxNaks {
+		if m.naks > maxNaks {
 			r.abandon(seq)
 			return
 		}
@@ -468,5 +457,5 @@ func (r *Receiver) drain() {
 func (r *Receiver) deliver(seq uint64, e *slot) {
 	// Sequencing/holdback bookkeeping consumes CPU; delivery lands when
 	// the CPU is done. Bursts released by a recovery stack up naturally.
-	r.Deliver(r.Cfg.Endpoint.Work(r.opts.ProcCost), seq, e.payload, e.sentAt, e.recovered)
+	r.Deliver(r.Cfg.Endpoint.Work(procCost), seq, e.payload, e.sentAt, e.recovered)
 }

@@ -223,7 +223,7 @@ func TestRetransLossTriggersBackoffRetry(t *testing.T) {
 }
 
 func TestAbandonAfterMaxNaks(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(maxnaks=3,timeout=1ms)")
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		// seq 2 is permanently unrecoverable.
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq == 2
@@ -245,13 +245,15 @@ func TestAbandonAfterMaxNaks(t *testing.T) {
 	if st.Abandoned != 1 {
 		t.Errorf("Abandoned = %d, want 1", st.Abandoned)
 	}
-	if st.NaksSent != 3 {
-		t.Errorf("NaksSent = %d, want exactly MaxNaks=3", st.NaksSent)
+	if st.NaksSent != 8 {
+		t.Errorf("NaksSent = %d, want exactly the 8-NAK retry budget", st.NaksSent)
 	}
 }
 
+// The last packet lost has no later data to reveal its gap: the sender's
+// 100ms heartbeat does, before any end of stream.
 func TestTailLossRecoveredViaHeartbeat(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(hb=20ms,timeout=1ms)")
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	dropped := false
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 5 && !dropped {
@@ -260,10 +262,17 @@ func TestTailLossRecoveredViaHeartbeat(t *testing.T) {
 		}
 		return false
 	}
-	// seq 5 is the final packet: no later data to reveal the gap, only
-	// heartbeats can.
-	h.publishN(t, 5, 2*time.Millisecond)
-	h.finish(t)
+	h.publishN(t, 5, 2*time.Millisecond) // up to t = 10ms
+	if err := h.k.RunFor(85 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(h.delivery[0]); got != 4 {
+		t.Fatalf("delivered %d before the first heartbeat, want 4", got)
+	}
+	// The heartbeat at 100ms, a hop, the 1ms NAK timeout, a round trip.
+	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	ds := h.delivery[0]
 	if len(ds) != 5 {
 		t.Fatalf("delivered %d, want 5 (tail loss must be heartbeat-recovered)", len(ds))
@@ -273,16 +282,20 @@ func TestTailLossRecoveredViaHeartbeat(t *testing.T) {
 	}
 }
 
+// Closed before its first 100ms heartbeat, the sender's end-of-stream
+// heartbeat is the only tail-gap signal.
 func TestEOSHeartbeatSpeedsTailRecovery(t *testing.T) {
-	// With a huge HB interval, the EOS heartbeat sent by Close is the only
-	// tail-gap signal.
-	h := newHarness(t, 1, "nakcast(hb=1h,timeout=1ms)")
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && pkt.Seq == 3 && pkt.Src == 0 && to == 1 &&
-			pkt.Type != wire.TypeRetrans
+		return pkt.Type == wire.TypeData && pkt.Seq == 3 && pkt.Src == 0 && to == 1
 	}
 	h.publishN(t, 3, 2*time.Millisecond)
-	h.finish(t)
+	if err := h.sender.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.k.RunFor(50 * time.Millisecond); err != nil { // up to t = 56ms
+		t.Fatal(err)
+	}
 	if got := len(h.delivery[0]); got != 3 {
 		t.Fatalf("delivered %d, want 3", got)
 	}
@@ -340,17 +353,21 @@ func TestUnorderedMode(t *testing.T) {
 	}
 }
 
+// A NAK that arrives after its seq left the sender's 16 384-packet history
+// cannot be served, so the gap is abandoned.
 func TestSenderHistoryEviction(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(history=4,maxnaks=2,timeout=40ms)")
+	const n = 1<<14 + 1 // one past the history
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 1 && to == 1
 	}
-	// By the time the NAK for seq 1 fires, 8 more packets have evicted it.
-	h.publishN(t, 9, 5*time.Millisecond)
+	// All published in one instant: by the time the NAK for seq 1 fires,
+	// seq n has evicted it.
+	h.publishN(t, n, 0)
 	h.finish(t)
 	ds := h.delivery[0]
-	if len(ds) != 8 {
-		t.Fatalf("delivered %d, want 8 (seq 1 unrecoverable)", len(ds))
+	if len(ds) != n-1 {
+		t.Fatalf("delivered %d, want %d (seq 1 unrecoverable)", len(ds), n-1)
 	}
 	if st := h.recvs[0].Stats(); st.Abandoned != 1 {
 		t.Errorf("Abandoned = %d, want 1", st.Abandoned)
@@ -409,8 +426,8 @@ func TestSpecAndParseOptions(t *testing.T) {
 	if _, err := nakcast.ParseOptions(transport.Params{"timeout": "-1ms"}); err == nil {
 		t.Error("negative timeout should error")
 	}
-	if _, err := nakcast.ParseOptions(transport.Params{"maxnaks": "x"}); err == nil {
-		t.Error("bad maxnaks should error")
+	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "x"}); err == nil {
+		t.Error("bad unordered should error")
 	}
 	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "1"}); err != nil {
 		t.Error("unordered=1 should parse")
@@ -504,7 +521,7 @@ func TestManyLossesAllRecovered(t *testing.T) {
 // Eight gaps noted by one arrival share a deadline and are abandoned by one
 // fireNaks: OnLost must report them in ascending order, not map order.
 func TestOnLostAscending(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(maxnaks=1,timeout=1ms)")
+	h := newHarness(t, 1, "nakcast(timeout=1ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq >= 3 && pkt.Seq <= 10
 	}
@@ -580,7 +597,7 @@ func TestCorruptHeartbeatBounded(t *testing.T) {
 // later by NAK. The gap the window slides past is abandoned.
 func TestUnorderedGapAtCursorDoesNotRefuse(t *testing.T) {
 	const holdbackCap = 1 << 15
-	h := newHarness(t, 1, "nakcast(maxnaks=3,timeout=1s,unordered=1)")
+	h := newHarness(t, 1, "nakcast(timeout=1s,unordered=1)")
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq == 1
 	}

@@ -10,7 +10,7 @@ import (
 func TestFlushEmitsPartialRepairs(t *testing.T) {
 	// At a 100ms inter-arrival with an 8ms flush, every packet should be
 	// covered by a singleton repair long before the R=4 group would fill.
-	h := newHarness(t, 2, "ricochet(c=2,decode=1ns,flush=8ms,proc=1ns,r=4,stagger=-1)")
+	h := newHarness(t, 2, "ricochet(c=2,flush=8ms,r=4,stagger=-1)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
 	}
@@ -46,7 +46,7 @@ func TestStaggerOffsetsGroups(t *testing.T) {
 	// With auto stagger, node IDs 1 and 2 skip 1 and 2 packets before
 	// their first R=4 group. Publishing 9 packets gives node 1 groups
 	// [2..5],[6..9] (2 repairs) and node 2 groups [3..6] (+partial).
-	h := newHarness(t, 2, "ricochet(c=2,decode=1ns,flush=-1ns,proc=1ns,r=4)")
+	h := newHarness(t, 2, "ricochet(c=2,flush=-1ns,r=4)")
 	h.publishN(t, 9, 5*time.Millisecond)
 	s1 := h.recvs[0].Stats().RepairsSent
 	s2 := h.recvs[1].Stats().RepairsSent
@@ -66,7 +66,7 @@ func TestStaggeredPeerRecoversShiftedDoubleLoss(t *testing.T) {
 	// peer groups are [5..8] for one peer: then 4 is in no group... This
 	// exercises the cascade: peer repairs with shifted boundaries decode
 	// one loss, unlocking a buffered repair for the other.
-	h := newHarness(t, 3, "ricochet(c=3,decode=1ns,flush=-1ns,proc=1ns,r=2)")
+	h := newHarness(t, 3, "ricochet(c=3,flush=-1ns,r=2)")
 	// R=2, auto stagger by id: node1 offset 1: groups [2,3],[4,5],[6,7]...
 	// node2 offset 0 (2%2): [1,2],[3,4],[5,6]... node3 offset 1: like node1.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
@@ -85,7 +85,7 @@ func TestStaggeredPeerRecoversShiftedDoubleLoss(t *testing.T) {
 }
 
 func TestDecodeCostDelaysRecoveredDelivery(t *testing.T) {
-	h := newHarness(t, 2, "ricochet(c=2,decode=30ms,flush=-1ns,proc=1ns,r=2,stagger=-1)")
+	h := newHarness(t, 2, classic("r=2,c=2"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 1 && to == 1
 	}
@@ -94,10 +94,11 @@ func TestDecodeCostDelaysRecoveredDelivery(t *testing.T) {
 	if !ok {
 		t.Fatal("seq 1 not recovered")
 	}
-	// The fabric's ScaleCPU is identity, so the recovered delivery must be
-	// delayed by >= the 30ms decode-path cost.
-	if lat := d.Latency(); lat < 30*time.Millisecond {
-		t.Errorf("recovered latency %v, want >= 30ms decode-path delay", lat)
+	// The fabric's ScaleCPU is identity, so the recovered delivery lands
+	// the 13ms decode-path cost after the repair does (seq 2 at 5ms, one
+	// hop to the peer, one back).
+	if lat := d.Latency(); lat != 7*time.Millisecond+13*time.Millisecond {
+		t.Errorf("recovered latency %v, want 7ms to the repair plus the 13ms decode path", lat)
 	}
 	if direct, ok := find(h.delivery[0], 2); ok && direct.Latency() > 5*time.Millisecond {
 		t.Errorf("direct delivery latency %v; decode path must not block the receive path", direct.Latency())

@@ -38,24 +38,8 @@ const Props = transport.PropMulticast | transport.PropFEC
 
 // Defaults for spec params left out.
 const (
-	DefaultR      = 4
-	DefaultC      = 3
-	DefaultWindow = 4096
-
-	// DefaultProcCost models the reference-machine CPU time the LEC
-	// receiver spends per directly received data packet: window insert,
-	// group bookkeeping, XOR accumulation, and its share of repair-stream
-	// handling in the managed-runtime Ricochet implementation the paper
-	// plugs into DDS. It is the dominant reason Ricochet's latency
-	// advantage shrinks on slow (pc850-class) nodes; see DESIGN.md
-	// ("calibration targets") for how this constant was fit.
-	DefaultProcCost = 300 * time.Microsecond
-	// DefaultDecodeCost is the per-recovery lateral-repair path cost at
-	// reference speed: buffered-repair scan, XOR reconstruction, and
-	// reassembly on the implementation's background recovery thread. It
-	// delays recovered deliveries (machine-scaled) without occupying the
-	// receive path.
-	DefaultDecodeCost = 13 * time.Millisecond
+	DefaultR = 4
+	DefaultC = 3
 	// DefaultFlush bounds how long a partially filled XOR group may sit
 	// before its repair is sent anyway. Without it, recovery latency at
 	// low data rates would be R packet intervals; with it, low-rate
@@ -64,10 +48,28 @@ const (
 	// 10-25 Hz.
 	DefaultFlush = 8 * time.Millisecond
 
-	// spanFactor is the window's span cap in cache sizes: the cache evicts
-	// by count, so its span grows with the losses in it, and a packet past
-	// the cap slides the window up to it rather than stretching it.
-	spanFactor = 4
+	// window is the receiver packet cache size used for XOR decoding and
+	// duplicate suppression; it bounds r. span is the window's span cap:
+	// the cache evicts by count, so its span grows with the losses in it,
+	// and a packet past the cap slides the window up to it rather than
+	// stretching it.
+	window = 4096
+	span   = 4 * window
+
+	// procCost models the reference-machine CPU time the LEC receiver
+	// spends per directly received data packet: window insert, group
+	// bookkeeping, XOR accumulation, and its share of repair-stream
+	// handling in the managed-runtime Ricochet implementation the paper
+	// plugs into DDS. It is the dominant reason Ricochet's latency
+	// advantage shrinks on slow (pc850-class) nodes; see DESIGN.md
+	// ("calibration targets") for how this constant was fit.
+	procCost = 300 * time.Microsecond
+	// decodeCost is the per-recovery lateral-repair path cost at
+	// reference speed: buffered-repair scan, XOR reconstruction, and
+	// reassembly on the implementation's background recovery thread. It
+	// delays recovered deliveries (machine-scaled) without occupying the
+	// receive path.
+	decodeCost = 13 * time.Millisecond
 
 	maxPendingRepairs = 256
 	repairBuildWork   = 60 * time.Microsecond
@@ -81,34 +83,22 @@ type Options struct {
 	R int
 	// C is the number of peer receivers each repair is sent to.
 	C int
-	// Window is the receiver packet cache size used for XOR decoding and
-	// duplicate suppression.
-	Window int
-	// ProcCost is the per-data-packet receiver processing cost at
-	// reference-machine speed; deliveries are delayed by the scaled cost.
-	ProcCost time.Duration
-	// DecodeCost is the per-recovery decode cost at reference speed.
-	DecodeCost time.Duration
 	// Flush bounds the age of a partial XOR group before its repair is
 	// emitted anyway. Zero or negative disables the flush timer (classic
 	// fixed-R grouping).
 	Flush time.Duration
 	// Stagger offsets this receiver's first XOR group: 0 derives the
 	// offset from the node ID (default; peers' group boundaries then
-	// interleave), -1 disables staggering, positive values are explicit.
+	// interleave), -1 disables staggering, 1..R-1 are explicit offsets.
 	Stagger int
 }
 
 // staggerFor resolves the initial group offset for a node.
 func (o Options) staggerFor(id wire.NodeID) int {
-	switch {
-	case o.Stagger < 0:
-		return 0
-	case o.Stagger > 0:
-		return o.Stagger % o.R
-	default:
+	if o.Stagger == 0 {
 		return int(id) % o.R
 	}
+	return max(o.Stagger, 0)
 }
 
 // Spec returns the canonical transport.Spec for an (R, C) pair, e.g.
@@ -126,22 +116,19 @@ func ParseOptions(p transport.Params) (Options, error) {
 	if err := p.Read(
 		transport.IntParam("r", &o.R, DefaultR),
 		transport.IntParam("c", &o.C, DefaultC),
-		transport.IntParam("window", &o.Window, DefaultWindow),
-		transport.DurationParam("proc", &o.ProcCost, DefaultProcCost),
-		transport.DurationParam("decode", &o.DecodeCost, DefaultDecodeCost),
 		transport.DurationParam("flush", &o.Flush, DefaultFlush),
 		transport.IntParam("stagger", &o.Stagger, 0),
 	); err != nil {
 		return o, err
 	}
-	if o.R < 2 {
-		return o, fmt.Errorf("ricochet: r must be >= 2, got %d", o.R)
+	if o.R < 2 || o.R > window {
+		return o, fmt.Errorf("ricochet: r=%d outside 2..%d", o.R, window)
 	}
 	if o.C < 1 {
 		return o, fmt.Errorf("ricochet: c must be >= 1, got %d", o.C)
 	}
-	if o.Window < o.R {
-		return o, fmt.Errorf("ricochet: window %d smaller than r %d", o.Window, o.R)
+	if o.Stagger < -1 || o.Stagger >= o.R {
+		return o, fmt.Errorf("ricochet: stagger=%d outside -1..%d", o.Stagger, o.R-1)
 	}
 	return o, nil
 }
@@ -149,7 +136,8 @@ func ParseOptions(p transport.Params) (Options, error) {
 // Factory returns the registry factory for Ricochet. The sender has no
 // tunables, but its spec is still checked.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props }, Options.span,
+	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props },
+		func(Options) uint64 { return span },
 		func(cfg transport.Config, _ Options) (*Sender, error) { return NewSender(cfg) }, NewReceiver)
 }
 
@@ -194,7 +182,7 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 		ReceiverCore: core,
 		opts:         opts,
 		rng:          cfg.Env.Rand(fmt.Sprintf("ricochet/%d", cfg.Endpoint.Local())),
-		window:       transport.NewWindow[*wire.Packet](cfg.BaseSeq+1, spanFactor*opts.Window),
+		window:       transport.NewWindow[*wire.Packet](cfg.BaseSeq+1, span),
 		stagger:      opts.staggerFor(cfg.Endpoint.Local()),
 	}
 	// The core's timer is the flush deadline of a partial group.
@@ -220,7 +208,7 @@ func (r *Receiver) onEOS(_ wire.NodeID, pkt *wire.Packet) {
 	if err != nil || pkt.Flags&wire.FlagEOS == 0 {
 		return
 	}
-	r.Cfg.Env.After(2*max(r.opts.Flush, 0)+r.opts.DecodeCost, func() { r.forget(hb.HighSeq + 1) })
+	r.Cfg.Env.After(2*max(r.opts.Flush, 0)+decodeCost, func() { r.forget(hb.HighSeq + 1) })
 }
 
 func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
@@ -239,7 +227,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	r.store(stored)
 	// Per-packet LEC processing consumes CPU; delivery lands when the
 	// CPU is done with it.
-	r.Deliver(r.Cfg.Endpoint.Work(r.opts.ProcCost), stored.Seq, stored.Payload, stored.SentAt, false)
+	r.Deliver(r.Cfg.Endpoint.Work(procCost), stored.Seq, stored.Payload, stored.SentAt, false)
 
 	// Accumulate toward the next repair: every R direct receptions emit
 	// one XOR repair to C random peers (lateral error correction). The
@@ -370,7 +358,7 @@ func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 	case 1:
 		// The recovery path runs off the receive thread: scale its cost
 		// to this machine without blocking data-packet processing.
-		delay := r.Cfg.Endpoint.ScaleCPU(r.opts.DecodeCost) + r.Cfg.Endpoint.Work(repairRecvWork)
+		delay := r.Cfg.Endpoint.ScaleCPU(decodeCost) + r.Cfg.Endpoint.Work(repairRecvWork)
 		sentAt, payload, err := rep.Reconstruct(held)
 		if err != nil {
 			r.Counts.RepairsUseless++
@@ -416,18 +404,15 @@ func (r *Receiver) decodePending() {
 
 func (r *Receiver) store(pkt *wire.Packet) {
 	if !r.window.Fits(pkt.Seq) {
-		r.forget(pkt.Seq - r.opts.span() + 1)
+		r.forget(pkt.Seq - span + 1)
 	}
 	*r.window.Set(pkt.Seq, transport.SlotHeld) = pkt
 	held := r.window.Count(transport.SlotHeld)
 	r.Counts.NoteBuffered(held + len(r.pending))
-	if held > r.opts.Window {
+	if held > window {
 		r.evict(held)
 	}
 }
-
-// span is the window's span cap.
-func (o Options) span() uint64 { return uint64(spanFactor * o.Window) }
 
 // evict drops the oldest quarter of the held packets.
 func (r *Receiver) evict(held int) {
@@ -449,7 +434,7 @@ func (r *Receiver) evict(held int) {
 func (r *Receiver) forget(cut uint64) {
 	if r.Cfg.OnLost != nil {
 		low := r.window.Low()
-		end := min(cut, low+r.opts.span())
+		end := min(cut, low+span)
 		for s := low; s < end; s++ {
 			if r.window.State(s) != transport.SlotHeld {
 				r.Lost(s)

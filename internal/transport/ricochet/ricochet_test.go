@@ -24,10 +24,11 @@ type harness struct {
 }
 
 // classic returns the spec with params for fixed-R group semantics: no
-// stagger, no flush timer, negligible processing costs — the configuration
-// the protocol-mechanics tests are written against.
+// stagger, no flush timer — the configuration the protocol-mechanics tests
+// are written against. The fabric charges no CPU time, so only the 13ms
+// decode path delays a delivery.
 func classic(params string) string {
-	p := "decode=1ns,flush=-1ns,proc=1ns,stagger=-1"
+	p := "flush=-1ns,stagger=-1"
 	if params != "" {
 		p = params + "," + p
 	}
@@ -308,7 +309,7 @@ func TestPendingRepairCascade(t *testing.T) {
 	if err := h.fab.Endpoint(0).Unicast(1, mk(5, 8)); err != nil { // decodes 5, cascades to 4
 		t.Fatal(err)
 	}
-	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
+	if err := h.k.RunFor(20 * time.Millisecond); err != nil { // past the 13ms decode path
 		t.Fatal(err)
 	}
 	ds := h.delivery[0]
@@ -371,11 +372,14 @@ func TestSingleReceiverNoRepairs(t *testing.T) {
 	}
 }
 
+// Past the 4 096-packet cache the oldest quarter is evicted: a replay of
+// seq 1 is then out of window, not a duplicate.
 func TestWindowEviction(t *testing.T) {
-	h := newHarness(t, 2, classic("r=4,c=1,window=16"))
-	h.publishN(t, 100, time.Millisecond)
-	if len(h.delivery[0]) != 100 {
-		t.Fatalf("delivered %d, want 100", len(h.delivery[0]))
+	const n = 4096 + 100
+	h := newHarness(t, 2, classic("r=4,c=1"))
+	h.publishN(t, n, time.Millisecond)
+	if len(h.delivery[0]) != n {
+		t.Fatalf("delivered %d, want %d", len(h.delivery[0]), n)
 	}
 	// Replay an ancient packet: must be rejected as out-of-window.
 	stale := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1,
@@ -386,12 +390,11 @@ func TestWindowEviction(t *testing.T) {
 	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.delivery[0]) != 100 {
+	if len(h.delivery[0]) != n {
 		t.Error("stale packet was re-delivered")
 	}
-	st := h.recvs[0].Stats()
-	if st.OutOfWindow == 0 && st.Duplicates == 0 {
-		t.Error("stale packet not counted")
+	if st := h.recvs[0].Stats(); st.OutOfWindow != 1 || st.Duplicates != 0 {
+		t.Errorf("OutOfWindow = %d, Duplicates = %d; want the stale packet out of window", st.OutOfWindow, st.Duplicates)
 	}
 }
 
@@ -433,13 +436,13 @@ func TestSpecAndParseOptions(t *testing.T) {
 		t.Errorf("ParseOptions: %+v, %v", o, err)
 	}
 	for _, bad := range []transport.Params{
-		{"r": "1"},                // r < 2
-		{"c": "0"},                // c < 1
-		{"r": "8", "window": "4"}, // window < r
-		{"r": "x"},                // unparsable
-		{"c": "y"},                // unparsable
-		{"window": "zz"},          // unparsable
-		{"r": "4", "cc": "3"},     // unknown key
+		{"r": "1"},            // r < 2
+		{"r": "4097"},         // r past the 4 096-packet cache
+		{"c": "0"},            // c < 1
+		{"r": "x"},            // unparsable
+		{"c": "y"},            // unparsable
+		{"stagger": "zz"},     // unparsable
+		{"r": "4", "cc": "3"}, // unknown key
 	} {
 		if _, err := ricochet.ParseOptions(bad); err == nil {
 			t.Errorf("ParseOptions(%v) should error", bad)
@@ -497,12 +500,13 @@ func TestHigherRLowersRepairTrafficButWeakensRecovery(t *testing.T) {
 // before the window had a span cap they filled the cache, became the
 // eviction cutoff, and the lost-report walk from the low-water mark up to
 // them never returned. Now the window slides up to them, reporting one
-// span of the gap seq by seq and counting the rest in one sum, so every
-// skipped seq is abandoned exactly once; the real stream, now below the
-// window, is out of window.
+// span of the gap seq by seq and counting the rest in one sum; one more
+// far packet than the 4 096-packet cache holds evicts, which reports the
+// rest of the gap, so every skipped seq is abandoned exactly once. The
+// real stream, now below the window, is out of window.
 func TestFarFutureSeqsBounded(t *testing.T) {
-	const bogus = 20
-	h := newHarness(t, 1, classic("r=4,c=1,window=16"))
+	const bogus, span = 4096 + 1, 4 * 4096
+	h := newHarness(t, 1, classic("r=4,c=1"))
 	h.publishN(t, 3, time.Millisecond)
 	for i := uint64(0); i < bogus; i++ {
 		far := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1<<40 + i,
@@ -539,8 +543,8 @@ func TestFarFutureSeqsBounded(t *testing.T) {
 		if want := uint64(1<<40 - 4); st.Abandoned != want {
 			t.Errorf("Abandoned = %d, want %d: every seq from 4 to 2^40-1 once", st.Abandoned, want)
 		}
-		if n := len(h.lost[0]); n > 2*4*16 {
-			t.Errorf("OnLost reported %d seqs, want at most two spans (%d)", n, 2*4*16)
+		if n := len(h.lost[0]); n > 2*span {
+			t.Errorf("OnLost reported %d seqs, want at most two spans (%d)", n, 2*span)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("receiver did not return from far-future seqs within 30s")
@@ -628,7 +632,7 @@ func TestTailLossReportedOnceAtEOS(t *testing.T) {
 // flushed copy lands one flush period plus a hop after that. The sample is
 // delivered from the repair, not reported lost.
 func TestTailRepairInsideEOSGrace(t *testing.T) {
-	h := newHarness(t, 2, "ricochet(c=1,decode=1ns,flush=8ms,proc=1ns,r=4,stagger=-1)")
+	h := newHarness(t, 2, "ricochet(c=1,flush=8ms,r=4,stagger=-1)")
 	h.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && to == 2
 	}

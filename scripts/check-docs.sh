@@ -11,6 +11,10 @@
 # every Test..., Benchmark... or Fuzz... name, which must begin the name of a
 # function a _test.go in the tree declares (so BenchmarkSchedule* passes when
 # BenchmarkSchedulePooled exists). Each miss is printed as file:line.
+#
+# It also fails when a func Fuzz... that a _test.go outside the nested
+# benchmark/ module declares is not run by the Makefile's fuzz-smoke recipe
+# (as "-fuzz Name " or "-fuzz Name$$ ").
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
@@ -41,5 +45,14 @@ while IFS=: read -r file line name; do
 		bad=1
 	fi
 done < <(grep -noE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "${docs[@]}")
+
+recipe=$(awk '/^fuzz-smoke:/ { on = 1; next } on && !/^\t/ { exit } on' Makefile)
+while read -r name; do
+	if ! grep -qE -- "-fuzz $name(\\\$\\\$)? " <<<"$recipe"; then
+		echo "Makefile: fuzz-smoke does not run $name"
+		bad=1
+	fi
+done < <(git ls-files -z --cached --others --exclude-standard '*_test.go' ':!benchmark' |
+	xargs -0 grep -hoE '^func Fuzz[A-Za-z0-9_]*' | sed 's/^func //')
 
 exit $bad
