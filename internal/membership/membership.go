@@ -8,7 +8,7 @@ package membership
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"adamant/internal/env"
@@ -56,8 +56,8 @@ var _ Provider = (*Static)(nil)
 
 // NewStatic builds a fixed view of the given members.
 func NewStatic(members ...wire.NodeID) *Static {
-	ms := append([]wire.NodeID(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	ms := slices.Clone(members)
+	slices.Sort(ms)
 	return &Static{view: View{Members: ms, Version: 1}}
 }
 
@@ -189,7 +189,10 @@ func (d *Detector) expire() {
 		}
 	}
 	if changed {
-		d.rebuild()
+		d.setView(slices.DeleteFunc(slices.Clone(d.view.Members), func(id wire.NodeID) bool {
+			_, live := d.lastSeen[id]
+			return id != d.self && !live
+		}))
 	}
 }
 
@@ -213,7 +216,7 @@ func (d *Detector) onJoin(src wire.NodeID) {
 	_, known := d.lastSeen[src]
 	d.lastSeen[src] = d.env.Now()
 	if !known {
-		d.rebuild()
+		d.insert(src)
 		// Answer a JOIN with an immediate heartbeat so the joiner learns
 		// about us without waiting a full interval.
 		if d.opts.UnicastJoinReplies {
@@ -247,7 +250,7 @@ func (d *Detector) onHeartbeat(src wire.NodeID, pkt *wire.Packet) {
 	_, known := d.lastSeen[src]
 	d.lastSeen[src] = d.env.Now()
 	if !known {
-		d.rebuild()
+		d.insert(src)
 	}
 }
 
@@ -257,17 +260,25 @@ func (d *Detector) onLeave(src wire.NodeID) {
 	}
 	if _, known := d.lastSeen[src]; known {
 		delete(d.lastSeen, src)
-		d.rebuild()
+		i, _ := slices.BinarySearch(d.view.Members, src)
+		d.setView(slices.Delete(slices.Clone(d.view.Members), i, i+1))
 	}
 }
 
-func (d *Detector) rebuild() {
-	members := make([]wire.NodeID, 0, len(d.lastSeen)+1)
-	members = append(members, d.self)
-	for id := range d.lastSeen {
-		members = append(members, id)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+// insert publishes the view with a newly learned member in its sorted
+// place. Each view is a fresh slice: earlier ones escape through View and
+// onChange, so they are never written again.
+func (d *Detector) insert(id wire.NodeID) {
+	old := d.view.Members
+	i, _ := slices.BinarySearch(old, id)
+	members := make([]wire.NodeID, len(old)+1)
+	copy(members, old[:i])
+	members[i] = id
+	copy(members[i+1:], old[i:])
+	d.setView(members)
+}
+
+func (d *Detector) setView(members []wire.NodeID) {
 	d.view = View{Members: members, Version: d.view.Version + 1}
 	if d.onChange != nil {
 		d.onChange(d.view)
