@@ -426,8 +426,8 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 }
 
 // runConfigs expands cfg into `runs` configs with derived per-run seeds —
-// the seed schedule every multi-run helper (RunN, RunCandidates,
-// BuildDataset, RunQoSFigures) shares, so serial and parallel execution
+// the seed schedule every multi-run helper (RunN, BuildDataset,
+// RunQoSFigures) shares, so serial and parallel execution
 // produce identical results.
 func runConfigs(cfg Config, runs int) []Config {
 	out := make([]Config, runs)
@@ -484,25 +484,6 @@ func candidateConfigs(cfg Config, runs int) []Config {
 		out = append(out, runConfigs(c, runs)...)
 	}
 	return out
-}
-
-// RunCandidates runs every ADAMANT candidate protocol over the same
-// environment (same derived seeds), one run at a time, returning results in
-// Candidates() order.
-func RunCandidates(cfg Config, runs int) ([]CandidateResult, error) {
-	if runs < 1 {
-		return nil, errors.New("experiment: runs must be >= 1")
-	}
-	cands := core.Candidates()
-	sums, err := (&Runner{Jobs: 1}).RunMany(candidateConfigs(cfg, runs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CandidateResult, len(cands))
-	for i, spec := range cands {
-		out[i] = CandidateResult{Spec: spec, Summaries: sums[i*runs : (i+1)*runs]}
-	}
-	return out, nil
 }
 
 // Winner returns the candidate index with the lowest (best) mean score for

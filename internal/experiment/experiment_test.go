@@ -7,6 +7,7 @@ import (
 
 	"adamant/internal/core"
 	"adamant/internal/dds"
+	"adamant/internal/metrics"
 	"adamant/internal/netem"
 )
 
@@ -104,12 +105,16 @@ func TestRunNDistinctSeeds(t *testing.T) {
 func TestScoreAndWinner(t *testing.T) {
 	cfg := Config{Receivers: 3, RateHz: 25, Samples: 400, LossPct: 5, Seed: 5,
 		Machine: netem.PC3000, Bandwidth: netem.Gbps1}
-	results, err := RunCandidates(cfg, 1)
+	sums, err := (&Runner{}).RunMany(candidateConfigs(cfg, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != core.NumCandidates {
-		t.Fatalf("got %d candidate results", len(results))
+	if len(sums) != core.NumCandidates {
+		t.Fatalf("got %d candidate results", len(sums))
+	}
+	results := make([]CandidateResult, len(sums))
+	for i, s := range sums {
+		results[i] = CandidateResult{Spec: core.Candidates()[i], Summaries: []metrics.Summary{s}}
 	}
 	w := Winner(results, core.MetricReLate2)
 	best := MeanScore(results[w].Summaries, core.MetricReLate2)

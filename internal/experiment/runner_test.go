@@ -40,8 +40,17 @@ func TestRunManyMatchesSerial(t *testing.T) {
 
 // TestBuildDatasetParallelByteIdentical is the engine's core contract: the
 // training-set CSV is byte-for-byte identical whether the combo x candidate
-// x run product runs on one worker or eight.
+// x run product runs on one worker or eight. That product is
+// candidateConfigs per combo: candidate-major, each candidate over RunN's
+// seeds.
 func TestBuildDatasetParallelByteIdentical(t *testing.T) {
+	cfg := Config{Seed: 9}
+	seeds := runConfigs(cfg, 2)
+	for i, c := range candidateConfigs(cfg, 2) {
+		if want := core.Candidates()[i/2]; c.Protocol.String() != want.String() || c.Seed != seeds[i%2].Seed {
+			t.Errorf("config %d: %s seed %d, want %s seed %d", i, c.Protocol, c.Seed, want, seeds[i%2].Seed)
+		}
+	}
 	opts := DatasetOptions{Combos: 32, Runs: 1, Samples: 120, Seed: 11}
 	serial := opts
 	serial.Jobs = 1
@@ -136,27 +145,6 @@ func TestRunnerProgressSerialized(t *testing.T) {
 	for i, d := range seen {
 		if d != i+1 {
 			t.Fatalf("progress sequence %v is not 1..%d", seen, len(cfgs))
-		}
-	}
-}
-
-// TestRunCandidatesJobsMatchesSerial checks the candidate x run product
-// run over four workers reproduces the serial candidate sweep.
-func TestRunCandidatesJobsMatchesSerial(t *testing.T) {
-	cfg := Config{Receivers: 3, RateHz: 25, Samples: 150, LossPct: 3, Seed: 9}
-	serial, err := RunCandidates(cfg, 2)
-	if err != nil {
-		t.Fatalf("RunCandidates: %v", err)
-	}
-	parallel, err := (&Runner{Jobs: 4}).RunMany(candidateConfigs(cfg, 2))
-	if err != nil {
-		t.Fatalf("RunMany: %v", err)
-	}
-	for i := range serial {
-		for j, s := range serial[i].Summaries {
-			if p := parallel[i*2+j]; s != p {
-				t.Errorf("candidate %d run %d: parallel %v != serial %v", i, j, p, s)
-			}
 		}
 	}
 }
