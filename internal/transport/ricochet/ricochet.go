@@ -170,6 +170,7 @@ type Receiver struct {
 	// reception orders differ in practice), which both speeds recovery
 	// and lets shifted repairs resolve double losses by cascade.
 	stagger int
+	ended   bool // an end of stream arrived and armed the tail report
 }
 
 // NewReceiver builds a Ricochet receiver on cfg.Endpoint.
@@ -197,17 +198,18 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 	return r, nil
 }
 
-// onEOS ends the stream at the end-of-stream heartbeat's high seq. Once the
-// peers' last repairs have had time to arrive (a flush period for a peer's
-// partial group, a second one for its repair's hop, and a decode), every
-// seq up to it that is not held is reported lost, and the
-// window slides past it, so no later copy or repair delivers a seq that
-// was reported lost.
+// onEOS ends the stream at the first end-of-stream heartbeat's high seq
+// (the sender binding repeats it). Once the peers' last repairs have had
+// time to arrive (a flush period for a peer's partial group, a second one
+// for its repair's hop, and a decode), every seq up to it that is not held
+// is reported lost, and the window slides past it, so no later copy or
+// repair delivers a seq that was reported lost.
 func (r *Receiver) onEOS(_ wire.NodeID, pkt *wire.Packet) {
 	hb, err := wire.DecodeHeartbeat(pkt.Payload)
-	if err != nil || pkt.Flags&wire.FlagEOS == 0 {
+	if err != nil || pkt.Flags&wire.FlagEOS == 0 || r.ended {
 		return
 	}
+	r.ended = true
 	r.Cfg.Env.After(2*max(r.opts.Flush, 0)+decodeCost, func() { r.forget(hb.HighSeq + 1) })
 }
 

@@ -579,7 +579,8 @@ func TestLongOutageKeepsDelivering(t *testing.T) {
 
 // At the end of stream every seq a receiver could not recover is reported
 // lost once, after the peers' last repairs have had time to arrive, and a
-// copy of it that turns up later is not delivered.
+// copy of it that turns up later is not delivered. Repeats of the end of
+// stream arm no second report.
 func TestTailLossReportedOnceAtEOS(t *testing.T) {
 	h := newHarness(t, 1, classic("r=4,c=1"))
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
@@ -589,8 +590,32 @@ func TestTailLossReportedOnceAtEOS(t *testing.T) {
 	if len(h.lost[0]) != 0 {
 		t.Fatalf("OnLost reported %v before the end of stream", h.lost[0])
 	}
+	eos, err := (&wire.HeartbeatBody{HighSeq: 10}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat := func(pkts ...*wire.Packet) {
+		t.Helper()
+		pkts = append(pkts, &wire.Packet{Type: wire.TypeHeartbeat, Flags: wire.FlagEOS,
+			Src: 0, Stream: 1, Seq: 10, SentAt: h.k.Now(), Payload: eos})
+		for _, pkt := range pkts {
+			if err := h.fab.Endpoint(0).Multicast(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Close's end of stream and a repeat, as a sender binding's linger
+	// sends it: once both have arrived, the one tail report is the only
+	// event left.
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
+	}
+	repeat()
+	if err := h.k.RunFor(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after two end-of-stream heartbeats, want the one tail report", n)
 	}
 	if err := h.k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -598,21 +623,9 @@ func TestTailLossReportedOnceAtEOS(t *testing.T) {
 	if fmt.Sprint(h.lost[0]) != "[9 10]" {
 		t.Fatalf("OnLost reported %v at the end of stream, want [9 10]", h.lost[0])
 	}
-	// A late copy of seq 9, then the end of stream again (as a binding's
-	// synthetic one repeats it).
+	// A late copy of seq 9, then the end of stream again.
 	h.fab.Drop = nil
-	eos, err := (&wire.HeartbeatBody{HighSeq: 10}).Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkt := range []*wire.Packet{
-		{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 9, SentAt: h.k.Now(), Payload: []byte("late")},
-		{Type: wire.TypeHeartbeat, Flags: wire.FlagEOS, Src: 0, Stream: 1, Seq: 10, SentAt: h.k.Now(), Payload: eos},
-	} {
-		if err := h.fab.Endpoint(0).Multicast(pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	repeat(&wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 9, SentAt: h.k.Now(), Payload: []byte("late")})
 	if err := h.k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -627,30 +640,57 @@ func TestTailLossReportedOnceAtEOS(t *testing.T) {
 	}
 }
 
-// The end-of-stream grace outlasts a peer's last lateral repair: the last
-// sample reaches one receiver only, with the end of stream, and its peer's
-// flushed copy lands one flush period plus a hop after that. The sample is
-// delivered from the repair, not reported lost.
+// The end-of-stream grace is two flush periods and a decode, so it outlasts
+// a peer's last lateral repair whose hop is at most a flush plus a decode.
+// The last sample reaches one receiver only, with the end of stream, and
+// its peer's flushed copy lands one flush period plus the hop after that.
+// Within the grace the sample is delivered from the repair; past it the
+// sample is reported lost once, and the late repair is dead: counted
+// useless, never delivered.
 func TestTailRepairInsideEOSGrace(t *testing.T) {
-	h := newHarness(t, 2, "ricochet(c=1,flush=8ms,r=4,stagger=-1)")
-	h.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && to == 2
-	}
-	if err := h.sender.Publish([]byte("last")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.sender.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.k.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if d, ok := find(h.delivery[1], 1); !ok || !d.Recovered {
-		t.Errorf("seq 1 delivered %v (recovered %v), want delivered from the peer's repair", ok, d.Recovered)
-	}
-	for i, lost := range h.lost {
-		if len(lost) != 0 {
-			t.Errorf("receiver %d reported %v lost, want none", i, lost)
-		}
+	for _, tc := range []struct {
+		name      string
+		extraHop  time.Duration // added to the fabric's 1ms on the repair
+		recovered bool
+	}{
+		{"hop within a flush", 0, true},
+		{"hop past the grace", 30 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 2, "ricochet(c=1,flush=8ms,r=4,stagger=-1)")
+			held := false
+			h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
+				if pkt.Type == wire.TypeRepair && tc.extraHop > 0 && !held {
+					held = true
+					late := pkt.Clone()
+					h.e.After(tc.extraHop, func() { _ = h.fab.Endpoint(from).Unicast(to, late) })
+					return true
+				}
+				return pkt.Type == wire.TypeData && to == 2
+			}
+			if err := h.sender.Publish([]byte("last")); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.sender.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.k.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			d, ok := find(h.delivery[1], 1)
+			if tc.recovered && (!ok || !d.Recovered) {
+				t.Errorf("seq 1 delivered %v (recovered %v), want delivered from the peer's repair", ok, d.Recovered)
+			}
+			if !tc.recovered && ok {
+				t.Error("seq 1 delivered from a repair that arrived after it was reported lost")
+			}
+			want := map[bool]string{true: "[]", false: "[1]"}[tc.recovered]
+			if got := fmt.Sprint(h.lost[1]); got != want {
+				t.Errorf("receiver 1 reported %s lost, want %s", got, want)
+			}
+			if st := h.recvs[1].Stats(); !tc.recovered && st.RepairsUseless != 1 {
+				t.Errorf("RepairsUseless = %d, want 1 (the late repair)", st.RepairsUseless)
+			}
+		})
 	}
 }
