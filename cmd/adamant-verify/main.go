@@ -2,9 +2,10 @@
 // fails.
 //
 // With -chaos it runs the transport crucible: every registered protocol
-// through the chaos scenario library under invariant checkers, each cell
-// executed twice with byte-identical outcomes required (see EXPERIMENTS.md
-// for reproducing a failing cell from its printed line).
+// through the chaos scenario library and a lost end of stream under
+// invariant checkers, each cell executed twice with byte-identical outcomes
+// required (see EXPERIMENTS.md for reproducing a failing cell from its
+// printed line).
 //
 // With -adapt it runs the adaptation figure: a drifting environment driven
 // once per static candidate and once with the in-mission adaptor, which
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"adamant/internal/core"
 	"adamant/internal/experiment"
@@ -47,17 +49,17 @@ func main() {
 // Every cell runs twice with the same seed; a hash mismatch between the two
 // runs is a determinism failure. Returns the process exit code.
 func runChaos(jobs, seeds int, scenario string) int {
-	scenarios := chaos.Library()
+	scenarios := append(chaos.Library(), conformance.LostEOS())
 	if scenario != "" {
-		sc, ok := chaos.ByName(scenario)
-		if !ok {
+		i := slices.IndexFunc(scenarios, func(s chaos.Scenario) bool { return s.Name == scenario })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "unknown scenario %q; library:\n", scenario)
 			for _, s := range scenarios {
 				fmt.Fprintf(os.Stderr, "  %-16s %s\n", s.Name, s.Info)
 			}
 			return 2
 		}
-		scenarios = []chaos.Scenario{sc}
+		scenarios = scenarios[i : i+1]
 	}
 	if seeds < 1 {
 		seeds = 1

@@ -49,7 +49,7 @@ func TestRebindLiveSwap(t *testing.T) {
 	}
 
 	write(25)
-	next := transport.Spec{Name: "ackcast", Params: transport.Params{"window": "32", "rto": "20ms"}}
+	next := transport.Spec{Name: "ackcast", Params: transport.Params{"rto": "20ms"}}
 	swapped, err := w.writerP.Rebind(next)
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func ackVsNak(receivers []int) []ablationVariant {
 	for _, n := range receivers {
 		for _, spec := range []transport.Spec{
 			nakSpec(transport.Params{"timeout": "1ms"}),
-			{Name: "ackcast", Params: transport.Params{"window": "64", "rto": "50ms"}},
+			{Name: "ackcast", Params: transport.Params{"rto": "50ms"}},
 		} {
 			vs = append(vs, ablationVariant{spec.Name, Config{Receivers: n, RateHz: 50, Protocol: spec}})
 		}

@@ -93,7 +93,7 @@ func specsUnderTest(t *testing.T) []transport.Spec {
 	for _, s := range []string{
 		"bemcast",
 		"nakcast(timeout=5ms)",
-		"ackcast(window=64,rto=20ms)",
+		"ackcast(rto=20ms)",
 		"ricochet(c=3,r=4)",
 	} {
 		spec, err := transport.ParseSpec(s)
@@ -292,7 +292,7 @@ func TestPartitionHealBackfill(t *testing.T) {
 // transports: receivers must abandon the missing tail after bounded retries
 // and the simulation must quiesce rather than retry forever.
 func TestSenderCrashTerminates(t *testing.T) {
-	for _, name := range []string{"nakcast(timeout=5ms)", "ackcast(window=64,rto=20ms)"} {
+	for _, name := range []string{"nakcast(timeout=5ms)", "ackcast(rto=20ms)"} {
 		spec, err := transport.ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)

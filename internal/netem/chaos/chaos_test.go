@@ -50,12 +50,6 @@ func TestLibraryWellFormed(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := ByName("split-brain"); !ok {
-		t.Error("ByName failed to find split-brain")
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName found a scenario that does not exist")
-	}
 }
 
 func TestTargetResolve(t *testing.T) {

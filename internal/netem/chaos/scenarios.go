@@ -22,16 +22,6 @@ func Library() []Scenario {
 	}
 }
 
-// ByName returns the library scenario with the given name, or false.
-func ByName(name string) (Scenario, bool) {
-	for _, sc := range Library() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // CalmControl is the empty script: no faults at all. Every invariant must
 // hold trivially and every protocol must deliver 100%; it catches harness
 // and checker regressions.

@@ -31,15 +31,17 @@ const Name = "ackcast"
 const Props = transport.PropMulticast | transport.PropACKReliability |
 	transport.PropOrdered | transport.PropFlowControl
 
-// Defaults for spec params left out.
+// DefaultRTO is the retransmission timeout when the spec leaves rto out.
+const DefaultRTO = 50 * time.Millisecond
+
 const (
-	DefaultWindow = 64
-	DefaultRTO    = 50 * time.Millisecond
-	// DefaultHistory is the resync ring size in packets: how far behind a
+	// window bounds unacknowledged packets in flight (flow control).
+	window = 64
+	// historySize is the resync ring size in packets: how far behind a
 	// re-admitted receiver may be and still catch up from the sender
-	// rather than staying expelled (see onAck). It must be at least the
-	// window, since the ring is also the retransmission buffer.
-	DefaultHistory    = 1 << 14
+	// rather than staying expelled (see onAck). It is at least the window,
+	// since the ring is also the retransmission buffer.
+	historySize       = 1 << 14
 	retransBurst      = 32
 	ackWork           = 2 * time.Microsecond
 	defaultBacklogCap = 1 << 16
@@ -51,40 +53,23 @@ const (
 
 // Options are ackcast's tunables.
 type Options struct {
-	// Window bounds unacknowledged packets in flight (flow control).
-	Window int
 	// RTO is the retransmission timeout.
 	RTO time.Duration
-	// History is the sender-side resync ring size in packets, at least
-	// Window. It bounds how far back a rejoining receiver can be served.
-	History int
 }
 
 // Spec returns the canonical transport.Spec for the protocol.
-func Spec(window int, rto time.Duration) transport.Spec {
-	return transport.Spec{Name: Name, Params: transport.Params{
-		"window": fmt.Sprintf("%d", window),
-		"rto":    rto.String(),
-	}}
+func Spec(rto time.Duration) transport.Spec {
+	return transport.Spec{Name: Name, Params: transport.Params{"rto": rto.String()}}
 }
 
 // ParseOptions extracts Options from spec params.
 func ParseOptions(p transport.Params) (Options, error) {
 	var o Options
-	if err := p.Read(
-		transport.IntParam("window", &o.Window, DefaultWindow),
-		transport.DurationParam("rto", &o.RTO, DefaultRTO),
-		transport.IntParam("history", &o.History, DefaultHistory),
-	); err != nil {
+	if err := p.Read(transport.DurationParam("rto", &o.RTO, DefaultRTO)); err != nil {
 		return o, err
 	}
-	if o.Window <= 0 || o.RTO <= 0 || o.History <= 0 {
-		return o, fmt.Errorf("ackcast: non-positive option in %+v", o)
-	}
-	// Every unacknowledged packet is retransmitted from the resync ring, so
-	// it must hold the whole flow-control window.
-	if o.History < o.Window {
-		return o, fmt.Errorf("ackcast: history %d smaller than window %d", o.History, o.Window)
+	if o.RTO <= 0 {
+		return o, fmt.Errorf("ackcast: rto must be positive, got %v", o.RTO)
 	}
 	return o, nil
 }
@@ -129,7 +114,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 		opts:       opts,
 		sent:       cfg.BaseSeq,
 		lastMin:    cfg.BaseSeq,
-		hist:       transport.NewHistory(opts.History),
+		hist:       transport.NewHistory(historySize),
 		cums:       make(map[wire.NodeID]uint64),
 	}
 	for _, id := range cfg.Receivers() {
@@ -181,7 +166,7 @@ func (s *Sender) minCum() uint64 {
 
 // pump sends backlog samples while the window has room.
 func (s *Sender) pump() {
-	for len(s.backlog) > 0 && int(s.sent-s.minCum()) < s.opts.Window {
+	for len(s.backlog) > 0 && int(s.sent-s.minCum()) < window {
 		payload := s.backlog[0]
 		s.backlog = s.backlog[1:]
 		s.sent++
@@ -235,9 +220,9 @@ func (s *Sender) fireRTO() {
 		cum := s.cums[id]
 		n := 0
 		for seq := cum + 1; seq <= s.sent && n < retransBurst; seq++ {
-			// Every known receiver is at most History behind sent (pump
-			// stops at Window <= History, re-admission at History), so the
-			// ring holds all it can be owed.
+			// Every known receiver is at most the ring's length behind sent
+			// (pump stops at the window, re-admission at the ring's
+			// length), so the ring holds all it can be owed.
 			retrans := s.hist.Retrans(seq)
 			if retrans == nil {
 				continue

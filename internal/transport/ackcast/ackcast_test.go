@@ -125,14 +125,18 @@ func TestLossRecoveredViaRTO(t *testing.T) {
 	}
 }
 
+// window is ackcast's flow-control window: at most this many packets in
+// flight.
+const window = 64
+
 func TestFlowControlWindow(t *testing.T) {
-	h := newHarness(t, 1, "ackcast(rto=5ms,window=4)")
-	// Block all ACKs: the sender may send at most Window packets, the rest
-	// must queue in the backlog.
+	h := newHarness(t, 1, "ackcast(rto=5ms)")
+	// Block all ACKs: the sender may send at most a window of packets, the
+	// rest must queue in the backlog.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeAck
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < window+6; i++ {
 		if err := h.sender.Publish([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +144,8 @@ func TestFlowControlWindow(t *testing.T) {
 	if err := h.k.RunFor(20 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.sender.InFlight(); got != 4 {
-		t.Errorf("InFlight = %d, want window = 4", got)
+	if got := h.sender.InFlight(); got != window {
+		t.Errorf("InFlight = %d, want window = %d", got, window)
 	}
 	if got := h.sender.Backlog(); got != 6 {
 		t.Errorf("Backlog = %d, want 6", got)
@@ -151,8 +155,8 @@ func TestFlowControlWindow(t *testing.T) {
 	if err := h.k.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.delivery[0]) != 10 {
-		t.Errorf("delivered %d, want 10 after window opened", len(h.delivery[0]))
+	if len(h.delivery[0]) != window+6 {
+		t.Errorf("delivered %d, want %d after window opened", len(h.delivery[0]), window+6)
 	}
 	if h.sender.Backlog() != 0 {
 		t.Errorf("Backlog = %d after drain", h.sender.Backlog())
@@ -208,33 +212,21 @@ func TestPublishAfterClose(t *testing.T) {
 }
 
 func TestSpecAndParseOptions(t *testing.T) {
-	spec := ackcast.Spec(32, 20*time.Millisecond)
-	if spec.String() != "ackcast(rto=20ms,window=32)" {
+	spec := ackcast.Spec(20 * time.Millisecond)
+	if spec.String() != "ackcast(rto=20ms)" {
 		t.Errorf("Spec = %q", spec.String())
 	}
 	o, err := ackcast.ParseOptions(spec.Params)
-	if err != nil || o.Window != 32 || o.RTO != 20*time.Millisecond {
+	if err != nil || o.RTO != 20*time.Millisecond {
 		t.Errorf("ParseOptions: %+v, %v", o, err)
 	}
 	for _, bad := range []transport.Params{
-		{"window": "x"}, {"rto": "y"}, {"window": "-1"}, {"rto": "-1ms"},
-		{"window": "64", "history": "32"}, // the ring must hold the window
-		{"windw": "64"},                   // misspelt key
+		{"rto": "y"}, {"rto": "-1ms"}, {"rto": "0s"},
+		{"rt": "20ms"}, // misspelt key
 	} {
 		if _, err := ackcast.ParseOptions(bad); err == nil {
 			t.Errorf("ParseOptions(%v) should error", bad)
 		}
-	}
-}
-
-func TestSenderRejectsHistoryBelowWindow(t *testing.T) {
-	k := sim.New(1)
-	e := env.NewSim(k)
-	fab := transporttest.New(e, time.Millisecond)
-	_, err := ackcast.Factory().NewSender(transport.Config{Env: e, Endpoint: fab.Endpoint(0),
-		Receivers: transport.StaticReceivers(1)}, transport.Params{"history": "50", "window": "100"})
-	if err == nil {
-		t.Error("sender with a resync ring smaller than its window should fail")
 	}
 }
 
@@ -278,12 +270,13 @@ func TestDuplicateRetransReAcked(t *testing.T) {
 func TestStallGiveUpOnDeadReceiver(t *testing.T) {
 	// One receiver stops ACKing entirely (crash): after the stall bound
 	// the sender must drop it and drain the backlog for the others.
-	h := newHarness(t, 2, "ackcast(rto=2ms,window=8)")
+	const n = 2*window + 8
+	h := newHarness(t, 2, "ackcast(rto=2ms)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		// Node 2 is dead: nothing in, nothing out.
 		return from == 2 || to == 2
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < n; i++ {
 		if err := h.sender.Publish([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +284,8 @@ func TestStallGiveUpOnDeadReceiver(t *testing.T) {
 	if err := h.k.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(h.delivery[0]); got != 40 {
-		t.Errorf("live receiver delivered %d/40; dead peer wedged the window", got)
+	if got := len(h.delivery[0]); got != n {
+		t.Errorf("live receiver delivered %d/%d; dead peer wedged the window", got, n)
 	}
 	if h.sender.Backlog() != 0 {
 		t.Errorf("backlog %d after stall give-up", h.sender.Backlog())
@@ -319,7 +312,8 @@ func TestStallGiveUpOnDeadReceiver(t *testing.T) {
 func TestSenderCloseStillDrains(t *testing.T) {
 	// Closing immediately after the last publish must not strand the
 	// in-flight window: RTO service continues until fully acked.
-	h := newHarness(t, 1, "ackcast(rto=3ms,window=4)")
+	const n = window + 6
+	h := newHarness(t, 1, "ackcast(rto=3ms)")
 	dropFirst := true
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeData && pkt.Seq == 1 && dropFirst {
@@ -328,7 +322,7 @@ func TestSenderCloseStillDrains(t *testing.T) {
 		}
 		return false
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if err := h.sender.Publish([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +333,7 @@ func TestSenderCloseStillDrains(t *testing.T) {
 	if err := h.k.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(h.delivery[0]); got != 10 {
-		t.Errorf("delivered %d/10 after immediate close", got)
+	if got := len(h.delivery[0]); got != n {
+		t.Errorf("delivered %d/%d after immediate close", got, n)
 	}
 }

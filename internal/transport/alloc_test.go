@@ -120,7 +120,7 @@ func TestPublishAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"nakcast(timeout=5ms)", 100.5},
-		{"ackcast(rto=20ms,window=64)", 200.5},
+		{"ackcast(rto=20ms)", 200.5},
 		{"fountcast(k=8,oh=25)", 250.5},
 		{"ricochet(c=3,r=4)", 100.5},
 		{"bemcast", 100.5},

@@ -32,12 +32,13 @@ import (
 
 const (
 	// announceInterval is how often a sender binding re-multicasts its
-	// rebind chain once at least one swap has happened. A lost announcement
-	// is recovered by the next period.
+	// rebind chain after a swap, and its end of stream once closed. A lost
+	// one is recovered by the next period.
 	announceInterval = 100 * time.Millisecond
-	// announceLinger is how many further announcements are sent after the
-	// binding closes, so receivers healing from a partition late in the run
-	// can still learn the chain. Bounded so a closed binding quiesces.
+	// announceLinger is how many further end-of-stream heartbeats (and
+	// chain announcements, after a swap) follow Close, so receivers healing
+	// late in the run still learn where the stream ends. Bounded so a
+	// closed binding quiesces.
 	announceLinger = 10
 	// maxParked bounds packets buffered for epochs the receiver has not
 	// learned yet (the announcement is still in flight). Dropped packets
@@ -245,11 +246,11 @@ func (b *SenderBinding) Swap(spec Spec) error {
 	return nil
 }
 
-// Close implements Sender: every epoch instance closes (protocols may keep
-// serving recovery per their own post-Close contracts). If any swap
-// happened, the chain keeps being announced for a short bounded linger so
-// receivers healing from a partition late in the run can still finish old
-// epochs; the linger is finite, so a closed binding always quiesces.
+// Close implements Sender: every epoch instance closes, the current one
+// with its end-of-stream heartbeat (protocols may keep serving recovery per
+// their own post-Close contracts). A bounded linger then repeats that end
+// of stream, and the chain after a swap, so a partitioned receiver healing
+// late still learns both, and a closed binding always quiesces.
 func (b *SenderBinding) Close() error {
 	if b.closed {
 		return nil
@@ -259,11 +260,11 @@ func (b *SenderBinding) Close() error {
 	for _, s := range b.senders[:len(b.senders)-1] {
 		_ = s.Close()
 	}
+	b.lingerLeft = announceLinger
 	if b.Swaps() > 0 {
-		b.lingerLeft = announceLinger
 		b.announce()
-		b.armAnnounce()
 	}
+	b.armAnnounce()
 	return err
 }
 
@@ -286,18 +287,24 @@ func (b *SenderBinding) armAnnounce() {
 	b.annTimer = b.cfg.Env.After(announceInterval, b.fireAnnounce)
 }
 
+// fireAnnounce re-announces the chain after a swap and, once closed,
+// repeats the current epoch's end of stream until the linger runs out.
+// Superseded epochs need no repeat: their cut is in the chain, and
+// ReceiverBinding.injectEOS ends them from it.
 func (b *SenderBinding) fireAnnounce() {
 	b.annTimer = nil
-	if b.Swaps() == 0 {
-		return
-	}
 	if b.closed {
 		if b.lingerLeft <= 0 {
 			return
 		}
 		b.lingerLeft--
+		cfg := b.cfg
+		cfg.Endpoint = b.router.route(b.Epoch())
+		cfg.multicastHeartbeat(b.Seq(), wire.FlagEOS)
 	}
-	b.announce()
+	if b.Swaps() > 0 {
+		b.announce()
+	}
 	b.annTimer = b.cfg.Env.After(announceInterval, b.fireAnnounce)
 }
 

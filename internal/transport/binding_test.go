@@ -121,7 +121,7 @@ func (rig *bindingRig) checkComplete(t *testing.T, total int, ordered bool) {
 func TestBindingCalmSwapOrderedToOrdered(t *testing.T) {
 	rig := newBindingRig(t, "nakcast(timeout=2ms)")
 	rig.publish(t, 20, 2*time.Millisecond)
-	if err := rig.sender.Swap(mustSpec(t, "ackcast(window=16,rto=10ms)")); err != nil {
+	if err := rig.sender.Swap(mustSpec(t, "ackcast(rto=10ms)")); err != nil {
 		t.Fatal(err)
 	}
 	rig.publish(t, 20, 2*time.Millisecond)
@@ -132,11 +132,11 @@ func TestBindingCalmSwapOrderedToOrdered(t *testing.T) {
 		t.Errorf("sender epoch/swaps = %d/%d, want 1/1", rig.sender.Epoch(), rig.sender.Swaps())
 	}
 	chain := rig.sender.Chain()
-	if len(chain) != 2 || chain[1].Cut != 20 || chain[1].Spec != "ackcast(rto=10ms,window=16)" {
+	if len(chain) != 2 || chain[1].Cut != 20 || chain[1].Spec != "ackcast(rto=10ms)" {
 		t.Errorf("chain = %+v", chain)
 	}
 	for i := 0; i < 2; i++ {
-		if len(rig.changes[i]) != 1 || rig.changes[i][0] != "ackcast(rto=10ms,window=16)" {
+		if len(rig.changes[i]) != 1 || rig.changes[i][0] != "ackcast(rto=10ms)" {
 			t.Errorf("receiver %d: TransportChanged calls = %v", i, rig.changes[i])
 		}
 		epochs := rig.readers[i].Epochs()
@@ -251,7 +251,7 @@ func TestBindingSwapDuringLoss(t *testing.T) {
 		return to == 2 && pkt.Type == wire.TypeData && pkt.Seq >= 16 && pkt.Seq <= 19
 	}
 	rig.publish(t, 20, 2*time.Millisecond)
-	if err := rig.sender.Swap(mustSpec(t, "ackcast(window=16,rto=10ms)")); err != nil {
+	if err := rig.sender.Swap(mustSpec(t, "ackcast(rto=10ms)")); err != nil {
 		t.Fatal(err)
 	}
 	rig.publish(t, 20, 2*time.Millisecond)
@@ -274,7 +274,7 @@ func TestBindingSwapDuringLoss(t *testing.T) {
 func TestBindingFlappingSwaps(t *testing.T) {
 	rig := newBindingRig(t, "nakcast(timeout=2ms)")
 	rig.publish(t, 8, 2*time.Millisecond)
-	if err := rig.sender.Swap(mustSpec(t, "ackcast(window=16,rto=10ms)")); err != nil {
+	if err := rig.sender.Swap(mustSpec(t, "ackcast(rto=10ms)")); err != nil {
 		t.Fatal(err)
 	}
 	// Swap again immediately: epoch 1 ends empty.
@@ -329,7 +329,7 @@ func TestBindingDrainLatencyReported(t *testing.T) {
 		return to == 1 && pkt.Type == wire.TypeData && pkt.Seq == 10
 	}
 	rig.publish(t, 10, 2*time.Millisecond)
-	if err := rig.sender.Swap(mustSpec(t, "ackcast(window=16,rto=10ms)")); err != nil {
+	if err := rig.sender.Swap(mustSpec(t, "ackcast(rto=10ms)")); err != nil {
 		t.Fatal(err)
 	}
 	rig.publish(t, 5, 2*time.Millisecond)

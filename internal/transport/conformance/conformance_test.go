@@ -63,7 +63,7 @@ var matrix = []struct {
 	},
 	{
 		name:          "ackcast",
-		spec:          transport.Spec{Name: "ackcast", Params: transport.Params{"window": "64", "rto": "20ms"}},
+		spec:          transport.Spec{Name: "ackcast", Params: transport.Params{"rto": "20ms"}},
 		minLossless:   100,
 		minAt5PctLoss: 99.9,
 		maxAt5PctLoss: 100,

@@ -691,7 +691,7 @@ func DefaultCrucibleSpecs() []transport.Spec {
 	return []transport.Spec{
 		mustSpec("bemcast"),
 		mustSpec("nakcast(timeout=5ms)"),
-		mustSpec("ackcast(window=64,rto=20ms)"),
+		mustSpec("ackcast(rto=20ms)"),
 		mustSpec("ricochet(c=3,r=4)"),
 		mustSpec("fountcast(k=8,oh=25)"),
 	}
@@ -714,7 +714,7 @@ func SwitchTargetFor(spec transport.Spec) transport.Spec {
 	case "bemcast":
 		return mustSpec("nakcast(timeout=5ms)")
 	case "nakcast":
-		return mustSpec("ackcast(window=64,rto=20ms)")
+		return mustSpec("ackcast(rto=20ms)")
 	case "ackcast":
 		return mustSpec("ricochet(c=3,r=4)")
 	case "ricochet":
@@ -764,6 +764,18 @@ func SwitchCells(specs []transport.Spec, seeds []int64) []CrucibleScenario {
 		}
 	}
 	return cells
+}
+
+// LostEOS cuts receiver 0 off from 45 ms before a default cell's Close (400
+// samples at 100 Hz close at 4 s) until 300 ms after it: the last four
+// samples and Close's end of stream never reach it, only the sender
+// binding's repeats of the end of stream inside their linger.
+func LostEOS() chaos.Scenario {
+	closeAt, ms := 4*time.Second, time.Millisecond
+	return chaos.Scenario{Name: "lost-eos", Info: "receiver 0 cut off across Close, healed inside the EOS linger", Events: []chaos.Event{
+		{At: closeAt - 45*ms, Kind: chaos.KindPartition, Target: chaos.Receiver(0)},
+		{At: closeAt + 300*ms, Kind: chaos.KindHeal, Target: chaos.Receiver(0)},
+	}}
 }
 
 // LongStreamCells builds the long-stream matrix: every spec streams 100 000

@@ -7,15 +7,15 @@ import (
 )
 
 // TestCrucibleMatrix runs every registered protocol through the full chaos
-// scenario library: each cell executes twice (same seed, byte-identical
-// outcomes required) and every invariant must hold. In -short mode the
-// seed axis shrinks to one.
+// scenario library and the lost end of stream: each cell executes twice
+// (same seed, byte-identical outcomes required) and every invariant must
+// hold. In -short mode the seed axis shrinks to one.
 func TestCrucibleMatrix(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
 		seeds = []int64{1}
 	}
-	cells := CrucibleCells(DefaultCrucibleSpecs(), chaos.Library(), seeds)
+	cells := CrucibleCells(DefaultCrucibleSpecs(), append(chaos.Library(), LostEOS()), seeds)
 	cells = append(cells, LongStreamCells(DefaultCrucibleSpecs(), []int64{1})...)
 	results := RunCrucibleMatrix(cells, 0, nil)
 	for _, res := range results {

@@ -21,13 +21,14 @@ const (
 )
 
 // goldenCells is the fixed sub-matrix whose outcome hashes are pinned in
-// testdata: every protocol through a calm run, a heavy partition, and
-// permanent crashes — plus the full hot-swap matrix (calm switch, switch at
-// loss peak, switch at partition heal, flapping) for every protocol.
+// testdata: every protocol through a calm run, a heavy partition, permanent
+// crashes and a lost end of stream — plus the full hot-swap matrix (calm
+// switch, switch at loss peak, switch at partition heal, flapping) for
+// every protocol.
 func goldenCells() []CrucibleScenario {
 	cells := CrucibleCells(
 		DefaultCrucibleSpecs(),
-		[]chaos.Scenario{chaos.CalmControl(), chaos.SplitBrain(), chaos.Cascade()},
+		[]chaos.Scenario{chaos.CalmControl(), chaos.SplitBrain(), chaos.Cascade(), LostEOS()},
 		[]int64{1},
 	)
 	cells = append(cells, SwitchCells(DefaultCrucibleSpecs(), []int64{1})...)

@@ -126,13 +126,13 @@ func senderRecord(kind, flags byte, src byte, a, b uint64) []byte {
 
 // FuzzSenderInput feeds hostile NAK, ACK and heartbeat packets, with any
 // epoch, source and seq range, to a live and to a closed sender of every
-// registered spec and of ackcast with a ring smaller than what it has sent.
-// Whatever arrives: nothing panics, Seq does not move, each packet causes
-// at most the protocol's burst of unicasts and the paced or timed ones
-// that follow stay within it per receiver and instant (nakcast's within
-// its queue bound in total), and ackcast admits no unknown receiver whose
-// cumulative ACK lies past what was sent, below the epoch's base, or
-// further behind than its ring.
+// registered spec. Whatever arrives: nothing panics, Seq does not move,
+// each packet causes at most the protocol's burst of unicasts and the
+// paced or timed ones that follow stay within it per receiver and instant
+// (nakcast's within its queue bound in total), and ackcast admits no
+// unknown receiver whose cumulative ACK lies past what was sent or below
+// the epoch's base. (ackcast's ring is longer than what is sent here; a
+// shorter one is TestReadmissionBoundedByRing's.)
 func FuzzSenderInput(f *testing.F) {
 	const nak, ack, farA, farB = 0, 1, 0x80, 0x40
 	f.Add(senderRecord(nak, farA|farB, 0, 1, 1<<40)) // a NAK for 1..2^40
@@ -142,7 +142,7 @@ func FuzzSenderInput(f *testing.F) {
 	f.Add(append(senderRecord(ack, 0, 4, 406, 0),    // an admissible ACK (base+150),
 		senderRecord(nak, 0, 4, 256, 511)...)) // then a NAK for the whole stream
 
-	specs := append(DefaultCrucibleSpecs(), mustSpec("ackcast(history=64,rto=20ms,window=64)"))
+	specs := DefaultCrucibleSpecs()
 	reg := protocols.MustRegistry()
 	for _, name := range reg.Names() {
 		found := false
@@ -189,11 +189,6 @@ func fuzzSender(t *testing.T, reg *transport.Registry, spec transport.Spec, clos
 		t.Fatalf("%s: sender endpoint handler installed = %v", spec, probe.handler != nil)
 	}
 	seq, start := s.Seq(), k.Now()
-	// ackcast's ring length; a spec without history= uses the default.
-	ring := uint64(1 << 14)
-	if spec.Params["history"] == "64" {
-		ring = 64
-	}
 	// admissible marks the sources an ackcast sender may admit; pastSent
 	// notes an admitted one later acknowledging past what was sent, which
 	// a known receiver's ACK may do (only an unknown one's is checked).
@@ -213,7 +208,7 @@ func fuzzSender(t *testing.T, reg *transport.Registry, spec transport.Spec, clos
 		}
 		if admissible[pkt.Src] {
 			pastSent = pastSent || ab.Cumulative > seq
-		} else if ab.Cumulative >= fuzzBase && ab.Cumulative <= seq && seq-ab.Cumulative <= ring {
+		} else if ab.Cumulative >= fuzzBase && ab.Cumulative <= seq {
 			admissible[pkt.Src] = true
 		}
 	}
@@ -235,7 +230,7 @@ func fuzzSender(t *testing.T, reg *transport.Registry, spec transport.Spec, clos
 	if spec.Name == "ackcast" {
 		// An admitted cumulative ACK past sent would show as a negative
 		// window: the receiver claims samples never sent.
-		if in := s.(interface{ InFlight() int }).InFlight(); !pastSent && (in < 0 || uint64(in) > ring) {
+		if in := s.(interface{ InFlight() int }).InFlight(); !pastSent && (in < 0 || in > fuzzPublished) {
 			t.Fatalf("%s closed=%v: %d in flight after sender input", spec, closed, in)
 		}
 		for _, u := range probe.unicasts {

@@ -76,10 +76,10 @@ func TestSwitchCellNaming(t *testing.T) {
 		Chaos: chaos.SplitBrain(),
 		Seed:  3,
 		Switches: []TransportSwitch{
-			{At: 1600 * time.Millisecond, Spec: mustSpec("ackcast(window=64,rto=20ms)")},
+			{At: 1600 * time.Millisecond, Spec: mustSpec("ackcast(rto=20ms)")},
 		},
 	}
-	want := "nakcast(timeout=5ms)->ackcast(rto=20ms,window=64)@1.6s/split-brain/seed=3"
+	want := "nakcast(timeout=5ms)->ackcast(rto=20ms)@1.6s/split-brain/seed=3"
 	if got := cs.Name(); got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}

@@ -152,7 +152,6 @@ func NewSender(cfg transport.Config) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	core.EOS = true
 	return &Sender{core}, nil
 }
 

@@ -19,10 +19,6 @@ type SenderCore struct {
 	// BeforeEOS, when set, is a protocol's last step: Close runs it once,
 	// after the heartbeat stops and before the end-of-stream heartbeat.
 	BeforeEOS func()
-	// EOS makes Close multicast the high seq once more in a heartbeat
-	// flagged end of stream, for a protocol whose receivers close their
-	// tail on it; StartHeartbeat sets it.
-	EOS bool
 
 	seq     uint64
 	arena   Arena
@@ -72,9 +68,8 @@ func (c *SenderCore) Publish(payload []byte) error {
 }
 
 // StartHeartbeat multicasts the high seq every period until Close, so
-// receivers detect gaps before the stream ends, and sets EOS.
+// receivers detect gaps before the stream ends.
 func (c *SenderCore) StartHeartbeat(every time.Duration) {
-	c.EOS = true
 	c.hbEvery = every
 	c.hbTmr = c.Cfg.Env.After(every, c.heartbeat)
 }
@@ -83,26 +78,27 @@ func (c *SenderCore) heartbeat() {
 	if c.closed {
 		return
 	}
-	c.sendHeartbeat(0)
+	c.Cfg.multicastHeartbeat(c.seq, 0)
 	c.hbTmr = c.Cfg.Env.After(c.hbEvery, c.heartbeat)
 }
 
-func (c *SenderCore) sendHeartbeat(flags uint8) {
-	body, err := (&wire.HeartbeatBody{HighSeq: c.seq}).Encode(nil)
+// multicastHeartbeat sends high in a heartbeat with flags on c's endpoint.
+func (c *Config) multicastHeartbeat(high uint64, flags uint8) {
+	body, err := (&wire.HeartbeatBody{HighSeq: high}).Encode(nil)
 	if err != nil {
 		return
 	}
-	pkt := c.Cfg.Packet(wire.TypeHeartbeat, c.seq, body)
+	pkt := c.Packet(wire.TypeHeartbeat, high, body)
 	pkt.Flags = flags
 	// Heartbeat delivery failures surface as slower tail recovery, not
 	// correctness loss; nothing useful to do with an error here.
-	_ = c.Cfg.Endpoint.Multicast(pkt)
+	_ = c.Endpoint.Multicast(pkt)
 }
 
-// Close implements Sender: publishing stops, and with EOS set the high seq
-// goes out once more flagged end of stream. Protocols with recovery duties
-// keep serving them after Close. It is idempotent: BeforeEOS and the EOS
-// run on the first call only.
+// Close implements Sender: publishing stops, and the high seq goes out once
+// more in a heartbeat flagged end of stream, on which receivers close their
+// tail. Protocols with recovery duties keep serving them after Close. It is
+// idempotent: BeforeEOS and the EOS run on the first call only.
 func (c *SenderCore) Close() error {
 	if c.closed {
 		return nil
@@ -114,9 +110,7 @@ func (c *SenderCore) Close() error {
 	if c.BeforeEOS != nil {
 		c.BeforeEOS()
 	}
-	if c.EOS {
-		c.sendHeartbeat(wire.FlagEOS)
-	}
+	c.Cfg.multicastHeartbeat(c.seq, wire.FlagEOS)
 	return nil
 }
 
