@@ -40,17 +40,8 @@ func TestRunManyMatchesSerial(t *testing.T) {
 
 // TestBuildDatasetParallelByteIdentical is the engine's core contract: the
 // training-set CSV is byte-for-byte identical whether the combo x candidate
-// x run product runs on one worker or eight. That product is
-// candidateConfigs per combo: candidate-major, each candidate over RunN's
-// seeds.
+// x run product runs on one worker or eight.
 func TestBuildDatasetParallelByteIdentical(t *testing.T) {
-	cfg := Config{Seed: 9}
-	seeds := runConfigs(cfg, 2)
-	for i, c := range candidateConfigs(cfg, 2) {
-		if want := core.Candidates()[i/2]; c.Protocol.String() != want.String() || c.Seed != seeds[i%2].Seed {
-			t.Errorf("config %d: %s seed %d, want %s seed %d", i, c.Protocol, c.Seed, want, seeds[i%2].Seed)
-		}
-	}
 	opts := DatasetOptions{Combos: 32, Runs: 1, Samples: 120, Seed: 11}
 	serial := opts
 	serial.Jobs = 1
@@ -145,6 +136,33 @@ func TestRunnerProgressSerialized(t *testing.T) {
 	for i, d := range seen {
 		if d != i+1 {
 			t.Fatalf("progress sequence %v is not 1..%d", seen, len(cfgs))
+		}
+	}
+}
+
+// TestRunCandidatesJobsMatchesSerial checks the candidate x run product
+// BuildDataset runs per combo: candidateConfigs is candidate-major, each
+// candidate over RunN's seeds, and four workers reproduce the serial sweep.
+func TestRunCandidatesJobsMatchesSerial(t *testing.T) {
+	cfg := Config{Receivers: 3, RateHz: 25, Samples: 150, LossPct: 3, Seed: 9}
+	seeds := runConfigs(cfg, 2)
+	cfgs := candidateConfigs(cfg, 2)
+	for i, c := range cfgs {
+		if want := core.Candidates()[i/2]; c.Protocol.String() != want.String() || c.Seed != seeds[i%2].Seed {
+			t.Errorf("config %d: %s seed %d, want %s seed %d", i, c.Protocol, c.Seed, want, seeds[i%2].Seed)
+		}
+	}
+	serial, err := (&Runner{Jobs: 1}).RunMany(cfgs)
+	if err != nil {
+		t.Fatalf("serial RunMany: %v", err)
+	}
+	parallel, err := (&Runner{Jobs: 4}).RunMany(cfgs)
+	if err != nil {
+		t.Fatalf("parallel RunMany: %v", err)
+	}
+	for i, s := range serial {
+		if p := parallel[i]; s != p {
+			t.Errorf("candidate %d run %d: parallel %v != serial %v", i/2, i%2, p, s)
 		}
 	}
 }
