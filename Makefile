@@ -92,8 +92,9 @@ docs:
 	scripts/check-docs.sh
 
 # loc prints the non-test Go lines per package under internal/ and cmd/,
-# and the total of internal/transport, and fails when internal/broker or
-# internal/transport/... passes its line cap (scripts/loc.sh).
+# and the total of internal/transport, and fails when internal/broker,
+# internal/dds or internal/transport/... passes its line cap
+# (scripts/loc.sh).
 loc:
 	scripts/loc.sh
 

@@ -80,8 +80,8 @@ type ParticipantConfig struct {
 	// Registry resolves transport specs; use protocols.NewRegistry().
 	Registry *transport.Registry
 	// Transport is the participant-wide transport protocol configuration
-	// (ADAMANT sets this from the machine-learning recommendation).
-	// Individual writers/readers may override via their QoS.
+	// (ADAMANT sets this from the machine-learning recommendation) of
+	// every RELIABLE writer and reader.
 	Transport transport.Spec
 	// Impl selects the implementation cost profile.
 	Impl Impl
@@ -139,21 +139,17 @@ func NewParticipant(cfg ParticipantConfig) (*DomainParticipant, error) {
 	}, nil
 }
 
-// Impl returns the participant's implementation profile.
-func (p *DomainParticipant) Impl() Impl { return p.cfg.Impl }
-
 // TransportSpec returns the participant-wide transport configuration.
 func (p *DomainParticipant) TransportSpec() transport.Spec { return p.cfg.Transport }
 
 // Rebind hot-swaps the participant-wide transport to spec while writers and
-// readers stay live. Every non-pinned writer's binding drains its current
+// readers stay live. Every RELIABLE writer's binding drains its current
 // protocol generation and hands the sequence space to the new one (see
 // transport.SenderBinding); readers learn the change in-band and surface it
-// through Listener.OnTransportChanged. Writers whose transport was fixed by
-// QoS (explicit override or best-effort reliability) are skipped. Returns
-// the number of writers swapped. On a per-writer failure the error is
-// returned but remaining writers are still attempted; a failed writer keeps
-// its old binding (Swap is atomic per writer).
+// through Listener.OnTransportChanged. BEST_EFFORT writers stay on bemcast
+// and are skipped. Returns the number of writers swapped. On a per-writer
+// failure the error is returned but remaining writers are still attempted;
+// a failed writer keeps its old binding (Swap is atomic per writer).
 func (p *DomainParticipant) Rebind(spec transport.Spec) (int, error) {
 	if p.closed {
 		return 0, ErrEntityClosed
@@ -168,7 +164,7 @@ func (p *DomainParticipant) Rebind(spec transport.Spec) (int, error) {
 	swapped := 0
 	var firstErr error
 	for _, w := range p.writers {
-		if w.pinned || w.closed {
+		if w.qos.Reliability == BestEffort || w.closed {
 			continue
 		}
 		before := w.sender.Spec().String()
@@ -187,8 +183,9 @@ func (p *DomainParticipant) Rebind(spec transport.Spec) (int, error) {
 
 // CreateTopic registers (or returns the existing) topic with the given
 // name. Topic names map deterministically to wire stream IDs; a hash
-// collision between distinct names is reported as an error.
-func (p *DomainParticipant) CreateTopic(name string, qos TopicQoS) (*Topic, error) {
+// collision between distinct names is reported as an error. The TopicQoS
+// is accepted for the DDS call shape and not stored.
+func (p *DomainParticipant) CreateTopic(name string, _ TopicQoS) (*Topic, error) {
 	if p.closed {
 		return nil, ErrEntityClosed
 	}
@@ -202,7 +199,7 @@ func (p *DomainParticipant) CreateTopic(name string, qos TopicQoS) (*Topic, erro
 	if prev, collision := p.byStream[stream]; collision {
 		return nil, fmt.Errorf("dds: topic %q collides with %q on stream %d", name, prev.name, stream)
 	}
-	t := &Topic{participant: p, name: name, stream: stream, qos: qos}
+	t := &Topic{participant: p, name: name, stream: stream}
 	p.topics[name] = t
 	p.byStream[stream] = t
 	return t, nil
@@ -250,7 +247,6 @@ type Topic struct {
 	participant *DomainParticipant
 	name        string
 	stream      wire.StreamID
-	qos         TopicQoS
 }
 
 // Name returns the topic name.
@@ -258,6 +254,3 @@ func (t *Topic) Name() string { return t.name }
 
 // Stream returns the topic's wire stream ID.
 func (t *Topic) Stream() wire.StreamID { return t.stream }
-
-// QoS returns the topic-level QoS.
-func (t *Topic) QoS() TopicQoS { return t.qos }

@@ -265,73 +265,6 @@ func TestHistoryKeepLast(t *testing.T) {
 	}
 }
 
-func TestHistoryKeepAllResourceLimit(t *testing.T) {
-	w := newWorld(t, 1, transport.Spec{Name: "bemcast"}, dds.ImplA)
-	topic, _ := w.writerP.CreateTopic("hist", dds.TopicQoS{})
-	writer, _ := w.writerP.CreateDataWriter(topic, dds.WriterQoS{})
-	rt, _ := w.readerP[0].CreateTopic("hist", dds.TopicQoS{})
-	reader, err := w.readerP[0].CreateDataReader(rt,
-		dds.ReaderQoS{History: dds.KeepAll, ResourceLimit: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 5; n++ {
-		if err := writer.Write([]byte{byte(n)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.k.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if reader.CacheLen() != 3 {
-		t.Errorf("CacheLen = %d, want 3 (resource limit)", reader.CacheLen())
-	}
-	if reader.DroppedByQoS() != 2 {
-		t.Errorf("DroppedByQoS = %d, want 2", reader.DroppedByQoS())
-	}
-	// KeepAll retains the OLDEST samples when full.
-	if got := reader.Read(); got[0].Data[0] != 0 {
-		t.Errorf("first sample = %d, want 0", got[0].Data[0])
-	}
-}
-
-func TestDeadlineMissed(t *testing.T) {
-	w := newWorld(t, 1, transport.Spec{Name: "bemcast"}, dds.ImplA)
-	topic, _ := w.writerP.CreateTopic("dl", dds.TopicQoS{})
-	writer, _ := w.writerP.CreateDataWriter(topic, dds.WriterQoS{})
-	rt, _ := w.readerP[0].CreateTopic("dl", dds.TopicQoS{})
-	missed := 0
-	if _, err := w.readerP[0].CreateDataReader(rt,
-		dds.ReaderQoS{Deadline: 50 * time.Millisecond},
-		dds.ListenerFuncs{DeadlineMissed: func(topic string) {
-			if topic != "dl" {
-				t.Errorf("deadline topic = %q", topic)
-			}
-			missed++
-		}}); err != nil {
-		t.Fatal(err)
-	}
-	// Steady writes at 20ms: no deadline misses.
-	for n := 0; n < 10; n++ {
-		if err := writer.Write(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.k.RunFor(20 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if missed != 0 {
-		t.Errorf("missed %d deadlines during steady traffic", missed)
-	}
-	// Silence for 500ms: ~10 misses.
-	if err := w.k.RunFor(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if missed < 8 {
-		t.Errorf("missed = %d after silence, want ~10", missed)
-	}
-}
-
 func TestStreamIDForTopic(t *testing.T) {
 	a, b := dds.StreamIDForTopic("alpha"), dds.StreamIDForTopic("beta")
 	if a == b {
@@ -385,16 +318,20 @@ func TestEntityValidationAndClose(t *testing.T) {
 	if _, err := w.writerP.CreateDataReader(foreign, dds.ReaderQoS{}, nil); err == nil {
 		t.Error("foreign topic should be rejected for readers")
 	}
-	// Negative deadline rejected.
-	if _, err := w.readerP[0].CreateDataReader(foreign, dds.ReaderQoS{Deadline: -1}, nil); err == nil {
-		t.Error("negative deadline should error")
+	// Unknown transport spec: a RELIABLE endpoint builds the participant's.
+	warp, err := dds.NewParticipant(dds.ParticipantConfig{
+		Env: env.NewSim(w.k), Endpoint: w.net.AddNode(netem.PC3000),
+		Registry: protocols.MustRegistry(), Transport: transport.Spec{Name: "warp-drive"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Unknown transport spec.
-	if _, err := w.writerP.CreateDataWriter(topic, dds.WriterQoS{
-		Reliability: dds.Reliable,
-		Transport:   transport.Spec{Name: "warp-drive"},
-	}); err == nil {
-		t.Error("unknown transport should error")
+	warpTopic, _ := warp.CreateTopic("t", dds.TopicQoS{})
+	if _, err := warp.CreateDataWriter(warpTopic, dds.WriterQoS{Reliability: dds.Reliable}); err == nil {
+		t.Error("unknown transport should error for writers")
+	}
+	if _, err := warp.CreateDataReader(warpTopic, dds.ReaderQoS{Reliability: dds.Reliable}, nil); err == nil {
+		t.Error("unknown transport should error for readers")
 	}
 
 	writer, _ := w.writerP.CreateDataWriter(topic, dds.WriterQoS{})
@@ -419,7 +356,7 @@ func TestQoSKindStrings(t *testing.T) {
 	if dds.BestEffort.String() != "BEST_EFFORT" || dds.Reliable.String() != "RELIABLE" {
 		t.Error("reliability strings wrong")
 	}
-	if dds.KeepLast.String() != "KEEP_LAST" || dds.KeepAll.String() != "KEEP_ALL" {
+	if dds.KeepLast.String() != "KEEP_LAST" {
 		t.Error("history strings wrong")
 	}
 	if dds.ReliabilityKind(7).String() == "" || dds.HistoryKind(7).String() == "" {

@@ -1,9 +1,7 @@
 package dds
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"adamant/internal/transport"
 )
@@ -32,31 +30,25 @@ func (k ReliabilityKind) String() string {
 	return fmt.Sprintf("ReliabilityKind(%d)", int(k))
 }
 
-// HistoryKind mirrors the DDS HISTORY QoS policy kinds.
+// HistoryKind mirrors the DDS HISTORY QoS policy kinds. KEEP_LAST is the
+// one kind this implementation offers.
 type HistoryKind int
 
-// History kinds.
-const (
-	// KeepLast retains the most recent Depth samples in the reader cache.
-	KeepLast HistoryKind = iota
-	// KeepAll retains every sample until taken (bounded by ResourceLimit).
-	KeepAll
-)
+// KeepLast retains the most recent Depth samples in the reader cache.
+const KeepLast HistoryKind = 0
 
 // String implements fmt.Stringer.
 func (k HistoryKind) String() string {
-	switch k {
-	case KeepLast:
+	if k == KeepLast {
 		return "KEEP_LAST"
-	case KeepAll:
-		return "KEEP_ALL"
 	}
 	return fmt.Sprintf("HistoryKind(%d)", int(k))
 }
 
-// TopicQoS is the topic-level QoS subset this implementation supports.
+// TopicQoS is the topic-level QoS a topic is created with. No endpoint
+// reads it: each writer and reader takes its reliability from its own QoS.
 type TopicQoS struct {
-	// Reliability is the default reliability for endpoints on this topic.
+	// Reliability names the topic's intended reliability.
 	Reliability ReliabilityKind
 }
 
@@ -64,9 +56,6 @@ type TopicQoS struct {
 type WriterQoS struct {
 	// Reliability selects best-effort or reliable publication.
 	Reliability ReliabilityKind
-	// Transport overrides the participant-wide transport spec when
-	// non-empty (Name != "").
-	Transport transport.Spec
 }
 
 // ReaderQoS configures a DataReader.
@@ -75,54 +64,19 @@ type ReaderQoS struct {
 	// reader's transport must match the writer's for recovery to work;
 	// ADAMANT configures both sides from the same recommendation.
 	Reliability ReliabilityKind
-	// Transport overrides the participant-wide transport spec when
-	// non-empty.
-	Transport transport.Spec
-	// History controls the reader cache.
+	// History selects the reader cache's policy; KeepLast is the only one.
 	History HistoryKind
 	// Depth is the KeepLast cache depth. Default 32.
 	Depth int
-	// ResourceLimit bounds the KeepAll cache. Default 65536.
-	ResourceLimit int
-	// Deadline, when positive, arms a deadline monitor: if no sample
-	// arrives within Deadline, the listener's OnDeadlineMissed fires (and
-	// re-arms). Mirrors the DDS DEADLINE policy.
-	Deadline time.Duration
-	// Filter, when non-nil, is a content filter: samples for which it
-	// returns false are counted and dropped before the cache and listener
-	// (the Go analog of a DDS ContentFilteredTopic; samples here are
-	// opaque bytes, so the filter is a predicate rather than a SQL
-	// expression).
-	Filter func(data []byte) bool
 }
 
-func (q *ReaderQoS) fillDefaults() {
-	if q.Depth <= 0 {
-		q.Depth = 32
-	}
-	if q.ResourceLimit <= 0 {
-		q.ResourceLimit = 1 << 16
-	}
-}
-
-func (q ReaderQoS) validate() error {
-	if q.Deadline < 0 {
-		return errors.New("dds: negative deadline")
-	}
-	return nil
-}
-
-// bestEffortSpec is the transport used when reliability is BestEffort and
-// no explicit transport override is given.
+// bestEffortSpec is the transport of every BestEffort endpoint.
 var bestEffortSpec = transport.Spec{Name: "bemcast"}
 
-// resolveSpec picks the transport spec for an endpoint: explicit override,
-// else best-effort multicast for BestEffort reliability, else the
-// participant-wide (ADAMANT-chosen) spec.
-func resolveSpec(participant transport.Spec, override transport.Spec, rel ReliabilityKind) transport.Spec {
-	if override.Name != "" {
-		return override
-	}
+// resolveSpec picks the transport spec for an endpoint: best-effort
+// multicast for BestEffort reliability, else the participant-wide
+// (ADAMANT-chosen) spec.
+func resolveSpec(participant transport.Spec, rel ReliabilityKind) transport.Spec {
 	if rel == BestEffort {
 		return bestEffortSpec
 	}

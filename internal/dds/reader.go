@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"adamant/internal/env"
 	"adamant/internal/transport"
 )
 
@@ -27,13 +26,10 @@ type Sample struct {
 }
 
 // Listener receives reader callbacks. Callbacks run in env callback context
-// and must not block. The zero-value NoopListener embeds safely.
+// and must not block. A zero ListenerFuncs embeds safely.
 type Listener interface {
 	// OnData fires for every sample delivered by the transport.
 	OnData(s Sample)
-	// OnDeadlineMissed fires when the DEADLINE QoS period elapses without
-	// a sample.
-	OnDeadlineMissed(topic string)
 	// OnSampleLost fires when the transport gives up recovering a sample
 	// (the DDS SAMPLE_LOST status).
 	OnSampleLost(topic string, seq uint64)
@@ -46,7 +42,6 @@ type Listener interface {
 // ListenerFuncs adapts plain functions to Listener; nil fields are no-ops.
 type ListenerFuncs struct {
 	Data             func(s Sample)
-	DeadlineMissed   func(topic string)
 	SampleLost       func(topic string, seq uint64)
 	TransportChanged func(topic string, spec transport.Spec)
 }
@@ -57,13 +52,6 @@ var _ Listener = ListenerFuncs{}
 func (l ListenerFuncs) OnData(s Sample) {
 	if l.Data != nil {
 		l.Data(s)
-	}
-}
-
-// OnDeadlineMissed implements Listener.
-func (l ListenerFuncs) OnDeadlineMissed(topic string) {
-	if l.DeadlineMissed != nil {
-		l.DeadlineMissed(topic)
 	}
 }
 
@@ -90,12 +78,9 @@ type DataReader struct {
 	listener    Listener
 	receiver    *transport.ReceiverBinding
 
-	cache         []Sample
-	samplesLost   uint64
-	filteredOut   uint64
-	droppedByQoS  uint64
-	deadlineTimer env.Timer
-	closed        bool
+	cache        []Sample
+	droppedByQoS uint64
+	closed       bool
 }
 
 // CreateDataReader builds a reader for topic with the given QoS and
@@ -107,18 +92,16 @@ func (p *DomainParticipant) CreateDataReader(topic *Topic, qos ReaderQoS, listen
 	if topic == nil || topic.participant != p {
 		return nil, fmt.Errorf("dds: topic does not belong to this participant")
 	}
-	if err := qos.validate(); err != nil {
-		return nil, err
+	if qos.Depth <= 0 {
+		qos.Depth = 32
 	}
-	qos.fillDefaults()
 	r := &DataReader{participant: p, topic: topic, qos: qos, listener: listener}
-	spec := resolveSpec(p.cfg.Transport, qos.Transport, qos.Reliability)
+	spec := resolveSpec(p.cfg.Transport, qos.Reliability)
 	cfg := p.transportConfig(topic, r.onDelivery)
 	cfg.OnLost = func(seq uint64) {
 		if r.closed {
 			return
 		}
-		r.samplesLost++
 		if r.listener != nil {
 			r.listener.OnSampleLost(r.topic.name, seq)
 		}
@@ -140,9 +123,6 @@ func (p *DomainParticipant) CreateDataReader(topic *Topic, qos ReaderQoS, listen
 		return nil, fmt.Errorf("dds: creating reader transport %s: %w", spec, err)
 	}
 	r.receiver = receiver
-	if qos.Deadline > 0 {
-		r.armDeadline()
-	}
 	p.readers = append(p.readers, r)
 	return r, nil
 }
@@ -165,10 +145,6 @@ func (r *DataReader) onDelivery(d transport.Delivery) {
 	}
 	// Implementation-profile dispatch cost.
 	r.participant.cfg.Endpoint.Work(r.participant.profile.dispatchCost)
-	if r.qos.Filter != nil && !r.qos.Filter(d.Payload) {
-		r.filteredOut++
-		return
-	}
 	s := Sample{
 		Data: d.Payload,
 		Info: SampleInfo{
@@ -179,46 +155,14 @@ func (r *DataReader) onDelivery(d transport.Delivery) {
 			Recovered:  d.Recovered,
 		},
 	}
-	r.cacheSample(s)
-	if r.qos.Deadline > 0 {
-		r.armDeadline()
+	r.cache = append(r.cache, s)
+	if over := len(r.cache) - r.qos.Depth; over > 0 {
+		r.droppedByQoS += uint64(over)
+		r.cache = append(r.cache[:0], r.cache[over:]...)
 	}
 	if r.listener != nil {
 		r.listener.OnData(s)
 	}
-}
-
-func (r *DataReader) cacheSample(s Sample) {
-	switch r.qos.History {
-	case KeepLast:
-		r.cache = append(r.cache, s)
-		if len(r.cache) > r.qos.Depth {
-			over := len(r.cache) - r.qos.Depth
-			r.droppedByQoS += uint64(over)
-			r.cache = append(r.cache[:0], r.cache[over:]...)
-		}
-	case KeepAll:
-		if len(r.cache) >= r.qos.ResourceLimit {
-			r.droppedByQoS++
-			return
-		}
-		r.cache = append(r.cache, s)
-	}
-}
-
-func (r *DataReader) armDeadline() {
-	if r.deadlineTimer != nil {
-		r.deadlineTimer.Stop()
-	}
-	r.deadlineTimer = r.participant.cfg.Env.After(r.qos.Deadline, func() {
-		if r.closed {
-			return
-		}
-		if r.listener != nil {
-			r.listener.OnDeadlineMissed(r.topic.name)
-		}
-		r.armDeadline()
-	})
 }
 
 // Take returns and removes all cached samples.
@@ -236,16 +180,8 @@ func (r *DataReader) Read() []Sample {
 // CacheLen returns the number of samples currently cached.
 func (r *DataReader) CacheLen() int { return len(r.cache) }
 
-// DroppedByQoS returns the number of samples evicted or rejected by the
-// HISTORY / resource-limit policies.
+// DroppedByQoS returns the number of samples the KEEP_LAST cache evicted.
 func (r *DataReader) DroppedByQoS() uint64 { return r.droppedByQoS }
-
-// SamplesLost returns the number of samples the transport reported as
-// permanently unrecoverable (the DDS SAMPLE_LOST total count).
-func (r *DataReader) SamplesLost() uint64 { return r.samplesLost }
-
-// FilteredOut returns the number of samples rejected by the content filter.
-func (r *DataReader) FilteredOut() uint64 { return r.filteredOut }
 
 // TransportStats exposes the underlying transport receiver counters.
 func (r *DataReader) TransportStats() transport.ReceiverStats { return r.receiver.Stats() }
@@ -258,20 +194,11 @@ func (r *DataReader) TransportSpec() transport.Spec { return r.receiver.Spec() }
 // this topic, oldest first, including drain progress and latency.
 func (r *DataReader) TransportEpochs() []transport.EpochInfo { return r.receiver.Epochs() }
 
-// Topic returns the reader's topic.
-func (r *DataReader) Topic() *Topic { return r.topic }
-
-// QoS returns the reader's QoS.
-func (r *DataReader) QoS() ReaderQoS { return r.qos }
-
-// Close releases the reader's transport instance and timers.
+// Close releases the reader's transport instance.
 func (r *DataReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	if r.deadlineTimer != nil {
-		r.deadlineTimer.Stop()
-	}
 	return r.receiver.Close()
 }

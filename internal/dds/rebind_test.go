@@ -86,22 +86,14 @@ func TestRebindLiveSwap(t *testing.T) {
 	}
 }
 
-// TestRebindSkipsPinnedWriters checks that writers whose transport was
-// fixed by QoS (override or best-effort) do not follow a participant-wide
-// rebind.
+// TestRebindSkipsPinnedWriters checks that a BEST_EFFORT writer, whose
+// transport its QoS pins to bemcast, does not follow a participant-wide
+// rebind while a RELIABLE writer does.
 func TestRebindSkipsPinnedWriters(t *testing.T) {
 	w := newWorld(t, 1, transport.Spec{Name: "nakcast", Params: transport.Params{"timeout": "2ms"}}, dds.ImplA)
 	tAdaptive, _ := w.writerP.CreateTopic("adaptive", dds.TopicQoS{})
-	tPinned, _ := w.writerP.CreateTopic("pinned", dds.TopicQoS{})
 	tVideo, _ := w.writerP.CreateTopic("video", dds.TopicQoS{})
 	adaptive, err := w.writerP.CreateDataWriter(tAdaptive, dds.WriterQoS{Reliability: dds.Reliable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := w.writerP.CreateDataWriter(tPinned, dds.WriterQoS{
-		Reliability: dds.Reliable,
-		Transport:   transport.Spec{Name: "ricochet", Params: transport.Params{"r": "4", "c": "2"}},
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +101,19 @@ func TestRebindSkipsPinnedWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptive.Pinned() || !pinned.Pinned() || !video.Pinned() {
-		t.Fatalf("pinned flags = %v/%v/%v", adaptive.Pinned(), pinned.Pinned(), video.Pinned())
-	}
 
-	swapped, err := w.writerP.Rebind(transport.Spec{Name: "bemcast"})
+	swapped, err := w.writerP.Rebind(transport.Spec{Name: "ricochet", Params: transport.Params{"r": "4", "c": "2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if swapped != 1 {
 		t.Errorf("Rebind swapped %d writers, want 1", swapped)
 	}
-	if adaptive.TransportSpec().Name != "bemcast" {
-		t.Errorf("adaptive writer = %s, want bemcast", adaptive.TransportSpec())
+	if adaptive.TransportSpec().Name != "ricochet" || adaptive.TransportEpoch() != 1 {
+		t.Errorf("adaptive writer = %s epoch %d, want ricochet epoch 1", adaptive.TransportSpec(), adaptive.TransportEpoch())
 	}
-	if pinned.TransportSpec().Name != "ricochet" || video.TransportSpec().Name != "bemcast" {
-		t.Errorf("pinned specs moved: %s / %s", pinned.TransportSpec(), video.TransportSpec())
-	}
-	if pinned.TransportEpoch() != 0 || video.TransportEpoch() != 0 {
-		t.Errorf("pinned writers changed epoch: %d / %d", pinned.TransportEpoch(), video.TransportEpoch())
+	if video.TransportSpec().Name != "bemcast" || video.TransportEpoch() != 0 {
+		t.Errorf("best-effort writer moved: %s epoch %d", video.TransportSpec(), video.TransportEpoch())
 	}
 }
 

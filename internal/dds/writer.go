@@ -12,10 +12,7 @@ type DataWriter struct {
 	topic       *Topic
 	qos         WriterQoS
 	sender      *transport.SenderBinding
-	// pinned marks writers whose transport was fixed by QoS (an explicit
-	// override or best-effort reliability); Rebind leaves them alone.
-	pinned bool
-	closed bool
+	closed      bool
 }
 
 // CreateDataWriter builds a writer for topic with the given QoS. The
@@ -28,7 +25,7 @@ func (p *DomainParticipant) CreateDataWriter(topic *Topic, qos WriterQoS) (*Data
 	if topic == nil || topic.participant != p {
 		return nil, fmt.Errorf("dds: topic does not belong to this participant")
 	}
-	spec := resolveSpec(p.cfg.Transport, qos.Transport, qos.Reliability)
+	spec := resolveSpec(p.cfg.Transport, qos.Reliability)
 	sender, err := transport.NewSenderBinding(transport.BindingConfig{
 		Config:   p.transportConfig(topic, nil),
 		Registry: p.cfg.Registry,
@@ -37,8 +34,7 @@ func (p *DomainParticipant) CreateDataWriter(topic *Topic, qos WriterQoS) (*Data
 	if err != nil {
 		return nil, fmt.Errorf("dds: creating writer transport %s: %w", spec, err)
 	}
-	pinned := qos.Transport.Name != "" || qos.Reliability == BestEffort
-	w := &DataWriter{participant: p, topic: topic, qos: qos, sender: sender, pinned: pinned}
+	w := &DataWriter{participant: p, topic: topic, qos: qos, sender: sender}
 	p.writers = append(p.writers, w)
 	return w, nil
 }
@@ -55,12 +51,6 @@ func (w *DataWriter) Write(data []byte) error {
 	return w.sender.Publish(data)
 }
 
-// Topic returns the writer's topic.
-func (w *DataWriter) Topic() *Topic { return w.topic }
-
-// QoS returns the writer's QoS.
-func (w *DataWriter) QoS() WriterQoS { return w.qos }
-
 // Seq returns the number of samples written.
 func (w *DataWriter) Seq() uint64 { return w.sender.Seq() }
 
@@ -69,10 +59,6 @@ func (w *DataWriter) TransportSpec() transport.Spec { return w.sender.Spec() }
 
 // TransportEpoch returns the writer's current transport generation number.
 func (w *DataWriter) TransportEpoch() uint16 { return w.sender.Epoch() }
-
-// Pinned reports whether the writer's transport is fixed by its QoS and
-// therefore exempt from participant-wide Rebind.
-func (w *DataWriter) Pinned() bool { return w.pinned }
 
 // Close releases the writer's transport instance.
 func (w *DataWriter) Close() error {

@@ -340,9 +340,11 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 	rng := payloadKernel.Rand("experiment/payload")
 	published, phaseSent := 0, 0
 	var writeErr error
+	var closedAt time.Time
 	var tick func()
 	tick = func() {
 		if published >= total {
+			closedAt = writerEnv.Now()
 			writeErr = writer.Close()
 			return
 		}
@@ -399,8 +401,8 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 	}
 	res.summary.P50LatencyUs, res.summary.P95LatencyUs, res.summary.P99LatencyUs = tail.Snapshot()
 	res.summary.Bytes = bw.Total()
-	res.summary.AvgBps = bw.MeanRate()
-	res.summary.BurstinessBps = bw.Burstiness()
+	res.summary.AvgBps = bw.MeanRate(start, closedAt)
+	res.summary.BurstinessBps = bw.Burstiness(start, closedAt)
 	for _, n := range readerNodes {
 		res.report.Readers = append(res.report.Readers, n.Stats())
 	}

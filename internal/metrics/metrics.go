@@ -180,8 +180,8 @@ type Summary struct {
 	// Network usage, filled by the producer from its own byte counts
 	// (Collector.Summary leaves them zero).
 	Bytes         uint64  // network bytes observed
-	AvgBps        float64 // mean bandwidth usage, bytes/sec
-	BurstinessBps float64 // stddev of per-second bandwidth usage
+	AvgBps        float64 // mean bandwidth usage over the publish window, bytes/sec
+	BurstinessBps float64 // stddev of per-second bandwidth usage over the publish window
 }
 
 // Reliability returns delivered/sent as a percentage (100 = perfect).
@@ -199,8 +199,11 @@ func (s Summary) String() string {
 }
 
 // Bandwidth tracks bytes per one-second bucket so that total usage, mean
-// rate, and burstiness (stddev of per-second usage) can be reported. The
-// zero value is ready to use.
+// rate, and burstiness (stddev of per-second usage) can be reported. Total
+// counts every byte; the rates are taken over a window the caller names
+// (an experiment's publish window), so traffic after it, such as the
+// end-of-stream announcements that follow a writer's Close, does not count
+// as a near-empty second. The zero value is ready to use.
 //
 // Buckets are a dense preallocated slice anchored at the first observed
 // second rather than a map: experiment traffic is contiguous in time, and
@@ -278,24 +281,29 @@ func (b *Bandwidth) end() int64 { return b.base + int64(len(b.buckets)) - 1 }
 // Total returns the total bytes recorded.
 func (b *Bandwidth) Total() uint64 { return b.total }
 
-// MeanRate returns the mean bytes/second across the active interval
-// (first bucket through last bucket, inclusive).
-func (b *Bandwidth) MeanRate() float64 {
-	if len(b.buckets) == 0 {
-		return 0
-	}
-	return float64(b.total) / float64(len(b.buckets))
+// MeanRate returns the mean bytes/second over the window [from, to).
+func (b *Bandwidth) MeanRate(from, to time.Time) float64 {
+	w := b.perSecond(from, to)
+	return w.Mean()
 }
 
 // Burstiness returns the standard deviation of bytes-per-second over the
-// active interval, counting empty seconds inside the interval as zero.
-func (b *Bandwidth) Burstiness() float64 {
-	if len(b.buckets) == 0 {
-		return 0
-	}
+// window [from, to).
+func (b *Bandwidth) Burstiness(from, to time.Time) float64 {
+	w := b.perSecond(from, to)
+	return w.StdDev()
+}
+
+// perSecond accumulates the bytes of every second the window [from, to)
+// touches, counting a second with no bytes as zero.
+func (b *Bandwidth) perSecond(from, to time.Time) Welford {
 	var w Welford
-	for _, v := range b.buckets {
+	for sec := from.Unix(); sec <= to.Add(-time.Nanosecond).Unix(); sec++ {
+		var v uint64
+		if i := sec - b.base; i >= 0 && i < int64(len(b.buckets)) {
+			v = b.buckets[i]
+		}
 		w.Add(float64(v))
 	}
-	return w.StdDev()
+	return w
 }

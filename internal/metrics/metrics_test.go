@@ -205,19 +205,54 @@ func TestBandwidth(t *testing.T) {
 	if b.Total() != 6000 {
 		t.Errorf("Total = %d", b.Total())
 	}
-	if got, want := b.MeanRate(), 2000.0; !almostEqual(got, want, 1e-9) {
+	end := t0.Add(3 * time.Second)
+	if got, want := b.MeanRate(t0, end), 2000.0; !almostEqual(got, want, 1e-9) {
 		t.Errorf("MeanRate = %v, want %v", got, want)
 	}
 	// Buckets: 2000, 0, 4000 -> mean 2000, variance (0+4e6+4e6)/3.
 	wantStd := math.Sqrt((4e6 + 0 + 4e6) / 3)
-	if got := b.Burstiness(); !almostEqual(got, wantStd, 1e-6) {
+	if got := b.Burstiness(t0, end); !almostEqual(got, wantStd, 1e-6) {
 		t.Errorf("Burstiness = %v, want %v", got, wantStd)
+	}
+	// A window reaching past the last byte counts its empty seconds.
+	if got, want := b.MeanRate(t0, end.Add(time.Second)), 1500.0; !almostEqual(got, want, 1e-9) {
+		t.Errorf("MeanRate over 4 s = %v, want %v", got, want)
+	}
+}
+
+// TestBandwidthWindowIgnoresLinger checks that traffic after the window
+// (a writer's end-of-stream linger after Close) moves Total but not the
+// per-second statistics: a constant-rate stream has the same burstiness and
+// mean rate with and without a linger.
+func TestBandwidthWindowIgnoresLinger(t *testing.T) {
+	from := time.Unix(100, 0)
+	to := from.Add(10 * time.Second) // the writer's Close
+	stream := func(b *Bandwidth) {
+		for at := from; at.Before(to); at = at.Add(40 * time.Millisecond) {
+			b.Add(at, 1000)
+		}
+	}
+	var plain, lingered Bandwidth
+	stream(&plain)
+	stream(&lingered)
+	for at := to; at.Before(to.Add(time.Second)); at = at.Add(100 * time.Millisecond) {
+		lingered.Add(at, 40) // end-of-stream heartbeats
+	}
+	if lingered.Total() != plain.Total()+400 {
+		t.Errorf("Total = %d, want every byte: %d", lingered.Total(), plain.Total()+400)
+	}
+	if got, want := lingered.Burstiness(from, to), plain.Burstiness(from, to); got != want || want != 0 {
+		t.Errorf("Burstiness with linger = %v, without = %v; want both 0", got, want)
+	}
+	if got, want := lingered.MeanRate(from, to), plain.MeanRate(from, to); got != want || want != 25000 {
+		t.Errorf("MeanRate with linger = %v, without = %v; want both 25000", got, want)
 	}
 }
 
 func TestBandwidthEmptyAndNegative(t *testing.T) {
 	var b Bandwidth
-	if b.MeanRate() != 0 || b.Burstiness() != 0 || b.Total() != 0 {
+	t0 := time.Unix(0, 0)
+	if b.MeanRate(t0, t0) != 0 || b.Burstiness(t0, t0.Add(time.Second)) != 0 || b.Total() != 0 {
 		t.Error("empty bandwidth should report zeros")
 	}
 	b.Add(time.Unix(0, 0), -5)
@@ -235,7 +270,7 @@ func TestBandwidthMerge(t *testing.T) {
 	if a.Total() != 350 {
 		t.Errorf("Total = %d, want 350", a.Total())
 	}
-	if got := a.MeanRate(); !almostEqual(got, 175, 1e-9) {
+	if got := a.MeanRate(time.Unix(10, 0), time.Unix(12, 0)); !almostEqual(got, 175, 1e-9) {
 		t.Errorf("MeanRate = %v, want 175", got)
 	}
 }
