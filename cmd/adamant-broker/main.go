@@ -3,7 +3,7 @@
 // QoS-enabled DDS/ANT stack).
 //
 //	adamant-broker -addr :4222
-//	adamant-broker -shards 16 -queue-frames 32768 -slow-policy drop
+//	adamant-broker -queue-frames 32768 -slow-policy drop
 //	adamant-broker -admission-bytes 67108864 -admission-timeout 2s
 //
 // Brokers federate into a full mesh: give each broker a cluster
@@ -31,7 +31,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":4222", "listen address")
-	shards := flag.Int("shards", 0, "routing-table shards (0 = default)")
 	seed := flag.Int64("seed", 0, "queue-group rng seed (0 = time-based)")
 	queueFrames := flag.Int("queue-frames", 0, "per-client outbound queue bound in frames (0 = default)")
 	queueBytes := flag.Int64("queue-bytes", 0, "per-client outbound queue bound in bytes (0 = default)")
@@ -48,9 +47,6 @@ func main() {
 	flag.Parse()
 
 	var opts []broker.Option
-	if *shards > 0 {
-		opts = append(opts, broker.WithShards(*shards))
-	}
 	if *seed != 0 {
 		opts = append(opts, broker.WithSeed(*seed))
 	}

@@ -1,9 +1,8 @@
 // Package ann implements a small feed-forward artificial neural network in
 // the style of the FANN library the paper uses as ADAMANT's supervised-
 // learning knowledge base: fully connected layers, sigmoid activations with
-// configurable steepness, batch iRPROP- and incremental backpropagation
-// training with an MSE stopping error, a text save/load format, and k-fold
-// cross-validation helpers.
+// configurable steepness, batch iRPROP- training with an MSE stopping
+// error, a text save/load format, and k-fold cross-validation helpers.
 //
 // Querying a trained network is a single forward pass over a fixed set of
 // connections — constant time, no allocation — which is what gives ADAMANT

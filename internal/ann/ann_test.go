@@ -110,23 +110,6 @@ func TestTrainXORWithRPROP(t *testing.T) {
 	}
 }
 
-func TestTrainXORIncremental(t *testing.T) {
-	n, err := New(Config{Layers: []int{2, 8, 1}, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(xorDataset(), TrainOptions{
-		MaxEpochs: 20000, DesiredError: 0.005, Algorithm: Incremental,
-		LearningRate: 0.7, Momentum: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("incremental XOR did not converge: %+v", res)
-	}
-}
-
 func TestTrainLowersStoppingError(t *testing.T) {
 	// Lower stopping error must not yield a worse final MSE.
 	train := func(desired float64) float64 {
@@ -163,9 +146,6 @@ func TestTrainErrors(t *testing.T) {
 	badOut.Add([]float64{1, 2}, []float64{1, 2})
 	if _, err := n.Train(&badOut, TrainOptions{}); err == nil {
 		t.Error("target shape mismatch should error")
-	}
-	if _, err := n.Train(xorDataset(), TrainOptions{Algorithm: Algorithm(9)}); err == nil {
-		t.Error("unknown algorithm should error")
 	}
 }
 

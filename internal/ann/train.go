@@ -1,22 +1,10 @@
 package ann
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
-)
-
-// Algorithm selects the training algorithm.
-type Algorithm int
-
-// Training algorithms.
-const (
-	// RPROP is batch iRPROP- (FANN's default training algorithm).
-	RPROP Algorithm = iota
-	// Incremental is classic online backpropagation with momentum.
-	Incremental
 )
 
 // shardSamples is the fixed gradient-shard width: every RPROP epoch sums
@@ -27,25 +15,17 @@ const (
 // weights, are byte-identical at any TrainOptions.Jobs value.
 const shardSamples = 16
 
-// TrainOptions tune Train.
+// TrainOptions tune Train, which runs batch iRPROP- (FANN's default
+// training algorithm).
 type TrainOptions struct {
 	// MaxEpochs bounds training. Default 5000.
 	MaxEpochs int
 	// DesiredError is the MSE stopping error (the paper uses 0.0001 for
 	// its best-performing configurations, 0.01 for the coarse ones).
 	DesiredError float64
-	// Algorithm selects RPROP (default) or Incremental.
-	Algorithm Algorithm
-	// LearningRate applies to Incremental. Default 0.7 (FANN default).
-	LearningRate float64
-	// Momentum applies to Incremental. The zero value selects the FANN
-	// default 0.1; pass any negative value (canonically -1) for a true
-	// zero-momentum run, since 0 cannot mean both "default" and "off".
-	Momentum float64
-	// Jobs caps the worker goroutines used for batch-gradient (RPROP)
+	// Jobs caps the worker goroutines used for the batch-gradient
 	// epochs; <= 0 means GOMAXPROCS. Trained weights are byte-identical
-	// at any Jobs value — see shardSamples. Incremental training is
-	// inherently sequential and ignores Jobs.
+	// at any Jobs value — see shardSamples.
 	Jobs int
 }
 
@@ -56,27 +36,9 @@ func (o *TrainOptions) fillDefaults() {
 	if o.DesiredError <= 0 {
 		o.DesiredError = 1e-4
 	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.7
-	}
 	if o.Jobs <= 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
 	}
-}
-
-// momentum resolves the Momentum sentinel: negative means a true zero-
-// momentum run, zero means the FANN default. Resolution happens at use
-// rather than in fillDefaults so that filling defaults twice (e.g. a
-// caller pre-filling options before Train fills them again) can never
-// silently turn an explicit zero-momentum run into the default.
-func (o TrainOptions) momentum() float64 {
-	switch {
-	case o.Momentum < 0:
-		return 0
-	case o.Momentum == 0:
-		return 0.1
-	}
-	return o.Momentum
 }
 
 // TrainResult reports a training run.
@@ -95,15 +57,7 @@ func (n *Network) Train(ds *Dataset, opts TrainOptions) (TrainResult, error) {
 	n.ensureTrainScratch()
 	var res TrainResult
 	for epoch := 1; epoch <= opts.MaxEpochs; epoch++ {
-		var mse float64
-		switch opts.Algorithm {
-		case RPROP:
-			mse = n.epochRPROP(ds, opts.Jobs)
-		case Incremental:
-			mse = n.epochIncremental(ds, opts.LearningRate, opts.momentum())
-		default:
-			return res, fmt.Errorf("ann: unknown algorithm %d", opts.Algorithm)
-		}
+		mse := n.epochRPROP(ds, opts.Jobs)
 		res.Epochs = epoch
 		res.MSE = mse
 		if mse <= opts.DesiredError {
@@ -297,22 +251,6 @@ func (n *Network) epochRPROP(ds *Dataset, jobs int) float64 {
 		default:
 			w[i] += sgn(g[i]) * st[i]
 			pg[i] = g[i]
-		}
-	}
-	return sse / float64(ds.Len()*n.layers[len(n.layers)-1])
-}
-
-func (n *Network) epochIncremental(ds *Dataset, rate, momentum float64) float64 {
-	sc := trainScratch{acts: n.acts, deltas: n.deltas}
-	var sse float64
-	for s := range ds.Inputs {
-		clear(n.grads)
-		sse += n.backprop(sc, n.grads, ds.Inputs[s], ds.Targets[s])
-		w, g, pg := n.weights, n.grads, n.prevG
-		for i := range w {
-			step := rate*g[i] + momentum*pg[i]
-			w[i] += step
-			pg[i] = step
 		}
 	}
 	return sse / float64(ds.Len()*n.layers[len(n.layers)-1])

@@ -365,12 +365,12 @@ func (c *serverClient) handleRSub(fields [][]byte, add bool) {
 	if add {
 		sub = &serverSub{rt: r, pattern: pattern, queue: queue}
 		r.subs[k] = sub
-		s.eachPatternShard(pattern, func(sh *shard) { sh.insert(sub) })
+		s.sl.insert(sub)
 		s.stats.remoteSubs.Add(1)
 		return
 	}
 	delete(r.subs, k)
-	s.eachPatternShard(pattern, func(sh *shard) { sh.remove(sub) })
+	s.sl.remove(sub)
 	s.stats.remoteSubs.Add(^uint64(0))
 }
 
@@ -399,7 +399,7 @@ func (s *Server) addSub(sub *serverSub) {
 	c.smu.Lock()
 	c.subs[sub.sid] = append(c.subs[sub.sid], sub)
 	c.smu.Unlock()
-	s.eachPatternShard(sub.pattern, func(sh *shard) { sh.insert(sub) })
+	s.sl.insert(sub)
 	s.stats.subscriptions.Add(1)
 	s.numSubs.Add(1)
 	s.interestAdd(sub.pattern, sub.queue)
@@ -429,26 +429,9 @@ func (s *Server) clearSubs(c *serverClient) {
 // of the interest propagated to peers.
 func (s *Server) withdrawSubs(subs []*serverSub) {
 	for _, sub := range subs {
-		s.eachPatternShard(sub.pattern, func(sh *shard) { sh.remove(sub) })
+		s.sl.remove(sub)
 		s.numSubs.Add(-1)
 		s.interestDrop(sub.pattern, sub.queue)
-	}
-}
-
-// eachPatternShard runs fn under the lock of every shard the pattern
-// routes through: one for a literal first token, all for a wildcard.
-func (s *Server) eachPatternShard(pattern string, fn func(*shard)) {
-	if idx := shardIndex(pattern, len(s.shards)); idx >= 0 {
-		sh := s.shards[idx]
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-		return
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
 	}
 }
 

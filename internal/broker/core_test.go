@@ -68,13 +68,10 @@ func drainCore(c *serverClient) string {
 // alone: the script is fed in the given pieces, and a connection the core
 // drops is torn down as its driver would tear it down. It returns what the
 // connection and the observer were sent and whether the connection was
-// kept. The broker is TestProtocolTranscript's but for its one routing
-// shard, which spares seeding eight rngs per run and changes no reply: the
-// shard count only spreads subjects over locks, and no case has a queue
-// group of two.
+// kept. The broker is TestProtocolTranscript's.
 func coreTranscript(t *testing.T, tc transcriptCase, pieces ...[]byte) (got, observed string, kept bool) {
 	t.Helper()
-	s := NewServer(WithSeed(1), WithServerID(transcriptID), WithRouteHeartbeat(time.Hour, time.Hour), WithShards(1))
+	s := NewServer(WithSeed(1), WithServerID(transcriptID), WithRouteHeartbeat(time.Hour, time.Hour))
 	var obs *serverClient
 	if tc.observer != "" {
 		obs = coreConn(s)

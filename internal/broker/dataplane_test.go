@@ -512,35 +512,25 @@ func TestAdmissionDoneWakes(t *testing.T) {
 // MsgsOut + SlowConsumerDrops == fanout * MsgsIn and the byte counters
 // must be exact multiples of the fixed payload size. Field-by-field
 // atomic loads (the PR 7 Stats) tear these invariants constantly. The
-// second case spreads four publishers over four shards, so a snapshot is
-// a sum of counters read at four different moments.
+// second case has four publishers on four subjects, so their batches
+// interleave on the index lock.
 func TestStatsSnapshotConsistent(t *testing.T) {
-	const shards = 4
-	spread := make([]string, 0, shards) // one subject per shard
-	for i, seen := 0, map[int]bool{}; len(spread) < shards; i++ {
-		subj := "stat" + strconv.Itoa(i) + ".x"
-		if idx := shardIndex(subj, shards); !seen[idx] {
-			seen[idx] = true
-			spread = append(spread, subj)
-		}
-	}
 	for _, tc := range []struct {
 		name     string
-		opts     []Option
 		subjects []string // one publisher each
 		fanout   int      // subscribers per subject
 	}{
-		{"one shard", nil, []string{"stat.x"}, 1},
-		{"four shards", []Option{WithShards(shards)}, spread, 2},
+		{"one publisher", []string{"stat.x"}, 1},
+		{"four publishers", []string{"stat0.x", "stat1.x", "stat2.x", "stat3.x"}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			statsSnapshotConsistent(t, tc.opts, tc.subjects, uint64(tc.fanout))
+			statsSnapshotConsistent(t, tc.subjects, uint64(tc.fanout))
 		})
 	}
 }
 
-func statsSnapshotConsistent(t *testing.T, opts []Option, subjects []string, fanout uint64) {
-	srv := NewServer(append([]Option{WithSeed(1), WithSlowConsumerPolicy(SlowConsumerDrop)}, opts...)...)
+func statsSnapshotConsistent(t *testing.T, subjects []string, fanout uint64) {
+	srv := NewServer(WithSeed(1), WithSlowConsumerPolicy(SlowConsumerDrop))
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func FuzzMatch(f *testing.F) {
 // broker. Queues too large to fill and admission off keep the output a
 // function of the input alone.
 func coreRun(data []byte, split uint32, opts ...Option) (sent string, kept bool, srv *Server) {
-	srv = NewServer(append([]Option{WithSeed(1), WithShards(2), WithWriteQueue(1<<30, 1<<40),
+	srv = NewServer(append([]Option{WithSeed(1), WithWriteQueue(1<<30, 1<<40),
 		WithPublishAdmission(-1, 0)}, opts...)...)
 	c := coreConn(srv)
 	k := int(split % uint32(len(data)+1))

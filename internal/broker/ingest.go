@@ -119,18 +119,18 @@ func (e *fwdEntry) addQueue(name string) {
 	e.queues = append(e.queues, name)
 }
 
-// routeBatch delivers a reader's ingest batch in order. Consecutive
-// messages on the same shard reuse one lock acquisition, consecutive
-// messages on the same subject reuse one match result (valid for the
-// whole run because sub/unsub needs the same shard lock we hold), the
-// deliveries are staged per destination link and enter each queue a run at
-// a time (stager), and each shard run is counted — its messages and what
-// became of their deliveries — under the shard lock it was routed under
-// (flowStats), so routeBatch takes no lock beyond shard and queue locks.
+// routeBatch delivers a reader's ingest batch in order, under one
+// acquisition of the index lock. Consecutive messages on the same subject
+// reuse one match result (valid for the whole batch because sub/unsub
+// needs the lock we hold), the deliveries are staged per destination link
+// and enter each queue a run at a time (stager), and the batch is counted —
+// its messages and what became of their deliveries — under the same hold
+// of the lock (flowStats), so routeBatch takes no lock beyond the index
+// lock and queue locks.
 //
 // A client's publish (from == nil) goes to every matching local
 // subscription and to one member of every matching queue group, chosen by
-// the shard's seeded rng among local members and peer interests alike —
+// the index's seeded rng among local members and peer interests alike —
 // the pick that makes queue semantics mesh-wide. Matching remote interests
 // collapse into at most one origin-tagged RMSG per peer per message
 // (fwdScratch).
@@ -145,13 +145,13 @@ func (e *fwdEntry) addQueue(name string) {
 // mesh-wide winner.
 func (s *Server) routeBatch(in *ingest, from *route) {
 	var (
-		sh      *shard
 		rs      *routeSet
 		subject []byte
 		dups    uint64
 	)
-	st, fwd := &in.st, &in.fwd
+	sl, st, fwd := s.sl, &in.st, &in.fwd
 	policy := s.opts.slowPolicy
+	sl.mu.Lock()
 	for i := range in.pending {
 		m := &in.pending[i]
 		if m.selfOrigin {
@@ -160,16 +160,8 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 		}
 		pb := m.pb
 		subj := pb.subj
-		if next := s.shards[shardIndex(subj, len(s.shards))]; next != sh {
-			if sh != nil {
-				sh.endRun(st)
-			}
-			sh = next
-			sh.mu.Lock()
-			rs, subject = nil, nil
-		}
 		if rs == nil || !bytes.Equal(subj, subject) {
-			rs = sh.matchBytes(subj)
+			rs = sl.matchBytes(subj)
 			subject = subj
 		}
 		fwd.reset()
@@ -182,7 +174,7 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 		}
 		if from == nil {
 			for _, members := range rs.queues {
-				pick := members[sh.rng.Intn(len(members))]
+				pick := members[sl.rng.Intn(len(members))]
 				if pick.rt != nil {
 					fwd.add(pick.rt).addQueue(pick.queue)
 					continue
@@ -212,7 +204,7 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 			if len(in.localQ) == 0 {
 				continue
 			}
-			pick := in.localQ[sh.rng.Intn(len(in.localQ))]
+			pick := in.localQ[sl.rng.Intn(len(in.localQ))]
 			st.add(&pick.client.link, policy, outFrame{sid: pick.sid, pb: pb})
 		}
 		// Routes always use the disconnect overflow policy: silently
@@ -224,12 +216,17 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 			hdr := encodeRMsgHeader(subj, s.id, len(pb.data), e.queues)
 			st.add(e.rt.ln, SlowConsumerDisconnect, outFrame{hdr: hdr, pb: pb})
 		}
-		sh.flow.msgsIn++
-		sh.flow.bytesIn += uint64(len(pb.data))
+		sl.flow.msgsIn++
+		sl.flow.bytesIn += uint64(len(pb.data))
 	}
-	if sh != nil {
-		sh.endRun(st)
-	}
+	// Every staged delivery enters its queue before the unlock (stager
+	// rule 1), and what they came to is counted under the same hold of the
+	// lock as their messages were, which keeps every Stats snapshot
+	// consistent.
+	st.flush()
+	sl.flow.out.add(st.total)
+	st.total = runResult{}
+	sl.mu.Unlock()
 	// Only now, after the last flush, do the publisher holds go: until a
 	// run is flushed they are all that keeps its payloads (stager rule 3).
 	for i := range in.pending {
@@ -240,30 +237,18 @@ func (s *Server) routeBatch(in *ingest, from *route) {
 	}
 }
 
-// endRun ends a reader's run of messages on sh, whose lock it holds: every
-// staged delivery enters its queue before the unlock (stager rule 1), and
-// what the run's deliveries came to is counted under the same hold of the
-// lock as its messages were, which is what keeps every Stats snapshot
-// consistent.
-func (sh *shard) endRun(st *stager) {
-	st.flush()
-	sh.flow.out.add(st.total)
-	st.total = runResult{}
-	sh.mu.Unlock()
-}
-
 // A stager is a reader goroutine's staging area between match and queue.
 // routeBatch adds each delivery to the open run of its destination link,
 // and a run is handed to the link (link.enqueueRun) when it reaches
 // stagerRunFrames, when a delivery to a link without an open run finds all
 // stagerRuns slots taken, and — all runs — when routeBatch is about to
-// release the shard lock. Per-link order is add order: a link has at most
+// release the index lock. Per-link order is add order: a link has at most
 // one open run, and a run is enqueued whole, before the next run for that
 // link can be opened.
 //
-// Three rules keep what per-frame enqueueing under the shard lock gave:
+// Three rules keep what per-frame enqueueing under the index lock gave:
 //
-//  1. Every run is flushed before the shard lock its deliveries were
+//  1. Every run is flushed before the index lock its deliveries were
 //     matched under is released. UNSUB removes the subscription under that
 //     lock, so once it returns no delivery for the sid is staged anywhere:
 //     a PONG queued after it is behind the sid's last MSG.
@@ -275,7 +260,7 @@ type stager struct {
 	runs [stagerRuns]stagedRun
 	n    int // open runs
 
-	// total is what the runs flushed since the last shard.endRun came to.
+	// total is what the runs flushed in the current batch came to.
 	total runResult
 }
 

@@ -320,7 +320,7 @@ func TestMeshGossipFromSeeds(t *testing.T) {
 }
 
 // TestMeshStatsConsistency: RoutedMsgs is counted with the message it
-// forwards, under the same shard lock, so snapshots taken mid-traffic stay
+// forwards, under the same index lock, so snapshots taken mid-traffic stay
 // internally consistent (RoutedMsgs never exceeds what MsgsIn could have
 // produced).
 func TestMeshStatsConsistency(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // Delivery never writes to the socket from the publish path. Each
 // connection owns a bounded outbound queue drained by a single writer
 // goroutine; that single drain goroutine is also the FIFO argument: frames
-// enter the queue in route order under the shard lock and leave in queue
+// enter the queue in route order under the index lock and leave in queue
 // order on one goroutine, so per-connection delivery order is exactly
 // enqueue order no matter how the writer batches the bytes.
 //
@@ -234,7 +234,7 @@ func (q *outQueue) enqueueRun(run []outFrame, policy SlowConsumerPolicy) (res ru
 		rejected++
 	}
 	// Admission accounting must happen under q.mu: a concurrent discard
-	// (slow-consumer disconnect from another shard's batch) walks the
+	// (slow-consumer disconnect from another reader's batch) walks the
 	// queued frames and returns their bytes, so the add and the walk have
 	// to be ordered.
 	if q.gauge != nil && added > 0 {

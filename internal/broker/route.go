@@ -257,7 +257,7 @@ func (s *Server) teardownRoute(r *route) {
 	}
 	s.fedMu.Unlock()
 	for _, sub := range r.subs {
-		s.eachPatternShard(sub.pattern, func(sh *shard) { sh.remove(sub) })
+		s.sl.remove(sub)
 	}
 	s.stats.remoteSubs.Add(-uint64(len(r.subs))) // unsigned: subtracts
 	r.subs = nil

@@ -10,19 +10,19 @@
 // path alongside the simulated DDS/ANT stack.
 //
 // The data path is built for high fan-out and bounded latency:
-// subscriptions live in sharded subject-token tries with per-subject match
-// caches (sublist.go); a connection's protocol core parses every PUB (or,
+// subscriptions live in one subject-token trie with a per-subject match
+// cache (sublist.go); a connection's protocol core parses every PUB (or,
 // on a route, RMSG) in the bytes one socket read handed it into one ingest
-// batch and routes the batch with one shard-lock acquisition per shard run
-// and one trie/cache probe per distinct subject (routeBatch, ingest.go),
-// counting what it routed in that shard's counters under the same lock
-// (stats.go); payload and subject live in a refcounted arena buffer
-// (arena.go) shared across the whole fan-out; deliveries are staged per
-// destination and enter its bounded queue a run at a time, and writer
-// goroutines drain the queues into vectored writev batches, encoding the
-// MSG headers as they go (outbound.go); and a publish-admission gauge
-// (admission.go) paces unpaced publishers instead of letting internal
-// queues grow into seconds of latency.
+// batch and routes the batch under one acquisition of the index lock, with
+// one trie/cache probe per run of a subject (routeBatch, ingest.go),
+// counting what it routed under the same lock (stats.go); payload and
+// subject live in a refcounted arena buffer (arena.go) shared across the
+// whole fan-out; deliveries are staged per destination and enter its
+// bounded queue a run at a time, and writer goroutines drain the queues
+// into vectored writev batches, encoding the MSG headers as they go
+// (outbound.go); and a publish-admission gauge (admission.go) paces
+// unpaced publishers instead of letting internal queues grow into seconds
+// of latency.
 //
 // Every connection — client or inter-broker route — is built on the same
 // link substrate (link.go): arena payloads, bounded outbound queue,
@@ -67,7 +67,6 @@ const MaxPayload = 1 << 20
 // options collects server tuning knobs; all have workable defaults.
 type options struct {
 	seed             int64
-	shards           int
 	queueFrames      int
 	queueBytes       int64
 	slowPolicy       SlowConsumerPolicy
@@ -83,21 +82,11 @@ type options struct {
 // Option configures a Server at construction time.
 type Option func(*options)
 
-// WithSeed fixes the rng seed used for queue-group member picks, making
-// pick order reproducible (each routing shard derives its own stream
-// from it). Without it the seed comes from the clock.
+// WithSeed fixes the seed of the routing index's rng, the one stream every
+// queue-group member pick draws from, making pick order reproducible.
+// Without it the seed comes from the clock.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed = seed }
-}
-
-// WithShards sets the routing shard count (default 8). More shards mean
-// less publish contention across disjoint subject spaces.
-func WithShards(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.shards = n
-		}
-	}
 }
 
 // WithWriteQueue bounds each client's outbound queue in frames and
@@ -177,26 +166,25 @@ func WithRouteHeartbeat(interval, suspect time.Duration) Option {
 // ListenAndServe, stop with Shutdown (abrupt) or DrainShutdown
 // (graceful: queued deliveries are flushed first).
 type Server struct {
-	opts   options
-	id     string
-	shards []*shard
-	stats  gauges     // the data-path counters are per shard (stats.go)
-	adm    *admission // nil when admission is disabled
-	quit   chan struct{}
+	opts  options
+	id    string
+	sl    *sublist   // the routing index, with the data-path counters
+	stats gauges     // every other counter (stats.go)
+	adm   *admission // nil when admission is disabled
+	quit  chan struct{}
 
 	// now is the server clock, in nanoseconds: monotonic time in
 	// production, stepped by tests. Route liveness (lastRecv), the
 	// heartbeat's suspect check and the redial schedule read it.
 	now func() int64
 
-	// numSubs is the live logical subscription count (a wildcard-first
-	// pattern is stored in every shard but counts once).
+	// numSubs is the live local subscription count.
 	numSubs atomic.Int64
 
 	// Federation state (route.go): live routes by peer server ID, the
 	// refcounted local interest set propagated to peers, and the set of
 	// route targets being dialed. All guarded by fedMu; fedMu is never
-	// held together with a shard lock.
+	// held together with the index lock.
 	fedMu         sync.Mutex
 	routes        map[string]*route
 	localInterest map[interestKey]int
@@ -238,7 +226,6 @@ var serverIDSeq atomic.Uint64
 func NewServer(opts ...Option) *Server {
 	o := options{
 		seed:             time.Now().UnixNano(),
-		shards:           8,
 		queueFrames:      defaultQueueFrames,
 		queueBytes:       defaultQueueBytes,
 		slowPolicy:       SlowConsumerDisconnect,
@@ -263,7 +250,7 @@ func NewServer(opts ...Option) *Server {
 	s := &Server{
 		opts:          o,
 		id:            o.id,
-		shards:        make([]*shard, o.shards),
+		sl:            newSublist(o.seed),
 		clients:       make(map[*serverClient]struct{}),
 		routes:        make(map[string]*route),
 		localInterest: make(map[interestKey]int),
@@ -275,9 +262,6 @@ func NewServer(opts ...Option) *Server {
 	}
 	if o.admissionBytes > 0 {
 		s.adm = &admission{limit: o.admissionBytes}
-	}
-	for i := range s.shards {
-		s.shards[i] = newShard(o.seed + int64(i))
 	}
 	return s
 }

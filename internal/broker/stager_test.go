@@ -15,7 +15,7 @@ import (
 // to a queue is judged frame by frame exactly as single enqueues would be,
 // the header arithmetic matches the encoder, no reference or admission
 // byte is lost on any exit, per-link order survives every way a run can be
-// cut, and a flush never lands behind the shard lock it was matched under.
+// cut, and a flush never lands behind the index lock it was matched under.
 
 // testLink returns a link over one end of a pipe, without a writer, and
 // the other end.
@@ -199,7 +199,7 @@ func conservationFixture(t *testing.T, policy SlowConsumerPolicy) (*Server, []*l
 	links = append(links, peer)
 	rt := &route{ln: peer, id: "peer", subs: make(map[interestKey]*serverSub)}
 	sub := &serverSub{rt: rt, pattern: "keep.x"}
-	s.eachPatternShard(sub.pattern, func(sh *shard) { sh.insert(sub) })
+	s.sl.insert(sub)
 
 	var in ingest
 	var pbs []*payloadRef
@@ -367,12 +367,10 @@ func TestStagerKeepsPerLinkOrder(t *testing.T) {
 // TestUnsubPingBarrier pins stager rule 1 from the outside: once the PONG
 // that answers UNSUB+PING has arrived, no MSG for that sid may follow,
 // while a publisher on another connection keeps routing pipelined batches
-// that alternate between two shards (so its runs are flushed at shard
-// switches, inside batches, all the time). A flush that happened after the
-// shard lock was released could land behind the PONG.
+// that alternate between two subjects. A flush that happened after the
+// index lock was released could land behind the PONG.
 func TestUnsubPingBarrier(t *testing.T) {
-	const shards = 8
-	srv := NewServer(WithSeed(1), WithShards(shards), WithWriteQueue(1<<18, 1<<28),
+	srv := NewServer(WithSeed(1), WithWriteQueue(1<<18, 1<<28),
 		WithSlowConsumerPolicy(SlowConsumerDrop))
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -380,12 +378,7 @@ func TestUnsubPingBarrier(t *testing.T) {
 	defer srv.Shutdown()
 	addr := srv.Addr().String()
 
-	subjA, subjB := "bar0.x", ""
-	for i := 1; subjB == ""; i++ {
-		if s := fmt.Sprintf("bar%d.x", i); shardIndex(s, shards) != shardIndex(subjA, shards) {
-			subjB = s
-		}
-	}
+	subjA, subjB := "bar0.x", "bar1.x"
 
 	pub, err := net.Dial("tcp", addr)
 	if err != nil {

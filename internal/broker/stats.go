@@ -46,11 +46,10 @@ type ServerStats struct {
 	ControlEvictions uint64
 }
 
-// flowStats are a shard's data-path counters, guarded by the shard's lock.
+// flowStats are the data-path counters, guarded by the index lock.
 // routeBatch counts a message and what its deliveries came to under one
-// hold of the lock (shard.endRun), and Stats reads under the same lock: a
-// shard never shows a message without its deliveries, so neither does a sum
-// over shards, whenever each one was read.
+// hold of the lock, and Stats reads under the same lock: a snapshot never
+// shows a message without its deliveries.
 type flowStats struct {
 	msgsIn, bytesIn uint64
 	out             runResult
@@ -70,30 +69,27 @@ type gauges struct {
 }
 
 // Stats returns a snapshot of the broker counters, the data-path fields
-// summed shard by shard under the shard locks (see ServerStats).
+// read under the index lock (see ServerStats).
 func (s *Server) Stats() ServerStats {
 	g := &s.stats
-	snap := ServerStats{
-		Connections:       g.connections.Load(),
-		Subscriptions:     g.subscriptions.Load(),
-		AdmissionWaits:    g.admissionWaits.Load(),
-		AdmissionTimeouts: g.admissionTimeouts.Load(),
-		Routes:            g.routes.Load(),
-		RemoteSubs:        g.remoteSubs.Load(),
-		DupsSuppressed:    g.dupsSuppressed.Load(),
-		ControlEvictions:  g.controlEvictions.Load(),
+	s.sl.mu.Lock()
+	f := s.sl.flow
+	s.sl.mu.Unlock()
+	return ServerStats{
+		Connections:             g.connections.Load(),
+		Subscriptions:           g.subscriptions.Load(),
+		AdmissionWaits:          g.admissionWaits.Load(),
+		AdmissionTimeouts:       g.admissionTimeouts.Load(),
+		Routes:                  g.routes.Load(),
+		RemoteSubs:              g.remoteSubs.Load(),
+		DupsSuppressed:          g.dupsSuppressed.Load(),
+		ControlEvictions:        g.controlEvictions.Load(),
+		MsgsIn:                  f.msgsIn,
+		BytesIn:                 f.bytesIn,
+		MsgsOut:                 f.out.msgs,
+		BytesOut:                f.out.msgBytes,
+		RoutedMsgs:              f.out.rmsgs,
+		SlowConsumerDrops:       f.out.drops,
+		SlowConsumerDisconnects: f.out.disconnects,
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		f := sh.flow
-		sh.mu.Unlock()
-		snap.MsgsIn += f.msgsIn
-		snap.BytesIn += f.bytesIn
-		snap.MsgsOut += f.out.msgs
-		snap.BytesOut += f.out.msgBytes
-		snap.RoutedMsgs += f.out.rmsgs
-		snap.SlowConsumerDrops += f.out.drops
-		snap.SlowConsumerDisconnects += f.out.disconnects
-	}
-	return snap
 }

@@ -7,30 +7,23 @@ import (
 	"sync"
 )
 
-// Routing is sharded: subscriptions whose pattern starts with a literal
-// token live in exactly one shard (picked by hashing that token), and a
-// publish on subject "a.b.c" only takes the lock of shard hash("a") — so
-// publishes on disjoint subject spaces never contend. Patterns whose
-// first token is a wildcard ('*' or '>') can match any subject, so they
-// are inserted into every shard; a publish still consults exactly one.
-//
-// Inside a shard, subscriptions are stored in a subject-token trie: each
-// trie edge is one token, with '*' and '>' as ordinary edge labels. A
-// match walks the subject's tokens, following at most the literal edge
-// and the '*' edge per level, and collects '>'-terminals whenever at
-// least one token remains. On top of the trie sits a per-shard match
-// cache keyed by the concrete subject; every sub/unsub in the shard bumps
-// a generation counter, and cached entries are revalidated against it on
-// lookup, so the cache never needs explicit invalidation lists.
+// Routing has one index: a subject-token trie under one mutex. Each trie
+// edge is one token, with '*' and '>' as ordinary edge labels. A match
+// walks the subject's tokens, following at most the literal edge and the
+// '*' edge per level, and collects '>'-terminals whenever at least one
+// token remains. On top of the trie sits a match cache keyed by the
+// concrete subject; every sub/unsub bumps a generation counter, and cached
+// entries are revalidated against it on lookup, so the cache never needs
+// explicit invalidation lists.
 
-// maxCachedSubjects caps a shard's match cache; when full, the whole map
-// is dropped (a publish-path cache rebuild is cheap and self-limiting).
-const maxCachedSubjects = 8192
+// maxCachedSubjects caps the match cache; when full, the whole map is
+// dropped (a publish-path cache rebuild is cheap and self-limiting).
+const maxCachedSubjects = 65536
 
-// shard is one routing shard: a trie, its match cache, the rng used for
-// queue-group member picks (per-shard so picks never take a global lock),
-// and the data-path counters of what was routed through it (stats.go).
-type shard struct {
+// sublist is the routing index: the trie, its match cache, the rng used
+// for queue-group member picks, and the data-path counters of what was
+// routed through it (stats.go), all guarded by mu.
+type sublist struct {
 	mu    sync.Mutex
 	root  *trieNode
 	cache map[string]*routeSet
@@ -54,46 +47,26 @@ func (n *trieNode) empty() bool {
 
 // routeSet is the flattened match result for one concrete subject: the
 // plain subscriptions plus one member-slice per (pattern, queue) group.
-// A cached routeSet is only trusted while its gen matches the shard's.
+// A cached routeSet is only trusted while its gen matches the index's.
 type routeSet struct {
 	gen    uint64
 	plain  []*serverSub
 	queues [][]*serverSub
 }
 
-func newShard(seed int64) *shard {
-	return &shard{
+func newSublist(seed int64) *sublist {
+	return &sublist{
 		root:  &trieNode{},
 		cache: make(map[string]*routeSet),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
-// shardIndex maps a subject or pattern to its shard by FNV-1a over the
-// first token. A wildcard first token returns -1, meaning "all shards"; a
-// concrete subject never has one (validated at ingest). Generic so that
-// patterns (string) and the publish hot path ([]byte) share the code and
-// neither converts.
-func shardIndex[T string | []byte](s T, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	i := 0
-	for ; i < len(s) && s[i] != '.'; i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	if i == 1 && (s[0] == '*' || s[0] == '>') {
-		return -1
-	}
-	return int(h % uint64(n))
-}
-
-// insert adds sub under its pattern. Caller holds sh.mu.
-func (sh *shard) insert(sub *serverSub) {
-	n := sh.root
+// insert adds sub under its pattern.
+func (sl *sublist) insert(sub *serverSub) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	n := sl.root
 	rest := sub.pattern
 	for {
 		tok, tail, more := nextToken(rest)
@@ -119,20 +92,22 @@ func (sh *shard) insert(sub *serverSub) {
 		}
 		n.qsubs[sub.queue] = append(n.qsubs[sub.queue], sub)
 	}
-	sh.gen++
+	sl.gen++
 }
 
 // remove deletes sub by identity and prunes now-empty trie nodes.
-// Caller holds sh.mu. Reports whether the sub was present.
-func (sh *shard) remove(sub *serverSub) bool {
+// Reports whether the sub was present.
+func (sl *sublist) remove(sub *serverSub) bool {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
 	// Record the path so empty nodes can be pruned bottom-up.
 	type step struct {
 		node *trieNode
 		tok  string
 	}
-	var path [16]step
-	depth := 0
-	n := sh.root
+	var buf [16]step
+	path := buf[:0]
+	n := sl.root
 	rest := sub.pattern
 	for {
 		tok, tail, more := nextToken(rest)
@@ -140,19 +115,13 @@ func (sh *shard) remove(sub *serverSub) bool {
 		if child == nil {
 			return false
 		}
-		if depth < len(path) {
-			path[depth] = step{n, tok}
-		}
-		depth++
+		path = append(path, step{n, tok})
 		n = child
 		if !more {
 			break
 		}
 		rest = tail
 	}
-	// Patterns deeper than the path scratch are removed but not pruned;
-	// the stranded interior nodes are harmless and reclaimed on reuse.
-	prune := depth <= len(path)
 	removed := false
 	if sub.queue == "" {
 		for i, s := range n.psubs {
@@ -179,13 +148,11 @@ func (sh *shard) remove(sub *serverSub) bool {
 	if !removed {
 		return false
 	}
-	if prune {
-		for i := depth - 1; i >= 0 && n.empty(); i-- {
-			delete(path[i].node.next, path[i].tok)
-			n = path[i].node
-		}
+	for i := len(path) - 1; i >= 0 && n.empty(); i-- {
+		delete(path[i].node.next, path[i].tok)
+		n = path[i].node
 	}
-	sh.gen++
+	sl.gen++
 	return true
 }
 
@@ -194,19 +161,19 @@ func (sh *shard) remove(sub *serverSub) bool {
 // cache probe uses the compiler's map[string]lookup-by-[]byte optimization,
 // so a cache hit — the overwhelmingly common case in steady state —
 // allocates nothing; only a rebuild materializes the subject as a string
-// (for collect and the cache key). Caller holds sh.mu; the returned set is
+// (for collect and the cache key). Caller holds sl.mu; the returned set is
 // only valid while the lock is held.
-func (sh *shard) matchBytes(subject []byte) *routeSet {
-	if rs, ok := sh.cache[string(subject)]; ok && rs.gen == sh.gen {
+func (sl *sublist) matchBytes(subject []byte) *routeSet {
+	if rs, ok := sl.cache[string(subject)]; ok && rs.gen == sl.gen {
 		return rs
 	}
 	subj := string(subject)
-	rs := &routeSet{gen: sh.gen}
-	collect(sh.root, subj, rs)
-	if len(sh.cache) >= maxCachedSubjects {
-		sh.cache = make(map[string]*routeSet)
+	rs := &routeSet{gen: sl.gen}
+	collect(sl.root, subj, rs)
+	if len(sl.cache) >= maxCachedSubjects {
+		sl.cache = make(map[string]*routeSet)
 	}
-	sh.cache[subj] = rs
+	sl.cache[subj] = rs
 	return rs
 }
 

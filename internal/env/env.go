@@ -95,57 +95,6 @@ type simTimer struct{ e *sim.Event }
 
 func (t simTimer) Stop() bool { return t.e.Cancel() }
 
-// LaneEnv adapts one lane of a sim.Sharded engine to the Env interface.
-// The serialization contract holds per lane: the engine never runs two
-// callbacks of the same lane concurrently (different lanes do run in
-// parallel, which is safe because protocol stacks share no state across
-// nodes). Rand derives streams exactly as a single shared SimEnv would —
-// same seed, same names, same streams — so a component moved onto a lane
-// keeps the randomness it had on the classic single-kernel path; callers
-// that need per-lane decorrelation put a node/lane id in the name, as
-// netem already does.
-type LaneEnv struct {
-	sh   *sim.Sharded
-	lane int
-}
-
-var _ Env = (*LaneEnv)(nil)
-
-// NewLane wraps lane lane of sh as an Env.
-func NewLane(sh *sim.Sharded, lane int) *LaneEnv { return &LaneEnv{sh: sh, lane: lane} }
-
-// Lane returns the lane index this env is bound to.
-func (s *LaneEnv) Lane() int { return s.lane }
-
-// Sharded returns the underlying sharded engine.
-func (s *LaneEnv) Sharded() *sim.Sharded { return s.sh }
-
-// Kernel returns the lane's kernel (single-threaded contract: only from
-// this lane's callbacks or between runs).
-func (s *LaneEnv) Kernel() *sim.Kernel { return s.sh.LaneKernel(s.lane) }
-
-// Now implements Env using the lane-local clock.
-func (s *LaneEnv) Now() time.Time { return s.Kernel().Now() }
-
-// After implements Env.
-func (s *LaneEnv) After(d time.Duration, fn func()) Timer {
-	return simTimer{s.Kernel().After(d, fn)}
-}
-
-// Schedule implements Env through the lane kernel's pooled path.
-func (s *LaneEnv) Schedule(d time.Duration, fn func()) { s.Kernel().Schedule(d, fn) }
-
-// ScheduleArg implements Env through the lane kernel's closure-free path.
-func (s *LaneEnv) ScheduleArg(d time.Duration, fn func(arg any), arg any) {
-	s.Kernel().ScheduleArg(d, fn, arg)
-}
-
-// Post implements Env.
-func (s *LaneEnv) Post(fn func()) { s.Kernel().Schedule(0, fn) }
-
-// Rand implements Env.
-func (s *LaneEnv) Rand(name string) *rand.Rand { return s.Kernel().Rand(name) }
-
 // RealEnv executes callbacks on a single dedicated goroutine in wall-clock
 // time. Create one with NewReal and release it with Close.
 type RealEnv struct {

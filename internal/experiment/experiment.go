@@ -206,7 +206,6 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 	var (
 		network *netem.Network
 		drv     simDriver
-		kernel  *sim.Kernel
 		err     error
 	)
 	if cfg.Shards > 0 {
@@ -215,7 +214,7 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 		network, err = netem.NewSharded(sh, netem.Config{Bandwidth: cfg.Bandwidth})
 		drv = sh
 	} else {
-		kernel = sim.New(cfg.Seed)
+		kernel := sim.New(cfg.Seed)
 		network, err = netem.New(env.NewSim(kernel), netem.Config{Bandwidth: cfg.Bandwidth})
 		drv = kernel
 	}
@@ -333,11 +332,7 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 	// derives from (seed, name) alone, so the writer lane's kernel hands out
 	// the same bytes the serial kernel would.
 	payload := make([]byte, cfg.PayloadBytes)
-	payloadKernel := kernel
-	if payloadKernel == nil {
-		payloadKernel = network.Sharded().LaneKernel(writerNode.Lane())
-	}
-	rng := payloadKernel.Rand("experiment/payload")
+	rng := writerEnv.Rand("experiment/payload")
 	published, phaseSent := 0, 0
 	var writeErr error
 	var closedAt time.Time

@@ -328,7 +328,7 @@ func (n *Network) AddNode(m Machine) *Node {
 	}
 	if n.sh != nil {
 		node.lane = n.sh.AddLane()
-		node.env = env.NewLane(n.sh, node.lane)
+		node.env = env.NewSim(n.sh.LaneKernel(node.lane))
 	} else {
 		node.env = n.env
 	}

@@ -193,9 +193,9 @@ func TestShardedNodeLaneWiring(t *testing.T) {
 	if net.Sharded() != sh || net.Env() != nil {
 		t.Fatal("mode accessors miswired")
 	}
-	le, ok := a.Env().(*env.LaneEnv)
-	if !ok || le.Lane() != a.Lane() {
-		t.Fatalf("node env is %T (lane %d), want LaneEnv on lane %d", a.Env(), le.Lane(), a.Lane())
+	se, ok := a.Env().(*env.SimEnv)
+	if !ok || se.Kernel() != sh.LaneKernel(a.Lane()) {
+		t.Fatalf("node env is %T, want a SimEnv over lane %d's kernel", a.Env(), a.Lane())
 	}
 	if sh.Lanes() != 2 {
 		t.Fatalf("engine has %d lanes, want 2", sh.Lanes())

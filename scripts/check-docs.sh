@@ -12,6 +12,10 @@
 # function a _test.go in the tree declares (so BenchmarkSchedule* passes when
 # BenchmarkSchedulePooled exists). Each miss is printed as file:line.
 #
+# Every -flag cited after an adamant-<cmd> command name (as in
+# `adamant-bench -fig 4 -runs 5` or `go run ./cmd/adamant-sim -storm`) must
+# be defined in cmd/<cmd>/main.go: a deleted flag leaves no stale recipe.
+#
 # It also fails when a func Fuzz... that a _test.go outside the nested
 # benchmark/ module declares is not run by the Makefile's fuzz-smoke recipe
 # (as "-fuzz Name " or "-fuzz Name$$ ").
@@ -45,6 +49,19 @@ while IFS=: read -r file line name; do
 		bad=1
 	fi
 done < <(grep -noE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "${docs[@]}")
+
+# A citation runs from the command name over its flags and their values, up
+# to a backtick, pipe, semicolon, parenthesis, ampersand or the end of line.
+while IFS=: read -r file line cite; do
+	cmd=${cite%% *}
+	main=cmd/$cmd/main.go
+	for f in $(grep -oE '(^| |\[)-[a-z][a-z0-9-]*' <<<"${cite#* }" | sed -E 's/^[ []?-//'); do
+		if [ ! -f "$main" ] || ! grep -qE "flag\.[A-Za-z0-9]+\(\"$f\"" "$main"; then
+			echo "$file:$line: $cmd does not define -$f"
+			bad=1
+		fi
+	done
+done < <(grep -noE 'adamant-[a-z]+( +[^ `|;()&]+)*' "${docs[@]}")
 
 recipe=$(awk '/^fuzz-smoke:/ { on = 1; next } on && !/^\t/ { exit } on' Makefile)
 while read -r name; do
