@@ -38,13 +38,17 @@ func coreRun(data []byte, split uint32, opts ...Option) (sent string, kept bool,
 
 // fuzzSplit is the property both command fuzzers check: how the bytes are
 // cut into reads must not show — the split feed sends the same bytes and
-// makes the same drop-or-keep decision as the whole one.
+// makes the same drop-or-keep decision as the whole one — and the
+// connection's teardown leaves nothing it subscribed behind in the trie.
 func fuzzSplit(t *testing.T, data []byte, split uint32, opts ...Option) *Server {
 	whole, wholeKept, _ := coreRun(data, 0, opts...)
 	cut, cutKept, srv := coreRun(data, split, opts...)
 	if whole != cut || wholeKept != cutKept {
 		t.Fatalf("cut at %d: sent %q, kept %v; whole: sent %q, kept %v",
 			int(split%uint32(len(data)+1)), cut, cutKept, whole, wholeKept)
+	}
+	if !srv.sl.root.empty() {
+		t.Fatalf("teardown left the trie non-empty: %d root children", len(srv.sl.root.next))
 	}
 	return srv
 }
@@ -78,6 +82,9 @@ func FuzzServerCommand(f *testing.F) {
 		// Output that a cut could reorder if a flush were missing: a
 		// delivery to the publisher itself around its replies.
 		"SUB big 1\r\nPUB big 2000\r\n" + strings.Repeat("z", 2000) + "\r\nBOGUS\r\nPUB big 1\r\nw\r\nPING\r\n",
+		// Patterns deeper than 16 tokens, whose trie paths teardown and
+		// UNSUB must prune as well as short ones.
+		"SUB " + strings.Repeat("d.", 16) + "e 1\r\nUNSUB 1\r\nSUB " + strings.Repeat("d.", 17) + "f 2\r\n",
 	} {
 		f.Add([]byte(seed), uint32(len(seed)/2))
 	}
