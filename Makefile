@@ -86,9 +86,9 @@ results:
 	scripts/results.sh
 
 # docs fails when README.md, DESIGN.md or EXPERIMENTS.md cites a ./cmd,
-# ./internal or ./examples path, a make target, a test name or an
-# adamant-<cmd> flag that does not exist, or when the fuzz-smoke recipe
-# misses a fuzz target.
+# ./internal or ./examples path, a make target, a test name, an
+# adamant-<cmd> flag or a transport spec's protocol that does not exist, or
+# when the fuzz-smoke recipe misses a fuzz target.
 docs:
 	scripts/check-docs.sh
 

@@ -16,6 +16,9 @@
 # `adamant-bench -fig 4 -runs 5` or `go run ./cmd/adamant-sim -storm`) must
 # be defined in cmd/<cmd>/main.go: a deleted flag leaves no stale recipe.
 #
+# Every transport spec cited as name(key=...) (as in `nakcast(timeout=5ms)`)
+# must name a protocol: a const Name under internal/transport/*/.
+#
 # It also fails when a func Fuzz... that a _test.go outside the nested
 # benchmark/ module declares is not run by the Makefile's fuzz-smoke recipe
 # (as "-fuzz Name " or "-fuzz Name$$ ").
@@ -62,6 +65,14 @@ while IFS=: read -r file line cite; do
 		fi
 	done
 done < <(grep -noE 'adamant-[a-z]+( +[^ `|;()&]+)*' "${docs[@]}")
+
+protocols=$(grep -hoE '^const Name = "[a-z0-9]+"' internal/transport/*/*.go | sed -E 's/.*"(.*)"/\1/')
+while IFS=: read -r file line cite; do
+	if ! grep -qx "${cite%%(*}" <<<"$protocols"; then
+		echo "$file:$line: no transport package names the protocol of $cite...)"
+		bad=1
+	fi
+done < <(grep -noE '\b[a-z][a-z0-9]*\([a-z]+=' "${docs[@]}")
 
 recipe=$(awk '/^fuzz-smoke:/ { on = 1; next } on && !/^\t/ { exit } on' Makefile)
 while read -r name; do
