@@ -43,7 +43,7 @@ func main() {
 		dataset   = flag.String("dataset", "", "training-set CSV for figures 18-21 (default: build a small one)")
 		combos    = flag.Int("combos", 48, "environment combos when building a dataset on the fly (paper: 197)")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
-		ablations = flag.Bool("ablations", false, "also run the design-choice ablation studies (A1-A6)")
+		ablations = flag.Bool("ablations", false, "also run the design-choice ablation studies (A1-A4, A6)")
 		jobs      = flag.Int("jobs", 0, "parallel workers (0 = all CPUs)")
 		verbose   = flag.Bool("v", false, "progress logging")
 	)

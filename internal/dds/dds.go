@@ -90,7 +90,7 @@ type ParticipantConfig struct {
 	// ID for participants that write.
 	SenderID wire.NodeID
 	// Receivers enumerates the data reader nodes in the domain, for
-	// protocols that need the peer set (Ricochet repairs, ackcast ACKs).
+	// protocols that need the peer set (Ricochet repairs).
 	Receivers func() []wire.NodeID
 }
 

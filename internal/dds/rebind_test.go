@@ -49,7 +49,7 @@ func TestRebindLiveSwap(t *testing.T) {
 	}
 
 	write(25)
-	next := transport.Spec{Name: "ackcast", Params: transport.Params{"rto": "20ms"}}
+	next := transport.Spec{Name: "nakcast", Params: transport.Params{"timeout": "10ms"}}
 	swapped, err := w.writerP.Rebind(next)
 	if err != nil {
 		t.Fatal(err)
@@ -57,10 +57,10 @@ func TestRebindLiveSwap(t *testing.T) {
 	if swapped != 1 {
 		t.Fatalf("Rebind swapped %d writers, want 1", swapped)
 	}
-	if w.writerP.TransportSpec().Name != "ackcast" {
+	if w.writerP.TransportSpec().String() != next.String() {
 		t.Errorf("TransportSpec after Rebind = %s", w.writerP.TransportSpec())
 	}
-	if writer.TransportEpoch() != 1 || writer.TransportSpec().Name != "ackcast" {
+	if writer.TransportEpoch() != 1 || writer.TransportSpec().String() != next.String() {
 		t.Errorf("writer epoch/spec = %d/%s", writer.TransportEpoch(), writer.TransportSpec())
 	}
 	write(25)

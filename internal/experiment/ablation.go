@@ -14,9 +14,10 @@ import (
 
 // Ablations isolate the design choices DESIGN.md calls out: in-order
 // delivery (head-of-line blocking), the Ricochet flush timer and group
-// stagger, the R/C trade-off, ACK- versus NAK-based reliability, and the
-// fountain code against Ricochet under burst loss. Each study renders a
-// Table in the same format as the paper figures.
+// stagger, the R/C trade-off, and the fountain code against Ricochet under
+// burst loss. The IDs run A1-A4 and A6: A5 compared ACK- with NAK-based
+// reliability, and no ACK-based protocol is left to run. Each study renders
+// a Table in the same format as the paper figures.
 
 // AblationOptions parameterize the ablation studies.
 type AblationOptions struct {
@@ -40,7 +41,7 @@ type ablationStudy struct {
 	id, title, note string
 	header          []string
 	variants        []ablationVariant
-	row             func(v ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string
+	row             func(v ablationVariant, s metrics.Summary, rep NetReport) []string
 }
 
 // ablationVariant is one labelled configuration of a study. Its config sets
@@ -51,7 +52,7 @@ type ablationVariant struct {
 	cfg   Config
 }
 
-func ablationRow(v ablationVariant, _ Config, s metrics.Summary, _ NetReport) []string {
+func ablationRow(v ablationVariant, s metrics.Summary, _ NetReport) []string {
 	return []string{
 		v.label,
 		fmt.Sprintf("%.2f", s.Reliability()),
@@ -121,28 +122,8 @@ var ablationStudies = []ablationStudy{
 		note:     "higher R: less repair traffic, weaker recovery; higher C: more fan-out, stronger recovery",
 		header:   append(append([]string{}, ablationHeader...), "total pkts tx"),
 		variants: rcSweep([][2]int{{2, 3}, {4, 1}, {4, 3}, {8, 3}}),
-		row: func(v ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string {
-			return append(ablationRow(v, cfg, s, rep), fmt.Sprintf("%d", rep.TotalTx()))
-		},
-	},
-	{
-		// Positive- against negative-acknowledgment reliability as the
-		// receiver set grows: the ACK-implosion argument for NAK/FEC
-		// protocols in DRE pub/sub.
-		id:       "Ablation A5",
-		title:    "ACK- vs NAK-based reliability as receivers scale (pc3000/1Gb, 5% loss, 50Hz)",
-		note:     "ackcast's transmit count grows ~linearly with receivers (one ACK per sample per receiver)",
-		header:   []string{"protocol", "receivers", "reliability %", "latency (us)", "control+data pkts tx", "pkts/sample"},
-		variants: ackVsNak([]int{3, 9, 15}),
-		row: func(_ ablationVariant, cfg Config, s metrics.Summary, rep NetReport) []string {
-			return []string{
-				cfg.Protocol.Name,
-				fmt.Sprintf("%d", cfg.Receivers),
-				fmt.Sprintf("%.2f", s.Reliability()),
-				fmt.Sprintf("%.0f", s.AvgLatencyUs),
-				fmt.Sprintf("%d", rep.TotalTx()),
-				fmt.Sprintf("%.2f", float64(rep.TotalTx())/float64(cfg.Samples)),
-			}
+		row: func(v ablationVariant, s metrics.Summary, rep NetReport) []string {
+			return append(ablationRow(v, s, rep), fmt.Sprintf("%d", rep.TotalTx()))
 		},
 	},
 }
@@ -152,19 +133,6 @@ func rcSweep(rcs [][2]int) []ablationVariant {
 	for _, rc := range rcs {
 		vs = append(vs, ablationVariant{fmt.Sprintf("R=%d C=%d", rc[0], rc[1]), Config{Receivers: 5, RateHz: 100,
 			Protocol: ricSpec(transport.Params{"r": fmt.Sprintf("%d", rc[0]), "c": fmt.Sprintf("%d", rc[1]), "flush": "-1ms"})}})
-	}
-	return vs
-}
-
-func ackVsNak(receivers []int) []ablationVariant {
-	var vs []ablationVariant
-	for _, n := range receivers {
-		for _, spec := range []transport.Spec{
-			nakSpec(transport.Params{"timeout": "1ms"}),
-			{Name: "ackcast", Params: transport.Params{"rto": "50ms"}},
-		} {
-			vs = append(vs, ablationVariant{spec.Name, Config{Receivers: n, RateHz: 50, Protocol: spec}})
-		}
 	}
 	return vs
 }
@@ -269,7 +237,7 @@ func runAblations(opts AblationOptions, studies ...ablationStudy) ([]Table, erro
 	for k, st := range studies {
 		tables[k] = Table{ID: st.id, Title: st.title, Header: st.header, Note: st.note}
 		for _, v := range st.variants {
-			tables[k].Rows = append(tables[k].Rows, st.row(v, cfgs[i], sums[i], reports[i]))
+			tables[k].Rows = append(tables[k].Rows, st.row(v, sums[i], reports[i]))
 			i++
 		}
 	}

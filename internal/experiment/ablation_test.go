@@ -93,30 +93,6 @@ func TestAblationRC(t *testing.T) {
 	}
 }
 
-func TestAblationACKvsNAK(t *testing.T) {
-	tab := ablation(t, "Ablation A5")
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Rows alternate nakcast/ackcast for 3, 9, 15 receivers. ACK traffic
-	// per sample must grow with receivers; NAK traffic must not.
-	nak3, nak15 := cell(t, tab, 0, 5), cell(t, tab, 4, 5)
-	ack3, ack15 := cell(t, tab, 1, 5), cell(t, tab, 5, 5)
-	if ack15 < ack3*2 {
-		t.Errorf("ackcast pkts/sample did not implode with receivers: %.2f -> %.2f", ack3, ack15)
-	}
-	if nak15 > nak3*2 {
-		t.Errorf("nakcast pkts/sample grew too fast: %.2f -> %.2f", nak3, nak15)
-	}
-	// At every scale, ackcast transmits more than nakcast.
-	for i := 0; i < 6; i += 2 {
-		nak, ack := cell(t, tab, i, 4), cell(t, tab, i+1, 4)
-		if ack <= nak {
-			t.Errorf("row %d: ackcast tx %.0f should exceed nakcast %.0f", i, ack, nak)
-		}
-	}
-}
-
 func TestAblationBurst(t *testing.T) {
 	tab, err := burstAblation(AblationOptions{Samples: 800, Seed: 4})
 	if err != nil {
@@ -144,7 +120,7 @@ func TestAblationsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 6 {
+	if len(tables) != 5 {
 		t.Fatalf("got %d ablation tables", len(tables))
 	}
 	for _, tab := range tables {

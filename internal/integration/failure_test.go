@@ -85,15 +85,14 @@ func publish(t *testing.T, w *world, s transport.Sender, n int, period time.Dura
 	w.e.Post(tick)
 }
 
-// specsUnderTest is the full registered protocol matrix with the tunings
-// the failure scenarios assume (fast NAK retries, small ACK window).
+// specsUnderTest is the registered protocol matrix with the tunings the
+// failure scenarios assume (fast NAK retries).
 func specsUnderTest(t *testing.T) []transport.Spec {
 	t.Helper()
 	var specs []transport.Spec
 	for _, s := range []string{
 		"bemcast",
 		"nakcast(timeout=5ms)",
-		"ackcast(rto=20ms)",
 		"ricochet(c=3,r=4)",
 	} {
 		spec, err := transport.ParseSpec(s)
@@ -111,7 +110,7 @@ func reliable(t *testing.T, spec transport.Spec) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return props.Has(transport.PropNAKReliability) || props.Has(transport.PropACKReliability)
+	return props.Has(transport.PropNAKReliability)
 }
 
 // TestReceiverCrashSurvivors injects a mid-run receiver crash under 5%
@@ -288,11 +287,11 @@ func TestPartitionHealBackfill(t *testing.T) {
 	}
 }
 
-// TestSenderCrashTerminates kills the sender mid-stream for both reliable
-// transports: receivers must abandon the missing tail after bounded retries
+// TestSenderCrashTerminates kills the sender mid-stream for the reliable
+// transport: receivers must abandon the missing tail after bounded retries
 // and the simulation must quiesce rather than retry forever.
 func TestSenderCrashTerminates(t *testing.T) {
-	for _, name := range []string{"nakcast(timeout=5ms)", "ackcast(rto=20ms)"} {
+	for _, name := range []string{"nakcast(timeout=5ms)"} {
 		spec, err := transport.ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)

@@ -216,7 +216,7 @@ func FuzzShardedKernel(f *testing.F) {
 						uint64(nd.Env().Now().UnixNano()))
 					if i > 0 && len(o.deliveries[i])%8 == 0 {
 						_ = nd.Unicast(src, &wire.Packet{
-							Type: wire.TypeAck, Src: nd.Local(), Stream: 2, Seq: pkt.Seq,
+							Type: wire.TypeNak, Src: nd.Local(), Stream: 2, Seq: pkt.Seq,
 						})
 					}
 				})

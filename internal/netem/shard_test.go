@@ -70,7 +70,7 @@ func runNetWorkload(t *testing.T, classic bool, workers int) netObs {
 		}
 		nd.SetLoss(10)
 		i := i
-		var ackSeq uint64
+		var replySeq uint64
 		nd.SetHandler(func(src wire.NodeID, pkt *wire.Packet) {
 			obs.deliveries[i] = append(obs.deliveries[i], delivRec{
 				src: src, seq: pkt.Seq, at: nd.Env().Now().UnixNano(),
@@ -78,9 +78,9 @@ func runNetWorkload(t *testing.T, classic bool, workers int) netObs {
 			// Every fifth delivery answers with a unicast, exercising the
 			// reverse lane crossing.
 			if len(obs.deliveries[i])%5 == 0 {
-				ackSeq++
-				ack := &wire.Packet{Type: wire.TypeAck, Src: nd.Local(), Stream: 2, Seq: ackSeq}
-				if err := nd.Unicast(src, ack); err != nil {
+				replySeq++
+				reply := &wire.Packet{Type: wire.TypeNak, Src: nd.Local(), Stream: 2, Seq: replySeq}
+				if err := nd.Unicast(src, reply); err != nil {
 					panic(err)
 				}
 			}

@@ -31,12 +31,11 @@ func (e *loopEndpoint) SetHandler(h func(wire.NodeID, *wire.Packet)) { e.handler
 // TestReceiveAllocs pins the allocations per 100 received packets of
 // in-order receive on every transport's receiver, each built from a spec
 // through the registry, and of nakcast recovering one loss in every two
-// packets (a gap, its NAK timer, the retransmission). ackcast's 200 are its
-// per-packet ACK (body and packet), ricochet's 100 its per-packet copy,
-// nakcast's 50 in the loss case the simulated env's NAK timer, one per gap;
-// ricochet adds its flush timer per group of four and fountcast its block
-// record and entries per block of eight; the rest is the payload arena's
-// one chunk per ~340 samples. The bounds are this tree's measured values;
+// packets (a gap, its NAK timer, the retransmission). ricochet's 100 are
+// its per-packet copy, nakcast's 50 in the loss case the simulated env's
+// NAK timer, one per gap; ricochet adds its flush timer per group of four
+// and fountcast its block record and entries per block of eight; the rest
+// is the payload arena's one chunk per ~340 samples. The bounds are this tree's measured values;
 // CHANGES.md records the parent's.
 func TestReceiveAllocs(t *testing.T) {
 	if raceEnabled {
@@ -50,7 +49,6 @@ func TestReceiveAllocs(t *testing.T) {
 	}{
 		{"nakcast", "nakcast", false, 0.5},
 		{"nakcast-loss", "nakcast", true, 50.5},
-		{"ackcast", "ackcast", false, 200.5},
 		{"bemcast", "bemcast", false, 0.5},
 		{"ricochet", "ricochet(c=3,r=4)", false, 125.5},
 		{"fountcast", "fountcast(k=8,oh=25)", false, 25.5},
@@ -106,9 +104,8 @@ func TestReceiveAllocs(t *testing.T) {
 
 // TestPublishAllocs pins the allocations per 100 Publish calls on every
 // transport's sender. Each publish allocates its data packet (the endpoint
-// takes it by pointer); fountcast adds its repair symbols, ackcast the
-// growth of its backlog queue, and every sender the payload arena's one
-// chunk per ~340 samples. The bounds are this tree's measured values;
+// takes it by pointer); fountcast adds its repair symbols, and every sender
+// the payload arena's one chunk per ~340 samples. The bounds are this tree's measured values;
 // CHANGES.md records the parent's.
 func TestPublishAllocs(t *testing.T) {
 	if raceEnabled {
@@ -120,7 +117,6 @@ func TestPublishAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"nakcast(timeout=5ms)", 100.5},
-		{"ackcast(rto=20ms)", 200.5},
 		{"fountcast(k=8,oh=25)", 250.5},
 		{"ricochet(c=3,r=4)", 100.5},
 		{"bemcast", 100.5},

@@ -2,7 +2,7 @@
 // transport. The sender multicasts data packets; receivers deliver them on
 // arrival with duplicate suppression and no recovery of any kind. It is the
 // latency floor and reliability baseline the recovery protocols (Ricochet,
-// NAKcast, ackcast) are compared against.
+// NAKcast, Fountcast) are compared against.
 package bemcast
 
 import (

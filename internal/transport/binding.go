@@ -521,10 +521,10 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 		prev.cut, prev.cutKnown = rec.Cut, true
 		newest = es
 	}
-	// Re-run on every announcement, not just on news: the synthetic EOS
-	// is also the retry path that re-solicits ACKs from re-admitted
-	// receivers after a partition heals. It goes before the parked packets
-	// replay, whose deliveries already mark an unordered epoch done.
+	// Re-run on every announcement, not just on news: an ordered epoch
+	// that has not drained gets its synthetic EOS again. It goes before the
+	// parked packets replay, whose deliveries already mark an unordered
+	// epoch done.
 	b.injectEOS()
 	if newest != nil {
 		b.replayParked()
@@ -540,9 +540,8 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 // epoch (the checkProgress that follows marks it done), on every
 // announcement for an ordered one until it drains. NAK-based receivers use
 // it to open tail-gap recovery up to the cut (the real EOS heartbeat sent at
-// swap time may have been lost); ACK-based receivers answer it with a fresh
-// ACK, prompting the old sender to re-admit and backfill them; the rest drop
-// it.
+// swap time may have been lost); ricochet and fountcast close their tail on
+// it; bemcast drops it.
 func (b *ReceiverBinding) injectEOS() {
 	for _, es := range b.epochs {
 		if !es.cutKnown || es.done {

@@ -61,13 +61,6 @@ var matrix = []struct {
 		minAt5PctLoss: 97.5,
 		maxAt5PctLoss: 100,
 	},
-	{
-		name:          "ackcast",
-		spec:          transport.Spec{Name: "ackcast", Params: transport.Params{"rto": "20ms"}},
-		minLossless:   100,
-		minAt5PctLoss: 99.9,
-		maxAt5PctLoss: 100,
-	},
 }
 
 // withLoss scripts uniform end-host loss on every receiver from t=0, or the

@@ -229,7 +229,7 @@ func fuzzReceiver(t *testing.T, reg *transport.Registry, spec transport.Spec, in
 	}
 	publish := func(n int) {
 		for i := 0; i < n; i++ {
-			_ = s.Publish([]byte{byte(i)}) // a full ackcast backlog refuses; the stream goes on
+			_ = s.Publish([]byte{byte(i)})
 		}
 	}
 	for i := 0; i < fuzzStream; i++ {

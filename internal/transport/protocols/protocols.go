@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"adamant/internal/transport"
-	"adamant/internal/transport/ackcast"
 	"adamant/internal/transport/bemcast"
 	"adamant/internal/transport/fountcast"
 	"adamant/internal/transport/nakcast"
@@ -16,14 +15,13 @@ import (
 )
 
 // NewRegistry returns a registry with every built-in protocol registered:
-// ricochet, nakcast, bemcast, ackcast, and fountcast.
+// ricochet, nakcast, bemcast and fountcast.
 func NewRegistry() (*transport.Registry, error) {
 	reg := transport.NewRegistry()
 	for _, f := range []*transport.Factory{
 		ricochet.Factory(),
 		nakcast.Factory(),
 		bemcast.Factory(),
-		ackcast.Factory(),
 		fountcast.Factory(),
 	} {
 		if err := reg.Register(f); err != nil {

@@ -18,7 +18,7 @@ func TestNewRegistryHasAllProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"ackcast", "bemcast", "fountcast", "nakcast", "ricochet"}
+	want := []string{"bemcast", "fountcast", "nakcast", "ricochet"}
 	got := reg.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -41,7 +41,6 @@ func TestMustRegistry(t *testing.T) {
 // spec that drops PropOrdered; every other protocol refuses the key.
 func TestFactoryProps(t *testing.T) {
 	want := map[string]struct{ def, unordered string }{
-		"ackcast":   {"multicast+ack-reliability+ordered+flow-control", ""},
 		"bemcast":   {"multicast", ""},
 		"fountcast": {"multicast+fec+ordered", ""},
 		"nakcast":   {"multicast+nak-reliability+ordered", "multicast+nak-reliability"},
@@ -89,8 +88,6 @@ func TestSpecKeys(t *testing.T) {
 		{"ricochet(decode=13ms)", "unknown param decode"},
 		{"fountcast(hb=100ms)", "unknown param hb"},
 		{"fountcast(proc=50µs)", "unknown param proc"},
-		{"ackcast(window=64)", "unknown param window"},
-		{"ackcast(history=16384)", "unknown param history"},
 
 		{"nakcast(unordered=2)", "unordered=2"},
 		{"nakcast(unordered=-1)", "unordered=-1"},
@@ -106,7 +103,6 @@ func TestSpecKeys(t *testing.T) {
 		{"ricochet(c=1,flush=-1ms,r=2,stagger=1)", ""},  // A4's r=2, an explicit stagger
 		{"fountcast(k=8,oh=25)", ""},                    // core.Candidates
 		{"fountcast(hold=15ms,k=4,oh=100)", ""},         // A6
-		{"ackcast(rto=50ms)", ""},                       // A5
 	} {
 		spec, err := transport.ParseSpec(tc.spec)
 		if err != nil {
@@ -210,7 +206,6 @@ func TestEveryProtocolEndToEnd(t *testing.T) {
 		"bemcast",
 		"nakcast(timeout=1ms)",
 		"ricochet(r=4,c=2)",
-		"ackcast(rto=10ms)",
 	}
 	for _, specStr := range specs {
 		specStr := specStr

@@ -38,24 +38,14 @@ func NewSenderCore(cfg Config) (SenderCore, error) {
 // Seq implements Sender.
 func (c *SenderCore) Seq() uint64 { return c.seq }
 
-// Closed reports whether Close has run.
-func (c *SenderCore) Closed() bool { return c.closed }
-
-// Next numbers the next sample and returns its payload copied into the
-// arena, for a sender that sends it later (ackcast's flow-control backlog).
-func (c *SenderCore) Next(payload []byte) []byte {
-	c.seq++
-	return c.arena.Copy(payload)
-}
-
 // Stamp numbers the next sample and returns its data packet, or ErrClosed
 // after Close.
 func (c *SenderCore) Stamp(payload []byte) (*wire.Packet, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	cp := c.Next(payload)
-	return c.Cfg.Packet(wire.TypeData, c.seq, cp), nil
+	c.seq++
+	return c.Cfg.Packet(wire.TypeData, c.seq, c.arena.Copy(payload)), nil
 }
 
 // Publish implements Sender: stamp the sample and multicast it.
@@ -115,10 +105,9 @@ func (c *SenderCore) Close() error {
 }
 
 // History is a sender's retransmission ring: the latest samples, each in
-// slot seq % Len() until a later seq evicts it. Slots are allocated a page
-// at a time on the page's first write, so building a sender (as every
-// rebind does) costs no ring; Len stays the full length, the cap ackcast
-// puts on a rejoining receiver's backlog.
+// slot seq % n until a later seq evicts it, n being the length NewHistory
+// was given. Slots are allocated a page at a time on the page's first
+// write, so building a sender (as every rebind does) costs no ring.
 type History struct {
 	n      uint64
 	pages  [][]histEntry
@@ -138,9 +127,6 @@ type histEntry struct {
 func NewHistory(n int) History {
 	return History{n: uint64(n), pages: make([][]histEntry, (n+histPage-1)/histPage)}
 }
-
-// Len returns the ring's length in samples.
-func (h *History) Len() uint64 { return h.n }
 
 // Put records a data packet.
 func (h *History) Put(pkt *wire.Packet) {

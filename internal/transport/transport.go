@@ -2,16 +2,15 @@
 // pluggable-protocol layer beneath the pub/sub middleware. It defines the
 // endpoint abstraction protocols send through, the protocol instance
 // interfaces (Sender, Receiver), the property flags protocols advertise
-// (multicast, NAK/ACK reliability, FEC, ordering, flow control), a string
-// Spec format for naming configured protocols
-// (e.g. "nakcast(timeout=1ms)", "ricochet(r=4,c=3)"), and a Registry that
-// maps specs to factories.
+// (multicast, NAK reliability, FEC, ordering), a string Spec format for
+// naming configured protocols (e.g. "nakcast(timeout=1ms)",
+// "ricochet(r=4,c=3)"), and a Registry that maps specs to factories.
 //
 // Protocol implementations live in subpackages (ricochet, nakcast, bemcast,
-// ackcast) and are pure event-driven state machines: they own no goroutines
-// and are driven entirely by endpoint receive callbacks and env timers, so
-// they run identically under the deterministic simulator and the real
-// clock.
+// fountcast) and are pure event-driven state machines: they own no
+// goroutines and are driven entirely by endpoint receive callbacks and env
+// timers, so they run identically under the deterministic simulator and the
+// real clock.
 package transport
 
 import (
@@ -131,10 +130,8 @@ type Properties uint32
 const (
 	PropMulticast Properties = 1 << iota
 	PropNAKReliability
-	PropACKReliability
 	PropFEC
 	PropOrdered
-	PropFlowControl
 )
 
 var propNames = []struct {
@@ -143,10 +140,8 @@ var propNames = []struct {
 }{
 	{PropMulticast, "multicast"},
 	{PropNAKReliability, "nak-reliability"},
-	{PropACKReliability, "ack-reliability"},
 	{PropFEC, "fec"},
 	{PropOrdered, "ordered"},
-	{PropFlowControl, "flow-control"},
 }
 
 // Has reports whether p contains all of the given flags.

@@ -8,8 +8,8 @@ import (
 )
 
 // This file defines the typed payload bodies carried inside packets:
-// Ricochet repairs, NAKcast NAK range lists, cumulative ACKs, and
-// heartbeats. Each body encodes to/from the Packet.Payload bytes.
+// Ricochet repairs, NAKcast NAK range lists, and heartbeats. Each body
+// encodes to/from the Packet.Payload bytes.
 
 // Body encoding errors.
 var (
@@ -193,33 +193,6 @@ func DecodeNak(buf []byte) (*NakBody, error) {
 		off += 16
 	}
 	return nb, nil
-}
-
-// AckBody is the payload of a TypeAck packet: a cumulative acknowledgment
-// (every sequence <= Cumulative has been received) plus an optional bitmap
-// of selectively received packets above it.
-type AckBody struct {
-	Cumulative uint64
-	Bitmap     uint64 // bit i set => Cumulative+1+i received
-}
-
-// Encode appends the body encoding to dst.
-func (a *AckBody) Encode(dst []byte) ([]byte, error) {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[0:8], a.Cumulative)
-	binary.BigEndian.PutUint64(b[8:16], a.Bitmap)
-	return append(dst, b[:]...), nil
-}
-
-// DecodeAck parses an AckBody.
-func DecodeAck(buf []byte) (*AckBody, error) {
-	if len(buf) < 16 {
-		return nil, ErrBodyTruncated
-	}
-	return &AckBody{
-		Cumulative: binary.BigEndian.Uint64(buf[0:8]),
-		Bitmap:     binary.BigEndian.Uint64(buf[8:16]),
-	}, nil
 }
 
 // HeartbeatBody is the payload of a TypeHeartbeat packet: the sender's

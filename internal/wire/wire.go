@@ -1,6 +1,6 @@
 // Package wire defines the binary on-the-wire packet formats shared by every
-// ANT transport protocol (Ricochet, NAKcast, best-effort multicast, and the
-// ACK-based reliable baseline).
+// ANT transport protocol (Ricochet, NAKcast, Fountcast and best-effort
+// multicast).
 //
 // A packet is a fixed header followed by a type-specific payload and a CRC32
 // trailer. All integers are big-endian. The format is versioned so that
@@ -46,9 +46,10 @@ const (
 	// TypeRetrans carries a retransmitted data sample in response to a NAK.
 	// It preserves the original send timestamp of the sample.
 	TypeRetrans
-	// TypeAck is a cumulative acknowledgment used by the ACK-based
-	// reliable baseline protocol.
-	TypeAck
+	// Type 5 is reserved: it carried the cumulative acknowledgment of an
+	// ACK-based protocol no longer implemented. Decode rejects it, and
+	// keeping the slot keeps every later type's byte.
+	_
 	// TypeHeartbeat announces liveness and the sender's highest sequence
 	// number; used for gap detection at stream tail and failure detection.
 	TypeHeartbeat
@@ -66,8 +67,6 @@ const (
 	// names the block, the symbol index, and the coefficient seed, so any
 	// receiver can regenerate the combination mask deterministically.
 	TypeSymbol
-
-	maxType = TypeSymbol
 )
 
 var typeNames = [...]string{
@@ -75,7 +74,6 @@ var typeNames = [...]string{
 	TypeRepair:    "REPAIR",
 	TypeNak:       "NAK",
 	TypeRetrans:   "RETRANS",
-	TypeAck:       "ACK",
 	TypeHeartbeat: "HEARTBEAT",
 	TypeJoin:      "JOIN",
 	TypeLeave:     "LEAVE",
@@ -92,7 +90,7 @@ func (t Type) String() string {
 }
 
 // Valid reports whether t is a known packet type.
-func (t Type) Valid() bool { return t >= TypeData && t <= maxType }
+func (t Type) Valid() bool { return int(t) < len(typeNames) && typeNames[t] != "" }
 
 // Flag bits carried in the packet header.
 const (

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -165,6 +167,36 @@ func TestTypeString(t *testing.T) {
 	}
 	if got := Type(99).String(); !strings.Contains(got, "99") {
 		t.Errorf("unknown type string = %q", got)
+	}
+}
+
+// TestTypeValues pins every packet type's byte on the wire, and that the
+// reserved type 5 is unknown: Decode rejects it even in a packet whose
+// checksum holds, as it rejects any other unknown type.
+func TestTypeValues(t *testing.T) {
+	for typ, want := range map[Type]uint8{
+		TypeData: 1, TypeRepair: 2, TypeNak: 3, TypeRetrans: 4, TypeHeartbeat: 6,
+		TypeJoin: 7, TypeLeave: 8, TypeRebind: 9, TypeSymbol: 10,
+	} {
+		if uint8(typ) != want || !typ.Valid() {
+			t.Errorf("%v = %d (valid %v), want %d", typ, uint8(typ), typ.Valid(), want)
+		}
+	}
+	reserved := Type(5)
+	if reserved.Valid() || reserved.String() != "Type(5)" || Type(11).Valid() {
+		t.Errorf("type 5: valid %v, %q; type 11 valid %v", reserved.Valid(), reserved.String(), Type(11).Valid())
+	}
+	if _, err := (&Packet{Type: reserved}).Marshal(); !errors.Is(err, ErrBadType) {
+		t.Errorf("Encode of type 5: err = %v, want ErrBadType", err)
+	}
+	buf, err := samplePacket().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[2] = uint8(reserved)
+	binary.BigEndian.PutUint32(buf[len(buf)-crcSize:], crc32.Checksum(buf[:len(buf)-crcSize], crcTable()))
+	if _, err := Decode(buf); !errors.Is(err, ErrBadType) {
+		t.Errorf("Decode of type 5: err = %v, want ErrBadType", err)
 	}
 }
 
@@ -446,24 +478,6 @@ func TestSeqRangeCount(t *testing.T) {
 		if got := tt.r.Count(); got != tt.want {
 			t.Errorf("%+v.Count() = %d, want %d", tt.r, got, tt.want)
 		}
-	}
-}
-
-func TestAckBodyRoundTrip(t *testing.T) {
-	a := &AckBody{Cumulative: 99, Bitmap: 0b1011}
-	buf, err := a.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeAck(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *a {
-		t.Errorf("got %+v, want %+v", got, a)
-	}
-	if _, err := DecodeAck(buf[:8]); !errors.Is(err, ErrBodyTruncated) {
-		t.Errorf("short ACK decode err = %v", err)
 	}
 }
 
