@@ -9,6 +9,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"adamant/internal/core"
@@ -270,15 +271,9 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 		return cellResult{}, err
 	}
 	collectors := make([]metrics.Collector, cfg.Receivers)
-	tail := metrics.NewLatencyTail()
-	// Sharded mode runs receiver lanes concurrently, and the P2 tail
-	// estimator is both unsynchronized and order-sensitive, so listeners
-	// buffer latencies per receiver (lane-local, race-free) and the tail is
-	// fed in deterministic receiver-major order after the run.
-	var latencies [][]float64
-	if cfg.Shards > 0 {
-		latencies = make([][]float64, cfg.Receivers)
-	}
+	// Each listener keeps its receiver's latencies (lane-local, so race-free
+	// on the sharded engine); the tails are read from them after the run.
+	latencies := make([][]float64, cfg.Receivers)
 	readers := make([]*dds.DataReader, cfg.Receivers)
 	for i := range readerNodes {
 		i := i
@@ -293,12 +288,7 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 		readers[i], err = p.CreateDataReader(rt, dds.ReaderQoS{Reliability: dds.Reliable, History: dds.KeepLast, Depth: 1},
 			dds.ListenerFuncs{Data: func(s dds.Sample) {
 				collectors[i].OnDeliver(s.Info.SentAt, s.Info.ReceivedAt, s.Info.Recovered)
-				lat := float64(s.Info.Latency()) / float64(time.Microsecond)
-				if latencies != nil {
-					latencies[i] = append(latencies[i], lat)
-				} else {
-					tail.Add(lat)
-				}
+				latencies[i] = append(latencies[i], float64(s.Info.Latency())/float64(time.Microsecond))
 			}})
 		if err != nil {
 			return cellResult{}, err
@@ -378,12 +368,6 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 	if writeErr != nil {
 		return cellResult{}, fmt.Errorf("experiment: %s: %w", cfg, writeErr)
 	}
-	for _, ls := range latencies {
-		for _, l := range ls {
-			tail.Add(l)
-		}
-	}
-
 	var merged metrics.Collector
 	var bw metrics.Bandwidth
 	for i := range collectors {
@@ -394,7 +378,11 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 		summary: merged.Summary(uint64(total) * uint64(cfg.Receivers)),
 		report:  NetReport{Writer: writerNode.Stats()},
 	}
-	res.summary.P50LatencyUs, res.summary.P95LatencyUs, res.summary.P99LatencyUs = tail.Snapshot()
+	all := slices.Concat(latencies...)
+	slices.Sort(all)
+	res.summary.P50LatencyUs = metrics.Quantile(all, 0.50)
+	res.summary.P95LatencyUs = metrics.Quantile(all, 0.95)
+	res.summary.P99LatencyUs = metrics.Quantile(all, 0.99)
 	res.summary.Bytes = bw.Total()
 	res.summary.AvgBps = bw.MeanRate(start, closedAt)
 	res.summary.BurstinessBps = bw.Burstiness(start, closedAt)

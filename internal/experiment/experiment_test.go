@@ -28,9 +28,17 @@ func TestRunLossless(t *testing.T) {
 	if s.Bytes == 0 {
 		t.Error("no bandwidth recorded")
 	}
-	if s.P50LatencyUs <= 0 || s.P50LatencyUs > s.P95LatencyUs || s.P95LatencyUs > s.P99LatencyUs {
-		t.Errorf("latency tail not monotone: p50=%v p95=%v p99=%v",
-			s.P50LatencyUs, s.P95LatencyUs, s.P99LatencyUs)
+	checkTails(t, s)
+}
+
+// checkTails fails t unless the latency tails lie in order between the
+// run's smallest and largest latency.
+func checkTails(t *testing.T, s metrics.Summary) {
+	t.Helper()
+	if s.P50LatencyUs <= 0 || s.MinLatencyUs > s.P50LatencyUs || s.P50LatencyUs > s.P95LatencyUs ||
+		s.P95LatencyUs > s.P99LatencyUs || s.P99LatencyUs > s.MaxLatencyUs {
+		t.Errorf("latency tail out of order: min=%v p50=%v p95=%v p99=%v max=%v",
+			s.MinLatencyUs, s.P50LatencyUs, s.P95LatencyUs, s.P99LatencyUs, s.MaxLatencyUs)
 	}
 }
 

@@ -22,6 +22,7 @@ func TestRunShardedWidthInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		checkTails(t, s)
 		if s != base {
 			t.Errorf("shards=%d summary diverged:\n got %+v\nwant %+v", shards, s, base)
 		}

@@ -9,8 +9,8 @@
 //
 // It also provides the constituent collectors: per-receiver latency and
 // jitter accumulators (Welford online variance), reliability accounting,
-// and per-second bandwidth tracking from which burstiness (the standard
-// deviation of bytes-per-second) is derived.
+// per-second bandwidth tracking from which burstiness (the standard
+// deviation of bytes-per-second) is derived, and exact latency quantiles.
 package metrics
 
 import (
@@ -172,8 +172,8 @@ type Summary struct {
 	MaxLatencyUs float64
 	ReLate2      float64
 	ReLate2Jit   float64
-	// Latency tail quantiles (microseconds), when the producer tracked
-	// them (see LatencyTail); zero otherwise.
+	// Exact nearest-rank latency tails (microseconds) over every delivery,
+	// filled by the producer (see Quantile); Collector.Summary leaves them 0.
 	P50LatencyUs float64
 	P95LatencyUs float64
 	P99LatencyUs float64
@@ -306,4 +306,17 @@ func (b *Bandwidth) perSecond(from, to time.Time) Welford {
 		w.Add(float64(v))
 	}
 	return w
+}
+
+// Quantile returns the nearest-rank p-quantile of sorted, which must be in
+// ascending order: the smallest value with at least a p share of the
+// values at or below it, so the answer is always one of the values. A p at
+// or below 0 gives the smallest value, one at or above 1 the largest, and
+// an empty slice 0.
+func Quantile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
