@@ -522,9 +522,9 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 		newest = es
 	}
 	// Re-run on every announcement, not just on news: an ordered epoch
-	// that has not drained gets its synthetic EOS again. It goes before the
-	// parked packets replay, whose deliveries already mark an unordered
-	// epoch done.
+	// that has not drained gets its synthetic EOS again (injectEOS says
+	// why). It goes before the parked packets replay, whose deliveries
+	// already mark an unordered epoch done.
 	b.injectEOS()
 	if newest != nil {
 		b.replayParked()
@@ -535,13 +535,13 @@ func (b *ReceiverBinding) learnChain(records []wire.RebindRecord) {
 	b.checkProgress()
 }
 
-// injectEOS synthesizes the old sender's end-of-stream heartbeat for every
-// superseded, incomplete epoch whose cut is known: once for an unordered
-// epoch (the checkProgress that follows marks it done), on every
-// announcement for an ordered one until it drains. NAK-based receivers use
-// it to open tail-gap recovery up to the cut (the real EOS heartbeat sent at
-// swap time may have been lost); ricochet and fountcast close their tail on
-// it; bemcast drops it.
+// injectEOS synthesizes the old sender's end-of-stream heartbeat (its real
+// one may have been lost) for every superseded, incomplete epoch whose cut
+// is known: once if unordered (checkProgress then marks it done), on every
+// announcement if ordered until it drains, since nakcast opens gaps only up
+// to its window (32 768 seqs) past its cursor and the closed old sender
+// heartbeats no more, so after a longer outage each repeat opens the next
+// part of the tail. Ricochet and fountcast close their tail on it.
 func (b *ReceiverBinding) injectEOS() {
 	for _, es := range b.epochs {
 		if !es.cutKnown || es.done {

@@ -377,6 +377,59 @@ func TestBindingRecordWithUnknownParamNotLearned(t *testing.T) {
 	}
 }
 
+// A receiver partitioned across a swap for more seqs than a nakcast
+// receiver's window still drains the superseded epoch. A heartbeat opens
+// at most a window of gaps past the cursor, and the closed old sender no
+// longer heartbeats, so only the synthetic end of stream, repeated on
+// every announcement, opens the rest of the tail up to the cut.
+func TestBindingPartitionPastWindowDrains(t *testing.T) {
+	const before, after = 40000, 20 // before > the nakcast window of 32 768 seqs
+	rig := newBindingRig(t, "nakcast(timeout=1ms)")
+	partitioned := true
+	rig.fab.Drop = func(from, to wire.NodeID, _ *wire.Packet) bool {
+		return partitioned && (from == 1 || to == 1)
+	}
+	rig.publish(t, before, 50*time.Microsecond)
+	if err := rig.sender.Swap(mustSpec(t, "nakcast(timeout=2ms)")); err != nil {
+		t.Fatal(err)
+	}
+	rig.publish(t, after/2, 2*time.Millisecond)
+	partitioned = false
+	rig.publish(t, after/2, 2*time.Millisecond)
+	if err := rig.k.RunFor(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rig.finish(t)
+
+	if e0 := rig.readers[0].Epochs()[0]; !e0.Done {
+		t.Fatalf("partitioned receiver's epoch 0 never drained: %+v", e0)
+	}
+	// Every seq is delivered in order or reported lost, and none is both.
+	seen := make(map[uint64]bool, before+after)
+	prev := uint64(0)
+	for _, d := range rig.got[0] {
+		if d.Seq <= prev {
+			t.Fatalf("seq %d delivered after %d", d.Seq, prev)
+		}
+		prev, seen[d.Seq] = d.Seq, true
+	}
+	for _, seq := range rig.lost[0] {
+		if seen[seq] {
+			t.Fatalf("seq %d both delivered and reported lost", seq)
+		}
+		seen[seq] = true
+	}
+	for seq := uint64(1); seq <= before+after; seq++ {
+		if !seen[seq] {
+			t.Fatalf("seq %d neither delivered nor reported lost (%d delivered, %d lost)",
+				seq, len(rig.got[0]), len(rig.lost[0]))
+		}
+	}
+	if len(seen) != before+after {
+		t.Errorf("%d seqs accounted for, want %d", len(seen), before+after)
+	}
+}
+
 func mustSpec(t *testing.T, s string) transport.Spec {
 	t.Helper()
 	spec, err := transport.ParseSpec(s)
