@@ -200,12 +200,27 @@ func TestExplicitZeroParamsRun(t *testing.T) {
 }
 
 // TestEveryProtocolEndToEnd runs each registered protocol through the same
-// lossless one-sender/two-receiver exchange via the registry path.
+// lossless one-sender/two-receiver exchange via the registry path, and
+// fails when a registered protocol has no row.
 func TestEveryProtocolEndToEnd(t *testing.T) {
 	specs := []string{
 		"bemcast",
 		"nakcast(timeout=1ms)",
 		"ricochet(r=4,c=2)",
+		"fountcast(k=8,oh=25)",
+	}
+	covered := map[string]bool{}
+	for _, s := range specs {
+		spec, err := transport.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered[spec.Name] = true
+	}
+	for _, name := range protocols.MustRegistry().Names() {
+		if !covered[name] {
+			t.Errorf("registered protocol %s has no row", name)
+		}
 	}
 	for _, specStr := range specs {
 		specStr := specStr
