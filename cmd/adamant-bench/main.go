@@ -2,9 +2,8 @@
 // Tables 1-2 and Figures 4-21 (see DESIGN.md for the experiment index).
 //
 // QoS figures (4-17) run on the deterministic network simulator; the ANN
-// figures (18-21) need the labeled training set, which either comes from
-// -dataset <csv> (generate one with adamant-dataset) or is built on the
-// fly with -combos.
+// figures (18-21) read the labeled training set from -dataset (default
+// data/training.csv), which adamant-dataset builds.
 //
 // -all renders the deterministic set, Tables 1-2 and Figures 4-19, whose
 // bytes depend only on the flags (scripts/results.sh checks the committed
@@ -16,8 +15,8 @@
 //
 //	adamant-bench -fig 4              # one figure
 //	adamant-bench -all                # Tables 1-2 and Figures 4-19 (takes a while)
-//	adamant-bench -fig 19 -dataset data/training.csv
-//	adamant-bench -fig 20,21 -dataset data/training.csv   # host-timed
+//	adamant-bench -fig 19
+//	adamant-bench -fig 20,21          # host-timed
 //	adamant-bench -fig 5 -samples 20000 -runs 5   # paper-scale workload
 package main
 
@@ -40,8 +39,7 @@ func main() {
 		samples   = flag.Int("samples", 2000, "samples per run (paper: 20000)")
 		runs      = flag.Int("runs", 5, "runs per configuration (paper: 5)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		dataset   = flag.String("dataset", "", "training-set CSV for figures 18-21 (default: build a small one)")
-		combos    = flag.Int("combos", 48, "environment combos when building a dataset on the fly (paper: 197)")
+		dataset   = flag.String("dataset", "data/training.csv", "training-set CSV for figures 18-21 (built by adamant-dataset)")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		ablations = flag.Bool("ablations", false, "also run the design-choice ablation studies (A1-A4, A6)")
 		jobs      = flag.Int("jobs", 0, "parallel workers (0 = all CPUs)")
@@ -65,14 +63,14 @@ func main() {
 			return
 		}
 	}
-	if err := run(*figFlag, *all, *samples, *runs, *seed, *dataset, *combos, *jobs, *csvOut, *verbose); err != nil {
+	if err := run(*figFlag, *all, *samples, *runs, *seed, *dataset, *jobs, *csvOut, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "adamant-bench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(figFlag string, all bool, samples, runs int, seed int64, dataset string,
-	combos, jobs int, csvOut, verbose bool) error {
+	jobs int, csvOut, verbose bool) error {
 	var wanted []string
 	switch {
 	case all:
@@ -125,15 +123,7 @@ func run(figFlag string, all bool, samples, runs int, seed int64, dataset string
 	var rows []experiment.Row
 	if needANN {
 		var err error
-		if dataset != "" {
-			rows, err = experiment.ReadCSVFile(dataset)
-		} else {
-			progress("building %d-combo dataset (pass -dataset to reuse a generated one)", combos)
-			rows, err = experiment.BuildDataset(experiment.DatasetOptions{
-				Combos: combos, Seed: seed, Jobs: jobs, Progress: progress,
-			})
-		}
-		if err != nil {
+		if rows, err = experiment.ReadCSVFile(dataset); err != nil {
 			return err
 		}
 	}

@@ -1,14 +1,12 @@
 // Command adamant-train trains and evaluates the ADAMANT neural-network
-// configurator on a labeled dataset (from adamant-dataset). Without
-// -dataset it builds a small one on the fly. -jobs workers parallelize
-// the dataset build, the gradient accumulation inside each training and
-// the cross-validation folds; trained weights are byte-identical at any
-// worker count. The hidden-node sweep of Figures 18/19 is
-// adamant-bench -fig 18,19.
+// configurator on a labeled dataset, -dataset (default data/training.csv),
+// which adamant-dataset builds. -jobs workers parallelize the gradient
+// accumulation inside each training and the cross-validation folds;
+// trained weights are byte-identical at any worker count. The hidden-node
+// sweep of Figures 18/19 is adamant-bench -fig 18,19.
 //
-//	adamant-train -dataset data/training.csv -hidden 24 -save adamant.ann
-//	adamant-train -dataset data/training.csv -cv            # 10-fold CV
-//	adamant-train -combos 48 -jobs 8                        # build + train
+//	adamant-train -hidden 24 -save adamant.ann
+//	adamant-train -cv                 # 10-fold CV
 package main
 
 import (
@@ -30,34 +28,17 @@ func main() {
 
 func run() error {
 	var (
-		dataset   = flag.String("dataset", "", "training CSV (default: build one on the fly)")
-		combos    = flag.Int("combos", 48, "environment combos when building a dataset on the fly (paper: 197)")
-		jobs      = flag.Int("jobs", 0, "parallel workers for dataset build, training and CV (0 = all CPUs)")
+		dataset   = flag.String("dataset", "data/training.csv", "training CSV (built by adamant-dataset)")
+		jobs      = flag.Int("jobs", 0, "parallel workers for training and CV (0 = all CPUs)")
 		hidden    = flag.Int("hidden", 24, "hidden nodes (paper's best: 24)")
 		stopError = flag.Float64("stop", 1e-4, "MSE stopping error")
 		maxEpochs = flag.Int("epochs", 2000, "max training epochs")
 		seed      = flag.Int64("seed", 1, "weight-init seed")
 		save      = flag.String("save", "", "write the trained network to this path")
 		cv        = flag.Bool("cv", false, "10-fold cross-validation instead of full training")
-		verbose   = flag.Bool("v", false, "progress logging")
 	)
 	flag.Parse()
-	progress := func(string, ...any) {}
-	if *verbose {
-		progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	var rows []experiment.Row
-	var err error
-	if *dataset != "" {
-		rows, err = experiment.ReadCSVFile(*dataset)
-	} else {
-		progress("building %d-combo dataset (pass -dataset to reuse a generated one)", *combos)
-		rows, err = experiment.BuildDataset(experiment.DatasetOptions{
-			Combos: *combos, Seed: *seed, Jobs: *jobs, Progress: progress,
-		})
-	}
+	rows, err := experiment.ReadCSVFile(*dataset)
 	if err != nil {
 		return err
 	}
