@@ -19,6 +19,12 @@
 # Every transport spec cited as name(key=...) (as in `nakcast(timeout=5ms)`)
 # must name a protocol: a const Name under internal/transport/*/.
 #
+# Every Go identifier backticked in a row of DESIGN.md's "System inventory"
+# (an exported name such as `Adaptor`, or a qualified one such as
+# `serverClient.feed`) must be declared in that row's package, the first
+# internal/ path of the row: as a func, method, type, const, var or struct
+# field of a non-test file in that directory (gofmt layout assumed).
+#
 # It also fails when a func Fuzz... that a _test.go outside the nested
 # benchmark/ module declares is not run by the Makefile's fuzz-smoke recipe
 # (as "-fuzz Name " or "-fuzz Name$$ ").
@@ -73,6 +79,25 @@ while IFS=: read -r file line cite; do
 		bad=1
 	fi
 done < <(grep -noE '\b[a-z][a-z0-9]*\([a-z]+=' "${docs[@]}")
+
+# declared DIR NAME: NAME begins a declaration in DIR's non-test Go files.
+declared() {
+	local re="^func (\\([^)]*\\) )?$2[[(]|^(type|const|var) $2\\b|^"$'\t'"+(\\w+, *)*$2(, *\\w+)*( +[^ =:(,]| *=|\$)"
+	find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -qE "$re" {} + 2>/dev/null
+}
+while IFS=: read -r line row; do
+	pkg=
+	[[ $row =~ \`(internal/[a-z0-9/]+)\` ]] && pkg=${BASH_REMATCH[1]}
+	for id in $(grep -oE '`[A-Za-z_][A-Za-z0-9_.]*`' <<<"$row" | tr -d '`' | grep -E '^[A-Z]|\.'); do
+		for part in ${id//./ }; do
+			if [ -z "$pkg" ] || ! declared "$pkg" "$part"; then
+				echo "DESIGN.md:$line: ${pkg:-no package} does not declare $id"
+				bad=1
+				break
+			fi
+		done
+	done
+done < <(awk '/^## System inventory/ { on = 1; next } /^## / { on = 0 } on && /^\| [0-9]/ { print NR ":" $0 }' DESIGN.md)
 
 recipe=$(awk '/^fuzz-smoke:/ { on = 1; next } on && !/^\t/ { exit } on' Makefile)
 while read -r name; do
