@@ -12,14 +12,12 @@ tier1:
 # engine including the sharded-engine paths, the parallel ANN trainer, the
 # simulation kernel including the sharded conservative-time engine, the
 # transports including the crucible matrix and its sharded cells, the
-# broker, membership, the chaos engine, the adaptation loop (core + dds
-# hot-swap path), and the integration failure suite) under the race
-# detector.
+# broker, membership, the chaos engine, and the adaptation loop (core + dds
+# hot-swap path)) under the race detector.
 race:
 	$(GO) test -race ./internal/experiment ./internal/ann ./internal/sim \
 		./internal/transport/... ./internal/broker ./internal/membership \
-		./internal/netem/... ./internal/core/... ./internal/dds/... \
-		./internal/integration
+		./internal/netem/... ./internal/core/... ./internal/dds/...
 
 # fuzz-smoke gives every fuzz target a short budget; CI runs this to keep
 # the corpora honest without burning minutes. make docs fails when a fuzz

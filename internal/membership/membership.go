@@ -1,8 +1,9 @@
 // Package membership provides group membership views and heartbeat-based
 // failure detection — two of the configurable transport properties in the
-// ANT framework. Ricochet consults the view to pick live repair targets;
-// experiments use static views, while the failure-injection tests exercise
-// the detector.
+// ANT framework. Ricochet consults the view to pick live repair targets.
+// Experiments give transports a fixed receiver list
+// (transport.StaticReceivers); the transport crucible runs the detector
+// under every chaos scenario.
 package membership
 
 import (
@@ -38,34 +39,6 @@ func (v View) Contains(id wire.NodeID) bool {
 func (v View) String() string {
 	return fmt.Sprintf("view{v%d, %d members}", v.Version, len(v.Members))
 }
-
-// Provider supplies membership views. Implementations: Static, Detector.
-type Provider interface {
-	// View returns the current membership snapshot.
-	View() View
-	// Receivers adapts the view to transport.Config.Receivers.
-	Receivers() []wire.NodeID
-}
-
-// Static is a fixed membership view.
-type Static struct {
-	view View
-}
-
-var _ Provider = (*Static)(nil)
-
-// NewStatic builds a fixed view of the given members.
-func NewStatic(members ...wire.NodeID) *Static {
-	ms := slices.Clone(members)
-	slices.Sort(ms)
-	return &Static{view: View{Members: ms, Version: 1}}
-}
-
-// View implements Provider.
-func (s *Static) View() View { return s.view }
-
-// Receivers implements Provider.
-func (s *Static) Receivers() []wire.NodeID { return s.view.Members }
 
 // DetectorOptions tune a heartbeat failure Detector.
 type DetectorOptions struct {
@@ -134,13 +107,11 @@ func NewDetector(e env.Env, ep transport.Endpoint, opts DetectorOptions, onChang
 	return d, nil
 }
 
-// View implements Provider.
+// View returns the current membership snapshot.
 func (d *Detector) View() View { return d.view }
 
-// Receivers implements Provider.
+// Receivers adapts the view to transport.Config.Receivers.
 func (d *Detector) Receivers() []wire.NodeID { return d.view.Members }
-
-var _ Provider = (*Detector)(nil)
 
 // Close announces departure and stops the heartbeat timer.
 func (d *Detector) Close() error {

@@ -81,12 +81,10 @@ const (
 	// KindBurstOff disables the Gilbert-Elliott model on the target.
 	KindBurstOff
 	// KindCrash fails the target like a dead process: the node is isolated
-	// exactly as by KindPartition, and Hooks.OnCrash fires so harnesses can
-	// model process death. Checkers treat a crashed-and-not-restarted node
-	// as legitimately down at scenario end.
+	// exactly as by KindPartition. Checkers treat a crashed-and-not-restarted
+	// node as legitimately down at scenario end.
 	KindCrash
-	// KindRestart revives a crashed target: the node reconnects and
-	// Hooks.OnRestart fires.
+	// KindRestart revives a crashed target: the node reconnects.
 	KindRestart
 	// KindCPUScale multiplies the target's CPU costs by Scale (a slow-node
 	// squeeze; Scale 1 restores normal speed).
@@ -220,19 +218,6 @@ type Nodes struct {
 	Receivers []*netem.Node
 }
 
-// Hooks observe schedule execution. All fields are optional.
-type Hooks struct {
-	// OnCrash fires when a KindCrash event isolates a node. For receiver
-	// targets idx is the resolved receiver index; for the sender it is -1.
-	OnCrash func(idx int)
-	// OnRestart fires when a KindRestart event revives a node, with the
-	// same index convention.
-	OnRestart func(idx int)
-	// OnEvent fires after an event is applied to each node it resolves to
-	// (observability/tracing).
-	OnEvent func(ev Event)
-}
-
 // resolve maps a target to the concrete receiver indices it covers;
 // sender targets return {-1}.
 func (t Target) resolve(receivers int) []int {
@@ -265,10 +250,8 @@ func (t Target) resolve(receivers int) []int {
 // the shared env; on a sharded network it is the node's lane, where alone
 // that node's knobs may be touched. Events are stable-sorted by time, so
 // same-instant events apply in slice order; events already due (At == 0)
-// run on the next env dispatch. Hooks run in the target node's env
-// callback context, so on a sharded network they must only touch that
-// node's state; OnEvent fires once per (event, resolved node).
-func Schedule(n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
+// run on the next env dispatch.
+func Schedule(n Nodes, sc Scenario) (time.Duration, error) {
 	if n.Sender == nil {
 		return 0, errors.New("chaos: nil sender node")
 	}
@@ -283,13 +266,7 @@ func Schedule(n Nodes, sc Scenario, h Hooks) (time.Duration, error) {
 			if idx >= 0 {
 				node = n.Receivers[idx]
 			}
-			node.Env().Schedule(ev.At, func() {
-				applyKnob(ev, node)
-				fireHooks(ev, idx, h)
-				if h.OnEvent != nil {
-					h.OnEvent(ev)
-				}
-			})
+			node.Env().Schedule(ev.At, func() { applyKnob(ev, node) })
 		}
 	}
 	return sc.Horizon(), nil
@@ -310,20 +287,6 @@ func applyKnob(ev Event, node *netem.Node) {
 		node.SetBurstLoss(0, 0, 0)
 	case KindCPUScale:
 		node.SetProcScale(ev.Scale)
-	}
-}
-
-// fireHooks raises the crash/restart hooks for one resolved target.
-func fireHooks(ev Event, idx int, h Hooks) {
-	switch ev.Kind {
-	case KindCrash:
-		if h.OnCrash != nil {
-			h.OnCrash(idx)
-		}
-	case KindRestart:
-		if h.OnRestart != nil {
-			h.OnRestart(idx)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,13 +11,22 @@ import (
 )
 
 // TestLibraryWellFormed pins the canonical library: unique names, valid
-// scripts, horizons inside the standard 4-second publish window, and —
-// except for cascade's deliberate permanent crashes — every fault healed
-// by scenario end.
+// scripts, horizons inside the standard 4-second publish window, and every
+// fault healed by scenario end except the permanent crashes, and the loss
+// held with them, that a scenario declares below.
 func TestLibraryWellFormed(t *testing.T) {
 	lib := Library()
-	if len(lib) != 8 {
-		t.Fatalf("library has %d scenarios, want 8", len(lib))
+	if len(lib) != 10 {
+		t.Fatalf("library has %d scenarios, want 10", len(lib))
+	}
+	permanent := map[string]struct {
+		senderCrashed bool
+		crashed       []int // receivers of a group of 4 that end crashed
+		dirty         bool  // every receiver ends with loss still set
+	}{
+		"cascade":          {crashed: []int{0, 1, 2}},
+		"sender-crash":     {senderCrashed: true, dirty: true},
+		"crash-under-loss": {crashed: []int{3}, dirty: true},
 	}
 	names := make(map[string]bool)
 	for _, sc := range lib {
@@ -30,23 +40,18 @@ func TestLibraryWellFormed(t *testing.T) {
 		if h := sc.Horizon(); h > 3500*time.Millisecond {
 			t.Errorf("%s: horizon %v exceeds the publish window", sc.Name, h)
 		}
+		want := permanent[sc.Name]
 		sender, recv := sc.EndState(4)
-		if sender.Down() || sender.Dirty {
-			t.Errorf("%s: sender ends down/dirty", sc.Name)
+		if sender.Crashed != want.senderCrashed || sender.Down() != want.senderCrashed || sender.Dirty {
+			t.Errorf("%s: sender ends %+v, want crashed=%v and clean", sc.Name, sender, want.senderCrashed)
 		}
 		for i, ne := range recv {
-			if sc.Name == "cascade" {
-				wantCrashed := i <= 2
-				if ne.Crashed != wantCrashed {
-					t.Errorf("cascade receiver %d: crashed=%v, want %v", i, ne.Crashed, wantCrashed)
-				}
-				continue
+			crashed := slices.Contains(want.crashed, i)
+			if ne.Crashed != crashed || ne.Down() != crashed {
+				t.Errorf("%s: receiver %d ends %+v, want crashed=%v", sc.Name, i, ne, crashed)
 			}
-			if ne.Down() {
-				t.Errorf("%s: receiver %d ends down (unhealed fault)", sc.Name, i)
-			}
-			if ne.Dirty {
-				t.Errorf("%s: receiver %d ends dirty (unreverted knob)", sc.Name, i)
+			if ne.Dirty != want.dirty {
+				t.Errorf("%s: receiver %d ends dirty=%v, want %v", sc.Name, i, ne.Dirty, want.dirty)
 			}
 		}
 	}
@@ -96,74 +101,35 @@ func TestEventValidate(t *testing.T) {
 // a heal at the same time must leave the node connected, and the reverse
 // must leave it partitioned.
 func TestScheduleSameInstantOrder(t *testing.T) {
-	run := func(events []Event) []Kind {
+	run := func(events []Event) bool {
 		kernel := sim.New(7)
-		e := env.NewSim(kernel)
-		network, err := netem.New(e, netem.Config{})
+		network, err := netem.New(env.NewSim(kernel), netem.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := Nodes{Sender: network.AddNode(netem.PC3000),
 			Receivers: []*netem.Node{network.AddNode(netem.PC3000)}}
-		var applied []Kind
-		_, err = Schedule(n, Scenario{Name: "order", Events: events},
-			Hooks{OnEvent: func(ev Event) { applied = append(applied, ev.Kind) }})
-		if err != nil {
+		if _, err := Schedule(n, Scenario{Name: "order", Events: events}); err != nil {
 			t.Fatal(err)
 		}
 		if err := kernel.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return applied
+		return n.Receivers[0].Partitioned()
 	}
 	at := 10 * time.Millisecond
-	got := run([]Event{
+	if run([]Event{
+		{At: at, Kind: KindPartition, Target: Receiver(0)},
+		{At: at, Kind: KindHeal, Target: Receiver(0)},
+	}) {
+		t.Error("partition then heal at one instant left the node partitioned")
+	}
+	if !run([]Event{
 		{At: at, Kind: KindHeal, Target: Receiver(0)},
 		{At: at, Kind: KindPartition, Target: Receiver(0)},
 		{At: at / 2, Kind: KindPartition, Target: Receiver(0)},
-	})
-	want := []Kind{KindPartition, KindHeal, KindPartition}
-	if len(got) != len(want) {
-		t.Fatalf("applied %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("applied %v, want %v (stable time sort violated)", got, want)
-		}
-	}
-}
-
-// TestScheduleHooks pins the crash/restart hook index convention.
-func TestScheduleHooks(t *testing.T) {
-	kernel := sim.New(9)
-	e := env.NewSim(kernel)
-	network, err := netem.New(e, netem.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := Nodes{Sender: network.AddNode(netem.PC3000),
-		Receivers: []*netem.Node{network.AddNode(netem.PC3000), network.AddNode(netem.PC3000)}}
-	var crashes, restarts []int
-	sc := Scenario{Name: "hooks", Events: []Event{
-		{At: time.Millisecond, Kind: KindCrash, Target: Receiver(1)},
-		{At: 2 * time.Millisecond, Kind: KindCrash, Target: Sender()},
-		{At: 3 * time.Millisecond, Kind: KindRestart, Target: Receiver(1)},
-	}}
-	_, err = Schedule(n, sc, Hooks{
-		OnCrash:   func(idx int) { crashes = append(crashes, idx) },
-		OnRestart: func(idx int) { restarts = append(restarts, idx) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kernel.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(crashes) != 2 || crashes[0] != 1 || crashes[1] != -1 {
-		t.Errorf("crash hooks fired for %v, want [1 -1]", crashes)
-	}
-	if len(restarts) != 1 || restarts[0] != 1 {
-		t.Errorf("restart hooks fired for %v, want [1]", restarts)
+	}) {
+		t.Error("heal then partition at one instant left the node connected (stable time sort violated)")
 	}
 }
 
@@ -176,14 +142,14 @@ func TestScheduleRejects(t *testing.T) {
 	}
 	node := network.AddNode(netem.PC3000)
 	ok := Scenario{Name: "ok"}
-	if _, err := Schedule(Nodes{}, ok, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{}, ok); err == nil {
 		t.Error("nil sender accepted")
 	}
-	if _, err := Schedule(Nodes{Sender: node}, Scenario{}, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{Sender: node}, Scenario{}); err == nil {
 		t.Error("unnamed scenario accepted")
 	}
 	bad := Scenario{Name: "bad", Events: []Event{{Kind: Kind(0), Target: Sender()}}}
-	if _, err := Schedule(Nodes{Sender: node}, bad, Hooks{}); err == nil {
+	if _, err := Schedule(Nodes{Sender: node}, bad); err == nil {
 		t.Error("invalid event accepted")
 	}
 }

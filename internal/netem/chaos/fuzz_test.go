@@ -68,7 +68,7 @@ func FuzzSchedule(f *testing.F) {
 		for i := 0; i < 2; i++ {
 			n.Receivers = append(n.Receivers, network.AddNode(netem.PC3000))
 		}
-		if _, err := Schedule(n, sc, Hooks{}); err != nil {
+		if _, err := Schedule(n, sc); err != nil {
 			return // invalid scripts are rejected up front, never armed
 		}
 

@@ -4,8 +4,9 @@ import "time"
 
 // Library returns the canonical scenario set, in fixed order. Every
 // scenario's faults fit inside a 4-second publishing window and — except
-// for cascade's permanent crashes — heal by 3.3s, leaving the tail of the
-// run for recovery protocols to converge.
+// for the permanent crashes of cascade, sender-crash and crash-under-loss,
+// and the loss the last two hold through the tail — heal by 3.3s, leaving
+// the tail of the run for recovery protocols to converge.
 //
 // The scripts are receiver-count generic: single-receiver targets are
 // taken modulo the group size and EvenReceivers adapts to any group.
@@ -19,6 +20,8 @@ func Library() []Scenario {
 		Cascade(),
 		SenderBlip(),
 		Churn(),
+		SenderCrash(),
+		CrashUnderLoss(),
 	}
 }
 
@@ -164,5 +167,37 @@ func Churn() Scenario {
 		Name:   "churn",
 		Info:   "rotating 200ms receiver partitions plus a burst window",
 		Events: ev,
+	}
+}
+
+// SenderCrash crashes the sender for good at 1 s, under 5% loss on every
+// receiver. A 30% loss spike from 0.9 s to 1.1 s leaves gaps open when the
+// crash lands, so receivers must give up on what no one can repair
+// without stalling or retrying forever.
+func SenderCrash() Scenario {
+	ms := time.Millisecond
+	return Scenario{
+		Name: "sender-crash",
+		Info: "5% loss, 30% at 0.9s-1.1s; sender crashes at 1s and stays down",
+		Events: []Event{
+			{Kind: KindLoss, Target: AllReceivers(), Pct: 5},
+			{At: 900 * ms, Kind: KindLoss, Target: AllReceivers(), Pct: 30},
+			{At: 1000 * ms, Kind: KindCrash, Target: Sender()},
+			{At: 1100 * ms, Kind: KindLoss, Target: AllReceivers(), Pct: 5},
+		},
+	}
+}
+
+// CrashUnderLoss crashes receiver 3 for good at 1 s while every receiver
+// loses 5% of its packets: survivors keep recovering without the dead
+// peer, and membership must evict it despite the loss.
+func CrashUnderLoss() Scenario {
+	return Scenario{
+		Name: "crash-under-loss",
+		Info: "5% loss on all receivers; receiver 3 crashes at 1s and stays down",
+		Events: []Event{
+			{Kind: KindLoss, Target: AllReceivers(), Pct: 5},
+			{At: time.Second, Kind: KindCrash, Target: Receiver(3)},
+		},
 	}
 }

@@ -8,7 +8,6 @@ package chaos
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -95,49 +94,25 @@ var scaleScenario = Scenario{
 // size >= 500, role-based targets (partition halves, crashes, loss ramps)
 // must resolve to the same node sets under sharded and serial execution.
 // The serial run arms the script on the shared env; the sharded run arms
-// it on the nodes' lanes across 4 workers. End-of-script knob state must match
-// node for node, crash hooks must fire for the same indices, and both must
-// agree with the static EndState replay.
+// it on the nodes' lanes across 4 workers. End-of-script knob state must
+// match node for node, and both must agree with the static EndState replay
+// about which nodes end down and which of them crashed.
 func TestChaosRoleResolutionAtScale(t *testing.T) {
 	const group = 500
 
-	var classicCrashes []int
 	cNet, cNodes, cDrv := buildWorld(t, true, 0, group, 77)
-	if _, err := Schedule(cNodes, scaleScenario, Hooks{
-		OnCrash: func(idx int) { classicCrashes = append(classicCrashes, idx) },
-	}); err != nil {
+	if _, err := Schedule(cNodes, scaleScenario); err != nil {
 		t.Fatal(err)
 	}
 	if err := cDrv.RunFor(scaleScenario.Horizon() + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-
-	var shardCrashes []int
-	// Hooks run on the target node's lane; crashes of distinct nodes can
-	// fire on distinct workers, so the recorder takes a lock and the sets
-	// are compared order-insensitively.
-	var mu chanLock
 	sNet, sNodes, sDrv := buildWorld(t, false, 4, group, 77)
-	if _, err := Schedule(sNodes, scaleScenario, Hooks{
-		OnCrash: func(idx int) {
-			mu.Lock()
-			shardCrashes = append(shardCrashes, idx)
-			mu.Unlock()
-		},
-	}); err != nil {
+	if _, err := Schedule(sNodes, scaleScenario); err != nil {
 		t.Fatal(err)
 	}
 	if err := sDrv.RunFor(scaleScenario.Horizon() + time.Millisecond); err != nil {
 		t.Fatal(err)
-	}
-
-	sort.Ints(classicCrashes)
-	sort.Ints(shardCrashes)
-	if !reflect.DeepEqual(classicCrashes, shardCrashes) {
-		t.Fatalf("crash sets diverge: serial %v, sharded %v", classicCrashes, shardCrashes)
-	}
-	if want := []int{7, 123}; !reflect.DeepEqual(classicCrashes, want) {
-		t.Fatalf("crash set = %v, want %v", classicCrashes, want)
 	}
 
 	cKnobs, sKnobs := snapshotKnobs(cNet), snapshotKnobs(sNet)
@@ -147,29 +122,25 @@ func TestChaosRoleResolutionAtScale(t *testing.T) {
 		}
 	}
 
-	// Both must agree with the static replay about who ends the run down.
+	// Both must agree with the static replay about who ends the run down,
+	// and the replay must name exactly the crash that was not restarted.
 	sender, recv := scaleScenario.EndState(group)
 	if sender.Down() != cKnobs[0].Partitioned {
 		t.Fatalf("sender end state: static %v, simulated %v", sender.Down(), cKnobs[0].Partitioned)
 	}
+	var crashed []int
 	for i, ne := range recv {
 		if ne.Down() != cKnobs[1+i].Partitioned {
 			t.Fatalf("receiver %d end state: static %v, simulated %v", i, ne.Down(), cKnobs[1+i].Partitioned)
 		}
+		if ne.Crashed {
+			crashed = append(crashed, i)
+		}
+	}
+	if want := []int{123}; !reflect.DeepEqual(crashed, want) {
+		t.Fatalf("crashed at end = %v, want %v", crashed, want)
 	}
 }
-
-// chanLock is a tiny mutex built on a buffered channel, avoiding a sync
-// import for one test recorder.
-type chanLock struct{ ch chan struct{} }
-
-func (l *chanLock) Lock() {
-	if l.ch == nil {
-		l.ch = make(chan struct{}, 1)
-	}
-	l.ch <- struct{}{}
-}
-func (l *chanLock) Unlock() { <-l.ch }
 
 // FuzzShardedKernel is the engine-level differential fuzzer demanded by
 // the sharding work: a randomized topology plus a randomized chaos script
@@ -221,7 +192,7 @@ func FuzzShardedKernel(f *testing.F) {
 					}
 				})
 			}
-			if _, err := Schedule(n, sc, Hooks{}); err != nil {
+			if _, err := Schedule(n, sc); err != nil {
 				return o, err
 			}
 			pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, 32)}

@@ -76,14 +76,17 @@ func withLoss(cs CrucibleScenario, pct float64) CrucibleScenario {
 }
 
 // checkRow runs one row: every receiver's reliability must lie in
-// [min, max] percent, and the cell must pass every crucible invariant.
-func checkRow(t *testing.T, cs CrucibleScenario, min, max float64) {
+// [min, max] percent, and the cell must pass every crucible invariant. It
+// returns the reliability over all receivers together.
+func checkRow(t *testing.T, cs CrucibleScenario, min, max float64) float64 {
 	t.Helper()
 	out, err := ExecuteCrucible(cs)
 	if err != nil {
 		t.Fatalf("%s: %v", cs.Name(), err)
 	}
+	delivered := 0
 	for i, ds := range out.Deliveries {
+		delivered += len(ds)
 		if rel := 100 * float64(len(ds)) / float64(cs.Samples); rel < min || rel > max {
 			t.Errorf("%s receiver %d: reliability %.2f%%, want %.2f%%..%.2f%%", cs.Name(), i, rel, min, max)
 		}
@@ -91,6 +94,7 @@ func checkRow(t *testing.T, cs CrucibleScenario, min, max float64) {
 	for _, err := range CheckCrucible(cs, out) {
 		t.Errorf("%s: %v", cs.Name(), err)
 	}
+	return 100 * float64(delivered) / float64(cs.Samples*len(out.Deliveries))
 }
 
 func TestLossless(t *testing.T) {
@@ -137,6 +141,22 @@ func TestHighRate(t *testing.T) {
 			cs := CrucibleScenario{Spec: m.spec, Receivers: 3, RateHz: 1000, Samples: 500, Seed: 17}
 			checkRow(t, withLoss(cs, 2), minFor(m.name), 100)
 		})
+	}
+}
+
+// TestRicochetBurstLoss holds ricochet under Gilbert-Elliott burst loss
+// (about 5% on average, in bursts, from the start) against the same cell
+// at uniform 5% loss. A burst drops a sample together with the repairs
+// its peers send for it, so ricochet must do worse, yet every receiver
+// must still get 90% through.
+func TestRicochetBurstLoss(t *testing.T) {
+	cs := CrucibleScenario{Spec: mustSpec("ricochet(c=3,r=4)"), Receivers: 3, Samples: 600, Seed: 55}
+	uniform := checkRow(t, withLoss(cs, 5), 90, 100)
+	cs.Chaos = chaos.Scenario{Name: "burst", Events: []chaos.Event{
+		{Kind: chaos.KindBurst, Target: chaos.AllReceivers(), PGB: 0.013, PBG: 0.25, DropBad: 1},
+	}}
+	if burst := checkRow(t, cs, 90, 100); burst >= uniform {
+		t.Errorf("ricochet delivered %.2f%% under burst loss, not less than %.2f%% under uniform loss", burst, uniform)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"adamant/internal/netem/chaos"
-	"adamant/internal/transport"
 )
 
 // TestCrucibleShardWidthInvariance pins the worker-count contract end to
@@ -143,22 +142,23 @@ func TestCrucibleShardedMatchesClassicCalm(t *testing.T) {
 // TestCrucibleLargeGroup runs one full 500-receiver cell end to end on the
 // sharded engine and holds it to the complete invariant set, including the
 // same-seed replay check. This is the scale regime the sharding work
-// exists for; the trimmed sample count keeps the cell inside test-suite
-// budget while still publishing through the whole chaos horizon.
+// exists for. The heartbeat slows to 250ms because membership traffic is
+// O(group^2) per interval and the 50ms default would drown the data stream
+// at this scale. 200 samples at the default 100 Hz is a 2 s publish window,
+// past the cascade's last crash at 1.6 s, so the crash invariants stay
+// meaningful while the cell's event count stays inside test-suite budget.
 func TestCrucibleLargeGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-receiver cell is seconds of work; skipped in -short")
 	}
-	cells := LargeGroupCells(
-		[]transport.Spec{mustSpec("bemcast")},
-		[]chaos.Scenario{chaos.Cascade()},
-		[]int64{1}, 8)
-	if len(cells) != 1 {
-		t.Fatalf("expected one cell, got %d", len(cells))
-	}
-	cell := cells[0]
-	if cell.Receivers != 500 || cell.Shards != 8 {
-		t.Fatalf("cell misconfigured: %+v", cell)
+	cell := CrucibleScenario{
+		Spec:      mustSpec("bemcast"),
+		Chaos:     chaos.Cascade(),
+		Seed:      1,
+		Receivers: 500,
+		Samples:   200,
+		Heartbeat: 250 * time.Millisecond,
+		Shards:    8,
 	}
 	res := RunCell(cell)
 	if res.Err != nil {
