@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"adamant/internal/ann"
 	"adamant/internal/core"
 	"adamant/internal/dds"
 	"adamant/internal/probe"
@@ -51,11 +50,7 @@ func run() error {
 		fmt.Println("no -ann network given; probe only")
 		return nil
 	}
-	net, err := ann.LoadFile(*annPath)
-	if err != nil {
-		return err
-	}
-	selector, err := core.NewANNSelector(net)
+	selector, err := core.LoadANNSelector(*annPath)
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,10 @@
 // printed line).
 //
 // With -adapt it runs the adaptation figure: a drifting environment driven
-// once per static candidate and once with the in-mission adaptor, which
-// must match or beat every static configuration.
+// once per static candidate and once with the in-mission adaptor querying
+// the shipped knowledge base, data/adamant.ann in the working directory
+// (run it from the repository root); the adaptive run must match or beat
+// every static configuration.
 //
 // The paper's figures and their claims are checked elsewhere: make results
 // regenerates every committed output, and TestVerdicts in
@@ -109,14 +111,24 @@ func runChaos(jobs, seeds int, scenario string) int {
 	return 0
 }
 
+// shippedModel is the trained knowledge base, relative to the repository
+// root.
+const shippedModel = "data/adamant.ann"
+
 // runAdapt executes the adaptation figure: a drifting environment driven
-// once per static candidate and once with the in-mission adaptor hot-swapping
-// the transport, reporting composite scores and the reconfiguration cost
-// (Rebind apply time + old-generation drain latency). Returns the exit code.
+// once per static candidate and once with the in-mission adaptor querying
+// the shipped ANN and hot-swapping the transport, reporting composite scores
+// and the reconfiguration cost (Rebind apply time + old-generation drain
+// latency). Returns the exit code.
 func runAdapt() int {
+	sel, err := core.LoadANNSelector(shippedModel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ERR", err, "(run from the repository root)")
+		return 1
+	}
 	report, err := experiment.RunAdaptationFigure(experiment.AdaptationConfig{
 		Seed: 11, Metric: core.MetricReLate2,
-	})
+	}, sel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ERR", err)
 		return 1

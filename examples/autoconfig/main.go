@@ -3,9 +3,8 @@
 //  1. Probe this host's computing and networking resources
 //     (/proc/cpuinfo, NIC speeds — the paper's ethtool step).
 //
-//  2. Train the supervised-learning knowledge base from the labeled
-//     experiment dataset (data/training.csv, regenerable with
-//     adamant-dataset), or load a saved network.
+//  2. Load the supervised-learning knowledge base the repository ships
+//     (data/adamant.ann, trained by adamant-train on data/training.csv).
 //
 //  3. Query the neural network for the transport protocol matching the
 //     probed environment + application parameters — and time the decision.
@@ -13,21 +12,18 @@
 //  4. Stand the chosen protocol up over REAL UDP sockets on loopback and
 //     push traffic through it.
 //
-//     go run ./examples/autoconfig [-dataset data/training.csv]
+//     go run ./examples/autoconfig    # from the repository root
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"sync"
 	"time"
 
-	"adamant/internal/ann"
 	"adamant/internal/core"
 	"adamant/internal/dds"
 	"adamant/internal/env"
-	"adamant/internal/experiment"
 	"adamant/internal/probe"
 	"adamant/internal/transport"
 	"adamant/internal/transport/protocols"
@@ -36,14 +32,12 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "data/training.csv", "labeled training set CSV")
-	flag.Parse()
-	if err := run(*dataset); err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(datasetPath string) error {
+func run() error {
 	// --- 1. Probe the environment. ---
 	info, err := probe.RealSource{}.Probe()
 	if err != nil {
@@ -51,35 +45,13 @@ func run(datasetPath string) error {
 	}
 	fmt.Printf("probed environment: %s\n", info)
 
-	// --- 2. Train the knowledge base. ---
-	rows, err := experiment.ReadCSVFile(datasetPath)
-	if err != nil {
-		return fmt.Errorf("loading training set (run adamant-dataset first): %w", err)
-	}
-	ds := experiment.ToANNDataset(rows)
-	net, err := ann.New(ann.Config{
-		Layers: []int{core.NumInputs, 24, core.NumCandidates}, Seed: 11,
-	})
+	// --- 2. Load the knowledge base. ---
+	selector, err := core.LoadANNSelector("data/adamant.ann")
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	res, err := net.Train(ds, ann.TrainOptions{MaxEpochs: 3000, DesiredError: 1e-4})
-	if err != nil {
-		return err
-	}
-	acc, err := net.Accuracy(ds)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trained ANN on %d environments in %v (epochs=%d, accuracy=%.1f%%)\n",
-		ds.Len(), time.Since(t0).Round(time.Millisecond), res.Epochs, 100*acc)
 
 	// --- 3. Decide. ---
-	selector, err := core.NewANNSelector(net)
-	if err != nil {
-		return err
-	}
 	ctl, err := core.NewController(probe.StaticSource{Info: info}, selector, core.AppParams{
 		Receivers: 3, RateHz: 25, LossPct: 2, Impl: dds.ImplB, Metric: core.MetricReLate2,
 	})

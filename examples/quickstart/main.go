@@ -4,7 +4,7 @@
 // lets ADAMANT pick the transport protocol for the environment, publishes a
 // handful of samples through the DDS-style API, and prints what arrived.
 //
-//	go run ./examples/quickstart
+//	go run ./examples/quickstart    # from the repository root
 package main
 
 import (
@@ -42,15 +42,16 @@ func run() error {
 	subA.SetLoss(2)
 	subB.SetLoss(2)
 
-	// 2. ADAMANT decides the transport. Here we use the exact-match table
-	//    selector seeded with the environment we know we built; a trained
-	//    neural network does this for unknown environments (see the
-	//    autoconfig example).
+	// 2. ADAMANT decides the transport: the shipped knowledge base (the
+	//    trained neural network) answers for the environment we built; the
+	//    autoconfig example probes a real host instead.
+	selector, err := core.LoadANNSelector("data/adamant.ann")
+	if err != nil {
+		return err
+	}
 	features := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplB,
 		2 /*loss%*/, 2 /*receivers*/, 50 /*Hz*/, core.MetricReLate2)
-	table := core.NewTableSelector()
-	table.Put(features, core.Candidates()[4]) // ricochet(c=3,r=4) wins on fast hardware
-	spec, err := table.Select(features)
+	spec, err := selector.Select(features)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@
 // one-size-fits-all configuration. It is Figure 1/2 of the paper turned
 // into runnable code.
 //
-//	go run ./examples/sar
+//	go run ./examples/sar    # from the repository root
 package main
 
 import (
@@ -40,6 +40,10 @@ const (
 )
 
 func main() {
+	selector, err := core.LoadANNSelector("data/adamant.ann")
+	if err != nil {
+		log.Fatal(err)
+	}
 	platforms := []struct {
 		name    string
 		machine netem.Machine
@@ -53,12 +57,13 @@ func main() {
 	for _, plat := range platforms {
 		fmt.Printf("=== %s ===\n", plat.name)
 
-		// ADAMANT's recommendation for this environment (the trained
-		// knowledge base's decision boundary; examples/autoconfig shows
-		// the full probe -> ANN flow).
-		adamantChoice := core.Candidates()[3] // nakcast(timeout=1ms)
-		if plat.machine.Name == "pc3000" {
-			adamantChoice = core.Candidates()[4] // ricochet(c=3,r=4)
+		// ADAMANT's recommendation for this environment, from the shipped
+		// knowledge base (examples/autoconfig shows the full probe -> ANN
+		// flow).
+		adamantChoice, err := selector.Select(core.FeaturesFor(plat.machine, plat.bw, dds.ImplB,
+			lossPct, fusionReaders, rateHz, core.MetricReLate2))
+		if err != nil {
+			log.Fatal(err)
 		}
 
 		for _, cfg := range []struct {

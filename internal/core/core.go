@@ -169,16 +169,12 @@ func (f Features) AppendVector(dst []float64) []float64 {
 	return dst
 }
 
-// Key returns a canonical string identity for exact-match lookup (the
-// TableSelector / manual-configuration baseline).
-func (f Features) Key() string {
+// String implements fmt.Stringer: every feature, in Vector order.
+func (f Features) String() string {
 	return fmt.Sprintf("%gMHz|%gMbps|%s|%g%%|%d|%gHz|%s|oh%g",
 		f.MachineMHz, f.BandwidthMbps, f.Impl, f.LossPct, f.Receivers, f.RateHz, f.Metric,
 		f.OverheadPct)
 }
-
-// String implements fmt.Stringer.
-func (f Features) String() string { return f.Key() }
 
 // Selector chooses a transport protocol for an environment.
 type Selector interface {
@@ -211,6 +207,16 @@ func NewANNSelector(net *ann.Network) (*ANNSelector, error) {
 	return &ANNSelector{net: net}, nil
 }
 
+// LoadANNSelector reads a network saved by adamant-train -save (the shipped
+// knowledge base is data/adamant.ann) and wraps it in an ANNSelector.
+func LoadANNSelector(path string) (*ANNSelector, error) {
+	net, err := ann.LoadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: knowledge base %s: %w", path, err)
+	}
+	return NewANNSelector(net)
+}
+
 // Select implements Selector. After the first call it does not allocate:
 // the input encoding reuses an internal buffer and the result is served
 // from the fixed candidate set.
@@ -221,41 +227,6 @@ func (s *ANNSelector) Select(f Features) (transport.Spec, error) {
 		return transport.Spec{}, err
 	}
 	return candidates[idx], nil
-}
-
-// TableSelector is the manual-configuration baseline the paper contrasts
-// with: an exact-match lookup table (the programmatic equivalent of a
-// hand-written switch statement). It cannot answer for environments it has
-// not seen — the development-complexity and brittleness argument for the
-// ANN.
-type TableSelector struct {
-	table map[string]transport.Spec
-}
-
-var _ Selector = (*TableSelector)(nil)
-
-// NewTableSelector builds an empty table.
-func NewTableSelector() *TableSelector {
-	return &TableSelector{table: make(map[string]transport.Spec)}
-}
-
-// Put records the best protocol for an exact environment.
-func (s *TableSelector) Put(f Features, spec transport.Spec) { s.table[f.Key()] = spec }
-
-// Len returns the number of table entries.
-func (s *TableSelector) Len() int { return len(s.table) }
-
-// ErrUnknownEnvironment is returned by TableSelector for environments not
-// in the table.
-var ErrUnknownEnvironment = errors.New("core: environment not in configuration table")
-
-// Select implements Selector.
-func (s *TableSelector) Select(f Features) (transport.Spec, error) {
-	spec, ok := s.table[f.Key()]
-	if !ok {
-		return transport.Spec{}, fmt.Errorf("%w: %s", ErrUnknownEnvironment, f.Key())
-	}
-	return spec, nil
 }
 
 // AppParams are the application-side inputs the controller combines with

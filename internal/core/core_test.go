@@ -67,11 +67,8 @@ func TestFeaturesVector(t *testing.T) {
 	if w[2] != 0 || w[3] != 1 || w[7] != 0 || w[8] != 1 {
 		t.Errorf("one-hots wrong: %v", w)
 	}
-	if f.Key() == g.Key() {
-		t.Error("distinct features share a key")
-	}
-	if f.String() != f.Key() {
-		t.Error("String != Key")
+	if f.String() == g.String() {
+		t.Error("distinct features print the same")
 	}
 }
 
@@ -152,29 +149,6 @@ func TestANNSelectorValidation(t *testing.T) {
 	}
 }
 
-func TestTableSelector(t *testing.T) {
-	sel := core.NewTableSelector()
-	f := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplA, 5, 3, 10, core.MetricReLate2)
-	if _, err := sel.Select(f); !errors.Is(err, core.ErrUnknownEnvironment) {
-		t.Errorf("empty table err = %v", err)
-	}
-	want := core.Candidates()[4]
-	sel.Put(f, want)
-	if sel.Len() != 1 {
-		t.Errorf("Len = %d", sel.Len())
-	}
-	got, err := sel.Select(f)
-	if err != nil || got.String() != want.String() {
-		t.Errorf("Select = %v, %v", got, err)
-	}
-	// A near-miss environment (different rate) must NOT match: the
-	// brittleness the paper's Challenge 4 describes.
-	g := core.FeaturesFor(netem.PC3000, netem.Gbps1, dds.ImplA, 5, 3, 25, core.MetricReLate2)
-	if _, err := sel.Select(g); !errors.Is(err, core.ErrUnknownEnvironment) {
-		t.Errorf("table miss err = %v, want ErrUnknownEnvironment", err)
-	}
-}
-
 func TestController(t *testing.T) {
 	src := probe.ForMachine(netem.PC3000, netem.Gbps1)
 	sel, err := core.NewANNSelector(trainedNet(t))
@@ -202,9 +176,16 @@ func TestController(t *testing.T) {
 	}
 }
 
+// failSelector answers every environment with an error.
+type failSelector struct{}
+
+func (failSelector) Select(core.Features) (transport.Spec, error) {
+	return transport.Spec{}, errors.New("no answer")
+}
+
 func TestControllerValidation(t *testing.T) {
 	src := probe.ForMachine(netem.PC3000, netem.Gbps1)
-	sel := core.NewTableSelector()
+	sel := failSelector{}
 	ok := core.AppParams{Receivers: 3, RateHz: 10}
 	if _, err := core.NewController(nil, sel, ok); err == nil {
 		t.Error("nil source accepted")
@@ -220,7 +201,7 @@ func TestControllerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ctl.Decide(); err == nil {
-		t.Error("empty table should propagate selection error")
+		t.Error("a selector error should propagate")
 	}
 }
 

@@ -6,11 +6,12 @@ package experiment
 // A drifting environment (the workload's rate and the network's loss change
 // mid-run) is driven twice: once per candidate protocol held fixed for the
 // whole run (the best any static configuration can do), and once with the
-// in-mission Adaptor hot-swapping the transport through Participant.Rebind
-// when the drift crosses its tolerances. The figure reports the composite
-// QoS score of every static run against the adaptive run, plus the cost of
-// adapting: the Rebind apply time and how long each superseded transport
-// generation took to drain on the slowest receiver.
+// in-mission Adaptor re-querying the knowledge base when the drift crosses
+// its tolerances and hot-swapping the transport through Participant.Rebind.
+// The figure reports the composite QoS score of every static run against
+// the adaptive run, plus the cost of adapting: the Rebind apply time and
+// how long each superseded transport generation took to drain on the
+// slowest receiver.
 
 import (
 	"errors"
@@ -92,8 +93,7 @@ func (c *AdaptationConfig) fillDefaults() {
 	}
 }
 
-// validate checks each phase as the steady run it calibrates, so one
-// Config.Validate covers both.
+// validate checks each phase as a steady run with Config.Validate.
 func (c AdaptationConfig) validate() error {
 	if len(c.Phases) < 1 {
 		return errors.New("experiment: adaptation needs at least one phase")
@@ -106,8 +106,8 @@ func (c AdaptationConfig) validate() error {
 	return nil
 }
 
-// cell is phase p held steady as one run of spec: the calibration sweep
-// runs it as is, and the drift runs start from phase 0's.
+// cell is phase p held steady as one run of spec; the drift runs start
+// from phase 0's.
 func (c AdaptationConfig) cell(p DriftPhase, spec transport.Spec, seed int64) Config {
 	return Config{
 		Machine: c.Machine, Bandwidth: c.Bandwidth, Impl: c.Impl,
@@ -132,10 +132,9 @@ type AdaptationRow struct {
 // AdaptationReport is everything the adaptation figure shows.
 type AdaptationReport struct {
 	Config AdaptationConfig
-	// PhaseWinners[k] is the candidate the calibration sweep measured best
-	// for phase k in isolation — the oracle the adaptive run's table
-	// selector is loaded with.
-	PhaseWinners []transport.Spec
+	// Picks[k] is the knowledge base's choice for phase k: the adaptive
+	// run boots on Picks[0] and is expected to switch when they differ.
+	Picks []transport.Spec
 	// Static holds one row per candidate protocol held fixed across the
 	// whole drift, in Candidates() order; BestStatic indexes the winner.
 	Static     []AdaptationRow
@@ -171,8 +170,8 @@ func (r AdaptationReport) String() string {
 	}
 	fmt.Fprintf(&b, "adaptation figure: %d-phase drift, %s (lower is better)\n", len(r.Config.Phases), metric)
 	for i, p := range r.Config.Phases {
-		fmt.Fprintf(&b, "  phase %d: %d samples @ %gHz, %g%% loss  (isolated winner: %s)\n",
-			i, p.Samples, p.RateHz, p.LossPct, r.PhaseWinners[i])
+		fmt.Fprintf(&b, "  phase %d: %d samples @ %gHz, %g%% loss  (ANN picks %s)\n",
+			i, p.Samples, p.RateHz, p.LossPct, r.Picks[i])
 	}
 	for i, row := range r.Static {
 		mark := "  "
@@ -199,34 +198,21 @@ func (r AdaptationReport) String() string {
 	return b.String()
 }
 
-// RunAdaptationFigure runs the whole figure: a per-phase calibration sweep
-// over every candidate (building the oracle table), one full drifting run
-// per static candidate, and one adaptive run.
-func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
+// RunAdaptationFigure runs the whole figure: one full drifting run per
+// static candidate, and one adaptive run that queries sel — the shipped
+// ANN — at boot and on every drift.
+func RunAdaptationFigure(cfg AdaptationConfig, sel core.Selector) (AdaptationReport, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
 		return AdaptationReport{}, err
 	}
 	report := AdaptationReport{Config: cfg}
-
-	// Calibration: measure every candidate against each phase held steady,
-	// exactly the paper's offline supervised sweep, and load the winners
-	// into the exact-match table the adaptor queries at runtime.
-	table := core.NewTableSelector()
-	cands := core.Candidates()
-	for pi, p := range cfg.Phases {
-		best, bestScore := 0, 0.0
-		for ci, spec := range cands {
-			ss, err := RunN(cfg.cell(p, spec, sim.DeriveSeed(cfg.Seed, fmt.Sprintf("adapt-cal-%d-%d", pi, ci))), 3)
-			if err != nil {
-				return AdaptationReport{}, fmt.Errorf("calibrating phase %d with %s: %w", pi, spec, err)
-			}
-			if score := MeanScore(ss, cfg.Metric); ci == 0 || score < bestScore {
-				best, bestScore = ci, score
-			}
+	for i, p := range cfg.Phases {
+		spec, err := sel.Select(cfg.features(p))
+		if err != nil {
+			return AdaptationReport{}, fmt.Errorf("selecting for phase %d: %w", i, err)
 		}
-		report.PhaseWinners = append(report.PhaseWinners, cands[best])
-		table.Put(cfg.features(p), cands[best])
+		report.Picks = append(report.Picks, spec)
 	}
 
 	// Both drift runs play the whole script from phase 0's steady cell, on a
@@ -237,7 +223,7 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 	}
 
 	// Static baselines: every candidate rides out the full drift unchanged.
-	for ci, spec := range cands {
+	for ci, spec := range core.Candidates() {
 		res, err := drift(spec, nil)
 		if err != nil {
 			return AdaptationReport{}, fmt.Errorf("static %s: %w", spec, err)
@@ -250,17 +236,17 @@ func RunAdaptationFigure(cfg AdaptationConfig) (AdaptationReport, error) {
 		}
 	}
 
-	// The adaptive run: boot on phase 0's winner, let the adaptor re-query
-	// the table when the environment drifts and hot-swap the live writers.
-	res, err := drift(report.PhaseWinners[0], &adaptation{
-		selector: table,
+	// The adaptive run: boot on phase 0's pick, let the adaptor re-query the
+	// selector when the environment drifts and hot-swap the live writers.
+	res, err := drift(report.Picks[0], &adaptation{
+		selector: sel,
 		initial:  cfg.features(cfg.Phases[0]),
 		opts:     core.AdaptorOptions{Interval: cfg.Interval, Cooldown: cfg.Cooldown},
 	})
 	if err != nil {
 		return AdaptationReport{}, fmt.Errorf("adaptive run: %w", err)
 	}
-	report.Adaptive = AdaptationRow{Label: "(oracle table)",
+	report.Adaptive = AdaptationRow{Label: "(shipped ANN)",
 		Summary: res.summary, Score: Score(res.summary, cfg.Metric)}
 	report.Switches = res.switches
 	report.SwitchAt = res.switchAt

@@ -1,15 +1,27 @@
 package experiment
 
 import (
+	"path/filepath"
 	"testing"
 
 	"adamant/internal/core"
 )
 
+// shippedSelector queries the knowledge base the repository ships,
+// data/adamant.ann.
+func shippedSelector(t *testing.T) *core.ANNSelector {
+	t.Helper()
+	sel, err := core.LoadANNSelector(filepath.Join("..", "..", "data", "adamant.ann"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 // TestAdaptationFigure is the paper's future-work claim made executable: in
-// a drifting environment, in-mission adaptation (monitor -> re-select ->
-// live Rebind) must do at least as well as the best protocol chosen
-// statically up front, and the cost of switching must be measured.
+// a drifting environment, in-mission adaptation (monitor -> re-query the
+// shipped ANN -> live Rebind) must do at least as well as the best protocol
+// chosen statically up front, and the cost of switching must be measured.
 func TestAdaptationFigure(t *testing.T) {
 	cfg := AdaptationConfig{Seed: 11, Metric: core.MetricReLate2}
 	if testing.Short() {
@@ -18,7 +30,7 @@ func TestAdaptationFigure(t *testing.T) {
 			{Samples: 300, RateHz: 25, LossPct: 5},
 		}
 	}
-	report, err := RunAdaptationFigure(cfg)
+	report, err := RunAdaptationFigure(cfg, shippedSelector(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +49,11 @@ func TestAdaptationFigure(t *testing.T) {
 		t.Errorf("adaptive scored %.1f, best static (%s) %.1f: adaptation lost the drift",
 			report.Adaptive.Score, best.Label, best.Score)
 	}
-	// The default drift is built so the phase winners differ; the adaptor
-	// must actually have switched, and the switch cost must be measured.
-	if report.PhaseWinners[0].String() != report.PhaseWinners[1].String() {
+	// When the ANN picks differently for the two phases the adaptor must
+	// actually have switched, and the switch cost must be measured.
+	if report.Picks[0].String() != report.Picks[1].String() {
 		if len(report.Switches) == 0 {
-			t.Fatal("phase winners differ but the adaptor never switched")
+			t.Fatalf("the ANN picks %s then %s but the adaptor never switched", report.Picks[0], report.Picks[1])
 		}
 		for i, sw := range report.Switches {
 			if sw.Err != nil {
@@ -62,7 +74,7 @@ func TestAdaptationFigure(t *testing.T) {
 			}
 		}
 	} else {
-		t.Logf("phase winners tied on %s; adaptive ran without switching", report.PhaseWinners[0])
+		t.Logf("the ANN picks %s for both phases; adaptive ran without switching", report.Picks[0])
 	}
 }
 
@@ -70,6 +82,7 @@ func TestAdaptationFigure(t *testing.T) {
 // before anything runs: a negative payload used to panic inside a Runner
 // worker goroutine.
 func TestAdaptationConfigValidation(t *testing.T) {
+	sel := shippedSelector(t)
 	bad := []AdaptationConfig{
 		{Phases: []DriftPhase{{Samples: 0, RateHz: 50}}},
 		{Phases: []DriftPhase{{Samples: 10, RateHz: -1}}},
@@ -77,7 +90,7 @@ func TestAdaptationConfigValidation(t *testing.T) {
 		{PayloadBytes: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := RunAdaptationFigure(cfg); err == nil {
+		if _, err := RunAdaptationFigure(cfg, sel); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 
 	"adamant/internal/core"
 	"adamant/internal/dds"
-	"adamant/internal/env"
 	"adamant/internal/metrics"
 	"adamant/internal/netem"
 	"adamant/internal/sim"
@@ -154,14 +153,6 @@ func Run(cfg Config) (metrics.Summary, error) {
 	return s, err
 }
 
-// simDriver is the engine surface the run loop needs: the serial Kernel and
-// the sharded conservative-time engine both satisfy it.
-type simDriver interface {
-	SetEventLimit(n uint64)
-	RunFor(d time.Duration) error
-	Run() error
-}
-
 // RunDetailed is Run plus the per-node traffic report.
 func RunDetailed(cfg Config) (metrics.Summary, NetReport, error) {
 	cfg.fillDefaults()
@@ -204,21 +195,7 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 		total += p.Samples
 		publishTime += time.Duration(p.Samples) * p.period()
 	}
-	var (
-		network *netem.Network
-		drv     simDriver
-		err     error
-	)
-	if cfg.Shards > 0 {
-		sh := sim.NewSharded(cfg.Seed, netem.DefaultPropDelay)
-		sh.SetWorkers(cfg.Shards)
-		network, err = netem.NewSharded(sh, netem.Config{Bandwidth: cfg.Bandwidth})
-		drv = sh
-	} else {
-		kernel := sim.New(cfg.Seed)
-		network, err = netem.New(env.NewSim(kernel), netem.Config{Bandwidth: cfg.Bandwidth})
-		drv = kernel
-	}
+	network, drv, err := netem.NewSimulated(cfg.Seed, cfg.Shards, netem.Config{Bandwidth: cfg.Bandwidth})
 	if err != nil {
 		return cellResult{}, err
 	}
@@ -411,9 +388,8 @@ func runCell(cfg Config, phases []DriftPhase, adapt *adaptation) (cellResult, er
 }
 
 // runConfigs expands cfg into `runs` configs with derived per-run seeds —
-// the seed schedule every multi-run helper (RunN, BuildDataset,
-// RunQoSFigures) shares, so serial and parallel execution
-// produce identical results.
+// the seed schedule every multi-run helper (BuildDataset, RunQoSFigures)
+// shares, so serial and parallel execution produce identical results.
 func runConfigs(cfg Config, runs int) []Config {
 	out := make([]Config, runs)
 	for i := range out {
@@ -421,15 +397,6 @@ func runConfigs(cfg Config, runs int) []Config {
 		out[i].Seed = sim.DeriveSeed(cfg.Seed, fmt.Sprintf("run-%d", i))
 	}
 	return out
-}
-
-// RunN executes the experiment `runs` times with derived seeds (the paper
-// runs every configuration five times) and returns the per-run summaries.
-func RunN(cfg Config, runs int) ([]metrics.Summary, error) {
-	if runs < 1 {
-		return nil, errors.New("experiment: runs must be >= 1")
-	}
-	return (&Runner{Jobs: 1}).RunMany(runConfigs(cfg, runs))
 }
 
 // Score extracts the configured composite metric from a summary.
@@ -459,7 +426,7 @@ type CandidateResult struct {
 }
 
 // candidateConfigs expands cfg into one config per (candidate, run) in
-// candidate-major order, with the same per-run seed derivation RunN uses.
+// candidate-major order, with runConfigs' per-run seeds.
 func candidateConfigs(cfg Config, runs int) []Config {
 	cands := core.Candidates()
 	out := make([]Config, 0, len(cands)*runs)

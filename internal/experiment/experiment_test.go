@@ -94,8 +94,8 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunNDistinctSeeds(t *testing.T) {
-	ss, err := RunN(Config{Receivers: 2, RateHz: 50, Samples: 200, LossPct: 5, Seed: 4}, 3)
+func TestRunManyDistinctSeeds(t *testing.T) {
+	ss, err := (&Runner{}).RunMany(runConfigs(Config{Receivers: 2, RateHz: 50, Samples: 200, LossPct: 5, Seed: 4}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +104,6 @@ func TestRunNDistinctSeeds(t *testing.T) {
 	}
 	if ss[0] == ss[1] && ss[1] == ss[2] {
 		t.Error("per-run seeds look identical")
-	}
-	if _, err := RunN(Config{}, 0); err == nil {
-		t.Error("runs=0 should error")
 	}
 }
 
@@ -149,11 +146,11 @@ func TestCrossover(t *testing.T) {
 		cfgN.Protocol = core.Candidates()[3]
 		cfgR := base
 		cfgR.Protocol = core.Candidates()[4]
-		sn, err := RunN(cfgN, 2)
+		sn, err := (&Runner{}).RunMany(runConfigs(cfgN, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := RunN(cfgR, 2)
+		sr, err := (&Runner{}).RunMany(runConfigs(cfgR, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +267,7 @@ func TestBuildDatasetAndCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip row count %d != %d", len(back), len(rows))
 	}
 	for i := range rows {
-		if back[i].Features.Key() != rows[i].Features.Key() || back[i].Winner != rows[i].Winner {
+		if back[i].Features != rows[i].Features || back[i].Winner != rows[i].Winner {
 			t.Errorf("row %d round-trip mismatch:\n%+v\n%+v", i, back[i], rows[i])
 		}
 	}

@@ -82,8 +82,8 @@ type QoSFigures struct {
 // {3 receivers x 10/25 Hz} and {15 receivers x 10 Hz}, NAKcast-1ms and
 // Ricochet-R4C3, Runs seeds each, OpenSplice-profile middleware at 5% loss.
 // The cell x run product is flattened over a Jobs-wide worker pool; per-run
-// seeds match the serial RunN schedule, so the figures are identical at any
-// worker count.
+// seeds follow runConfigs, so the figures are identical at any worker
+// count.
 func RunQoSFigures(opts QoSOptions) (*QoSFigures, error) {
 	opts.fillDefaults()
 	q := &QoSFigures{opts: opts, data: make(map[qosKey][]metrics.Summary)}

@@ -142,7 +142,7 @@ func TestRunnerProgressSerialized(t *testing.T) {
 
 // TestRunCandidatesJobsMatchesSerial checks the candidate x run product
 // BuildDataset runs per combo: candidateConfigs is candidate-major, each
-// candidate over RunN's seeds, and four workers reproduce the serial sweep.
+// candidate over runConfigs' seeds, and four workers reproduce the serial sweep.
 func TestRunCandidatesJobsMatchesSerial(t *testing.T) {
 	cfg := Config{Receivers: 3, RateHz: 25, Samples: 150, LossPct: 3, Seed: 9}
 	seeds := runConfigs(cfg, 2)

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"adamant/internal/ann"
 	"adamant/internal/core"
 	"adamant/internal/probe"
 )
@@ -158,6 +157,26 @@ var ablationRows = []verdict{
 	}},
 }
 
+// adaptation rows: results/adaptation.txt, read by readAdaptation.
+var adaptationRows = []verdict{
+	{"Adaptation", "the shipped ANN drives the adaptive run, which scores at most 1.05x the best static configuration", func(f figures) error {
+		tab := f["Adaptation"]
+		if got := lookup(tab, "adaptive", "label"); got != "(shipped ANN)" {
+			return fmt.Errorf("the adaptive run is %q", got)
+		}
+		best := math.Inf(1)
+		for _, row := range tab.Rows {
+			if row[0] == "static" {
+				best = min(best, number(row[2]))
+			}
+		}
+		if a := number(lookup(tab, "adaptive", "score")); math.IsInf(best, 1) || !(a <= 1.05*best) {
+			return fmt.Errorf("adaptive %g, best static %g", a, best)
+		}
+		return nil
+	}},
+}
+
 // timed rows: the host-timed report results/ann-timing.txt, which is not
 // regenerated by make results; these check the committed report.
 var timed = []verdict{
@@ -181,8 +200,8 @@ var timed = []verdict{
 
 func TestVerdicts(t *testing.T) {
 	results := filepath.Join("..", "..", "results")
-	check := func(file string, rows []verdict) {
-		f := readFigures(t, filepath.Join(results, file))
+	check := func(file string, read func(*testing.T, string) figures, rows []verdict) {
+		f := read(t, filepath.Join(results, file))
 		for _, v := range rows {
 			if _, ok := f[v.id]; !ok {
 				t.Errorf("flipped: %s: %s (%s: no such table)", v.id, v.claim, file)
@@ -191,10 +210,11 @@ func TestVerdicts(t *testing.T) {
 			}
 		}
 	}
-	check("all-figures.txt", deterministic)
-	check("all-figures-20000.txt", deterministic)
-	check("ablations.txt", ablationRows)
-	check("ann-timing.txt", timed)
+	check("all-figures.txt", readFigures, deterministic)
+	check("all-figures-20000.txt", readFigures, deterministic)
+	check("ablations.txt", readFigures, ablationRows)
+	check("adaptation.txt", readAdaptation, adaptationRows)
+	check("ann-timing.txt", readFigures, timed)
 }
 
 // TestDecisionUnder10us is the §4.4 row, timed on this tree and host: one
@@ -208,14 +228,7 @@ func TestDecisionUnder10us(t *testing.T) {
 		t.Skip("host-timed; the race runtime instruments every call")
 	}
 	const decideWindows = 5
-	net, err := ann.LoadFile(filepath.Join("..", "..", "data", "adamant.ann"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := core.NewANNSelector(net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := shippedSelector(t)
 	var ctls []*core.Controller
 	for _, e := range FullSpace() {
 		for _, metric := range core.Metrics() {
@@ -287,6 +300,26 @@ func readFigures(t *testing.T, path string) figures {
 		}
 	}
 	return f
+}
+
+// readAdaptation parses what AdaptationReport.String printed into one
+// table, "Adaptation", with a row per contender: static or adaptive, its
+// label and its score.
+func readAdaptation(t *testing.T, path string) figures {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^\s+[*>]?\s*(static|adaptive) (.+?)\s+ReLate2\S*\s+(\S+)\s+rel=`)
+	tab := Table{ID: "Adaptation", Header: []string{"run", "label", "score"}}
+	for _, m := range line.FindAllStringSubmatch(string(text), -1) {
+		tab.Rows = append(tab.Rows, m[1:])
+	}
+	if len(tab.Rows) == 0 {
+		return figures{}
+	}
+	return figures{tab.ID: tab}
 }
 
 // number parses a cell; a cell that is not a number fails every comparison.

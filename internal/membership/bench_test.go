@@ -15,7 +15,7 @@ import (
 func BenchmarkJoinLeave500(b *testing.B) {
 	k := sim.New(1)
 	fab := transporttest.New(env.NewSim(k), time.Millisecond)
-	d, err := NewDetector(env.NewSim(k), fab.Endpoint(250), DetectorOptions{}, nil)
+	d, err := NewDetector(env.NewSim(k), fab.Endpoint(250), DetectorOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

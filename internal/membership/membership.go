@@ -42,11 +42,9 @@ func (v View) String() string {
 
 // DetectorOptions tune a heartbeat failure Detector.
 type DetectorOptions struct {
-	// Interval is the heartbeat period. Default 100ms.
+	// Interval is the heartbeat period. Default 100ms. A peer is declared
+	// dead after 3.5 intervals without a heartbeat.
 	Interval time.Duration
-	// SuspectAfter is how long without a heartbeat before a peer is
-	// declared dead. Default 3.5x Interval.
-	SuspectAfter time.Duration
 	// UnicastJoinReplies answers a JOIN with a heartbeat unicast to the
 	// joiner instead of a multicast to the whole group. The multicast
 	// reply spreads liveness in one round but is quadratic in packets —
@@ -60,9 +58,6 @@ type DetectorOptions struct {
 func (o *DetectorOptions) fillDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
-	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = o.Interval*3 + o.Interval/2
 	}
 }
 
@@ -79,15 +74,13 @@ type Detector struct {
 	self     wire.NodeID
 	lastSeen map[wire.NodeID]time.Time
 	view     View
-	onChange func(View)
 	inc      uint32
 	hbTimer  env.Timer
 	closed   bool
 }
 
-// NewDetector attaches a detector to ep. onChange (optional) fires on every
-// membership change with the new view.
-func NewDetector(e env.Env, ep transport.Endpoint, opts DetectorOptions, onChange func(View)) (*Detector, error) {
+// NewDetector attaches a detector to ep.
+func NewDetector(e env.Env, ep transport.Endpoint, opts DetectorOptions) (*Detector, error) {
 	if e == nil || ep == nil {
 		return nil, errors.New("membership: nil env or endpoint")
 	}
@@ -101,7 +94,6 @@ func NewDetector(e env.Env, ep transport.Endpoint, opts DetectorOptions, onChang
 	}
 	d.view = View{Members: []wire.NodeID{d.self}, Version: 1}
 	ep.SetHandler(d.dispatch)
-	d.onChange = onChange
 	d.announce(wire.TypeJoin)
 	d.hbTimer = e.After(opts.Interval, d.tick)
 	return d, nil
@@ -154,7 +146,7 @@ func (d *Detector) expire() {
 	now := d.env.Now()
 	changed := false
 	for id, seen := range d.lastSeen {
-		if now.Sub(seen) > d.opts.SuspectAfter {
+		if now.Sub(seen) > d.opts.Interval*7/2 {
 			delete(d.lastSeen, id)
 			changed = true
 		}
@@ -237,8 +229,8 @@ func (d *Detector) onLeave(src wire.NodeID) {
 }
 
 // insert publishes the view with a newly learned member in its sorted
-// place. Each view is a fresh slice: earlier ones escape through View and
-// onChange, so they are never written again.
+// place. Each view is a fresh slice: earlier ones escape through View, so
+// they are never written again.
 func (d *Detector) insert(id wire.NodeID) {
 	old := d.view.Members
 	i, _ := slices.BinarySearch(old, id)
@@ -251,7 +243,4 @@ func (d *Detector) insert(id wire.NodeID) {
 
 func (d *Detector) setView(members []wire.NodeID) {
 	d.view = View{Members: members, Version: d.view.Version + 1}
-	if d.onChange != nil {
-		d.onChange(d.view)
-	}
 }

@@ -303,6 +303,23 @@ func NewSharded(sh *sim.Sharded, cfg Config) (*Network, error) {
 	return &Network{sh: sh, cfg: cfg}, nil
 }
 
+// NewSimulated builds a LAN on a fresh engine seeded with seed: the classic
+// single kernel when shards is 0 (New), else the lane-sharded engine with
+// that many workers (NewSharded). The two engines break same-instant ties
+// differently (see shard_test.go), so a run's outcome depends on which one
+// it gets, though not on the worker count.
+func NewSimulated(seed int64, shards int, cfg Config) (*Network, sim.Engine, error) {
+	if shards > 0 {
+		sh := sim.NewSharded(seed, DefaultPropDelay)
+		sh.SetWorkers(shards)
+		n, err := NewSharded(sh, cfg)
+		return n, sh, err
+	}
+	k := sim.New(seed)
+	n, err := New(env.NewSim(k), cfg)
+	return n, k, err
+}
+
 // Env returns the environment the network runs on in classic mode, nil in
 // sharded mode (where each node has its own lane env — see Node.Env).
 func (n *Network) Env() env.Env { return n.env }

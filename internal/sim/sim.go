@@ -83,6 +83,16 @@ type Kernel struct {
 	free []*Event
 }
 
+// Engine is the surface that drives a whole simulation: the single Kernel
+// and the lane-sharded engine both satisfy it.
+type Engine interface {
+	SetEventLimit(n uint64)
+	RunFor(d time.Duration) error
+	Run() error
+	Pending() int
+	Fired() uint64
+}
+
 // maxFreeEvents bounds the free list so a scheduling burst cannot pin an
 // arbitrarily large pool of dead events.
 const maxFreeEvents = 1 << 15

@@ -48,12 +48,10 @@ import (
 	"strings"
 	"time"
 
-	"adamant/internal/env"
 	"adamant/internal/experiment"
 	"adamant/internal/membership"
 	"adamant/internal/netem"
 	"adamant/internal/netem/chaos"
-	"adamant/internal/sim"
 	"adamant/internal/transport"
 	"adamant/internal/transport/protocols"
 	"adamant/internal/wire"
@@ -99,7 +97,7 @@ type CrucibleScenario struct {
 	// same-instant events differently.
 	Shards int
 	// Heartbeat overrides the membership detector interval (default 50ms;
-	// SuspectAfter stays at 3.5 intervals). Large-group cells slow the
+	// a peer is suspected after 3.5 intervals). Large-group cells slow the
 	// heartbeat down so membership traffic scales with the group instead
 	// of quadratically swamping it.
 	Heartbeat time.Duration
@@ -176,22 +174,6 @@ type CrucibleOutcome struct {
 	Hash string
 }
 
-// crucibleDriver is the engine surface the crucible needs: the classic
-// single kernel and the lane-sharded engine both satisfy it. The two are
-// not interchangeable: they break same-instant ties differently (see
-// shard_test.go), so a sharded cell has its own outcome hash and its own
-// golden lines.
-type crucibleDriver interface {
-	SetEventLimit(uint64)
-	RunFor(time.Duration) error
-	Run() error
-	Pending() int
-	Fired() uint64
-}
-
-// onDriver is a test hook observing the engine a cell runs on.
-var onDriver func(crucibleDriver)
-
 // crucibleEventLimit sizes the quiescence backstop for a cell: the sample
 // term bounds protocol traffic, the quadratic term bounds membership
 // gossip (every detector multicasts to the whole group each interval), and
@@ -213,28 +195,11 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	if err := cs.Chaos.Validate(); err != nil {
 		return CrucibleOutcome{}, err
 	}
-	var (
-		drv     crucibleDriver
-		network *netem.Network
-		err     error
-	)
-	if cs.Shards > 0 {
-		sh := sim.NewSharded(cs.Seed, netem.DefaultPropDelay)
-		sh.SetWorkers(cs.Shards)
-		network, err = netem.NewSharded(sh, netem.Config{})
-		drv = sh
-	} else {
-		kernel := sim.New(cs.Seed)
-		network, err = netem.New(env.NewSim(kernel), netem.Config{})
-		drv = kernel
-	}
+	network, drv, err := netem.NewSimulated(cs.Seed, cs.Shards, netem.Config{})
 	if err != nil {
 		return CrucibleOutcome{}, err
 	}
 	drv.SetEventLimit(crucibleEventLimit(cs))
-	if onDriver != nil {
-		onDriver(drv)
-	}
 	reg := protocols.MustRegistry()
 
 	senderNode := network.AddNode(netem.PC3000)
@@ -268,14 +233,13 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 		i := i
 		split := transport.NewSplitter(readerNodes[i])
 		det, err := membership.NewDetector(readerNodes[i].Env(), split.Route(wire.ControlStream), membership.DetectorOptions{
-			Interval:     cs.Heartbeat,
-			SuspectAfter: cs.Heartbeat * 7 / 2,
+			Interval: cs.Heartbeat,
 			// Large groups answer JOINs with unicasts: the multicast
 			// reply storm at cold start is O(group^3) deliveries, which
 			// at 500 receivers is more packets than the entire rest of
 			// the cell.
 			UnicastJoinReplies: cs.Receivers > 64,
-		}, nil)
+		})
 		if err != nil {
 			return CrucibleOutcome{}, fmt.Errorf("detector %d: %w", i, err)
 		}
