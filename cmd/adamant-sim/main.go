@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	var (
-		machine   = flag.String("machine", "pc3000", "machine type: pc850|pc1500|pc3000|pc5000")
+		machine   = flag.String("machine", "pc3000", "machine type: pc850|pc3000")
 		bw        = flag.String("bw", "1Gb", "LAN bandwidth: 10Mb|100Mb|1Gb")
 		implName  = flag.String("impl", "opensplice", "middleware profile: opendds|opensplice")
 		loss      = flag.Float64("loss", 5, "end-host loss percent")

@@ -11,9 +11,11 @@
 //	city cameras --TCP--> NATS-style broker --bridge--> ANT transport --UDP--> fusion apps
 //
 // The bridge subscribes to the wildcard subject "city.cameras.>" and
-// republishes every frame through the ADAMANT-selected transport protocol.
+// republishes every frame through the transport protocol ADAMANT selects:
+// it probes this host, loads the shipped knowledge base (data/adamant.ann)
+// and asks it, as examples/autoconfig does.
 //
-//	go run ./examples/bridge
+//	go run ./examples/bridge    # from the repository root
 package main
 
 import (
@@ -24,7 +26,9 @@ import (
 
 	"adamant/internal/broker"
 	"adamant/internal/core"
+	"adamant/internal/dds"
 	"adamant/internal/env"
+	"adamant/internal/probe"
 	"adamant/internal/transport"
 	"adamant/internal/transport/protocols"
 	"adamant/internal/udpnet"
@@ -34,7 +38,7 @@ import (
 const (
 	cameras        = 3
 	framesPerCam   = 10
-	fusionReaders  = 2
+	fusionReaders  = 3
 	bridgeStreamID = 1
 )
 
@@ -55,7 +59,24 @@ func run() error {
 	fmt.Printf("broker up at %s\n", addr)
 
 	// --- The DRE side: ADAMANT picks the transport, udpnet carries it. ---
-	spec := core.Candidates()[3] // nakcast(timeout=1ms); see examples/autoconfig for the ANN flow
+	selector, err := core.LoadANNSelector("data/adamant.ann")
+	if err != nil {
+		return err
+	}
+	// The fusion domain's parameters, inside the space the knowledge base
+	// was trained on: its least loss is 1 %.
+	ctl, err := core.NewController(probe.RealSource{}, selector, core.AppParams{
+		Receivers: fusionReaders, RateHz: 25, LossPct: 1, Impl: dds.ImplB, Metric: core.MetricReLate2,
+	})
+	if err != nil {
+		return err
+	}
+	decision, err := ctl.Decide()
+	if err != nil {
+		return err
+	}
+	spec := decision.Spec
+	fmt.Printf("environment features: %s\n", decision.Features)
 	fmt.Printf("ADAMANT-selected transport for the fusion domain: %s\n\n", spec)
 	reg := protocols.MustRegistry()
 
@@ -164,7 +185,10 @@ func run() error {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()
-		done := bridged == want && received[0] == want && received[1] == want
+		done := bridged == want
+		for _, n := range received {
+			done = done && n == want
+		}
 		mu.Unlock()
 		if done {
 			break

@@ -21,7 +21,7 @@ func (i SampleInfo) Latency() time.Duration { return i.ReceivedAt.Sub(i.SentAt) 
 
 // Sample is one received data sample.
 type Sample struct {
-	Data []byte
+	Data []byte // may share the packet it came in: read-only, may be kept
 	Info SampleInfo
 }
 

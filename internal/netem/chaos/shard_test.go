@@ -195,12 +195,12 @@ func FuzzShardedKernel(f *testing.F) {
 			if _, err := Schedule(n, sc); err != nil {
 				return o, err
 			}
-			pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, 32)}
+			payload := make([]byte, 32)
 			var seq uint64
 			var pump func()
 			pump = func() {
 				seq++
-				pkt.Seq = seq
+				pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: seq, Payload: payload}
 				if err := n.Sender.Multicast(pkt); err != nil {
 					panic(err)
 				}

@@ -44,19 +44,16 @@ type Machine struct {
 	CPUFactor float64
 }
 
-// Machine profiles. PC850 and PC3000 mirror the Emulab hardware used in the
-// paper; PC1500 and PC5000 are interpolated/extrapolated profiles used to
-// exercise "environment unknown until runtime" scenarios.
+// Machine profiles: the Emulab hardware used in the paper, the two machine
+// types the knowledge base is trained on.
 var (
 	PC850  = Machine{Name: "pc850", MHz: 850, RAMMB: 256, CPUFactor: 5.0}
-	PC1500 = Machine{Name: "pc1500", MHz: 1500, RAMMB: 512, CPUFactor: 2.2}
 	PC3000 = Machine{Name: "pc3000", MHz: 3000, RAMMB: 2048, CPUFactor: 1.0}
-	PC5000 = Machine{Name: "pc5000", MHz: 5000, RAMMB: 8192, CPUFactor: 0.7}
 )
 
 // MachineByName resolves a machine profile by its Emulab-style name.
 func MachineByName(name string) (Machine, error) {
-	for _, m := range []Machine{PC850, PC1500, PC3000, PC5000} {
+	for _, m := range []Machine{PC850, PC3000} {
 		if m.Name == name {
 			return m, nil
 		}
@@ -603,10 +600,10 @@ func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
 		nd.net.putInflight(f)
 		return err
 	}
-	// Every target receives the same clone pointer, matching the previous
-	// closure-based dispatch.
+	// Every target receives the sender's packet itself: a sent packet is
+	// never written again (transport.Endpoint's ownership rule).
 	f.src = nd.id
-	f.pkt = pkt.Clone()
+	f.pkt = pkt
 	f.frame = frame
 	nd.env.ScheduleArg(arrival.Sub(nd.env.Now()), deliverInflight, f)
 	return nil
@@ -614,23 +611,22 @@ func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
 
 // transmitSharded is the lane-crossing delivery path: one admit on the
 // sending lane, then one cross-lane message per target (every target is on
-// its own lane). All targets share one read-only clone, the same sharing
-// contract the classic multicast path has always imposed. Arrival is at
-// least DefaultPropDelay >= lookahead in the future, satisfying the engine's
-// conservative send bound. target == nil means multicast to all others.
+// its own lane). All targets share the sender's read-only packet, as on the
+// classic path. Arrival is at least DefaultPropDelay >= lookahead in the
+// future, satisfying the engine's conservative send bound. target == nil
+// means multicast to all others.
 func (nd *Node) transmitSharded(pkt *wire.Packet, target *Node) error {
 	arrival, frame, ok, err := nd.admit(pkt)
 	if err != nil || !ok {
 		return err
 	}
-	clone := pkt.Clone()
 	if target != nil {
-		nd.sendLane(target, clone, frame, arrival)
+		nd.sendLane(target, pkt, frame, arrival)
 		return nil
 	}
 	for _, t := range nd.net.nodes {
 		if t.id != nd.id {
-			nd.sendLane(t, clone, frame, arrival)
+			nd.sendLane(t, pkt, frame, arrival)
 		}
 	}
 	return nil

@@ -101,13 +101,12 @@ func runNetWorkload(t *testing.T, classic bool, workers int) netObs {
 	n4 := net.Node(4)
 	n4.Env().Schedule(41*time.Millisecond, func() { n4.SetProcScale(3.0) })
 
-	pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, 64)}
+	payload := make([]byte, 64)
 	var seq uint64
 	var pump func()
 	pump = func() {
 		seq++
-		pkt.Seq = seq
-		pkt.SentAt = sender.Env().Now()
+		pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: seq, SentAt: sender.Env().Now(), Payload: payload}
 		if err := sender.Multicast(pkt); err != nil {
 			panic(err)
 		}

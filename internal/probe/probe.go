@@ -170,10 +170,10 @@ func probeLinkMbps(netDir string) int {
 	return best
 }
 
-// NearestMachine maps probed CPU speed to the closest known machine
-// profile (the granularity the ANN was trained on).
+// NearestMachine maps probed CPU speed to the closest of the machine
+// profiles the ANN was trained on (experiment.FullSpace): pc850 or pc3000.
 func NearestMachine(info Info) netem.Machine {
-	candidates := []netem.Machine{netem.PC850, netem.PC1500, netem.PC3000, netem.PC5000}
+	candidates := []netem.Machine{netem.PC850, netem.PC3000}
 	best := candidates[0]
 	bestDist := dist(info.CPUMHz, float64(best.MHz))
 	for _, m := range candidates[1:] {

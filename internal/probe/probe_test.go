@@ -123,10 +123,10 @@ func TestNearestMachine(t *testing.T) {
 	}{
 		{400, "pc850"},
 		{900, "pc850"},
-		{1400, "pc1500"},
+		{1400, "pc850"},
 		{2800, "pc3000"},
 		{3200, "pc3000"},
-		{4800, "pc5000"},
+		{4800, "pc3000"},
 	}
 	for _, tt := range tests {
 		if got := NearestMachine(Info{CPUMHz: tt.mhz}); got.Name != tt.want {

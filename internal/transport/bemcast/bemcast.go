@@ -86,5 +86,5 @@ func (r *Receiver) onData(_ wire.NodeID, pkt *wire.Packet) {
 		// this packet.
 		r.seen.SlideTo(pkt.Seq - DefaultWindow + 1)
 	}
-	r.Deliver(0, pkt.Seq, r.Arena.Copy(pkt.Payload), pkt.SentAt, false)
+	r.Deliver(0, pkt.Seq, pkt.Payload, pkt.SentAt, false)
 }

@@ -104,14 +104,15 @@ func (r *epochRouter) dispatch(src wire.NodeID, pkt *wire.Packet) {
 	}
 }
 
-// route returns the endpoint view for one epoch, creating it on first use.
-// Each protocol instance owns exactly one epoch's endpoint handler. Epochs
-// are created in order, so epoch is at most one past the newest route.
-func (r *epochRouter) route(epoch uint16) *epochEndpoint {
+// config returns cfg for one epoch's protocol instance: the epoch, which
+// Config.Packet stamps on every packet, and the epoch's endpoint view, made
+// on first use (epochs come in order), whose handler the instance owns.
+func (r *epochRouter) config(cfg Config, epoch uint16) Config {
 	if int(epoch) == len(r.routes) {
-		r.routes = append(r.routes, &epochEndpoint{Endpoint: r.ep, epoch: epoch})
+		r.routes = append(r.routes, &epochEndpoint{Endpoint: r.ep})
 	}
-	return r.routes[epoch]
+	cfg.Endpoint, cfg.epoch = r.routes[epoch], epoch
+	return cfg
 }
 
 // inject feeds a locally synthesized packet to an epoch's handler as if it
@@ -122,23 +123,12 @@ func (r *epochRouter) inject(epoch uint16, src wire.NodeID, pkt *wire.Packet) {
 	}
 }
 
-// epochEndpoint is an epoch-scoped view of the router's endpoint: egress
-// packets are stamped with the epoch, ingress packets were routed to it by
-// that stamp.
+// epochEndpoint is an epoch-scoped view of the router's endpoint: ingress
+// packets were routed to it by their epoch stamp. Egress passes straight
+// through, since each packet carries its epoch from the moment it is built.
 type epochEndpoint struct {
 	Endpoint
-	epoch   uint16
 	handler func(src wire.NodeID, pkt *wire.Packet)
-}
-
-func (e *epochEndpoint) Unicast(dst wire.NodeID, pkt *wire.Packet) error {
-	pkt.Epoch = e.epoch
-	return e.Endpoint.Unicast(dst, pkt)
-}
-
-func (e *epochEndpoint) Multicast(pkt *wire.Packet) error {
-	pkt.Epoch = e.epoch
-	return e.Endpoint.Multicast(pkt)
 }
 
 func (e *epochEndpoint) SetHandler(h func(src wire.NodeID, pkt *wire.Packet)) { e.handler = h }
@@ -172,9 +162,7 @@ func NewSenderBinding(bc BindingConfig) (*SenderBinding, error) {
 	}
 	b := &SenderBinding{cfg: bc.Config, reg: bc.Registry}
 	b.router = newEpochRouter(bc.Config.Endpoint)
-	cfg := b.cfg
-	cfg.Endpoint = b.router.route(0)
-	s, err := bc.Registry.NewSender(bc.Spec, cfg)
+	s, err := bc.Registry.NewSender(bc.Spec, b.router.config(b.cfg, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +219,8 @@ func (b *SenderBinding) Swap(spec Spec) error {
 	old := b.cur()
 	cut := old.Seq()
 	next := b.Epoch() + 1
-	cfg := b.cfg
+	cfg := b.router.config(b.cfg, next)
 	cfg.BaseSeq = cut
-	cfg.Endpoint = b.router.route(next)
 	ns, err := b.reg.NewSender(spec, cfg)
 	if err != nil {
 		return err
@@ -273,11 +260,10 @@ func (b *SenderBinding) announce() {
 	if err != nil {
 		return
 	}
-	pkt := b.cfg.Packet(wire.TypeRebind, 0, body)
-	pkt.Epoch = b.Epoch()
+	cfg := b.router.config(b.cfg, b.Epoch())
 	// Announcement loss surfaces as parked packets at receivers until the
 	// next period; nothing useful to do with an error here.
-	_ = b.cfg.Endpoint.Multicast(pkt)
+	_ = cfg.Endpoint.Multicast(cfg.Packet(wire.TypeRebind, 0, body))
 }
 
 func (b *SenderBinding) armAnnounce() {
@@ -298,8 +284,7 @@ func (b *SenderBinding) fireAnnounce() {
 			return
 		}
 		b.lingerLeft--
-		cfg := b.cfg
-		cfg.Endpoint = b.router.route(b.Epoch())
+		cfg := b.router.config(b.cfg, b.Epoch())
 		cfg.multicastHeartbeat(b.Seq(), wire.FlagEOS)
 	}
 	if b.Swaps() > 0 {
@@ -398,9 +383,8 @@ func (b *ReceiverBinding) addEpoch(epoch uint16, base uint64, spec Spec) (*epoch
 		return nil, err
 	}
 	es := &epochState{epoch: epoch, spec: spec, props: props, base: base}
-	cfg := b.cfg
+	cfg := b.router.config(b.cfg, epoch)
 	cfg.BaseSeq = base
-	cfg.Endpoint = b.router.route(epoch)
 	cfg.Deliver = func(d Delivery) { b.onDeliver(es, d) }
 	cfg.OnLost = func(seq uint64) { b.onLost(es, seq) }
 	recv, err := b.reg.NewReceiver(spec, cfg)
@@ -564,7 +548,7 @@ func (b *ReceiverBinding) injectEOS() {
 	}
 }
 
-// park buffers a packet whose epoch the receiver has not learned yet; it is
+// park keeps a packet whose epoch the receiver has not learned yet; it is
 // replayed into the epoch's instance once an announcement teaches us the
 // chain.
 func (b *ReceiverBinding) park(src wire.NodeID, pkt *wire.Packet) {
@@ -575,7 +559,7 @@ func (b *ReceiverBinding) park(src wire.NodeID, pkt *wire.Packet) {
 		b.parkedDrops++
 		return
 	}
-	b.parked = append(b.parked, parkedPacket{src: src, pkt: pkt.Clone()})
+	b.parked = append(b.parked, parkedPacket{src: src, pkt: pkt})
 	b.noteHold()
 }
 

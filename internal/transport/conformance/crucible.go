@@ -101,6 +101,9 @@ type CrucibleScenario struct {
 	// heartbeat down so membership traffic scales with the group instead
 	// of quadratically swamping it.
 	Heartbeat time.Duration
+	// wrap decorates each node's endpoint under the cell's stack (a test
+	// watches every send through it); the default is none.
+	wrap func(transport.Endpoint) transport.Endpoint
 }
 
 func (cs *CrucibleScenario) fillDefaults() {
@@ -121,6 +124,9 @@ func (cs *CrucibleScenario) fillDefaults() {
 	}
 	if cs.Heartbeat == 0 {
 		cs.Heartbeat = 50 * time.Millisecond
+	}
+	if cs.wrap == nil {
+		cs.wrap = func(ep transport.Endpoint) transport.Endpoint { return ep }
 	}
 }
 
@@ -231,7 +237,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	instances := make([]*transport.ReceiverBinding, cs.Receivers)
 	for i := range readerNodes {
 		i := i
-		split := transport.NewSplitter(readerNodes[i])
+		split := transport.NewSplitter(cs.wrap(readerNodes[i]))
 		det, err := membership.NewDetector(readerNodes[i].Env(), split.Route(wire.ControlStream), membership.DetectorOptions{
 			Interval: cs.Heartbeat,
 			// Large groups answer JOINs with unicasts: the multicast
@@ -268,7 +274,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	senderEnv := senderNode.Env()
 	sender, err := transport.NewSenderBinding(transport.BindingConfig{
 		Config: transport.Config{
-			Env: senderEnv, Endpoint: senderNode, Stream: 1,
+			Env: senderEnv, Endpoint: cs.wrap(senderNode), Stream: 1,
 			Receivers: transport.StaticReceivers(ids...),
 		},
 		Registry: reg,

@@ -195,7 +195,6 @@ func (s *Sender) flushBlock(final bool) {
 	if final && nRep == 0 && s.opts.OverheadPct > 0 {
 		nRep, s.credits = 1, 0
 	}
-	now := s.Cfg.Env.Now()
 	for id := 1; id <= nRep; id++ {
 		s.Cfg.Endpoint.Work(symbolBuildWork)
 		sym := MakeRepair(s.cur, seed, uint32(id))
@@ -211,19 +210,11 @@ func (s *Sender) flushBlock(final bool) {
 		if err != nil {
 			break
 		}
-		pkt := &wire.Packet{
-			Type:   wire.TypeSymbol,
-			Src:    s.Cfg.Endpoint.Local(),
-			Stream: s.Cfg.Stream,
-			// The header seq is the block's highest source seq, so a
-			// symbol arriving ahead of (or instead of) its data packets
-			// still advances the receiver's gap detection.
-			Seq:     s.Seq(),
-			SentAt:  now,
-			Payload: body,
-		}
-		// A failed repair send costs redundancy, not correctness.
-		_ = s.Cfg.Endpoint.Multicast(pkt)
+		// The header seq is the block's highest source seq, so a symbol
+		// arriving ahead of (or instead of) its data packets still
+		// advances the receiver's gap detection. A failed repair send
+		// costs redundancy, not correctness.
+		_ = s.Cfg.Endpoint.Multicast(s.Cfg.Packet(wire.TypeSymbol, s.Seq(), body))
 	}
 	s.cur = s.cur[:0]
 }
@@ -382,7 +373,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 		r.Counts.Duplicates++
 		return
 	}
-	b.entries[p] = blockEntry{sentAt: pkt.SentAt, payload: r.Arena.Copy(pkt.Payload)}
+	b.entries[p] = blockEntry{sentAt: pkt.SentAt, payload: pkt.Payload}
 	b.have |= 1 << uint(p)
 	r.held++
 	if b.dec != nil && !b.gaveUp {

@@ -302,7 +302,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	}
 	*r.win.Set(seq, transport.SlotHeld) = slot{
 		sentAt:    pkt.SentAt,
-		payload:   r.Arena.Copy(pkt.Payload),
+		payload:   pkt.Payload,
 		recovered: pkt.Type == wire.TypeRetrans,
 	}
 	r.noteHigh(seq, true)

@@ -8,9 +8,9 @@ import (
 )
 
 // ReceiverCore is the reader-side state every protocol shares: the config,
-// the counters, the payload arena, the closed flag, dispatch by packet type,
-// deferred delivery and one optional timer. Protocols embed it and add their
-// own recovery state.
+// the counters, the closed flag, dispatch by packet type, deferred delivery
+// and one optional timer. Protocols embed it and add their own recovery
+// state.
 //
 // The core makes the same env and Endpoint calls, in the same order, as the
 // per-protocol code it replaced, so seeded runs replay byte for byte.
@@ -18,7 +18,6 @@ type ReceiverCore struct {
 	Cfg Config
 	// Counts are the counters Stats returns.
 	Counts ReceiverStats
-	Arena  Arena
 
 	closed bool
 	routes []route

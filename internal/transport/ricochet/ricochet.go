@@ -24,6 +24,7 @@ package ricochet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"adamant/internal/transport"
@@ -224,11 +225,10 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 		r.Counts.Duplicates++
 		return
 	}
-	stored := pkt.Clone()
-	r.store(stored)
+	r.store(pkt) // kept as handed over: see transport.Endpoint
 	// Per-packet LEC processing consumes CPU; delivery lands when the
 	// CPU is done with it.
-	r.Deliver(r.Cfg.Endpoint.Work(procCost), stored.Seq, stored.Payload, stored.SentAt, false)
+	r.Deliver(r.Cfg.Endpoint.Work(procCost), pkt.Seq, pkt.Payload, pkt.SentAt, false)
 
 	// Accumulate toward the next repair: every R direct receptions emit
 	// one XOR repair to C random peers (lateral error correction). The
@@ -237,7 +237,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	if r.stagger > 0 {
 		r.stagger--
 	} else {
-		r.group = append(r.group, stored)
+		r.group = append(r.group, pkt)
 		if len(r.group) >= r.opts.R {
 			r.emitRepair()
 		} else if len(r.group) == 1 && r.opts.Flush > 0 {
@@ -279,28 +279,28 @@ func (r *Receiver) emitRepair() {
 // repairTargets picks C random peer receivers with replacement (the
 // original protocol's random targeting), deduplicated — so a repair may
 // reach fewer than C distinct peers. The resulting imperfect coverage is
-// part of Ricochet's probabilistic reliability.
+// part of Ricochet's probabilistic reliability. A draw indexes the receiver
+// set with this node skipped; a lone peer needs no draw.
 func (r *Receiver) repairTargets() []wire.NodeID {
 	if r.Cfg.Receivers == nil {
 		return nil
 	}
 	all := r.Cfg.Receivers()
-	peers := make([]wire.NodeID, 0, len(all))
-	for _, id := range all {
-		if id != r.Cfg.Endpoint.Local() {
-			peers = append(peers, id)
-		}
+	self, peers := slices.Index(all, r.Cfg.Endpoint.Local()), len(all)-1
+	if self < 0 {
+		self, peers = len(all), len(all)
 	}
-	if len(peers) <= 1 {
-		return peers
-	}
-	chosen := make(map[wire.NodeID]bool, r.opts.C)
 	targets := make([]wire.NodeID, 0, r.opts.C)
-	for i := 0; i < r.opts.C; i++ {
-		id := peers[r.rng.Intn(len(peers))]
-		if !chosen[id] {
-			chosen[id] = true
-			targets = append(targets, id)
+	for i := 0; i < r.opts.C && peers > 0; i++ {
+		k := 0
+		if peers > 1 {
+			k = r.rng.Intn(peers)
+		}
+		if k >= self {
+			k++
+		}
+		if !slices.Contains(targets, all[k]) {
+			targets = append(targets, all[k])
 		}
 	}
 	return targets
@@ -335,13 +335,12 @@ const (
 // tryDecode attempts to reconstruct from one repair. decodeDone means a
 // packet was recovered; decodeUseless means the repair covers nothing
 // missing (or is stale); decodeStuck means >= 2 covered packets are missing.
+// Only a repair with exactly one seq missing gathers its held siblings.
 func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 	var missingSeq uint64
 	missing := 0
-	held := make([]*wire.Packet, 0, len(rep.Seqs)-1)
 	for _, seq := range rep.Seqs {
-		if p := r.window.Get(seq); p != nil {
-			held = append(held, p)
+		if r.window.Get(seq) != nil {
 			continue
 		}
 		if seq < r.window.Low() {
@@ -360,6 +359,12 @@ func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 		// The recovery path runs off the receive thread: scale its cost
 		// to this machine without blocking data-packet processing.
 		delay := r.Cfg.Endpoint.ScaleCPU(decodeCost) + r.Cfg.Endpoint.Work(repairRecvWork)
+		held := make([]*wire.Packet, 0, len(rep.Seqs)-1)
+		for _, seq := range rep.Seqs {
+			if seq != missingSeq {
+				held = append(held, r.window.Get(seq))
+			}
+		}
 		sentAt, payload, err := rep.Reconstruct(held)
 		if err != nil {
 			r.Counts.RepairsUseless++

@@ -113,6 +113,7 @@ type History struct {
 	pages  [][]histEntry
 	src    wire.NodeID
 	stream wire.StreamID
+	epoch  uint16
 }
 
 const histPage = 1024 // slots per page
@@ -130,7 +131,7 @@ func NewHistory(n int) History {
 
 // Put records a data packet.
 func (h *History) Put(pkt *wire.Packet) {
-	h.src, h.stream = pkt.Src, pkt.Stream
+	h.src, h.stream, h.epoch = pkt.Src, pkt.Stream, pkt.Epoch
 	i := pkt.Seq % h.n
 	page := &h.pages[i/histPage]
 	if *page == nil {
@@ -164,6 +165,7 @@ func (h *History) Retrans(seq uint64) *wire.Packet {
 		Src:     h.src,
 		Stream:  h.stream,
 		Seq:     seq,
+		Epoch:   h.epoch,
 		SentAt:  e.sentAt,
 		Payload: e.payload,
 	}

@@ -33,6 +33,11 @@ import (
 //
 // Implementations must invoke the receive handler serially (from env
 // callbacks), never concurrently.
+//
+// Ownership: a packet handed to Unicast or Multicast belongs to the network
+// from then on; neither the packet nor its payload is written again (one
+// packet may still go to several destinations). The packet a handler is
+// given is shared and read-only, and the handler may keep it.
 type Endpoint interface {
 	// Local returns this endpoint's node ID.
 	Local() wire.NodeID
@@ -62,7 +67,7 @@ type Endpoint interface {
 type Delivery struct {
 	Stream      wire.StreamID
 	Seq         uint64
-	Payload     []byte
+	Payload     []byte // may share the packet it came in: read-only, may be kept
 	SentAt      time.Time
 	DeliveredAt time.Time
 	// Recovered marks samples reconstructed via repair or retransmission
@@ -188,13 +193,15 @@ type Config struct {
 	// continues the stream's sequence space from the previous generation's
 	// cut; zero (the default) is the classic from-the-start behavior.
 	BaseSeq uint64
+	// epoch is the instance's binding generation, set by the binding.
+	epoch uint16
 }
 
-// Packet returns a packet of type t from this instance's endpoint and
-// stream, stamped now.
+// Packet returns a packet of type t from this instance's endpoint, stream
+// and epoch, stamped now.
 func (c *Config) Packet(t wire.Type, seq uint64, payload []byte) *wire.Packet {
 	return &wire.Packet{Type: t, Src: c.Endpoint.Local(), Stream: c.Stream, Seq: seq,
-		SentAt: c.Env.Now(), Payload: payload}
+		Epoch: c.epoch, SentAt: c.Env.Now(), Payload: payload}
 }
 
 // ValidateSender checks the fields a sender needs.
@@ -491,11 +498,11 @@ func StaticReceivers(ids ...wire.NodeID) func() []wire.NodeID {
 // most of a chunk.
 const arenaChunk = 4096
 
-// Arena amortizes the per-sample payload copies protocols make when they
-// retain data past a receive or publish callback (history buffers, holdback
-// queues, deliveries). Copies are carved sequentially from chunk-sized
-// blocks, so the 12-byte experiment payloads cost one allocation per ~340
-// samples instead of one each. Carved slices are never reused — they stay
+// Arena amortizes the per-sample payload copies a sender makes when it
+// retains a published sample past the Publish call, whose caller may reuse
+// its buffer (a received packet needs no copy: see Endpoint). Copies are
+// carved sequentially from chunk-sized blocks, so the 12-byte experiment
+// payloads cost one allocation per ~340 samples instead of one each. Carved slices are never reused — they stay
 // valid (and must be treated as immutable by later writers) for the life of
 // the program, exactly like individually allocated copies.
 //

@@ -51,10 +51,10 @@ func (f *Fabric) send(from, to wire.NodeID, pkt *wire.Packet) error {
 	if f.Drop != nil && f.Drop(from, to, pkt) {
 		return nil
 	}
-	clone := pkt.Clone()
+	// Every destination gets the sender's packet itself (transport.Endpoint).
 	f.env.After(f.delay, func() {
 		if dst.handler != nil {
-			dst.handler(from, clone)
+			dst.handler(from, pkt)
 		}
 	})
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -62,6 +63,10 @@ func (r *Repair) Reconstruct(held []*Packet) (sentAt time.Time, payload []byte, 
 	ln := r.XORLen
 	buf := append([]byte(nil), r.XORPayload...)
 	for _, p := range held {
+		if len(p.Payload) > len(buf) { // a sibling the repair cannot have covered
+			return time.Time{}, nil, fmt.Errorf("%w: sibling payload %d exceeds repair payload %d",
+				ErrBodyInvalid, len(p.Payload), len(buf))
+		}
 		ts ^= uint64(p.SentAt.UnixNano())
 		ln ^= uint16(len(p.Payload))
 		for i, b := range p.Payload {
@@ -80,6 +85,7 @@ func (r *Repair) Encode(dst []byte) ([]byte, error) {
 	if len(r.Seqs) == 0 || len(r.Seqs) > maxRepairSeqs {
 		return dst, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, len(r.Seqs))
 	}
+	dst = slices.Grow(dst, 1+8*len(r.Seqs)+8+2+2+len(r.XORPayload))
 	dst = append(dst, byte(len(r.Seqs)))
 	var b8 [8]byte
 	for _, s := range r.Seqs {
@@ -97,7 +103,9 @@ func (r *Repair) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRepair parses a Repair body.
+// DecodeRepair parses a Repair body. XORPayload aliases buf, as Decode's
+// Payload does: a received packet is never written again, and Reconstruct
+// works on a copy.
 func DecodeRepair(buf []byte) (*Repair, error) {
 	if len(buf) < 1 {
 		return nil, ErrBodyTruncated
@@ -125,7 +133,7 @@ func DecodeRepair(buf []byte) (*Repair, error) {
 	if len(buf) < off+plen {
 		return nil, ErrBodyTruncated
 	}
-	r.XORPayload = append([]byte(nil), buf[off:off+plen]...)
+	r.XORPayload = buf[off : off+plen : off+plen]
 	return r, nil
 }
 
@@ -156,6 +164,7 @@ func (nb *NakBody) Encode(dst []byte) ([]byte, error) {
 	if len(nb.Ranges) == 0 || len(nb.Ranges) > maxNakRanges {
 		return dst, fmt.Errorf("%w: %d NAK ranges", ErrBodyInvalid, len(nb.Ranges))
 	}
+	dst = slices.Grow(dst, 1+16*len(nb.Ranges))
 	dst = append(dst, byte(len(nb.Ranges)))
 	var b8 [8]byte
 	for _, r := range nb.Ranges {
@@ -259,6 +268,7 @@ func (sb *SymbolBody) Encode(dst []byte) ([]byte, error) {
 	if sb.SymbolID == 0 {
 		return dst, fmt.Errorf("%w: symbol id 0", ErrBodyInvalid)
 	}
+	dst = slices.Grow(dst, symbolFixedSize+len(sb.XORPayload))
 	var b8 [8]byte
 	var b4 [4]byte
 	var b2 [2]byte
@@ -283,7 +293,8 @@ func (sb *SymbolBody) Encode(dst []byte) ([]byte, error) {
 // symbolFixedSize is the fixed prefix of a SymbolBody encoding.
 const symbolFixedSize = 8 + 2 + 4 + 8 + 8 + 2 + 2
 
-// DecodeSymbol parses a SymbolBody.
+// DecodeSymbol parses a SymbolBody. XORPayload aliases buf, as in
+// DecodeRepair.
 func DecodeSymbol(buf []byte) (*SymbolBody, error) {
 	if len(buf) < symbolFixedSize {
 		return nil, ErrBodyTruncated
@@ -309,7 +320,7 @@ func DecodeSymbol(buf []byte) (*SymbolBody, error) {
 	if len(buf) < symbolFixedSize+plen {
 		return nil, ErrBodyTruncated
 	}
-	sb.XORPayload = append([]byte(nil), buf[symbolFixedSize:symbolFixedSize+plen]...)
+	sb.XORPayload = buf[symbolFixedSize : symbolFixedSize+plen : symbolFixedSize+plen]
 	return sb, nil
 }
 

@@ -235,27 +235,9 @@ func Decode(buf []byte) (*Packet, error) {
 	return p, nil
 }
 
-// inlinePayload is the payload size up to which Clone packs header and
-// payload into one allocation. Experiment samples are 12 bytes and control
-// bodies are small, so nearly every simulated hop takes this path.
-const inlinePayload = 64
-
-// packetBuf bundles a Packet with an inline payload buffer so small clones
-// cost a single allocation instead of two.
-type packetBuf struct {
-	p   Packet
-	buf [inlinePayload]byte
-}
-
 // Clone returns a deep copy of p, including the payload. Use it when a
 // decoded packet must outlive the receive buffer it aliases.
 func (p *Packet) Clone() *Packet {
-	if n := len(p.Payload); n > 0 && n <= inlinePayload {
-		c := &packetBuf{p: *p}
-		copy(c.buf[:n], p.Payload)
-		c.p.Payload = c.buf[:n:n]
-		return &c.p
-	}
 	c := *p
 	if p.Payload != nil {
 		c.Payload = append([]byte(nil), p.Payload...)

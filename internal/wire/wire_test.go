@@ -290,6 +290,17 @@ func TestRepairReconstructWrongSiblingCount(t *testing.T) {
 	}
 }
 
+// TestRepairReconstructShortBody feeds Reconstruct a repair whose XOR
+// payload is shorter than a held sibling's payload, as a corrupt or hostile
+// repair body can be: it is an error, not an index out of range.
+func TestRepairReconstructShortBody(t *testing.T) {
+	rep := Repair{Seqs: []uint64{1, 2}, XORLen: 1, XORPayload: []byte{7}}
+	held := []*Packet{{Seq: 1, SentAt: time.Unix(0, 1), Payload: []byte("sample-00001")}}
+	if _, _, err := rep.Reconstruct(held); !errors.Is(err, ErrBodyInvalid) {
+		t.Errorf("err = %v, want ErrBodyInvalid", err)
+	}
+}
+
 // Property: for any R in [2,8] and any single missing index, XOR repair
 // reconstructs the missing packet exactly.
 func TestRepairReconstructProperty(t *testing.T) {
