@@ -50,13 +50,14 @@ chaos:
 	$(GO) run ./cmd/adamant-verify -chaos
 
 # bench runs the allocation-sensitive micro benchmarks with allocation
-# counters: the scheduler hot paths, the packet codec, the ANN inference and
-# training kernels (0 allocs/op on Run and Classify is the pin) and the load
-# of the shipped model, the decision path over the paper's grid, and the
-# experiment engine end to end.
+# counters: the scheduler hot paths, the packet codec and the repair body's
+# one-pass build and in-place decode, the ANN inference and training kernels
+# (0 allocs/op on Run and Classify is the pin) and the load of the shipped
+# model, the decision path over the paper's grid, and the experiment engine
+# end to end.
 bench:
 	$(GO) test -bench 'BenchmarkSchedule' -benchmem -run NONE ./internal/sim/
-	$(GO) test -bench 'BenchmarkPacket' -benchmem -run NONE ./internal/wire/
+	$(GO) test -bench 'BenchmarkPacket|BenchmarkRepair' -benchmem -run NONE ./internal/wire/
 	$(GO) test -bench 'BenchmarkRun|BenchmarkTrainEpoch|BenchmarkLoadAdamant' -benchmem -run NONE ./internal/ann/
 	$(GO) test -bench 'BenchmarkSelectGrid' -benchmem -run NONE ./internal/core/
 	$(GO) test -bench 'BenchmarkANN' -benchmem -benchtime 100x -run NONE .

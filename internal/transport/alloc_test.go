@@ -30,28 +30,31 @@ func (e *loopEndpoint) SetHandler(h func(wire.NodeID, *wire.Packet)) { e.handler
 
 // TestReceiveAllocs pins the allocations per 100 received packets of
 // in-order receive on every transport's receiver, each built from a spec
-// through the registry, and of nakcast recovering one loss in every two
-// packets (a gap, its NAK timer, the retransmission). nakcast's 50 in the
-// loss case are the simulated env's NAK timer, one per gap; ricochet
-// allocates its flush timer per group of four, and fountcast its block
-// record and entries per block of eight. No receiver copies a payload: it
-// keeps the packet it is handed. The bounds are this tree's measured
-// values; CHANGES.md records the parent's.
+// through the registry, of nakcast recovering one loss in every two
+// packets (a gap, its NAK timer, the retransmission), and of ricochet
+// receiving useless repairs (each covering four seqs it holds, as most
+// repairs do). nakcast's 50 in the loss case are the simulated env's NAK
+// timer, one per gap; ricochet allocates its flush timer per group of
+// four, and fountcast its block record and entries per block of eight. No
+// receiver copies a payload: it keeps the packet it is handed, and reads a
+// repair in place. The bounds are this tree's measured values; CHANGES.md
+// records the parent's.
 func TestReceiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	reg := protocols.MustRegistry()
 	cases := []struct {
-		name, spec string
-		loss       bool
-		max        float64
+		name, spec    string
+		loss, useless bool
+		max           float64
 	}{
-		{"nakcast", "nakcast", false, 0.5},
-		{"nakcast-loss", "nakcast", true, 50.5},
-		{"bemcast", "bemcast", false, 0.5},
-		{"ricochet", "ricochet(c=3,r=4)", false, 25.5},
-		{"fountcast", "fountcast(k=8,oh=25)", false, 25.5},
+		{"nakcast", "nakcast", false, false, 0.5},
+		{"nakcast-loss", "nakcast", true, false, 50.5},
+		{"bemcast", "bemcast", false, false, 0.5},
+		{"ricochet", "ricochet(c=3,r=4)", false, false, 25.5},
+		{"ricochet-useless-repair", "ricochet(c=3,r=4)", false, true, 0.5},
+		{"fountcast", "fountcast(k=8,oh=25)", false, false, 25.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,7 +64,7 @@ func TestReceiveAllocs(t *testing.T) {
 			}
 			ep := &loopEndpoint{}
 			delivered := 0
-			_, err = reg.NewReceiver(spec, transport.Config{
+			recv, err := reg.NewReceiver(spec, transport.Config{
 				Env: env.NewSim(sim.New(1)), Endpoint: ep, Stream: 1,
 				Deliver: func(transport.Delivery) { delivered++ },
 			})
@@ -70,27 +73,46 @@ func TestReceiveAllocs(t *testing.T) {
 			}
 			// A handler may keep the packet it is given, so each receive
 			// gets a fresh one, from one slice made before the measured runs:
-			// 100 per step over 50 warm steps and AllocsPerRun's 501.
-			pkts := make([]wire.Packet, 551*100)
+			// 100 per step over 50 warm steps and AllocsPerRun's 501, plus
+			// the four data packets a useless repair covers.
+			pkts := make([]wire.Packet, 551*100+4)
 			payload := []byte("sample-00000")
 			var seq uint64
-			recv := func(typ wire.Type, s uint64) {
+			feed := func(typ wire.Type, s uint64, payload []byte) {
 				pkt := &pkts[0]
 				pkts = pkts[1:]
 				*pkt = wire.Packet{Type: typ, Stream: 1, Seq: s, SentAt: sim.Epoch, Payload: payload}
 				ep.handler(0, pkt)
 			}
+			// The useless repairs cover seqs 1..4, which the receiver holds
+			// before the warm steps.
+			var repair []byte
+			if tc.useless {
+				var group []*wire.Packet
+				for seq < 4 {
+					seq++
+					feed(wire.TypeData, seq, payload)
+					group = append(group, &wire.Packet{Seq: seq, SentAt: sim.Epoch, Payload: payload})
+				}
+				if repair, err = wire.AppendRepair(nil, group); err != nil {
+					t.Fatal(err)
+				}
+			}
 			step := func() { // 100 packets
 				for i := 0; i < 100; i++ {
+					if tc.useless {
+						feed(wire.TypeRepair, 4, repair)
+						continue
+					}
 					if tc.loss && i%2 == 0 {
 						seq += 2
-						recv(wire.TypeData, seq)      // seq-1 is a gap
-						recv(wire.TypeRetrans, seq-1) // and recovered
+						feed(wire.TypeData, seq, payload)      // seq-1 is a gap
+						feed(wire.TypeRetrans, seq-1, payload) // and recovered
 						i++
 						continue
 					}
 					seq++
-					recv(wire.TypeData, seq)
+					feed(wire.TypeData, seq, payload)
 				}
 			}
 			for i := 0; i < 50; i++ { // warm: window grown, arena chunk cut
@@ -99,6 +121,9 @@ func TestReceiveAllocs(t *testing.T) {
 			got := testing.AllocsPerRun(500, step)
 			if uint64(delivered) != seq {
 				t.Fatalf("delivered %d of %d", delivered, seq)
+			}
+			if st := recv.Stats(); tc.useless && st.RepairsUseless != 551*100 {
+				t.Fatalf("%d of %d repairs counted useless", st.RepairsUseless, 551*100)
 			}
 			t.Logf("%s: %.0f allocs per 100 packets", tc.name, got)
 			if got > tc.max {

@@ -81,14 +81,14 @@ func decodeReceiverInput(data []byte) []hostile {
 			}
 			pkt.Type = wire.TypeSymbol
 			body, _ = (&wire.SymbolBody{Block: block, Count: uint16(b % 10), SymbolID: uint32(b), Seed: b,
-				XORSentAt: b, XORLen: uint16(b % 16), XORPayload: make([]byte, b%16)}).Encode(nil)
+				Fold: wire.Fold{SentAt: b, Len: uint16(b % 16), Data: make([]byte, b%16)}}).Encode(nil)
 		case kindRepair:
-			var rep wire.Repair
+			var group []*wire.Packet
 			for i := uint64(0); i < 2+b%3; i++ {
-				rep.AddPacket(&wire.Packet{Seq: a + i, SentAt: sim.Epoch, Payload: []byte{byte(a + i)}})
+				group = append(group, &wire.Packet{Seq: a + i, SentAt: sim.Epoch, Payload: []byte{byte(a + i)}})
 			}
 			pkt.Type = wire.TypeRepair
-			body, _ = rep.Encode(nil)
+			body, _ = wire.AppendRepair(nil, group)
 		case kindNak:
 			pkt.Type = wire.TypeNak
 			body, _ = (&wire.NakBody{Ranges: []wire.SeqRange{{From: a, To: b}}}).Encode(nil)

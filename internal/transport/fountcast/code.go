@@ -6,16 +6,19 @@
 // K linearly independent symbols (direct data or repairs) arrive, giving
 // zero-RTT loss recovery with no feedback channel.
 //
-// This file is the pure codec: coefficient generation, symbol folding, and
-// the incremental decoder. It has no dependency on the transport runtime so
-// the properties ("any K independent symbols reconstruct the block
-// byte-identically") can be tested and fuzzed in isolation.
+// This file is the pure codec: coefficient generation, symbol folding (on
+// wire.Fold, the XOR Ricochet's repairs use too), and the incremental
+// decoder. It has no dependency on the transport runtime so the properties
+// ("any K independent symbols reconstruct the block byte-identically") can
+// be tested and fuzzed in isolation.
 package fountcast
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"adamant/internal/wire"
 )
 
 // MaxBlock bounds the source-block size: coefficient vectors are one 64-bit
@@ -64,64 +67,33 @@ func Coefficients(seed uint64, symbolID uint32, count int) uint64 {
 	}
 }
 
-// Source is one source packet of a block as the codec sees it: the
-// origination timestamp (Unix nanoseconds) and the payload bytes. Folding
-// carries the timestamp through recovery so end-to-end latency accounting
-// is exact for decoded packets.
-type Source struct {
-	SentAt  uint64
-	Payload []byte
-}
-
-// Symbol is one equation over a block: the XOR of the source packets
+// Symbol is one equation over a block: the wire.Fold of the source packets
 // selected by Mask. A directly received data packet is the singleton
-// equation Mask = 1<<i; a repair packet is a dense combination. Len folds
-// the selected payload lengths (it is an XOR of lengths, not a length) and
-// Data folds the zero-padded payloads.
+// equation Mask = 1<<i; a repair packet is a dense combination. Folding
+// carries the send times through recovery, so end-to-end latency
+// accounting is exact for decoded packets.
 type Symbol struct {
-	Mask   uint64
-	SentAt uint64
-	Len    uint16
-	Data   []byte
+	Mask uint64
+	wire.Fold
 }
 
-// SourceSymbol wraps source packet i of a block as its singleton equation.
-// The payload is aliased, not copied; callers that mutate it must copy.
-func SourceSymbol(i int, src Source) Symbol {
-	return Symbol{
-		Mask:   1 << uint(i),
-		SentAt: src.SentAt,
-		Len:    uint16(len(src.Payload)),
-		Data:   src.Payload,
-	}
+// SourceSymbol returns source packet i of a block, the fold of that packet
+// alone, as its singleton equation. The symbol owns a copy of the payload,
+// as Decoder.Add needs.
+func SourceSymbol(i int, src wire.Fold) Symbol {
+	src.Data = append([]byte(nil), src.Data...)
+	return Symbol{Mask: 1 << uint(i), Fold: src}
 }
 
-// MakeRepair folds the repair symbol symbolID for a block of sources under
-// the given seed. The returned symbol owns its Data buffer.
-func MakeRepair(sources []Source, seed uint64, symbolID uint32) Symbol {
-	mask := Coefficients(seed, symbolID, len(sources))
-	s := Symbol{Mask: mask}
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		s.SentAt ^= sources[i].SentAt
-		s.Len ^= uint16(len(sources[i].Payload))
-		s.Data = xorInto(s.Data, sources[i].Payload)
+// MakeRepair folds the repair symbol symbolID for a block of sources, each
+// the fold of one packet, under the given seed. The returned symbol owns
+// its Data buffer.
+func MakeRepair(sources []wire.Fold, seed uint64, symbolID uint32) Symbol {
+	s := Symbol{Mask: Coefficients(seed, symbolID, len(sources))}
+	for m := s.Mask; m != 0; m &= m - 1 {
+		s.XOR(sources[bits.TrailingZeros64(m)])
 	}
 	return s
-}
-
-// xorInto XORs src into dst, growing dst to len(src) if needed (shorter
-// payloads are implicitly zero-padded), and returns the possibly grown dst.
-func xorInto(dst, src []byte) []byte {
-	if len(src) > len(dst) {
-		grown := make([]byte, len(src))
-		copy(grown, dst)
-		dst = grown
-	}
-	for i, b := range src {
-		dst[i] ^= b
-	}
-	return dst
 }
 
 // ErrInconsistent is returned by Decode when the accepted symbols do not
@@ -188,18 +160,17 @@ func (d *Decoder) Add(sym Symbol) bool {
 			return true
 		}
 		s.Mask ^= r.Mask
-		s.SentAt ^= r.SentAt
-		s.Len ^= r.Len
-		s.Data = xorInto(s.Data, r.Data)
+		s.XOR(r.Fold)
 	}
 	return false
 }
 
 // Decode back-substitutes the solved system and returns the block's source
-// packets in index order. It must only be called when Complete() is true.
-// Decode is idempotent: it leaves the rows fully reduced (each a singleton
-// equation), so repeated calls return the same packets.
-func (d *Decoder) Decode() ([]Source, error) {
+// packets in index order, each the fold of that packet alone. It must only
+// be called when Complete() is true. Decode is idempotent: it leaves the
+// rows fully reduced (each a singleton equation), so repeated calls return
+// the same packets.
+func (d *Decoder) Decode() ([]wire.Fold, error) {
 	if !d.Complete() {
 		return nil, fmt.Errorf("fountcast: decode at rank %d/%d", d.rank, d.count)
 	}
@@ -211,12 +182,10 @@ func (d *Decoder) Decode() ([]Source, error) {
 			q := bits.TrailingZeros64(m)
 			o := d.rows[q]
 			r.Mask ^= o.Mask
-			r.SentAt ^= o.SentAt
-			r.Len ^= o.Len
-			r.Data = xorInto(r.Data, o.Data)
+			r.XOR(o.Fold)
 		}
 	}
-	out := make([]Source, d.count)
+	out := make([]wire.Fold, d.count)
 	for i := 0; i < d.count; i++ {
 		r := d.rows[i]
 		if int(r.Len) > len(r.Data) {
@@ -225,7 +194,7 @@ func (d *Decoder) Decode() ([]Source, error) {
 			return nil, fmt.Errorf("%w: packet %d length %d exceeds %d data bytes",
 				ErrInconsistent, i, r.Len, len(r.Data))
 		}
-		out[i] = Source{SentAt: r.SentAt, Payload: r.Data[:r.Len]}
+		out[i] = wire.Fold{SentAt: r.SentAt, Len: r.Len, Data: r.Data[:r.Len]}
 	}
 	return out, nil
 }

@@ -4,16 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"adamant/internal/wire"
 )
 
 // randomBlock builds count source packets with random payloads (lengths 0
 // to 32 bytes, so variable- and empty-payload folding is exercised).
-func randomBlock(rng *rand.Rand, count int) []Source {
-	srcs := make([]Source, count)
+func randomBlock(rng *rand.Rand, count int) []wire.Fold {
+	srcs := make([]wire.Fold, count)
 	for i := range srcs {
 		payload := make([]byte, rng.Intn(33))
 		rng.Read(payload)
-		srcs[i] = Source{SentAt: rng.Uint64(), Payload: payload}
+		srcs[i] = wire.Fold{SentAt: rng.Uint64(), Len: uint16(len(payload)), Data: payload}
 	}
 	return srcs
 }
@@ -58,7 +60,7 @@ func TestDecoderAllDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, s := range srcs {
-			if !d.Add(copySym(SourceSymbol(i, s))) {
+			if !d.Add(SourceSymbol(i, s)) {
 				t.Fatalf("count=%d: direct symbol %d rejected", count, i)
 			}
 			if !d.Has(i) {
@@ -100,7 +102,7 @@ func TestDecoderErasureProperty(t *testing.T) {
 		}
 		for i, s := range srcs {
 			if !isErased[i] {
-				d.Add(copySym(SourceSymbol(i, s)))
+				d.Add(SourceSymbol(i, s))
 			}
 		}
 		// Offer repairs until the decoder completes. Dense random
@@ -138,7 +140,7 @@ func TestDecoderOrderIndependence(t *testing.T) {
 	for id := uint32(1); id <= 12; id++ {
 		syms = append(syms, MakeRepair(srcs, blockSeed, id))
 	}
-	var want []Source
+	var want []wire.Fold
 	for trial := 0; trial < 20; trial++ {
 		order := rng.Perm(len(syms))
 		d, _ := NewDecoder(count)
@@ -173,10 +175,10 @@ func TestDecoderRejectsDependentAndInvalid(t *testing.T) {
 	if d.Add(Symbol{Mask: 1 << 4}) {
 		t.Error("accepted mask outside block")
 	}
-	if !d.Add(copySym(SourceSymbol(0, srcs[0]))) {
+	if !d.Add(SourceSymbol(0, srcs[0])) {
 		t.Fatal("rejected first direct")
 	}
-	if d.Add(copySym(SourceSymbol(0, srcs[0]))) {
+	if d.Add(SourceSymbol(0, srcs[0])) {
 		t.Error("accepted duplicate direct")
 	}
 	if d.Rank() != 1 {
@@ -197,7 +199,7 @@ func TestDecoderRejectsDependentAndInvalid(t *testing.T) {
 
 func TestDecoderInconsistentLength(t *testing.T) {
 	d, _ := NewDecoder(1)
-	if !d.Add(Symbol{Mask: 1, Len: 5, Data: []byte{1, 2}}) {
+	if !d.Add(Symbol{Mask: 1, Fold: wire.Fold{Len: 5, Data: []byte{1, 2}}}) {
 		t.Fatal("symbol rejected")
 	}
 	if _, err := d.Decode(); err == nil {
@@ -224,7 +226,7 @@ func TestDecodeIdempotent(t *testing.T) {
 	blockSeed := rng.Uint64()
 	d, _ := NewDecoder(6)
 	for i := 2; i < 6; i++ {
-		d.Add(copySym(SourceSymbol(i, srcs[i])))
+		d.Add(SourceSymbol(i, srcs[i]))
 	}
 	for id := uint32(1); !d.Complete(); id++ {
 		d.Add(MakeRepair(srcs, blockSeed, id))
@@ -280,10 +282,7 @@ func TestDecoderDifferential(t *testing.T) {
 				}
 				sym = Symbol{Mask: mask}
 				for m := mask; m != 0; m &= m - 1 {
-					i := trailing(m)
-					sym.SentAt ^= srcs[i].SentAt
-					sym.Len ^= uint16(len(srcs[i].Payload))
-					sym.Data = xorInto(sym.Data, srcs[i].Payload)
+					sym.XOR(srcs[trailing(m)])
 				}
 			}
 			ref.add(sym)
@@ -330,7 +329,7 @@ func FuzzFountDecode(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		count := 1 + int(countRaw)%MaxBlock
 		// Slice the fuzz blob into payloads so the corpus controls bytes.
-		srcs := make([]Source, count)
+		srcs := make([]wire.Fold, count)
 		for i := range srcs {
 			n := 0
 			if len(blob) > 0 {
@@ -346,7 +345,7 @@ func FuzzFountDecode(f *testing.F) {
 					payload[j] = byte(rng.Intn(256))
 				}
 			}
-			srcs[i] = Source{SentAt: rng.Uint64(), Payload: payload}
+			srcs[i] = wire.Fold{SentAt: rng.Uint64(), Len: uint16(len(payload)), Data: payload}
 		}
 		blockSeed := rng.Uint64()
 

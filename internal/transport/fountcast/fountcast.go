@@ -139,7 +139,7 @@ type Sender struct {
 
 	// cur accumulates the in-progress source block; payloads are arena
 	// copies that stay valid until the block's repairs are folded.
-	cur []Source
+	cur []wire.Fold
 	// credits is the fractional repair budget carried across blocks, in
 	// percent-packets: each flushed block adds count*OverheadPct and each
 	// emitted repair spends 100.
@@ -152,7 +152,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sender{SenderCore: core, opts: opts, cur: make([]Source, 0, opts.K)}
+	s := &Sender{SenderCore: core, opts: opts, cur: make([]wire.Fold, 0, opts.K)}
 	// Close flushes the final (possibly partial) block's repairs, then
 	// announces EOS so receivers can close tail blocks.
 	s.BeforeEOS = func() { s.flushBlock(true) }
@@ -169,7 +169,7 @@ func (s *Sender) Publish(payload []byte) error {
 		return err
 	}
 	err = s.Cfg.Endpoint.Multicast(pkt)
-	s.cur = append(s.cur, Source{SentAt: uint64(pkt.SentAt.UnixNano()), Payload: pkt.Payload})
+	s.cur = append(s.cur, wire.FoldOf(pkt))
 	if len(s.cur) == s.opts.K {
 		s.flushBlock(false)
 	}
@@ -198,15 +198,8 @@ func (s *Sender) flushBlock(final bool) {
 	for id := 1; id <= nRep; id++ {
 		s.Cfg.Endpoint.Work(symbolBuildWork)
 		sym := MakeRepair(s.cur, seed, uint32(id))
-		body, err := (&wire.SymbolBody{
-			Block:      idx,
-			Count:      uint16(n),
-			SymbolID:   uint32(id),
-			Seed:       seed,
-			XORSentAt:  sym.SentAt,
-			XORLen:     sym.Len,
-			XORPayload: sym.Data,
-		}).Encode(nil)
+		body, err := (&wire.SymbolBody{Block: idx, Count: uint16(n), SymbolID: uint32(id), Seed: seed,
+			Fold: sym.Fold}).Encode(nil)
 		if err != nil {
 			break
 		}
@@ -242,7 +235,8 @@ type Receiver struct {
 }
 
 // blockState is one source block's receive state. entries is indexed by
-// position within the block; have/recovered/lost are position bitmasks.
+// position within the block, each the fold of that one packet;
+// have/recovered/lost are position bitmasks.
 type blockState struct {
 	lo         uint64 // first source seq of the block
 	count      int    // source packets in the block
@@ -250,16 +244,11 @@ type blockState struct {
 	have       uint64 // positions stored (direct or recovered)
 	recovered  uint64 // of have, positions reconstructed by decode
 	lost       uint64 // positions abandoned
-	entries    []blockEntry
+	entries    []wire.Fold
 	dec        *Decoder // built lazily on the first repair symbol
 	decRows    int      // repair equations accepted into dec
 	due        time.Time
 	gaveUp     bool
-}
-
-type blockEntry struct {
-	sentAt  time.Time
-	payload []byte
 }
 
 // done reports whether every source packet of the block is stored.
@@ -321,7 +310,7 @@ func (r *Receiver) block(idx uint64) *blockState {
 	b := &blockState{
 		lo:      r.Cfg.BaseSeq + idx*uint64(r.opts.K) + 1,
 		count:   r.opts.K,
-		entries: make([]blockEntry, r.opts.K),
+		entries: make([]wire.Fold, r.opts.K),
 	}
 	r.shrinkToEOS(b)
 	*r.blocks.Set(idx, transport.SlotHeld) = b
@@ -373,7 +362,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 		r.Counts.Duplicates++
 		return
 	}
-	b.entries[p] = blockEntry{sentAt: pkt.SentAt, payload: pkt.Payload}
+	b.entries[p] = wire.FoldOf(pkt)
 	b.have |= 1 << uint(p)
 	r.held++
 	if b.dec != nil && !b.gaveUp {
@@ -386,15 +375,9 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 }
 
 // feedDirect offers a stored direct packet to the block's decoder as its
-// singleton equation. The decoder XOR-folds in place, so it gets a copy.
+// singleton equation.
 func (r *Receiver) feedDirect(b *blockState, p int) {
-	e := b.entries[p]
-	b.dec.Add(Symbol{
-		Mask:   1 << uint(p),
-		SentAt: uint64(e.sentAt.UnixNano()),
-		Len:    uint16(len(e.payload)),
-		Data:   append([]byte(nil), e.payload...),
-	})
+	b.dec.Add(SourceSymbol(p, b.entries[p]))
 }
 
 func (r *Receiver) onSymbol(src wire.NodeID, pkt *wire.Packet) {
@@ -437,12 +420,10 @@ func (r *Receiver) onSymbol(src wire.NodeID, pkt *wire.Packet) {
 		}
 	}
 	r.Cfg.Endpoint.Work(decodeWork)
-	sym := Symbol{
-		Mask:   Coefficients(sb.Seed, sb.SymbolID, b.count),
-		SentAt: sb.XORSentAt,
-		Len:    sb.XORLen,
-		Data:   append([]byte(nil), sb.XORPayload...),
-	}
+	// The decoder XOR-folds in place and the packet is read-only: the
+	// symbol gets its own copy of the folded payload.
+	sym := Symbol{Mask: Coefficients(sb.Seed, sb.SymbolID, b.count), Fold: sb.Fold}
+	sym.Data = append([]byte(nil), sym.Data...)
 	if b.dec.Add(sym) {
 		b.decRows++
 		r.rows++
@@ -469,10 +450,7 @@ func (r *Receiver) tryDecode(b *blockState) {
 		if b.have&(1<<uint(p)) != 0 {
 			continue
 		}
-		b.entries[p] = blockEntry{
-			sentAt:  time.Unix(0, int64(out[p].SentAt)),
-			payload: out[p].Payload,
-		}
+		b.entries[p] = out[p]
 		b.have |= 1 << uint(p)
 		b.recovered |= 1 << uint(p)
 		r.held++
@@ -617,7 +595,7 @@ func (r *Receiver) deliver(b *blockState, p int, seq uint64) {
 	// block's payloads live until freeBlock drops the whole record.
 	e := b.entries[p]
 	r.held--
-	r.Deliver(r.Cfg.Endpoint.Work(procCost), seq, e.payload, e.sentAt, b.recovered&(1<<uint(p)) != 0)
+	r.Deliver(r.Cfg.Endpoint.Work(procCost), seq, e.Data, time.Unix(0, int64(e.SentAt)), b.recovered&(1<<uint(p)) != 0)
 }
 
 func (r *Receiver) noteBuffered() {

@@ -3,6 +3,8 @@ package fountcast
 import (
 	"bytes"
 	"math/bits"
+
+	"adamant/internal/wire"
 )
 
 // refDecoder is a deliberately naive reference implementation kept verbatim
@@ -31,7 +33,7 @@ func (r *refDecoder) add(s Symbol) {
 // solve re-runs full Gauss–Jordan elimination over every recorded symbol.
 // It returns the decoded sources and true iff the system has full rank and
 // is consistent.
-func (r *refDecoder) solve() ([]Source, bool) {
+func (r *refDecoder) solve() ([]wire.Fold, bool) {
 	rows := make([]Symbol, 0, len(r.syms))
 	for _, s := range r.syms {
 		if s.Mask == 0 {
@@ -64,12 +66,10 @@ func (r *refDecoder) solve() ([]Source, bool) {
 				continue
 			}
 			rows[i].Mask ^= rows[sel].Mask
-			rows[i].SentAt ^= rows[sel].SentAt
-			rows[i].Len ^= rows[sel].Len
-			rows[i].Data = xorInto(rows[i].Data, rows[sel].Data)
+			rows[i].XOR(rows[sel].Fold)
 		}
 	}
-	out := make([]Source, r.count)
+	out := make([]wire.Fold, r.count)
 	for col := 0; col < r.count; col++ {
 		s := rows[pivotRow[col]]
 		if s.Mask != 1<<uint(col) || bits.OnesCount64(s.Mask) != 1 {
@@ -78,18 +78,18 @@ func (r *refDecoder) solve() ([]Source, bool) {
 		if int(s.Len) > len(s.Data) {
 			return nil, false
 		}
-		out[col] = Source{SentAt: s.SentAt, Payload: s.Data[:s.Len]}
+		out[col] = wire.Fold{SentAt: s.SentAt, Len: s.Len, Data: s.Data[:s.Len]}
 	}
 	return out, true
 }
 
 // sourcesEqual reports byte-identical equality of two decoded blocks.
-func sourcesEqual(a, b []Source) bool {
+func sourcesEqual(a, b []wire.Fold) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].SentAt != b[i].SentAt || !bytes.Equal(a[i].Payload, b[i].Payload) {
+		if a[i].SentAt != b[i].SentAt || a[i].Len != b[i].Len || !bytes.Equal(a[i].Data, b[i].Data) {
 			return false
 		}
 	}

@@ -176,10 +176,7 @@ func TestExplicitZeroParamsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.repair {
-				var rep wire.Repair
-				rep.AddPacket(data(1))
-				rep.AddPacket(data(2))
-				body, err := rep.Encode(nil)
+				body, err := wire.AppendRepair(nil, []*wire.Packet{data(1), data(2)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -164,7 +164,9 @@ type Receiver struct {
 
 	window  transport.Window[*wire.Packet] // received + recovered packets, for XOR decode
 	group   []*wire.Packet                 // directly received packets since last repair
-	pending []*wire.Repair                 // repairs that could not decode yet
+	pending []wire.Repair                  // repairs that could not decode yet
+	held    []*wire.Packet                 // scratch: a decoding repair's held siblings
+	targets []wire.NodeID                  // scratch: a repair's peers
 	// stagger skips this many initial receptions before the first XOR
 	// group so different receivers' group boundaries interleave (their
 	// reception orders differ in practice), which both speeds recovery
@@ -256,18 +258,16 @@ func (r *Receiver) emitRepair() {
 	if len(peers) == 0 {
 		return
 	}
-	var rep wire.Repair
 	var bytes int
 	for _, p := range r.group {
-		rep.AddPacket(p)
 		bytes += len(p.Payload)
 	}
 	r.Cfg.Endpoint.Work(repairBuildWork + time.Duration(bytes)*repairPerByteWork)
-	body, err := rep.Encode(nil)
+	body, err := wire.AppendRepair(nil, r.group)
 	if err != nil {
 		return
 	}
-	pkt := r.Cfg.Packet(wire.TypeRepair, rep.Seqs[len(rep.Seqs)-1], body)
+	pkt := r.Cfg.Packet(wire.TypeRepair, r.group[len(r.group)-1].Seq, body)
 	for _, peer := range peers {
 		if err := r.Cfg.Endpoint.Unicast(peer, pkt); err != nil {
 			continue
@@ -280,7 +280,8 @@ func (r *Receiver) emitRepair() {
 // original protocol's random targeting), deduplicated — so a repair may
 // reach fewer than C distinct peers. The resulting imperfect coverage is
 // part of Ricochet's probabilistic reliability. A draw indexes the receiver
-// set with this node skipped; a lone peer needs no draw.
+// set with this node skipped; a lone peer needs no draw. The result is
+// reused by the next call.
 func (r *Receiver) repairTargets() []wire.NodeID {
 	if r.Cfg.Receivers == nil {
 		return nil
@@ -290,7 +291,7 @@ func (r *Receiver) repairTargets() []wire.NodeID {
 	if self < 0 {
 		self, peers = len(all), len(all)
 	}
-	targets := make([]wire.NodeID, 0, r.opts.C)
+	targets := r.targets[:0]
 	for i := 0; i < r.opts.C && peers > 0; i++ {
 		k := 0
 		if peers > 1 {
@@ -303,6 +304,7 @@ func (r *Receiver) repairTargets() []wire.NodeID {
 			targets = append(targets, all[k])
 		}
 	}
+	r.targets = targets
 	return targets
 }
 
@@ -336,10 +338,11 @@ const (
 // packet was recovered; decodeUseless means the repair covers nothing
 // missing (or is stale); decodeStuck means >= 2 covered packets are missing.
 // Only a repair with exactly one seq missing gathers its held siblings.
-func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
+func (r *Receiver) tryDecode(rep wire.Repair) decodeResult {
 	var missingSeq uint64
 	missing := 0
-	for _, seq := range rep.Seqs {
+	for i := 0; i < rep.Count(); i++ {
+		seq := rep.Seq(i)
 		if r.window.Get(seq) != nil {
 			continue
 		}
@@ -359,12 +362,13 @@ func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 		// The recovery path runs off the receive thread: scale its cost
 		// to this machine without blocking data-packet processing.
 		delay := r.Cfg.Endpoint.ScaleCPU(decodeCost) + r.Cfg.Endpoint.Work(repairRecvWork)
-		held := make([]*wire.Packet, 0, len(rep.Seqs)-1)
-		for _, seq := range rep.Seqs {
-			if seq != missingSeq {
+		held := r.held[:0]
+		for i := 0; i < rep.Count(); i++ {
+			if seq := rep.Seq(i); seq != missingSeq {
 				held = append(held, r.window.Get(seq))
 			}
 		}
+		r.held = held
 		sentAt, payload, err := rep.Reconstruct(held)
 		if err != nil {
 			r.Counts.RepairsUseless++

@@ -221,11 +221,11 @@ func TestTwoLossesInOneGroupUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestPendingRepairCascade drives the cascade with hand-built repairs.
+// Receiver 1 misses seqs 4 and 5. A repair over [2..5] misses both and is
+// buffered; one over [5..8] misses only 5 and decodes it, after which the
+// buffered repair misses only 4 and decodes that too.
 func TestPendingRepairCascade(t *testing.T) {
-	// Receiver 1 misses seqs 4 and 5. A repair covering [5..8] first
-	// decodes 5, which must then unlock a buffered repair covering [2..5]
-	// wait... [1..4] style alignment gives us 4: we inject repairs by hand
-	// to exercise the cascade deterministically.
 	h := newHarness(t, 2, classic("r=4,c=1"))
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if to != 1 {
@@ -243,59 +243,29 @@ func TestPendingRepairCascade(t *testing.T) {
 		t.Fatalf("precondition: delivered %d, want 6", len(h.delivery[0]))
 	}
 
-	// Build repairs from the sender's actual packets: repairA covers 2-5
-	// (two missing -> stuck), repairB covers 5-8 (one missing -> decodes).
-	mkRepair := func(lo, hi uint64) *wire.Packet {
-		var rep wire.Repair
-		for s := lo; s <= hi; s++ {
-			rep.AddPacket(&wire.Packet{
-				Seq:     s,
-				SentAt:  sim.Epoch.Add(time.Duration(s) * time.Millisecond),
-				Payload: []byte(fmt.Sprintf("sample-%02d", s-1)),
-			})
-		}
-		body, err := rep.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &wire.Packet{Type: wire.TypeRepair, Src: 0, Stream: 1, Seq: hi,
-			SentAt: h.k.Now(), Payload: body}
+	// The repairs fold the sender's packets: sample s-1 as seq s, published
+	// 5ms apart from Epoch, as the delivered ones confirm.
+	sent := func(s uint64) *wire.Packet {
+		return &wire.Packet{Seq: s, SentAt: sim.Epoch.Add(time.Duration(s-1) * 5 * time.Millisecond),
+			Payload: []byte(fmt.Sprintf("sample-%02d", s-1))}
 	}
-	// The receiver's window holds the *delivered* payloads (its own copies
-	// with real SentAt values); our handcrafted packets must XOR-match, so
-	// rebuild them from what the receiver actually has: payloads are
-	// deterministic and SentAt values come from the sender's publishes.
-	// Instead of reverse-engineering timestamps, drive the cascade with the
-	// receiver's own data: drop only repairs, then inject the sender-built
-	// repair sequence.
-	sentAts := make(map[uint64]time.Time)
 	for _, d := range h.delivery[0] {
-		sentAts[d.Seq] = d.SentAt
+		if !d.SentAt.Equal(sent(d.Seq).SentAt) {
+			t.Fatalf("precondition: seq %d sent at %v, want %v", d.Seq, d.SentAt, sent(d.Seq).SentAt)
+		}
 	}
 	mk := func(lo, hi uint64) *wire.Packet {
-		var rep wire.Repair
+		var group []*wire.Packet
 		for s := lo; s <= hi; s++ {
-			at, ok := sentAts[s]
-			if !ok {
-				// Missing at the receiver: reconstructed from the sibling
-				// publish cadence (publishes are 5ms apart starting at
-				// Epoch).
-				at = sim.Epoch.Add(time.Duration(s-1) * 5 * time.Millisecond)
-			}
-			rep.AddPacket(&wire.Packet{
-				Seq:     s,
-				SentAt:  at,
-				Payload: []byte(fmt.Sprintf("sample-%02d", s-1)),
-			})
+			group = append(group, sent(s))
 		}
-		body, err := rep.Encode(nil)
+		body, err := wire.AppendRepair(nil, group)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &wire.Packet{Type: wire.TypeRepair, Src: 0, Stream: 1, Seq: hi,
 			SentAt: h.k.Now(), Payload: body}
 	}
-	_ = mkRepair
 	h.fab.Drop = nil
 	if err := h.fab.Endpoint(0).Unicast(1, mk(2, 5)); err != nil { // stuck: misses 4,5
 		t.Fatal(err)
@@ -323,6 +293,11 @@ func TestPendingRepairCascade(t *testing.T) {
 	}
 	if string(d4.Payload) != "sample-03" || string(d5.Payload) != "sample-04" {
 		t.Errorf("cascade payloads wrong: %q, %q", d4.Payload, d5.Payload)
+	}
+	for _, d := range []transport.Delivery{d4, d5} {
+		if !d.SentAt.Equal(sent(d.Seq).SentAt) {
+			t.Errorf("recovered seq %d sent at %v, want %v", d.Seq, d.SentAt, sent(d.Seq).SentAt)
+		}
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // This file defines the typed payload bodies carried inside packets:
-// Ricochet repairs, NAKcast NAK range lists, and heartbeats. Each body
-// encodes to/from the Packet.Payload bytes.
+// Ricochet repairs and Fountcast symbols (both carrying a Fold), NAKcast
+// NAK range lists, heartbeats and rebind chains. Each body encodes to/from
+// the Packet.Payload bytes.
 
 // Body encoding errors.
 var (
@@ -18,123 +19,152 @@ var (
 	ErrBodyInvalid   = errors.New("wire: invalid body")
 )
 
-// Repair is the payload of a TypeRepair packet: the XOR of a set of data
-// packets (lateral error correction). A receiver that holds all but one of
-// the covered sequence numbers can reconstruct the missing sample by XOR.
-//
-// XORSentAt and XORPayload are the bitwise XOR of the covered packets'
-// origination timestamps (as Unix nanoseconds) and payloads. Payloads
-// shorter than the longest covered payload are treated as zero-padded;
-// XORLen is the XOR of the individual payload lengths so the reconstructed
-// length is recoverable when exactly one packet is missing.
+// Fold is the XOR of a set of data packets, the arithmetic both
+// feedback-free recoveries share: a Ricochet repair folds the packets it
+// covers, a Fountcast symbol the packets its coefficients select. SentAt
+// folds their origination timestamps (Unix nanoseconds), Len their payload
+// lengths (an XOR of lengths, not a length) and Data their payloads, each
+// zero-padded to the longest. A fold of one packet is that packet, so a
+// fold missing exactly one of its packets gives that packet back once the
+// others are XORed out, send time included.
+type Fold struct {
+	SentAt uint64
+	Len    uint16
+	Data   []byte
+}
+
+// FoldOf returns the fold of one packet. Data aliases its payload.
+func FoldOf(p *Packet) Fold {
+	return Fold{SentAt: uint64(p.SentAt.UnixNano()), Len: uint16(len(p.Payload)), Data: p.Payload}
+}
+
+// XOR folds o into f. When o's Data is the longer, f's grows to it with
+// zeros, in place while its capacity lasts: f must own Data's capacity.
+func (f *Fold) XOR(o Fold) {
+	f.SentAt ^= o.SentAt
+	f.Len ^= o.Len
+	if n := len(o.Data) - len(f.Data); n > 0 {
+		f.Data = append(f.Data, make([]byte, n)...)
+	}
+	for i, b := range o.Data {
+		f.Data[i] ^= b
+	}
+}
+
+// foldTail is the fixed part of a fold's wire tail: SentAt, Len, and the
+// length of Data, which follows.
+const foldTail = 8 + 2 + 2
+
+// appendTo appends f's wire tail to dst.
+func (f *Fold) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, f.SentAt)
+	dst = binary.BigEndian.AppendUint16(dst, f.Len)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Data)))
+	return append(dst, f.Data...)
+}
+
+// readFold parses a fold's wire tail. Data aliases buf.
+func readFold(buf []byte) (Fold, error) {
+	if len(buf) < foldTail {
+		return Fold{}, ErrBodyTruncated
+	}
+	end := foldTail + int(binary.BigEndian.Uint16(buf[10:12]))
+	if len(buf) < end {
+		return Fold{}, ErrBodyTruncated
+	}
+	return Fold{
+		SentAt: binary.BigEndian.Uint64(buf[0:8]),
+		Len:    binary.BigEndian.Uint16(buf[8:10]),
+		Data:   buf[foldTail:end:end],
+	}, nil
+}
+
+// Repair is the payload of a TypeRepair packet (lateral error correction)
+// read in place: the covered sequence numbers and the Fold of the covered
+// packets. A receiver that holds all but one of them reconstructs the
+// missing one. It aliases the body it was decoded from, which a receiver
+// never writes (see Decode), so decoding one allocates nothing.
 type Repair struct {
-	Seqs       []uint64
-	XORSentAt  uint64
-	XORLen     uint16
-	XORPayload []byte
+	seqs []byte // Count() big-endian sequence numbers
+	Fold Fold
 }
 
 const maxRepairSeqs = 64
 
-// AddPacket folds one data packet into the repair.
-func (r *Repair) AddPacket(p *Packet) {
-	r.Seqs = append(r.Seqs, p.Seq)
-	r.XORSentAt ^= uint64(p.SentAt.UnixNano())
-	r.XORLen ^= uint16(len(p.Payload))
-	if len(p.Payload) > len(r.XORPayload) {
-		grown := make([]byte, len(p.Payload))
-		copy(grown, r.XORPayload)
-		r.XORPayload = grown
+// Count returns the number of packets the repair covers.
+func (r Repair) Count() int { return len(r.seqs) / 8 }
+
+// Seq returns the i-th covered sequence number.
+func (r Repair) Seq(i int) uint64 { return binary.BigEndian.Uint64(r.seqs[8*i:]) }
+
+// AppendRepair appends the body of the repair covering pkts to dst in one
+// pass: the body is sized once, and the payloads are XORed straight into it.
+func AppendRepair(dst []byte, pkts []*Packet) ([]byte, error) {
+	n := len(pkts)
+	if n == 0 || n > maxRepairSeqs {
+		return dst, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, n)
 	}
-	for i, b := range p.Payload {
-		r.XORPayload[i] ^= b
+	plen := 0
+	for _, p := range pkts {
+		plen = max(plen, len(p.Payload))
 	}
+	dst = slices.Grow(dst, 1+8*n+foldTail+plen)
+	dst = append(dst, byte(n))
+	for _, p := range pkts {
+		dst = binary.BigEndian.AppendUint64(dst, p.Seq)
+	}
+	// The fold's Data starts empty where the tail's payload goes, in dst's
+	// spare capacity, and grows there, so appendTo's copy of it is in place.
+	at := len(dst) + foldTail
+	f := Fold{Data: dst[at:at]}
+	for _, p := range pkts {
+		f.XOR(FoldOf(p))
+	}
+	return f.appendTo(dst), nil
 }
 
 // Reconstruct XORs the held sibling packets out of the repair and returns
-// the missing packet's send time and payload. held must contain every
-// covered packet except the missing one.
-func (r *Repair) Reconstruct(held []*Packet) (sentAt time.Time, payload []byte, err error) {
-	if len(held) != len(r.Seqs)-1 {
+// the missing packet's send time and payload, in a buffer of its own. held
+// must contain every covered packet except the missing one.
+func (r Repair) Reconstruct(held []*Packet) (sentAt time.Time, payload []byte, err error) {
+	if len(held) != r.Count()-1 {
 		return time.Time{}, nil, fmt.Errorf("%w: need %d siblings, have %d",
-			ErrBodyInvalid, len(r.Seqs)-1, len(held))
+			ErrBodyInvalid, r.Count()-1, len(held))
 	}
-	ts := r.XORSentAt
-	ln := r.XORLen
-	buf := append([]byte(nil), r.XORPayload...)
+	f := r.Fold
+	f.Data = append([]byte(nil), f.Data...)
 	for _, p := range held {
-		if len(p.Payload) > len(buf) { // a sibling the repair cannot have covered
+		if len(p.Payload) > len(f.Data) { // a sibling the repair cannot have covered
 			return time.Time{}, nil, fmt.Errorf("%w: sibling payload %d exceeds repair payload %d",
-				ErrBodyInvalid, len(p.Payload), len(buf))
+				ErrBodyInvalid, len(p.Payload), len(f.Data))
 		}
-		ts ^= uint64(p.SentAt.UnixNano())
-		ln ^= uint16(len(p.Payload))
-		for i, b := range p.Payload {
-			buf[i] ^= b
-		}
+		f.XOR(FoldOf(p))
 	}
-	if int(ln) > len(buf) {
+	if int(f.Len) > len(f.Data) {
 		return time.Time{}, nil, fmt.Errorf("%w: reconstructed length %d exceeds buffer %d",
-			ErrBodyInvalid, ln, len(buf))
+			ErrBodyInvalid, f.Len, len(f.Data))
 	}
-	return time.Unix(0, int64(ts)), buf[:ln], nil
+	return time.Unix(0, int64(f.SentAt)), f.Data[:f.Len], nil
 }
 
-// Encode appends the body encoding to dst.
-func (r *Repair) Encode(dst []byte) ([]byte, error) {
-	if len(r.Seqs) == 0 || len(r.Seqs) > maxRepairSeqs {
-		return dst, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, len(r.Seqs))
-	}
-	dst = slices.Grow(dst, 1+8*len(r.Seqs)+8+2+2+len(r.XORPayload))
-	dst = append(dst, byte(len(r.Seqs)))
-	var b8 [8]byte
-	for _, s := range r.Seqs {
-		binary.BigEndian.PutUint64(b8[:], s)
-		dst = append(dst, b8[:]...)
-	}
-	binary.BigEndian.PutUint64(b8[:], r.XORSentAt)
-	dst = append(dst, b8[:]...)
-	var b2 [2]byte
-	binary.BigEndian.PutUint16(b2[:], r.XORLen)
-	dst = append(dst, b2[:]...)
-	binary.BigEndian.PutUint16(b2[:], uint16(len(r.XORPayload)))
-	dst = append(dst, b2[:]...)
-	dst = append(dst, r.XORPayload...)
-	return dst, nil
-}
-
-// DecodeRepair parses a Repair body. XORPayload aliases buf, as Decode's
-// Payload does: a received packet is never written again, and Reconstruct
-// works on a copy.
-func DecodeRepair(buf []byte) (*Repair, error) {
+// DecodeRepair parses a Repair body in place.
+func DecodeRepair(buf []byte) (Repair, error) {
 	if len(buf) < 1 {
-		return nil, ErrBodyTruncated
+		return Repair{}, ErrBodyTruncated
 	}
 	n := int(buf[0])
 	if n == 0 || n > maxRepairSeqs {
-		return nil, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, n)
+		return Repair{}, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, n)
 	}
-	need := 1 + 8*n + 8 + 2 + 2
-	if len(buf) < need {
-		return nil, ErrBodyTruncated
+	end := 1 + 8*n
+	if len(buf) < end {
+		return Repair{}, ErrBodyTruncated
 	}
-	r := &Repair{Seqs: make([]uint64, n)}
-	off := 1
-	for i := 0; i < n; i++ {
-		r.Seqs[i] = binary.BigEndian.Uint64(buf[off : off+8])
-		off += 8
+	f, err := readFold(buf[end:])
+	if err != nil {
+		return Repair{}, err
 	}
-	r.XORSentAt = binary.BigEndian.Uint64(buf[off : off+8])
-	off += 8
-	r.XORLen = binary.BigEndian.Uint16(buf[off : off+2])
-	off += 2
-	plen := int(binary.BigEndian.Uint16(buf[off : off+2]))
-	off += 2
-	if len(buf) < off+plen {
-		return nil, ErrBodyTruncated
-	}
-	r.XORPayload = buf[off : off+plen : off+plen]
-	return r, nil
+	return Repair{seqs: buf[1:end:end], Fold: f}, nil
 }
 
 // SeqRange is a half-open-free inclusive range [From, To] of missing
@@ -232,14 +262,11 @@ func DecodeHeartbeat(buf []byte) (*HeartbeatBody, error) {
 
 // SymbolBody is the payload of a TypeSymbol packet: one Fountcast repair
 // symbol. A source block is Count consecutive data packets; the symbol is
-// the XOR of the subset selected by a coefficient bit vector that every
+// the Fold of the subset selected by a coefficient bit vector that every
 // node regenerates deterministically from (Seed, SymbolID), so the packet
 // carries only the block coordinates and the seed, never the mask itself.
-//
-// XORSentAt, XORLen, and XORPayload fold the selected packets' origination
-// timestamps (Unix nanoseconds), payload lengths, and zero-padded payloads,
-// exactly like Repair — a decoded source symbol therefore reconstructs the
-// original packet's send time, so latency accounting survives recovery.
+// A decoded source symbol therefore reconstructs the original packet's send
+// time, so latency accounting survives recovery.
 type SymbolBody struct {
 	// Block is the source-block index within the stream's sequence space.
 	Block uint64
@@ -250,15 +277,16 @@ type SymbolBody struct {
 	// 1. Distinct IDs yield independent coefficient draws from the seed.
 	SymbolID uint32
 	// Seed is the block's coefficient seed.
-	Seed       uint64
-	XORSentAt  uint64
-	XORLen     uint16
-	XORPayload []byte
+	Seed uint64
+	Fold Fold
 }
 
 // MaxSymbolCount bounds a source block's size: coefficient vectors are one
 // 64-bit word.
 const MaxSymbolCount = 64
+
+// symbolHead is the block coordinates' size, before the fold's tail.
+const symbolHead = 8 + 2 + 4 + 8
 
 // Encode appends the body encoding to dst.
 func (sb *SymbolBody) Encode(dst []byte) ([]byte, error) {
@@ -268,59 +296,39 @@ func (sb *SymbolBody) Encode(dst []byte) ([]byte, error) {
 	if sb.SymbolID == 0 {
 		return dst, fmt.Errorf("%w: symbol id 0", ErrBodyInvalid)
 	}
-	dst = slices.Grow(dst, symbolFixedSize+len(sb.XORPayload))
-	var b8 [8]byte
-	var b4 [4]byte
-	var b2 [2]byte
-	binary.BigEndian.PutUint64(b8[:], sb.Block)
-	dst = append(dst, b8[:]...)
-	binary.BigEndian.PutUint16(b2[:], sb.Count)
-	dst = append(dst, b2[:]...)
-	binary.BigEndian.PutUint32(b4[:], sb.SymbolID)
-	dst = append(dst, b4[:]...)
-	binary.BigEndian.PutUint64(b8[:], sb.Seed)
-	dst = append(dst, b8[:]...)
-	binary.BigEndian.PutUint64(b8[:], sb.XORSentAt)
-	dst = append(dst, b8[:]...)
-	binary.BigEndian.PutUint16(b2[:], sb.XORLen)
-	dst = append(dst, b2[:]...)
-	binary.BigEndian.PutUint16(b2[:], uint16(len(sb.XORPayload)))
-	dst = append(dst, b2[:]...)
-	dst = append(dst, sb.XORPayload...)
-	return dst, nil
+	dst = slices.Grow(dst, symbolHead+foldTail+len(sb.Fold.Data))
+	dst = binary.BigEndian.AppendUint64(dst, sb.Block)
+	dst = binary.BigEndian.AppendUint16(dst, sb.Count)
+	dst = binary.BigEndian.AppendUint32(dst, sb.SymbolID)
+	dst = binary.BigEndian.AppendUint64(dst, sb.Seed)
+	return sb.Fold.appendTo(dst), nil
 }
 
-// symbolFixedSize is the fixed prefix of a SymbolBody encoding.
-const symbolFixedSize = 8 + 2 + 4 + 8 + 8 + 2 + 2
-
-// DecodeSymbol parses a SymbolBody. XORPayload aliases buf, as in
+// DecodeSymbol parses a SymbolBody. Its Fold aliases buf, as in
 // DecodeRepair.
-func DecodeSymbol(buf []byte) (*SymbolBody, error) {
-	if len(buf) < symbolFixedSize {
-		return nil, ErrBodyTruncated
+func DecodeSymbol(buf []byte) (SymbolBody, error) {
+	if len(buf) < symbolHead+foldTail {
+		return SymbolBody{}, ErrBodyTruncated
 	}
-	sb := &SymbolBody{
-		Block:     binary.BigEndian.Uint64(buf[0:8]),
-		Count:     binary.BigEndian.Uint16(buf[8:10]),
-		SymbolID:  binary.BigEndian.Uint32(buf[10:14]),
-		Seed:      binary.BigEndian.Uint64(buf[14:22]),
-		XORSentAt: binary.BigEndian.Uint64(buf[22:30]),
-		XORLen:    binary.BigEndian.Uint16(buf[30:32]),
+	sb := SymbolBody{
+		Block:    binary.BigEndian.Uint64(buf[0:8]),
+		Count:    binary.BigEndian.Uint16(buf[8:10]),
+		SymbolID: binary.BigEndian.Uint32(buf[10:14]),
+		Seed:     binary.BigEndian.Uint64(buf[14:22]),
 	}
 	if sb.Count == 0 || sb.Count > MaxSymbolCount {
-		return nil, fmt.Errorf("%w: symbol block of %d sources", ErrBodyInvalid, sb.Count)
+		return SymbolBody{}, fmt.Errorf("%w: symbol block of %d sources", ErrBodyInvalid, sb.Count)
 	}
 	if sb.SymbolID == 0 {
-		return nil, fmt.Errorf("%w: symbol id 0", ErrBodyInvalid)
+		return SymbolBody{}, fmt.Errorf("%w: symbol id 0", ErrBodyInvalid)
 	}
-	// XORLen is the XOR of the covered payload lengths, not a length
+	// Fold.Len is the XOR of the covered payload lengths, not a length
 	// itself, so it carries no bound the payload must satisfy here; the
 	// decoder validates reconstructed lengths when it solves the block.
-	plen := int(binary.BigEndian.Uint16(buf[32:34]))
-	if len(buf) < symbolFixedSize+plen {
-		return nil, ErrBodyTruncated
+	var err error
+	if sb.Fold, err = readFold(buf[symbolHead:]); err != nil {
+		return SymbolBody{}, err
 	}
-	sb.XORPayload = buf[symbolFixedSize : symbolFixedSize+plen : symbolFixedSize+plen]
 	return sb, nil
 }
 

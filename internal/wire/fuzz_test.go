@@ -40,8 +40,11 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodeRepair asserts the repair body parser is total.
 func FuzzDecodeRepair(f *testing.F) {
-	rep := &Repair{Seqs: []uint64{1, 2, 3}, XORSentAt: 9, XORLen: 4, XORPayload: []byte{1, 2, 3, 4}}
-	seed, err := rep.Encode(nil)
+	seed, err := AppendRepair(nil, []*Packet{
+		{Seq: 1, SentAt: time.Unix(0, 9), Payload: []byte{1, 2, 3, 4}},
+		{Seq: 2, SentAt: time.Unix(0, 3), Payload: []byte{5}},
+		{Seq: 3, SentAt: time.Unix(0, 5)},
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,8 +55,11 @@ func FuzzDecodeRepair(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(r.Seqs) == 0 || len(r.Seqs) > maxRepairSeqs {
-			t.Fatalf("accepted repair with %d seqs", len(r.Seqs))
+		if r.Count() == 0 || r.Count() > maxRepairSeqs {
+			t.Fatalf("accepted repair with %d seqs", r.Count())
+		}
+		for i := 0; i < r.Count(); i++ {
+			_ = r.Seq(i)
 		}
 	})
 }
@@ -61,13 +67,13 @@ func FuzzDecodeRepair(f *testing.F) {
 // FuzzDecodeSymbol asserts the Fountcast symbol body parser is total and
 // only accepts bodies the encoder could have produced.
 func FuzzDecodeSymbol(f *testing.F) {
-	sb := &SymbolBody{Block: 7, Count: 8, SymbolID: 2, Seed: 99, XORSentAt: 5, XORLen: 12, XORPayload: []byte{1, 2, 3}}
+	sb := &SymbolBody{Block: 7, Count: 8, SymbolID: 2, Seed: 99, Fold: Fold{SentAt: 5, Len: 12, Data: []byte{1, 2, 3}}}
 	seed, err := sb.Encode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:symbolFixedSize])
+	f.Add(seed[:symbolHead+foldTail])
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSymbol(data)

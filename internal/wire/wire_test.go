@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"strings"
@@ -224,6 +225,21 @@ func TestDecodeAliasesBuffer(t *testing.T) {
 	}
 }
 
+// repairOf builds the repair body covering group and decodes it, as a
+// receiver gets it.
+func repairOf(t testing.TB, group []*Packet) Repair {
+	t.Helper()
+	body, err := AppendRepair(nil, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := DecodeRepair(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestRepairReconstructSingleLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	group := make([]*Packet, 4)
@@ -237,11 +253,8 @@ func TestRepairReconstructSingleLoss(t *testing.T) {
 			Payload: payload,
 		}
 	}
+	rep := repairOf(t, group)
 	for missing := 0; missing < len(group); missing++ {
-		var rep Repair
-		for _, p := range group {
-			rep.AddPacket(p)
-		}
 		var held []*Packet
 		for i, p := range group {
 			if i != missing {
@@ -268,11 +281,7 @@ func TestRepairReconstructVariableLengths(t *testing.T) {
 		{Type: TypeData, Seq: 2, SentAt: time.Unix(0, 222), Payload: []byte("longer payload")},
 		{Type: TypeData, Seq: 3, SentAt: time.Unix(0, 333), Payload: []byte("mid")},
 	}
-	var rep Repair
-	for _, p := range group {
-		rep.AddPacket(p)
-	}
-	sentAt, payload, err := rep.Reconstruct([]*Packet{group[0], group[2]})
+	sentAt, payload, err := repairOf(t, group).Reconstruct([]*Packet{group[0], group[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,19 +291,20 @@ func TestRepairReconstructVariableLengths(t *testing.T) {
 }
 
 func TestRepairReconstructWrongSiblingCount(t *testing.T) {
-	var rep Repair
-	rep.AddPacket(&Packet{Seq: 1, SentAt: time.Unix(0, 1), Payload: []byte("x")})
-	rep.AddPacket(&Packet{Seq: 2, SentAt: time.Unix(0, 2), Payload: []byte("y")})
+	rep := repairOf(t, []*Packet{
+		{Seq: 1, SentAt: time.Unix(0, 1), Payload: []byte("x")},
+		{Seq: 2, SentAt: time.Unix(0, 2), Payload: []byte("y")},
+	})
 	if _, _, err := rep.Reconstruct(nil); !errors.Is(err, ErrBodyInvalid) {
 		t.Errorf("err = %v, want ErrBodyInvalid", err)
 	}
 }
 
-// TestRepairReconstructShortBody feeds Reconstruct a repair whose XOR
+// TestRepairReconstructShortBody feeds Reconstruct a repair whose folded
 // payload is shorter than a held sibling's payload, as a corrupt or hostile
 // repair body can be: it is an error, not an index out of range.
 func TestRepairReconstructShortBody(t *testing.T) {
-	rep := Repair{Seqs: []uint64{1, 2}, XORLen: 1, XORPayload: []byte{7}}
+	rep := Repair{seqs: make([]byte, 2*8), Fold: Fold{Len: 1, Data: []byte{7}}}
 	held := []*Packet{{Seq: 1, SentAt: time.Unix(0, 1), Payload: []byte("sample-00001")}}
 	if _, _, err := rep.Reconstruct(held); !errors.Is(err, ErrBodyInvalid) {
 		t.Errorf("err = %v, want ErrBodyInvalid", err)
@@ -318,17 +328,13 @@ func TestRepairReconstructProperty(t *testing.T) {
 				Payload: payload,
 			}
 		}
-		var rep Repair
-		for _, p := range group {
-			rep.AddPacket(p)
-		}
 		var held []*Packet
 		for i, p := range group {
 			if i != missing {
 				held = append(held, p)
 			}
 		}
-		sentAt, payload, err := rep.Reconstruct(held)
+		sentAt, payload, err := repairOf(t, group).Reconstruct(held)
 		if err != nil {
 			return false
 		}
@@ -340,31 +346,31 @@ func TestRepairReconstructProperty(t *testing.T) {
 }
 
 func TestRepairBodyRoundTrip(t *testing.T) {
-	rep := &Repair{
-		Seqs:       []uint64{10, 11, 12, 13},
-		XORSentAt:  0xDEADBEEF,
-		XORLen:     12,
-		XORPayload: []byte{1, 2, 3, 4, 5},
+	group := []*Packet{
+		{Seq: 10, SentAt: time.Unix(0, 0xDEAD), Payload: []byte{1, 2, 3}},
+		{Seq: 11, SentAt: time.Unix(0, 0xBEEF), Payload: []byte{4, 5, 6, 7, 8}},
+		{Seq: 12, SentAt: time.Unix(0, 0xF00D)},
+		{Seq: 13, SentAt: time.Unix(0, 0xCAFE), Payload: []byte{9}},
 	}
-	buf, err := rep.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
+	var want Fold
+	for _, p := range group {
+		want.XOR(FoldOf(p))
 	}
-	got, err := DecodeRepair(buf)
-	if err != nil {
-		t.Fatal(err)
+	got := repairOf(t, group)
+	if got.Count() != 4 || got.Seq(0) != 10 || got.Seq(3) != 13 {
+		t.Errorf("covers %d seqs, first %d, last %d", got.Count(), got.Seq(0), got.Seq(got.Count()-1))
 	}
-	if len(got.Seqs) != 4 || got.Seqs[0] != 10 || got.Seqs[3] != 13 {
-		t.Errorf("seqs = %v", got.Seqs)
-	}
-	if got.XORSentAt != rep.XORSentAt || got.XORLen != rep.XORLen || !bytes.Equal(got.XORPayload, rep.XORPayload) {
-		t.Errorf("body mismatch: %+v vs %+v", got, rep)
+	if got.Fold.SentAt != want.SentAt || got.Fold.Len != want.Len || !bytes.Equal(got.Fold.Data, want.Data) {
+		t.Errorf("fold mismatch: %+v vs %+v", got.Fold, want)
 	}
 }
 
 func TestRepairBodyErrors(t *testing.T) {
-	if _, err := (&Repair{}).Encode(nil); !errors.Is(err, ErrBodyInvalid) {
+	if _, err := AppendRepair(nil, nil); !errors.Is(err, ErrBodyInvalid) {
 		t.Errorf("empty repair encode err = %v", err)
+	}
+	if _, err := AppendRepair(nil, make([]*Packet, maxRepairSeqs+1)); !errors.Is(err, ErrBodyInvalid) {
+		t.Errorf("oversize repair encode err = %v", err)
 	}
 	if _, err := DecodeRepair(nil); !errors.Is(err, ErrBodyTruncated) {
 		t.Errorf("nil decode err = %v", err)
@@ -379,13 +385,12 @@ func TestRepairBodyErrors(t *testing.T) {
 
 func TestSymbolBodyRoundTrip(t *testing.T) {
 	sb := &SymbolBody{
-		Block:      42,
-		Count:      8,
-		SymbolID:   3,
-		Seed:       0xFEEDFACECAFEBEEF,
-		XORSentAt:  0xDEADBEEF,
-		XORLen:     15, // XOR of lengths, may exceed every covered length
-		XORPayload: []byte{9, 8, 7, 6, 5},
+		Block:    42,
+		Count:    8,
+		SymbolID: 3,
+		Seed:     0xFEEDFACECAFEBEEF,
+		// Len is the XOR of lengths, so it may exceed every covered length.
+		Fold: Fold{SentAt: 0xDEADBEEF, Len: 15, Data: []byte{9, 8, 7, 6, 5}},
 	}
 	buf, err := sb.Encode(nil)
 	if err != nil {
@@ -396,8 +401,8 @@ func TestSymbolBodyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Block != sb.Block || got.Count != sb.Count || got.SymbolID != sb.SymbolID ||
-		got.Seed != sb.Seed || got.XORSentAt != sb.XORSentAt || got.XORLen != sb.XORLen ||
-		!bytes.Equal(got.XORPayload, sb.XORPayload) {
+		got.Seed != sb.Seed || got.Fold.SentAt != sb.Fold.SentAt || got.Fold.Len != sb.Fold.Len ||
+		!bytes.Equal(got.Fold.Data, sb.Fold.Data) {
 		t.Errorf("body mismatch: %+v vs %+v", got, sb)
 	}
 }
@@ -415,7 +420,7 @@ func TestSymbolBodyBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("count=%d decode: %v", count, err)
 		}
-		if got.Count != count || len(got.XORPayload) != 0 {
+		if got.Count != count || len(got.Fold.Data) != 0 {
 			t.Errorf("count=%d: got %+v", count, got)
 		}
 	}
@@ -434,7 +439,7 @@ func TestSymbolBodyErrors(t *testing.T) {
 	if _, err := DecodeSymbol(nil); !errors.Is(err, ErrBodyTruncated) {
 		t.Errorf("nil decode err = %v", err)
 	}
-	good, err := (&SymbolBody{Block: 1, Count: 4, SymbolID: 1, XORPayload: []byte{1, 2, 3}}).Encode(nil)
+	good, err := (&SymbolBody{Block: 1, Count: 4, SymbolID: 1, Fold: Fold{Data: []byte{1, 2, 3}}}).Encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,6 +576,44 @@ func BenchmarkPacketDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchGroup is one ricochet XOR group at the paper's sample size: four
+// 12-byte payloads.
+func benchGroup() []*Packet {
+	group := make([]*Packet, 4)
+	for i := range group {
+		group[i] = &Packet{Type: TypeData, Seq: uint64(100 + i), SentAt: time.Unix(0, int64(1e9+i*1000)),
+			Payload: []byte(fmt.Sprintf("sample-%05d", i))}
+	}
+	return group
+}
+
+// BenchmarkRepairBuild builds one repair body over a group, as each
+// emitted repair does.
+func BenchmarkRepairBuild(b *testing.B) {
+	group := benchGroup()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AppendRepair(nil, group); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepairDecode decodes one repair body in place, as every received
+// repair is, useless ones included.
+func BenchmarkRepairDecode(b *testing.B) {
+	body, err := AppendRepair(nil, benchGroup())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRepair(body); err != nil {
 			b.Fatal(err)
 		}
 	}
