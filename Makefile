@@ -86,8 +86,8 @@ results:
 
 # docs fails when README.md, DESIGN.md or EXPERIMENTS.md cites a ./cmd,
 # ./internal or ./examples path, a make target, a test name, an
-# adamant-<cmd> flag or a transport spec's protocol that does not exist, or
-# when the fuzz-smoke recipe misses a fuzz target.
+# adamant-<cmd> flag, a transport spec's protocol or a spec key that protocol
+# does not read, or when the fuzz-smoke recipe misses a fuzz target.
 docs:
 	scripts/check-docs.sh
 

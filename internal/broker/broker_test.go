@@ -75,6 +75,19 @@ func TestPublishSubscribe(t *testing.T) {
 	}
 }
 
+// flushBoth is the delivery barrier between a publisher and a subscriber:
+// pub's PONG means the broker has queued pub's messages to sub, and sub's
+// PONG follows them on sub's FIFO connection, so sub's handlers, which its
+// read loop runs inline, have run when the second Flush returns.
+func flushBoth(t *testing.T, pub, sub *broker.Client) {
+	t.Helper()
+	for _, c := range []*broker.Client{pub, sub} {
+		if err := c.Flush(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestWildcardMatching(t *testing.T) {
 	_, addr := startServer(t)
 	pub := dial(t, addr)
@@ -104,10 +117,7 @@ func TestWildcardMatching(t *testing.T) {
 	publish("sensors.uav2.infrared") // star + full
 	publish("sensors.uav1.video")    // full only
 	publish("other.uav1.infrared")   // none
-	if err := pub.Flush(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
+	flushBoth(t, pub, sub)
 	if star.Load() != 2 || full.Load() != 3 || exact.Load() != 1 {
 		t.Errorf("star=%d full=%d exact=%d, want 2/3/1", star.Load(), full.Load(), exact.Load())
 	}
@@ -168,10 +178,10 @@ func TestUnsubscribe(t *testing.T) {
 	if err := pub.Publish("a.b", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Flush(time.Second); err != nil {
-		t.Fatal(err)
+	flushBoth(t, pub, sub)
+	if n.Load() != 1 {
+		t.Fatalf("received %d messages before unsubscribing, want 1", n.Load())
 	}
-	time.Sleep(50 * time.Millisecond)
 	if err := s.Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +191,7 @@ func TestUnsubscribe(t *testing.T) {
 	if err := pub.Publish("a.b", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Flush(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
+	flushBoth(t, pub, sub)
 	if n.Load() != 1 {
 		t.Errorf("received %d messages, want 1 (post-unsubscribe publish must not arrive)", n.Load())
 	}

@@ -124,9 +124,11 @@ type Features struct {
 	Receivers     int
 	RateHz        float64
 	Metric        Metric
-	// OverheadPct is the proactive-FEC bandwidth budget the application
-	// grants (percent of source bytes spendable on repair traffic); it is
-	// what makes the fountain-coded candidate comparable at a fixed cost.
+	// OverheadPct is the proactive-FEC bandwidth budget (percent of source
+	// bytes spendable on repair traffic); it is what makes the
+	// fountain-coded candidate comparable at a fixed cost. Decide and
+	// FeaturesFor set fountcast's default, the budget every training row
+	// holds.
 	OverheadPct float64
 }
 
@@ -237,18 +239,6 @@ type AppParams struct {
 	LossPct   float64 // expected end-host loss (e.g. from the cloud SLA)
 	Impl      dds.Impl
 	Metric    Metric
-	// OverheadPct is the proactive-FEC bandwidth budget in percent;
-	// 0 means the default fountain-code budget.
-	OverheadPct float64
-}
-
-// overheadOrDefault maps an unset (zero) overhead budget to the fountain
-// code's default repair rate so existing callers keep a sensible feature.
-func overheadOrDefault(oh float64) float64 {
-	if oh <= 0 {
-		return fountcast.DefaultOverheadPct
-	}
-	return oh
 }
 
 // Controller is the ADAMANT startup configurator.
@@ -303,7 +293,7 @@ func (c *Controller) Decide() (Decision, error) {
 		Receivers:     c.params.Receivers,
 		RateHz:        c.params.RateHz,
 		Metric:        c.params.Metric,
-		OverheadPct:   overheadOrDefault(c.params.OverheadPct),
+		OverheadPct:   fountcast.DefaultOverheadPct,
 	}
 	t1 := time.Now()
 	spec, err := c.selector.Select(d.Features)
@@ -328,6 +318,6 @@ func FeaturesFor(m netem.Machine, bw netem.Bandwidth, impl dds.Impl,
 		Receivers:     receivers,
 		RateHz:        rateHz,
 		Metric:        metric,
-		OverheadPct:   overheadOrDefault(0),
+		OverheadPct:   fountcast.DefaultOverheadPct,
 	}
 }

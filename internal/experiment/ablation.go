@@ -12,12 +12,13 @@ import (
 	"adamant/internal/transport/ricochet"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out: in-order
-// delivery (head-of-line blocking), the Ricochet flush timer and group
-// stagger, the R/C trade-off, and the fountain code against Ricochet under
-// burst loss. The IDs run A1-A4 and A6: A5 compared ACK- with NAK-based
-// reliability, and no ACK-based protocol is left to run. Each study renders
-// a Table in the same format as the paper figures.
+// Ablations isolate the design choices DESIGN.md calls out: the Ricochet
+// flush timer and group stagger, the R/C trade-off, and the fountain code
+// against Ricochet under burst loss. The IDs run A2-A4 and A6: A1 compared
+// NAKcast's in-order delivery with a deliver-on-arrival mode NAKcast no
+// longer has, and A5 compared ACK- with NAK-based reliability, and no
+// ACK-based protocol is left to run. Each study renders a Table in the same
+// format as the paper figures.
 
 // AblationOptions parameterize the ablation studies.
 type AblationOptions struct {
@@ -64,26 +65,10 @@ func ablationRow(v ablationVariant, s metrics.Summary, _ NetReport) []string {
 
 var ablationHeader = []string{"variant", "reliability %", "latency (us)", "jitter (us)", "ReLate2"}
 
-func nakSpec(p transport.Params) transport.Spec { return transport.Spec{Name: "nakcast", Params: p} }
 func ricSpec(p transport.Params) transport.Spec { return transport.Spec{Name: "ricochet", Params: p} }
 
 // ablationStudies are the studies Ablations runs, in table order.
 var ablationStudies = []ablationStudy{
-	{
-		// NAKcast's in-order delivery (head-of-line blocking) against an
-		// unordered variant that recovers identically but delivers on arrival.
-		id:     "Ablation A1",
-		title:  "NAKcast in-order vs unordered delivery (pc3000/1Gb, 3 rcv, 5% loss, 25Hz)",
-		note:   "head-of-line blocking is most of NAKcast's latency/jitter cost; reliability is unchanged",
-		header: ablationHeader,
-		variants: []ablationVariant{
-			{"ordered (DDS RELIABLE semantics)", Config{Receivers: 3, RateHz: 25,
-				Protocol: nakSpec(transport.Params{"timeout": "1ms"})}},
-			{"unordered (deliver on arrival)", Config{Receivers: 3, RateHz: 25,
-				Protocol: nakSpec(transport.Params{"timeout": "1ms", "unordered": "1"})}},
-		},
-		row: ablationRow,
-	},
 	{
 		// Ricochet with and without the partial-group flush timer at a low
 		// data rate, where fixed-R grouping leaves losses waiting for R packets.

@@ -32,21 +32,6 @@ func ablation(t *testing.T, id string) Table {
 	return Table{}
 }
 
-func TestAblationOrdering(t *testing.T) {
-	tab := ablation(t, "Ablation A1")
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	ordLat, unordLat := cell(t, tab, 0, 2), cell(t, tab, 1, 2)
-	if unordLat >= ordLat {
-		t.Errorf("unordered latency %.0f should be below ordered %.0f (HOL blocking)", unordLat, ordLat)
-	}
-	ordRel, unordRel := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
-	if unordRel < ordRel-0.1 {
-		t.Errorf("unordered reliability %.2f dropped vs ordered %.2f; recovery should be unchanged", unordRel, ordRel)
-	}
-}
-
 func TestAblationFlush(t *testing.T) {
 	tab := ablation(t, "Ablation A2")
 	withLat, withoutLat := cell(t, tab, 0, 2), cell(t, tab, 1, 2)
@@ -120,7 +105,7 @@ func TestAblationsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 5 {
+	if len(tables) != 4 {
 		t.Fatalf("got %d ablation tables", len(tables))
 	}
 	for _, tab := range tables {

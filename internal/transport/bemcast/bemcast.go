@@ -30,7 +30,7 @@ func Spec() transport.Spec { return transport.Spec{Name: Name} }
 // Factory returns the registry factory for best-effort multicast, which
 // takes no parameters.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, transport.NoOptions, func(struct{}) transport.Properties { return Props },
+	return transport.NewFactory(Name, transport.NoOptions, Props,
 		func(struct{}) uint64 { return spanCap },
 		func(cfg transport.Config, _ struct{}) (*Sender, error) { return NewSender(cfg) },
 		func(cfg transport.Config, _ struct{}) (*Receiver, error) { return NewReceiver(cfg) })

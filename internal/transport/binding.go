@@ -26,9 +26,8 @@ import (
 // epoch are held back until every earlier *ordered* epoch has accounted for
 // its whole slice (each sequence delivered or reported lost), which
 // preserves per-stream ordering across the swap. Whether an epoch is ordered
-// is a property of its spec, decided by its protocol's factory: ricochet,
-// bemcast and nakcast(unordered=1) never promised ordering, so their epochs
-// complete as soon as their cut is known.
+// is a property of its protocol: ricochet and bemcast never promised
+// ordering, so their epochs complete as soon as their cut is known.
 
 const (
 	// announceInterval is how often a sender binding re-multicasts its

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -162,12 +163,13 @@ func TestBindingSwapToUnordered(t *testing.T) {
 	rig.checkComplete(t, 30, false)
 }
 
-// An unordered nakcast epoch promises no ordering, so its stragglers do not
-// hold back the next epoch: with seq 5 lost to receiver 0 and a 50 ms NAK
-// timeout, the new epoch's samples reach that receiver first, and the old
-// epoch is done as soon as its cut is known while its recovery still runs.
+// An unordered ricochet epoch promises no ordering, so its stragglers do
+// not hold back the next epoch: with seq 5 lost to receiver 0 and lateral
+// recovery taking a decode (13 ms) past its repair, the new epoch's samples
+// reach that receiver first, and the old epoch is done as soon as its cut
+// is known while its recovery still runs.
 func TestBindingUnorderedEpochDoesNotGate(t *testing.T) {
-	rig := newBindingRig(t, "nakcast(timeout=50ms,unordered=1)")
+	rig := newBindingRig(t, "ricochet(c=1,r=4)")
 	rig.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
 		return to == 1 && pkt.Type == wire.TypeData && pkt.Epoch == 0 && pkt.Seq == 5
 	}
@@ -185,20 +187,21 @@ func TestBindingUnorderedEpochDoesNotGate(t *testing.T) {
 	for j, d := range rig.got[0] {
 		pos[d.Seq] = j
 	}
-	if pos[5] < pos[11] {
-		t.Errorf("recovered seq 5 delivered at %d, before new-epoch seq 11 at %d: the unordered epoch gated the next",
-			pos[5], pos[11])
+	if !rig.got[0][pos[5]].Recovered || pos[5] < pos[11] {
+		t.Errorf("seq 5 delivered at %d (recovered %t), want recovered after new-epoch seq 11 at %d: the unordered epoch gated the next",
+			pos[5], rig.got[0][pos[5]].Recovered, pos[11])
 	}
 }
 
-// The synthetic EOS still opens an unordered nakcast epoch's tail-gap NAKs:
-// with its real EOS heartbeat and its tail sample both lost to receiver 0,
-// the tail is recovered only through the binding's injected heartbeat.
+// The synthetic EOS reaches an unordered ricochet epoch and closes its
+// tail: with receiver 0's real EOS heartbeat, its tail sample and every
+// repair to it lost, seq 10 is reported lost only through the binding's
+// injected heartbeat, and no later copy delivers it.
 func TestBindingUnorderedEpochTailViaSyntheticEOS(t *testing.T) {
-	rig := newBindingRig(t, "nakcast(timeout=2ms,unordered=1)")
+	rig := newBindingRig(t, "ricochet(c=1,r=4)")
 	rig.fab.Drop = func(_, to wire.NodeID, pkt *wire.Packet) bool {
-		return to == 1 && pkt.Epoch == 0 &&
-			(pkt.Type == wire.TypeHeartbeat || pkt.Type == wire.TypeData && pkt.Seq == 10)
+		return to == 1 && pkt.Epoch == 0 && (pkt.Type == wire.TypeHeartbeat || pkt.Type == wire.TypeRepair ||
+			pkt.Type == wire.TypeData && pkt.Seq == 10)
 	}
 	rig.publish(t, 10, 2*time.Millisecond)
 	if err := rig.sender.Swap(mustSpec(t, "nakcast(timeout=1ms)")); err != nil {
@@ -206,9 +209,11 @@ func TestBindingUnorderedEpochTailViaSyntheticEOS(t *testing.T) {
 	}
 	rig.publish(t, 5, 2*time.Millisecond)
 	rig.finish(t)
-	rig.checkComplete(t, 15, false)
-	if st := rig.readers[0].Stats(); st.Recovered != 1 {
-		t.Errorf("receiver 0 recovered %d samples, want the tail seq 10", st.Recovered)
+	if fmt.Sprint(rig.lost[0]) != "[10]" || len(rig.got[0]) != 14 {
+		t.Errorf("receiver 0 lost %v and delivered %d, want the tail seq 10 lost and the other 14", rig.lost[0], len(rig.got[0]))
+	}
+	if len(rig.lost[1]) != 0 || len(rig.got[1]) != 15 {
+		t.Errorf("receiver 1 lost %v and delivered %d, want all 15", rig.lost[1], len(rig.got[1]))
 	}
 }
 

@@ -41,13 +41,6 @@ var matrix = []struct {
 		maxAt5PctLoss: 100,
 	},
 	{
-		name:          "nakcast-unordered",
-		spec:          transport.Spec{Name: "nakcast", Params: transport.Params{"timeout": "1ms", "unordered": "1"}},
-		minLossless:   100,
-		minAt5PctLoss: 99.9,
-		maxAt5PctLoss: 100,
-	},
-	{
 		name:          "ricochet-r4c3",
 		spec:          transport.Spec{Name: "ricochet", Params: transport.Params{"r": "4", "c": "3"}},
 		minLossless:   100,

@@ -116,7 +116,7 @@ func (o Options) span() uint64 { return maxOpenBlocks * uint64(o.K) }
 
 // Factory returns the registry factory for Fountcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props }, Options.span, NewSender, NewReceiver)
+	return transport.NewFactory(Name, ParseOptions, Props, Options.span, NewSender, NewReceiver)
 }
 
 // blockSeedFor derives a block's coefficient seed as a pure function of the
@@ -319,7 +319,7 @@ func (r *Receiver) block(idx uint64) *blockState {
 
 // each calls fn on every block record, lowest index first.
 func (r *Receiver) each(fn func(b *blockState)) {
-	r.blocks.Each(r.blocks.Low(), transport.SlotHeld, func(_ uint64, b **blockState) { fn(*b) })
+	r.blocks.Each(transport.SlotHeld, func(_ uint64, b **blockState) { fn(*b) })
 }
 
 // shrinkToEOS pins the tail block's true count once the stream end is

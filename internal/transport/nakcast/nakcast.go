@@ -9,11 +9,11 @@
 // 50 ms, 25 ms, 10 ms, and 1 ms. Smaller timeouts recover faster at the
 // cost of more NAK traffic under reordering.
 //
-// Delivery is in-order by default (the reliability the DDS RELIABLE QoS
-// expects), which is where NAKcast's latency profile comes from: a lost
-// packet head-of-line blocks its successors until recovery. Unrecoverable
-// packets (sender history evicted, or the NAK retry budget exhausted) are
-// abandoned so delivery always makes progress.
+// Delivery is in-order (the reliability the DDS RELIABLE QoS expects),
+// which is where NAKcast's latency profile comes from: a lost packet
+// head-of-line blocks its successors until recovery. Unrecoverable packets
+// (sender history evicted, or the NAK retry budget exhausted) are abandoned
+// so delivery always makes progress.
 package nakcast
 
 import (
@@ -74,9 +74,6 @@ type Options struct {
 	// detecting a gap before NAKing the sender. Retries back off
 	// exponentially from this base.
 	Timeout time.Duration
-	// Unordered disables in-order delivery (samples are handed up on
-	// arrival; recovery still runs). Used for ablation experiments.
-	Unordered bool
 }
 
 // Spec returns the canonical transport.Spec for a NAK timeout, e.g.
@@ -88,31 +85,18 @@ func Spec(timeout time.Duration) transport.Spec {
 // ParseOptions extracts Options from spec params.
 func ParseOptions(p transport.Params) (Options, error) {
 	var o Options
-	var unord int
-	if err := p.Read(
-		transport.DurationParam("timeout", &o.Timeout, DefaultTimeout),
-		transport.IntParam("unordered", &unord, 0),
-	); err != nil {
+	if err := p.Read(transport.DurationParam("timeout", &o.Timeout, DefaultTimeout)); err != nil {
 		return o, err
 	}
-	if o.Timeout <= 0 || unord < 0 || unord > 1 {
-		return o, fmt.Errorf("nakcast: timeout=%v unordered=%d, want a positive timeout and unordered 0 or 1", o.Timeout, unord)
+	if o.Timeout <= 0 {
+		return o, fmt.Errorf("nakcast: timeout=%v, want a positive timeout", o.Timeout)
 	}
-	o.Unordered = unord == 1
 	return o, nil
 }
 
 // Factory returns the registry factory for NAKcast.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, props, func(Options) uint64 { return defaultHoldbackCap }, NewSender, NewReceiver)
-}
-
-// props advertises Props, without PropOrdered for an unordered spec.
-func props(o Options) transport.Properties {
-	if o.Unordered {
-		return Props &^ transport.PropOrdered
-	}
-	return Props
+	return transport.NewFactory(Name, ParseOptions, Props, func(Options) uint64 { return defaultHoldbackCap }, NewSender, NewReceiver)
 }
 
 // Sender is the writer-side NAKcast instance.
@@ -238,14 +222,11 @@ type Receiver struct {
 	transport.ReceiverCore
 	opts Options
 
-	sender wire.NodeID // NAK target; tracked from data/heartbeat sources
-	// next is the delivery cursor: the lowest seq neither delivered nor
-	// abandoned. In order it is the window's low end; unordered, the window
-	// trails it by up to the cap (writes past the cap slide it) to keep
-	// recognising late copies of what lies below.
-	next    uint64
+	sender  wire.NodeID // NAK target; tracked from data/heartbeat sources
 	maxSeen uint64
-	win     transport.Window[slot]
+	// win's low end is the delivery cursor: the lowest seq neither
+	// delivered nor abandoned.
+	win transport.Window[slot]
 }
 
 // slot is one sequence number's receive state: the sample while held, the
@@ -268,7 +249,6 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 		ReceiverCore: core,
 		opts:         opts,
 		sender:       cfg.SenderID,
-		next:         cfg.BaseSeq + 1,
 		maxSeen:      cfg.BaseSeq,
 		win:          transport.NewWindow[slot](cfg.BaseSeq+1, defaultHoldbackCap),
 	}
@@ -288,17 +268,13 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	if seq <= r.Cfg.BaseSeq {
 		return // below this instance's sequence space (covers bogus seq 0)
 	}
-	if st := r.win.State(seq); seq < r.next || st == transport.SlotHeld ||
-		st == transport.SlotAbandoned || st == transport.SlotDelivered {
+	if st := r.win.State(seq); seq < r.win.Low() || st == transport.SlotHeld || st == transport.SlotAbandoned {
 		r.Counts.Duplicates++
 		return
 	}
-	if seq-r.next >= defaultHoldbackCap {
-		if !r.opts.Unordered {
-			r.Counts.OutOfWindow++
-			return
-		}
-		r.skipTo(seq - defaultHoldbackCap + 1)
+	if !r.win.Fits(seq) {
+		r.Counts.OutOfWindow++
+		return
 	}
 	*r.win.Set(seq, transport.SlotHeld) = slot{
 		sentAt:    pkt.SentAt,
@@ -307,11 +283,6 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	}
 	r.noteHigh(seq, true)
 	r.noteBuffered()
-	if r.opts.Unordered {
-		e := r.win.Get(seq)
-		r.deliver(seq, &e)
-		*r.win.Set(seq, transport.SlotDelivered) = slot{}
-	}
 	r.drain()
 }
 
@@ -332,7 +303,7 @@ func (r *Receiver) onHeartbeat(src wire.NodeID, pkt *wire.Packet) {
 // to its end: a heartbeat's HighSeq is outside input, and one corrupt value
 // must not make the receiver materialise an unbounded gap.
 func (r *Receiver) noteHigh(seq uint64, receivedHigh bool) {
-	seq = min(seq, r.next+defaultHoldbackCap-1)
+	seq = min(seq, r.win.Low()+defaultHoldbackCap-1)
 	if seq <= r.maxSeen {
 		return
 	}
@@ -361,7 +332,7 @@ func (r *Receiver) noteBuffered() {
 // packet.
 func (r *Receiver) armNakTimer() {
 	var earliest time.Time
-	r.win.Each(r.next, transport.SlotMissing, func(_ uint64, m *slot) {
+	r.win.Each(transport.SlotMissing, func(_ uint64, m *slot) {
 		if earliest.IsZero() || m.due.Before(earliest) {
 			earliest = m.due
 		}
@@ -375,7 +346,7 @@ func (r *Receiver) fireNaks() {
 	now := r.Cfg.Env.Now()
 	due := false
 	var naks []wire.SeqRange
-	r.win.Each(r.next, transport.SlotMissing, func(seq uint64, m *slot) {
+	r.win.Each(transport.SlotMissing, func(seq uint64, m *slot) {
 		if m.due.After(now) {
 			return
 		}
@@ -407,24 +378,6 @@ func (r *Receiver) abandon(seq uint64) {
 	r.Lost(seq)
 }
 
-// skipTo moves an unordered receiver's cursor up to cut, for a packet a
-// cap or more past it: delivery order does not wait on a gap, so neither
-// does admission. Gaps below cut are abandoned lowest first; seqs below it
-// never seen at all (only a corrupt or restarted seq jumps that far) are
-// counted in one sum, as walking them could take forever.
-func (r *Receiver) skipTo(cut uint64) {
-	for seq := r.next; seq < min(cut, r.maxSeen+1); seq++ {
-		if r.win.State(seq) == transport.SlotMissing {
-			r.abandon(seq)
-		}
-	}
-	if r.maxSeen < cut-1 {
-		r.Counts.Abandoned += cut - 1 - r.maxSeen
-		r.maxSeen = cut - 1
-	}
-	r.next = cut
-}
-
 func (r *Receiver) sendNak(ranges []wire.SeqRange) {
 	if len(ranges) > 255 {
 		ranges = ranges[:255]
@@ -440,19 +393,8 @@ func (r *Receiver) sendNak(ranges []wire.SeqRange) {
 	r.Counts.NaksSent++
 }
 
-// drain delivers in order from the cursor, passing abandoned seqs, or —
-// unordered, where onData delivers on arrival — passes the cursor over
-// what is delivered or abandoned.
-func (r *Receiver) drain() {
-	if !r.opts.Unordered {
-		r.win.Drain(r.deliver)
-		r.next = r.win.Low()
-		return
-	}
-	for st := r.win.State(r.next); st == transport.SlotDelivered || st == transport.SlotAbandoned; st = r.win.State(r.next) {
-		r.next++
-	}
-}
+// drain delivers in order from the cursor, passing abandoned seqs.
+func (r *Receiver) drain() { r.win.Drain(r.deliver) }
 
 func (r *Receiver) deliver(seq uint64, e *slot) {
 	// Sequencing/holdback bookkeeping consumes CPU; delivery lands when

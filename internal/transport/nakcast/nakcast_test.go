@@ -2,7 +2,7 @@ package nakcast_test
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -329,30 +329,6 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
-func TestUnorderedMode(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(timeout=50ms,unordered=1)")
-	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && pkt.Seq == 2
-	}
-	h.publishN(t, 4, 2*time.Millisecond)
-	h.finish(t)
-	ds := h.delivery[0]
-	if len(ds) != 4 {
-		t.Fatalf("delivered %d, want 4", len(ds))
-	}
-	// 3 and 4 must NOT wait for 2: they are delivered before it.
-	pos := map[uint64]int{}
-	for i, d := range ds {
-		pos[d.Seq] = i
-	}
-	if pos[3] > pos[2] || pos[4] > pos[2] {
-		t.Errorf("unordered mode still blocked: order %v", seqs(ds))
-	}
-	if lat := ds[pos[3]].Latency(); lat > 5*time.Millisecond {
-		t.Errorf("seq 3 latency %v in unordered mode, want ~1ms", lat)
-	}
-}
-
 // A NAK that arrives after its seq left the sender's 16 384-packet history
 // cannot be served, so the gap is abandoned.
 func TestSenderHistoryEviction(t *testing.T) {
@@ -426,11 +402,9 @@ func TestSpecAndParseOptions(t *testing.T) {
 	if _, err := nakcast.ParseOptions(transport.Params{"timeout": "-1ms"}); err == nil {
 		t.Error("negative timeout should error")
 	}
-	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "x"}); err == nil {
-		t.Error("bad unordered should error")
-	}
-	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "1"}); err != nil {
-		t.Error("unordered=1 should parse")
+	// In-order delivery is the only mode: the old unordered key is refused.
+	if _, err := nakcast.ParseOptions(transport.Params{"unordered": "1"}); err == nil || !strings.Contains(err.Error(), "unknown param unordered") {
+		t.Errorf("unordered=1: %v, want an unknown param error", err)
 	}
 	// A misspelt key must fail, not run the 10ms default timeout.
 	if _, err := nakcast.ParseOptions(transport.Params{"timout": "1ms"}); err == nil {
@@ -466,56 +440,32 @@ func TestFactoryBuildsInstances(t *testing.T) {
 }
 
 func TestManyLossesAllRecovered(t *testing.T) {
-	loss := rand.New(rand.NewSource(11))
-	for _, tc := range []struct {
-		spec      string
-		samples   int
-		gap       time.Duration
-		drop      func(from, to wire.NodeID, pkt *wire.Packet) bool
-		ordered   bool
-		recovered uint64 // receiver 1's Recovered count; 0 leaves it unchecked
-	}{
-		// Every 7th data packet to one of three receivers.
-		{"nakcast(timeout=2ms)", 100, 3 * time.Millisecond,
-			func(from, to wire.NodeID, pkt *wire.Packet) bool {
-				return pkt.Type == wire.TypeData && to == 2 && pkt.Seq%7 == 0
-			}, true, 14},
-		// 5 % uniform loss on every packet to every receiver at 100 Hz. The
-		// unordered mode recovers as completely (>= 99.9 % of 600 is all of
-		// them); it only hands samples up out of order.
-		{"nakcast(timeout=1ms,unordered=1)", 600, 10 * time.Millisecond,
-			func(from, to wire.NodeID, pkt *wire.Packet) bool {
-				return to != 0 && loss.Float64() < 0.05
-			}, false, 0},
-	} {
-		t.Run(tc.spec, func(t *testing.T) {
-			h := newHarness(t, 3, tc.spec)
-			h.fab.Drop = tc.drop
-			h.publishN(t, tc.samples, tc.gap)
-			h.finish(t)
-			for i, ds := range h.delivery {
-				if len(ds) != tc.samples {
-					t.Errorf("receiver %d delivered %d, want %d", i, len(ds), tc.samples)
+	// Every 7th data packet to one of three receivers.
+	const spec, samples = "nakcast(timeout=2ms)", 100
+	t.Run(spec, func(t *testing.T) {
+		h := newHarness(t, 3, spec)
+		h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
+			return pkt.Type == wire.TypeData && to == 2 && pkt.Seq%7 == 0
+		}
+		h.publishN(t, samples, 3*time.Millisecond)
+		h.finish(t)
+		for i, ds := range h.delivery {
+			if len(ds) != samples {
+				t.Errorf("receiver %d delivered %d, want %d", i, len(ds), samples)
+			}
+			for j, d := range ds {
+				if d.Seq != uint64(j+1) {
+					t.Fatalf("receiver %d out of order at %d", i, j)
 				}
-				seen := make(map[uint64]bool, len(ds))
-				for j, d := range ds {
-					if tc.ordered && d.Seq != uint64(j+1) {
-						t.Fatalf("receiver %d out of order at %d", i, j)
-					}
-					if seen[d.Seq] {
-						t.Fatalf("receiver %d: seq %d delivered twice", i, d.Seq)
-					}
-					seen[d.Seq] = true
-					if want := fmt.Sprintf("sample-%d", d.Seq-1); string(d.Payload) != want {
-						t.Fatalf("receiver %d: seq %d payload %q, want %q", i, d.Seq, d.Payload, want)
-					}
+				if want := fmt.Sprintf("sample-%d", d.Seq-1); string(d.Payload) != want {
+					t.Fatalf("receiver %d: seq %d payload %q, want %q", i, d.Seq, d.Payload, want)
 				}
 			}
-			if st := h.recvs[1].Stats(); tc.recovered != 0 && st.Recovered != tc.recovered {
-				t.Errorf("receiver 1 Recovered = %d, want %d", st.Recovered, tc.recovered)
-			}
-		})
-	}
+		}
+		if st := h.recvs[1].Stats(); st.Recovered != 14 {
+			t.Errorf("receiver 1 Recovered = %d, want 14", st.Recovered)
+		}
+	})
 }
 
 // Eight gaps noted by one arrival share a deadline and are abandoned by one
@@ -588,68 +538,5 @@ func TestCorruptHeartbeatBounded(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("receiver did not return from a corrupt heartbeat within 30s")
-	}
-}
-
-// Unordered delivery does not wait on a gap, so neither may admission: with
-// one loss unrecovered at the cursor, more than the holdback cap of packets
-// behind it must still be delivered on arrival, not refused and recovered
-// later by NAK. The gap the window slides past is abandoned.
-func TestUnorderedGapAtCursorDoesNotRefuse(t *testing.T) {
-	const holdbackCap = 1 << 15
-	h := newHarness(t, 1, "nakcast(timeout=1s,unordered=1)")
-	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
-		return (pkt.Type == wire.TypeData || pkt.Type == wire.TypeRetrans) && pkt.Seq == 1
-	}
-	h.publishN(t, holdbackCap+100, 0)
-	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	ds := h.delivery[0]
-	if len(ds) != holdbackCap+99 {
-		t.Fatalf("delivered %d within 10ms, want %d", len(ds), holdbackCap+99)
-	}
-	for _, d := range ds {
-		if d.Recovered {
-			t.Fatalf("seq %d delivered by retransmission, want on arrival", d.Seq)
-		}
-	}
-	if st := h.recvs[0].Stats(); st.OutOfWindow != 0 {
-		t.Errorf("OutOfWindow = %d, want 0", st.OutOfWindow)
-	}
-	if fmt.Sprint(h.lost[0]) != "[1]" {
-		t.Errorf("OnLost %v, want [1]", h.lost[0])
-	}
-}
-
-// A far-future data packet on an unordered receiver moves the cursor up to
-// a cap below it at bounded cost: the cap of gaps just below it is NAKed
-// and then abandoned seq by seq, the rest counted in one sum, so every seq
-// between the real stream and the far one is abandoned exactly once.
-func TestUnorderedFarFutureSeqBounded(t *testing.T) {
-	h := newHarness(t, 1, "nakcast(timeout=1ms,unordered=1)")
-	h.publishN(t, 3, time.Millisecond)
-	far := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1 << 40, SentAt: h.k.Now()}
-	if err := h.fab.Endpoint(0).Multicast(far); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- h.k.RunFor(10 * time.Second) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("receiver did not return from a far-future seq within 30s")
-	}
-	if got := len(h.delivery[0]); got != 4 {
-		t.Errorf("delivered %d, want the 3 real samples and the far one", got)
-	}
-	if st := h.recvs[0].Stats(); st.Abandoned != 1<<40-4 {
-		t.Errorf("Abandoned = %d, want %d: every seq from 4 to 2^40-1 once", st.Abandoned, uint64(1<<40-4))
-	}
-	if n := len(h.lost[0]); n != 1<<15-1 {
-		t.Errorf("OnLost reported %d seqs, want the %d gaps the window held", n, 1<<15-1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"adamant/internal/core"
 	"adamant/internal/env"
 	"adamant/internal/sim"
 	"adamant/internal/transport"
@@ -36,46 +37,37 @@ func TestMustRegistry(t *testing.T) {
 	}
 }
 
-// TestFactoryProps pins every registered protocol's properties at default
-// params and at unordered=1: only nakcast reads that key, and it is the one
-// spec that drops PropOrdered; every other protocol refuses the key.
+// TestFactoryProps pins every registered protocol's properties: each
+// protocol advertises one set, the same at default params as at every
+// core.Candidates spec of it.
 func TestFactoryProps(t *testing.T) {
-	want := map[string]struct{ def, unordered string }{
-		"bemcast":   {"multicast", ""},
-		"fountcast": {"multicast+fec+ordered", ""},
-		"nakcast":   {"multicast+nak-reliability+ordered", "multicast+nak-reliability"},
-		"ricochet":  {"multicast+fec", ""},
+	want := map[string]string{
+		"bemcast":   "multicast",
+		"fountcast": "multicast+fec+ordered",
+		"nakcast":   "multicast+nak-reliability+ordered",
+		"ricochet":  "multicast+fec",
 	}
 	reg := protocols.MustRegistry()
 	for _, name := range reg.Names() {
-		w, ok := want[name]
-		if !ok {
+		if _, ok := want[name]; !ok {
 			t.Errorf("%s: no expected properties", name)
-			continue
 		}
-		f, err := reg.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
+		if p, err := reg.Props(transport.Spec{Name: name}); err != nil || p.String() != want[name] {
+			t.Errorf("%s: Props = %v, %v; want %s", name, p, err, want[name])
 		}
-		if p, err := f.Props(nil); err != nil || p.String() != w.def {
-			t.Errorf("%s: Props = %v, %v; want %s", name, p, err, w.def)
-		}
-		p, err := f.Props(transport.Params{"unordered": "1"})
-		if w.unordered == "" {
-			if err == nil {
-				t.Errorf("%s(unordered=1): Props = %v, want an unknown-param error", name, p)
-			}
-		} else if err != nil || p.String() != w.unordered {
-			t.Errorf("%s(unordered=1): Props = %v, %v; want %s", name, p, err, w.unordered)
+	}
+	for _, spec := range core.Candidates() {
+		if p, err := reg.Props(spec); err != nil || p.String() != want[spec.Name] {
+			t.Errorf("%s: Props = %v, %v; want %s", spec, p, err, want[spec.Name])
 		}
 	}
 }
 
 // TestSpecKeys pins the spec keys each protocol reads. A tunable nothing
 // outside the tests sets is a constant, so its key is an unknown param (the
-// rows give each removed key its former default); unordered and stagger
-// take one spelling per configuration; every kept key parses at the value
-// its product caller sets.
+// rows give each removed key its former default); stagger takes one
+// spelling per configuration, and c stays within a bound; every kept key
+// parses at the value its product caller sets.
 func TestSpecKeys(t *testing.T) {
 	reg := protocols.MustRegistry()
 	for _, tc := range []struct{ spec, err string }{
@@ -88,15 +80,14 @@ func TestSpecKeys(t *testing.T) {
 		{"ricochet(decode=13ms)", "unknown param decode"},
 		{"fountcast(hb=100ms)", "unknown param hb"},
 		{"fountcast(proc=50µs)", "unknown param proc"},
+		{"nakcast(unordered=1)", "unknown param unordered"},
 
-		{"nakcast(unordered=2)", "unordered=2"},
-		{"nakcast(unordered=-1)", "unordered=-1"},
 		{"ricochet(r=4,stagger=4)", "stagger=4"},
 		{"ricochet(r=4,stagger=-2)", "stagger=-2"},
 		{"ricochet(r=4097)", "r=4097"}, // past the 4 096-packet cache
+		{"ricochet(c=65)", "c=65"},     // past the per-repair peer bound
 
 		{"nakcast(timeout=50ms)", ""},                   // core.Candidates
-		{"nakcast(timeout=1ms,unordered=1)", ""},        // ablation A1
 		{"ricochet(c=3,r=8)", ""},                       // core.Candidates
 		{"ricochet(c=3,flush=8ms,r=4)", ""},             // A2
 		{"ricochet(c=3,flush=-1ms,r=4,stagger=-1)", ""}, // A3

@@ -57,6 +57,11 @@ const (
 	window = 4096
 	span   = 4 * window
 
+	// maxC bounds c. Every repair draws C peers, and a spec also arrives
+	// from the network in a rebind record, so an unbounded c would let one
+	// record make each data packet cost a draw per unit of c.
+	maxC = 64
+
 	// procCost models the reference-machine CPU time the LEC receiver
 	// spends per directly received data packet: window insert, group
 	// bookkeeping, XOR accumulation, and its share of repair-stream
@@ -125,8 +130,8 @@ func ParseOptions(p transport.Params) (Options, error) {
 	if o.R < 2 || o.R > window {
 		return o, fmt.Errorf("ricochet: r=%d outside 2..%d", o.R, window)
 	}
-	if o.C < 1 {
-		return o, fmt.Errorf("ricochet: c must be >= 1, got %d", o.C)
+	if o.C < 1 || o.C > maxC {
+		return o, fmt.Errorf("ricochet: c=%d outside 1..%d", o.C, maxC)
 	}
 	if o.Stagger < -1 || o.Stagger >= o.R {
 		return o, fmt.Errorf("ricochet: stagger=%d outside -1..%d", o.Stagger, o.R-1)
@@ -137,7 +142,7 @@ func ParseOptions(p transport.Params) (Options, error) {
 // Factory returns the registry factory for Ricochet. The sender has no
 // tunables, but its spec is still checked.
 func Factory() *transport.Factory {
-	return transport.NewFactory(Name, ParseOptions, func(Options) transport.Properties { return Props },
+	return transport.NewFactory(Name, ParseOptions, Props,
 		func(Options) uint64 { return span },
 		func(cfg transport.Config, _ Options) (*Sender, error) { return NewSender(cfg) }, NewReceiver)
 }
@@ -428,7 +433,7 @@ func (r *Receiver) store(pkt *wire.Packet) {
 func (r *Receiver) evict(held int) {
 	left := max(held/4, 1)
 	var cutoff uint64
-	r.window.Each(r.window.Low(), transport.SlotHeld, func(seq uint64, _ **wire.Packet) {
+	r.window.Each(transport.SlotHeld, func(seq uint64, _ **wire.Packet) {
 		if left > 0 {
 			cutoff, left = seq, left-1
 		}

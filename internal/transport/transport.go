@@ -358,8 +358,8 @@ func ParseSpec(s string) (Spec, error) {
 type Factory struct {
 	// Name is the spec name ("ricochet", "nakcast", ...).
 	Name string
-	// Props reports the transport properties the protocol advertises when
-	// configured with params (an unordered nakcast is not ordered).
+	// Props reports the transport properties the protocol advertises; it
+	// parses params first, so a bad spec is refused here too.
 	Props func(params Params) (Properties, error)
 	// Span is the receiver's span cap in seqs when configured with params:
 	// however long the stream runs, its recovery state holds no more.
@@ -372,18 +372,18 @@ type Factory struct {
 
 // NewFactory builds the Factory of a protocol whose sides are configured
 // by one options type: each side parses its params with parse, once, and
-// hands the options to its constructor; props and span map parsed options
-// to the properties and the span cap that configuration has.
-func NewFactory[O any, S Sender, R Receiver](name string, parse func(Params) (O, error), props func(O) Properties,
+// hands the options to its constructor. props are the properties every
+// configuration advertises, and span maps parsed options to the span cap
+// that configuration has.
+func NewFactory[O any, S Sender, R Receiver](name string, parse func(Params) (O, error), props Properties,
 	span func(O) uint64, newSender func(Config, O) (S, error), newReceiver func(Config, O) (R, error)) *Factory {
 	return &Factory{
 		Name: name,
 		Props: func(params Params) (Properties, error) {
-			o, err := parse(params)
-			if err != nil {
+			if _, err := parse(params); err != nil {
 				return 0, err
 			}
-			return props(o), nil
+			return props, nil
 		},
 		Span: func(params Params) (uint64, error) {
 			o, err := parse(params)

@@ -127,14 +127,12 @@ func (w *Window[T]) SlideTo(seq uint64) {
 	w.low = max(w.low, seq)
 }
 
-// Each calls fn on every slot in state st at or above from, in ascending
-// sequence order; from lets a receiver whose window trails its cursor
-// (unordered nakcast keeps a cap of delivered seqs below it) skip that
-// stretch. fn may change the state of the slot it is given but must not
-// otherwise write to the window.
-func (w *Window[T]) Each(from uint64, st SlotState, fn func(seq uint64, v *T)) {
+// Each calls fn on every slot in state st, in ascending sequence order. fn
+// may change the state of the slot it is given but must not otherwise
+// write to the window.
+func (w *Window[T]) Each(st SlotState, fn func(seq uint64, v *T)) {
 	left := w.n[st]
-	for seq := max(from, w.low); left > 0 && seq-w.low < uint64(len(w.ring)); seq++ {
+	for seq := w.low; left > 0 && seq-w.low < uint64(len(w.ring)); seq++ {
 		if s := w.slot(seq); s.state == st {
 			left--
 			fn(seq, &s.v)

@@ -17,7 +17,9 @@
 # be defined in cmd/<cmd>/main.go: a deleted flag leaves no stale recipe.
 #
 # Every transport spec cited as name(key=...) (as in `nakcast(timeout=5ms)`)
-# must name a protocol: a const Name under internal/transport/*/.
+# must name a protocol: a const Name under internal/transport/*/. Each of its
+# keys must be one that protocol reads: a Param("key" in a non-test file of
+# internal/transport/<name>/, so a removed spec key leaves no stale spec.
 #
 # Every Go identifier backticked in a row of DESIGN.md's "System inventory"
 # (an exported name such as `Adaptor`, or a qualified one such as
@@ -74,11 +76,20 @@ done < <(grep -noE 'adamant-[a-z]+( +[^ `|;()&]+)*' "${docs[@]}")
 
 protocols=$(grep -hoE '^const Name = "[a-z0-9]+"' internal/transport/*/*.go | sed -E 's/.*"(.*)"/\1/')
 while IFS=: read -r file line cite; do
-	if ! grep -qx "${cite%%(*}" <<<"$protocols"; then
-		echo "$file:$line: no transport package names the protocol of $cite...)"
+	name=${cite%%(*}
+	if ! grep -qx "$name" <<<"$protocols"; then
+		echo "$file:$line: no transport package names the protocol of $cite)"
 		bad=1
+		continue
 	fi
-done < <(grep -noE '\b[a-z][a-z0-9]*\([a-z]+=' "${docs[@]}")
+	for key in $(grep -oE '(^|,) *[a-z]+=' <<<"${cite#*(}" | tr -d ', ='); do
+		if ! find "internal/transport/$name" -maxdepth 1 -name '*.go' ! -name '*_test.go' \
+			-exec grep -qF "Param(\"$key\"" {} + 2>/dev/null; then
+			echo "$file:$line: $name reads no spec key $key (cited in $cite))"
+			bad=1
+		fi
+	done
+done < <(grep -noE '\b[a-z][a-z0-9]*\([a-z]+=[^)`]*' "${docs[@]}")
 
 # declared DIR NAME: NAME begins a declaration in DIR's non-test Go files.
 declared() {

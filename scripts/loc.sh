@@ -12,7 +12,7 @@
 set -euo pipefail
 
 broker_cap=3330    # internal/broker
-transport_cap=4579 # internal/transport/... (total)
+transport_cap=4523 # internal/transport/... (total)
 dds_cap=614        # internal/dds
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
