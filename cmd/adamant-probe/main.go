@@ -1,7 +1,7 @@
 // Command adamant-probe runs the ADAMANT startup flow on the local host:
-// probe computing and networking resources, map them onto the trained
-// environment grid, and (given a trained network from adamant-train)
-// recommend the transport protocol configuration.
+// probe computing and networking resources and (given a trained network
+// from adamant-train) recommend the transport protocol configuration and
+// print the trained point it answered for, when that is not the probed one.
 //
 //	adamant-probe                                  # probe only
 //	adamant-probe -ann adamant.ann -receivers 9 -rate 25 -loss 3
@@ -40,11 +40,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	machine := probe.NearestMachine(info)
-	bw := probe.NearestBandwidth(info)
 	fmt.Printf("probed: %s\n", info)
-	fmt.Printf("nearest trained machine profile: %s (%d MHz)\n", machine.Name, machine.MHz)
-	fmt.Printf("nearest trained bandwidth: %s\n", bw)
 
 	if *annPath == "" {
 		fmt.Println("no -ann network given; probe only")
@@ -73,6 +69,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("features: %s\n", d.Features)
+	if at := d.Features.Snapped(); at != d.Features {
+		fmt.Printf("answered at the nearest trained point: %s\n", at)
+	}
 	fmt.Printf("recommended transport: %s\n", d.Spec)
 	fmt.Printf("decision time: probe=%v select=%v\n", d.ProbeTime, d.SelectTime)
 	return nil

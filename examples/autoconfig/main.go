@@ -63,6 +63,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("environment features: %s\n", decision.Features)
+	if at := decision.Features.Snapped(); at != decision.Features {
+		fmt.Printf("answered at the nearest trained point: %s\n", at)
+	}
 	fmt.Printf("ADAMANT decision: %s (select time %v — bounded, single forward pass)\n",
 		decision.Spec, decision.SelectTime)
 

@@ -77,6 +77,9 @@ func run() error {
 	}
 	spec := decision.Spec
 	fmt.Printf("environment features: %s\n", decision.Features)
+	if at := decision.Features.Snapped(); at != decision.Features {
+		fmt.Printf("answered at the nearest trained point: %s\n", at)
+	}
 	fmt.Printf("ADAMANT-selected transport for the fusion domain: %s\n\n", spec)
 	reg := protocols.MustRegistry()
 

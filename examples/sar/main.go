@@ -40,9 +40,15 @@ const (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	selector, err := core.LoadANNSelector("data/adamant.ann")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	platforms := []struct {
 		name    string
@@ -63,7 +69,7 @@ func main() {
 		adamantChoice, err := selector.Select(core.FeaturesFor(plat.machine, plat.bw, dds.ImplB,
 			lossPct, fusionReaders, rateHz, core.MetricReLate2))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		for _, cfg := range []struct {
@@ -75,7 +81,7 @@ func main() {
 		} {
 			hits, misses, avgSkew, err := runSAR(plat.machine, plat.bw, cfg.spec)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			rate := 100 * float64(hits) / float64(hits+misses)
 			fmt.Printf("  %-32s fusion hits %4d/%4d (%.1f%%)  mean stream skew %v\n",
@@ -85,6 +91,7 @@ func main() {
 	}
 	fmt.Println("ADAMANT matches the transport to the provisioned resources; a fixed")
 	fmt.Println("configuration is only right on the hardware it was tuned for.")
+	return nil
 }
 
 // runSAR publishes correlated IR and video streams through the DDS stack on

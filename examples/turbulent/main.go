@@ -29,9 +29,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	selector, err := core.LoadANNSelector("data/adamant.ann")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	kernel := sim.New(99)
 	e := env.NewSim(kernel)
@@ -43,7 +49,7 @@ func main() {
 			obs.LossPct, obs.Receivers, obs.RateHz, core.MetricReLate2),
 	}
 	if initial.Spec, err = selector.Select(initial.Features); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("[t=%6s] phase %d: %d receivers @ %gHz, %g%% loss -> boot transport %s\n",
 		dur(kernel), phase, obs.Receivers, obs.RateHz, obs.LossPct, initial.Spec)
@@ -60,7 +66,7 @@ func main() {
 			Cooldown: 2 * time.Second,
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer adaptor.Close()
 
@@ -74,7 +80,7 @@ func main() {
 	})
 
 	if err := kernel.RunFor(12 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := adaptor.Stats()
 	fmt.Printf("\nadaptation manager: %d checks, %d drift triggers, %d reconfigurations, %d suppressed by cooldown\n",
@@ -84,6 +90,7 @@ func main() {
 	// The adaptation decision latency is the same bounded ANN query
 	// measured in Figures 20/21 — which is why the paper argues this style
 	// of in-mission adaptation is viable for DRE systems.
+	return nil
 }
 
 func dur(k *sim.Kernel) time.Duration { return k.Now().Sub(sim.Epoch).Round(100 * time.Millisecond) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"adamant/internal/env"
@@ -32,14 +33,10 @@ type ObserveFunc func() Observation
 // middleware. It runs in env callback context.
 type ReconfigureFunc func(d Decision)
 
-const (
-	// rateTolerance is the relative change in sending rate that triggers
-	// re-selection (0.25 = 25%).
-	rateTolerance = 0.25
-	// lossTolerance is the absolute percentage-point change in observed
-	// loss that triggers re-selection.
-	lossTolerance = 1.0
-)
+// lossTolerance is the percentage-point change in the clamped loss that
+// triggers re-selection. Receivers and rate need none: they snap to a grid,
+// and a move inside one grid cell leaves the model's answer as it was.
+const lossTolerance = 1.0
 
 // AdaptorOptions tune the adaptation manager.
 type AdaptorOptions struct {
@@ -141,7 +138,11 @@ func (a *Adaptor) tick() {
 	a.stats.Checks++
 
 	obs := a.observe()
-	if !a.drifted(obs) {
+	next := a.base
+	next.Receivers = obs.Receivers
+	next.RateHz = obs.RateHz
+	next.LossPct = obs.LossPct
+	if !a.drifted(next) {
 		return
 	}
 	a.stats.Triggers++
@@ -149,10 +150,6 @@ func (a *Adaptor) tick() {
 		a.stats.Suppressed++
 		return
 	}
-	next := a.base
-	next.Receivers = obs.Receivers
-	next.RateHz = obs.RateHz
-	next.LossPct = obs.LossPct
 	spec, err := a.selector.Select(next)
 	if err != nil {
 		return // keep the current configuration; selector may recover
@@ -172,24 +169,11 @@ func (a *Adaptor) tick() {
 	a.reconfigure(Decision{Features: next, Spec: spec})
 }
 
-// drifted reports whether the observation moved outside the tolerances
-// around the currently configured environment.
-func (a *Adaptor) drifted(obs Observation) bool {
-	if obs.Receivers != a.current.Receivers {
-		return true
-	}
-	if a.current.RateHz > 0 {
-		rel := (obs.RateHz - a.current.RateHz) / a.current.RateHz
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel > rateTolerance {
-			return true
-		}
-	}
-	dl := obs.LossPct - a.current.LossPct
-	if dl < 0 {
-		dl = -dl
-	}
-	return dl > lossTolerance
+// drifted reports whether next, snapped onto the trained space, moved
+// away from the snapped current configuration: another receiver count or
+// rate, or a loss more than lossTolerance away.
+func (a *Adaptor) drifted(next Features) bool {
+	cur, next := a.current.Snapped(), next.Snapped()
+	return next.Receivers != cur.Receivers || next.RateHz != cur.RateHz ||
+		math.Abs(next.LossPct-cur.LossPct) > lossTolerance
 }

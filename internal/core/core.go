@@ -219,11 +219,11 @@ func LoadANNSelector(path string) (*ANNSelector, error) {
 	return NewANNSelector(net)
 }
 
-// Select implements Selector. After the first call it does not allocate:
-// the input encoding reuses an internal buffer and the result is served
-// from the fixed candidate set.
+// Select implements Selector, answering for f.Snapped(). After the first
+// call it does not allocate: the input encoding reuses an internal buffer
+// and the result is served from the fixed candidate set.
 func (s *ANNSelector) Select(f Features) (transport.Spec, error) {
-	s.buf = f.AppendVector(s.buf[:0])
+	s.buf = f.Snapped().AppendVector(s.buf[:0])
 	idx, err := s.net.Classify(s.buf)
 	if err != nil {
 		return transport.Spec{}, err
@@ -262,8 +262,8 @@ func NewController(source probe.Source, selector Selector, params AppParams) (*C
 	return &Controller{source: source, selector: selector, params: params}, nil
 }
 
-// Decision is the controller's output: the features it derived, the chosen
-// protocol, and how long each stage took.
+// Decision is the controller's output: the features as asked (Snapped is
+// the point answered), the chosen protocol, and how long each stage took.
 type Decision struct {
 	Info       probe.Info
 	Features   Features
@@ -283,11 +283,9 @@ func (c *Controller) Decide() (Decision, error) {
 	d.ProbeTime = time.Since(t0)
 	d.Info = info
 
-	machine := probe.NearestMachine(info)
-	bw := probe.NearestBandwidth(info)
 	d.Features = Features{
-		MachineMHz:    float64(machine.MHz),
-		BandwidthMbps: float64(int64(bw)) / 1e6,
+		MachineMHz:    info.CPUMHz,
+		BandwidthMbps: float64(info.LinkMbps),
 		Impl:          c.params.Impl,
 		LossPct:       c.params.LossPct,
 		Receivers:     c.params.Receivers,
@@ -312,7 +310,7 @@ func FeaturesFor(m netem.Machine, bw netem.Bandwidth, impl dds.Impl,
 	lossPct float64, receivers int, rateHz float64, metric Metric) Features {
 	return Features{
 		MachineMHz:    float64(m.MHz),
-		BandwidthMbps: float64(int64(bw)) / 1e6,
+		BandwidthMbps: mbps(bw),
 		Impl:          impl,
 		LossPct:       lossPct,
 		Receivers:     receivers,
@@ -321,3 +319,61 @@ func FeaturesFor(m netem.Machine, bw netem.Bandwidth, impl dds.Impl,
 		OverheadPct:   fountcast.DefaultOverheadPct,
 	}
 }
+
+// The trained space: the paper's Table 1 and 2 axes the shipped knowledge
+// base was trained on, each grid ascending. experiment.FullSpace ranges
+// over them (and dds.Impls and Metrics); Features.Snapped maps onto them.
+var (
+	TrainedMachines   = []netem.Machine{netem.PC850, netem.PC3000}
+	TrainedBandwidths = []netem.Bandwidth{netem.Mbps10, netem.Mbps100, netem.Gbps1}
+	TrainedReceivers  = []int{3, 6, 9, 12, 15}
+	TrainedRatesHz    = []float64{10, 25, 50, 100}
+)
+
+// The trained loss range in percent, which the dataset steps in whole percents.
+const (
+	MinLossPct = 1
+	MaxLossPct = 5
+)
+
+// The machine and bandwidth axes in Features' units, derived once so that
+// Snapped, on the decision path, compares plain numbers.
+var trainedMHz, trainedMbps = func() (mhz, bw []float64) {
+	for _, m := range TrainedMachines {
+		mhz = append(mhz, float64(m.MHz))
+	}
+	for _, b := range TrainedBandwidths {
+		bw = append(bw, mbps(b))
+	}
+	return mhz, bw
+}()
+
+// Snapped returns f on the trained space, the point the model answers for:
+// machine, bandwidth, receivers and rate at the nearest grid value, loss
+// clamped to [MinLossPct, MaxLossPct], and a bandwidth of 0 or less (a link
+// that reports no speed) as 1 Gb. Impl, Metric and OverheadPct are kept.
+func (f Features) Snapped() Features {
+	f.MachineMHz = nearest(f.MachineMHz, trainedMHz)
+	if f.BandwidthMbps <= 0 {
+		f.BandwidthMbps = mbps(netem.Gbps1)
+	}
+	f.BandwidthMbps = nearest(f.BandwidthMbps, trainedMbps)
+	f.LossPct = min(max(f.LossPct, MinLossPct), MaxLossPct)
+	f.Receivers = nearest(f.Receivers, TrainedReceivers)
+	f.RateHz = nearest(f.RateHz, TrainedRatesHz)
+	return f
+}
+
+// nearest returns the value of the ascending grid closest to x, the lower
+// of two at the same distance. For integers (a+b)/2 rounds the midpoint
+// down, which an integer x exceeds exactly when it exceeds the midpoint.
+func nearest[T int | float64](x T, grid []T) T {
+	for i := 0; i+1 < len(grid); i++ {
+		if x <= (grid[i]+grid[i+1])/2 {
+			return grid[i]
+		}
+	}
+	return grid[len(grid)-1]
+}
+
+func mbps(bw netem.Bandwidth) float64 { return float64(int64(bw)) / 1e6 }

@@ -6,6 +6,7 @@ import (
 	"adamant/internal/ann"
 	"adamant/internal/core"
 	"adamant/internal/dds"
+	"adamant/internal/experiment"
 	"adamant/internal/netem"
 	"adamant/internal/transport"
 )
@@ -100,8 +101,7 @@ func TestCandidateIndexEquivalentSpec(t *testing.T) {
 }
 
 // BenchmarkSelectGrid runs the decision path of the shipped model over the
-// paper's grid: every Table 1 machine, bandwidth, implementation and loss
-// rate, every Table 2 receiver count and rate, both metrics (2 400 points),
+// paper's grid, experiment.FullSpace under both metrics (2 400 points),
 // a Select and a CandidateIndex per point. One op is the whole grid.
 func BenchmarkSelectGrid(b *testing.B) {
 	net, err := ann.LoadFile("../../data/adamant.ann")
@@ -113,19 +113,9 @@ func BenchmarkSelectGrid(b *testing.B) {
 		b.Fatal(err)
 	}
 	var grid []core.Features
-	for _, m := range []netem.Machine{netem.PC850, netem.PC3000} {
-		for _, bw := range []netem.Bandwidth{netem.Mbps10, netem.Mbps100, netem.Gbps1} {
-			for _, im := range dds.Impls() {
-				for loss := 1; loss <= 5; loss++ {
-					for _, recv := range []int{3, 6, 9, 12, 15} {
-						for _, rate := range []float64{10, 25, 50, 100} {
-							for _, metric := range core.Metrics() {
-								grid = append(grid, core.FeaturesFor(m, bw, im, float64(loss), recv, rate, metric))
-							}
-						}
-					}
-				}
-			}
+	for _, e := range experiment.FullSpace() {
+		for _, metric := range core.Metrics() {
+			grid = append(grid, core.FeaturesFor(e.Machine, e.Bandwidth, e.Impl, e.LossPct, e.Receivers, e.RateHz, metric))
 		}
 	}
 	b.ReportAllocs()

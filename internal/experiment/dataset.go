@@ -36,17 +36,17 @@ type EnvCombo struct {
 	RateHz    float64
 }
 
-// FullSpace enumerates the complete Table 1 x Table 2 cross product:
-// 2 machines x 3 bandwidths x 2 implementations x 5 loss levels x
-// 5 receiver counts x 4 rates = 1200 combinations.
+// FullSpace enumerates the Table 1 x Table 2 cross product over core's
+// trained axes: 2 machines x 3 bandwidths x 2 implementations x 5 loss
+// levels x 5 receiver counts x 4 rates = 1200 combinations.
 func FullSpace() []EnvCombo {
 	var out []EnvCombo
-	for _, m := range []netem.Machine{netem.PC850, netem.PC3000} {
-		for _, bw := range []netem.Bandwidth{netem.Mbps10, netem.Mbps100, netem.Gbps1} {
+	for _, m := range core.TrainedMachines {
+		for _, bw := range core.TrainedBandwidths {
 			for _, impl := range dds.Impls() {
-				for loss := 1; loss <= 5; loss++ {
-					for _, recv := range []int{3, 6, 9, 12, 15} {
-						for _, rate := range []float64{10, 25, 50, 100} {
+				for loss := core.MinLossPct; loss <= core.MaxLossPct; loss++ {
+					for _, recv := range core.TrainedReceivers {
+						for _, rate := range core.TrainedRatesHz {
 							out = append(out, EnvCombo{
 								Machine: m, Bandwidth: bw, Impl: impl,
 								LossPct: float64(loss), Receivers: recv, RateHz: rate,

@@ -169,42 +169,3 @@ func probeLinkMbps(netDir string) int {
 	}
 	return best
 }
-
-// NearestMachine maps probed CPU speed to the closest of the machine
-// profiles the ANN was trained on (experiment.FullSpace): pc850 or pc3000.
-func NearestMachine(info Info) netem.Machine {
-	candidates := []netem.Machine{netem.PC850, netem.PC3000}
-	best := candidates[0]
-	bestDist := dist(info.CPUMHz, float64(best.MHz))
-	for _, m := range candidates[1:] {
-		if d := dist(info.CPUMHz, float64(m.MHz)); d < bestDist {
-			best, bestDist = m, d
-		}
-	}
-	return best
-}
-
-// NearestBandwidth maps a probed link speed to the closest trained LAN
-// bandwidth.
-func NearestBandwidth(info Info) netem.Bandwidth {
-	mbps := float64(info.LinkMbps)
-	if mbps <= 0 {
-		return netem.Gbps1 // assume datacenter-grade if unreported
-	}
-	candidates := []netem.Bandwidth{netem.Mbps10, netem.Mbps100, netem.Gbps1}
-	best := candidates[0]
-	bestDist := dist(mbps, float64(int64(best))/1e6)
-	for _, b := range candidates[1:] {
-		if d := dist(mbps, float64(int64(b))/1e6); d < bestDist {
-			best, bestDist = b, d
-		}
-	}
-	return best
-}
-
-func dist(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}

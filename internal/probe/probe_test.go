@@ -115,41 +115,3 @@ func TestStaticAndForMachine(t *testing.T) {
 		t.Errorf("info = %+v", info)
 	}
 }
-
-func TestNearestMachine(t *testing.T) {
-	tests := []struct {
-		mhz  float64
-		want string
-	}{
-		{400, "pc850"},
-		{900, "pc850"},
-		{1400, "pc850"},
-		{2800, "pc3000"},
-		{3200, "pc3000"},
-		{4800, "pc3000"},
-	}
-	for _, tt := range tests {
-		if got := NearestMachine(Info{CPUMHz: tt.mhz}); got.Name != tt.want {
-			t.Errorf("NearestMachine(%v MHz) = %s, want %s", tt.mhz, got.Name, tt.want)
-		}
-	}
-}
-
-func TestNearestBandwidth(t *testing.T) {
-	tests := []struct {
-		mbps int
-		want netem.Bandwidth
-	}{
-		{0, netem.Gbps1}, // unreported: assume datacenter-grade
-		{8, netem.Mbps10},
-		{80, netem.Mbps100},
-		{400, netem.Mbps100},
-		{900, netem.Gbps1},
-		{10000, netem.Gbps1},
-	}
-	for _, tt := range tests {
-		if got := NearestBandwidth(Info{LinkMbps: tt.mbps}); got != tt.want {
-			t.Errorf("NearestBandwidth(%d) = %v, want %v", tt.mbps, got, tt.want)
-		}
-	}
-}

@@ -54,6 +54,13 @@ var matrix = []struct {
 		minAt5PctLoss: 97.5,
 		maxAt5PctLoss: 100,
 	},
+	{
+		name:          "fountcast-k8oh25",
+		spec:          transport.Spec{Name: "fountcast", Params: transport.Params{"k": "8", "oh": "25"}},
+		minLossless:   100,
+		minAt5PctLoss: 98.5,
+		maxAt5PctLoss: 100,
+	},
 }
 
 // withLoss scripts uniform end-host loss on every receiver from t=0, or the
@@ -159,6 +166,8 @@ func minFor(name string) float64 {
 		return 90
 	case "ricochet-r8c3", "ricochet-r4c3":
 		return 97
+	case "fountcast-k8oh25":
+		return 99
 	default:
 		return 99.5
 	}

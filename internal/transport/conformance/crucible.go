@@ -257,11 +257,8 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 				Stream:    1,
 				SenderID:  senderNode.Local(),
 				Receivers: det.Receivers,
-				Deliver: func(d transport.Delivery) {
-					d.Payload = append([]byte(nil), d.Payload...)
-					out.Deliveries[i] = append(out.Deliveries[i], d)
-				},
-				OnLost: func(seq uint64) { out.Lost[i] = append(out.Lost[i], seq) },
+				Deliver:   func(d transport.Delivery) { out.Deliveries[i] = append(out.Deliveries[i], d) },
+				OnLost:    func(seq uint64) { out.Lost[i] = append(out.Lost[i], seq) },
 			},
 			Registry: reg,
 			Spec:     cs.Spec,
