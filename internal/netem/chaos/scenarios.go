@@ -110,7 +110,7 @@ func SlowNode() Scenario {
 }
 
 // Cascade crashes receivers 0, 1 and 2 in sequence, permanently. Survivors
-// must keep all their guarantees and membership must evict the dead.
+// must keep all their guarantees.
 func Cascade() Scenario {
 	ms := time.Millisecond
 	return Scenario{
@@ -190,7 +190,7 @@ func SenderCrash() Scenario {
 
 // CrashUnderLoss crashes receiver 3 for good at 1 s while every receiver
 // loses 5% of its packets: survivors keep recovering without the dead
-// peer, and membership must evict it despite the loss.
+// peer.
 func CrashUnderLoss() Scenario {
 	return Scenario{
 		Name: "crash-under-loss",

@@ -8,9 +8,9 @@
 // to the spec lists in the package tests.
 //
 // A crucible cell is (protocol spec, chaos scenario, seed). Executing a
-// cell builds a full stack per receiver — netem node, stream splitter,
-// heartbeat membership detector on the control stream, protocol receiver on
-// the data stream — arms the scenario on each target node's env through
+// cell builds one stack per receiver the way dds builds one — netem node,
+// protocol receiver binding on the data stream, the static receiver set of
+// the whole group — arms the scenario on each target node's env through
 // chaos.Schedule, publishes a fixed sample stream, and then drains the
 // simulation to quiescence. The invariants checked against the outcome:
 //
@@ -25,17 +25,18 @@
 //   - best-effort transports stay within sanity floors and are perfect on
 //     the calm control scenario.
 //   - recovery state stays bounded (ReceiverStats.MaxBuffered) and the
-//     kernel fully quiesces after detectors close — a protocol that leaks
-//     timers or re-arms retransmissions forever fails the cell via the
-//     event limit.
-//   - membership: survivors evict crashed nodes; fully healed groups
-//     converge back to full views.
+//     kernel fully quiesces after the run — a protocol that leaks timers
+//     or re-arms retransmissions forever fails the cell via the event
+//     limit.
+//
+// Crash and heal facts come from the chaos schedule (chaos.Scenario's
+// EndState), not from any view the receivers hold.
 //
 // Every cell is executed twice with the same seed and the two outcomes must
 // hash identically (sha256 over the canonical serialization of delivery
-// logs, stats, and membership views) — chaos runs are replayable by seed,
-// which is what makes a printed failing cell reproducible from its report
-// line alone (see EXPERIMENTS.md).
+// logs, stats, epoch chains and the sender's chain) — chaos runs are
+// replayable by seed, which is what makes a printed failing cell
+// reproducible from its report line alone (see EXPERIMENTS.md).
 package conformance
 
 import (
@@ -49,7 +50,6 @@ import (
 	"time"
 
 	"adamant/internal/experiment"
-	"adamant/internal/membership"
 	"adamant/internal/netem"
 	"adamant/internal/netem/chaos"
 	"adamant/internal/transport"
@@ -96,11 +96,6 @@ type CrucibleScenario struct {
 	// 0 and >0 are separate golden families: the two engines order
 	// same-instant events differently.
 	Shards int
-	// Heartbeat overrides the membership detector interval (default 50ms;
-	// a peer is suspected after 3.5 intervals). Large-group cells slow the
-	// heartbeat down so membership traffic scales with the group instead
-	// of quadratically swamping it.
-	Heartbeat time.Duration
 	// wrap decorates each node's endpoint under the cell's stack (a test
 	// watches every send through it); the default is none.
 	wrap func(transport.Endpoint) transport.Endpoint
@@ -121,9 +116,6 @@ func (cs *CrucibleScenario) fillDefaults() {
 	}
 	if cs.Settle == 0 {
 		cs.Settle = 3 * time.Second
-	}
-	if cs.Heartbeat == 0 {
-		cs.Heartbeat = 50 * time.Millisecond
 	}
 	if cs.wrap == nil {
 		cs.wrap = func(ep transport.Endpoint) transport.Endpoint { return ep }
@@ -158,10 +150,6 @@ type CrucibleOutcome struct {
 	Lost [][]uint64
 	// Stats[i] is receiver i's protocol counters after quiescence.
 	Stats []transport.ReceiverStats
-	// Views[i] is receiver i's membership view at the end of the scenario
-	// (snapshotted before the detectors close, so LEAVEs from shutdown do
-	// not pollute it).
-	Views []membership.View
 	// IDs[i] is receiver i's node ID; SenderID is the publisher's.
 	IDs      []wire.NodeID
 	SenderID wire.NodeID
@@ -181,18 +169,10 @@ type CrucibleOutcome struct {
 }
 
 // crucibleEventLimit sizes the quiescence backstop for a cell: the sample
-// term bounds protocol traffic, the quadratic term bounds membership
-// gossip (every detector multicasts to the whole group each interval), and
-// the constant keeps tiny cells from tripping on setup traffic. Large
-// groups are dominated by the quadratic term — at 500 receivers a single
-// heartbeat interval is 250k packet events.
+// term bounds protocol traffic, and the constant keeps tiny cells from
+// tripping on setup traffic.
 func crucibleEventLimit(cs CrucibleScenario) uint64 {
-	limit := uint64(cs.Samples)*uint64(cs.Receivers)*1000 + 2_000_000
-	wall := time.Duration(float64(cs.Samples)/cs.RateHz*float64(time.Second)) +
-		cs.Chaos.Horizon() + cs.Settle + 2*time.Second
-	intervals := uint64(wall/cs.Heartbeat) + 1
-	limit += intervals * uint64(cs.Receivers) * uint64(cs.Receivers) * 8
-	return limit
+	return uint64(cs.Samples)*uint64(cs.Receivers)*1000 + 2_000_000
 }
 
 // ExecuteCrucible runs one cell to full quiescence and returns the outcome.
@@ -220,43 +200,28 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 		Deliveries: make([][]transport.Delivery, cs.Receivers),
 		Lost:       make([][]uint64, cs.Receivers),
 		Stats:      make([]transport.ReceiverStats, cs.Receivers),
-		Views:      make([]membership.View, cs.Receivers),
 		IDs:        ids,
 		SenderID:   senderNode.Local(),
 		Epochs:     make([][]transport.EpochInfo, cs.Receivers),
 	}
 
-	// Per-receiver stack: splitter so membership (control stream) and the
-	// protocol (stream 1) share the node, heartbeat detector, protocol
-	// receiver — wrapped in a hot-swap binding — fed by the detector's live
-	// view. Every component schedules on its own node's env: under the
-	// classic engine that is the one shared kernel env, under the sharded
-	// engine it is the node's lane, which keeps each receiver's stack on the
-	// lane that owns its netem node.
-	detectors := make([]*membership.Detector, cs.Receivers)
+	// Per-receiver stack, as dds builds it: a protocol receiver wrapped in
+	// a hot-swap binding, on the node's own endpoint, with the group's
+	// static receiver set. Every component schedules on its own node's env:
+	// under the classic engine that is the one shared kernel env, under the
+	// sharded engine it is the node's lane, which keeps each receiver's
+	// stack on the lane that owns its netem node.
+	receivers := transport.StaticReceivers(ids...)
 	instances := make([]*transport.ReceiverBinding, cs.Receivers)
 	for i := range readerNodes {
 		i := i
-		split := transport.NewSplitter(cs.wrap(readerNodes[i]))
-		det, err := membership.NewDetector(readerNodes[i].Env(), split.Route(wire.ControlStream), membership.DetectorOptions{
-			Interval: cs.Heartbeat,
-			// Large groups answer JOINs with unicasts: the multicast
-			// reply storm at cold start is O(group^3) deliveries, which
-			// at 500 receivers is more packets than the entire rest of
-			// the cell.
-			UnicastJoinReplies: cs.Receivers > 64,
-		})
-		if err != nil {
-			return CrucibleOutcome{}, fmt.Errorf("detector %d: %w", i, err)
-		}
-		detectors[i] = det
 		r, err := transport.NewReceiverBinding(transport.BindingConfig{
 			Config: transport.Config{
 				Env:       readerNodes[i].Env(),
-				Endpoint:  split.Route(1),
+				Endpoint:  cs.wrap(readerNodes[i]),
 				Stream:    1,
 				SenderID:  senderNode.Local(),
-				Receivers: det.Receivers,
+				Receivers: receivers,
 				Deliver:   func(d transport.Delivery) { out.Deliveries[i] = append(out.Deliveries[i], d) },
 				OnLost:    func(seq uint64) { out.Lost[i] = append(out.Lost[i], seq) },
 			},
@@ -272,7 +237,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	sender, err := transport.NewSenderBinding(transport.BindingConfig{
 		Config: transport.Config{
 			Env: senderEnv, Endpoint: cs.wrap(senderNode), Stream: 1,
-			Receivers: transport.StaticReceivers(ids...),
+			Receivers: receivers,
 		},
 		Registry: reg,
 		Spec:     cs.Spec,
@@ -343,20 +308,10 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 		return CrucibleOutcome{}, swapErr
 	}
 
-	// End-of-scenario membership, before shutdown LEAVEs rewrite it.
-	for i, det := range detectors {
-		out.Views[i] = det.View()
-	}
-	// Quiescence: detectors heartbeat forever by design, so close them,
-	// then the rest of the world must drain on its own — leaked timers or
+	// Quiescence: the world must drain on its own — leaked timers or
 	// unbounded retransmission loops hit the event limit and fail here.
-	for i, det := range detectors {
-		if err := det.Close(); err != nil {
-			return CrucibleOutcome{}, fmt.Errorf("detector %d close: %w", i, err)
-		}
-	}
 	if err := drv.Run(); err != nil {
-		return CrucibleOutcome{}, fmt.Errorf("drain after close: %w (protocol leaked timers or retransmits forever)", err)
+		return CrucibleOutcome{}, fmt.Errorf("drain: %w (protocol leaked timers or retransmits forever)", err)
 	}
 	if pending := drv.Pending(); pending != 0 {
 		return CrucibleOutcome{}, fmt.Errorf("%d events still pending after drain", pending)
@@ -375,9 +330,9 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 }
 
 // hash serializes the outcome canonically and returns its sha256. Delivery
-// logs (sequence, timestamps, recovery flag, payload), final stats, and
-// membership views all participate: any behavioral divergence between two
-// runs of the same cell changes the hash.
+// logs (sequence, timestamps, recovery flag, payload), final stats, epoch
+// chains and the sender's chain all participate: any behavioral divergence
+// between two runs of the same cell changes the hash.
 func (o *CrucibleOutcome) hash() string {
 	h := sha256.New()
 	for i, ds := range o.Deliveries {
@@ -391,7 +346,6 @@ func (o *CrucibleOutcome) hash() string {
 			fmt.Fprintf(h, "epoch=%d spec=%s base=%d cut=%d cutKnown=%t done=%t drain=%d\n",
 				ep.Epoch, ep.Spec, ep.Base, ep.Cut, ep.CutKnown, ep.Done, ep.DrainLatency)
 		}
-		fmt.Fprintf(h, "view v%d members=%v\n", o.Views[i].Version, o.Views[i].Members)
 	}
 	for _, rec := range o.Chain {
 		fmt.Fprintf(h, "chain epoch=%d cut=%d spec=%s\n", rec.Epoch, rec.Cut, rec.Spec)
@@ -602,31 +556,6 @@ func CheckCrucible(cs CrucibleScenario, out CrucibleOutcome) []error {
 		}
 	}
 
-	// Membership: survivors must evict receivers that ended crashed, and a
-	// fully healed group must converge back to complete views. (The sender
-	// runs no detector, so views only ever contain receivers.)
-	anyDown := false
-	for _, end := range ends {
-		if end.Down() {
-			anyDown = true
-		}
-	}
-	for i := range out.Views {
-		if ends[i].Down() {
-			continue // a dead node's own view owes nothing
-		}
-		for j, end := range ends {
-			if end.Crashed {
-				if out.Views[i].Contains(out.IDs[j]) {
-					fail("receiver %d: still lists crashed receiver %d in its membership view", i, j)
-				}
-			} else if !anyDown || !end.Down() {
-				if !out.Views[i].Contains(out.IDs[j]) {
-					fail("receiver %d: healed receiver %d missing from its membership view", i, j)
-				}
-			}
-		}
-	}
 	return errs
 }
 

@@ -140,8 +140,7 @@ func TestCrucibleGoldenHashes(t *testing.T) {
 
 // digest is a cell outcome's readable summary, one block per cell: the
 // event count, then per receiver its counts (out-of-window packets among
-// them), last seq, virtual latency quantiles, membership view version and
-// epoch chain.
+// them), last seq, virtual latency quantiles and epoch chain.
 func digest(cs CrucibleScenario, out CrucibleOutcome) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cell %s\nevents %d\n", cs.Name(), out.Events)
@@ -160,9 +159,9 @@ func digest(cs CrucibleScenario, out CrucibleOutcome) string {
 			}
 			return lat[(len(lat)-1)*p/100]
 		}
-		fmt.Fprintf(&b, "receiver %d delivered=%d recovered=%d lost=%d dups=%d oow=%d maxbuf=%d last=%d p50=%v p99=%v max=%v view=v%d\n",
+		fmt.Fprintf(&b, "receiver %d delivered=%d recovered=%d lost=%d dups=%d oow=%d maxbuf=%d last=%d p50=%v p99=%v max=%v\n",
 			i, len(ds), st.Recovered, len(out.Lost[i]), st.Duplicates, st.OutOfWindow, st.MaxBuffered, last,
-			q(50), q(99), q(100), out.Views[i].Version)
+			q(50), q(99), q(100))
 		for _, ep := range out.Epochs[i] {
 			fmt.Fprintf(&b, "receiver %d epoch %d %s base=%d", i, ep.Epoch, ep.Spec, ep.Base)
 			if ep.CutKnown {

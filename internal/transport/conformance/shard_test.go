@@ -8,15 +8,14 @@ package conformance
 // and sharded execution identical whenever same-instant arrivals from
 // distinct sources do not contend for receiver CPU.
 //
-// The crucible's synchronized heartbeat timers break that precondition on
-// purpose: every detector fires at exact multiples of the interval, so at
-// tie instants a receiver sees the data packet and several heartbeats
-// arrive on the same nanosecond. The classic kernel orders those ties by
-// global arming order (the whole causal history threaded through one
-// event counter); the sharded engine orders them by (source lane, source
-// sequence). Both orders are fully deterministic, but they are different
-// orders, so CPU queueing at tie instants shifts delivery timestamps
-// between engines. The contract the crucible therefore pins is:
+// Crucible cells do not keep that precondition: the sender's data and the
+// receivers' repairs, NAKs and retransmissions come from distinct sources,
+// and at tie instants several of them reach one receiver on the same
+// nanosecond. The classic kernel orders those ties by global arming order
+// (the whole causal history threaded through one event counter); the
+// sharded engine orders them by (source lane, source sequence). Both
+// orders are fully deterministic, but they are different orders, so CPU
+// queueing at tie instants shifts delivery timestamps between engines. The contract the crucible therefore pins is:
 //
 //  1. width-invariance: the sharded hash is identical at every worker
 //     count (1, 2, 8) — parallelism is invisible;
@@ -132,39 +131,35 @@ func TestCrucibleShardedMatchesClassicCalm(t *testing.T) {
 			classic.Stats[i].Duplicates != sharded.Stats[i].Duplicates {
 			t.Fatalf("receiver %d stats diverge: classic %+v, sharded %+v", i, classic.Stats[i], sharded.Stats[i])
 		}
-		if classic.Views[i].String() != sharded.Views[i].String() {
-			t.Fatalf("receiver %d membership views diverge: classic %s, sharded %s",
-				i, classic.Views[i], sharded.Views[i])
-		}
 	}
 }
 
-// TestCrucibleLargeGroup runs one full 500-receiver cell end to end on the
-// sharded engine and holds it to the complete invariant set, including the
-// same-seed replay check. This is the scale regime the sharding work
-// exists for. The heartbeat slows to 250ms because membership traffic is
-// O(group^2) per interval and the 50ms default would drown the data stream
-// at this scale. 200 samples at the default 100 Hz is a 2 s publish window,
-// past the cascade's last crash at 1.6 s, so the crash invariants stay
-// meaningful while the cell's event count stays inside test-suite budget.
+// TestCrucibleLargeGroup runs one full 500-receiver cell per candidate
+// family end to end on the sharded engine and holds each to the complete
+// invariant set, including the same-seed replay check. This is the scale
+// regime the sharding work exists for. 200 samples at the default 100 Hz
+// is a 2 s publish window, past the cascade's last crash at 1.6 s, so the
+// crash invariants stay meaningful while the cells' event counts stay
+// inside test-suite budget.
 func TestCrucibleLargeGroup(t *testing.T) {
 	if testing.Short() {
-		t.Skip("500-receiver cell is seconds of work; skipped in -short")
+		t.Skip("500-receiver cells are seconds of work; skipped in -short")
 	}
-	cell := CrucibleScenario{
-		Spec:      mustSpec("bemcast"),
-		Chaos:     chaos.Cascade(),
-		Seed:      1,
-		Receivers: 500,
-		Samples:   200,
-		Heartbeat: 250 * time.Millisecond,
-		Shards:    8,
-	}
-	res := RunCell(cell)
-	if res.Err != nil {
-		t.Fatalf("cell %s failed to execute: %v", cell.Name(), res.Err)
-	}
-	for _, f := range res.Failures {
-		t.Errorf("cell %s: %s", cell.Name(), f)
+	for _, spec := range []string{"bemcast", "ricochet(c=3,r=4)", "nakcast(timeout=1ms)", "fountcast(k=8,oh=25)"} {
+		cell := CrucibleScenario{
+			Spec:      mustSpec(spec),
+			Chaos:     chaos.Cascade(),
+			Seed:      1,
+			Receivers: 500,
+			Samples:   200,
+			Shards:    8,
+		}
+		res := RunCell(cell)
+		if res.Err != nil {
+			t.Errorf("cell %s failed to execute: %v", cell.Name(), res.Err)
+		}
+		for _, f := range res.Failures {
+			t.Errorf("cell %s: %s", cell.Name(), f)
+		}
 	}
 }

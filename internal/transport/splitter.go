@@ -11,8 +11,7 @@ import (
 // protocol instance a Route(stream) virtual endpoint lets many instances
 // share a node's endpoint without fighting over SetHandler.
 //
-// Packets whose stream has no route go to the control route (stream 0) if
-// one exists, else are dropped.
+// Packets whose stream has no route are dropped.
 type Splitter struct {
 	ep     Endpoint
 	routes map[wire.StreamID]*streamEndpoint
@@ -36,17 +35,8 @@ func (s *Splitter) Route(stream wire.StreamID) Endpoint {
 	return r
 }
 
-// Underlying returns the wrapped physical endpoint.
-func (s *Splitter) Underlying() Endpoint { return s.ep }
-
 func (s *Splitter) dispatch(src wire.NodeID, pkt *wire.Packet) {
-	if r, ok := s.routes[pkt.Stream]; ok {
-		if r.handler != nil {
-			r.handler(src, pkt)
-		}
-		return
-	}
-	if r, ok := s.routes[wire.ControlStream]; ok && r.handler != nil {
+	if r, ok := s.routes[pkt.Stream]; ok && r.handler != nil {
 		r.handler(src, pkt)
 	}
 }

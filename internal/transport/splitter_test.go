@@ -18,10 +18,9 @@ func TestSplitterRoutesByStream(t *testing.T) {
 	a, b := fab.Endpoint(0), fab.Endpoint(1)
 	split := transport.NewSplitter(b)
 
-	var s1, s2, ctl int
+	var s1, s2 int
 	split.Route(1).SetHandler(func(wire.NodeID, *wire.Packet) { s1++ })
 	split.Route(2).SetHandler(func(wire.NodeID, *wire.Packet) { s2++ })
-	split.Route(wire.ControlStream).SetHandler(func(wire.NodeID, *wire.Packet) { ctl++ })
 
 	send := func(stream wire.StreamID) {
 		pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: stream, Seq: 1, SentAt: k.Now()}
@@ -32,13 +31,11 @@ func TestSplitterRoutesByStream(t *testing.T) {
 	send(1)
 	send(1)
 	send(2)
-	send(0)
-	send(99) // unrouted -> control route
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s1 != 2 || s2 != 1 || ctl != 2 {
-		t.Errorf("routes saw s1=%d s2=%d ctl=%d, want 2/1/2", s1, s2, ctl)
+	if s1 != 2 || s2 != 1 {
+		t.Errorf("routes saw s1=%d s2=%d, want 2/1", s1, s2)
 	}
 }
 
@@ -82,9 +79,6 @@ func TestSplitterSendGuards(t *testing.T) {
 	}
 	if route.Local() != 0 || route.MTU() <= 0 {
 		t.Error("identity passthrough wrong")
-	}
-	if split.Underlying().Local() != 0 {
-		t.Error("Underlying wrong")
 	}
 	route.Work(time.Microsecond) // must not panic
 	if split.Route(1) != route {

@@ -235,17 +235,17 @@ func DecodeNak(buf []byte) (*NakBody, error) {
 }
 
 // HeartbeatBody is the payload of a TypeHeartbeat packet: the sender's
-// highest published sequence number and its membership incarnation.
+// highest published sequence number. Its encoding keeps four trailing
+// bytes, written as zero, where a membership incarnation used to sit, so
+// a heartbeat's bytes on the wire are unchanged.
 type HeartbeatBody struct {
-	HighSeq     uint64
-	Incarnation uint32
+	HighSeq uint64
 }
 
 // Encode appends the body encoding to dst.
 func (h *HeartbeatBody) Encode(dst []byte) ([]byte, error) {
 	var b [12]byte
 	binary.BigEndian.PutUint64(b[0:8], h.HighSeq)
-	binary.BigEndian.PutUint32(b[8:12], h.Incarnation)
 	return append(dst, b[:]...), nil
 }
 
@@ -254,10 +254,7 @@ func DecodeHeartbeat(buf []byte) (*HeartbeatBody, error) {
 	if len(buf) < 12 {
 		return nil, ErrBodyTruncated
 	}
-	return &HeartbeatBody{
-		HighSeq:     binary.BigEndian.Uint64(buf[0:8]),
-		Incarnation: binary.BigEndian.Uint32(buf[8:12]),
-	}, nil
+	return &HeartbeatBody{HighSeq: binary.BigEndian.Uint64(buf[0:8])}, nil
 }
 
 // SymbolBody is the payload of a TypeSymbol packet: one Fountcast repair

@@ -25,8 +25,9 @@ type NodeID uint16
 // several topics can share one endpoint.
 type StreamID uint32
 
-// ControlStream is the reserved stream ID used by control-plane traffic
-// (membership heartbeats, joins, leaves). Data streams must use IDs >= 1.
+// ControlStream is the reserved stream ID 0: no data stream uses it
+// (dds.StreamIDForTopic never maps a topic to it). Data streams must use
+// IDs >= 1.
 const ControlStream StreamID = 0
 
 // Type enumerates the packet kinds used by the transport protocols.
@@ -51,12 +52,13 @@ const (
 	// keeping the slot keeps every later type's byte.
 	_
 	// TypeHeartbeat announces liveness and the sender's highest sequence
-	// number; used for gap detection at stream tail and failure detection.
+	// number; used for gap detection at stream tail.
 	TypeHeartbeat
-	// TypeJoin announces a node joining a group.
-	TypeJoin
-	// TypeLeave announces a graceful departure from a group.
-	TypeLeave
+	// Types 7 and 8 are reserved: they carried a gossip membership
+	// detector's join and leave announcements. Decode rejects them, and
+	// keeping the slots keeps every later type's byte.
+	_
+	_
 	// TypeRebind announces the binding's epoch chain: every transport
 	// switch performed on the stream, as (epoch, cut, spec) records.
 	// Receivers use it to instantiate protocol generations they missed and
@@ -75,8 +77,6 @@ var typeNames = [...]string{
 	TypeNak:       "NAK",
 	TypeRetrans:   "RETRANS",
 	TypeHeartbeat: "HEARTBEAT",
-	TypeJoin:      "JOIN",
-	TypeLeave:     "LEAVE",
 	TypeRebind:    "REBIND",
 	TypeSymbol:    "SYMBOL",
 }

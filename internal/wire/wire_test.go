@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -34,7 +35,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		{"data with payload", samplePacket()},
 		{"empty payload", &Packet{Type: TypeHeartbeat, Src: 1, Stream: 9, Seq: 5, SentAt: time.Unix(12, 34)}},
 		{"zero seq", &Packet{Type: TypeNak, Src: 0, Stream: 0, Seq: 0, SentAt: time.Unix(0, 0), Payload: []byte{1}}},
-		{"max node id", &Packet{Type: TypeLeave, Src: 65535, Stream: 1, Seq: 1, SentAt: time.Unix(0, 99)}},
+		{"max node id", &Packet{Type: TypeRebind, Src: 65535, Stream: 1, Seq: 1, SentAt: time.Unix(0, 99)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -172,32 +173,36 @@ func TestTypeString(t *testing.T) {
 }
 
 // TestTypeValues pins every packet type's byte on the wire, and that the
-// reserved type 5 is unknown: Decode rejects it even in a packet whose
-// checksum holds, as it rejects any other unknown type.
+// reserved types 5, 7 and 8 are unknown: Decode rejects each even in a
+// packet whose checksum holds, as it rejects any other unknown type.
 func TestTypeValues(t *testing.T) {
 	for typ, want := range map[Type]uint8{
 		TypeData: 1, TypeRepair: 2, TypeNak: 3, TypeRetrans: 4, TypeHeartbeat: 6,
-		TypeJoin: 7, TypeLeave: 8, TypeRebind: 9, TypeSymbol: 10,
+		TypeRebind: 9, TypeSymbol: 10,
 	} {
 		if uint8(typ) != want || !typ.Valid() {
 			t.Errorf("%v = %d (valid %v), want %d", typ, uint8(typ), typ.Valid(), want)
 		}
 	}
-	reserved := Type(5)
-	if reserved.Valid() || reserved.String() != "Type(5)" || Type(11).Valid() {
-		t.Errorf("type 5: valid %v, %q; type 11 valid %v", reserved.Valid(), reserved.String(), Type(11).Valid())
+	if Type(11).Valid() {
+		t.Error("type 11 valid")
 	}
-	if _, err := (&Packet{Type: reserved}).Marshal(); !errors.Is(err, ErrBadType) {
-		t.Errorf("Encode of type 5: err = %v, want ErrBadType", err)
-	}
-	buf, err := samplePacket().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[2] = uint8(reserved)
-	binary.BigEndian.PutUint32(buf[len(buf)-crcSize:], crc32.Checksum(buf[:len(buf)-crcSize], crcTable()))
-	if _, err := Decode(buf); !errors.Is(err, ErrBadType) {
-		t.Errorf("Decode of type 5: err = %v, want ErrBadType", err)
+	for _, reserved := range []Type{5, 7, 8} {
+		if reserved.Valid() || reserved.String() != fmt.Sprintf("Type(%d)", uint8(reserved)) {
+			t.Errorf("type %d: valid %v, %q", uint8(reserved), reserved.Valid(), reserved.String())
+		}
+		if _, err := (&Packet{Type: reserved}).Marshal(); !errors.Is(err, ErrBadType) {
+			t.Errorf("Encode of type %d: err = %v, want ErrBadType", uint8(reserved), err)
+		}
+		buf, err := samplePacket().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[2] = uint8(reserved)
+		binary.BigEndian.PutUint32(buf[len(buf)-crcSize:], crc32.Checksum(buf[:len(buf)-crcSize], crcTable()))
+		if _, err := Decode(buf); !errors.Is(err, ErrBadType) {
+			t.Errorf("Decode of type %d: err = %v, want ErrBadType", uint8(reserved), err)
+		}
 	}
 }
 
@@ -498,7 +503,7 @@ func TestSeqRangeCount(t *testing.T) {
 }
 
 func TestHeartbeatBodyRoundTrip(t *testing.T) {
-	h := &HeartbeatBody{HighSeq: 12345, Incarnation: 6}
+	h := &HeartbeatBody{HighSeq: 12345}
 	buf, err := h.Encode(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -512,6 +517,26 @@ func TestHeartbeatBodyRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeHeartbeat(buf[:4]); !errors.Is(err, ErrBodyTruncated) {
 		t.Errorf("short heartbeat decode err = %v", err)
+	}
+}
+
+// TestHeartbeatWireBytes pins a transport's end-of-stream heartbeat, body
+// included, byte for byte: the body's four bytes after the high seq stay
+// on the wire as zeros where a membership incarnation used to sit.
+func TestHeartbeatWireBytes(t *testing.T) {
+	body, err := (&HeartbeatBody{HighSeq: 400}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &Packet{Type: TypeHeartbeat, Flags: FlagEOS, Src: 3, Stream: 1, Seq: 400, Epoch: 2,
+		SentAt: time.Unix(4, 5_000_000), Payload: body}
+	buf, err := pkt.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ad020602000300000001000000000000019000000000eeb773400002000c000000000000019000000000fd862a14"
+	if got := hex.EncodeToString(buf); got != want {
+		t.Errorf("heartbeat bytes\n got %s\nwant %s", got, want)
 	}
 }
 

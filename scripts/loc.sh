@@ -12,7 +12,7 @@
 set -euo pipefail
 
 broker_cap=3330    # internal/broker
-transport_cap=4520 # internal/transport/... (total)
+transport_cap=4439 # internal/transport/... (total)
 dds_cap=614        # internal/dds
 core_cap=621       # internal/core
 
