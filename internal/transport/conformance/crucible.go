@@ -30,7 +30,7 @@
 //     limit.
 //
 // Crash and heal facts come from the chaos schedule (chaos.Scenario's
-// EndState), not from any view the receivers hold.
+// EndState).
 //
 // Every cell is executed twice with the same seed and the two outcomes must
 // hash identically (sha256 over the canonical serialization of delivery

@@ -235,9 +235,9 @@ func DecodeNak(buf []byte) (*NakBody, error) {
 }
 
 // HeartbeatBody is the payload of a TypeHeartbeat packet: the sender's
-// highest published sequence number. Its encoding keeps four trailing
-// bytes, written as zero, where a membership incarnation used to sit, so
-// a heartbeat's bytes on the wire are unchanged.
+// highest published sequence number. The encoding is 12 bytes: the high
+// seq, then four reserved bytes written as zero (a membership incarnation
+// once), which keep the heartbeat's wire format.
 type HeartbeatBody struct {
 	HighSeq uint64
 }
