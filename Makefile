@@ -12,12 +12,14 @@ tier1:
 # engine including the sharded-engine paths, the parallel ANN trainer, the
 # simulation kernel including the sharded conservative-time engine, the
 # transports including the crucible matrix and its sharded cells, the
-# broker, the chaos engine, and the adaptation loop (core + dds hot-swap
-# path)) under the race detector.
+# broker, the chaos engine, the adaptation loop (core + dds hot-swap
+# path), and RealEnv's executor with the UDP endpoints that post to it)
+# under the race detector.
 race:
 	$(GO) test -race ./internal/experiment ./internal/ann ./internal/sim \
 		./internal/transport/... ./internal/broker \
-		./internal/netem/... ./internal/core/... ./internal/dds/...
+		./internal/netem/... ./internal/core/... ./internal/dds/... \
+		./internal/env ./internal/udpnet
 
 # fuzz-smoke gives every fuzz target a short budget; CI runs this to keep
 # the corpora honest without burning minutes. make docs fails when a fuzz

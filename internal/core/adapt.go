@@ -124,9 +124,7 @@ func (a *Adaptor) Close() error {
 		return nil
 	}
 	a.closed = true
-	if a.timer != nil {
-		a.timer.Stop()
-	}
+	a.timer.Stop()
 	return nil
 }
 

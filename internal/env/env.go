@@ -4,12 +4,16 @@
 //
 //   - SimEnv: virtual time driven by the deterministic discrete-event kernel
 //     in package sim (the Emulab-substitute used by every experiment), and
-//   - RealEnv: wall-clock time with callbacks serialized on one goroutine
-//     (used by the loopback/UDP examples).
+//   - RealEnv: the same kernel paced by the wall clock (used by the
+//     loopback/UDP examples). One executor goroutine owns the kernel: it
+//     runs the callbacks other goroutines Post, firing the kernel's events
+//     due by time.Now() before each, then sleeps until the next event is
+//     due or another Post arrives.
 //
 // The serialization guarantee is the load-bearing part of the contract:
 // an Env never runs two callbacks concurrently, so protocol state machines
-// need no locks.
+// need no locks. Both Envs arm timers on the one kernel event lifecycle, so
+// a Timer is the kernel's allocation-free handle in both worlds.
 package env
 
 import (
@@ -20,13 +24,11 @@ import (
 	"adamant/internal/sim"
 )
 
-// Timer is a cancelable pending callback.
-type Timer interface {
-	// Stop cancels the timer. It returns false if the callback already ran
-	// or the timer was already stopped. After Stop returns true the
-	// callback will never run.
-	Stop() bool
-}
+// Timer is a cancelable pending callback: Stop returns false if the
+// callback already ran or the timer was already stopped, and after it
+// returns true the callback never runs; Pending reports whether the
+// callback is still queued. The zero Timer is stopped.
+type Timer = sim.Timer
 
 // Env is the execution environment handed to protocol state machines.
 //
@@ -38,23 +40,20 @@ type Env interface {
 	Now() time.Time
 	// After schedules fn to run d from now.
 	After(d time.Duration, fn func()) Timer
-	// Schedule is the fire-and-forget form of After: fn runs d from now
-	// with no way to cancel it. Hot paths that never cancel should prefer
-	// it — SimEnv recycles the underlying event through the kernel's free
-	// list, so Schedule does not allocate once the simulation is warm.
+	// Schedule is After with the handle dropped: fn runs d from now with
+	// no way to cancel it.
 	Schedule(d time.Duration, fn func())
 	// ScheduleArg is the closure-free form of Schedule: fn(arg) runs d from
 	// now. Hot paths that would capture per-event state in a closure (one
 	// allocation per packet hop) pass a static fn and a pooled arg instead;
-	// under SimEnv the steady-state cost is zero allocations per event.
+	// the steady-state cost is zero allocations per event.
 	ScheduleArg(d time.Duration, fn func(arg any), arg any)
 	// Post schedules fn to run as soon as possible, after any callbacks
 	// already queued. It is the bridge for external events (e.g. packets
 	// read from a real socket).
 	Post(fn func())
-	// Rand returns a named deterministic random stream. In SimEnv equal
-	// names yield identical streams for a given seed; RealEnv streams are
-	// seeded from the wall clock.
+	// Rand returns a named deterministic random stream: equal names yield
+	// identical streams for a given seed.
 	Rand(name string) *rand.Rand
 }
 
@@ -75,128 +74,113 @@ func (s *SimEnv) Kernel() *sim.Kernel { return s.k }
 func (s *SimEnv) Now() time.Time { return s.k.Now() }
 
 // After implements Env.
-func (s *SimEnv) After(d time.Duration, fn func()) Timer { return simTimer{s.k.After(d, fn)} }
+func (s *SimEnv) After(d time.Duration, fn func()) Timer { return s.k.After(d, fn) }
 
-// Schedule implements Env through the kernel's pooled fire-and-forget path.
-func (s *SimEnv) Schedule(d time.Duration, fn func()) { s.k.Schedule(d, fn) }
+// Schedule implements Env.
+func (s *SimEnv) Schedule(d time.Duration, fn func()) { s.k.After(d, fn) }
 
-// ScheduleArg implements Env through the kernel's closure-free pooled path.
+// ScheduleArg implements Env through the kernel's closure-free path.
 func (s *SimEnv) ScheduleArg(d time.Duration, fn func(arg any), arg any) {
 	s.k.ScheduleArg(d, fn, arg)
 }
 
 // Post implements Env.
-func (s *SimEnv) Post(fn func()) { s.k.Schedule(0, fn) }
+func (s *SimEnv) Post(fn func()) { s.k.After(0, fn) }
 
 // Rand implements Env.
 func (s *SimEnv) Rand(name string) *rand.Rand { return s.k.Rand(name) }
 
-type simTimer struct{ e *sim.Event }
-
-func (t simTimer) Stop() bool { return t.e.Cancel() }
-
-// RealEnv executes callbacks on a single dedicated goroutine in wall-clock
-// time. Create one with NewReal and release it with Close.
+// RealEnv is a SimEnv whose kernel is paced by the wall clock and owned by
+// one executor goroutine. Post, Close and Barrier are the only methods other
+// goroutines may call. Now, After, Schedule, ScheduleArg, Kernel and a
+// Timer's Stop and Pending are called from callbacks, which the executor
+// runs serially; enter the env through Post. Create one with NewReal and
+// release it with Close.
 type RealEnv struct {
+	SimEnv
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []func()
 	closed bool
+	wake   chan struct{} // one pending signal: a Post or Close arrived
 	done   chan struct{}
-	seed   int64
 }
 
 var _ Env = (*RealEnv)(nil)
 
-// NewReal starts the executor goroutine. seed feeds the named random
-// streams so tests against RealEnv can still be made reproducible.
+// NewReal starts the executor goroutine with the kernel's clock at
+// time.Now(). seed feeds the named random streams so tests against RealEnv
+// can still be made reproducible.
 func NewReal(seed int64) *RealEnv {
-	e := &RealEnv{done: make(chan struct{}), seed: seed}
-	e.cond = sync.NewCond(&e.mu)
+	k := sim.New(seed)
+	_ = k.RunUntil(time.Now())
+	e := &RealEnv{SimEnv: SimEnv{k}, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	go e.loop()
 	return e
 }
 
+// loop is the executor: each posted callback runs with the clock brought
+// to time.Now() and the events due by then fired, and between batches the
+// executor sleeps until the next event is due or a Post wakes it.
 func (e *RealEnv) loop() {
 	defer close(e.done)
+	sleep := time.NewTimer(time.Hour)
+	defer sleep.Stop()
 	for {
 		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
+		batch, closed := e.queue, e.closed
+		e.queue = nil
+		e.mu.Unlock()
+		for _, fn := range batch {
+			_ = e.k.RunUntil(time.Now())
+			fn()
 		}
-		if e.closed && len(e.queue) == 0 {
-			e.mu.Unlock()
+		if closed {
 			return
 		}
-		fn := e.queue[0]
-		e.queue = e.queue[1:]
-		e.mu.Unlock()
-		fn()
+		_ = e.k.RunUntil(time.Now())
+		next, ok := e.k.Next()
+		if !ok {
+			<-e.wake
+			continue
+		}
+		if d := time.Duration(next.UnixNano() - time.Now().UnixNano()); d > 0 {
+			sleep.Reset(d)
+			select {
+			case <-e.wake:
+			case <-sleep.C:
+			}
+		}
 	}
 }
 
-// Now implements Env.
-func (e *RealEnv) Now() time.Time { return time.Now() }
-
 // Post implements Env. Posting to a closed env is a no-op.
-func (e *RealEnv) Post(fn func()) {
+func (e *RealEnv) Post(fn func()) { e.enqueue(fn) }
+
+// enqueue queues fn for the executor and wakes it; it reports false once
+// the env is closed.
+func (e *RealEnv) enqueue(fn func()) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return
+		return false
 	}
 	e.queue = append(e.queue, fn)
-	e.cond.Signal()
-}
-
-// Schedule implements Env. Timers that fire after Close are dropped by
-// Post, matching After's behavior.
-func (e *RealEnv) Schedule(d time.Duration, fn func()) {
-	if d <= 0 {
-		e.Post(fn)
-		return
+	select {
+	case e.wake <- struct{}{}:
+	default:
 	}
-	time.AfterFunc(d, func() { e.Post(fn) })
+	return true
 }
 
-// ScheduleArg implements Env. RealEnv is not a hot path, so it simply wraps
-// the pair in a closure; the allocation-free contract is SimEnv's.
-func (e *RealEnv) ScheduleArg(d time.Duration, fn func(arg any), arg any) {
-	e.Schedule(d, func() { fn(arg) })
-}
-
-// After implements Env.
-func (e *RealEnv) After(d time.Duration, fn func()) Timer {
-	rt := &realTimer{}
-	rt.t = time.AfterFunc(d, func() {
-		rt.mu.Lock()
-		if rt.stopped {
-			rt.mu.Unlock()
-			return
-		}
-		rt.fired = true
-		rt.mu.Unlock()
-		e.Post(fn)
-	})
-	return rt
-}
-
-// Rand implements Env.
-func (e *RealEnv) Rand(name string) *rand.Rand {
-	return rand.New(rand.NewSource(sim.DeriveSeed(e.seed, name)))
-}
-
-// Close stops the executor after draining queued callbacks and waits for the
-// loop goroutine to exit. Timers that fire after Close are dropped.
+// Close stops the executor after draining queued callbacks and waits for it
+// to exit. Timers still pending are dropped. Close is idempotent.
 func (e *RealEnv) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		<-e.done
-		return
-	}
 	e.closed = true
-	e.cond.Signal()
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
 	e.mu.Unlock()
 	<-e.done
 }
@@ -206,31 +190,7 @@ func (e *RealEnv) Close() {
 // in tests.
 func (e *RealEnv) Barrier() {
 	ch := make(chan struct{})
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
+	if e.enqueue(func() { close(ch) }) {
+		<-ch
 	}
-	e.queue = append(e.queue, func() { close(ch) })
-	e.cond.Signal()
-	e.mu.Unlock()
-	<-ch
-}
-
-type realTimer struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
-	fired   bool
-}
-
-func (t *realTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	t.t.Stop()
-	return true
 }

@@ -95,7 +95,8 @@ func TestRealEnvAfterFires(t *testing.T) {
 	defer e.Close()
 	ch := make(chan time.Time, 1)
 	start := time.Now()
-	e.After(10*time.Millisecond, func() { ch <- time.Now() })
+	e.Post(func() { e.After(10*time.Millisecond, func() { ch <- time.Now() }) })
+	e.Barrier()
 	select {
 	case at := <-ch:
 		if d := at.Sub(start); d < 5*time.Millisecond {
@@ -110,8 +111,13 @@ func TestRealEnvTimerStop(t *testing.T) {
 	e := NewReal(1)
 	defer e.Close()
 	fired := make(chan struct{}, 1)
-	tm := e.After(20*time.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Stop() {
+	var tm Timer
+	e.Post(func() { tm = e.After(20*time.Millisecond, func() { fired <- struct{}{} }) })
+	e.Barrier()
+	var stopped bool
+	e.Post(func() { stopped = tm.Stop() })
+	e.Barrier()
+	if !stopped {
 		t.Error("Stop returned false on pending timer")
 	}
 	select {

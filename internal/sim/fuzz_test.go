@@ -9,7 +9,7 @@ import (
 
 // FuzzKernelOrder is the differential determinism proof for the 4-ary heap
 // scheduler: it decodes the fuzz input into a randomized interleaving of
-// At/After/Schedule/ScheduleArg/Cancel/Step operations, replays it through
+// At/After/ScheduleArg/Stop/Step operations, replays it through
 // both the current kernel and the preserved container/heap reference queue
 // (refqueue_test.go), and demands bit-identical fire orders, clocks, and
 // pending counts at every step.
@@ -17,7 +17,7 @@ import (
 // The delay encoding spans near and far futures: scale 0-1 stays within
 // ~16.8 ms, scale 2-3 reaches up to ~268 s, and op 5 schedules follow-ups
 // from inside callbacks, exercising insertion at the instant currently
-// being drained (the Post / Schedule(0) storm case).
+// being drained (the Post / After(0) storm case).
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 0, 1, 0, 0, 0, 2, 10, 0, 0, 4, 0, 0, 0})
@@ -39,7 +39,7 @@ func FuzzKernelOrder(f *testing.F) {
 		k := New(1)
 		r := newRefKernel()
 		var gotK, gotR []uint64
-		var handlesK []*Event
+		var handlesK []Timer
 		var handlesR []*refEvent
 		nextID := uint64(0)
 
@@ -67,9 +67,9 @@ func FuzzKernelOrder(f *testing.F) {
 				fk, fr := record()
 				handlesK = append(handlesK, k.At(at, fk))
 				handlesR = append(handlesR, r.At(at, fr))
-			case 3: // Schedule (pooled fire-and-forget)
+			case 3: // After with the handle dropped (fire-and-forget)
 				fk, fr := record()
-				k.Schedule(d, fk)
+				k.After(d, fk)
 				r.Schedule(d, fr)
 			case 4: // ScheduleArg (closure-free path) vs reference closure
 				id := nextID
@@ -79,9 +79,9 @@ func FuzzKernelOrder(f *testing.F) {
 			case 5: // chained: callback schedules a follow-up at half the delay
 				id := nextID
 				nextID++
-				k.Schedule(d, func() {
+				k.After(d, func() {
 					gotK = append(gotK, id)
-					k.Schedule(d/2, func() { gotK = append(gotK, ^id) })
+					k.After(d/2, func() { gotK = append(gotK, ^id) })
 				})
 				r.Schedule(d, func() {
 					gotR = append(gotR, id)
@@ -92,14 +92,14 @@ func FuzzKernelOrder(f *testing.F) {
 				if sk != sr {
 					t.Fatalf("op %d: Step() = %v (kernel) vs %v (reference)", i/4, sk, sr)
 				}
-			case 7: // Cancel a pseudo-random handle
+			case 7: // Stop a pseudo-random handle against the reference Cancel
 				if len(handlesK) == 0 {
 					continue
 				}
 				j := int(binary.LittleEndian.Uint16(data[i+1:i+3])) % len(handlesK)
-				ck, cr := handlesK[j].Cancel(), handlesR[j].Cancel()
+				ck, cr := handlesK[j].Stop(), handlesR[j].Cancel()
 				if ck != cr {
-					t.Fatalf("op %d: Cancel(%d) = %v (kernel) vs %v (reference)", i/4, j, ck, cr)
+					t.Fatalf("op %d: Stop(%d) = %v (kernel) vs Cancel %v (reference)", i/4, j, ck, cr)
 				}
 			}
 			if k.Pending() != r.Pending() {

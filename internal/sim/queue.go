@@ -11,26 +11,26 @@ package sim
 // times, which is what the previous container/heap implementation used.
 
 // evLess is the scheduler's total order: time, then FIFO by sequence.
-func evLess(a, b *Event) bool {
+func evLess(a, b *event) bool {
 	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
 }
 
 // evHeap is a monomorphic 4-ary min-heap of events. Four-way branching
 // halves the tree depth of a binary heap, and sifting compares inline int64
 // keys instead of going through heap.Interface with any-boxed Push/Pop.
-// Each event records its heap index so Cancel stays O(log n).
+// Each event records its heap index so Stop stays O(log n).
 type evHeap struct {
-	ev []*Event
+	ev []*event
 }
 
-func (h *evHeap) push(e *Event) {
+func (h *evHeap) push(e *event) {
 	i := len(h.ev)
 	h.ev = append(h.ev, e)
 	h.up(i, e)
 }
 
 // up sifts e toward the root from position i, moving blockers down.
-func (h *evHeap) up(i int, e *Event) {
+func (h *evHeap) up(i int, e *event) {
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !evLess(e, h.ev[p]) {
@@ -45,7 +45,7 @@ func (h *evHeap) up(i int, e *Event) {
 }
 
 // down sifts e toward the leaves from position i.
-func (h *evHeap) down(i int, e *Event) {
+func (h *evHeap) down(i int, e *event) {
 	n := len(h.ev)
 	for {
 		c := i<<2 + 1
@@ -74,7 +74,7 @@ func (h *evHeap) down(i int, e *Event) {
 }
 
 // pop removes and returns the minimum event.
-func (h *evHeap) pop() *Event {
+func (h *evHeap) pop() *event {
 	e := h.ev[0]
 	n := len(h.ev) - 1
 	last := h.ev[n]
@@ -87,7 +87,7 @@ func (h *evHeap) pop() *Event {
 	return e
 }
 
-// remove deletes the event at index i (Cancel path).
+// remove deletes the event at index i (Stop path).
 func (h *evHeap) remove(i int32) {
 	e := h.ev[i]
 	n := len(h.ev) - 1

@@ -441,15 +441,5 @@ func (k *Kernel) insertAt(key int64, at time.Time, fn func(), argFn func(any), a
 	if key < k.nowKey {
 		panic("sim: cross-lane insert into the past")
 	}
-	var e *Event
-	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		e = new(Event)
-	}
-	*e = Event{at: at, key: key, seq: k.nextID, fn: fn, argFn: argFn, arg: arg, owner: k, pooled: true}
-	k.nextID++
-	k.q.push(e)
+	k.push(key, at, fn, argFn, arg)
 }

@@ -67,17 +67,17 @@ func (c *laneCtx) fire() {
 		d := c.all[dst]
 		c.sh.Send(c.lane, dst, at, nil, nil, d.fire)
 	case 1: // zero-delay local event (same-instant FIFO ordering)
-		k.Schedule(0, c.fire)
+		k.After(0, c.fire)
 	case 2: // cancel churn
 		ev := k.After(time.Duration(1+(r>>12)%5000)*time.Microsecond, c.fire)
 		if r%10 == 2 {
-			ev.Cancel()
-			k.Schedule(time.Duration((r>>20)%800)*time.Microsecond, c.fire)
+			ev.Stop()
+			k.After(time.Duration((r>>20)%800)*time.Microsecond, c.fire)
 		}
 	case 3: // far-horizon timer
-		k.Schedule(time.Duration(20+(r>>10)%180)*time.Millisecond, c.fire)
+		k.After(time.Duration(20+(r>>10)%180)*time.Millisecond, c.fire)
 	default: // near-future local jitter
-		k.Schedule(time.Duration((r>>9)%2000)*time.Microsecond, c.fire)
+		k.After(time.Duration((r>>9)%2000)*time.Microsecond, c.fire)
 	}
 }
 
@@ -98,7 +98,7 @@ func runShardWorkload(t *testing.T, lanes, workers, budget int, seed int64) ([][
 	for _, c := range ctxs {
 		c.all = ctxs
 		d := time.Duration(c.rng.next()%1000) * time.Microsecond
-		c.sh.LaneKernel(c.lane).Schedule(d, c.fire)
+		c.sh.LaneKernel(c.lane).After(d, c.fire)
 	}
 	// Alternate bounded runs and a final drain so the deadline/advance path
 	// is exercised alongside the run-to-empty path.
@@ -154,7 +154,7 @@ func TestShardedWorkerWidthInvariance(t *testing.T) {
 // trace.
 func TestShardedSingleLaneMatchesKernel(t *testing.T) {
 	const budget = 2000
-	run := func(schedule func(d time.Duration, fn func()), after func(d time.Duration, fn func()) *Event,
+	run := func(after func(d time.Duration, fn func()) Timer,
 		now func() time.Time, sendSelf func(at time.Time, fn func())) *[]shardEnt {
 		rng := splitmixTest{state: 99}
 		trace := new([]shardEnt)
@@ -171,25 +171,25 @@ func TestShardedSingleLaneMatchesKernel(t *testing.T) {
 			case 0:
 				sendSelf(now().Add(testLookahead+time.Duration((r>>16)%300)*time.Microsecond), fire)
 			case 1:
-				schedule(0, fire)
+				after(0, fire)
 			case 2:
 				ev := after(time.Duration(1+(r>>12)%5000)*time.Microsecond, fire)
 				if r%10 == 2 {
-					ev.Cancel()
-					schedule(time.Duration((r>>20)%800)*time.Microsecond, fire)
+					ev.Stop()
+					after(time.Duration((r>>20)%800)*time.Microsecond, fire)
 				}
 			case 3:
-				schedule(time.Duration(20+(r>>10)%180)*time.Millisecond, fire)
+				after(time.Duration(20+(r>>10)%180)*time.Millisecond, fire)
 			default:
-				schedule(time.Duration((r>>9)%2000)*time.Microsecond, fire)
+				after(time.Duration((r>>9)%2000)*time.Microsecond, fire)
 			}
 		}
-		schedule(0, fire)
+		after(0, fire)
 		return trace
 	}
 
 	k := New(7)
-	kTrace := run(k.Schedule, k.After, k.Now, func(at time.Time, fn func()) { k.At(at, fn) })
+	kTrace := run(k.After, k.Now, func(at time.Time, fn func()) { k.At(at, fn) })
 	if err := k.Run(); err != nil {
 		t.Fatalf("kernel run: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestShardedSingleLaneMatchesKernel(t *testing.T) {
 	sh := NewSharded(7, testLookahead)
 	lane := sh.AddLane()
 	lk := sh.LaneKernel(lane)
-	sTrace := run(lk.Schedule, lk.After, lk.Now, func(at time.Time, fn func()) { sh.Send(lane, lane, at, nil, nil, fn) })
+	sTrace := run(lk.After, lk.Now, func(at time.Time, fn func()) { sh.Send(lane, lane, at, nil, nil, fn) })
 	if err := sh.Run(); err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
@@ -222,8 +222,8 @@ func TestShardedEventLimit(t *testing.T) {
 	sh.SetEventLimit(1000)
 	k := sh.LaneKernel(l)
 	var spin func()
-	spin = func() { k.Schedule(0, spin) }
-	k.Schedule(0, spin)
+	spin = func() { k.After(0, spin) }
+	k.After(0, spin)
 	err := sh.Run()
 	if !errors.Is(err, ErrEventLimit) {
 		t.Fatalf("Run = %v, want ErrEventLimit", err)
@@ -257,8 +257,8 @@ func TestShardedRunUntilAdvancesClocks(t *testing.T) {
 		sh.AddLane()
 	}
 	fired := 0
-	sh.LaneKernel(2).Schedule(time.Millisecond, func() { fired++ })
-	sh.LaneKernel(3).Schedule(time.Hour, func() { fired += 100 })
+	sh.LaneKernel(2).After(time.Millisecond, func() { fired++ })
+	sh.LaneKernel(3).After(time.Hour, func() { fired += 100 })
 	deadline := Epoch.Add(10 * time.Millisecond)
 	if err := sh.RunUntil(deadline); err != nil {
 		t.Fatalf("RunUntil: %v", err)

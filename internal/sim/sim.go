@@ -11,7 +11,7 @@
 // queue.go). There is no interface boxing anywhere on the hot path.
 //
 // Determinism contract: given the same seed and the same sequence of
-// Schedule calls, a simulation produces bit-identical event orderings.
+// scheduling calls, a simulation produces bit-identical event orderings.
 // Events scheduled for the same instant fire in scheduling order: every
 // event is ranked by one (time, seq) total order in one container.
 package sim
@@ -28,9 +28,11 @@ import (
 // wall-clock and simulated time.
 var Epoch = time.Date(2010, time.November, 29, 0, 0, 0, 0, time.UTC)
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created by Kernel.At and Kernel.After.
-type Event struct {
+// event is a scheduled callback. Every event returns to its kernel's free
+// list once it fires or is stopped, so scheduling allocates nothing once the
+// simulation is warm; gen counts those recycles, so a Timer left on a
+// recycled event no longer matches it.
+type event struct {
 	at  time.Time
 	key int64  // at.UnixNano(): the scheduler ordering key
 	seq uint64 // tie-breaker: FIFO among events at the same instant
@@ -41,29 +43,32 @@ type Event struct {
 	argFn func(any)
 	arg   any
 	owner *Kernel
-	index int32 // position in the heap, -1 once fired or canceled
-	// pooled marks fire-and-forget events created by Schedule/ScheduleArg:
-	// no handle escapes to callers, so the kernel recycles them through its
-	// free list after they fire. Events returned by At/After are never
-	// pooled because a caller may hold the pointer and Cancel it later.
-	pooled bool
+	index int32 // position in the heap, -1 once fired or stopped
+	gen   uint64
 }
 
-// Cancel removes the event from the queue. It returns false if the event
-// already fired or was already canceled. Cancel is idempotent.
-func (e *Event) Cancel() bool {
-	if e == nil || e.index < 0 || (e.fn == nil && e.argFn == nil) {
+// Timer is the handle At and After return. It is a value, so holding one
+// allocates nothing; the zero Timer is stopped.
+type Timer struct {
+	e   *event
+	gen uint64
+}
+
+// Pending reports whether the timer's callback is still queued.
+func (t Timer) Pending() bool { return t.e != nil && t.e.gen == t.gen }
+
+// Stop removes the timer's event from the queue. It returns false if the
+// callback already ran or the timer was already stopped, and never touches
+// an event recycled since.
+func (t Timer) Stop() bool {
+	if !t.Pending() {
 		return false
 	}
-	e.owner.q.remove(e.index)
-	e.fn = nil
-	e.argFn = nil
-	e.arg = nil
+	k := t.e.owner
+	k.q.remove(t.e.index)
+	k.recycle(t.e)
 	return true
 }
-
-// Time returns the virtual time the event is (or was) scheduled for.
-func (e *Event) Time() time.Time { return e.at }
 
 // Kernel is a single-threaded discrete-event executor. It is not safe for
 // concurrent use: all scheduling must happen from the driving goroutine or
@@ -77,10 +82,10 @@ type Kernel struct {
 	fired  uint64
 	// maxEvents guards against runaway event loops in tests; 0 = unlimited.
 	maxEvents uint64
-	// free recycles pooled events (see Schedule). Packet-hop simulations
-	// churn one event per hop, so reuse keeps the workers out of the
-	// allocator on the hot path.
-	free []*Event
+	// free recycles fired and stopped events. Packet-hop simulations churn
+	// one event per hop, so reuse keeps the workers out of the allocator on
+	// the hot path.
+	free []*event
 }
 
 // Engine is the surface that drives a whole simulation: the single Kernel
@@ -125,8 +130,9 @@ func (k *Kernel) SetEventLimit(n uint64) { k.maxEvents = n }
 var ErrEventLimit = errors.New("sim: event limit exceeded")
 
 // At schedules fn to run at virtual time t. Times in the past (before Now)
-// are clamped to Now, preserving causal ordering.
-func (k *Kernel) At(t time.Time, fn func()) *Event {
+// are clamped to Now, preserving causal ordering. Callers that never stop
+// the timer drop the handle.
+func (k *Kernel) At(t time.Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback") // programmer error, not runtime condition
 	}
@@ -135,68 +141,62 @@ func (k *Kernel) At(t time.Time, fn func()) *Event {
 		key = k.nowKey
 		t = k.now
 	}
-	e := &Event{at: t, key: key, seq: k.nextID, fn: fn, owner: k}
-	k.nextID++
-	k.q.push(e)
-	return e
+	return k.push(key, t, fn, nil, nil)
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (k *Kernel) After(d time.Duration, fn func()) *Event {
+func (k *Kernel) After(d time.Duration, fn func()) Timer {
 	return k.At(k.now.Add(d), fn)
 }
 
-// Schedule is the fire-and-forget form of After: fn runs d from now and the
-// event cannot be canceled. Because no handle escapes, the kernel recycles
-// the event through an internal free list after it fires, so hot paths that
-// never cancel (packet hops, delivery callbacks) schedule without
-// allocating. Ordering is identical to After: events fire by (time, FIFO).
-func (k *Kernel) Schedule(d time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: Schedule called with nil callback")
-	}
-	k.schedulePooled(d, fn, nil, nil)
-}
-
-// ScheduleArg is the closure-free form of Schedule: at the scheduled time
-// the kernel calls fn(arg). Hot paths that would otherwise allocate a
-// capturing closure per event (one per packet hop) pass a static function
-// and a pooled argument instead; combined with the event free list the
+// ScheduleArg is the closure-free form of After: at the scheduled time the
+// kernel calls fn(arg). Hot paths that would otherwise allocate a capturing
+// closure per event (one per packet hop) pass a static function and a
+// pooled argument instead; combined with the event free list the
 // steady-state cost is zero allocations per event. Ordering is identical to
-// Schedule.
+// After.
 func (k *Kernel) ScheduleArg(d time.Duration, fn func(arg any), arg any) {
 	if fn == nil {
 		panic("sim: ScheduleArg called with nil callback")
 	}
-	k.schedulePooled(d, nil, fn, arg)
+	d = max(d, 0)
+	k.push(k.nowKey+int64(d), k.now.Add(d), nil, fn, arg)
 }
 
-func (k *Kernel) schedulePooled(d time.Duration, fn func(), argFn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	var e *Event
+// push queues an event at key (at's UnixNano), taking it from the free list
+// when one is there, and stamps it with the kernel's next sequence number.
+func (k *Kernel) push(key int64, at time.Time, fn func(), argFn func(any), arg any) Timer {
+	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 	} else {
-		e = new(Event)
+		e = &event{owner: k}
 	}
-	*e = Event{
-		at: k.now.Add(d), key: k.nowKey + int64(d), seq: k.nextID,
-		fn: fn, argFn: argFn, arg: arg, owner: k, pooled: true,
-	}
+	e.at, e.key, e.seq = at, key, k.nextID
+	e.fn, e.argFn, e.arg = fn, argFn, arg
 	k.nextID++
 	k.q.push(e)
+	return Timer{e, e.gen}
 }
 
-// popMin removes and returns the (time, seq)-smallest pending event, or nil.
-func (k *Kernel) popMin() *Event {
-	if len(k.q.ev) == 0 {
-		return nil
+// recycle retires e, fired or stopped: every Timer on it goes stale.
+func (k *Kernel) recycle(e *event) {
+	e.fn, e.argFn, e.arg = nil, nil, nil
+	e.gen++
+	if len(k.free) < maxFreeEvents {
+		k.free = append(k.free, e)
 	}
-	return k.q.pop()
+}
+
+// Next returns the time of the earliest pending event; ok is false when the
+// queue is empty.
+func (k *Kernel) Next() (t time.Time, ok bool) {
+	if len(k.q.ev) == 0 {
+		return time.Time{}, false
+	}
+	return k.q.ev[0].at, true
 }
 
 // peekKey returns the key of the earliest pending event without removing it.
@@ -210,18 +210,15 @@ func (k *Kernel) peekKey() (int64, bool) {
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if the queue is empty.
 func (k *Kernel) Step() bool {
-	e := k.popMin()
-	if e == nil {
+	if len(k.q.ev) == 0 {
 		return false
 	}
+	e := k.q.pop()
 	k.now = e.at
 	k.nowKey = e.key
 	fn, argFn, arg := e.fn, e.argFn, e.arg
-	e.fn, e.argFn, e.arg = nil, nil, nil
+	k.recycle(e)
 	k.fired++
-	if e.pooled && len(k.free) < maxFreeEvents {
-		k.free = append(k.free, e)
-	}
 	if argFn != nil {
 		argFn(arg)
 	} else {

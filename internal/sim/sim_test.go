@@ -79,11 +79,11 @@ func TestCancel(t *testing.T) {
 	k := New(1)
 	fired := false
 	e := k.After(time.Millisecond, func() { fired = true })
-	if !e.Cancel() {
-		t.Error("first Cancel returned false")
+	if !e.Stop() {
+		t.Error("first Stop returned false")
 	}
-	if e.Cancel() {
-		t.Error("second Cancel returned true; want idempotent false")
+	if e.Stop() {
+		t.Error("second Stop returned true; want idempotent false")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -99,28 +99,53 @@ func TestCancelAfterFire(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Cancel() {
-		t.Error("Cancel after fire returned true")
+	if e.Stop() {
+		t.Error("Stop after fire returned true")
 	}
 }
 
-func TestCancelNil(t *testing.T) {
-	var e *Event
-	if e.Cancel() {
-		t.Error("nil Cancel returned true")
+// TestTimerStaleHandle pins the generation check: a handle whose event
+// fired and was recycled for a later timer neither reports nor stops that
+// timer, and the zero Timer is stopped.
+func TestTimerStaleHandle(t *testing.T) {
+	var zero Timer
+	if zero.Pending() || zero.Stop() {
+		t.Error("zero Timer reports pending or stops")
+	}
+	k := New(1)
+	a := k.After(time.Millisecond, func() {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	b := k.After(time.Millisecond, func() { fired = true })
+	if b.e != a.e {
+		t.Fatal("B did not take A's recycled event")
+	}
+	if a.Pending() || a.Stop() {
+		t.Error("stale handle A reports pending or stops")
+	}
+	if !b.Pending() {
+		t.Error("B not pending")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("B did not fire after A's stale Stop")
 	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	k := New(1)
 	var fired []int
-	events := make([]*Event, 20)
+	events := make([]Timer, 20)
 	for i := range events {
 		i := i
 		events[i] = k.After(time.Duration(i)*time.Millisecond, func() { fired = append(fired, i) })
 	}
 	for i := 5; i < 15; i++ {
-		events[i].Cancel()
+		events[i].Stop()
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -288,7 +313,7 @@ func TestScheduleCancelProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := New(seed)
 		fired := map[int]int{}
-		var events []*Event
+		var events []Timer
 		canceled := map[int]bool{}
 		n := 100
 		for i := 0; i < n; i++ {
@@ -297,7 +322,7 @@ func TestScheduleCancelProperty(t *testing.T) {
 				func() { fired[i]++ }))
 			if rng.Intn(3) == 0 && len(events) > 0 {
 				victim := rng.Intn(len(events))
-				if events[victim].Cancel() {
+				if events[victim].Stop() {
 					canceled[victim] = true
 				}
 			}
@@ -322,21 +347,21 @@ func TestScheduleCancelProperty(t *testing.T) {
 }
 
 // TestScheduleArgOrderAndPooling pins the closure-free dispatch path: it
-// interleaves with Schedule in strict (time, seq) order and recycles events
-// through the free list like Schedule does.
+// interleaves with After in strict (time, seq) order and recycles events
+// through the free list like After does.
 func TestScheduleArgOrderAndPooling(t *testing.T) {
 	k := New(1)
 	var order []int
 	at := 3 * time.Millisecond
-	k.Schedule(at, func() { order = append(order, 0) })
+	k.After(at, func() { order = append(order, 0) })
 	k.ScheduleArg(at, func(a any) { order = append(order, a.(int)) }, 1)
-	k.Schedule(at, func() { order = append(order, 2) })
+	k.After(at, func() { order = append(order, 2) })
 	k.ScheduleArg(at, func(a any) { order = append(order, a.(int)) }, 3)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !sort.IntsAreSorted(order) || len(order) != 4 {
-		t.Errorf("same-instant Schedule/ScheduleArg fired out of order: %v", order)
+		t.Errorf("same-instant After/ScheduleArg fired out of order: %v", order)
 	}
 	if len(k.free) != 4 {
 		t.Errorf("free list holds %d events after run, want 4", len(k.free))
@@ -389,7 +414,7 @@ func TestFireOrderAcrossDelays(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range delays {
 		d := d
-		k.Schedule(d, func() { fired = append(fired, d) })
+		k.After(d, func() { fired = append(fired, d) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -415,16 +440,16 @@ func TestCancelAtAnyDelay(t *testing.T) {
 	sameB := k.After(time.Millisecond, count) // same instant as sameA
 	far := k.After(horizon+time.Second, count)
 	keep := k.After(2*time.Millisecond, count) // survives
-	for _, e := range []*Event{now, sameA, far} {
-		if !e.Cancel() {
-			t.Fatal("Cancel returned false for a queued event")
+	for _, e := range []Timer{now, sameA, far} {
+		if !e.Stop() {
+			t.Fatal("Stop returned false for a queued event")
 		}
-		if e.Cancel() {
-			t.Fatal("second Cancel returned true")
+		if e.Stop() {
+			t.Fatal("second Stop returned true")
 		}
 	}
-	if !sameB.Cancel() {
-		t.Fatal("Cancel of the same-instant event returned false")
+	if !sameB.Stop() {
+		t.Fatal("Stop of the same-instant event returned false")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -432,8 +457,8 @@ func TestCancelAtAnyDelay(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1 (only the kept event)", fired)
 	}
-	if keep.Cancel() {
-		t.Error("Cancel after fire returned true")
+	if keep.Stop() {
+		t.Error("Stop after fire returned true")
 	}
 }
 
@@ -474,24 +499,15 @@ func TestRunUntilDeadlineInclusive(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndFire(b *testing.B) {
-	k := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.After(time.Microsecond, func() {})
-		k.Step()
-	}
-}
-
-// BenchmarkSchedulePooled measures the fire-and-forget path: after warmup
+// BenchmarkScheduleAndFire measures one After and its firing: after warmup
 // every event comes from the kernel free list, so steady state allocates
 // nothing per event.
-func BenchmarkSchedulePooled(b *testing.B) {
+func BenchmarkScheduleAndFire(b *testing.B) {
 	k := New(1)
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(time.Microsecond, fn)
+		k.After(time.Microsecond, fn)
 		k.Step()
 	}
 }
@@ -521,12 +537,12 @@ func BenchmarkScheduleDeep(b *testing.B) {
 		return time.Duration(rng.Intn(10_000)) * time.Microsecond
 	}
 	for i := 0; i < 100_000; i++ {
-		k.Schedule(delay(), fn)
+		k.After(delay(), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(delay(), fn)
+		k.After(delay(), fn)
 		k.Step()
 	}
 }

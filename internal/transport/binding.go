@@ -266,7 +266,7 @@ func (b *SenderBinding) announce() {
 }
 
 func (b *SenderBinding) armAnnounce() {
-	if b.annTimer != nil {
+	if b.annTimer.Pending() {
 		return
 	}
 	b.annTimer = b.cfg.Env.After(announceInterval, b.fireAnnounce)
@@ -277,7 +277,6 @@ func (b *SenderBinding) armAnnounce() {
 // Superseded epochs need no repeat: their cut is in the chain, and
 // ReceiverBinding.injectEOS ends them from it.
 func (b *SenderBinding) fireAnnounce() {
-	b.annTimer = nil
 	if b.closed {
 		if b.lingerLeft <= 0 {
 			return

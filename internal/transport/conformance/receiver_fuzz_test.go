@@ -233,22 +233,22 @@ func fuzzReceiver(t *testing.T, reg *transport.Registry, spec transport.Spec, in
 		}
 	}
 	for i := 0; i < fuzzStream; i++ {
-		k.Schedule(time.Duration(i)*fuzzPeriod, func() { publish(1) })
+		k.After(time.Duration(i)*fuzzPeriod, func() { publish(1) })
 	}
 	for _, h := range input {
 		switch {
 		case h.pkt == nil:
-			k.Schedule(h.at, func() { hiding = true; publish(h.n); hiding = false })
+			k.After(h.at, func() { hiding = true; publish(h.n); hiding = false })
 		case withHostile:
-			k.Schedule(h.at, func() {
+			k.After(h.at, func() {
 				pkt := h.pkt.Clone()
 				pkt.SentAt = k.Now()
 				ep.handler(h.src, pkt)
 			})
 		}
 	}
-	k.Schedule(fuzzRecvClose*fuzzPeriod, func() { closed = true; _ = r.Close() })
-	k.Schedule(fuzzStream*fuzzPeriod, func() { _ = s.Close() })
+	k.After(fuzzRecvClose*fuzzPeriod, func() { closed = true; _ = r.Close() })
+	k.After(fuzzStream*fuzzPeriod, func() { _ = s.Close() })
 	if err := k.RunFor(fuzzStream*fuzzPeriod + 5*time.Second); err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}

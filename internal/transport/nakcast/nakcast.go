@@ -193,14 +193,13 @@ func (s *Sender) enqueueRetrans(dst wire.NodeID, seq uint64) {
 	}
 	s.rtqSet[key] = true
 	s.rtq = append(s.rtq, key)
-	if s.rtTimer == nil {
+	if !s.rtTimer.Pending() {
 		s.rtTimer = s.Cfg.Env.After(retransPace, s.fireRetrans)
 	}
 }
 
 // fireRetrans drains one pacing burst from the retransmission queue.
 func (s *Sender) fireRetrans() {
-	s.rtTimer = nil
 	n := 0
 	for len(s.rtq) > 0 && n < retransBurst {
 		key := s.rtq[0]

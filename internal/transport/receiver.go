@@ -141,7 +141,6 @@ func (c *ReceiverCore) Lost(seq uint64) {
 // not run it.
 func (c *ReceiverCore) OnTimer(fire func()) {
 	c.fire = func() {
-		c.tmr = nil
 		if !c.closed {
 			fire()
 		}
@@ -158,9 +157,4 @@ func (c *ReceiverCore) ArmAt(t time.Time) {
 }
 
 // StopTimer cancels the pending timer, if any.
-func (c *ReceiverCore) StopTimer() {
-	if c.tmr != nil {
-		c.tmr.Stop()
-		c.tmr = nil
-	}
-}
+func (c *ReceiverCore) StopTimer() { c.tmr.Stop() }

@@ -94,9 +94,7 @@ func (c *SenderCore) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.hbTmr != nil {
-		c.hbTmr.Stop()
-	}
+	c.hbTmr.Stop()
 	if c.BeforeEOS != nil {
 		c.BeforeEOS()
 	}

@@ -39,7 +39,7 @@ func TestSplitterRoutesByStream(t *testing.T) {
 	}
 }
 
-func TestSplitterUnroutedDroppedWithoutControl(t *testing.T) {
+func TestSplitterUnroutedDropped(t *testing.T) {
 	k := sim.New(1)
 	e := env.NewSim(k)
 	fab := transporttest.New(e, time.Millisecond)

@@ -10,7 +10,7 @@
 # after a backtick or after "or: "), which must be a Makefile target; and
 # every Test..., Benchmark... or Fuzz... name, which must begin the name of a
 # function a _test.go in the tree declares (so BenchmarkSchedule* passes when
-# BenchmarkSchedulePooled exists). Each miss is printed as file:line.
+# BenchmarkScheduleArg exists). Each miss is printed as file:line.
 #
 # Every -flag cited after an adamant-<cmd> command name (as in
 # `adamant-bench -fig 4 -runs 5` or `go run ./cmd/adamant-sim -storm`) must
