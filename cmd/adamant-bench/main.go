@@ -41,7 +41,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		dataset   = flag.String("dataset", "data/training.csv", "training-set CSV for figures 18-21 (built by adamant-dataset)")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
-		ablations = flag.Bool("ablations", false, "also run the design-choice ablation studies (A2-A4, A6)")
+		ablations = flag.Bool("ablations", false, "also run the design-choice ablation study (A6: fountcast vs ricochet under burst loss)")
 		jobs      = flag.Int("jobs", 0, "parallel workers (0 = all CPUs)")
 		verbose   = flag.Bool("v", false, "progress logging")
 	)

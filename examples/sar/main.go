@@ -83,6 +83,9 @@ func run() error {
 			if err != nil {
 				return err
 			}
+			if hits == 0 {
+				return fmt.Errorf("%s on %s: no fusion hits, a stream never arrived", cfg.spec, plat.name)
+			}
 			rate := 100 * float64(hits) / float64(hits+misses)
 			fmt.Printf("  %-32s fusion hits %4d/%4d (%.1f%%)  mean stream skew %v\n",
 				cfg.label, hits, hits+misses, rate, avgSkew.Round(time.Microsecond))
@@ -116,15 +119,18 @@ func runSAR(machine netem.Machine, bw netem.Bandwidth, spec transport.Spec) (hit
 	reg := protocols.MustRegistry()
 	receivers := transport.StaticReceivers(fusionIDs...)
 
-	participant := func(node *netem.Node, sender wire.NodeID) (*dds.DomainParticipant, error) {
+	// Each stream has its own writer node, and a reader takes a stream
+	// only from its writer.
+	writers := map[string]wire.NodeID{"sar/infrared": uav.Local(), "sar/video": camera.Local()}
+	participant := func(node *netem.Node) (*dds.DomainParticipant, error) {
 		return dds.NewParticipant(dds.ParticipantConfig{
 			Env: e, Endpoint: node, Registry: reg, Transport: spec,
-			Impl: dds.ImplB, SenderID: sender, Receivers: receivers,
+			Impl: dds.ImplB, Writers: writers, Receivers: receivers,
 		})
 	}
 
 	// Publishers.
-	uavP, err := participant(uav, uav.Local())
+	uavP, err := participant(uav)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -136,7 +142,7 @@ func runSAR(machine netem.Machine, bw netem.Bandwidth, spec transport.Spec) (hit
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	camP, err := participant(camera, camera.Local())
+	camP, err := participant(camera)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -150,15 +156,15 @@ func runSAR(machine netem.Machine, bw netem.Bandwidth, spec transport.Spec) (hit
 	}
 
 	// Every fusion node subscribes to both streams (one participant per
-	// node; NAKs auto-target each topic's actual writer, and Ricochet's
-	// lateral repairs flow among all subscribing datacenter nodes). The
+	// node; NAKs target each topic's writer, and Ricochet's lateral
+	// repairs flow among all subscribing datacenter nodes). The
 	// primary survivor-detection application on fusionNodes[0] correlates
 	// IR scan k with video frame k.
 	irArrival := make(map[uint64]time.Time)
 	vidArrival := make(map[uint64]time.Time)
 	for i, node := range fusionNodes {
 		primary := i == 0
-		p, err := participant(node, uav.Local())
+		p, err := participant(node)
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -85,10 +85,12 @@ type ParticipantConfig struct {
 	Transport transport.Spec
 	// Impl selects the implementation cost profile.
 	Impl Impl
-	// SenderID is the node that publishes data streams in this domain
-	// (receivers NAK/subscribe toward it). Defaults to the endpoint's own
-	// ID for participants that write.
+	// SenderID is the node that publishes data streams in this domain:
+	// readers NAK it and take stream state only from it.
 	SenderID wire.NodeID
+	// Writers names the node that writes a topic, by topic name, for the
+	// topics SenderID does not write.
+	Writers map[string]wire.NodeID
 	// Receivers enumerates the data reader nodes in the domain, for
 	// protocols that need the peer set (Ricochet repairs).
 	Receivers func() []wire.NodeID

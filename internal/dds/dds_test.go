@@ -391,3 +391,75 @@ func TestParticipantConfigValidation(t *testing.T) {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
+
+// A reader participant takes each topic from the node that writes it:
+// SenderID's node writes alpha, Writers names beta's. Under loss every
+// sample of both arrives, so each stream's NAKs reach its own writer.
+func TestReaderTakesEachTopicFromItsWriter(t *testing.T) {
+	k := sim.New(5)
+	e := env.NewSim(k)
+	network, err := netem.New(e, netem.Config{Bandwidth: netem.Gbps1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := protocols.MustRegistry()
+	spec := transport.Spec{Name: "nakcast", Params: transport.Params{"timeout": "1ms"}}
+	nodeA, nodeB, reader := network.AddNode(netem.PC3000), network.AddNode(netem.PC3000), network.AddNode(netem.PC3000)
+	reader.SetLoss(20)
+	receivers := transport.StaticReceivers(reader.Local())
+	participant := func(node *netem.Node) *dds.DomainParticipant {
+		p, err := dds.NewParticipant(dds.ParticipantConfig{
+			Env: e, Endpoint: node, Registry: reg, Transport: spec, Impl: dds.ImplB,
+			SenderID: nodeA.Local(), Writers: map[string]wire.NodeID{"beta": nodeB.Local()}, Receivers: receivers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	writers := map[string]*dds.DataWriter{}
+	for name, node := range map[string]*netem.Node{"alpha": nodeA, "beta": nodeB} {
+		p := participant(node)
+		topic, err := p.CreateTopic(name, dds.TopicQoS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if writers[name], err = p.CreateDataWriter(topic, dds.WriterQoS{Reliability: dds.Reliable}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rp := participant(reader)
+	got := map[string]int{}
+	for _, name := range []string{"alpha", "beta"} {
+		topic, err := rp.CreateTopic(name, dds.TopicQoS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rp.CreateDataReader(topic, dds.ReaderQoS{Reliability: dds.Reliable},
+			dds.ListenerFuncs{Data: func(s dds.Sample) { got[s.Info.Topic]++ }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		for _, name := range []string{"alpha", "beta"} {
+			if err := writers[name].Write([]byte(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.RunFor(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range writers {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got["alpha"] != n || got["beta"] != n {
+		t.Errorf("delivered alpha %d, beta %d; want %d each", got["alpha"], got["beta"], n)
+	}
+}

@@ -129,11 +129,15 @@ func (p *DomainParticipant) CreateDataReader(topic *Topic, qos ReaderQoS, listen
 
 // transportConfig assembles the transport.Config for one topic endpoint.
 func (p *DomainParticipant) transportConfig(topic *Topic, deliver transport.DeliverFunc) transport.Config {
+	sender, ok := p.cfg.Writers[topic.name]
+	if !ok {
+		sender = p.cfg.SenderID
+	}
 	return transport.Config{
 		Env:       p.cfg.Env,
 		Endpoint:  p.splitter.Route(topic.stream),
 		Stream:    topic.stream,
-		SenderID:  p.cfg.SenderID,
+		SenderID:  sender,
 		Receivers: p.cfg.Receivers,
 		Deliver:   deliver,
 	}

@@ -12,13 +12,11 @@ import (
 	"adamant/internal/transport/ricochet"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out: the Ricochet
-// flush timer and group stagger, the R/C trade-off, and the fountain code
-// against Ricochet under burst loss. The IDs run A2-A4 and A6: A1 compared
-// NAKcast's in-order delivery with a deliver-on-arrival mode NAKcast no
-// longer has, and A5 compared ACK- with NAK-based reliability, and no
-// ACK-based protocol is left to run. Each study renders a Table in the same
-// format as the paper figures.
+// Ablations isolate a design choice DESIGN.md calls out: the fountain code
+// against Ricochet under burst loss, rendered as a Table in the same format
+// as the paper figures. Its ID stays A6, so results and docs keep citing it
+// by the same name; A1-A5 studied modes and tunables the transports no
+// longer have (EXPERIMENTS.md, "Beyond the paper").
 
 // AblationOptions parameterize the ablation studies.
 type AblationOptions struct {
@@ -36,103 +34,13 @@ func (o *AblationOptions) fillDefaults() {
 	}
 }
 
-// ablationStudy is one ablation table: its labelled variants and the row
-// each variant's run renders to.
-type ablationStudy struct {
-	id, title, note string
-	header          []string
-	variants        []ablationVariant
-	row             func(v ablationVariant, s metrics.Summary, rep NetReport) []string
-}
-
-// ablationVariant is one labelled configuration of a study. Its config sets
-// Receivers, RateHz and Protocol; every study shares the rest (pc3000/1Gb,
-// 5% loss, the options' samples and seed).
-type ablationVariant struct {
-	label string
-	cfg   Config
-}
-
-func ablationRow(v ablationVariant, s metrics.Summary, _ NetReport) []string {
-	return []string{
-		v.label,
-		fmt.Sprintf("%.2f", s.Reliability()),
-		fmt.Sprintf("%.0f", s.AvgLatencyUs),
-		fmt.Sprintf("%.0f", s.JitterUs),
-		fmt.Sprintf("%.0f", s.ReLate2),
-	}
-}
-
-var ablationHeader = []string{"variant", "reliability %", "latency (us)", "jitter (us)", "ReLate2"}
-
-func ricSpec(p transport.Params) transport.Spec { return transport.Spec{Name: "ricochet", Params: p} }
-
-// ablationStudies are the studies Ablations runs, in table order.
-var ablationStudies = []ablationStudy{
-	{
-		// Ricochet with and without the partial-group flush timer at a low
-		// data rate, where fixed-R grouping leaves losses waiting for R packets.
-		id:     "Ablation A2",
-		title:  "Ricochet flush timer at low rate (pc3000/1Gb, 3 rcv, 5% loss, 10Hz)",
-		note:   "without the flush, recovery waits for R=4 packets (~400ms at 10Hz)",
-		header: ablationHeader,
-		variants: []ablationVariant{
-			{"flush 8ms (default)", Config{Receivers: 3, RateHz: 10,
-				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "8ms"})}},
-			{"flush disabled (fixed R groups)", Config{Receivers: 3, RateHz: 10,
-				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms"})}},
-		},
-		row: ablationRow,
-	},
-	{
-		// Ricochet with and without per-receiver group stagger, with the
-		// flush disabled so XOR groups matter (high rate).
-		id:     "Ablation A3",
-		title:  "Ricochet group stagger (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
-		note:   "shifted boundaries enable double-loss cascades but dilute per-repair coverage; the net reliability effect is second-order",
-		header: ablationHeader,
-		variants: []ablationVariant{
-			{"staggered groups (default)", Config{Receivers: 5, RateHz: 100,
-				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms", "stagger": "0"})}},
-			{"aligned groups", Config{Receivers: 5, RateHz: 100,
-				Protocol: ricSpec(transport.Params{"r": "4", "c": "3", "flush": "-1ms", "stagger": "-1"})}},
-		},
-		row: ablationRow,
-	},
-	{
-		// Ricochet's R and C tunables, with the repair traffic beside the
-		// QoS outcome.
-		id:       "Ablation A4",
-		title:    "Ricochet R/C sweep (pc3000/1Gb, 5 rcv, 5% loss, 100Hz, flush off)",
-		note:     "higher R: less repair traffic, weaker recovery; higher C: more fan-out, stronger recovery",
-		header:   append(append([]string{}, ablationHeader...), "total pkts tx"),
-		variants: rcSweep([][2]int{{2, 3}, {4, 1}, {4, 3}, {8, 3}}),
-		row: func(v ablationVariant, s metrics.Summary, rep NetReport) []string {
-			return append(ablationRow(v, s, rep), fmt.Sprintf("%d", rep.TotalTx()))
-		},
-	},
-}
-
-func rcSweep(rcs [][2]int) []ablationVariant {
-	var vs []ablationVariant
-	for _, rc := range rcs {
-		vs = append(vs, ablationVariant{fmt.Sprintf("R=%d C=%d", rc[0], rc[1]), Config{Receivers: 5, RateHz: 100,
-			Protocol: ricSpec(transport.Params{"r": fmt.Sprintf("%d", rc[0]), "c": fmt.Sprintf("%d", rc[1]), "flush": "-1ms"})}})
-	}
-	return vs
-}
-
 // Ablations runs every ablation study.
 func Ablations(opts AblationOptions) ([]Table, error) {
-	tables, err := runAblations(opts, ablationStudies...)
-	if err != nil {
-		return nil, err
-	}
 	burst, err := burstAblation(opts)
 	if err != nil {
 		return nil, err
 	}
-	return append(tables, burst), nil
+	return []Table{burst}, nil
 }
 
 // burstAblation is Ablation A6: fountcast against ricochet under
@@ -197,34 +105,4 @@ func burstAblation(opts AblationOptions) (Table, error) {
 		})
 	}
 	return tab, nil
-}
-
-// runAblations runs every variant of the given studies through one Runner
-// batch (each config carries its own seed, so the batch's composition does
-// not move any run) and renders one table per study.
-func runAblations(opts AblationOptions, studies ...ablationStudy) ([]Table, error) {
-	opts.fillDefaults()
-	var cfgs []Config
-	for _, st := range studies {
-		for _, v := range st.variants {
-			cfg := v.cfg
-			cfg.Machine, cfg.Bandwidth, cfg.LossPct = netem.PC3000, netem.Gbps1, 5
-			cfg.Samples, cfg.Seed = opts.Samples, opts.Seed
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	sums, reports, err := (&Runner{Jobs: opts.Jobs}).RunManyDetailed(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	tables := make([]Table, len(studies))
-	i := 0
-	for k, st := range studies {
-		tables[k] = Table{ID: st.id, Title: st.title, Header: st.header, Note: st.note}
-		for _, v := range st.variants {
-			tables[k].Rows = append(tables[k].Rows, st.row(v, sums[i], reports[i]))
-			i++
-		}
-	}
-	return tables, nil
 }

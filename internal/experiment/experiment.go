@@ -130,8 +130,8 @@ func (c Config) String() string {
 // topicName is the single experiment data stream.
 const topicName = "adamant/experiment"
 
-// NetReport carries per-node traffic counters from one run, for ablations
-// that study protocol overhead (control traffic, repair traffic).
+// NetReport carries per-node traffic counters from one run, for reports of
+// protocol overhead (control traffic, repair traffic).
 type NetReport struct {
 	Writer  netem.Stats
 	Readers []netem.Stats

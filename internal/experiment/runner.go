@@ -37,27 +37,20 @@ func (r *Runner) jobs() int {
 // On the first failure the remaining queue is abandoned (in-flight runs
 // finish), and that first error is returned.
 func (r *Runner) RunMany(configs []Config) ([]metrics.Summary, error) {
-	sums, _, err := r.RunManyDetailed(configs)
-	return sums, err
-}
-
-// RunManyDetailed is RunMany plus each run's per-node traffic report.
-func (r *Runner) RunManyDetailed(configs []Config) ([]metrics.Summary, []NetReport, error) {
 	total := len(configs)
 	sums := make([]metrics.Summary, total)
-	reports := make([]NetReport, total)
 	err := r.ForEach(total, func(i int) error {
-		s, rep, err := RunDetailed(configs[i])
+		s, err := Run(configs[i])
 		if err != nil {
 			return fmt.Errorf("experiment: run %d of %d: %w", i+1, total, err)
 		}
-		sums[i], reports[i] = s, rep
+		sums[i] = s
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return sums, reports, nil
+	return sums, nil
 }
 
 // ForEach invokes fn(i) for every i in [0, n) across the worker pool.

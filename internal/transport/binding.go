@@ -72,22 +72,38 @@ func (bc *BindingConfig) validate() error {
 	return nil
 }
 
+// fromSender marks the packet types only a stream's sender originates. The
+// router drops them from any other source, so no other node can set a
+// stream's sequence state, end it, or extend its rebind chain. Repairs come
+// from peer receivers and NAKs from receivers, so they pass from anyone.
+var fromSender = [...]bool{
+	wire.TypeData:      true,
+	wire.TypeRetrans:   true,
+	wire.TypeHeartbeat: true,
+	wire.TypeSymbol:    true,
+	wire.TypeRebind:    true,
+}
+
 // epochRouter owns the endpoint handler and dispatches ingress packets to
 // per-epoch protocol instances by the packet's epoch stamp.
 type epochRouter struct {
 	ep        Endpoint
+	sender    wire.NodeID      // the only source of fromSender types
 	routes    []*epochEndpoint // index == epoch; dense from 0
 	onRebind  func(src wire.NodeID, pkt *wire.Packet)
 	onUnknown func(src wire.NodeID, pkt *wire.Packet)
 }
 
-func newEpochRouter(ep Endpoint) *epochRouter {
-	r := &epochRouter{ep: ep}
+func newEpochRouter(ep Endpoint, sender wire.NodeID) *epochRouter {
+	r := &epochRouter{ep: ep, sender: sender}
 	ep.SetHandler(r.dispatch)
 	return r
 }
 
 func (r *epochRouter) dispatch(src wire.NodeID, pkt *wire.Packet) {
+	if int(pkt.Type) < len(fromSender) && fromSender[pkt.Type] && src != r.sender {
+		return
+	}
 	if pkt.Type == wire.TypeRebind {
 		if r.onRebind != nil {
 			r.onRebind(src, pkt)
@@ -160,7 +176,7 @@ func NewSenderBinding(bc BindingConfig) (*SenderBinding, error) {
 		return nil, err
 	}
 	b := &SenderBinding{cfg: bc.Config, reg: bc.Registry}
-	b.router = newEpochRouter(bc.Config.Endpoint)
+	b.router = newEpochRouter(bc.Config.Endpoint, bc.SenderID)
 	s, err := bc.Registry.NewSender(bc.Spec, b.router.config(b.cfg, 0))
 	if err != nil {
 		return nil, err
@@ -364,7 +380,7 @@ func NewReceiverBinding(bc BindingConfig) (*ReceiverBinding, error) {
 		reg:      bc.Registry,
 		onChange: bc.OnTransportChanged,
 	}
-	b.router = newEpochRouter(bc.Config.Endpoint)
+	b.router = newEpochRouter(bc.Config.Endpoint, bc.SenderID)
 	b.router.onRebind = b.onRebind
 	b.router.onUnknown = b.park
 	if _, err := b.addEpoch(0, bc.Config.BaseSeq, bc.Spec); err != nil {

@@ -382,6 +382,78 @@ func TestBindingRecordWithUnknownParamNotLearned(t *testing.T) {
 	}
 }
 
+// stranger is a node that is neither the rig's sender (node 0) nor one of
+// its receivers.
+const stranger wire.NodeID = 9
+
+// strangerSends multicasts pkt, body and all, from the stranger node.
+func (rig *bindingRig) strangerSends(t *testing.T, typ wire.Type, epoch uint16, body []byte) {
+	t.Helper()
+	pkt := &wire.Packet{Type: typ, Src: stranger, Stream: 1, Epoch: epoch, SentAt: rig.k.Now(), Payload: body}
+	if err := rig.fab.Endpoint(stranger).Multicast(pkt); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.k.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One heartbeat from a stranger claiming seq 2^40 must not open a gap in
+// the stream: the binding takes stream state only from the stream's
+// sender. Without the filter a nakcast receiver opens a window of gaps
+// for seqs never published, abandons them, and then counts the genuine
+// samples that fill them as duplicates.
+func TestBindingDropsStrangerHeartbeat(t *testing.T) {
+	rig := newBindingRig(t, "nakcast")
+	hb, err := (&wire.HeartbeatBody{HighSeq: 1 << 40}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.strangerSends(t, wire.TypeHeartbeat, 0, hb)
+	rig.publish(t, 1500, 10*time.Millisecond) // 100 Hz
+	rig.finish(t)
+	rig.checkComplete(t, 1500, true)
+	for i, r := range rig.readers {
+		if st := r.Stats(); len(rig.lost[i]) != 0 || st.Duplicates != 0 {
+			t.Errorf("receiver %d: %d seqs reported lost, %d duplicates; want none", i, len(rig.lost[i]), st.Duplicates)
+		}
+	}
+}
+
+// A stranger's well-formed next rebind record is not learned: it would add
+// an epoch with its spec, cut the genuine epoch, and, repeated, use up the
+// chain so the genuine sender could not rebind. The genuine sender's swap
+// after it is learned as usual.
+func TestBindingDropsStrangerRebind(t *testing.T) {
+	rig := newBindingRig(t, "nakcast(timeout=5ms)")
+	rig.publish(t, 10, 2*time.Millisecond)
+	body, err := (&wire.RebindBody{Records: []wire.RebindRecord{
+		{Epoch: 0, Cut: 0, Spec: "nakcast(timeout=5ms)"},
+		{Epoch: 1, Cut: 10, Spec: "bemcast"},
+	}}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.strangerSends(t, wire.TypeRebind, 1, body)
+	for i, r := range rig.readers {
+		if r.Epoch() != 0 || len(rig.changes[i]) != 0 {
+			t.Fatalf("receiver %d learned a stranger's record: epoch %d, changes %v", i, r.Epoch(), rig.changes[i])
+		}
+	}
+	rig.publish(t, 10, 2*time.Millisecond)
+	if err := rig.sender.Swap(mustSpec(t, "nakcast(timeout=10ms)")); err != nil {
+		t.Fatal(err)
+	}
+	rig.publish(t, 10, 2*time.Millisecond)
+	rig.finish(t)
+	rig.checkComplete(t, 30, true)
+	for i := range rig.readers {
+		if fmt.Sprint(rig.changes[i]) != "[nakcast(timeout=10ms)]" {
+			t.Errorf("receiver %d changes %v, want the genuine swap alone", i, rig.changes[i])
+		}
+	}
+}
+
 // A receiver partitioned across a swap for more seqs than a nakcast
 // receiver's window still drains the superseded epoch. A heartbeat opens
 // at most a window of gaps past the cursor, and the closed old sender no

@@ -221,7 +221,6 @@ type Receiver struct {
 	transport.ReceiverCore
 	opts Options
 
-	sender  wire.NodeID // NAK target; tracked from data/heartbeat sources
 	maxSeen uint64
 	// win's low end is the delivery cursor: the lowest seq neither
 	// delivered nor abandoned.
@@ -247,7 +246,6 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 	r := &Receiver{
 		ReceiverCore: core,
 		opts:         opts,
-		sender:       cfg.SenderID,
 		maxSeen:      cfg.BaseSeq,
 		win:          transport.NewWindow[slot](cfg.BaseSeq+1, defaultHoldbackCap),
 	}
@@ -258,11 +256,7 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 	return r, nil
 }
 
-func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
-	// Track the writer's actual node so NAKs reach it even when the
-	// configured SenderID is stale or a different participant writes the
-	// topic.
-	r.sender = src
+func (r *Receiver) onData(_ wire.NodeID, pkt *wire.Packet) {
 	seq := pkt.Seq
 	if seq <= r.Cfg.BaseSeq {
 		return // below this instance's sequence space (covers bogus seq 0)
@@ -285,12 +279,11 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	r.drain()
 }
 
-func (r *Receiver) onHeartbeat(src wire.NodeID, pkt *wire.Packet) {
+func (r *Receiver) onHeartbeat(_ wire.NodeID, pkt *wire.Packet) {
 	hb, err := wire.DecodeHeartbeat(pkt.Payload)
 	if err != nil {
 		return
 	}
-	r.sender = src
 	r.noteHigh(hb.HighSeq, false)
 	r.drain()
 }
@@ -386,7 +379,7 @@ func (r *Receiver) sendNak(ranges []wire.SeqRange) {
 		return
 	}
 	r.Cfg.Endpoint.Work(nakBuildWork)
-	if err := r.Cfg.Endpoint.Unicast(r.sender, r.Cfg.Packet(wire.TypeNak, 0, body)); err != nil {
+	if err := r.Cfg.Endpoint.Unicast(r.Cfg.SenderID, r.Cfg.Packet(wire.TypeNak, 0, body)); err != nil {
 		return
 	}
 	r.Counts.NaksSent++

@@ -65,9 +65,9 @@ func TestFactoryProps(t *testing.T) {
 
 // TestSpecKeys pins the spec keys each protocol reads. A tunable nothing
 // outside the tests sets is a constant, so its key is an unknown param (the
-// rows give each removed key its former default); stagger takes one
-// spelling per configuration, and c stays within a bound; every kept key
-// parses at the value its product caller sets.
+// rows give each removed key its former default), also in a rebind record
+// from the network; r and c stay within a bound; every kept key parses at
+// the value its product caller sets.
 func TestSpecKeys(t *testing.T) {
 	reg := protocols.MustRegistry()
 	for _, tc := range []struct{ spec, err string }{
@@ -81,19 +81,16 @@ func TestSpecKeys(t *testing.T) {
 		{"fountcast(hb=100ms)", "unknown param hb"},
 		{"fountcast(proc=50µs)", "unknown param proc"},
 		{"nakcast(unordered=1)", "unknown param unordered"},
+		{"ricochet(flush=8ms)", "unknown param flush"},
+		{"ricochet(stagger=1)", "unknown param stagger"},
 
-		{"ricochet(r=4,stagger=4)", "stagger=4"},
-		{"ricochet(r=4,stagger=-2)", "stagger=-2"},
 		{"ricochet(r=4097)", "r=4097"}, // past the 4 096-packet cache
 		{"ricochet(c=65)", "c=65"},     // past the per-repair peer bound
 
-		{"nakcast(timeout=50ms)", ""},                   // core.Candidates
-		{"ricochet(c=3,r=8)", ""},                       // core.Candidates
-		{"ricochet(c=3,flush=8ms,r=4)", ""},             // A2
-		{"ricochet(c=3,flush=-1ms,r=4,stagger=-1)", ""}, // A3
-		{"ricochet(c=1,flush=-1ms,r=2,stagger=1)", ""},  // A4's r=2, an explicit stagger
-		{"fountcast(k=8,oh=25)", ""},                    // core.Candidates
-		{"fountcast(hold=15ms,k=4,oh=100)", ""},         // A6
+		{"nakcast(timeout=50ms)", ""},           // core.Candidates
+		{"ricochet(c=3,r=8)", ""},               // core.Candidates
+		{"fountcast(k=8,oh=25)", ""},            // core.Candidates
+		{"fountcast(hold=15ms,k=4,oh=100)", ""}, // A6
 	} {
 		spec, err := transport.ParseSpec(tc.spec)
 		if err != nil {
@@ -109,36 +106,29 @@ func TestSpecKeys(t *testing.T) {
 	}
 }
 
-// TestExplicitZeroParamsRun pins that a param value ParseOptions accepts is
-// the value a receiver built through the registry runs with, zero included:
-// flush=0s sends no repair for a partial group, where the default sends one.
-// The work and decode rows pin the per-packet and decode-path costs each
-// protocol runs with. Node 1 receives one data packet (seq 1) from node 0;
-// a repair row adds a repair of seqs 1 and 2 from node 2, a peer row makes
-// node 2 a repair target.
+// TestExplicitZeroParamsRun pins the per-packet and decode-path costs a
+// receiver built through the registry runs with. Node 1 receives one data
+// packet (seq 1) from node 0; a repair row adds a repair of seqs 1 and 2
+// from node 2.
 func TestExplicitZeroParamsRun(t *testing.T) {
 	type result struct {
 		ep *transporttest.Endpoint
-		st transport.ReceiverStats
 		ds []transport.Delivery
 	}
 	work := func(r result) time.Duration { return r.ep.WorkCharged }
 	decode := func(r result) time.Duration { return r.ds[len(r.ds)-1].DeliveredAt.Sub(r.ds[0].DeliveredAt) }
-	repairs := func(r result) time.Duration { return time.Duration(r.st.RepairsSent) }
 	reg := protocols.MustRegistry()
 	for _, tc := range []struct {
-		what         string
-		spec         string
-		peer, repair bool
-		got          func(result) time.Duration
-		want         time.Duration
+		what   string
+		spec   string
+		repair bool
+		got    func(result) time.Duration
+		want   time.Duration
 	}{
-		{"work", "nakcast", false, false, work, 50 * time.Microsecond},
-		{"work", "fountcast", false, false, work, 50 * time.Microsecond},
-		{"work", "ricochet", false, false, work, 300 * time.Microsecond},
-		{"decode", "ricochet", false, true, decode, 13 * time.Millisecond},
-		{"repairs", "ricochet(flush=0s,stagger=-1)", true, false, repairs, 0},
-		{"repairs", "ricochet(stagger=-1)", true, false, repairs, 1},
+		{"work", "nakcast", false, work, 50 * time.Microsecond},
+		{"work", "fountcast", false, work, 50 * time.Microsecond},
+		{"work", "ricochet", false, work, 300 * time.Microsecond},
+		{"decode", "ricochet", true, decode, 13 * time.Millisecond},
 	} {
 		t.Run(tc.what+"/"+tc.spec, func(t *testing.T) {
 			spec, err := transport.ParseSpec(tc.spec)
@@ -148,13 +138,9 @@ func TestExplicitZeroParamsRun(t *testing.T) {
 			k := sim.New(1)
 			e := env.NewSim(k)
 			fab := transporttest.New(e, time.Millisecond)
-			ids := []wire.NodeID{1}
-			if tc.peer {
-				ids = append(ids, fab.Endpoint(2).Local())
-			}
 			r := result{ep: fab.Endpoint(1)}
-			recv, err := reg.NewReceiver(spec, transport.Config{
-				Env: e, Endpoint: r.ep, Stream: 1, Receivers: transport.StaticReceivers(ids...),
+			_, err = reg.NewReceiver(spec, transport.Config{
+				Env: e, Endpoint: r.ep, Stream: 1, Receivers: transport.StaticReceivers(1),
 				Deliver: func(d transport.Delivery) { r.ds = append(r.ds, d) },
 			})
 			if err != nil {
@@ -179,7 +165,6 @@ func TestExplicitZeroParamsRun(t *testing.T) {
 			if err := k.RunFor(time.Second); err != nil {
 				t.Fatal(err)
 			}
-			r.st = recv.Stats()
 			if got := tc.got(r); got != tc.want {
 				t.Errorf("%s = %v, want %v", tc.what, got, tc.want)
 			}

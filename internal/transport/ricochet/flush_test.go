@@ -1,6 +1,7 @@
 package ricochet_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,99 +9,105 @@ import (
 )
 
 func TestFlushEmitsPartialRepairs(t *testing.T) {
-	// At a 100ms inter-arrival with an 8ms flush, every packet should be
-	// covered by a singleton repair long before the R=4 group would fill.
-	h := newHarness(t, 2, "ricochet(c=2,flush=8ms,r=4,stagger=-1)")
+	// At a 100ms inter-arrival every packet starts a group the 8ms flush
+	// sends as a singleton repair, long before the R=4 group would fill.
+	// Node 2 skips seqs 1 and 2 (2 mod 4), so seq 3 is its first group.
+	h := newHarness(t, 2, "ricochet(c=2,r=4)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
+		return pkt.Type == wire.TypeData && pkt.Seq == 3 && to == 1
 	}
 	h.publishN(t, 4, 100*time.Millisecond)
 	ds := h.delivery[0]
 	if len(ds) != 4 {
-		t.Fatalf("delivered %d, want 4 (flush repair must recover seq 2)", len(ds))
+		t.Fatalf("delivered %d, want 4 (flush repair must recover seq 3)", len(ds))
 	}
-	d, ok := find(ds, 2)
+	d, ok := find(ds, 3)
 	if !ok || !d.Recovered {
-		t.Fatal("seq 2 not recovered")
+		t.Fatal("seq 3 not recovered")
 	}
-	// Recovery must be flush-bound (~8ms + delivery hops), NOT group-bound
-	// (which would be ~300ms at this rate).
-	if lat := d.Latency(); lat > 40*time.Millisecond {
-		t.Errorf("recovered latency %v; flush-bound recovery should be ~10ms", lat)
+	// Recovery is flush-bound: the hop to the peer, its 8ms flush, the hop
+	// back and the 13ms decode path, not group-bound (~300ms at this rate).
+	if lat := d.Latency(); lat != time.Millisecond+8*time.Millisecond+time.Millisecond+13*time.Millisecond {
+		t.Errorf("recovered latency %v, want 23ms: two hops, the 8ms flush and the 13ms decode", lat)
 	}
 }
 
-func TestFlushDisabledKeepsGroupSemantics(t *testing.T) {
-	// With Flush < 0 and only 3 of R=4 packets published, no repairs are
-	// ever emitted.
-	h := newHarness(t, 2, classic("r=4,c=2"))
-	h.publishN(t, 3, 5*time.Millisecond)
-	for i, r := range h.recvs {
-		if st := r.Stats(); st.RepairsSent != 0 {
-			t.Errorf("receiver %d sent %d repairs with flush disabled and partial group", i, st.RepairsSent)
+// TestStaggerOffsetsGroups reads each receiver's XOR groups off its
+// repairs: node i skips its first i mod R receptions, so node 1's groups
+// start at seq 2 and node 2's at seq 3, and the flush sends the partial
+// last group.
+func TestStaggerOffsetsGroups(t *testing.T) {
+	h := newHarness(t, 2, "ricochet(c=1,r=4)")
+	groups := map[wire.NodeID][]string{}
+	h.fab.Drop = func(from, _ wire.NodeID, pkt *wire.Packet) bool {
+		if pkt.Type == wire.TypeRepair {
+			rep, err := wire.DecodeRepair(pkt.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[from] = append(groups[from], fmt.Sprintf("%d..%d", rep.Seq(0), rep.Seq(rep.Count()-1)))
+		}
+		return false
+	}
+	h.publishN(t, 9, fast)
+	for node, want := range map[wire.NodeID]string{1: "[2..5 6..9]", 2: "[3..6 7..9]"} {
+		if got := fmt.Sprint(groups[node]); got != want {
+			t.Errorf("node %d groups %s, want %s", node, got, want)
 		}
 	}
 }
 
-func TestStaggerOffsetsGroups(t *testing.T) {
-	// With auto stagger, node IDs 1 and 2 skip 1 and 2 packets before
-	// their first R=4 group. Publishing 9 packets gives node 1 groups
-	// [2..5],[6..9] (2 repairs) and node 2 groups [3..6] (+partial).
-	h := newHarness(t, 2, "ricochet(c=2,flush=-1ns,r=4)")
-	h.publishN(t, 9, 5*time.Millisecond)
-	s1 := h.recvs[0].Stats().RepairsSent
-	s2 := h.recvs[1].Stats().RepairsSent
-	if s1 == 0 {
-		t.Error("node 1 emitted no repairs")
-	}
-	if s1 <= s2 {
-		t.Errorf("stagger should give node 1 (offset 1) more completed groups than node 2 (offset 2): %d vs %d", s1, s2)
-	}
-}
-
+// TestStaggeredPeerRecoversShiftedDoubleLoss recovers a double loss by
+// cascade across peers whose group boundaries are shifted. Node 1 loses
+// seqs 6 and 7, and node 2's repair of its group [3..6] is lost too. Node
+// 3's group [4..7] arrives first and misses both, so it is buffered; node
+// 2's next group [7..10] misses only 7 and decodes it, after which the
+// buffered repair misses only 6 and decodes that in the same instant.
 func TestStaggeredPeerRecoversShiftedDoubleLoss(t *testing.T) {
-	// Receiver 1 (stagger 1, groups [2..5]...) loses seqs 4 and 5 — a
-	// double loss within ITS group. Receiver 2 (stagger 2, groups
-	// [3..6],[7..10]) covers 4,5 in separate... both in [3..6]. Receiver 3
-	// (stagger 3, groups [4..7]) also has both. Use explicit staggers so
-	// peer groups are [5..8] for one peer: then 4 is in no group... This
-	// exercises the cascade: peer repairs with shifted boundaries decode
-	// one loss, unlocking a buffered repair for the other.
-	h := newHarness(t, 3, "ricochet(c=3,flush=-1ns,r=2)")
-	// R=2, auto stagger by id: node1 offset 1: groups [2,3],[4,5],[6,7]...
-	// node2 offset 0 (2%2): [1,2],[3,4],[5,6]... node3 offset 1: like node1.
+	h := newHarness(t, 3, "ricochet(c=3,r=4)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && to == 1 && (pkt.Seq == 4 || pkt.Seq == 5)
+		if to != 1 {
+			return false
+		}
+		return pkt.Type == wire.TypeData && (pkt.Seq == 6 || pkt.Seq == 7) ||
+			pkt.Type == wire.TypeRepair && from == 2 && pkt.Seq == 6
 	}
-	h.publishN(t, 8, 5*time.Millisecond)
+	h.publishN(t, 10, fast) // no data after the unlocking repair
 	ds := h.delivery[0]
-	if len(ds) != 8 {
-		t.Fatalf("delivered %d, want 8 (shifted groups must recover both)", len(ds))
+	if len(ds) != 10 {
+		t.Fatalf("delivered %d, want 12 (shifted groups must recover both)", len(ds))
 	}
-	d4, _ := find(ds, 4)
-	d5, _ := find(ds, 5)
-	if !d4.Recovered || !d5.Recovered {
-		t.Error("double loss not recovered via shifted peer groups")
+	d6, _ := find(ds, 6)
+	d7, _ := find(ds, 7)
+	if !d6.Recovered || !d7.Recovered {
+		t.Fatal("double loss not recovered via shifted peer groups")
+	}
+	// Seq 7 decodes from [7..10], which reaches node 1 5ms after seq 7 was
+	// sent, and seq 6 cascades from the buffered [4..7] at once: both land
+	// after the 13ms decode path.
+	if at := d7.SentAt.Add(5*time.Millisecond + 13*time.Millisecond); !d7.DeliveredAt.Equal(at) || !d6.DeliveredAt.Equal(at) {
+		t.Errorf("seqs 6, 7 delivered at %v, %v; want both at %v (cascade)", d6.DeliveredAt, d7.DeliveredAt, at)
 	}
 }
 
 func TestDecodeCostDelaysRecoveredDelivery(t *testing.T) {
-	h := newHarness(t, 2, classic("r=2,c=2"))
+	// Node 2 skips no reception at R=2, so seqs 1 and 2 are its first group.
+	h := newHarness(t, 2, "ricochet(c=2,r=2)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq == 1 && to == 1
 	}
-	h.publishN(t, 2, 5*time.Millisecond)
+	h.publishN(t, 2, fast)
 	d, ok := find(h.delivery[0], 1)
 	if !ok {
 		t.Fatal("seq 1 not recovered")
 	}
 	// The fabric's ScaleCPU is identity, so the recovered delivery lands
-	// the 13ms decode-path cost after the repair does (seq 2 at 5ms, one
+	// the 13ms decode-path cost after the repair does (seq 2 at 1ms, one
 	// hop to the peer, one back).
-	if lat := d.Latency(); lat != 7*time.Millisecond+13*time.Millisecond {
-		t.Errorf("recovered latency %v, want 7ms to the repair plus the 13ms decode path", lat)
+	if lat := d.Latency(); lat != 3*time.Millisecond+13*time.Millisecond {
+		t.Errorf("recovered latency %v, want 3ms to the repair plus the 13ms decode path", lat)
 	}
-	if direct, ok := find(h.delivery[0], 2); ok && direct.Latency() > 5*time.Millisecond {
+	if direct, ok := find(h.delivery[0], 2); ok && direct.Latency() > time.Millisecond {
 		t.Errorf("direct delivery latency %v; decode path must not block the receive path", direct.Latency())
 	}
 }

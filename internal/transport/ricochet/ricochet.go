@@ -41,13 +41,6 @@ const Props = transport.PropMulticast | transport.PropFEC
 const (
 	DefaultR = 4
 	DefaultC = 3
-	// DefaultFlush bounds how long a partially filled XOR group may sit
-	// before its repair is sent anyway. Without it, recovery latency at
-	// low data rates would be R packet intervals; with it, low-rate
-	// repairs degenerate toward per-packet lateral copies (Slingshot-
-	// style), which is what keeps Ricochet's recovery latency low at
-	// 10-25 Hz.
-	DefaultFlush = 8 * time.Millisecond
 
 	// window is the receiver packet cache size used for XOR decoding and
 	// duplicate suppression; it bounds r. span is the window's span cap:
@@ -76,6 +69,14 @@ const (
 	// delays recovered deliveries (machine-scaled) without occupying the
 	// receive path.
 	decodeCost = 13 * time.Millisecond
+	// flush bounds how long a partially filled XOR group may sit before
+	// its repair is sent anyway. Without it, recovery latency at low data
+	// rates would be R packet intervals; with it, low-rate repairs
+	// degenerate toward per-packet lateral copies (Slingshot-style), which
+	// is what keeps Ricochet's recovery latency low at 10-25 Hz. It is
+	// shorter than the 10 ms gap of the fastest trained rate, so at every
+	// trained rate a group is flushed holding one packet and r has no effect.
+	flush = 8 * time.Millisecond
 
 	maxPendingRepairs = 256
 	repairBuildWork   = 60 * time.Microsecond
@@ -89,22 +90,6 @@ type Options struct {
 	R int
 	// C is the number of peer receivers each repair is sent to.
 	C int
-	// Flush bounds the age of a partial XOR group before its repair is
-	// emitted anyway. Zero or negative disables the flush timer (classic
-	// fixed-R grouping).
-	Flush time.Duration
-	// Stagger offsets this receiver's first XOR group: 0 derives the
-	// offset from the node ID (default; peers' group boundaries then
-	// interleave), -1 disables staggering, 1..R-1 are explicit offsets.
-	Stagger int
-}
-
-// staggerFor resolves the initial group offset for a node.
-func (o Options) staggerFor(id wire.NodeID) int {
-	if o.Stagger == 0 {
-		return int(id) % o.R
-	}
-	return max(o.Stagger, 0)
 }
 
 // Spec returns the canonical transport.Spec for an (R, C) pair, e.g.
@@ -122,8 +107,6 @@ func ParseOptions(p transport.Params) (Options, error) {
 	if err := p.Read(
 		transport.IntParam("r", &o.R, DefaultR),
 		transport.IntParam("c", &o.C, DefaultC),
-		transport.DurationParam("flush", &o.Flush, DefaultFlush),
-		transport.IntParam("stagger", &o.Stagger, 0),
 	); err != nil {
 		return o, err
 	}
@@ -132,9 +115,6 @@ func ParseOptions(p transport.Params) (Options, error) {
 	}
 	if o.C < 1 || o.C > maxC {
 		return o, fmt.Errorf("ricochet: c=%d outside 1..%d", o.C, maxC)
-	}
-	if o.Stagger < -1 || o.Stagger >= o.R {
-		return o, fmt.Errorf("ricochet: stagger=%d outside -1..%d", o.Stagger, o.R-1)
 	}
 	return o, nil
 }
@@ -172,10 +152,11 @@ type Receiver struct {
 	pending []wire.Repair                  // repairs that could not decode yet
 	held    []*wire.Packet                 // scratch: a decoding repair's held siblings
 	targets []wire.NodeID                  // scratch: a repair's peers
-	// stagger skips this many initial receptions before the first XOR
-	// group so different receivers' group boundaries interleave (their
-	// reception orders differ in practice), which both speeds recovery
-	// and lets shifted repairs resolve double losses by cascade.
+	// stagger skips this many initial receptions, the node ID mod R,
+	// before the first XOR group so different receivers' group boundaries
+	// interleave (their reception orders differ in practice), which both
+	// speeds recovery and lets shifted repairs resolve double losses by
+	// cascade.
 	stagger int
 	ended   bool // an end of stream arrived and armed the tail report
 }
@@ -191,7 +172,7 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 		opts:         opts,
 		rng:          cfg.Env.Rand(fmt.Sprintf("ricochet/%d", cfg.Endpoint.Local())),
 		window:       transport.NewWindow[*wire.Packet](cfg.BaseSeq+1, span),
-		stagger:      opts.staggerFor(cfg.Endpoint.Local()),
+		stagger:      int(cfg.Endpoint.Local()) % opts.R,
 	}
 	// The core's timer is the flush deadline of a partial group.
 	r.OnTimer(func() {
@@ -217,7 +198,7 @@ func (r *Receiver) onEOS(_ wire.NodeID, pkt *wire.Packet) {
 		return
 	}
 	r.ended = true
-	r.Cfg.Env.After(2*max(r.opts.Flush, 0)+decodeCost, func() { r.forget(hb.HighSeq + 1) })
+	r.Cfg.Env.After(2*flush+decodeCost, func() { r.forget(hb.HighSeq + 1) })
 }
 
 func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
@@ -247,10 +228,10 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 		r.group = append(r.group, pkt)
 		if len(r.group) >= r.opts.R {
 			r.emitRepair()
-		} else if len(r.group) == 1 && r.opts.Flush > 0 {
+		} else if len(r.group) == 1 {
 			// Age-bound the partial group so low-rate streams still get
 			// timely repairs.
-			r.ArmAt(r.Cfg.Env.Now().Add(r.opts.Flush))
+			r.ArmAt(r.Cfg.Env.Now().Add(flush))
 		}
 	}
 	r.decodePending()

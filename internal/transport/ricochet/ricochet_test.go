@@ -23,17 +23,13 @@ type harness struct {
 	lost     [][]uint64
 }
 
-// classic returns the spec with params for fixed-R group semantics: no
-// stagger, no flush timer — the configuration the protocol-mechanics tests
-// are written against. The fabric charges no CPU time, so only the 13ms
-// decode path delays a delivery.
-func classic(params string) string {
-	p := "flush=-1ns,stagger=-1"
-	if params != "" {
-		p = params + "," + p
-	}
-	return "ricochet(" + p + ")"
-}
+// fast is a publish gap under which every XOR group of these tests fills
+// before the 8 ms flush: a group of r spans (r-1) gaps, and r is at most 8
+// here. Receiver i is node i+1 and skips its first (i+1) mod r receptions,
+// so with every packet received its groups start at seq (i+1) mod r + 1.
+// The fabric charges no CPU time, so only the 13 ms decode path delays a
+// delivery.
+const fast = time.Millisecond
 
 // newHarness builds one sender (node 0) and n receivers (nodes 1..n) of spec
 // over a 1ms-delay fabric.
@@ -106,8 +102,8 @@ func find(ds []transport.Delivery, seq uint64) (transport.Delivery, bool) {
 }
 
 func TestLosslessImmediateDelivery(t *testing.T) {
-	h := newHarness(t, 3, classic("r=4,c=2"))
-	h.publishN(t, 20, 5*time.Millisecond)
+	h := newHarness(t, 3, "ricochet(c=2,r=4)")
+	h.publishN(t, 20, fast)
 	for i, ds := range h.delivery {
 		if len(ds) != 20 {
 			t.Fatalf("receiver %d delivered %d, want 20", i, len(ds))
@@ -124,11 +120,12 @@ func TestLosslessImmediateDelivery(t *testing.T) {
 }
 
 func TestRepairsAreEmitted(t *testing.T) {
-	h := newHarness(t, 3, classic("r=4,c=2"))
-	h.publishN(t, 20, 5*time.Millisecond)
+	h := newHarness(t, 3, "ricochet(c=2,r=4)")
+	h.publishN(t, 20, fast)
 	for i, r := range h.recvs {
 		st := r.Stats()
-		// 20 packets / R=4 = 5 repair rounds, each to 1..2 distinct peers
+		// Receiver i groups 20-(i+1) packets: four full groups of R=4 and a
+		// flushed partial one, 5 repair rounds, each to 1..2 distinct peers
 		// (C=2 draws with replacement over 2 peers).
 		if st.RepairsSent < 5 || st.RepairsSent > 10 {
 			t.Errorf("receiver %d RepairsSent = %d, want 5..10", i, st.RepairsSent)
@@ -144,29 +141,32 @@ func TestRepairsAreEmitted(t *testing.T) {
 }
 
 func TestSingleLossRecoveredLaterally(t *testing.T) {
-	h := newHarness(t, 3, classic("r=4,c=2"))
+	h := newHarness(t, 3, "ricochet(c=2,r=4)")
+	// Node 1 loses seq 5, which the full groups [3..6] of node 2 and
+	// [4..7] of node 3 cover.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
+		return pkt.Type == wire.TypeData && pkt.Seq == 5 && to == 1
 	}
-	h.publishN(t, 12, 5*time.Millisecond)
+	h.publishN(t, 12, fast)
 	ds := h.delivery[0]
 	if len(ds) != 12 {
-		t.Fatalf("delivered %d, want 12 (seq 2 must be repaired)", len(ds))
+		t.Fatalf("delivered %d, want 12 (seq 5 must be repaired)", len(ds))
 	}
-	d, ok := find(ds, 2)
+	d, ok := find(ds, 5)
 	if !ok {
-		t.Fatal("seq 2 never delivered")
+		t.Fatal("seq 5 never delivered")
 	}
 	if !d.Recovered {
-		t.Error("seq 2 not marked recovered")
+		t.Error("seq 5 not marked recovered")
 	}
-	if string(d.Payload) != "sample-01" {
-		t.Errorf("recovered payload = %q, want %q", d.Payload, "sample-01")
+	if string(d.Payload) != "sample-04" {
+		t.Errorf("recovered payload = %q, want %q", d.Payload, "sample-04")
 	}
 	// Latency reflects the original send time, so it includes the wait for
-	// the covering repair (packets 1-4 at 5ms spacing, repair after seq 4).
-	if lat := d.Latency(); lat < 10*time.Millisecond {
-		t.Errorf("recovered latency %v, want >= ~10ms (repair wait)", lat)
+	// the covering group to fill (seq 6 sent 1ms after seq 5 at the
+	// earliest), the repair's hop and the 13ms decode path.
+	if lat := d.Latency(); lat < 15*time.Millisecond {
+		t.Errorf("recovered latency %v, want >= 15ms (group fill, hops and decode)", lat)
 	}
 	if st := h.recvs[0].Stats(); st.RepairsUsed != 1 {
 		t.Errorf("RepairsUsed = %d, want 1", st.RepairsUsed)
@@ -180,41 +180,43 @@ func TestSingleLossRecoveredLaterally(t *testing.T) {
 }
 
 func TestNoHeadOfLineBlocking(t *testing.T) {
-	h := newHarness(t, 3, classic("r=4,c=2"))
+	h := newHarness(t, 3, "ricochet(c=2,r=4)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && pkt.Seq == 2 && to == 1
+		return pkt.Type == wire.TypeData && pkt.Seq == 5 && to == 1
 	}
-	h.publishN(t, 8, 5*time.Millisecond)
+	h.publishN(t, 8, fast)
 	ds := h.delivery[0]
-	d3, ok := find(ds, 3)
+	d6, ok := find(ds, 6)
 	if !ok {
-		t.Fatal("seq 3 missing")
+		t.Fatal("seq 6 missing")
 	}
-	if lat := d3.Latency(); lat != time.Millisecond {
-		t.Errorf("seq 3 latency %v; Ricochet must not head-of-line block", lat)
+	if lat := d6.Latency(); lat != time.Millisecond {
+		t.Errorf("seq 6 latency %v; Ricochet must not head-of-line block", lat)
 	}
-	// Delivery order is arrival order: 3 comes before the recovered 2.
+	// Delivery order is arrival order: 6 comes before the recovered 5.
 	pos := map[uint64]int{}
 	for i, d := range ds {
 		pos[d.Seq] = i
 	}
-	if pos[3] > pos[2] {
-		t.Error("seq 3 delivered after recovered seq 2; expected immediate delivery")
+	if _, ok := pos[5]; !ok || pos[6] > pos[5] {
+		t.Error("seq 6 delivered after recovered seq 5 (or 5 never); expected immediate delivery")
 	}
 }
 
 func TestTwoLossesInOneGroupUnrecoverable(t *testing.T) {
-	h := newHarness(t, 3, classic("r=4,c=2"))
+	h := newHarness(t, 3, "ricochet(c=2,r=4)")
+	// Seqs 5 and 6 both fall in node 2's group [3..6] and node 3's [4..7],
+	// and no peer group holds one without the other.
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
-		return pkt.Type == wire.TypeData && to == 1 && (pkt.Seq == 2 || pkt.Seq == 3)
+		return pkt.Type == wire.TypeData && to == 1 && (pkt.Seq == 5 || pkt.Seq == 6)
 	}
-	h.publishN(t, 8, 5*time.Millisecond)
+	h.publishN(t, 8, fast)
 	ds := h.delivery[0]
-	if _, ok := find(ds, 2); ok {
-		t.Error("seq 2 recovered despite double loss in its XOR group")
+	if _, ok := find(ds, 5); ok {
+		t.Error("seq 5 recovered despite double loss in its XOR group")
 	}
-	if _, ok := find(ds, 3); ok {
-		t.Error("seq 3 recovered despite double loss in its XOR group")
+	if _, ok := find(ds, 6); ok {
+		t.Error("seq 6 recovered despite double loss in its XOR group")
 	}
 	if len(ds) != 6 {
 		t.Errorf("delivered %d, want 6 (residual loss is expected)", len(ds))
@@ -226,7 +228,7 @@ func TestTwoLossesInOneGroupUnrecoverable(t *testing.T) {
 // buffered; one over [5..8] misses only 5 and decodes it, after which the
 // buffered repair misses only 4 and decodes that too.
 func TestPendingRepairCascade(t *testing.T) {
-	h := newHarness(t, 2, classic("r=4,c=1"))
+	h := newHarness(t, 2, "ricochet(c=1,r=4)")
 	h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 		if to != 1 {
 			return false
@@ -302,7 +304,7 @@ func TestPendingRepairCascade(t *testing.T) {
 }
 
 func TestDuplicateSuppression(t *testing.T) {
-	h := newHarness(t, 1, classic("r=4,c=1"))
+	h := newHarness(t, 1, "ricochet(c=1,r=4)")
 	for i := 0; i < 5; i++ {
 		if err := h.sender.Publish([]byte("x")); err != nil {
 			t.Fatal(err)
@@ -326,9 +328,11 @@ func TestDuplicateSuppression(t *testing.T) {
 
 func TestRepairTargetsRespectC(t *testing.T) {
 	// 6 receivers, C=2: each repair round sends at most 2 unicasts (C
-	// draws with replacement, deduplicated).
-	h := newHarness(t, 6, classic("r=4,c=2"))
-	h.publishN(t, 8, 5*time.Millisecond)
+	// draws with replacement, deduplicated). Every receiver skips at most
+	// 3 of the 8 packets, so it groups one full group and one flushed
+	// partial one.
+	h := newHarness(t, 6, "ricochet(c=2,r=4)")
+	h.publishN(t, 8, fast)
 	for i, r := range h.recvs {
 		if st := r.Stats(); st.RepairsSent < 2 || st.RepairsSent > 4 { // 2 rounds x 1..2
 			t.Errorf("receiver %d RepairsSent = %d, want 2..4", i, st.RepairsSent)
@@ -337,7 +341,7 @@ func TestRepairTargetsRespectC(t *testing.T) {
 }
 
 func TestSingleReceiverNoRepairs(t *testing.T) {
-	h := newHarness(t, 1, classic("r=2,c=3"))
+	h := newHarness(t, 1, "ricochet(c=3,r=2)")
 	h.publishN(t, 10, 2*time.Millisecond)
 	if st := h.recvs[0].Stats(); st.RepairsSent != 0 {
 		t.Errorf("RepairsSent = %d with no peers", st.RepairsSent)
@@ -351,7 +355,7 @@ func TestSingleReceiverNoRepairs(t *testing.T) {
 // seq 1 is then out of window, not a duplicate.
 func TestWindowEviction(t *testing.T) {
 	const n = 4096 + 100
-	h := newHarness(t, 2, classic("r=4,c=1"))
+	h := newHarness(t, 2, "ricochet(c=1,r=4)")
 	h.publishN(t, n, time.Millisecond)
 	if len(h.delivery[0]) != n {
 		t.Fatalf("delivered %d, want %d", len(h.delivery[0]), n)
@@ -374,7 +378,7 @@ func TestWindowEviction(t *testing.T) {
 }
 
 func TestStreamFiltering(t *testing.T) {
-	h := newHarness(t, 1, classic("r=4,c=1"))
+	h := newHarness(t, 1, "ricochet(c=1,r=4)")
 	other := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 99, Seq: 1,
 		SentAt: h.k.Now(), Payload: []byte("other-stream")}
 	if err := h.fab.Endpoint(0).Multicast(other); err != nil {
@@ -389,7 +393,7 @@ func TestStreamFiltering(t *testing.T) {
 }
 
 func TestPublishAfterClose(t *testing.T) {
-	h := newHarness(t, 1, classic(""))
+	h := newHarness(t, 1, "ricochet")
 	if err := h.sender.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +420,8 @@ func TestSpecAndParseOptions(t *testing.T) {
 		{"c": "0"},            // c < 1
 		{"r": "x"},            // unparsable
 		{"c": "y"},            // unparsable
-		{"stagger": "zz"},     // unparsable
+		{"flush": "8ms"},      // retired key: the flush is a constant
+		{"stagger": "1"},      // retired key: the offset is the node ID mod r
 		{"r": "4", "cc": "3"}, // unknown key
 	} {
 		if _, err := ricochet.ParseOptions(bad); err == nil {
@@ -452,11 +457,11 @@ func TestFactoryBuildsInstances(t *testing.T) {
 
 func TestHigherRLowersRepairTrafficButWeakensRecovery(t *testing.T) {
 	run := func(r int, dropEvery uint64) (recovered uint64, repairs uint64) {
-		h := newHarness(t, 3, classic(fmt.Sprintf("r=%d,c=2", r)))
+		h := newHarness(t, 3, fmt.Sprintf("ricochet(c=2,r=%d)", r))
 		h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 			return pkt.Type == wire.TypeData && to == 1 && pkt.Seq%dropEvery == 0
 		}
-		h.publishN(t, 64, 2*time.Millisecond)
+		h.publishN(t, 64, fast)
 		st := h.recvs[0].Stats()
 		return st.Recovered, h.recvs[1].Stats().RepairsSent
 	}
@@ -481,7 +486,7 @@ func TestHigherRLowersRepairTrafficButWeakensRecovery(t *testing.T) {
 // real stream, now below the window, is out of window.
 func TestFarFutureSeqsBounded(t *testing.T) {
 	const bogus, span = 4096 + 1, 4 * 4096
-	h := newHarness(t, 1, classic("r=4,c=1"))
+	h := newHarness(t, 1, "ricochet(c=1,r=4)")
 	h.publishN(t, 3, time.Millisecond)
 	for i := uint64(0); i < bogus; i++ {
 		far := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: 1<<40 + i,
@@ -531,7 +536,7 @@ func TestFarFutureSeqsBounded(t *testing.T) {
 // every seq it missed, once and in order.
 func TestLongOutageKeepsDelivering(t *testing.T) {
 	const first, outage, after = 100, 20000, 4900
-	h := newHarness(t, 1, classic(""))
+	h := newHarness(t, 1, "ricochet")
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Seq > first && pkt.Seq <= first+outage
 	}
@@ -557,7 +562,7 @@ func TestLongOutageKeepsDelivering(t *testing.T) {
 // copy of it that turns up later is not delivered. Repeats of the end of
 // stream arm no second report.
 func TestTailLossReportedOnceAtEOS(t *testing.T) {
-	h := newHarness(t, 1, classic("r=4,c=1"))
+	h := newHarness(t, 1, "ricochet(c=1,r=4)")
 	h.fab.Drop = func(_, _ wire.NodeID, pkt *wire.Packet) bool {
 		return pkt.Type == wire.TypeData && pkt.Seq >= 9
 	}
@@ -617,11 +622,12 @@ func TestTailLossReportedOnceAtEOS(t *testing.T) {
 
 // The end-of-stream grace is two flush periods and a decode, so it outlasts
 // a peer's last lateral repair whose hop is at most a flush plus a decode.
-// The last sample reaches one receiver only, with the end of stream, and
-// its peer's flushed copy lands one flush period plus the hop after that.
-// Within the grace the sample is delivered from the repair; past it the
-// sample is reported lost once, and the late repair is dead: counted
-// useless, never delivered.
+// The last sample reaches node 2 only, with the end of stream; at R=2 node
+// 2 skips no reception (2 mod 2 = 0), so its flushed copy of the one-packet
+// group lands at node 1 one flush period plus the hop after that. Within
+// the grace the sample is delivered from the repair; past it the sample is
+// reported lost once, and the late repair is dead: counted useless, never
+// delivered.
 func TestTailRepairInsideEOSGrace(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -629,10 +635,11 @@ func TestTailRepairInsideEOSGrace(t *testing.T) {
 		recovered bool
 	}{
 		{"hop within a flush", 0, true},
+		{"hop within the grace", 19 * time.Millisecond, true}, // lands 1ms before it ends
 		{"hop past the grace", 30 * time.Millisecond, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 2, "ricochet(c=1,flush=8ms,r=4,stagger=-1)")
+			h := newHarness(t, 2, "ricochet(c=1,r=2)")
 			held := false
 			h.fab.Drop = func(from, to wire.NodeID, pkt *wire.Packet) bool {
 				if pkt.Type == wire.TypeRepair && tc.extraHop > 0 && !held {
@@ -641,7 +648,7 @@ func TestTailRepairInsideEOSGrace(t *testing.T) {
 					h.e.After(tc.extraHop, func() { _ = h.fab.Endpoint(from).Unicast(to, late) })
 					return true
 				}
-				return pkt.Type == wire.TypeData && to == 2
+				return pkt.Type == wire.TypeData && to == 1
 			}
 			if err := h.sender.Publish([]byte("last")); err != nil {
 				t.Fatal(err)
@@ -652,7 +659,7 @@ func TestTailRepairInsideEOSGrace(t *testing.T) {
 			if err := h.k.RunFor(time.Second); err != nil {
 				t.Fatal(err)
 			}
-			d, ok := find(h.delivery[1], 1)
+			d, ok := find(h.delivery[0], 1)
 			if tc.recovered && (!ok || !d.Recovered) {
 				t.Errorf("seq 1 delivered %v (recovered %v), want delivered from the peer's repair", ok, d.Recovered)
 			}
@@ -660,10 +667,10 @@ func TestTailRepairInsideEOSGrace(t *testing.T) {
 				t.Error("seq 1 delivered from a repair that arrived after it was reported lost")
 			}
 			want := map[bool]string{true: "[]", false: "[1]"}[tc.recovered]
-			if got := fmt.Sprint(h.lost[1]); got != want {
-				t.Errorf("receiver 1 reported %s lost, want %s", got, want)
+			if got := fmt.Sprint(h.lost[0]); got != want {
+				t.Errorf("node 1 reported %s lost, want %s", got, want)
 			}
-			if st := h.recvs[1].Stats(); !tc.recovered && st.RepairsUseless != 1 {
+			if st := h.recvs[0].Stats(); !tc.recovered && st.RepairsUseless != 1 {
 				t.Errorf("RepairsUseless = %d, want 1 (the late repair)", st.RepairsUseless)
 			}
 		})

@@ -176,7 +176,8 @@ type Config struct {
 	Endpoint Endpoint
 	// Stream identifies the data stream (topic) this instance serves.
 	Stream wire.StreamID
-	// SenderID is the node that publishes the stream (NAK target).
+	// SenderID is the node that publishes the stream: the NAK target, and
+	// the only source a binding takes data, heartbeats and rebinds from.
 	SenderID wire.NodeID
 	// Receivers returns the current receiver set, including the local
 	// node. Ricochet picks repair targets from it; implementations may

@@ -11,16 +11,18 @@
 # that must grow past a cap raises it here and says why.
 set -euo pipefail
 
-broker_cap=3330    # internal/broker
-transport_cap=4439 # internal/transport/... (total)
-dds_cap=614        # internal/dds
-core_cap=621       # internal/core
+broker_cap=3330     # internal/broker
+transport_cap=4420  # internal/transport/... (total)
+dds_cap=620         # internal/dds: ParticipantConfig.Writers, for readers of several writer nodes
+core_cap=621        # internal/core
+experiment_cap=1846 # internal/experiment
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 cd "$root"
 
 find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l |
-	awk -v broker_cap="$broker_cap" -v transport_cap="$transport_cap" -v dds_cap="$dds_cap" -v core_cap="$core_cap" '$2 != "total" {
+	awk -v broker_cap="$broker_cap" -v transport_cap="$transport_cap" -v dds_cap="$dds_cap" -v core_cap="$core_cap" \
+		-v experiment_cap="$experiment_cap" '$2 != "total" {
 		dir = $2; sub("/[^/]*$", "", dir)
 		lines[dir] += $1
 		all += $1
@@ -42,6 +44,10 @@ find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l |
 		}
 		if (lines["internal/core"] > core_cap) {
 			printf "internal/core: %d lines, over its cap of %d\n", lines["internal/core"], core_cap > "/dev/stderr"
+			over = 1
+		}
+		if (lines["internal/experiment"] > experiment_cap) {
+			printf "internal/experiment: %d lines, over its cap of %d\n", lines["internal/experiment"], experiment_cap > "/dev/stderr"
 			over = 1
 		}
 		if (transport > transport_cap) {
